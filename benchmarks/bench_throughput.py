@@ -112,7 +112,9 @@ def bench_matcher(rounds: int = 30) -> dict:
         return rounds * len(bodies) / (time.perf_counter() - start)
 
     naive = rate(match_signatures_naive)
-    single_pass = rate(match_signatures)
+    # the matcher itself: the public function is memoised by body, and
+    # these rounds repeat the same bodies
+    single_pass = rate(match_signatures.__wrapped__)
     return {
         "bodies": len(bodies),
         "naive_bodies_per_sec": round(naive, 1),

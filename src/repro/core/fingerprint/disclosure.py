@@ -18,6 +18,13 @@ from repro.core.tsunami.plugin import PluginContext
 
 _Extractor = Callable[[PluginContext], str | None]
 
+_GOCD_RE = re.compile(r'data-version="([\d.]+)"')
+_WORDPRESS_RE = re.compile(r'content="WordPress ([\d.]+)"')
+_CONSUL_RE = re.compile(r"CONSUL_VERSION: ([\d.]+)")
+_HADOOP_RE = re.compile(r"Hadoop version</td><td>([\d.]+)")
+_PHPMYADMIN_RE = re.compile(r"phpMyAdmin ([\d.]+)")
+_ADMINER_RE = re.compile(r'<span class="version">([\d.]+)</span>')
+
 
 def _jenkins(context: PluginContext) -> str | None:
     response = context.fetch("/")
@@ -30,7 +37,7 @@ def _gocd(context: PluginContext) -> str | None:
     response = context.fetch("/go/home")
     if response is None:
         return None
-    match = re.search(r'data-version="([\d.]+)"', response.body)
+    match = _GOCD_RE.search(response.body)
     return match.group(1) if match else None
 
 
@@ -38,7 +45,7 @@ def _wordpress(context: PluginContext) -> str | None:
     response = context.fetch("/")
     if response is None:
         return None
-    match = re.search(r'content="WordPress ([\d.]+)"', response.body)
+    match = _WORDPRESS_RE.search(response.body)
     return match.group(1) if match else None
 
 
@@ -67,7 +74,7 @@ def _consul(context: PluginContext) -> str | None:
     # Fall back to the HTML comment in the UI.
     response = context.fetch("/ui/")
     if response is not None:
-        match = re.search(r"CONSUL_VERSION: ([\d.]+)", response.body)
+        match = _CONSUL_RE.search(response.body)
         if match:
             return match.group(1)
     return None
@@ -81,7 +88,7 @@ def _hadoop(context: PluginContext) -> str | None:
             return version
     response = context.fetch("/cluster/cluster")
     if response is not None:
-        match = re.search(r"Hadoop version</td><td>([\d.]+)", response.body)
+        match = _HADOOP_RE.search(response.body)
         if match:
             return match.group(1)
     return None
@@ -117,7 +124,7 @@ def _phpmyadmin(context: PluginContext) -> str | None:
         response = context.fetch(path)
         if response is None:
             continue
-        match = re.search(r"phpMyAdmin ([\d.]+)", response.body)
+        match = _PHPMYADMIN_RE.search(response.body)
         if match:
             return match.group(1)
     return None
@@ -127,7 +134,7 @@ def _adminer(context: PluginContext) -> str | None:
     response = context.fetch("/")
     if response is None:
         return None
-    match = re.search(r'<span class="version">([\d.]+)</span>', response.body)
+    match = _ADMINER_RE.search(response.body)
     return match.group(1) if match else None
 
 

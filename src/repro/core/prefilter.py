@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.masscan import PortScanResult
 from repro.core.retry import RetryExecutor
@@ -356,9 +357,20 @@ class SignatureMatcher:
 
 _MATCHER = SignatureMatcher(SIGNATURES)
 
+#: distinct bodies whose candidate list is kept.  Landing pages saturate
+#: near 105 distinct bodies (74 at bench scale 1, 105 at scale 16), so 256
+#: never evicts in a sweep and holds under 0.2 MB (DESIGN.md s8).
+MATCH_CACHE_SIZE = 256
 
+
+@lru_cache(maxsize=MATCH_CACHE_SIZE)
 def match_signatures(body: str) -> tuple[str, ...]:
-    """Candidate application slugs whose signatures fire on ``body``."""
+    """Candidate application slugs whose signatures fire on ``body``.
+
+    A pure function of the body text, computed once per distinct body per
+    process: emulated (and real) deployments of one application version
+    serve the same landing page on every host.
+    """
     return _MATCHER.match(body)
 
 

@@ -4,11 +4,23 @@ Several Table-10 steps "parse the HTML response and verify that element X
 exists"; this module provides that on top of the stdlib parser, plus a
 well-formedness check (the Jenkins and WordPress plugins require "valid
 HTML" before trusting body markers).
+
+Every question is answered from an :class:`HtmlOutline`, a pure function
+of the body text that :func:`outline` computes once per distinct body per
+process: a sweep sees the same few install/login pages on thousands of
+hosts, and the stdlib parser is by far the dearest thing stage III does.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from html.parser import HTMLParser
+
+#: distinct bodies whose outline is kept.  The plugins parse 6 to 8
+#: distinct pages however large the sweep; 64 entries of a body plus at
+#: most ~5 KB of outline stay under 0.5 MB (measurements: DESIGN.md s8).
+OUTLINE_CACHE_SIZE = 64
 
 
 class _ElementCollector(HTMLParser):
@@ -51,6 +63,42 @@ _VOID_TAGS = frozenset(
 )
 
 
+_Element = tuple[str, str | None]
+
+
+@dataclass(frozen=True, slots=True)
+class HtmlOutline:
+    """What the plugins ask of one parsed document, indexed by question.
+
+    An id of ``None`` is the predicates' wildcard, so every element (and
+    every ancestor/descendant pair) is recorded under its own id *and*
+    under ``None``: each predicate is then a single set lookup.
+    """
+
+    malformed: bool
+    elements: frozenset[_Element]
+    contained: frozenset[tuple[str, str | None, str, str | None]]
+
+    @property
+    def valid(self) -> bool:
+        """Loose well-formedness: parses, and has at least one element."""
+        return not self.malformed and bool(self.elements)
+
+    def has_element(self, tag: str, element_id: str | None = None) -> bool:
+        """Does the document contain ``<tag id=element_id>``?"""
+        return (tag, element_id) in self.elements
+
+    def has_element_within(
+        self,
+        outer_tag: str,
+        outer_id: str | None,
+        inner_tag: str,
+        inner_id: str | None,
+    ) -> bool:
+        """Does ``<outer>`` contain ``<inner>`` (CSS ``outer inner``)?"""
+        return (outer_tag, outer_id, inner_tag, inner_id) in self.contained
+
+
 def _parse(body: str) -> _ElementCollector:
     collector = _ElementCollector()
     try:
@@ -61,19 +109,38 @@ def _parse(body: str) -> _ElementCollector:
     return collector
 
 
+def _with_wildcard(element: _Element) -> tuple[_Element, ...]:
+    tag, element_id = element
+    return (element,) if element_id is None else (element, (tag, None))
+
+
+@lru_cache(maxsize=OUTLINE_CACHE_SIZE)
+def outline(body: str) -> HtmlOutline:
+    """The outline of ``body``, parsed once per distinct body."""
+    collector = _parse(body)
+    return HtmlOutline(
+        malformed=collector.malformed,
+        elements=frozenset(
+            form for element in collector.elements
+            for form in _with_wildcard(element)
+        ),
+        contained=frozenset(
+            (*outer, *inner)
+            for outer_tag, outer_id, inner_tag, inner_id in collector.contained
+            for outer in _with_wildcard((outer_tag, outer_id))
+            for inner in _with_wildcard((inner_tag, inner_id))
+        ),
+    )
+
+
 def is_valid_html(body: str) -> bool:
     """Loose well-formedness: parses, and has at least one element."""
-    collector = _parse(body)
-    return not collector.malformed and bool(collector.elements)
+    return outline(body).valid
 
 
 def has_element(body: str, tag: str, element_id: str | None = None) -> bool:
     """Does the document contain ``<tag id=element_id>``?"""
-    collector = _parse(body)
-    for found_tag, found_id in collector.elements:
-        if found_tag == tag and (element_id is None or found_id == element_id):
-            return True
-    return False
+    return outline(body).has_element(tag, element_id)
 
 
 def has_element_within(
@@ -84,13 +151,6 @@ def has_element_within(
     inner_id: str | None,
 ) -> bool:
     """Does ``<outer>`` contain ``<inner>`` (CSS ``outer inner``)?"""
-    collector = _parse(body)
-    for outer_t, outer_i, inner_t, inner_i in collector.contained:
-        if outer_t != outer_tag or inner_t != inner_tag:
-            continue
-        if outer_id is not None and outer_i != outer_id:
-            continue
-        if inner_id is not None and inner_i != inner_id:
-            continue
-        return True
-    return False
+    return outline(body).has_element_within(
+        outer_tag, outer_id, inner_tag, inner_id
+    )

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from repro.core.tsunami.htmlcheck import has_element, is_valid_html
+from repro.core.tsunami.htmlcheck import outline
 from repro.core.tsunami.plugin import DetectionReport, MavDetectionPlugin, PluginContext
 
 
@@ -21,8 +21,11 @@ class JenkinsPlugin(MavDetectionPlugin):
         response = context.fetch("/view/all/newJob")
         if response is None or response.status != 200:
             return None
-        if "Jenkins" not in response.body or not is_valid_html(response.body):
+        if "Jenkins" not in response.body:
             return None
-        if not has_element(response.body, "form", "createItem"):
+        page = outline(response.body)
+        if not page.valid:
+            return None
+        if not page.has_element("form", "createItem"):
             return None
         return self.report(context, "form#createItem reachable without login")

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from repro.core.tsunami.htmlcheck import has_element, has_element_within, is_valid_html
+from repro.core.tsunami.htmlcheck import outline
 from repro.core.tsunami.plugin import DetectionReport, MavDetectionPlugin, PluginContext
 
 
@@ -21,10 +21,13 @@ class WordPressPlugin(MavDetectionPlugin):
         response = context.fetch("/wp-admin/install.php?step=1")
         if response is None or response.status != 200:
             return None
-        if "WordPress" not in response.body or not is_valid_html(response.body):
+        if "WordPress" not in response.body:
             return None
-        if not has_element(response.body, "form", "setup"):
+        page = outline(response.body)
+        if not page.valid:
             return None
-        if not has_element_within(response.body, "form", "setup", "input", "pass1"):
+        if not page.has_element("form", "setup"):
+            return None
+        if not page.has_element_within("form", "setup", "input", "pass1"):
             return None
         return self.report(context, "installation wizard serves the admin-password form")

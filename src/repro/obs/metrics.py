@@ -9,6 +9,7 @@ and the Prometheus exposition are deterministic across identical runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 #: default latency buckets, simulated seconds (retry backoff and chaos
@@ -22,6 +23,13 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 def _label_key(labels: dict[str, object]) -> _LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _raw_key(name: str, labels: dict[str, object]) -> tuple:
+    """Memo key of a labelled lookup as spelt: kwargs in call order, plus
+    the value types (``1``, ``1.0`` and ``True`` hash alike but label
+    different series)."""
+    return (name, *labels.items(), *map(type, labels.values()))
 
 
 def flat_name(name: str, labels: _LabelKey) -> str:
@@ -79,12 +87,8 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-        else:
-            self.counts[-1] += 1
+        # first bound >= value; past the last bound is the +Inf slot
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
 
@@ -100,27 +104,43 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Lazily-created, labelled metric families."""
+    """Lazily-created, labelled metric families.
+
+    Instrumented code asks for its series by ``(name, **labels)`` on every
+    increment, so each family keeps a memo from the *raw* call (the bare
+    name, or ``_raw_key`` when labelled) to the series it resolved to;
+    only the first call with a given spelling pays for the canonical
+    sorted, stringified key.  The memos live and die with the series
+    objects: ``restore_state`` replaces those and clears the memos, which
+    is why call sites keep no handles of their own.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, _LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, _LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
+        self._counter_memo: dict[object, Counter] = {}
+        self._gauge_memo: dict[object, Gauge] = {}
+        self._histogram_memo: dict[object, Histogram] = {}
 
     # -- creation / lookup ---------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
-        key = (name, _label_key(labels))
-        metric = self._counters.get(key)
+        raw = _raw_key(name, labels) if labels else name
+        metric = self._counter_memo.get(raw)
         if metric is None:
-            metric = self._counters[key] = Counter()
+            metric = self._counter_memo[raw] = self._counters.setdefault(
+                (name, _label_key(labels)), Counter()
+            )
         return metric
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = (name, _label_key(labels))
-        metric = self._gauges.get(key)
+        raw = _raw_key(name, labels) if labels else name
+        metric = self._gauge_memo.get(raw)
         if metric is None:
-            metric = self._gauges[key] = Gauge()
+            metric = self._gauge_memo[raw] = self._gauges.setdefault(
+                (name, _label_key(labels)), Gauge()
+            )
         return metric
 
     def histogram(
@@ -129,12 +149,16 @@ class MetricsRegistry:
         buckets: Iterable[float] | None = None,
         **labels: object,
     ) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._histograms.get(key)
+        raw = _raw_key(name, labels) if labels else name
+        metric = self._histogram_memo.get(raw)
         if metric is None:
-            metric = self._histograms[key] = Histogram(
-                buckets if buckets is not None else DEFAULT_BUCKETS
-            )
+            key = (name, _label_key(labels))
+            metric = self._histograms.get(key)
+            if metric is None:
+                metric = self._histograms[key] = Histogram(
+                    buckets if buckets is not None else DEFAULT_BUCKETS
+                )
+            self._histogram_memo[raw] = metric
         return metric
 
     # -- read accessors (0 for series never touched) -------------------------
@@ -257,9 +281,11 @@ class MetricsRegistry:
         }
 
     def restore_state(self, state: dict) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        for table in (
+            self._counters, self._gauges, self._histograms,
+            self._counter_memo, self._gauge_memo, self._histogram_memo,
+        ):
+            table.clear()
         for name, labels, value in state["counters"]:
             key = (name, tuple((k, v) for k, v in labels))
             counter = self._counters[key] = Counter()

@@ -104,17 +104,18 @@ class Tracer:
 
     def start(self, name: str, **attrs: object) -> Span:
         """Open a span as a child of the currently active one."""
+        stack = self._stack
         span = Span(
             span_id=self._next_id,
-            parent_id=self.active.span_id if self.active else None,
+            parent_id=stack[-1].span_id if stack else None,
             name=name,
             start=self._now(),
-            attrs=dict(attrs),
+            attrs=attrs,  # ``**attrs`` is already a fresh dict
         )
         self._next_id += 1
         if self.wall_clock is not None:
             span.wall_start = self.wall_clock()
-        self._stack.append(span)
+        stack.append(span)
         if self.listener is not None:
             self.listener.on_start(span)
         return span

@@ -10,6 +10,7 @@ execution dimension at once:
 * fault plan          clean / chaos / hostile-supervised
 * interruption        straight through / kill-and-resume via checkpoint
 * observability       profiling + flight recorder on / off
+* analysis caches     cold / pre-warmed by a sweep of another world
 
 Each scenario has one golden run (workers=1, thread executor, straight
 through); every other arm must reproduce it byte for byte, including the
@@ -24,16 +25,23 @@ import json
 
 import pytest
 
-from repro.apps.catalog import scanned_ports
+from repro.apps.base import AppInstance
+from repro.apps.catalog import create_instance, scanned_ports
 from repro.core.checkpoint import Checkpointer
 from repro.core.pipeline import ScanPipeline
+from repro.core.prefilter import match_signatures
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
+from repro.core.tsunami.htmlcheck import outline
 from repro.net.chaos import ChaosTransport
+from repro.net.host import Host, Service
+from repro.net.ipv4 import IPv4Address
+from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
 from repro.obs.profile import ProfileRollup
 from repro.util.clock import SimClock
 from tests.core.test_parallel import (
+    APPS,
     PLAN,
     CrashingCheckpointer,
     SimulatedCrash,
@@ -155,6 +163,51 @@ class TestKillAndResume:
             checkpoint=Checkpointer(path, every_batches=1),
         )
         assert artifacts(report, pipeline) == golden(scenario)
+
+
+class TestContentCaches:
+    """Stage II/III analysis is memoised by body content, process-wide
+    (``match_signatures``, ``htmlcheck.outline``).  Whatever an earlier
+    sweep — of any world — left in those caches must not show in a later
+    sweep's artifacts: only analysis is reused, never a response."""
+
+    @staticmethod
+    def clear_caches():
+        match_signatures.cache_clear()
+        outline.cache_clear()
+
+    @staticmethod
+    def sweep_vulnerable_twin():
+        """The matrix world's apps in their *vulnerable* configuration on
+        other addresses: same slugs and paths, different bodies."""
+        internet = SimulatedInternet()
+        ips = []
+        for index, (slug, port) in enumerate(APPS):
+            ip = IPv4Address.parse(f"93.185.7.{10 + index}")
+            host = Host(ip)
+            host.add_service(Service(port, app=AppInstance(
+                create_instance(slug, vulnerable=True), port
+            )))
+            internet.add_host(host)
+            ips.append(ip)
+        ScanPipeline(InMemoryTransport(internet), scanned_ports(), seed=1).run(ips)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_prewarmed_sweep_matches_cold_sweep(self, workers, golden):
+        self.clear_caches()
+        cold = artifacts(*sweep("clean", workers, "thread"))
+        assert cold == golden("clean")
+
+        self.clear_caches()
+        self.sweep_vulnerable_twin()
+        assert match_signatures.cache_info().currsize > 0
+        assert outline.cache_info().currsize > 0
+        assert artifacts(*sweep("clean", workers, "thread")) == cold
+
+        # and once more with every body of this world already analysed
+        hits = match_signatures.cache_info().hits
+        assert artifacts(*sweep("clean", workers, "thread")) == cold
+        assert match_signatures.cache_info().hits > hits
 
 
 class TestCrossExecutorResume:

@@ -176,6 +176,7 @@ class TestSinglePassMatcherEquivalence:
 
         bodies = self._corpus_bodies() + self._adversarial_bodies()
         assert len(bodies) > 90  # the corpus really loaded
+        match_signatures.cache_clear()  # judge the matcher, not its memo
         for body in bodies:
             assert match_signatures(body) == match_signatures_naive(body)
 
@@ -187,3 +188,36 @@ class TestSinglePassMatcherEquivalence:
 
         order = {slug: i for i, slug in enumerate(_MATCHER.signatures)}
         assert list(matched) == sorted(matched, key=order.__getitem__)
+
+
+class TestMatchMemo:
+    """``match_signatures`` is computed once per distinct body content."""
+
+    def test_one_scan_per_distinct_body(self, monkeypatch):
+        from repro.core import prefilter
+
+        scanned = []
+        real_match = prefilter._MATCHER.match
+        monkeypatch.setattr(
+            prefilter._MATCHER, "match",
+            lambda body: scanned.append(body) or real_match(body),
+        )
+        match_signatures.cache_clear()
+        page = "<title>Zeppelin</title> zeppelinWebApp"
+        for _ in range(3):
+            assert match_signatures(page) == ("zeppelin",)
+            assert match_signatures("nothing to see") == ()
+        # equal content in a different str object is the same entry
+        assert match_signatures("".join(list(page))) == ("zeppelin",)
+        assert scanned == [page, "nothing to see"]
+
+    def test_cache_is_bounded(self):
+        from repro.core.prefilter import MATCH_CACHE_SIZE
+
+        match_signatures.cache_clear()
+        for index in range(MATCH_CACHE_SIZE + 10):
+            match_signatures(f"<title>Zeppelin</title> {index}")
+        info = match_signatures.cache_info()
+        assert info.maxsize == info.currsize == MATCH_CACHE_SIZE
+        # an evicted body is simply matched again
+        assert match_signatures("<title>Zeppelin</title> 0") == ("zeppelin",)

@@ -40,6 +40,14 @@ class TestPrimitives:
         assert histogram.count == 4
         assert histogram.total == pytest.approx(104.4)
 
+    def test_histogram_bucket_edges(self):
+        # a value equal to a bound belongs to that bound's bucket (le=),
+        # anything past the last bound to +Inf
+        histogram = Histogram(bounds=(1.0, 5.0))
+        for value in (0.0, 1.0, 1.0000001, 5.0, 5.1, float("inf")):
+            histogram.observe(value)
+        assert histogram.counts == [2, 2, 2]
+
     def test_histogram_needs_bounds(self):
         with pytest.raises(ValueError):
             Histogram(bounds=())
@@ -100,6 +108,78 @@ class TestRegistry:
         registry.counter("ops_total").inc()
         registry.restore_state(MetricsRegistry().snapshot_state())
         assert registry.to_prometheus() == ""
+
+
+class TestSeriesMemo:
+    """``(name, **labels)`` resolves through a registry-owned memo keyed on
+    the raw kwargs; it must never outlive or alias the series it names."""
+
+    def test_restore_state_drops_memoised_handles(self):
+        registry = MetricsRegistry()
+        registry.counter("ops_total", kind="call").inc(2)
+        registry.gauge("depth", q="a").set(4)
+        registry.histogram("lat", buckets=(1.0,), q="a").observe(0.5)
+        registry.restore_state(registry.snapshot_state())
+        # restore_state replaced every metric object: a lookup answered
+        # from a surviving memo would increment an orphan
+        registry.counter("ops_total", kind="call").inc()
+        registry.gauge("depth", q="a").inc()
+        registry.histogram("lat", q="a").observe(0.5)
+        assert registry.counters_flat() == {"ops_total{kind=call}": 3.0}
+        assert registry.gauge_value("depth", q="a") == 5
+        assert registry.histogram_count("lat", q="a") == 2
+
+    def test_kwarg_order_and_value_type_share_a_series(self):
+        registry = MetricsRegistry()
+        first = registry.counter("ops_total", a=1, b=2)
+        assert registry.counter("ops_total", b=2, a=1) is first
+        assert registry.counter("ops_total", a="1", b="2") is first
+        assert registry.counter("ops_total", a=1, b=2) is first  # memo hit
+        assert list(registry.counters_flat()) == ["ops_total{a=1,b=2}"]
+
+    def test_equal_hashing_values_keep_their_own_series(self):
+        # 1 == 1.0 == True and all three hash alike, but their label
+        # strings differ; whichever is looked up first must not capture
+        # the others
+        registry = MetricsRegistry()
+        for value in (1, 1.0, True):
+            registry.counter("ops_total", x=value).inc()
+            registry.counter("ops_total", x=value).inc()
+        assert registry.counters_flat() == {
+            "ops_total{x=1.0}": 2.0,
+            "ops_total{x=1}": 2.0,
+            "ops_total{x=True}": 2.0,
+        }
+
+    def test_kinds_do_not_share_a_memo(self):
+        registry = MetricsRegistry()
+        registry.counter("depth").inc()
+        registry.gauge("depth").set(7)
+        registry.histogram("depth").observe(1.0)
+        assert registry.counter_value("depth") == 1
+        assert registry.gauge_value("depth") == 7
+        assert registry.histogram_count("depth") == 1
+
+    def test_absorb_folds_into_memoised_objects(self):
+        registry = MetricsRegistry()
+        handle = registry.counter("ops_total", kind="call")
+        handle.inc()
+        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
+        shard = MetricsRegistry()
+        shard.counter("ops_total", kind="call").inc(4)
+        shard.counter("ops_total", kind="probe").inc()
+        shard.histogram("lat", buckets=(1.0,)).observe(2.0)
+        registry.absorb(shard)
+        # the fold mutated the live objects, so memoised lookups see it...
+        assert registry.counter("ops_total", kind="call") is handle
+        assert handle.value == 5
+        assert registry.histogram("lat").cumulative()[-1] == (float("inf"), 2)
+        # ...and a series the fold created is found by the next lookup
+        registry.counter("ops_total", kind="probe").inc()
+        assert registry.counters_flat() == {
+            "ops_total{kind=call}": 5.0,
+            "ops_total{kind=probe}": 2.0,
+        }
 
 
 class TestExpositionEscaping:

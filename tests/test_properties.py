@@ -482,3 +482,54 @@ def test_interval_serialisation_round_trip(runs):
     s = IntervalSet(runs)
     assert IntervalSet.from_dict(s.to_dict()) == s
     assert IntervalSet.from_values(s.iter_values()) == s
+
+
+# ---------------------------------------------------------------------------
+# Content-addressed stage-II matching
+#
+# ``match_signatures`` is memoised by body text behind a bounded LRU.  It
+# must stay extensionally equal to the one-regex-at-a-time reference on
+# every path through the cache: miss, hit, re-entry after eviction, and
+# after a clear.
+# ---------------------------------------------------------------------------
+
+
+def _salted_corpus_pages(salts: int) -> list[str]:
+    if "pages" not in _KB_CACHE:
+        from repro.lint.corpus import build_corpus
+
+        _KB_CACHE["pages"] = sorted({
+            body for pages in build_corpus().values() for body in pages.values()
+        })
+    return [
+        f"{page}<!-- {salt} -->"
+        for salt in range(salts) for page in _KB_CACHE["pages"]
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.text(max_size=60), max_size=10),
+    st.randoms(use_true_random=False),
+)
+def test_memoised_match_signatures_equals_naive_through_eviction(extra, rng):
+    from repro.core.prefilter import (
+        MATCH_CACHE_SIZE,
+        match_signatures,
+        match_signatures_naive,
+    )
+
+    pool = _salted_corpus_pages(salts=6) + extra
+    assert len(set(pool)) > MATCH_CACHE_SIZE  # more bodies than the cache holds
+    # every body once, half of them again: revisits land on hits or on
+    # entries the intervening bodies evicted, depending on the shuffle
+    order = pool + rng.sample(pool, k=len(pool) // 2)
+    rng.shuffle(order)
+    for body in order:
+        assert match_signatures(body) == match_signatures_naive(body)
+    assert match_signatures.cache_info().currsize == MATCH_CACHE_SIZE
+
+    match_signatures.cache_clear()
+    assert match_signatures.cache_info().currsize == 0
+    for body in rng.sample(pool, k=25):
+        assert match_signatures(body) == match_signatures_naive(body)
