@@ -205,22 +205,58 @@ class Masscan:
             raise ValueError("batch_size must be positive")
         if skip < 0:
             raise ValueError("skip must be non-negative")
+        ops = self._ops(candidates, skip)
+        if self.supervision is not None:
+            ops = self._gated(ops)
         result = PortScanResult()
         span = None
-        supervision = self.supervision
-        bulk_ok = supervision is None and self.retry is None
-        stopped = False
+        # One consumer for every mode: an op is ``dead`` addresses to
+        # account in bulk, then (unless None) one address to probe, and a
+        # full batch flushes wherever inside the op it fills up.
+        for dead, value in ops:
+            while dead or value is not None:
+                if span is None and self.telemetry is not None:
+                    # Lazy: only a batch that scans at least one address
+                    # opens a span, so resumed sweeps trace identically.
+                    span = self.telemetry.tracer.start("stage:masscan")
+                if dead:
+                    take = min(dead, batch_size - result.addresses_scanned)
+                    self._account_dead(result, take)
+                    dead -= take
+                else:
+                    self._probe_host(IPv4Address(value), result)
+                    value = None
+                if result.addresses_scanned >= batch_size:
+                    self._close_span(span, result)
+                    span = None
+                    yield result
+                    result = PortScanResult()
+        if result.addresses_scanned:
+            self._close_span(span, result)
+            yield result
+
+    def _ops(
+        self, candidates: Iterable[IPv4Address] | IntervalSet, skip: int
+    ) -> Iterator[tuple[int, int | None]]:
+        """The sweep as ``(dead gap, live value)`` ops, after ``skip``.
+
+        The one producer for every mode.  With liveness hints each op is
+        the run of guaranteed-dead addresses before a hinted host, then
+        that host; without (retry, supervision, a hint-less transport)
+        every address is its own ``(0, value)`` op.  Dead gaps accumulate
+        across blocks and ride on the next live op (or one trailing
+        ``(gap, None)``): nothing advances the clock or touches a result
+        between a dead run and its flush, so deferral is observationally
+        identical while a sparse frame collapses to a few ops per batch
+        instead of one per dead /24.
+        """
+        bulk_ok = self.supervision is None and self.retry is None
         bases, lookup, sizer, order_key, runs = self._plan_blocks(candidates)
         # Legacy list-frame blocks shuffle on the sweep RNG, so their
         # draws must be consumed even for skipped or dead blocks;
         # wholesale skipping is sound only for the ascending mode.
         wholesale = order_key is not _SWEEP_RNG
         hints = self._prefetch_hints(runs) if bulk_ok else None
-        # Dead gaps accumulate across blocks and flush lazily: nothing
-        # advances the clock or touches the result between a dead run and
-        # its flush, so deferral is observationally identical while a
-        # sparse frame collapses to a few _account_dead calls per batch
-        # instead of one per dead /24.
         pending_dead = 0
         for base in bases:
             block_values: list[int] | None = None
@@ -242,10 +278,7 @@ class Masscan:
                         base, base | (BLOCK_SIZE - 1)
                     )
                 )
-            # The block reduces to a stream of (dead gap, live value) ops;
-            # one consumer below does the accounting, probing, and exact
-            # batch-boundary chunking for every mode.
-            ops: Iterable[tuple[int, int | None]]
+            block_ops: Iterable[tuple[int, int | None]]
             if live is not None and wholesale and not live:
                 # Dead run: fold into the pending gap, never materialised.
                 pending_dead += count - skip
@@ -255,7 +288,9 @@ class Masscan:
                 # Full /24 in ascending order: the members are exactly the
                 # range, so the gaps between hinted hosts are arithmetic —
                 # no materialisation, no set, no per-address walk.
-                ops = _range_ops(base + skip, base | (BLOCK_SIZE - 1), live)
+                block_ops = _range_ops(
+                    base + skip, base | (BLOCK_SIZE - 1), live
+                )
                 skip = 0
             else:
                 if block_values is None:
@@ -268,74 +303,41 @@ class Masscan:
                     ordered = ordered[skip:]
                     skip = 0
                 if live is not None:
-                    ops = _hinted_ops(ordered, set(live).intersection(ordered))
-                elif supervision is None:
-                    ops = ((0, value) for value in ordered)
-                else:
-                    for value in ordered:
-                        ip = IPv4Address(value)
-                        if supervision.should_stop():
-                            # Sweep deadline: stop probing, flush what we
-                            # have.  The pipeline accounts the un-probed
-                            # remainder as deadline-skipped coverage.
-                            stopped = True
-                            break
-                        if supervision.is_quarantined(ip):
-                            supervision.note_gate_skip(ip)
-                            continue
-                        if span is None and self.telemetry is not None:
-                            # Lazy: only a batch that probes at least one
-                            # address opens a span, so resumed sweeps
-                            # trace identically.
-                            span = self.telemetry.tracer.start("stage:masscan")
-                        self._probe_host(ip, result)
-                        if result.addresses_scanned >= batch_size:
-                            self._close_span(span, result)
-                            span = None
-                            yield result
-                            result = PortScanResult()
-                    if stopped:
-                        break
-                    continue
-            for dead, value in ops:
-                pending_dead += dead
-                if value is None:
-                    continue
-                while pending_dead:
-                    if span is None and self.telemetry is not None:
-                        span = self.telemetry.tracer.start("stage:masscan")
-                    take = min(
-                        pending_dead, batch_size - result.addresses_scanned
+                    block_ops = _hinted_ops(
+                        ordered, set(live).intersection(ordered)
                     )
-                    self._account_dead(result, take)
-                    pending_dead -= take
-                    if result.addresses_scanned >= batch_size:
-                        self._close_span(span, result)
-                        span = None
-                        yield result
-                        result = PortScanResult()
-                if span is None and self.telemetry is not None:
-                    span = self.telemetry.tracer.start("stage:masscan")
-                self._probe_host(IPv4Address(value), result)
-                if result.addresses_scanned >= batch_size:
-                    self._close_span(span, result)
-                    span = None
-                    yield result
-                    result = PortScanResult()
-        while pending_dead:
-            if span is None and self.telemetry is not None:
-                span = self.telemetry.tracer.start("stage:masscan")
-            take = min(pending_dead, batch_size - result.addresses_scanned)
-            self._account_dead(result, take)
-            pending_dead -= take
-            if result.addresses_scanned >= batch_size:
-                self._close_span(span, result)
-                span = None
-                yield result
-                result = PortScanResult()
-        if result.addresses_scanned:
-            self._close_span(span, result)
-            yield result
+                else:
+                    block_ops = ((0, value) for value in ordered)
+            for dead, value in block_ops:
+                if value is None:
+                    pending_dead += dead
+                else:
+                    yield pending_dead + dead, value
+                    pending_dead = 0
+        if pending_dead:
+            yield pending_dead, None
+
+    def _gated(
+        self, ops: Iterable[tuple[int, int | None]]
+    ) -> Iterator[tuple[int, int | None]]:
+        """The supervised sweep's gate, as a lazy filter on the op stream.
+
+        Supervised ops are per-address (supervision disables hints), and
+        the consumer pulls the next op only after probing the last, so
+        the deadline and the quarantine ledger are consulted between
+        probes.  On the sweep deadline the stream simply ends: the
+        consumer flushes what it has and the pipeline accounts the
+        un-probed remainder as deadline-skipped coverage.
+        """
+        supervision = self.supervision
+        for op in ops:
+            if supervision.should_stop():
+                return
+            ip = IPv4Address(op[1])
+            if supervision.is_quarantined(ip):
+                supervision.note_gate_skip(ip)
+            else:
+                yield op
 
     def _close_span(self, span, result: PortScanResult) -> None:
         if span is None:

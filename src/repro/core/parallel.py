@@ -248,13 +248,15 @@ class ShardRunner:
         report = sub.run(shard.addresses)
         return self._payload(shard, sub, report)
 
-    def _build_pipeline(self, shard: Shard):
+    def _build_pipeline(self, shard: Shard, clock: SimClock | None = None, **extras):
+        """The shard's private pipeline.  The supervised runner passes the
+        clock its supervision watches plus further pipeline fields."""
         from repro.core.pipeline import ScanPipeline
 
-        clock = SimClock()
-        transport = self.transport.fork(shard.seed, clock)
+        if clock is None:
+            clock = SimClock()
         return ScanPipeline(
-            transport=transport,
+            transport=self.transport.fork(shard.seed, clock),
             ports=self.ports,
             seed=shard.seed,
             batch_size=self.batch_size,
@@ -264,6 +266,7 @@ class ShardRunner:
             retry_policy=self.retry_policy,
             clock=clock,
             profile=self.profile,
+            **extras,
         )
 
     def _payload(self, shard: Shard, sub, report) -> dict:
@@ -349,7 +352,7 @@ class ParallelScanEngine:
         self.executor = executor
         self.mp_start_method = mp_start_method
         #: shards finished so far — progress accounting only, written
-        #: exclusively by the main-thread completion loops (workers
+        #: exclusively by the main-thread completion loop (workers
         #: return payloads; they never touch engine state)
         self._shards_done = 0
 
@@ -402,10 +405,7 @@ class ParallelScanEngine:
                     pipe.knowledge_base or build_default_knowledge_base()
                 )
             runner = self._make_runner(knowledge_base)
-            if self.executor == "process":
-                self._run_in_processes(runner, todo, completed, checkpoint, shards)
-            else:
-                self._run_in_threads(runner, todo, completed, checkpoint, shards)
+            self._run_shards(runner, todo, completed, checkpoint, shards)
         report = self._fold(shards, completed)
         if checkpoint is not None:
             checkpoint.clear()
@@ -415,11 +415,13 @@ class ParallelScanEngine:
 
     # -- shard execution ------------------------------------------------------
 
-    def _make_runner(self, knowledge_base) -> ShardRunner:
-        """Bundle the pipeline's shard-relevant config into a runner
-        (the supervisor overrides this to add supervision config)."""
+    def _make_runner(
+        self, knowledge_base, runner_type=ShardRunner, **extras
+    ) -> ShardRunner:
+        """Bundle the pipeline's shard-relevant config into a runner (the
+        supervisor asks for its own runner type with supervision config)."""
         pipe = self.pipeline
-        return ShardRunner(
+        return runner_type(
             transport=pipe.transport,
             ports=tuple(pipe.ports),
             batch_size=pipe.batch_size,
@@ -428,9 +430,10 @@ class ParallelScanEngine:
             knowledge_base=knowledge_base,
             retry_policy=pipe.retry_policy,
             profile=pipe.profile,
+            **extras,
         )
 
-    def _run_in_threads(
+    def _run_shards(
         self,
         runner: ShardRunner,
         todo: list[Shard],
@@ -438,56 +441,36 @@ class ParallelScanEngine:
         checkpoint: Checkpointer | None,
         shards: list[Shard],
     ) -> None:
-        """Run shards on a thread pool.  Workers execute ``runner.run``
-        and nothing else — every console notification, the progress
-        counter, and checkpointing happen here on the main thread as
-        results complete, exactly like the process path."""
-        console = self.pipeline.console
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(runner.run, shard): shard for shard in todo
-            }
-            if console is not None:
-                for shard in todo:
-                    console.note_shard_running(shard.index)
-            for future in as_completed(futures):
-                shard = futures[future]
-                result = future.result()
-                self._note_shard_result(shard, result)
-                completed[shard.index] = result
-                self._maybe_checkpoint(checkpoint, shards, completed)
+        """Run shards on the configured pool; one completion loop for both.
 
-    def _run_in_processes(
-        self,
-        runner: ShardRunner,
-        todo: list[Shard],
-        completed: dict[int, dict],
-        checkpoint: Checkpointer | None,
-        shards: list[Shard],
-    ) -> None:
-        """Run shards on a process pool: the runner crosses the pickle
-        boundary once per worker (pool initializer), shard payloads come
-        back over the result channel, and every console notification and
-        progress write happens here on the main thread — worker processes
-        cannot touch parent state at all."""
+        Thread workers share the runner by reference and execute
+        ``runner.run``; process workers get it through the pool
+        initializer (one pickle per worker) and execute
+        ``_process_shard``, shipping payloads back over the result
+        channel.  Either way workers run that callable and nothing else:
+        every console notification, the progress counter, and
+        checkpointing happen here on the main thread as results complete.
+        """
+        if self.executor == "process":
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context(
+                    resolve_start_method(self.mp_start_method)
+                ),
+                initializer=_init_worker,
+                initargs=(runner,),
+            )
+            work = _process_shard
+        else:
+            pool = ThreadPoolExecutor(max_workers=self.workers)
+            work = runner.run
         console = self.pipeline.console
-        context = multiprocessing.get_context(
-            resolve_start_method(self.mp_start_method)
-        )
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(runner,),
-        )
         try:
-            futures = {
-                pool.submit(_process_shard, shard): shard for shard in todo
-            }
+            futures = {pool.submit(work, shard): shard for shard in todo}
             if console is not None:
                 # Submission hands the shard to the pool; completion is
                 # the next observable event, so "running" spans the
-                # queued-plus-executing window in process mode.
+                # queued-plus-executing window.
                 for shard in todo:
                     console.note_shard_running(shard.index)
             for future in as_completed(futures):
@@ -513,10 +496,9 @@ class ParallelScanEngine:
 
     def _note_shard_result(self, shard: Shard, result: dict) -> None:
         """Main-thread bookkeeping per completed shard: the progress
-        counter and console notification.  This used to happen inside
-        the thread workers (a DET005-baselined scheduling-ordered
-        write); worker callables now return their payload and nothing
-        else, so the engine owns every write to its own state."""
+        counter and console notification.  Worker callables return their
+        payload and nothing else, so the engine owns every write to its
+        own state."""
         self._shards_done += 1
         console = self.pipeline.console
         if console is not None:

@@ -40,6 +40,7 @@ from repro.net.ipv4 import IPv4Address
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
 from repro.obs.telemetry import Telemetry, TelemetrySummary
 from repro.util.clock import SimClock
+from repro.util.errors import TransportError
 from repro.util.rand import stable_hash
 
 
@@ -321,11 +322,7 @@ class ScanPipeline:
                 completed, batches_done, report = self._restore_checkpoint(payload)
                 resumed = True
         if not resumed:
-            tel.events.info(
-                "pipeline", "sweep-start",
-                ports=len(self.ports), batch_size=self.batch_size,
-            )
-            tel.tracer.start("sweep")
+            self._open_sweep()
         elif tel.tracer.active is None:
             # Checkpoint written before telemetry existed: no open-span
             # stack was restored, so open the sweep span here.
@@ -333,19 +330,10 @@ class ScanPipeline:
         for batch in self._masscan.scan_in_batches(
             candidates, self.batch_size, skip=completed
         ):
-            batch_span = tel.tracer.start("batch", index=batches_done)
             report.port_scan.merge(batch)
-            self._run_later_stages(batch, report)
+            self._run_batch(batch, batches_done, report)
             completed += batch.addresses_scanned
             batches_done += 1
-            batch_span.attrs["addresses"] = batch.addresses_scanned
-            tel.tracer.end(batch_span)
-            tel.events.info(
-                "pipeline", "batch-complete",
-                index=batches_done - 1,
-                addresses=batch.addresses_scanned,
-                open_hosts=len(batch.open_ports),
-            )
             if self.supervision is not None:
                 self.supervision.heartbeat(completed)
             if checkpoint is not None and checkpoint.due(batches_done):
@@ -355,16 +343,7 @@ class ScanPipeline:
                 )
         if self.supervision is not None:
             self._finish_supervised(completed)
-        sweep_span = tel.tracer.end()
-        sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
-        sweep_span.attrs["batches"] = batches_done
-        tel.events.info(
-            "pipeline", "sweep-complete",
-            addresses=report.port_scan.addresses_scanned,
-            awe_hosts=report.total_awe_hosts(),
-            mav_hosts=len(report.vulnerable_ips()),
-        )
-        self._fold_stats(report)
+        self._close_sweep(report, batches_done)
         if checkpoint is not None:
             checkpoint.clear()  # a completed sweep must not be "resumed"
         if self.profile:
@@ -408,6 +387,47 @@ class ScanPipeline:
 
     # -- internals -----------------------------------------------------------
 
+    # The sweep in three pieces — open, one batch, close.  ``run`` above and
+    # the re-scan engine (repro.core.rescan) both drive exactly these, so
+    # every funnel charge, coverage charge, span and event has one issuer.
+
+    def _open_sweep(self) -> None:
+        tel = self.telemetry
+        tel.events.info(
+            "pipeline", "sweep-start",
+            ports=len(self.ports), batch_size=self.batch_size,
+        )
+        tel.tracer.start("sweep")
+
+    def _run_batch(
+        self, batch: PortScanResult, index: int, report: ScanReport
+    ) -> None:
+        """One stage-I batch through stages II/III, inside its span."""
+        tel = self.telemetry
+        batch_span = tel.tracer.start("batch", index=index)
+        self._run_later_stages(batch, report)
+        batch_span.attrs["addresses"] = batch.addresses_scanned
+        tel.tracer.end(batch_span)
+        tel.events.info(
+            "pipeline", "batch-complete",
+            index=index,
+            addresses=batch.addresses_scanned,
+            open_hosts=len(batch.open_ports),
+        )
+
+    def _close_sweep(self, report: ScanReport, batches_done: int) -> None:
+        tel = self.telemetry
+        sweep_span = tel.tracer.end()
+        sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
+        sweep_span.attrs["batches"] = batches_done
+        tel.events.info(
+            "pipeline", "sweep-complete",
+            addresses=report.port_scan.addresses_scanned,
+            awe_hosts=report.total_awe_hosts(),
+            mav_hosts=len(report.vulnerable_ips()),
+        )
+        self._fold_stats(report)
+
     def _run_later_stages(self, batch: PortScanResult, report: ScanReport) -> None:
         tel = self.telemetry
         sup = self.supervision
@@ -422,11 +442,10 @@ class ScanPipeline:
         self._coverage.charge(
             "masscan", entered, open_hosts, quarantined=gate_skips
         )
+        findings: list[PrefilterFinding] = []
         with tel.tracer.span("stage:prefilter", hosts=open_hosts):
-            if self.use_prefilter:
-                findings = self._prefilter.run(batch)
-            else:
-                findings = self._probe_without_prefilter(batch)
+            for ip in batch.hosts_with_open_ports():
+                findings.extend(self._probe_host(ip, batch.ports_of(ip)))
         # Open hosts quarantined by stage I/II strikes never reach stage
         # III, whatever partial findings stage II managed to fetch first.
         quarantined_open = self._quarantined_values(batch.open_ports)
@@ -498,28 +517,30 @@ class ScanPipeline:
         cov.quarantined_hosts = set(sup.quarantine.hosts)
         cov.quarantined_blocks = set(sup.quarantine.blocks)
 
-    def _probe_without_prefilter(self, batch: PortScanResult) -> list[PrefilterFinding]:
-        """Ablation mode: skip signature matching, try *every* plugin.
+    def _probe_host(
+        self, ip: IPv4Address, ports: Sequence[int]
+    ) -> list[PrefilterFinding]:
+        """Stage II for one open host: the findings stage III will verify.
 
-        Stage II still has to discover which scheme the port speaks, but
-        instead of narrowing candidates it hands every open port to every
-        plugin — the configuration the prefilter ablation measures.
+        Ablation mode (``use_prefilter=False``) skips signature matching:
+        stage II still has to discover which scheme each port speaks, but
+        instead of narrowing candidates it hands every responding port to
+        every plugin — the configuration the prefilter ablation measures.
         """
-        from repro.util.errors import TransportError
-
+        if self.use_prefilter:
+            return self._prefilter.probe_host(ip, ports)
         all_slugs = tuple(p.slug for p in self._engine.plugins)
         findings = []
-        for ip in batch.hosts_with_open_ports():
-            for port in batch.ports_of(ip):
-                for scheme in self._prefilter.schemes_for_port(port):
-                    try:
-                        response = self._prefilter.fetch_landing(ip, port, scheme)
-                    except TransportError:
-                        continue
-                    self._prefilter.stats.note(ip, port, scheme)
-                    findings.append(
-                        PrefilterFinding(ip, port, scheme, all_slugs, response.body)
-                    )
+        for port in ports:
+            for scheme in self._prefilter.schemes_for_port(port):
+                try:
+                    response = self._prefilter.fetch_landing(ip, port, scheme)
+                except TransportError:
+                    continue
+                self._prefilter.stats.note(ip, port, scheme)
+                findings.append(
+                    PrefilterFinding(ip, port, scheme, all_slugs, response.body)
+                )
         return findings
 
     def _verify_and_fingerprint(
@@ -580,7 +601,10 @@ class ScanPipeline:
                 host_finding.observations[detection.slug] = observation
 
     def _fold_stats(self, report: ScanReport) -> None:
-        self._fold_prefilter_stats(report)
+        for port, count in self._prefilter.stats.http_responses.items():
+            report.http_responses[port] = count
+        for port, count in self._prefilter.stats.https_responses.items():
+            report.https_responses[port] = count
         if self._retry is not None:
             # Overwrite, not merge: executor stats are cumulative and this
             # fold runs once per batch when checkpointing is on.
@@ -589,12 +613,6 @@ class ScanPipeline:
         # cumulative.
         report.telemetry = self.telemetry.summary()
         report.coverage = self._coverage.copy()
-
-    def _fold_prefilter_stats(self, report: ScanReport) -> None:
-        for port, count in self._prefilter.stats.http_responses.items():
-            report.http_responses[port] = count
-        for port, count in self._prefilter.stats.https_responses.items():
-            report.https_responses[port] = count
 
     # -- checkpoint/resume ----------------------------------------------------
 

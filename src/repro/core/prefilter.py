@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from repro.core.masscan import PortScanResult
 from repro.core.retry import RetryExecutor
@@ -172,12 +173,11 @@ def signature_count() -> int:
     return sum(len(patterns) for patterns in SIGNATURES.values())
 
 
-# -- single-pass matching -----------------------------------------------------
+# -- prescan matching -----------------------------------------------------------
 #
 # Testing every body against up to 90 regexes one at a time made stage II
-# the prefilter's hot path.  The rewrite compiles the whole corpus into
-# ONE alternation regex with named groups and guards it with a cheap
-# guaranteed-literal prescan:
+# the prefilter's hot path.  The matcher guards the corpus with a cheap
+# guaranteed-literal prescan instead:
 #
 # 1. *prescan* — for every signature, a literal substring that appears in
 #    every possible match is extracted from the parsed pattern (for
@@ -186,21 +186,8 @@ def signature_count() -> int:
 #    anything is rejected without running a single regex;
 # 2. *exact literals* — most signatures are nothing but an escaped
 #    literal, so a prescan hit already *is* the match;
-# 3. *confirmation* — the few signatures the prescan cannot decide are
-#    verified by their own compiled regex.  When a pathological body
-#    leaves many signatures undecided, one ``finditer`` pass over the
-#    combined alternation resolves them in a single scan first;
-# 4. *shadowing fallback* — ``finditer`` yields non-overlapping matches,
-#    so a signature whose only match starts inside a region consumed by
-#    an earlier alternative would be missed.  Any prescan-hit signature
-#    the single pass did not confirm is re-checked individually; the
-#    guaranteed literal bounds this to signatures that plausibly match.
-#
-# Why the alternation is the *cold* path: sre's backtracking engine tries
-# the 90 branches at every position (no Aho-Corasick-style factoring), so
-# a full alternation scan measures ~20x SLOWER than 90 C-level substring
-# probes.  The prescan therefore carries the hot path and the alternation
-# only batch-resolves bodies with many undecided candidates.
+# 3. *confirmation* — the few signatures the prescan cannot decide (8 of
+#    the 90 shipped ones) are verified by their own compiled regex.
 #
 # The result is bit-identical to the one-regex-at-a-time reference
 # (``match_signatures_naive``), which the regression tests pin over the
@@ -268,9 +255,8 @@ def _guaranteed_literals(pattern: str) -> tuple[tuple[str, ...], bool]:
 
 @dataclass(frozen=True)
 class _Signature:
-    """One corpus pattern, prepared for single-pass matching."""
+    """One corpus pattern, prepared for prescan matching."""
 
-    group: str                  # its named group in the alternation
     slug: str
     compiled: re.Pattern[str]
     prescan: tuple[str, ...]    # literal alternatives; () = always verify
@@ -278,29 +264,19 @@ class _Signature:
 
 
 class SignatureMatcher:
-    """Single-pass candidate selection over a signature corpus.
+    """Prescan-guarded candidate selection over a signature corpus.
 
-    Matches a body against every signature with (at most) one scan of
-    the combined alternation instead of up to one scan per signature.
-    Signature patterns must not contain named groups of their own — the
-    alternation's group names are how matches are attributed.
+    Decides most signatures with one substring search each and runs a
+    regex only for the prescan hits that are not exact literals.
     """
 
     def __init__(self, signatures: dict[str, tuple[str, ...]]) -> None:
         self.signatures = signatures
-        entries: list[_Signature] = []
-        parts: list[str] = []
-        for slug, patterns in signatures.items():
-            for pattern in patterns:
-                group = f"g{len(entries)}"
-                alternatives, exact = _guaranteed_literals(pattern)
-                entries.append(_Signature(
-                    group, slug, re.compile(pattern), alternatives, exact,
-                ))
-                parts.append(f"(?P<{group}>{pattern})")
-        self._entries = tuple(entries)
-        self._by_group = {entry.group: entry for entry in entries}
-        self._alternation = re.compile("|".join(parts))
+        entries = tuple(
+            _Signature(slug, re.compile(pattern), *_guaranteed_literals(pattern))
+            for slug, patterns in signatures.items()
+            for pattern in patterns
+        )
         self._unguarded = tuple(e for e in entries if not e.prescan)
         # literal -> what a hit proves: slugs matched outright, and
         # entries that still need their own regex to confirm.
@@ -322,10 +298,6 @@ class SignatureMatcher:
             literal: tuple(sigs) for literal, sigs in confirm_by_literal.items()
         }
 
-    #: above this many undecided signatures, one alternation scan beats
-    #: per-signature confirmation (measured on the canned-page corpus)
-    _ALTERNATION_CUTOVER = 16
-
     def match(self, body: str) -> tuple[str, ...]:
         """Candidate slugs, in corpus order — same contract as the naive
         reference implementation."""
@@ -343,13 +315,9 @@ class SignatureMatcher:
                     confirm.extend(entries)
         if self._unguarded:
             confirm.extend(self._unguarded)
-        if confirm:
-            if len(confirm) > self._ALTERNATION_CUTOVER:
-                for found in self._alternation.finditer(body):
-                    matched.add(self._by_group[found.lastgroup].slug)
-            for entry in confirm:
-                if entry.slug not in matched and entry.compiled.search(body):
-                    matched.add(entry.slug)
+        for entry in confirm:
+            if entry.slug not in matched and entry.compiled.search(body):
+                matched.add(entry.slug)
         if not matched:
             return ()
         return tuple(slug for slug in self.signatures if slug in matched)
@@ -495,10 +463,18 @@ class Prefilter:
             return None
         return PrefilterFinding(ip, port, scheme, candidates, response.body)
 
+    def probe_host(
+        self, ip: IPv4Address, ports: Sequence[int]
+    ) -> list[PrefilterFinding]:
+        """Probe every open port of one host (the pipeline's per-host step)."""
+        findings = []
+        for port in ports:
+            findings.extend(self.probe(ip, port))
+        return findings
+
     def run(self, port_scan: PortScanResult) -> list[PrefilterFinding]:
         """Probe every (host, open port) pair from stage I."""
         findings = []
         for ip in port_scan.hosts_with_open_ports():
-            for port in port_scan.ports_of(ip):
-                findings.extend(self.probe(ip, port))
+            findings.extend(self.probe_host(ip, port_scan.ports_of(ip)))
         return findings

@@ -54,6 +54,7 @@ from typing import Iterable, Sequence
 from repro.core.checkpoint import Checkpointer, check_config_matches
 from repro.core.masscan import PortScanResult
 from repro.core.pipeline import ScanPipeline, ScanReport
+from repro.core.prefilter import PrefilterFinding
 from repro.core.serialize import (
     finding_from_dict,
     finding_to_dict,
@@ -91,6 +92,19 @@ class HostRecord:
     counters: dict[str, float] = field(default_factory=dict)
     events: int = 0
     spans: int = 0
+
+    def charge(
+        self,
+        before: tuple[dict[str, float], int, int],
+        after: tuple[dict[str, float], int, int],
+    ) -> None:
+        """Fold a captured live-telemetry delta into this record."""
+        for name, value in after[0].items():
+            delta = value - before[0].get(name, 0.0)
+            if delta:
+                self.counters[name] = self.counters.get(name, 0.0) + delta
+        self.events += after[1] - before[1]
+        self.spans += after[2] - before[2]
 
     def to_dict(self) -> dict:
         return {
@@ -177,6 +191,87 @@ def load_rescan_state(path: str | Path) -> RescanState:
     return RescanState.from_dict(json.loads(Path(path).read_text()))
 
 
+def _capture(tel) -> tuple[dict[str, float], int, int]:
+    return (
+        tel.metrics.counters_flat(),
+        len(tel.events),
+        len(tel.tracer.finished),
+    )
+
+
+class _ReplayingPipeline(ScanPipeline):
+    """One sweep's pipeline, deciding per host "replay or probe".
+
+    The sweep itself — spans, events, funnel and coverage charges — is
+    the base class's batch step, untouched.  Only its two host steps are
+    overridden: a host found in ``replay`` contributes its ledger record
+    without touching the network, any other host runs the real stage and
+    has the telemetry delta it produced written to a fresh record.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        #: ledger records the current batch may replay, by host value
+        self.replay: dict[int, HostRecord] = {}
+        #: prior-sweep finding objects a replayed host may share
+        self.shareable: dict = {}
+        #: this sweep's ledger: one record per open host, replayed or fresh
+        self.records: dict[int, HostRecord] = {}
+        #: what the replayed hosts' stage-II/III work would have counted
+        self.synthetic = TelemetrySummary()
+
+    def _probe_host(self, ip, ports) -> list[PrefilterFinding]:
+        stats = self._prefilter.stats
+        record = self.replay.get(ip.value)
+        if record is not None:
+            for port, scheme in record.responses:
+                stats.note(ip, port, Scheme(scheme))
+            self.records[ip.value] = record
+            # A record carries a TelemetrySummary's three fields, so it
+            # folds in directly — no per-host summary object.
+            self.synthetic.merge(record)
+            if record.finding is None:
+                return []
+            # A token, not a finding: it makes the host a stage-III
+            # candidate whose finding _verify_and_fingerprint installs.
+            return [PrefilterFinding(ip, 0, Scheme.HTTP, (), "")]
+        before = _capture(self.telemetry)
+        http_seen = dict(stats.http_responses)
+        https_seen = dict(stats.https_responses)
+        findings = super()._probe_host(ip, ports)
+        responses = []
+        for port in ports:
+            for scheme in self._prefilter.schemes_for_port(port):
+                if scheme is Scheme.HTTP:
+                    seen, now = http_seen, stats.http_responses
+                else:
+                    seen, now = https_seen, stats.https_responses
+                if now.get(port, 0) > seen.get(port, 0):
+                    responses.append((port, scheme.value))
+        record = self.records[ip.value] = HostRecord(ip.value, tuple(responses))
+        record.charge(before, _capture(self.telemetry))
+        return findings
+
+    def _verify_and_fingerprint(self, finding, report) -> None:
+        value = finding.ip.value
+        record = self.replay.get(value)
+        if record is not None:
+            host_finding = self.shareable.get(value)
+            if host_finding is None:
+                host_finding = finding_from_dict(record.finding)
+            report.findings[value] = host_finding
+            return
+        before = _capture(self.telemetry)
+        super()._verify_and_fingerprint(finding, report)
+        record = self.records[value]
+        record.charge(before, _capture(self.telemetry))
+        record.finding = finding_to_dict(report.findings[value])
+
+    def _fold_stats(self, report: ScanReport) -> None:
+        super()._fold_stats(report)
+        report.telemetry.merge(self.synthetic)
+
+
 @dataclass
 class RescanEngine:
     """Drives baseline and incremental sweeps over one interval frame.
@@ -184,9 +279,8 @@ class RescanEngine:
     The engine owns the determinism constraints: sweeps run sequentially
     (no workers), without retry or supervision — those paths consume
     per-probe randomness that replayed hosts would not consume, breaking
-    byte-identity.  Every sweep builds a fresh
-    :class:`~repro.core.pipeline.ScanPipeline` internally, so telemetry,
-    RNGs, and stage state always start from the seed.
+    byte-identity.  Every sweep builds a fresh pipeline internally, so
+    telemetry, RNGs, and stage state always start from the seed.
     """
 
     transport: object
@@ -219,7 +313,7 @@ class RescanEngine:
         stage-I diff.  Accepts block bases or any address inside the
         block.
         """
-        self._check_prior(frame, prior)
+        self.check_prior(frame, prior)
         hinted = {
             (b.value if isinstance(b, IPv4Address) else int(b)) & BLOCK_MASK
             for b in churned_blocks
@@ -235,7 +329,7 @@ class RescanEngine:
         hinted: set[int],
         checkpoint: Checkpointer | None,
     ) -> RescanState:
-        pipe = ScanPipeline(
+        pipe = _ReplayingPipeline(
             transport=self.transport,
             ports=self.ports,
             seed=self.seed,
@@ -243,23 +337,20 @@ class RescanEngine:
             fingerprint=self.fingerprint,
             knowledge_base=self.knowledge_base,
         )
-        tel = pipe.telemetry
-        prior_hash = None
+        config = {
+            "engine": "rescan",
+            "seed": self.seed,
+            "ports": list(self.ports),
+            "batch_size": self.batch_size,
+            "fingerprint": self.fingerprint,
+        }
         resumed_records: dict[int, HostRecord] = {}
         resumed_batches = 0
         if checkpoint is not None:
-            prior_hash = self._run_hash(frame, prior, hinted)
+            config["run_hash"] = self._run_hash(frame, prior, hinted)
             payload = checkpoint.load()
             if payload is not None:
-                check_config_matches(
-                    payload,
-                    engine="rescan",
-                    seed=self.seed,
-                    ports=list(self.ports),
-                    batch_size=self.batch_size,
-                    fingerprint=self.fingerprint,
-                    run_hash=prior_hash,
-                )
+                check_config_matches(payload, **config)
                 resumed_batches = payload["batches_done"]
                 resumed_records = {
                     int(value): HostRecord.from_dict(raw)
@@ -271,71 +362,49 @@ class RescanEngine:
         # wholesale) — and must complete before later stages so churn is
         # judged on whole /24 blocks, which batch boundaries can split.
         report = ScanReport()
-        tel.events.info(
-            "pipeline", "sweep-start",
-            ports=len(self.ports), batch_size=self.batch_size,
-        )
-        tel.tracer.start("sweep")
+        pipe._open_sweep()
         batches: list[PortScanResult] = []
         for batch in pipe._masscan.scan_in_batches(frame, self.batch_size):
             report.port_scan.merge(batch)
             batches.append(batch)
 
-        churned = set(hinted)
-        if prior is None:
-            reusable: set[int] = set()
-        else:
-            churned |= self._diff_churned_blocks(
+        reusable: dict[int, HostRecord] = {}
+        if prior is not None:
+            churned = hinted | self._diff_churned_blocks(
                 prior.report.port_scan.open_ports, report.port_scan.open_ports
             )
             reusable = {
-                value for value in report.port_scan.open_ports
+                value: prior.records[value]
+                for value in report.port_scan.open_ports
                 if (value & BLOCK_MASK) not in churned
                 and value in prior.records
             }
 
-        # Phase B: later stages per batch, in canonical batch order.
-        # Fresh hosts run the real stages; reusable hosts replay their
-        # ledger record.  Funnel/coverage are charged live with the full
-        # numbers either way, so the account reconciles.
-        records: dict[int, HostRecord] = {}
-        synthetic = TelemetrySummary()
+        # Phase B: the pipeline's own batch step, in canonical batch
+        # order.  A batch completed before an interruption replays *every*
+        # host from the checkpointed ledger (hosts that ran fresh back
+        # then carry their captured deltas); those records are this
+        # sweep's results and may differ from the prior report, so their
+        # findings are re-parsed.  Records reused from the prior sweep are
+        # verbatim, so its (immutable) finding objects are shared.
         for index, batch in enumerate(batches):
-            replay_all = index < resumed_batches
-            self._run_batch(
-                pipe, report, batch, index,
-                prior, reusable, records, synthetic,
-                resumed_records if replay_all else None,
-            )
+            if index < resumed_batches:
+                pipe.replay, pipe.shareable = resumed_records, {}
+            else:
+                pipe.replay = reusable
+                pipe.shareable = prior.report.findings if prior is not None else {}
+            pipe._run_batch(batch, index, report)
             if checkpoint is not None and checkpoint.due(index + 1):
                 checkpoint.save({
-                    "engine": "rescan",
-                    "seed": self.seed,
-                    "ports": list(self.ports),
-                    "batch_size": self.batch_size,
-                    "fingerprint": self.fingerprint,
-                    "run_hash": prior_hash,
+                    **config,
                     "batches_done": index + 1,
                     "records": {
                         str(value): record.to_dict()
-                        for value, record in records.items()
+                        for value, record in pipe.records.items()
                     },
                 })
 
-        sweep_span = tel.tracer.end()
-        sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
-        sweep_span.attrs["batches"] = len(batches)
-        tel.events.info(
-            "pipeline", "sweep-complete",
-            addresses=report.port_scan.addresses_scanned,
-            awe_hosts=report.total_awe_hosts(),
-            mav_hosts=len(report.vulnerable_ips()),
-        )
-        pipe._fold_prefilter_stats(report)
-        summary = tel.summary()
-        summary.merge(synthetic)
-        report.telemetry = summary
-        report.coverage = pipe._coverage.copy()
+        pipe._close_sweep(report, len(batches))
         # In-memory detections match a serialisation round trip: rebuilt
         # from findings, so fresh and replayed hosts are indistinguishable.
         report.detections = [
@@ -348,7 +417,7 @@ class RescanEngine:
             checkpoint.clear()
         return RescanState(
             report=report,
-            records=records,
+            records=pipe.records,
             frame=frame,
             seed=self.seed,
             ports=tuple(self.ports),
@@ -356,159 +425,7 @@ class RescanEngine:
             fingerprint=self.fingerprint,
         )
 
-    def _run_batch(
-        self,
-        pipe: ScanPipeline,
-        report: ScanReport,
-        batch: PortScanResult,
-        index: int,
-        prior: RescanState | None,
-        reusable: set[int],
-        records: dict[int, HostRecord],
-        synthetic: TelemetrySummary,
-        replay_records: dict[int, HostRecord] | None,
-    ) -> None:
-        """Stages II/III for one batch, mirroring the pipeline's charges.
-
-        ``replay_records`` is set when resuming: the batch completed
-        before the interruption, so *every* host replays from the
-        checkpointed ledger (including hosts that ran fresh back then —
-        their records carry the captured deltas).
-        """
-        tel = pipe.telemetry
-        prefilter = pipe._prefilter
-        batch_span = tel.tracer.start("batch", index=index)
-        entered = batch.addresses_scanned
-        open_hosts = len(batch.open_ports)
-        tel.funnel("masscan", entered, open_hosts)
-        pipe._coverage.charge("masscan", entered, open_hosts)
-        hosts = batch.hosts_with_open_ports()
-
-        def record_for(ip: IPv4Address) -> HostRecord | None:
-            if replay_records is not None:
-                return replay_records.get(ip.value)
-            if prior is not None and ip.value in reusable:
-                return prior.records.get(ip.value)
-            return None
-
-        fresh_findings: dict[int, list] = {}
-        with tel.tracer.span("stage:prefilter", hosts=open_hosts):
-            for ip in hosts:
-                record = record_for(ip)
-                if record is not None:
-                    for port, scheme in record.responses:
-                        prefilter.stats.note(ip, port, Scheme(scheme))
-                    continue
-                before = self._capture(tel)
-                http_seen = dict(prefilter.stats.http_responses)
-                https_seen = dict(prefilter.stats.https_responses)
-                findings = []
-                for port in batch.ports_of(ip):
-                    findings.extend(prefilter.probe(ip, port))
-                fresh_findings[ip.value] = findings
-                responses = []
-                for port in batch.ports_of(ip):
-                    for scheme in prefilter.schemes_for_port(port):
-                        seen = (
-                            http_seen if scheme is Scheme.HTTP else https_seen
-                        )
-                        now = (
-                            prefilter.stats.http_responses
-                            if scheme is Scheme.HTTP
-                            else prefilter.stats.https_responses
-                        )
-                        if now.get(port, 0) > seen.get(port, 0):
-                            responses.append((port, scheme.value))
-                records[ip.value] = HostRecord(
-                    value=ip.value, responses=tuple(responses),
-                )
-                self._charge_record(records[ip.value], before, self._capture(tel))
-
-        candidate_values = []
-        for ip in hosts:
-            record = record_for(ip)
-            if record is not None:
-                if record.finding is not None:
-                    candidate_values.append(ip.value)
-            elif fresh_findings.get(ip.value):
-                candidate_values.append(ip.value)
-        tel.funnel("prefilter", open_hosts, len(candidate_values))
-        pipe._coverage.charge("prefilter", open_hosts, len(candidate_values))
-
-        with tel.tracer.span("stage:tsunami", hosts=len(candidate_values)):
-            for ip in hosts:
-                record = record_for(ip)
-                if record is not None:
-                    if record.finding is not None:
-                        # Reused records come verbatim from the prior
-                        # sweep, so its (immutable) finding object can be
-                        # shared instead of re-parsed.  Checkpoint-replay
-                        # records are *this* sweep's results and may
-                        # differ from the prior report — always re-parse.
-                        finding = None
-                        if replay_records is None and prior is not None:
-                            finding = prior.report.findings.get(ip.value)
-                        if finding is None:
-                            finding = finding_from_dict(record.finding)
-                        report.findings[ip.value] = finding
-                    records[ip.value] = record
-                    synthetic.merge(
-                        TelemetrySummary(
-                            dict(record.counters), record.events, record.spans
-                        )
-                    )
-                    continue
-                findings = fresh_findings.get(ip.value, ())
-                before = self._capture(tel)
-                for finding in findings:
-                    pipe._verify_and_fingerprint(finding, report)
-                self._charge_record(
-                    records[ip.value], before, self._capture(tel)
-                )
-                host_finding = report.findings.get(ip.value)
-                if host_finding is not None:
-                    records[ip.value].finding = finding_to_dict(host_finding)
-
-        vulnerable_hosts = sum(
-            1 for value in candidate_values
-            if report.findings[value].vulnerable_slugs
-        )
-        tel.funnel("tsunami", len(candidate_values), vulnerable_hosts)
-        pipe._coverage.charge(
-            "tsunami", len(candidate_values), vulnerable_hosts
-        )
-        batch_span.attrs["addresses"] = batch.addresses_scanned
-        tel.tracer.end(batch_span)
-        tel.events.info(
-            "pipeline", "batch-complete",
-            index=index,
-            addresses=batch.addresses_scanned,
-            open_hosts=len(batch.open_ports),
-        )
-
     # -- helpers --------------------------------------------------------
-
-    @staticmethod
-    def _capture(tel) -> tuple[dict[str, float], int, int]:
-        return (
-            tel.metrics.counters_flat(),
-            len(tel.events),
-            len(tel.tracer.finished),
-        )
-
-    @staticmethod
-    def _charge_record(
-        record: HostRecord,
-        before: tuple[dict[str, float], int, int],
-        after: tuple[dict[str, float], int, int],
-    ) -> None:
-        """Fold a captured live-telemetry delta into a host record."""
-        for name, value in after[0].items():
-            delta = value - before[0].get(name, 0.0)
-            if delta:
-                record.counters[name] = record.counters.get(name, 0.0) + delta
-        record.events += after[1] - before[1]
-        record.spans += after[2] - before[2]
 
     @staticmethod
     def _diff_churned_blocks(
@@ -525,7 +442,8 @@ class RescanEngine:
                 churned.add(value & BLOCK_MASK)
         return churned
 
-    def _check_prior(self, frame: IntervalSet, prior: RescanState) -> None:
+    def check_prior(self, frame: IntervalSet, prior: RescanState) -> None:
+        """Raise ConfigError unless ``prior`` can seed a re-scan of ``frame``."""
         if prior.frame != frame:
             raise ConfigError(
                 "prior rescan state covers a different frame; incremental "

@@ -349,35 +349,19 @@ class SupervisedShardRunner(ShardRunner):
                     f"injected crash: shard {shard_index} attempt {attempt}"
                 )
 
-    def _build_pipeline(self, shard: Shard):
-        from repro.core.pipeline import ScanPipeline
+    def __post_init__(self) -> None:
+        # The quarantine gate lives in the executor, so supervised shards
+        # always run one (with the parent policy when given).
+        if self.retry_policy is None:
+            self.retry_policy = RetryPolicy()
 
-        cfg = self.config
+    def _build_pipeline(self, shard: Shard):
         clock = SimClock()
-        transport = self.transport.fork(shard.seed, clock)
-        self._arm_watchdog(transport)
         supervision = ShardSupervision(
-            cfg, clock, planned=len(shard.addresses)
+            self.config, clock, planned=len(shard.addresses)
         )
-        sub = ScanPipeline(
-            transport=transport,
-            ports=self.ports,
-            seed=shard.seed,
-            batch_size=self.batch_size,
-            fingerprint=self.fingerprint,
-            use_prefilter=self.use_prefilter,
-            knowledge_base=self.knowledge_base,
-            # The quarantine gate lives in the executor, so supervised
-            # shards always run one (with the parent policy when given).
-            retry_policy=(
-                self.retry_policy
-                if self.retry_policy is not None
-                else RetryPolicy()
-            ),
-            clock=clock,
-            supervision=supervision,
-            profile=self.profile,
-        )
+        sub = super()._build_pipeline(shard, clock, supervision=supervision)
+        self._arm_watchdog(sub.transport)
         supervision.telemetry = sub.telemetry
         return sub
 
@@ -462,18 +446,9 @@ class SweepSupervisor(ParallelScanEngine):
                 "a custom crash_hook is thread-executor only; use "
                 "SupervisorConfig.crash_shards for process-mode injection"
             )
-        pipe = self.pipeline
-        return SupervisedShardRunner(
-            transport=pipe.transport,
-            ports=tuple(pipe.ports),
-            batch_size=pipe.batch_size,
-            fingerprint=pipe.fingerprint,
-            use_prefilter=pipe.use_prefilter,
-            knowledge_base=knowledge_base,
-            retry_policy=pipe.retry_policy,
-            profile=pipe.profile,
-            config=self.config,
-            crash_hook=self.crash_hook,
+        return super()._make_runner(
+            knowledge_base, SupervisedShardRunner,
+            config=self.config, crash_hook=self.crash_hook,
         )
 
     # -- fold (main thread) ---------------------------------------------------

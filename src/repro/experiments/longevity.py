@@ -351,7 +351,7 @@ def run_longevity_study(
 
     revalidate: set[int] = set()
     if resume_from is not None:
-        engine._check_prior(frame, resume_from)
+        engine.check_prior(frame, resume_from)
         state = resume_from
         baseline_cost = SweepCost(
             index=0, at_hours=0.0, mode="resumed", churned_blocks=0,

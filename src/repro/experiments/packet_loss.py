@@ -21,7 +21,6 @@ from repro.apps.catalog import scanned_ports
 from repro.core.pipeline import ScanPipeline
 from repro.core.retry import RetryPolicy
 from repro.net.chaos import ChaosTransport, FaultPlan
-from repro.net.flaky import FlakyTransport
 from repro.net.network import SimulatedInternet
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
@@ -76,9 +75,8 @@ def run_packet_loss_study(
 
     points = []
     for loss in loss_rates:
-        transport = FlakyTransport(
-            InMemoryTransport(internet), syn_loss=loss, request_loss=loss,
-            seed=seed,
+        transport = ChaosTransport(
+            InMemoryTransport(internet), FaultPlan.packet_loss(loss), seed=seed
         )
         pipeline = ScanPipeline(transport, scanned_ports(), fingerprint=False)
         found = len(pipeline.run(addresses).vulnerable_ips())

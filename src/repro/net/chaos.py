@@ -1,12 +1,10 @@
 """Composable failure injection: a transport that misbehaves on purpose.
 
-:class:`~repro.net.flaky.FlakyTransport` models exactly one failure —
-silent packet loss.  Real sweeps see much more (§6.2: hosts that were
+Real sweeps see far more than silent packet loss (§6.2: hosts that were
 "unresponsive [or] temporarily unavailable"), so :class:`ChaosTransport`
-generalises fault injection to the whole taxonomy a production scanner
-must survive:
+injects the whole taxonomy a production scanner must survive:
 
-* **packet loss** — SYN probes vanish, requests time out (as before);
+* **packet loss** — SYN probes vanish, requests time out;
 * **connection resets** — the exchange starts, then dies with a RST;
 * **slow responses** — the answer arrives but costs simulated latency,
   charged to a :class:`~repro.util.clock.SimClock`;
@@ -125,7 +123,7 @@ class FaultPlan:
 
     @classmethod
     def packet_loss(cls, rate: float) -> "FaultPlan":
-        """The :class:`FlakyTransport`-equivalent plan: loss only."""
+        """Loss only: SYN probes and HTTP(S) exchanges dropped at ``rate``."""
         return cls(syn_loss=rate, request_loss=rate)
 
     def scaled(self, factor: float) -> "FaultPlan":

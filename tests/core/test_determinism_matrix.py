@@ -8,6 +8,7 @@ execution dimension at once:
 * worker count        1 / 2 / 4 / 8
 * executor            thread pool / process pool (spawn-safe pickling)
 * fault plan          clean / chaos / hostile-supervised
+* frame               address list / interval set (hostile-supervised)
 * interruption        straight through / kill-and-resume via checkpoint
 * observability       profiling + flight recorder on / off
 * analysis caches     cold / pre-warmed by a sweep of another world
@@ -35,6 +36,7 @@ from repro.core.serialize import report_to_dict
 from repro.core.tsunami.htmlcheck import outline
 from repro.net.chaos import ChaosTransport
 from repro.net.host import Host, Service
+from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
@@ -49,19 +51,27 @@ from tests.core.test_parallel import (
 )
 from tests.core.test_supervisor import HOSTILE, SUPERVISED
 
-#: scenario name -> (fault plan, supervisor config, profiling armed)
+#: scenario name -> (fault plan, supervisor config, profiling armed,
+#: sweep the world's whole /24s as an interval frame instead of a list)
 SCENARIOS = {
-    "clean": (None, None, False),
-    "clean-profiled": (None, None, True),
-    "chaos": (PLAN, None, False),
-    "hostile-supervised": (HOSTILE, SUPERVISED, True),
+    "clean": (None, None, False, False),
+    "clean-profiled": (None, None, True, False),
+    "chaos": (PLAN, None, False, False),
+    "hostile-supervised": (HOSTILE, SUPERVISED, True, False),
+    # The supervised gate filters stage I's op stream; a list frame only
+    # ever feeds it legacy-shuffled blocks, an interval frame ascending ones.
+    "hostile-supervised-intervals": (HOSTILE, SUPERVISED, True, True),
 }
 
 
 def sweep(scenario, workers, executor, checkpoint=None):
     """One sweep over a freshly built world in the given shape."""
-    plan, supervisor, profile = SCENARIOS[scenario]
+    plan, supervisor, profile, intervals = SCENARIOS[scenario]
     internet, ips = build_world()
+    if intervals:
+        ips = IntervalSet(
+            (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
+        )
     clock = SimClock()
     transport = InMemoryTransport(internet)
     if plan is not None:
@@ -133,6 +143,9 @@ STRAIGHT_ARMS = [
     ("chaos", 2, "process"),
     ("chaos", 4, "thread"),
     ("chaos", 8, "process"),
+    ("hostile-supervised-intervals", 1, "process"),
+    ("hostile-supervised-intervals", 4, "thread"),
+    ("hostile-supervised-intervals", 4, "process"),
 ]
 
 RESUME_ARMS = [
@@ -140,6 +153,8 @@ RESUME_ARMS = [
     ("hostile-supervised", 4, "process"),
     ("chaos", 4, "process"),
     ("clean", 2, "thread"),
+    ("hostile-supervised-intervals", 4, "thread"),
+    ("hostile-supervised-intervals", 4, "process"),
 ]
 
 
@@ -241,8 +256,6 @@ class TestIncrementalRescan:
 
     @pytest.fixture(scope="class")
     def world(self):
-        from repro.net.intervals import BLOCK_MASK, IntervalSet
-
         internet, ips = build_world()
         frame = IntervalSet(
             (ip.value & BLOCK_MASK, (ip.value & BLOCK_MASK) | 255)

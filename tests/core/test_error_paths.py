@@ -11,7 +11,6 @@ from repro.core.tsunami.engine import TsunamiEngine
 from repro.core.tsunami.plugin import MavDetectionPlugin
 from repro.core.tsunami.plugins import plugin_for
 from repro.net.chaos import ChaosTransport, FaultPlan
-from repro.net.flaky import FlakyTransport
 from repro.net.host import Host, Service
 from repro.net.http import HttpRequest, Scheme
 from repro.net.ipv4 import IPv4Address
@@ -35,10 +34,11 @@ class TestEthicsThroughDecorators:
     """The ethics gate must hold no matter how the transport is wrapped."""
 
     def chain(self, internet, enforce=True):
-        return FlakyTransport(
+        return ChaosTransport(
             ChaosTransport(
                 InMemoryTransport(internet, enforce_ethics=enforce), FaultPlan()
-            )
+            ),
+            FaultPlan(),
         )
 
     @pytest.mark.parametrize(

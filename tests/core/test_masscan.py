@@ -214,3 +214,106 @@ class TestHotPaths:
         assert a.open_ports == b.open_ports
         assert a.probes_sent == b.probes_sent
         assert a.addresses_scanned == b.addresses_scanned
+
+
+class _NoHints(InMemoryTransport):
+    """A backend that cannot know which addresses are dead."""
+
+    def live_values_in(self, start, end):
+        return None
+
+
+class TestStageIModesAgree:
+    """Every stage-I mode is one op producer feeding one consumer: hinted
+    bulk accounting, a hint-less transport, a fault-free retry executor
+    and an idle supervision must yield the same batches, batch for batch,
+    whatever the batch size and wherever a resumed sweep starts."""
+
+    PORTS = (80, 8888)
+    ORDER_SEED = 3
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.net.intervals import BLOCK_MASK, CompressedPopulation, IntervalSet
+
+        internet = SimulatedInternet()
+        for text in ("93.184.216.20", "93.184.216.32", "93.184.216.250",
+                     "93.184.217.32", "93.184.218.7", "93.184.218.32"):
+            host = Host(IPv4Address.parse(text))
+            host.add_service(Service(
+                8888, app=AppInstance(create_instance("jupyterlab"), 8888)
+            ))
+            internet.add_host(host)
+        # Three populated /24s plus dead filler ending in a partial /24 ...
+        frame = CompressedPopulation.build(internet, 3 * 256 + 700, seed=5).frame
+        # ... and one populated /24 made partial, a live host on each side.
+        base = IPv4Address.parse("93.184.218.0").value
+        frame = frame.difference(IntervalSet([(base + 10, base + 29)]))
+        sizes = set(frame.block_counts().values())
+        assert 256 in sizes and len(sizes) > 1
+        live_blocks = {
+            ip.value & BLOCK_MASK for ip in internet.populated_addresses()
+        }
+        return internet, frame, live_blocks
+
+    def batches(self, mode, world, batch_size, skip):
+        from repro.core.retry import RetryExecutor, RetryPolicy
+        from repro.core.supervisor import ShardSupervision, SupervisorConfig
+        from repro.obs.telemetry import Telemetry
+        from repro.util.clock import SimClock
+
+        internet, frame, _ = world
+        transport = (_NoHints if mode == "no-hints" else InMemoryTransport)(internet)
+        telemetry = Telemetry()
+        extras = {}
+        if mode == "retry":
+            extras["retry"] = RetryExecutor(RetryPolicy())
+        elif mode == "supervised":
+            extras["supervision"] = ShardSupervision(
+                SupervisorConfig(), SimClock(), planned=len(frame)
+            )
+        scanner = Masscan(
+            transport, self.PORTS, rng=random.Random(self.ORDER_SEED),
+            telemetry=telemetry, **extras,
+        )
+        seen = [
+            (b.addresses_scanned, b.probes_sent, dict(b.open_ports))
+            for b in scanner.scan_in_batches(frame, batch_size, skip=skip)
+        ]
+        counters = {
+            name: value
+            for name, value in telemetry.metrics.counters_flat().items()
+            if name.startswith("masscan_")
+        }
+        spans = [s.name for s in telemetry.tracer.finished]
+        return seen, counters, spans, transport.stats.syn_probes
+
+    def skips(self, world):
+        """0, inside a dead /24, inside a populated /24, past the end."""
+        from repro.net.intervals import BLOCK_MASK
+
+        _, frame, live_blocks = world
+        order = Masscan(
+            InMemoryTransport(SimulatedInternet()), self.PORTS,
+            rng=random.Random(self.ORDER_SEED),
+        ).target_order(frame)
+
+        def first(in_live_block, offset):
+            return next(
+                index for index, ip in enumerate(order)
+                if ((ip.value & BLOCK_MASK) in live_blocks) is in_live_block
+                and ip.value & 0xFF == offset
+            )
+
+        return 0, first(False, 128), first(True, 25), len(order) + 5
+
+    @pytest.mark.parametrize("batch_size", [7, 100, 256, 1000, 2**62])
+    def test_batch_for_batch(self, world, batch_size):
+        for skip in self.skips(world):
+            hinted = self.batches("hinted", world, batch_size, skip)
+            assert sum(b[0] for b in hinted[0]) == max(0, len(world[1]) - skip)
+            for mode in ("no-hints", "retry", "supervised"):
+                other = self.batches(mode, world, batch_size, skip)
+                assert other[:3] == hinted[:3], (mode, skip)
+                if mode != "retry":  # retry legitimately re-probes closed ports
+                    assert other[3] == hinted[3], (mode, skip)

@@ -149,3 +149,61 @@ class TestRescan:
         finally:
             instance.app.config.clear()
             instance.app.config.update(saved)
+
+
+class TestPrefilterAblation:
+    """``use_prefilter=False`` runs the same batch step with a different
+    per-host stage II: same detections, strictly more stage-III work, and
+    books that still balance — sequentially and sharded."""
+
+    @pytest.fixture(scope="class")
+    def internet(self):
+        from repro.net.population import PopulationModel, generate_internet
+
+        internet, _geo, _census = generate_internet(
+            PopulationModel(awe_rate=0.0005, vuln_rate=0.2,
+                            background_rate=2e-7, seed=17)
+        )
+        return internet
+
+    @staticmethod
+    def sweep(internet, **kwargs):
+        from repro.apps.catalog import scanned_ports
+        from repro.core.pipeline import ScanPipeline
+        from repro.net.transport import InMemoryTransport
+
+        pipeline = ScanPipeline(
+            InMemoryTransport(internet), scanned_ports(), fingerprint=False,
+            batch_size=64, **kwargs,
+        )
+        return pipeline.run(internet.populated_addresses()), pipeline
+
+    @staticmethod
+    def plugin_runs(report):
+        return sum(
+            value for name, value in report.telemetry.counters.items()
+            if name.startswith("plugin_verdicts_total")
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_same_detections_more_plugin_work_books_balance(
+        self, internet, workers
+    ):
+        filtered, _ = self.sweep(internet, workers=workers)
+        ablated, pipeline = self.sweep(
+            internet, workers=workers, use_prefilter=False
+        )
+        assert filtered.vulnerable_ips()
+        assert {ip.value for ip in ablated.vulnerable_ips()} == {
+            ip.value for ip in filtered.vulnerable_ips()
+        }
+        assert self.plugin_runs(ablated) > self.plugin_runs(filtered)
+        if workers is None:
+            assert pipeline.engine.stats.plugins_run == self.plugin_runs(ablated)
+        for report in (filtered, ablated):
+            report.coverage.reconcile(report)
+            for stage, ledger in report.coverage.stages.items():
+                assert report.telemetry.funnel(stage, "in") == ledger.entered
+                assert report.telemetry.funnel(stage, "out") == ledger.completed
+        # Ablation hands every responsive host to stage III.
+        assert ablated.total_awe_hosts() > filtered.total_awe_hosts()

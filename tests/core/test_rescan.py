@@ -8,10 +8,12 @@ scratch — only cheaper.  Every test here compares full
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.apps.catalog import scanned_ports
+from repro.apps.base import AppInstance
+from repro.apps.catalog import create_instance, scanned_ports
 from repro.core.checkpoint import Checkpointer
 from repro.core.pipeline import ScanPipeline
 from repro.core.rescan import (
@@ -20,8 +22,10 @@ from repro.core.rescan import (
     save_rescan_state,
 )
 from repro.core.serialize import report_to_dict
-from repro.net.intervals import CompressedPopulation
+from repro.net.host import Host, Service
+from repro.net.intervals import BLOCK_MASK, CompressedPopulation, IntervalSet
 from repro.net.ipv4 import IPv4Address
+from repro.net.network import SimulatedInternet
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
 from repro.util.errors import ConfigError
@@ -173,3 +177,132 @@ class TestResume:
             engine.baseline(frame, checkpoint=_Crashing(path, 2))
         resumed = engine.baseline(frame, checkpoint=Checkpointer(path))
         assert dump(resumed.report) == dump(fresh_oracle(world))
+
+
+class TestResumeAtEveryBoundary:
+    """Kill after the k-th checkpoint save, for every k a sweep has.
+
+    A private five-batch world, churned after the prior sweep (one host
+    gone, one block hinted), so a resumed pass mixes checkpoint-replayed,
+    prior-replayed and freshly probed hosts on both sides of the cut.
+    """
+
+    BATCHES = 5
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        internet, _, _ = generate_internet(
+            PopulationModel(awe_rate=0.0002, vuln_rate=0.2,
+                            background_rate=1e-7, seed=11)
+        )
+        transport = InMemoryTransport(internet)
+        pop = CompressedPopulation.build(internet, 0, seed=SEED)
+        frame = pop.frame
+        batch_size = -(-len(frame) // self.BATCHES)
+        engine = RescanEngine(
+            transport, scanned_ports(), seed=SEED, batch_size=batch_size
+        )
+        prior = engine.baseline(frame)
+        live = pop.live_values()
+        internet.remove_host(IPv4Address(live[len(live) // 3]))
+        hint = [live[2 * len(live) // 3]]
+        oracle = dump(
+            ScanPipeline(
+                transport, scanned_ports(), seed=SEED, batch_size=batch_size
+            ).run(frame)
+        )
+        assert oracle != dump(prior.report)
+        return engine, frame, prior, hint, oracle
+
+    @pytest.mark.parametrize("kill_after", range(1, BATCHES + 1))
+    def test_rescan(self, small, kill_after, tmp_path):
+        engine, frame, prior, hint, oracle = small
+        path = tmp_path / "rescan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            engine.rescan(
+                frame, prior, hint, checkpoint=_Crashing(path, kill_after)
+            )
+        resumed = engine.rescan(frame, prior, hint, checkpoint=Checkpointer(path))
+        assert dump(resumed.report) == oracle
+        assert set(resumed.records) == set(resumed.report.port_scan.open_ports)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kill_after", range(1, BATCHES + 1))
+    def test_baseline(self, small, kill_after, tmp_path):
+        engine, frame, _, _, oracle = small
+        path = tmp_path / "baseline.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            engine.baseline(frame, checkpoint=_Crashing(path, kill_after))
+        resumed = engine.baseline(frame, checkpoint=Checkpointer(path))
+        assert dump(resumed.report) == oracle
+        # the resumed ledger is as reusable as an uninterrupted one
+        assert dump(engine.rescan(frame, resumed).report) == oracle
+
+
+# -- a state file written before the engine was rebuilt ---------------------------
+
+#: ``save_rescan_state`` output of commit 55661fa — the last commit whose
+#: engine hand-wrote its own batch step — over :func:`parent_state_world`.
+#: Regenerate (only ever from that commit) with
+#: ``PYTHONPATH=src:. python tests/core/test_rescan.py``.
+PARENT_STATE = Path(__file__).parent / "fixtures" / "rescan_state_55661fa.json"
+
+_PARENT_STATE_APPS = (
+    ("jenkins", 8080, True), ("wordpress", 80, False), ("docker", 2375, True),
+    ("jupyterlab", 8888, True), ("grav", 80, False), ("consul", 8500, True),
+    ("phpmyadmin", 80, False), ("hadoop", 8088, True),
+)
+
+
+def parent_state_world():
+    """Eight hand-placed hosts over three /24s; no generator involved, so
+    the world means the same thing at every commit."""
+    internet = SimulatedInternet()
+    for index, (slug, port, vulnerable) in enumerate(_PARENT_STATE_APPS):
+        host = Host(IPv4Address.parse(f"93.184.{90 + index % 3}.{20 + index}"))
+        host.add_service(Service(port, app=AppInstance(
+            create_instance(slug, vulnerable=vulnerable), port
+        )))
+        internet.add_host(host)
+    frame = IntervalSet(
+        (ip.value & BLOCK_MASK, ip.value | 255)
+        for ip in internet.populated_addresses()
+    )
+    engine = RescanEngine(
+        InMemoryTransport(internet), scanned_ports(), seed=SEED, batch_size=200
+    )
+    return internet, frame, engine
+
+
+class TestParentWrittenState:
+    """Old ``--rescan-from`` files keep working: the committed state loads,
+    re-saves byte for byte, and seeds re-scans equal to from-scratch."""
+
+    @staticmethod
+    def scratch(engine, frame):
+        pipe = ScanPipeline(
+            engine.transport, scanned_ports(), seed=SEED, batch_size=200
+        )
+        return dump(pipe.run(frame))
+
+    def test_loads_and_resaves_byte_for_byte(self, tmp_path):
+        assert PARENT_STATE.stat().st_size < 100_000
+        save_rescan_state(load_rescan_state(PARENT_STATE), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == PARENT_STATE.read_bytes()
+
+    def test_rescans_to_the_from_scratch_report(self):
+        internet, frame, engine = parent_state_world()
+        prior = load_rescan_state(PARENT_STATE)
+        assert prior.report.vulnerable_ips()
+        unchanged = engine.rescan(frame, prior)
+        assert engine.transport.stats.http_requests == 0  # all replayed
+        assert dump(unchanged.report) == self.scratch(engine, frame)
+
+        internet.remove_host(internet.populated_addresses()[4])
+        churned = engine.rescan(frame, prior)
+        assert dump(churned.report) == self.scratch(engine, frame)
+
+
+if __name__ == "__main__":
+    _, frame_, engine_ = parent_state_world()
+    save_rescan_state(engine_.baseline(frame_), PARENT_STATE)

@@ -143,6 +143,22 @@ class TestVhostRouting:
         assert host.has_vulnerable_app()
 
 
+class TestPacketLoss:
+    def test_recall_degrades_monotonically_in_expectation(self):
+        from repro.experiments.packet_loss import run_packet_loss_study
+        from repro.net.population import PopulationModel, generate_internet
+
+        internet, _geo, _census = generate_internet(
+            PopulationModel(awe_rate=0.001, vuln_rate=0.05,
+                            background_rate=1e-7, seed=3)
+        )
+        result = run_packet_loss_study(internet, loss_rates=(0.0, 0.1, 0.4))
+        recalls = [point.recall for point in result.points]
+        assert recalls[0] == 1.0
+        assert recalls[0] > recalls[1] > recalls[2]
+        assert result.table().render()
+
+
 class TestRecallRecovery:
     @pytest.fixture(scope="class")
     def result(self):

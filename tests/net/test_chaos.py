@@ -7,7 +7,6 @@ from repro.apps.catalog import create_instance, scanned_ports
 from repro.core.pipeline import ScanPipeline
 from repro.core.retry import RetryPolicy
 from repro.net.chaos import ChaosTransport, FaultPlan
-from repro.net.flaky import FlakyTransport
 from repro.net.host import Host, Service
 from repro.net.http import HttpRequest, Scheme
 from repro.net.ipv4 import IPv4Address
@@ -41,6 +40,8 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(reset_rate=1.5)
         with pytest.raises(ValueError):
+            FaultPlan.packet_loss(1.5)
+        with pytest.raises(ValueError):
             FaultPlan(flap_down=700.0, flap_period=600.0)
         with pytest.raises(ValueError):
             FaultPlan(slow_latency=-1.0)
@@ -67,6 +68,14 @@ class TestFaultInjection:
         )
         assert not transport.syn_probe(ip, 8192)
         assert transport.faults["syn-drop"] == 1
+
+    def test_partial_syn_loss_statistics(self, world):
+        internet, ip = world
+        transport = ChaosTransport(
+            InMemoryTransport(internet), FaultPlan(syn_loss=0.5), seed=9
+        )
+        results = [transport.syn_probe(ip, 8192) for _ in range(400)]
+        assert 0.4 < sum(results) / len(results) < 0.6
 
     def test_request_loss(self, world):
         internet, ip = world
@@ -181,8 +190,11 @@ class TestFaultInjection:
         transport = ChaosTransport(
             InMemoryTransport(internet), FaultPlan(request_loss=1.0)
         )
+        # A dropped TLS handshake is a timeout, not a silent "no
+        # certificate": callers must be able to tell transient from absent.
         with pytest.raises(ConnectionTimeout):
             transport.fetch_certificate(ip, 8192)
+        assert transport.faults["request-drop"] == 1
 
     def test_deterministic_per_seed(self, world):
         internet, ip = world
@@ -222,7 +234,7 @@ class TestStatsDelegation:
         """Regression: wrapped transports must not split load counters."""
         internet, ip = world
         innermost = InMemoryTransport(internet)
-        chain = ChaosTransport(FlakyTransport(innermost), FaultPlan())
+        chain = ChaosTransport(ChaosTransport(innermost), FaultPlan())
         assert chain.stats is innermost.stats
         chain.syn_probe(ip, 8192)
         chain.get(ip, 8192, "/")
@@ -236,14 +248,16 @@ class TestStatsDelegation:
         # is still pipeline load, so the shared counters must include it.
         internet, ip = world
         innermost = InMemoryTransport(internet)
-        chain = ChaosTransport(innermost, FaultPlan(request_loss=1.0))
+        chain = ChaosTransport(innermost, FaultPlan.packet_loss(1.0))
         with pytest.raises(ConnectionTimeout):
             chain.get(ip, 8192, "/")
+        assert not chain.syn_probe(ip, 8192)
         assert innermost.stats.http_requests == 1
+        assert innermost.stats.syn_probes == 1
 
     def test_ethics_enforced_through_wrapped_chain(self, world):
         internet, ip = world
-        chain = FlakyTransport(
+        chain = ChaosTransport(
             ChaosTransport(InMemoryTransport(internet), FaultPlan())
         )
         with pytest.raises(EthicsViolation):
@@ -371,12 +385,15 @@ class TestChaosFork:
     def test_fork_does_not_touch_parent_stats(self, world):
         internet, ip = world
         parent = ChaosTransport(
-            InMemoryTransport(internet), FaultPlan(), seed=21, clock=SimClock()
+            InMemoryTransport(internet), FaultPlan(syn_loss=1.0), seed=21,
+            clock=SimClock(),
         )
         child = parent.fork(1, SimClock())
         child.syn_probe(ip, 8192)
         assert child.stats.syn_probes == 1
         assert parent.stats.syn_probes == 0
+        assert child.faults == {"syn-drop": 1}
+        assert parent.faults == {}
 
 
 class TestLatencyAndPoisonFaults:
