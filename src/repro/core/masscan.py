@@ -21,20 +21,17 @@ sweep would be.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.retry import RetryExecutor
-from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet, reserved_intervals
-from repro.net.ipv4 import IPv4Address, is_reserved
+from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, FrameLike, IntervalSet, as_frame
+from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
 from repro.obs.telemetry import Telemetry
 from repro.util.rand import shuffled
-
-
-#: marker for the legacy within-block shuffle mode (draws from the sweep RNG)
-_SWEEP_RNG = object()
 
 
 @dataclass
@@ -90,89 +87,52 @@ class Masscan:
     _counters: tuple | None = field(default=None, init=False, repr=False)
 
     def _plan_blocks(
-        self, candidates: Iterable[IPv4Address] | IntervalSet
-    ) -> tuple[
-        list[int], Callable[[int], list[int]], Callable[[int], int], object
-    ]:
-        """The sweep's block plan: ``(bases, lookup, sizer, order_key)``.
+        self, candidates: FrameLike
+    ) -> tuple[IntervalSet, dict[int, int], list[int]]:
+        """The sweep's block plan: ``(frame, counts, bases)``.
 
-        ``bases`` lists every /24 base in sweep block order (shuffled when
-        ``randomise_order`` is on).  ``lookup(base)`` returns the block's
-        candidate addresses as sorted raw ints (at most 256, materialised
-        on demand so an interval frame never expands wholesale);
-        ``sizer(base)`` returns how many there are *without* materialising
-        them, so a dead run costs a dict hit instead of a list build.
-        ``order_key`` says how each block is ordered internally:
+        ``frame`` is the candidates as an interval set with the reserved
+        allocations cut out; ``counts`` maps every /24 base it touches to
+        the block's size, so a dead or skipped block costs a dict hit and
+        is never materialised; ``bases`` lists those blocks in sweep
+        order — shuffled on :attr:`rng` when ``randomise_order`` is on,
+        the shuffle being the RNG's only job.
 
-        * ``None`` — ascending.  Used when ``randomise_order`` is off,
-          and *always* for interval frames: every address of a /24 lands
-          in the same network whatever its position, so within-block
-          shuffling buys no politeness — block-level shuffling alone
-          spreads consecutive probes across unrelated networks.  The
-          ascending order is what lets stage I account the dead gap
-          between two live hosts in one step instead of one per address.
-        * ``_SWEEP_RNG`` — legacy list-frame order: the within-block
-          shuffle draws from the sweep RNG, so every block must consume
-          its draws even when its addresses are skipped.
+        Inside a block the order is always ascending: every address of a
+        /24 lands in the same network whatever its position, so a
+        within-block shuffle buys no politeness — the block-level
+        shuffle alone spreads consecutive probes across unrelated
+        networks.  The ascending order is what lets stage I account the
+        dead gap between two live hosts in one step instead of one per
+        address.
         """
-        lookup: Callable[[int], list[int]]
-        sizer: Callable[[int], int]
-        if isinstance(candidates, IntervalSet):
-            frame = candidates
-            if self.exclude_reserved:
-                frame = frame.difference(reserved_intervals())
-            counts = frame.block_counts()
-            bases = list(counts)
-            lookup = frame.block_values
-            sizer = counts.__getitem__
-            order_key: object = None
-            runs: list[tuple[int, int]] | None = list(frame.runs)
-        else:
-            blocks: dict[int, list[int]] = {}
-            for ip in candidates:
-                if self.exclude_reserved and is_reserved(ip):
-                    continue
-                blocks.setdefault(ip.value & BLOCK_MASK, []).append(ip.value)
-            bases = sorted(blocks)
-            lookup = lambda base: sorted(blocks[base])  # noqa: E731
-            sizer = lambda base: len(blocks[base])  # noqa: E731
-            order_key = _SWEEP_RNG if self.randomise_order else None
-            runs = None
+        frame = as_frame(candidates, self.exclude_reserved)
+        counts = frame.block_counts()
+        bases = list(counts)
         if self.randomise_order:
             bases = shuffled(self.rng, bases)
-        return bases, lookup, sizer, order_key, runs
+        return frame, counts, bases
 
-    def _block_order(
-        self, base: int, values: list[int], order_key: object
-    ) -> list[int]:
-        """The within-block probe order as raw ints (see :meth:`_ordered_blocks`)."""
-        if order_key is _SWEEP_RNG:
-            return shuffled(self.rng, list(values))
-        return list(values)
-
-    def iter_target_order(
-        self, candidates: Iterable[IPv4Address] | IntervalSet
-    ) -> Iterator[IPv4Address]:
+    def iter_target_order(self, candidates: FrameLike) -> Iterator[IPv4Address]:
         """Filter reserved ranges and order targets for the sweep, lazily.
 
         With randomisation on, /24 blocks are shuffled so consecutive
         probes land in unrelated networks (the paper's politeness
-        measure); list frames additionally keep their legacy within-block
-        shuffle, while interval frames probe each block in ascending
-        order (see :meth:`_ordered_blocks`).  Only one block is
-        materialised beyond the block index itself, so resuming deep into
-        a multi-million-address sweep does not copy the whole order.
+        measure); each block is probed in ascending order (see
+        :meth:`_plan_blocks`).  Only one block is materialised beyond the
+        block index itself, so resuming deep into a multi-million-address
+        sweep does not copy the whole order.
         """
-        bases, lookup, _sizer, order_key, _runs = self._plan_blocks(candidates)
+        frame, _counts, bases = self._plan_blocks(candidates)
         for base in bases:
-            for value in self._block_order(base, lookup(base), order_key):
+            for value in frame.block_values(base):
                 yield IPv4Address(value)
 
-    def target_order(self, candidates: Iterable[IPv4Address] | IntervalSet) -> list[IPv4Address]:
+    def target_order(self, candidates: FrameLike) -> list[IPv4Address]:
         """The full sweep order as a list (see :meth:`iter_target_order`)."""
         return list(self.iter_target_order(candidates))
 
-    def scan(self, candidates: Iterable[IPv4Address] | IntervalSet) -> PortScanResult:
+    def scan(self, candidates: FrameLike) -> PortScanResult:
         """Probe every candidate on every configured port."""
         result = PortScanResult()
         for batch in self.scan_in_batches(candidates, batch_size=2**62):
@@ -181,7 +141,7 @@ class Masscan:
 
     def scan_in_batches(
         self,
-        candidates: Iterable[IPv4Address] | IntervalSet,
+        candidates: FrameLike,
         batch_size: int,
         skip: int = 0,
     ) -> Iterator[PortScanResult]:
@@ -236,11 +196,11 @@ class Masscan:
             yield result
 
     def _ops(
-        self, candidates: Iterable[IPv4Address] | IntervalSet, skip: int
+        self, candidates: FrameLike, skip: int
     ) -> Iterator[tuple[int, int | None]]:
         """The sweep as ``(dead gap, live value)`` ops, after ``skip``.
 
-        The one producer for every mode.  With liveness hints each op is
+        The one producer for both modes.  With liveness hints each op is
         the run of guaranteed-dead addresses before a hinted host, then
         that host; without (retry, supervision, a hint-less transport)
         every address is its own ``(0, value)`` op.  Dead gaps accumulate
@@ -250,64 +210,43 @@ class Masscan:
         identical while a sparse frame collapses to a few ops per batch
         instead of one per dead /24.
         """
-        bulk_ok = self.supervision is None and self.retry is None
-        bases, lookup, sizer, order_key, runs = self._plan_blocks(candidates)
-        # Legacy list-frame blocks shuffle on the sweep RNG, so their
-        # draws must be consumed even for skipped or dead blocks;
-        # wholesale skipping is sound only for the ascending mode.
-        wholesale = order_key is not _SWEEP_RNG
-        hints = self._prefetch_hints(runs) if bulk_ok else None
+        frame, counts, bases = self._plan_blocks(candidates)
+        hints = None
+        if self.supervision is None and self.retry is None:
+            hints = self._prefetch_hints(frame.runs)
         pending_dead = 0
         for base in bases:
-            block_values: list[int] | None = None
-            if wholesale:
-                # Don't materialise yet: a dead or skipped run needs only
-                # its size, and dead runs are the bulk of a sparse frame.
-                count = sizer(base)
-            else:
-                block_values = lookup(base)
-                count = len(block_values)
-            if wholesale and skip >= count:
+            # Don't materialise yet: a dead or skipped block needs only
+            # its size, and dead blocks are the bulk of a sparse frame.
+            count = counts[base]
+            if skip >= count:
                 skip -= count
                 continue
-            live: Sequence[int] | None = None
-            if bulk_ok:
-                live = (
-                    hints.get(base, ()) if hints is not None
-                    else self.transport.live_values_in(
-                        base, base | (BLOCK_SIZE - 1)
-                    )
-                )
-            block_ops: Iterable[tuple[int, int | None]]
-            if live is not None and wholesale and not live:
-                # Dead run: fold into the pending gap, never materialised.
+            # The addresses to probe: the hinted ones, or without hints
+            # every member.  Hints come from queries over the frame's own
+            # runs, so they are members too.
+            live: Sequence[int] = (
+                range(base, base + BLOCK_SIZE) if hints is None
+                else hints.get(base, ())
+            )
+            if not live:
                 pending_dead += count - skip
                 skip = 0
                 continue
-            if live is not None and wholesale and count == BLOCK_SIZE:
-                # Full /24 in ascending order: the members are exactly the
-                # range, so the gaps between hinted hosts are arithmetic —
-                # no materialisation, no set, no per-address walk.
+            block_ops: Iterable[tuple[int, int | None]]
+            if len(live) == count:
+                # As many to probe as members: they *are* the block.
+                block_ops = ((0, value) for value in live[skip:])
+            elif count == BLOCK_SIZE:
+                # A whole /24 is one run: no lookup of its runs either.
                 block_ops = _range_ops(
                     base + skip, base | (BLOCK_SIZE - 1), live
                 )
-                skip = 0
             else:
-                if block_values is None:
-                    block_values = lookup(base)
-                ordered = self._block_order(base, block_values, order_key)
-                if skip >= count:
-                    skip -= count
-                    continue
-                if skip:
-                    ordered = ordered[skip:]
-                    skip = 0
-                if live is not None:
-                    block_ops = _hinted_ops(
-                        ordered, set(live).intersection(ordered)
-                    )
-                else:
-                    block_ops = ((0, value) for value in ordered)
+                block_ops = _block_ops(
+                    frame.runs_in(base, base | (BLOCK_SIZE - 1)), skip, live
+                )
+            skip = 0
             for dead, value in block_ops:
                 if value is None:
                     pending_dead += dead
@@ -374,18 +313,15 @@ class Masscan:
                 opened.inc(len(open_ports))
 
     def _prefetch_hints(
-        self, runs: list[tuple[int, int]] | None
+        self, runs: Sequence[tuple[int, int]]
     ) -> dict[int, list[int]] | None:
         """One liveness query per frame run instead of one per /24.
 
-        Interval frames know their runs, so the hint sweep walks them
-        directly and groups the (few) live values by block — a block
-        absent from the map is guaranteed dead.  Returns None for list
-        frames and for transports without hints; callers then fall back
-        to per-block queries.
+        The hint sweep walks the frame's runs directly and groups the
+        (few) live values by block — a block absent from the map is
+        guaranteed dead.  Returns None for transports without hints;
+        the sweep is then per-address.
         """
-        if runs is None:
-            return None
         hints: dict[int, list[int]] = {}
         for start, end in runs:
             values = self.transport.live_values_in(start, end)
@@ -430,42 +366,39 @@ class Masscan:
         return bound[1:]
 
 
+def _block_ops(
+    runs: Iterable[tuple[int, int]], skip: int, live: Sequence[int]
+) -> Iterator[tuple[int, int | None]]:
+    """(dead gap, live value) ops for one block's runs, after ``skip`` members.
+
+    Inside a run the members are the range itself, so the gaps between
+    hinted hosts are arithmetic — no member list, no set, no per-address
+    walk.  A per-address sweep passes the whole block as ``live``.
+    """
+    for start, end in runs:
+        if skip > end - start:
+            skip -= end - start + 1
+            continue
+        yield from _range_ops(start + skip, end, live)
+        skip = 0
+
+
 def _range_ops(
     start: int, end: int, live: Sequence[int]
 ) -> Iterator[tuple[int, int | None]]:
-    """(dead gap, live value) ops for a contiguous ascending block.
+    """(dead gap, live value) ops for the contiguous range ``[start, end]``.
 
-    When a /24 is fully inside the frame its members *are* the range, so
-    the dead stretch before each hinted host is ``value - cursor`` — no
+    The dead stretch before each hinted host is ``value - cursor`` — no
     member list is ever built.  Hint values are ascending (transport
     contract) and the hint is one-sided, so a "live" value may still
     probe dead; it is probed rather than skipped either way.
     """
     cursor = start
-    for value in live:
-        if value < cursor:
-            continue
-        if value > end:
-            break
+    for value in live[bisect_left(live, start):bisect_right(live, end)]:
         yield value - cursor, value
         cursor = value + 1
     if cursor <= end:
         yield end - cursor + 1, None
-
-
-def _hinted_ops(
-    ordered: Sequence[int], live_set: set[int]
-) -> Iterator[tuple[int, int | None]]:
-    """(dead gap, live value) ops for a materialised hinted block."""
-    pending = 0
-    for value in ordered:
-        if value in live_set:
-            yield pending, value
-            pending = 0
-        else:
-            pending += 1
-    if pending:
-        yield pending, None
 
 
 def burst_profile(order: Sequence[IPv4Address], window: int = 256) -> dict[int, int]:

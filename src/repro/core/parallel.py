@@ -52,13 +52,11 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.checkpoint import Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
 from repro.core.serialize import report_from_dict, report_to_dict
-from repro.net.intervals import IntervalSet, reserved_intervals
-from repro.net.ipv4 import IPv4Address, is_reserved
+from repro.net.intervals import BLOCK_SIZE, FrameLike, IntervalSet, as_frame
 from repro.net.transport import TransportStats
 from repro.obs.profile import ProfileRollup, wall_now
 from repro.obs.trace import Span
@@ -97,10 +95,6 @@ PICKLE_BOUNDARY_TYPES = (
 )
 
 
-def _rebuild_shard(index: int, seed: int, values: tuple[int, ...]) -> "Shard":
-    return Shard(index, seed, tuple(IPv4Address(v) for v in values))
-
-
 def _rebuild_interval_shard(
     index: int, seed: int, runs: tuple[tuple[int, int], ...]
 ) -> "Shard":
@@ -110,34 +104,21 @@ def _rebuild_interval_shard(
 class Shard:
     """One /24-aligned slice of the candidate frame.
 
-    ``addresses`` is either a tuple of individual addresses (list frames)
-    or an :class:`~repro.net.intervals.IntervalSet` (compressed frames);
-    both support ``len()`` and iteration, and both pickle as raw ints —
-    interval shards ship their runs, so a multi-million-address shard
-    crosses the process boundary in a handful of pairs.
+    ``addresses`` is an :class:`~repro.net.intervals.IntervalSet` and
+    pickles as its runs, so a multi-million-address shard crosses the
+    process boundary in a handful of pairs.
     """
 
     __slots__ = ("index", "seed", "addresses")
 
-    def __init__(
-        self,
-        index: int,
-        seed: int,
-        addresses: tuple[IPv4Address, ...] | IntervalSet,
-    ) -> None:
+    def __init__(self, index: int, seed: int, addresses: IntervalSet) -> None:
         self.index = index
         self.seed = seed
         self.addresses = addresses
 
     def __reduce__(self):
-        # Ship raw address integers (or interval runs) across the process
-        # boundary instead of one dataclass instance per address.
-        if isinstance(self.addresses, IntervalSet):
-            return _rebuild_interval_shard, (
-                self.index, self.seed, self.addresses.runs,
-            )
-        return _rebuild_shard, (
-            self.index, self.seed, tuple(ip.value for ip in self.addresses),
+        return _rebuild_interval_shard, (
+            self.index, self.seed, self.addresses.runs,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -145,54 +126,34 @@ class Shard:
 
 
 def plan_shards(
-    candidates: Iterable[IPv4Address],
+    candidates: FrameLike,
     seed: int,
     shard_blocks: int = DEFAULT_SHARD_BLOCKS,
     exclude_reserved: bool = True,
 ) -> list[Shard]:
     """Partition a candidate frame into deterministic /24-aligned shards.
 
-    Blocks are taken in sorted order and grouped ``shard_blocks`` at a
-    time, so the partition is a function of the frame alone.  Reserved
-    addresses are dropped here (mirroring stage I) so shard sizes reflect
-    real work.  Each shard's scan order is still randomised *within* the
-    shard by its own seeded masscan, preserving the paper's politeness
-    property shard-locally.
+    ``candidates`` is anything :func:`~repro.net.intervals.as_frame`
+    accepts.  Blocks are taken in sorted order and grouped
+    ``shard_blocks`` at a time, so the partition is a function of the
+    frame alone.  Reserved addresses are dropped here (mirroring stage I)
+    so shard sizes reflect real work.  Each shard's block order is still
+    randomised *within* the shard by its own seeded masscan, preserving
+    the paper's politeness property shard-locally.
     """
     if shard_blocks < 1:
         raise ValueError("shard_blocks must be at least 1")
-    if isinstance(candidates, IntervalSet):
-        frame = candidates
-        if exclude_reserved:
-            frame = frame.difference(reserved_intervals())
-        bases = frame.block_bases()
-        shards = []
-        for start in range(0, len(bases), shard_blocks):
-            group = bases[start:start + shard_blocks]
-            # The group is a contiguous slice of the sorted block list, so
-            # intersecting with its covering range selects exactly those
-            # blocks — no other frame block lies between them.
-            piece = frame.intersect(
-                IntervalSet([(group[0], group[-1] | 0xFF)])
-            )
-            index = len(shards)
-            shards.append(Shard(index, stable_hash(seed, "shard", index), piece))
-        return shards
-    blocks: dict[int, list[IPv4Address]] = {}
-    for ip in candidates:
-        if exclude_reserved and is_reserved(ip):
-            continue
-        blocks.setdefault(ip.value & 0xFFFFFF00, []).append(ip)
-    ordered = sorted(blocks)
+    frame = as_frame(candidates, exclude_reserved)
+    bases = frame.block_bases()
     shards: list[Shard] = []
-    for start in range(0, len(ordered), shard_blocks):
+    for start in range(0, len(bases), shard_blocks):
+        group = bases[start:start + shard_blocks]
+        # The group is a contiguous slice of the sorted block list, so
+        # its covering range selects exactly those blocks — no other
+        # frame block lies between them.
+        piece = frame.clip(group[0], group[-1] | (BLOCK_SIZE - 1))
         index = len(shards)
-        addresses = tuple(
-            ip
-            for block in ordered[start:start + shard_blocks]
-            for ip in sorted(blocks[block])
-        )
-        shards.append(Shard(index, stable_hash(seed, "shard", index), addresses))
+        shards.append(Shard(index, stable_hash(seed, "shard", index), piece))
     return shards
 
 
@@ -360,7 +321,7 @@ class ParallelScanEngine:
 
     def run(
         self,
-        candidates: Iterable[IPv4Address],
+        candidates: FrameLike,
         checkpoint: Checkpointer | None = None,
     ):
         pipe = self.pipeline

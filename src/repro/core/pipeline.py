@@ -36,6 +36,7 @@ from repro.core.retry import CircuitBreaker, RetryExecutor, RetryPolicy, RetrySt
 from repro.core.tsunami.engine import TsunamiEngine
 from repro.core.tsunami.plugin import DetectionReport
 from repro.net.http import Scheme
+from repro.net.intervals import FrameLike
 from repro.net.ipv4 import IPv4Address
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
 from repro.obs.telemetry import Telemetry, TelemetrySummary
@@ -267,7 +268,7 @@ class ScanPipeline:
 
     def run(
         self,
-        candidates: Iterable[IPv4Address],
+        candidates: FrameLike,
         checkpoint: Checkpointer | None = None,
     ) -> ScanReport:
         """Sweep ``candidates`` through all three stages.

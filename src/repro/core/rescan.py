@@ -4,8 +4,8 @@ The paper's longevity study (Figure 2) re-scans the same frame every
 three hours for four weeks.  Re-running the full pipeline 224 times pays
 the stage-II/III cost for every open host every time, even though almost
 nothing changes between sweeps.  This engine runs stage I in full (the
-cheap liveness probe — with an interval frame, dead runs are skipped
-wholesale), diffs the result against the prior sweep, and re-runs the
+cheap liveness probe — dead runs of the frame are accounted in bulk,
+not probed), diffs the result against the prior sweep, and re-runs the
 expensive later stages only for hosts in *churned* /24 blocks.  Every
 other host's stage-II/III contribution is replayed from the prior
 sweep's per-host ledger.
@@ -358,9 +358,9 @@ class RescanEngine:
                 }
 
         # Phase A: the full port scan.  Runs for real every sweep — this
-        # is the "cheap liveness probe" (interval frames skip dead runs
-        # wholesale) — and must complete before later stages so churn is
-        # judged on whole /24 blocks, which batch boundaries can split.
+        # is the "cheap liveness probe" (dead runs are accounted in bulk)
+        # — and must complete before later stages so churn is judged on
+        # whole /24 blocks, which batch boundaries can split.
         report = ScanReport()
         pipe._open_sweep()
         batches: list[PortScanResult] = []

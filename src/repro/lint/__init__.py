@@ -26,17 +26,14 @@ emitting structured :class:`~repro.lint.findings.Finding` records:
   ``PKL*`` rules, on the whole-program
   :class:`~repro.lint.callgraph.CallGraph`)
 
-``python -m repro.lint`` runs them all through the incremental
-:class:`~repro.lint.engine.LintEngine` (content-hash cache, ``--jobs``
-fan-out); a committed baseline file lets CI fail only on *new*
-findings.
+``python -m repro.lint`` runs them all over the whole tree; a committed
+baseline file lets CI fail only on *new* findings.
 """
 
 from repro.lint.baseline import Baseline
 from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import ConcurrencyAuditor
 from repro.lint.determinism import DeterminismAuditor
-from repro.lint.engine import LintEngine
 from repro.lint.findings import RULES, Finding, Severity
 from repro.lint.observability import ObservabilityAuditor
 from repro.lint.plugins import PluginContractAuditor
@@ -48,7 +45,6 @@ __all__ = [
     "ConcurrencyAuditor",
     "DeterminismAuditor",
     "Finding",
-    "LintEngine",
     "ObservabilityAuditor",
     "PluginContractAuditor",
     "RULES",

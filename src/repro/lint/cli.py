@@ -2,26 +2,31 @@
 
 Exit codes: 0 = no findings outside the baseline, 1 = new findings (or
 stale baseline entries under ``--fail-on-stale``), 2 = usage /
-configuration error.  Analysis runs through the incremental
-:class:`~repro.lint.engine.LintEngine` (content-hash cache, ``--jobs``
-fan-out, ``--changed-only`` scoping); the report itself is a pure
-function of the tree, so none of those knobs can change its bytes.
-Lint health is also charged to the shared :mod:`repro.obs` telemetry
-(one counter series per rule id), so ``--telemetry`` surfaces it in
-the same formats as the scan funnel.
+configuration error.  The report is a pure function of the tree: every
+run walks all of it (a cold whole-tree lint takes under two seconds)
+and folds the five analyzers' findings through
+:func:`~repro.lint.findings.sort_findings`.  Lint health is also
+charged to the shared :mod:`repro.obs` telemetry (one counter series per
+rule id), so ``--telemetry`` surfaces it in the same formats as the scan
+funnel.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from repro.apps.catalog import in_scope_apps
 from repro.lint.baseline import Baseline
-from repro.lint.engine import DEFAULT_CACHE, LintEngine
-from repro.lint.findings import Finding
+from repro.lint.concurrency import ConcurrencyAuditor
+from repro.lint.corpus import build_corpus
+from repro.lint.determinism import DeterminismAuditor
+from repro.lint.findings import Finding, sort_findings
+from repro.lint.observability import ObservabilityAuditor
+from repro.lint.plugins import PluginContractAuditor
 from repro.lint.report import render_json, render_text, rule_catalog
+from repro.lint.signatures import SignatureAuditor
 
 #: the committed suppression file, looked up relative to the CWD
 DEFAULT_BASELINE = "reprolint-baseline.json"
@@ -59,22 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-corpus", action="store_true",
                         help="skip the canned-page recall/precision checks "
                              "(shape-only signature audit)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run lint work units on N threads (default: 1; "
-                             "the report is byte-identical for any N)")
-    parser.add_argument("--cache", type=Path, default=Path(DEFAULT_CACHE),
-                        help="incremental cache file "
-                             f"(default: ./{DEFAULT_CACHE})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the incremental cache")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="only analyze and report files whose content "
-                             "hash differs from the cache manifest "
-                             "(whole-tree rules still re-run if anything "
-                             "changed)")
-    parser.add_argument("--stats-out", type=Path, default=None,
-                        help="write engine timing / cache statistics as JSON "
-                             "to this file (the CI artifact)")
     parser.add_argument("--rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("--telemetry", choices=("jsonl", "prometheus"),
@@ -86,10 +75,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_analyzers(root: Path, with_corpus: bool = True) -> list[Finding]:
-    """All findings for one tree, in canonical order (no cache, one job)."""
-    return LintEngine(
-        root, with_corpus=with_corpus, cache_path=None,
-    ).run().findings
+    """All findings for one tree, in canonical order."""
+    known_slugs = frozenset(spec.slug for spec in in_scope_apps())
+    auditors = (
+        SignatureAuditor(
+            root,
+            corpus=build_corpus() if with_corpus else None,
+            known_slugs=known_slugs,
+        ),
+        PluginContractAuditor(root, known_slugs=known_slugs),
+        DeterminismAuditor(root),
+        ObservabilityAuditor(root),
+        ConcurrencyAuditor(root),
+    )
+    return sort_findings(
+        [finding for auditor in auditors for finding in auditor.run()]
+    )
 
 
 def _record_telemetry(telemetry, findings: list[Finding], new: list[Finding]) -> None:
@@ -112,29 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     if not root.is_dir():
         print(f"error: not a directory: {root}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.changed_only and args.update_baseline:
-        print("error: --changed-only cannot update the baseline "
-              "(it sees only part of the tree)", file=sys.stderr)
-        return 2
 
-    engine = LintEngine(
-        root,
-        with_corpus=not args.no_corpus,
-        jobs=args.jobs,
-        cache_path=None if args.no_cache else args.cache,
-        changed_only=args.changed_only,
-    )
-    result = engine.run()
-    findings = result.findings
-
-    if args.stats_out is not None:
-        args.stats_out.write_text(
-            json.dumps(result.stats.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
+    findings = run_analyzers(root, with_corpus=not args.no_corpus)
     try:
         baseline = Baseline.load(args.baseline)
     except ValueError as error:
@@ -148,11 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     new = baseline.new_findings(findings)
-    # A --changed-only run sees a slice of the tree, so absent findings
-    # say nothing about fixed debt: stale detection needs the full walk.
-    stale = (
-        [] if args.changed_only else baseline.stale_fingerprints(findings)
-    )
+    stale = baseline.stale_fingerprints(findings)
 
     from repro.obs.telemetry import Telemetry
 

@@ -7,7 +7,7 @@ need tens of gigabytes before the first probe is sent.  This module
 stores a population as sorted disjoint inclusive ``(start, end)`` runs
 over raw 32-bit address integers — a frame is then proportional to the
 number of *runs*, not the number of addresses, and stage I can skip a
-dead run wholesale instead of probing it host by host.
+dead run in one step instead of probing it host by host.
 
 :class:`IntervalSet` is the algebra (union / intersect / difference /
 membership / ordered iteration); :class:`CompressedPopulation` binds a
@@ -155,31 +155,41 @@ class IntervalSet:
         for value in self.iter_values():
             yield IPv4Address(value)
 
+    def runs_in(self, start: int, end: int) -> list[tuple[int, int]]:
+        """The runs overlapping ``[start, end]``, clipped to it.
+
+        Both ends are found by bisection and only the piece is copied: a
+        slice of the whole tail, or a walk from run 0, would make a pass
+        over a frame of single-address runs quadratic.
+        """
+        first = bisect_right(self._starts, start) - 1
+        if first < 0 or self._runs[first][1] < start:
+            first += 1
+        piece = list(self._runs[first:bisect_right(self._starts, end)])
+        if piece:
+            piece[0] = (max(piece[0][0], start), piece[0][1])
+            piece[-1] = (piece[-1][0], min(piece[-1][1], end))
+        return piece
+
     def values_in(self, start: int, end: int) -> list[int]:
         """Member addresses within the inclusive ``[start, end]`` range."""
         out: list[int] = []
-        index = max(0, bisect_right(self._starts, start) - 1)
-        for run_start, run_end in self._runs[index:]:
-            if run_start > end:
-                break
-            lo = max(run_start, start)
-            hi = min(run_end, end)
-            if lo <= hi:
-                out.extend(range(lo, hi + 1))
+        for lo, hi in self.runs_in(start, end):
+            out.extend(range(lo, hi + 1))
         return out
 
     def count_in(self, start: int, end: int) -> int:
         """How many member addresses fall within ``[start, end]``."""
-        total = 0
-        index = max(0, bisect_right(self._starts, start) - 1)
-        for run_start, run_end in self._runs[index:]:
-            if run_start > end:
-                break
-            lo = max(run_start, start)
-            hi = min(run_end, end)
-            if lo <= hi:
-                total += hi - lo + 1
-        return total
+        return sum(hi - lo + 1 for lo, hi in self.runs_in(start, end))
+
+    def clip(self, start: int, end: int) -> "IntervalSet":
+        """The members within ``[start, end]`` as a new set.
+
+        Equal to ``intersect(IntervalSet([(start, end)]))`` but found by
+        bisection instead of a walk from run 0, so cutting a frame into
+        many consecutive pieces stays linear in the frame.
+        """
+        return IntervalSet(self.runs_in(start, end))
 
     # -- /24 block views -----------------------------------------------
 
@@ -274,6 +284,30 @@ def reserved_intervals() -> IntervalSet:
     return IntervalSet(zip(_RESERVED_STARTS, _RESERVED_ENDS))
 
 
+#: what a caller may hand the sweep as its candidate frame: individual
+#: addresses (a list or a one-shot iterator) or an interval set
+FrameLike = Iterable[int | IPv4Address] | IntervalSet
+
+
+def as_frame(candidates: FrameLike, exclude_reserved: bool) -> IntervalSet:
+    """The one frame representation the sweep knows, from whatever it is given.
+
+    Callers hand stage I and the shard planner a list, a one-shot
+    iterator or an interval set; this is the only place that difference
+    is visible.  Individual addresses are compressed into runs (so a
+    frame is a *set*: an address named twice is scanned once), and with
+    ``exclude_reserved`` the IANA reserved allocations are cut out in one
+    interval difference instead of a test per address.
+    """
+    frame = (
+        candidates if isinstance(candidates, IntervalSet)
+        else IntervalSet.from_values(candidates)
+    )
+    if exclude_reserved:
+        frame = frame.difference(reserved_intervals())
+    return frame
+
+
 @dataclass(frozen=True)
 class CompressedPopulation:
     """A scan frame bound to the simulated internet that backs it.
@@ -313,11 +347,11 @@ class CompressedPopulation:
                 .difference(frame)
             )
             offset = stable_hash(seed, "frame-offset") % (MAX_IPV4 + 1)
-            upper = pool.intersect(IntervalSet([(offset, MAX_IPV4)]))
+            upper = pool.clip(offset, MAX_IPV4)
             filler = upper.take(needed)
             short = needed - len(filler)
             if short > 0 and offset > 0:
-                lower = pool.intersect(IntervalSet([(0, offset - 1)]))
+                lower = pool.clip(0, offset - 1)
                 filler = filler.union(lower.take(short))
             frame = frame.union(filler)
         return cls(internet=internet, frame=frame)

@@ -58,8 +58,9 @@ SCENARIOS = {
     "clean-profiled": (None, None, True, False),
     "chaos": (PLAN, None, False, False),
     "hostile-supervised": (HOSTILE, SUPERVISED, True, False),
-    # The supervised gate filters stage I's op stream; a list frame only
-    # ever feeds it legacy-shuffled blocks, an interval frame ascending ones.
+    # The supervised gate filters stage I's op stream.  The list frame is
+    # sparse (a few single-address runs per /24); the interval frame sweeps
+    # those /24s whole, so the gate also sees every dead neighbour.
     "hostile-supervised-intervals": (HOSTILE, SUPERVISED, True, True),
 }
 

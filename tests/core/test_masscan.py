@@ -8,9 +8,20 @@ from repro.apps.base import AppInstance
 from repro.apps.catalog import create_instance
 from repro.core.masscan import Masscan, PortScanResult, burst_profile
 from repro.net.host import Host, Service
+from repro.net.intervals import IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
+
+
+#: every shape a caller may hand the sweep as its frame, as a function of
+#: the address list; all of them must mean the same set of addresses
+FRAME_FORMS = {
+    "list": list,
+    "iterator": iter,
+    "duplicated": lambda ips: list(ips) + list(ips)[::2],
+    "intervals": IntervalSet.from_values,
+}
 
 
 @pytest.fixture()
@@ -101,6 +112,32 @@ class TestScanOrder:
             run = run + 1 if a.value >> 8 == b.value >> 8 else 1
             longest_run = max(longest_run, run)
         assert longest_run == 64  # within-block still contiguous per design
+
+    @pytest.mark.parametrize("form", sorted(FRAME_FORMS))
+    def test_blocks_shuffle_but_each_is_probed_ascending(self, form):
+        targets = [
+            IPv4Address.parse(f"93.184.{block}.{offset}")
+            for block in range(8) for offset in (3, 9, 70, 200, 201)
+        ]
+        bases = sorted({ip.value & 0xFFFFFF00 for ip in targets})
+        random.Random(8).shuffle(targets)  # input order must not matter
+        order = Masscan(
+            InMemoryTransport(SimulatedInternet()), ports=(80,),
+            rng=random.Random(5),
+        ).target_order(FRAME_FORMS[form](targets))
+        values = [ip.value for ip in order]
+        blocks = [values[i:i + 5] for i in range(0, len(values), 5)]
+        # every /24 shows up once, whole and ascending ...
+        assert sorted(values) == sorted({ip.value for ip in targets})
+        assert all(
+            block == sorted(block) and len({v >> 8 for v in block}) == 1
+            for block in blocks
+        )
+        # ... and the blocks come in the seeded shuffle, not sorted
+        expected = list(bases)
+        random.Random(5).shuffle(expected)
+        assert [block[0] & 0xFFFFFF00 for block in blocks] == expected
+        assert expected != bases
 
     def test_sequential_order_is_sorted(self):
         scanner = Masscan(
@@ -256,7 +293,7 @@ class TestStageIModesAgree:
         }
         return internet, frame, live_blocks
 
-    def batches(self, mode, world, batch_size, skip):
+    def batches(self, mode, world, batch_size, skip, form="intervals"):
         from repro.core.retry import RetryExecutor, RetryPolicy
         from repro.core.supervisor import ShardSupervision, SupervisorConfig
         from repro.obs.telemetry import Telemetry
@@ -278,7 +315,9 @@ class TestStageIModesAgree:
         )
         seen = [
             (b.addresses_scanned, b.probes_sent, dict(b.open_ports))
-            for b in scanner.scan_in_batches(frame, batch_size, skip=skip)
+            for b in scanner.scan_in_batches(
+                FRAME_FORMS[form](frame), batch_size, skip=skip
+            )
         ]
         counters = {
             name: value
@@ -317,3 +356,15 @@ class TestStageIModesAgree:
                 assert other[:3] == hinted[:3], (mode, skip)
                 if mode != "retry":  # retry legitimately re-probes closed ports
                     assert other[3] == hinted[3], (mode, skip)
+
+    @pytest.mark.parametrize("form", ["list", "iterator", "duplicated"])
+    @pytest.mark.parametrize("batch_size", [7, 256, 2**62])
+    def test_every_frame_form_batch_for_batch(self, world, batch_size, form):
+        """A frame is a set of addresses however it is handed over: the
+        same batches as the interval frame in every mode, and an address
+        named twice is scanned once."""
+        for skip in self.skips(world):
+            golden = self.batches("hinted", world, batch_size, skip)
+            for mode in ("hinted", "no-hints", "retry", "supervised"):
+                other = self.batches(mode, world, batch_size, skip, form)
+                assert other[:3] == golden[:3], (mode, skip)

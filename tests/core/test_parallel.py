@@ -7,6 +7,7 @@ through a shard-boundary checkpoint.
 """
 
 import json
+import time
 
 import pytest
 
@@ -19,11 +20,13 @@ from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
 from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.host import Host, Service
+from repro.net.intervals import IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
 from repro.util.clock import SimClock
 from repro.util.errors import ConfigError
+from tests.core.test_masscan import FRAME_FORMS
 
 PLAN = FaultPlan(
     syn_loss=0.05, request_loss=0.05, reset_rate=0.02, truncate_rate=0.02,
@@ -57,9 +60,10 @@ def build_world(blocks: int = 6):
 
 
 def run_arm(workers, chaos=False, checkpoint=None, seed=7, shard_blocks=2,
-            profile=False):
+            profile=False, form="list"):
     """One sweep over a freshly built world; returns (report, pipeline)."""
     internet, ips = build_world()
+    ips = FRAME_FORMS[form](ips)
     clock = SimClock()
     transport = InMemoryTransport(internet)
     if chaos:
@@ -127,6 +131,23 @@ class TestPlanShards:
         with pytest.raises(ValueError):
             plan_shards([], seed=7, shard_blocks=0)
 
+    def test_sparse_frame_plans_in_linear_time(self):
+        """50,000 single-address runs, one per /24: a block lookup and a
+        shard cut each bisect to their runs (about 0.2 s in all); a slice
+        of the run tuple per lookup, or a walk from run 0 per shard, is
+        quadratic (8 s)."""
+        base = IPv4Address.parse("93.0.0.0").value
+        frame = IntervalSet.from_values(
+            base + index * 256 + 7 for index in range(50_000)
+        )
+        start = time.perf_counter()
+        for block in frame.block_bases():
+            assert frame.block_values(block) == [block + 7]
+        shards = plan_shards(frame, seed=7)
+        elapsed = time.perf_counter() - start
+        assert sum(len(shard.addresses) for shard in shards) == 50_000
+        assert elapsed < 1.0
+
 
 class TestWorkerCountInvariance:
     @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
@@ -136,6 +157,19 @@ class TestWorkerCountInvariance:
         four = outputs(*run_arm(workers=4, chaos=chaos))
         assert four[0] == one[0]  # serialized ScanReport
         assert four[1] == one[1]  # telemetry JSONL
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
+    @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "w2"])
+    @pytest.mark.parametrize("form", ["iterator", "duplicated", "intervals"])
+    def test_every_frame_form_is_byte_identical_to_the_list(
+        self, form, workers, chaos
+    ):
+        """The world has several hosts per /24; a one-shot iterator, a
+        list naming addresses twice and the compressed frame are the same
+        sweep, through the sequential driver and the sharded one."""
+        assert outputs(*run_arm(workers, chaos=chaos, form=form)) == outputs(
+            *run_arm(workers, chaos=chaos)
+        )
 
     def test_engine_matches_sequential_semantics(self):
         """Sharding may not change *what* is found, only how it is run."""

@@ -23,17 +23,15 @@ EXPECTED = HERE / "fixtures" / "seeded_bugs" / "expected.json"
 
 
 def actual_findings() -> list[dict]:
-    from repro.lint.engine import LintEngine
+    from repro.lint.cli import run_analyzers
 
-    result = LintEngine(
-        CORPUS,
-        with_corpus=False,
-        cache_path=None,
-        analyzers=("determinism", "observability", "concurrency"),
-    ).run()
+    # The corpus holds only the three buggy modules: no signature table
+    # and no plugin directory, which the SIG/PLG auditors report as
+    # structural LNT001 findings — not what this gate is about.
     return [
         {"path": f.path, "line": f.line, "rule": f.rule}
-        for f in result.findings
+        for f in run_analyzers(CORPUS, with_corpus=False)
+        if f.rule != "LNT001"
     ]
 
 

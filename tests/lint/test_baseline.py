@@ -116,7 +116,7 @@ class TestCliRoundTrip:
     ):
         monkeypatch.chdir(tmp_path)
         baseline = tmp_path / "baseline.json"
-        args = ["--root", str(tree), "--no-corpus", "--no-cache",
+        args = ["--root", str(tree), "--no-corpus",
                 "--baseline", str(baseline)]
         code, _ = self.run(args + ["--update-baseline"], capsys)
         assert code == 0
@@ -158,6 +158,6 @@ class TestCliRoundTrip:
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "baseline.json"
         bad.write_text("{oops")
-        code = main(["--root", str(tree), "--no-corpus", "--no-cache",
+        code = main(["--root", str(tree), "--no-corpus",
                      "--baseline", str(bad)])
         assert code == 2

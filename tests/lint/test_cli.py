@@ -39,6 +39,38 @@ def broken_tree(tmp_path: Path) -> Path:
     return root
 
 
+@pytest.fixture
+def worker_tree(tmp_path: Path) -> Path:
+    """A two-file package with one violation per scope: a wall-clock read
+    (file-scope DET001) and a worker-reachable shared counter, which only
+    the whole-program call graph can see (tree-scope RACE002 + DET005)."""
+    root = tmp_path / "repro"
+    root.mkdir()
+    (root / "clockuser.py").write_text(CLOCK_USER)
+    (root / "engine.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "\n"
+        "WORKER_ENTRY_POINTS = (\n"
+        '    "repro.engine.Engine._work",\n'
+        ")\n"
+        "\n"
+        "\n"
+        "class Engine:\n"
+        "    def __init__(self):\n"
+        "        self.done = 0\n"
+        "\n"
+        "    def run(self, shards):\n"
+        "        with ThreadPoolExecutor() as pool:\n"
+        "            for shard in shards:\n"
+        "                pool.submit(self._work, shard)\n"
+        "\n"
+        "    def _work(self, shard):\n"
+        "        self.done += 1\n"
+        "        return shard\n"
+    )
+    return root
+
+
 def run(args: list[str], capsys) -> tuple[int, str]:
     code = main(args)
     return code, capsys.readouterr().out
@@ -126,6 +158,34 @@ class TestBrokenTree:
         )
         assert code == 1
         assert json.loads(out_file.read_text())["total"] >= 4
+
+
+class TestWorkerTree:
+    def test_file_and_tree_scope_rules_fire(
+        self, worker_tree, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(
+            ["--root", str(worker_tree), "--no-corpus", "--format", "json"],
+            capsys,
+        )
+        assert code == 1
+        rules = {
+            (f["rule"], f["path"]) for f in json.loads(out)["findings"]
+        }
+        assert ("DET001", "repro/clockuser.py") in rules
+        assert ("RACE002", "repro/engine.py") in rules
+        assert ("DET005", "repro/engine.py") in rules
+
+    def test_consecutive_json_runs_are_byte_identical(
+        self, worker_tree, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = ["--root", str(worker_tree), "--no-corpus", "--format", "json"]
+        _, first = run(args, capsys)
+        _, second = run(args, capsys)
+        assert first == second
+        assert not list(tmp_path.glob(".reprolint*"))  # a run leaves nothing
 
 
 class TestAuxiliaryModes:

@@ -446,6 +446,7 @@ def test_interval_range_queries_match_oracle(runs, start, width):
     expected = sorted(v for v in _oracle(runs) if start <= v <= end)
     assert s.values_in(start, end) == expected
     assert s.count_in(start, end) == len(expected)
+    assert s.clip(start, end) == s.intersect(IntervalSet([(start, end)]))
 
 
 @given(_interval_set)
@@ -463,6 +464,30 @@ def test_interval_block_views_match_oracle(runs):
         members = sorted(v for v in oracle if v & BLOCK_MASK == base)
         assert s.block_values(base) == members
         assert counts[base] == len(members)
+
+
+@given(_interval_set, st.integers(min_value=1, max_value=6))
+def test_shards_partition_the_frame(runs, shard_blocks):
+    """Each shard is the frame cut to its blocks' covering range, and
+    together the shards are the frame: nothing lost, nothing twice."""
+    from repro.core.parallel import plan_shards
+    from repro.net.intervals import BLOCK_SIZE, IntervalSet
+
+    frame = IntervalSet(runs)
+    shards = plan_shards(
+        frame, seed=1, shard_blocks=shard_blocks, exclude_reserved=False
+    )
+    bases = frame.block_bases()
+    for shard in shards:
+        group = bases[shard.index * shard_blocks:][:shard_blocks]
+        assert shard.addresses.block_bases() == group
+        assert shard.addresses == frame.intersect(
+            IntervalSet([(group[0], group[-1] + BLOCK_SIZE - 1)])
+        )
+    assert sum(len(shard.addresses) for shard in shards) == len(frame)
+    assert IntervalSet(
+        run for shard in shards for run in shard.addresses.runs
+    ) == frame
 
 
 @given(_interval_set, st.integers(min_value=0, max_value=3000))
