@@ -8,8 +8,36 @@ circuit-breaker state, and the RNG/clock state of every seeded component
 — so a killed run resumes where it stopped and produces a report
 bit-identical to an uninterrupted run on the same seed.
 
-Checkpoints are written at batch boundaries with a write-and-rename, so
-a crash *during* a checkpoint leaves the previous one intact.
+The checkpoint file is an **append-only journal**, so the cost of a save
+follows what the sweep added since the last one, never how far it has
+got.
+
+*Record layout.*  The file opens with one header line naming the format
+and its version, then holds one line per save::
+
+    repro-checkpoint-journal v2\\n
+    <crc32 of the body, 8 hex digits> <body: one JSON object>\\n
+    ...
+
+*Fold rule.*  :meth:`Checkpointer.load` folds the records, oldest
+first, into one payload.  Every top-level key of a record is
+**cumulative** — the small state that is only meaningful whole
+(counters, coverage, metrics, RNG/clock/retry/breaker/transport state,
+the open-span stack) — and the last record wins.  The one exception is
+the ``"growth"`` key: it maps a dotted path to the entries an
+**append-only** section gained since the previous save (findings, open
+ports, finished spans, events, completed shard payloads, host records).
+Lists are concatenated and dicts updated across records, and the result
+is grafted into the folded payload at its path, so drivers restore from
+the same shape a whole-state snapshot would have had.
+
+*Torn-tail rule.*  A save is one ``write`` at the end of the file, so a
+crash mid-save can only leave a partial *last* line.  A last record that
+is incomplete or fails its checksum is dropped on load and the file is
+cut back to the end of the last whole record before anything is
+appended: a crash *during* a checkpoint leaves the previous one intact.
+A bad record with whole records after it cannot be a torn append; it
+raises :class:`~repro.util.errors.CheckpointCorrupt`.
 
 Sharded sweeps checkpoint at shard boundaries instead, storing each
 completed shard's JSON-safe payload verbatim — the same immutable form
@@ -26,19 +54,93 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from pathlib import Path
 
-from repro.util.errors import ConfigError
+from repro.util.errors import CheckpointCorrupt, ConfigError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_HEADER = b"repro-checkpoint-journal v%d\n" % FORMAT_VERSION
+
+#: record key holding the append-only sections (see the fold rule above)
+GROWTH = "growth"
+
+
+def _encode_record(payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return b"%08x %b\n" % (zlib.crc32(body), body)
+
+
+def _decode_record(line: bytes) -> dict | None:
+    """The record on one journal line, or None when it is not whole."""
+    checksum, _, body = line.partition(b" ")
+    try:
+        if len(checksum) != 8 or int(checksum, 16) != zlib.crc32(body):
+            return None
+        record = json.loads(body)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def _read_journal(data: bytes) -> tuple[list[dict], int]:
+    """The whole records in ``data`` and the offset where they end."""
+    if not data.startswith(_HEADER):
+        if _HEADER.startswith(data):
+            # Empty, or a first save torn inside the header line.
+            return [], 0
+        raise ConfigError(
+            f"not a version-{FORMAT_VERSION} checkpoint journal "
+            f"(file starts {data[:len(_HEADER)]!r})"
+        )
+    records: list[dict] = []
+    pos = len(_HEADER)
+    while pos < len(data):
+        newline = data.find(b"\n", pos)
+        record = None if newline < 0 else _decode_record(data[pos:newline])
+        if record is None:
+            if 0 <= newline < len(data) - 1:
+                raise CheckpointCorrupt(
+                    f"checkpoint record {len(records) + 1} (byte {pos}) is "
+                    "damaged and is not the journal's tail"
+                )
+            break  # a torn last append: resume from the record before it
+        records.append(record)
+        pos = newline + 1
+    return records, pos
+
+
+def _fold(records: list[dict]) -> dict:
+    """Fold journal records, oldest first, into one resume payload."""
+    folded: dict = {}
+    growth: dict[str, list | dict] = {}
+    for record in records:
+        for path, added in record.pop(GROWTH, {}).items():
+            section = growth.get(path)
+            if section is None:
+                growth[path] = added
+            elif isinstance(section, list):
+                section.extend(added)
+            else:
+                section.update(added)
+        folded.update(record)
+    for path, section in growth.items():
+        *parents, leaf = path.split(".")
+        target = folded
+        for key in parents:
+            target = target[key]
+        target[leaf] = section
+    return folded
 
 
 class Checkpointer:
-    """Persists pipeline progress dictionaries to one JSON file.
+    """Persists pipeline progress dictionaries to one journal file.
 
-    The payload layout is owned by :class:`~repro.core.pipeline.ScanPipeline`;
-    this class only handles cadence (``every_batches``), atomicity, and
-    format/config validation.
+    The payload layout is owned by the drivers
+    (:class:`~repro.core.pipeline.ScanPipeline`, the sharded engine, the
+    re-scan engine); this class only handles cadence (``every_batches``),
+    the journal's integrity, and format validation.
     """
 
     def __init__(self, path: str | Path, every_batches: int = 1) -> None:
@@ -46,6 +148,9 @@ class Checkpointer:
             raise ValueError("every_batches must be at least 1")
         self.path = Path(path)
         self.every_batches = every_batches
+        #: byte offset the next record goes at — the end of the last
+        #: whole record — or None until the file has been inspected
+        self._end: int | None = None
 
     def due(self, batches_done: int) -> bool:
         """Should a checkpoint be written after batch ``batches_done``?"""
@@ -55,27 +160,37 @@ class Checkpointer:
         return self.path.exists()
 
     def save(self, payload: dict) -> None:
-        """Atomically replace the checkpoint (write temp file, rename)."""
-        payload = {"format_version": FORMAT_VERSION, **payload}
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, self.path)
+        """Append one record: what the sweep added since the last save."""
+        if self._end is None:
+            self._recover()
+        record = _encode_record(payload)
+        if self._end == 0:
+            record = _HEADER + record
+        with open(self.path, "ab") as journal:
+            journal.write(record)
+        self._end += len(record)
 
     def load(self) -> dict | None:
-        """The stored payload, or None when no checkpoint exists yet."""
-        if not self.path.exists():
-            return None
-        payload = json.loads(self.path.read_text())
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint format version: {version!r}"
-            )
-        return payload
+        """The folded payload, or None when no checkpoint exists yet."""
+        records = self._recover()
+        return _fold(records) if records else None
 
     def clear(self) -> None:
         """Remove the checkpoint (a completed sweep needs no resume)."""
         self.path.unlink(missing_ok=True)
+        self._end = 0
+
+    def _recover(self) -> list[dict]:
+        """Read every whole record and cut a torn tail off the file."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        records, end = _read_journal(data)
+        if end < len(data):
+            os.truncate(self.path, end)
+        self._end = end
+        return records
 
 
 def check_config_matches(payload: dict, **expected: object) -> None:

@@ -53,7 +53,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 
-from repro.core.checkpoint import Checkpointer, check_config_matches
+from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
 from repro.core.serialize import report_from_dict, report_to_dict
 from repro.net.intervals import BLOCK_SIZE, FrameLike, IntervalSet, as_frame
@@ -426,6 +426,9 @@ class ParallelScanEngine:
             pool = ThreadPoolExecutor(max_workers=self.workers)
             work = runner.run
         console = self.pipeline.console
+        #: shards finished since the last save: a journal record carries
+        #: only these, so each payload is written exactly once
+        unsaved: list[int] = []
         try:
             futures = {pool.submit(work, shard): shard for shard in todo}
             if console is not None:
@@ -439,21 +442,21 @@ class ParallelScanEngine:
                 result = future.result()
                 self._note_shard_result(shard, result)
                 completed[shard.index] = result
-                self._maybe_checkpoint(checkpoint, shards, completed)
+                unsaved.append(shard.index)
+                if checkpoint is not None and checkpoint.due(len(completed)):
+                    checkpoint.save({
+                        **self._expected_config(shards),
+                        GROWTH: {"shards": {
+                            str(index): completed[index]
+                            for index in sorted(unsaved)
+                        }},
+                    })
+                    unsaved.clear()
         finally:
             # cancel_futures: a mid-sweep crash (the kill-and-resume
             # tests) must not wait out every queued shard; on the success
             # path there is nothing left to cancel.
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def _maybe_checkpoint(
-        self,
-        checkpoint: Checkpointer | None,
-        shards: list[Shard],
-        completed: dict[int, dict],
-    ) -> None:
-        if checkpoint is not None and checkpoint.due(len(completed)):
-            checkpoint.save(self._checkpoint_payload(shards, completed))
 
     def _note_shard_result(self, shard: Shard, result: dict) -> None:
         """Main-thread bookkeeping per completed shard: the progress
@@ -524,20 +527,10 @@ class ParallelScanEngine:
         engine — shared by the payload writer and the resume check."""
         pipe = self.pipeline
         return {
+            "engine": "parallel-shards",
             "seed": pipe.seed,
             "ports": list(pipe.ports),
             "batch_size": pipe.batch_size,
             "shard_blocks": self.shard_blocks,
             "shards_total": len(shards),
-        }
-
-    def _checkpoint_payload(
-        self, shards: list[Shard], completed: dict[int, dict]
-    ) -> dict:
-        return {
-            "engine": "parallel-shards",
-            **self._expected_config(shards),
-            "shards": {
-                str(index): completed[index] for index in sorted(completed)
-            },
         }

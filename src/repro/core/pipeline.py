@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.checkpoint import Checkpointer, check_config_matches
+from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.coverage import CoverageReport
 from repro.core.fingerprint.fingerprinter import Fingerprint, VersionFingerprinter
 from repro.core.fingerprint.knowledge_base import (
@@ -148,6 +148,22 @@ class ScanReport:
         self.retry_stats.merge(other.retry_stats)
         self.telemetry.merge(other.telemetry)
         self.coverage.merge(other.coverage)
+
+
+@dataclass
+class _JournalMarks:
+    """How much of each append-only section the checkpoint journal holds.
+
+    Batches partition the address space and the telemetry records only
+    append, so nothing before a mark can change: a save serialises the
+    entries past it and nothing else.
+    """
+
+    open_ports: int = 0
+    findings: int = 0
+    events: int = 0
+    spans: int = 0
+    responsive_hosts: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -316,18 +332,12 @@ class ScanPipeline:
         report = ScanReport()
         completed = 0
         batches_done = 0
-        resumed = False
-        if checkpoint is not None:
-            payload = checkpoint.load()
-            if payload is not None:
-                completed, batches_done, report = self._restore_checkpoint(payload)
-                resumed = True
-        if not resumed:
+        self._journal = _JournalMarks()
+        payload = checkpoint.load() if checkpoint is not None else None
+        if payload is not None:
+            completed, batches_done, report = self._restore_checkpoint(payload)
+        else:
             self._open_sweep()
-        elif tel.tracer.active is None:
-            # Checkpoint written before telemetry existed: no open-span
-            # stack was restored, so open the sweep span here.
-            tel.tracer.start("sweep")
         for batch in self._masscan.scan_in_batches(
             candidates, self.batch_size, skip=completed
         ):
@@ -617,27 +627,49 @@ class ScanPipeline:
 
     # -- checkpoint/resume ----------------------------------------------------
 
+    def _resume_config(self) -> dict:
+        """The knobs a checkpoint must match to be resumable here."""
+        return {
+            "engine": "sequential",
+            "seed": self.seed,
+            "ports": list(self.ports),
+            "batch_size": self.batch_size,
+        }
+
     def _checkpoint_payload(
         self, completed: int, batches_done: int, report: ScanReport
     ) -> dict:
-        """Everything a fresh pipeline needs to continue this sweep."""
+        """One journal record: the small cumulative state whole, plus
+        what each append-only section gained since the last save.  The
+        marks move up to match, so call it once per save."""
         from repro.core.serialize import report_to_dict
 
+        marks = self._journal
+        stats = self._prefilter.stats
+        report_state = report_to_dict(report, marks.open_ports, marks.findings)
+        telemetry_state = self.telemetry.snapshot_state(marks.events, marks.spans)
+        growth = {
+            "report.open_ports": report_state.pop("open_ports"),
+            "report.findings": report_state.pop("findings"),
+            "prefilter.responsive_hosts": sorted(
+                stats.responsive_hosts - marks.responsive_hosts
+            ),
+            "telemetry.events.events": telemetry_state["events"].pop("events"),
+            "telemetry.tracer.finished": telemetry_state["tracer"].pop("finished"),
+        }
+        self._journal = self._journal_marks(report)
         transport_state = None
         snapshot = getattr(self.transport, "snapshot_state", None)
         if callable(snapshot):
             transport_state = snapshot()
         return {
-            "seed": self.seed,
-            "ports": list(self.ports),
-            "batch_size": self.batch_size,
+            **self._resume_config(),
             "completed_addresses": completed,
             "batches_done": batches_done,
-            "report": report_to_dict(report),
+            "report": report_state,
             "prefilter": {
-                "http_responses": dict(self._prefilter.stats.http_responses),
-                "https_responses": dict(self._prefilter.stats.https_responses),
-                "responsive_hosts": sorted(self._prefilter.stats.responsive_hosts),
+                "http_responses": dict(stats.http_responses),
+                "https_responses": dict(stats.https_responses),
             },
             "clock_now": self.clock.now if self.clock is not None else None,
             "retry": (
@@ -649,19 +681,15 @@ class ScanPipeline:
                 else None
             ),
             "transport": transport_state,
-            "telemetry": self.telemetry.snapshot_state(),
+            "telemetry": telemetry_state,
+            GROWTH: growth,
         }
 
     def _restore_checkpoint(self, payload: dict) -> tuple[int, int, ScanReport]:
         """Rebuild pipeline state from a checkpoint payload."""
         from repro.core.serialize import report_from_dict
 
-        check_config_matches(
-            payload,
-            seed=self.seed,
-            ports=list(self.ports),
-            batch_size=self.batch_size,
-        )
+        check_config_matches(payload, **self._resume_config())
         report = report_from_dict(payload["report"])
         stats = self._prefilter.stats
         stats.http_responses = {
@@ -681,9 +709,20 @@ class ScanPipeline:
         restore = getattr(self.transport, "restore_state", None)
         if callable(restore) and payload["transport"] is not None:
             restore(payload["transport"])
-        if payload.get("telemetry") is not None:
-            self.telemetry.restore_state(payload["telemetry"])
+        self.telemetry.restore_state(payload["telemetry"])
         # The report's coverage block was copied from the live ledger at
         # save time, so restoring it re-seats the cumulative ledger too.
         self._coverage = report.coverage.copy()
+        # Everything just restored is what the journal already holds.
+        self._journal = self._journal_marks(report)
         return payload["completed_addresses"], payload["batches_done"], report
+
+    def _journal_marks(self, report: ScanReport) -> _JournalMarks:
+        """Marks at the present end of every append-only section."""
+        return _JournalMarks(
+            open_ports=len(report.port_scan.open_ports),
+            findings=len(report.findings),
+            events=len(self.telemetry.events),
+            spans=len(self.telemetry.tracer.finished),
+            responsive_hosts=set(self._prefilter.stats.responsive_hosts),
+        )

@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.core.checkpoint import Checkpointer, check_config_matches
+from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.masscan import PortScanResult
 from repro.core.pipeline import ScanPipeline, ScanReport
 from repro.core.prefilter import PrefilterFinding
@@ -387,6 +388,7 @@ class RescanEngine:
         # sweep's results and may differ from the prior report, so their
         # findings are re-parsed.  Records reused from the prior sweep are
         # verbatim, so its (immutable) finding objects are shared.
+        saved = len(resumed_records)
         for index, batch in enumerate(batches):
             if index < resumed_batches:
                 pipe.replay, pipe.shareable = resumed_records, {}
@@ -394,15 +396,26 @@ class RescanEngine:
                 pipe.replay = reusable
                 pipe.shareable = prior.report.findings if prior is not None else {}
             pipe._run_batch(batch, index, report)
-            if checkpoint is not None and checkpoint.due(index + 1):
+            # Batches the journal already covers replay without saving;
+            # a live batch appends only the records past ``saved``.
+            if (
+                checkpoint is not None
+                and index >= resumed_batches
+                and checkpoint.due(index + 1)
+            ):
                 checkpoint.save({
                     **config,
                     "batches_done": index + 1,
-                    "records": {
-                        str(value): record.to_dict()
-                        for value, record in pipe.records.items()
+                    GROWTH: {
+                        "records": {
+                            str(value): record.to_dict()
+                            for value, record in islice(
+                                pipe.records.items(), saved, None
+                            )
+                        },
                     },
                 })
+                saved = len(pipe.records)
 
         pipe._close_sweep(report, len(batches))
         # In-memory detections match a serialisation round trip: rebuilt

@@ -10,6 +10,7 @@ so analyses can re-run without re-scanning.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 from repro.core.coverage import CoverageReport
@@ -82,16 +83,27 @@ def finding_from_dict(entry: dict) -> HostFinding:
     return finding
 
 
-def report_to_dict(report: ScanReport) -> dict:
-    """A JSON-safe dictionary capturing the whole report."""
+def report_to_dict(
+    report: ScanReport, open_ports_since: int = 0, findings_since: int = 0
+) -> dict:
+    """A JSON-safe dictionary capturing the whole report.
+
+    The two per-host sections only ever gain entries during a sweep
+    (batches partition the address space), so a checkpoint journal record
+    passes how many of each it already holds and gets just the newer
+    ones; every other key is a cumulative total either way.
+    """
     findings = [
-        finding_to_dict(finding) for finding in report.findings.values()
+        finding_to_dict(finding)
+        for finding in islice(report.findings.values(), findings_since, None)
     ]
     return {
         "format_version": FORMAT_VERSION,
         "open_ports": {
             str(IPv4Address(value)): list(ports)
-            for value, ports in report.port_scan.open_ports.items()
+            for value, ports in islice(
+                report.port_scan.open_ports.items(), open_ports_since, None
+            )
         },
         "probes_sent": report.port_scan.probes_sent,
         "addresses_scanned": report.port_scan.addresses_scanned,

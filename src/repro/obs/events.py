@@ -160,11 +160,13 @@ class EventLog:
 
     # -- checkpoint support --------------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def snapshot_state(self, since: int = 0) -> dict:
+        """The log's state; ``since`` skips records a checkpoint journal
+        already holds (the log is append-only)."""
         return {
             "min_level": self.min_level,
             "suppressed": self.suppressed,
-            "events": [e.to_dict() for e in self._events],
+            "events": [e.to_dict() for e in self._events[since:]],
         }
 
     def restore_state(self, state: dict) -> None:

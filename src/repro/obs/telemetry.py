@@ -226,10 +226,12 @@ class Telemetry:
 
     # -- checkpoint support --------------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def snapshot_state(self, events_since: int = 0, spans_since: int = 0) -> dict:
+        """All four pillars; the two append-only records (events,
+        finished spans) start at the given marks."""
         return {
-            "events": self.events.snapshot_state(),
-            "tracer": self.tracer.snapshot_state(),
+            "events": self.events.snapshot_state(events_since),
+            "tracer": self.tracer.snapshot_state(spans_since),
             "metrics": self.metrics.snapshot_state(),
             "flight": self.flight.snapshot_state(),
         }

@@ -194,12 +194,17 @@ class Tracer:
 
     # -- checkpoint support --------------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def snapshot_state(self, since: int = 0) -> dict:
         """Finished spans plus the still-open stack (a checkpoint may land
-        while the sweep-level span is open)."""
+        while the sweep-level span is open).
+
+        The finished record is append-only, so a checkpoint journal
+        passes ``since`` — how many spans it already holds — and gets
+        only the ones finished after that.
+        """
         return {
             "next_id": self._next_id,
-            "finished": [s.to_dict() for s in self._finished],
+            "finished": [s.to_dict() for s in self._finished[since:]],
             "open": [s.to_dict() for s in self._stack],
         }
 

@@ -16,6 +16,16 @@ class ConfigError(ReproError):
     """An experiment or application was configured inconsistently."""
 
 
+class CheckpointCorrupt(ReproError):
+    """A checkpoint journal is damaged somewhere a torn save cannot explain.
+
+    A crash mid-save can only tear the journal's *last* record, which is
+    dropped and resumed past.  A record before the tail that fails its
+    checksum or does not parse means the file was damaged at rest;
+    resuming from what is left would silently lose part of the sweep.
+    """
+
+
 class TransportError(ReproError):
     """A network-level failure: refused connection, timeout, reset.
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.base import AppInstance
 from repro.apps.catalog import create_instance, scanned_ports
-from repro.core.checkpoint import Checkpointer, check_config_matches
+from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.pipeline import ScanPipeline
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
@@ -14,7 +14,7 @@ from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport, Transport
 from repro.util.clock import SimClock
-from repro.util.errors import ConfigError
+from repro.util.errors import CheckpointCorrupt, ConfigError
 
 
 class TestCheckpointer:
@@ -26,16 +26,103 @@ class TestCheckpointer:
     def test_save_load_round_trip(self, tmp_path):
         ckpt = Checkpointer(tmp_path / "scan.ckpt")
         ckpt.save({"completed_addresses": 7, "seed": 3})
-        payload = ckpt.load()
-        assert payload["completed_addresses"] == 7
-        assert payload["format_version"] == 1
+        assert ckpt.load() == {"completed_addresses": 7, "seed": 3}
 
-    def test_save_replaces_atomically(self, tmp_path):
-        ckpt = Checkpointer(tmp_path / "scan.ckpt")
-        ckpt.save({"completed_addresses": 3})
-        ckpt.save({"completed_addresses": 6})
-        assert ckpt.load()["completed_addresses"] == 6
-        assert not (tmp_path / "scan.ckpt.tmp").exists()
+    def test_save_appends_and_load_folds(self, tmp_path):
+        """Cumulative keys: last record wins.  Growth sections: lists
+        concatenate, dicts update, and each lands at its dotted path."""
+        path = tmp_path / "scan.ckpt"
+        ckpt = Checkpointer(path)
+        ckpt.save({
+            "completed_addresses": 3,
+            "report": {"probes_sent": 30},
+            GROWTH: {"report.findings": ["a"], "shards": {"0": "x"}},
+        })
+        size_after_first = path.stat().st_size
+        first_bytes = path.read_bytes()
+        ckpt.save({
+            "completed_addresses": 6,
+            "report": {"probes_sent": 60},
+            GROWTH: {"report.findings": ["b", "c"], "shards": {"2": "y"}},
+        })
+        # appended, not rewritten; and no temp file beside the journal
+        assert path.read_bytes()[:size_after_first] == first_bytes
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
+        assert Checkpointer(path).load() == {
+            "completed_addresses": 6,
+            "report": {"probes_sent": 60, "findings": ["a", "b", "c"]},
+            "shards": {"0": "x", "2": "y"},
+        }
+
+    def test_zero_length_file_is_no_checkpoint(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        path.touch()
+        ckpt = Checkpointer(path)
+        assert ckpt.load() is None
+        ckpt.save({"completed_addresses": 1})
+        assert Checkpointer(path).load() == {"completed_addresses": 1}
+
+    def test_torn_tail_is_dropped_and_cut_before_the_next_append(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        ckpt = Checkpointer(path)
+        ckpt.save({"n": 1})
+        whole = path.read_bytes()
+        ckpt.save({"n": 2})
+        torn = path.read_bytes()[:-5]
+        path.write_bytes(torn)
+        resumed = Checkpointer(path)
+        assert resumed.load() == {"n": 1}
+        assert path.read_bytes() == whole
+        resumed.save({"n": 3})
+        assert Checkpointer(path).load() == {"n": 3}
+
+    def test_cut_at_every_byte_of_the_last_record(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        ckpt = Checkpointer(path)
+        ckpt.save({"n": 1, GROWTH: {"seen": [1]}})
+        ckpt.save({"n": 2, GROWTH: {"seen": [2]}})
+        two = path.read_bytes()
+        ckpt.save({"n": 3, GROWTH: {"seen": [3, 4]}})
+        three = path.read_bytes()
+        for cut in range(len(two), len(three)):
+            path.write_bytes(three[:cut])
+            resumed = Checkpointer(path)
+            assert resumed.load() == {"n": 2, "seen": [1, 2]}
+            assert path.read_bytes() == two
+            resumed.save({"n": 3, GROWTH: {"seen": [3, 4]}})
+            assert path.read_bytes() == three
+
+    def test_save_without_load_still_cuts_a_torn_tail(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        Checkpointer(path).save({"n": 1})
+        with open(path, "ab") as journal:
+            journal.write(b"0badc0de {\"n\": ")
+        Checkpointer(path).save({"n": 2})
+        assert Checkpointer(path).load() == {"n": 2}
+
+    def test_first_save_torn_inside_the_header(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        Checkpointer(path).save({"n": 1})
+        path.write_bytes(path.read_bytes()[:9])
+        ckpt = Checkpointer(path)
+        assert ckpt.load() is None
+        ckpt.save({"n": 2})
+        assert Checkpointer(path).load() == {"n": 2}
+
+    def test_damaged_middle_record_is_corrupt_not_torn(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        ckpt = Checkpointer(path)
+        for n in range(3):
+            ckpt.save({"n": n})
+        data = bytearray(path.read_bytes())
+        second = data.index(b"\n", data.index(b"\n") + 1) + 1
+        data[second + 12] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorrupt):
+            Checkpointer(path).load()
+        with pytest.raises(CheckpointCorrupt):
+            Checkpointer(path).save({"n": 9})
+        assert path.read_bytes() == bytes(data)  # evidence left untouched
 
     def test_clear(self, tmp_path):
         ckpt = Checkpointer(tmp_path / "scan.ckpt")
@@ -44,11 +131,17 @@ class TestCheckpointer:
         assert not ckpt.exists()
         ckpt.clear()  # idempotent
 
-    def test_unknown_format_version_refused(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b'{"format_version": 1, "seed": 3}',  # the old whole-state snapshot
+        b"repro-checkpoint-journal v1\n",
+        b"repro-checkpoint-journal v999\n00000000 {}\n",
+    ])
+    def test_old_or_unknown_format_refused(self, tmp_path, content):
         path = tmp_path / "scan.ckpt"
-        path.write_text('{"format_version": 999}')
+        path.write_bytes(content)
         with pytest.raises(ConfigError):
             Checkpointer(path).load()
+        assert path.read_bytes() == content  # refused, not "recovered"
 
     def test_cadence(self, tmp_path):
         ckpt = Checkpointer(tmp_path / "scan.ckpt", every_batches=3)
