@@ -18,6 +18,7 @@ from repro.core.retry import RetryExecutor
 from repro.net.http import HttpResponse, Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 from repro.util.errors import TransportError
 
@@ -40,6 +41,12 @@ def extract_resource_paths(body: str) -> list[str]:
     return paths
 
 
+_FETCH_SERIES = {
+    outcome: series_key("crawler_fetches_total", outcome=outcome)
+    for outcome in ("ok", "error")
+}
+
+
 @dataclass
 class StaticFileCrawler:
     """Bounded crawler for one target."""
@@ -53,9 +60,9 @@ class StaticFileCrawler:
 
     def _count_fetch(self, outcome: str) -> None:
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "crawler_fetches_total", outcome=outcome
-            ).inc()
+            pending = self.telemetry.metrics.pending
+            series = _FETCH_SERIES[outcome]
+            pending[series] = pending.get(series, 0) + 1
 
     def _get(
         self, ip: IPv4Address, port: int, path: str, scheme: Scheme,

@@ -23,6 +23,7 @@ from repro.core.tsunami.plugin import PluginContext
 from repro.net.http import Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 
 
@@ -38,6 +39,16 @@ class Fingerprint:
     slug: str
     version: str
     method: FingerprintMethod
+
+
+#: fingerprint method (None = unidentified) -> its result-counter series
+_RESULT_SERIES = {
+    method: series_key(
+        "fingerprint_results_total",
+        method=method.value if method is not None else "none",
+    )
+    for method in (*FingerprintMethod, None)
+}
 
 
 class VersionFingerprinter:
@@ -74,10 +85,9 @@ class VersionFingerprinter:
         """Identify the application and version running on a target."""
         result = self._fingerprint(ip, port, scheme, candidates)
         if self.telemetry is not None:
-            method = result.method.value if result is not None else "none"
-            self.telemetry.metrics.counter(
-                "fingerprint_results_total", method=method
-            ).inc()
+            pending = self.telemetry.metrics.pending
+            series = _RESULT_SERIES[result.method if result is not None else None]
+            pending[series] = pending.get(series, 0) + 1
         return result
 
     def _fingerprint(

@@ -30,6 +30,7 @@ from repro.core.retry import RetryExecutor
 from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, FrameLike, IntervalSet, as_frame
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 from repro.util.rand import shuffled
 
@@ -66,6 +67,11 @@ class PortScanResult:
         self.addresses_scanned += other.addresses_scanned
 
 
+_PROBES = series_key("masscan_probes_total")
+_ADDRESSES = series_key("masscan_addresses_total")
+_OPEN_PORTS = series_key("masscan_open_ports_total")
+
+
 @dataclass
 class Masscan:
     """Stage-I scanner."""
@@ -83,8 +89,6 @@ class Masscan:
     #: shard supervision hook: quarantine gate + sweep deadline (duck-typed
     #: to keep this module free of supervisor imports)
     supervision: object | None = None
-    #: cache for :meth:`_bound_counters` (keyed by the telemetry object)
-    _counters: tuple | None = field(default=None, init=False, repr=False)
 
     def _plan_blocks(
         self, candidates: FrameLike
@@ -284,6 +288,9 @@ class Masscan:
         span.attrs["addresses"] = result.addresses_scanned
         span.attrs["open_hosts"] = len(result.open_ports)
         self.telemetry.tracer.end(span)
+        # A batch flush is a publish point: pending counts never outgrow
+        # a batch, whoever drives the generator.
+        self.telemetry.metrics.publish()
 
     def probe_port(self, ip: IPv4Address, port: int) -> bool:
         """One logical SYN probe, re-probed under the retry policy if set."""
@@ -306,11 +313,7 @@ class Masscan:
         result.addresses_scanned += 1
         result.record(ip, open_ports)
         if self.telemetry is not None:
-            probes, addresses, opened = self._bound_counters()
-            probes.inc(len(ports))
-            addresses.inc()
-            if open_ports:
-                opened.inc(len(open_ports))
+            self._count(1, len(open_ports))
 
     def _prefetch_hints(
         self, runs: Sequence[tuple[int, int]]
@@ -344,26 +347,16 @@ class Masscan:
         result.addresses_scanned += count
         self.transport.stats.syn_probes += probes
         if self.telemetry is not None:
-            probe_counter, address_counter, _ = self._bound_counters()
-            probe_counter.inc(probes)
-            address_counter.inc(count)
+            self._count(count, 0)
 
-    def _bound_counters(self):
-        """The three stage-I counters, looked up once per telemetry sink.
-
-        Counter objects are stable for a given registry, so binding them
-        here removes three name/label lookups from every probed address.
-        """
-        bound = self._counters
-        if bound is None or bound[0] is not self.telemetry:
-            metric = self.telemetry.metrics.counter
-            bound = self._counters = (
-                self.telemetry,
-                metric("masscan_probes_total"),
-                metric("masscan_addresses_total"),
-                metric("masscan_open_ports_total"),
-            )
-        return bound[1:]
+    def _count(self, addresses: int, open_ports: int) -> None:
+        """Count scanned addresses: all three series move together (the
+        open-ports one by zero for a closed host), as they always have.
+        Pending adds; each batch flush publishes them."""
+        pending = self.telemetry.metrics.pending
+        pending[_ADDRESSES] = pending.get(_ADDRESSES, 0) + addresses
+        pending[_PROBES] = pending.get(_PROBES, 0) + addresses * len(self.ports)
+        pending[_OPEN_PORTS] = pending.get(_OPEN_PORTS, 0) + open_ports
 
 
 def _block_ops(

@@ -419,6 +419,9 @@ class ScanPipeline:
         self._run_later_stages(batch, report)
         batch_span.attrs["addresses"] = batch.addresses_scanned
         tel.tracer.end(batch_span)
+        # The batch boundary bounds what another thread's view of the
+        # registry (the console) can be missing.
+        tel.metrics.publish()
         tel.events.info(
             "pipeline", "batch-complete",
             index=index,
@@ -690,6 +693,9 @@ class ScanPipeline:
         from repro.core.serialize import report_from_dict
 
         check_config_matches(payload, **self._resume_config())
+        # ``completed_addresses`` counts along the seed's block order; a
+        # pipeline that has swept before has shuffled its RNG past it.
+        self._masscan.rng = random.Random(self.seed)
         report = report_from_dict(payload["report"])
         stats = self._prefilter.stats
         stats.http_responses = {
@@ -723,6 +729,6 @@ class ScanPipeline:
             open_ports=len(report.port_scan.open_ports),
             findings=len(report.findings),
             events=len(self.telemetry.events),
-            spans=len(self.telemetry.tracer.finished),
+            spans=self.telemetry.tracer.finished_count,
             responsive_hosts=set(self._prefilter.stats.responsive_hosts),
         )

@@ -29,6 +29,7 @@ from repro.core.retry import RetryExecutor
 from repro.net.http import HttpResponse, Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 from repro.util.errors import TransportError
 
@@ -382,6 +383,19 @@ class PrefilterStats:
         self.responsive_hosts.add(ip.value)
 
 
+#: per scheme, the (fetches, failures, responses) series of a landing GET
+_FETCH_SERIES = {
+    scheme: (
+        series_key("prefilter_fetches_total", scheme=scheme.value),
+        series_key("prefilter_fetch_failures_total", scheme=scheme.value),
+        series_key("prefilter_responses_total", scheme=scheme.value),
+    )
+    for scheme in Scheme
+}
+_MATCHED = series_key("prefilter_signature_matches_total")
+_NO_MATCH = series_key("prefilter_no_match_total")
+
+
 class Prefilter:
     """Stage-II prober."""
 
@@ -426,22 +440,24 @@ class Prefilter:
                 ip, port, "/", scheme, follow_redirects=self.max_redirects
             )
 
-        counter = (
-            self.telemetry.metrics.counter if self.telemetry is not None else None
+        # Counter adds are pending ones: the registry folds them in when read.
+        pending = (
+            self.telemetry.metrics.pending if self.telemetry is not None else None
         )
-        if counter is not None:
-            counter("prefilter_fetches_total", scheme=scheme.value).inc()
+        if pending is not None:
+            fetches, failures, responses = _FETCH_SERIES[scheme]
+            pending[fetches] = pending.get(fetches, 0) + 1
         try:
             if self.retry is not None:
                 response = self.retry.call(ip, attempt)
             else:
                 response = attempt()
         except TransportError:
-            if counter is not None:
-                counter("prefilter_fetch_failures_total", scheme=scheme.value).inc()
+            if pending is not None:
+                pending[failures] = pending.get(failures, 0) + 1
             raise
-        if counter is not None:
-            counter("prefilter_responses_total", scheme=scheme.value).inc()
+        if pending is not None:
+            pending[responses] = pending.get(responses, 0) + 1
         return response
 
     def evaluate(
@@ -449,16 +465,15 @@ class Prefilter:
     ) -> PrefilterFinding | None:
         candidates = match_signatures(response.body)
         if self.telemetry is not None:
+            pending = self.telemetry.metrics.pending
             if candidates:
-                self.telemetry.metrics.counter(
-                    "prefilter_signature_matches_total"
-                ).inc()
+                pending[_MATCHED] = pending.get(_MATCHED, 0) + 1
                 self.telemetry.events.debug(
                     "prefilter", "signature-match", host=ip,
                     port=port, candidates=list(candidates),
                 )
             else:
-                self.telemetry.metrics.counter("prefilter_no_match_total").inc()
+                pending[_NO_MATCH] = pending.get(_NO_MATCH, 0) + 1
         if not candidates:
             return None
         return PrefilterFinding(ip, port, scheme, candidates, response.body)

@@ -196,7 +196,7 @@ def _capture(tel) -> tuple[dict[str, float], int, int]:
     return (
         tel.metrics.counters_flat(),
         len(tel.events),
-        len(tel.tracer.finished),
+        tel.tracer.finished_count,
     )
 
 

@@ -307,17 +307,71 @@ class RetryExecutor:
         #: duck-typed to keep this module free of supervisor imports
         self.supervision = supervision
         self._host_retries: dict[int, int] = {}
+        #: the stats as of the last publish; what they gained since is
+        #: what the counter series are still owed
+        self._published = self.stats.copy()
+        #: probes among the operations not yet published (the stats do
+        #: not split ``operations`` by kind, the series do)
+        self._probe_operations = 0
+        #: backoff delays not yet published, in charge order: the series
+        #: is a float sum, and only the same adds in the same order land
+        #: on the same bits as adding at each charge
+        self._backoffs: list[float] = []
+        if telemetry is not None:
+            telemetry.metrics.defer(self.publish_counts)
+
+    # -- telemetry ---------------------------------------------------------
+
+    #: RetryStats field -> the counter series that mirrors it
+    _SERIES: tuple[tuple[str, str, dict[str, str]], ...] = (
+        ("attempts", "retry_attempts_total", {}),
+        ("retries", "retry_retries_total", {}),
+        ("recovered", "retry_recovered_total", {}),
+        ("exhausted", "retry_exhausted_total", {}),
+        ("breaker_skips", "retry_breaker_skips_total", {}),
+        ("budget_denials", "retry_denials_total", {"reason": "budget"}),
+        ("deadline_denials", "retry_denials_total", {"reason": "deadline"}),
+        ("poisoned", "retry_poisoned_total", {}),
+        ("quarantine_skips", "retry_quarantine_skips_total", {}),
+    )
+
+    def publish_counts(self) -> None:
+        """Hand the registry what the stats gained since the last publish.
+
+        A series is minted only once its field has moved, as the first
+        per-attempt increment used to.  Runs on the sweep's own thread
+        (the registry's single-writer rule).
+        """
+        stats, published = self.stats, self._published
+        if stats == published:
+            return
+        counter = self.telemetry.metrics.counter
+        for name, series, labels in self._SERIES:
+            gained = getattr(stats, name) - getattr(published, name)
+            if gained:
+                counter(series, **labels).inc(gained)
+        operations = stats.operations - published.operations
+        probes = self._probe_operations
+        if operations - probes:
+            counter("retry_operations_total", kind="call").inc(operations - probes)
+        if probes:
+            counter("retry_operations_total", kind="probe").inc(probes)
+        if self._backoffs:
+            backoff = counter("retry_backoff_seconds_total")
+            for delay in self._backoffs:
+                backoff.inc(delay)
+        self._mark_published()
+
+    def _mark_published(self) -> None:
+        self._published = self.stats.copy()
+        self._probe_operations = 0
+        self._backoffs.clear()
 
     # -- internals ---------------------------------------------------------
-
-    def _count(self, name: str, amount: float = 1.0, **labels: object) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(name, **labels).inc(amount)
 
     def _check_breaker(self, ip: IPv4Address) -> bool:
         if self.breaker is not None and not self.breaker.allow(ip):
             self.stats.breaker_skips += 1
-            self._count("retry_breaker_skips_total")
             return False
         return True
 
@@ -326,13 +380,11 @@ class RetryExecutor:
         if self.supervision is None or not self.supervision.is_quarantined(ip):
             return False
         self.stats.quarantine_skips += 1
-        self._count("retry_quarantine_skips_total")
         return True
 
     def _classify_poison(self, ip: IPv4Address, exc: Exception) -> PoisonError:
         """Account a non-transport crash and wrap it for the caller."""
         self.stats.poisoned += 1
-        self._count("retry_poisoned_total")
         if self.telemetry is not None:
             self.telemetry.events.warn(
                 "retry", "poison", host=ip, error=type(exc).__name__,
@@ -358,24 +410,20 @@ class RetryExecutor:
             and self._host_retries.get(ip.value, 0) >= budget
         ):
             self.stats.budget_denials += 1
-            self._count("retry_denials_total", reason="budget")
             return None
         if self.breaker is not None and not self.breaker.allow(ip):
             self.stats.breaker_skips += 1
-            self._count("retry_breaker_skips_total")
             return None
         delay = self.policy.backoff_delay(attempt, self._rng)
         if self.policy.deadline is not None and elapsed + delay > self.policy.deadline:
             self.stats.deadline_denials += 1
-            self._count("retry_denials_total", reason="deadline")
             return None
         return delay
 
     def _charge(self, ip: IPv4Address, delay: float, use_budget: bool = True) -> None:
         self.stats.retries += 1
         self.stats.backoff_seconds += delay
-        self._count("retry_retries_total")
-        self._count("retry_backoff_seconds_total", amount=delay)
+        self._backoffs.append(delay)
         if use_budget:
             self._host_retries[ip.value] = self._host_retries.get(ip.value, 0) + 1
         if self.clock is not None:
@@ -395,13 +443,11 @@ class RetryExecutor:
         if not self._check_breaker(ip):
             raise CircuitOpen(f"circuit open for {ip}")
         self.stats.operations += 1
-        self._count("retry_operations_total", kind="call")
         elapsed = 0.0
         failed_before = False
         last: TransportError | None = None
         for attempt in range(self.policy.max_attempts):
             self.stats.attempts += 1
-            self._count("retry_attempts_total")
             try:
                 result = operation()
             except PoisonError:
@@ -421,7 +467,6 @@ class RetryExecutor:
                     self.breaker.record_success(ip)
                 if failed_before:
                     self.stats.recovered += 1
-                    self._count("retry_recovered_total")
                 self._note_activity(ip)
                 return result
             delay = self._may_retry(ip, attempt, elapsed)
@@ -430,7 +475,6 @@ class RetryExecutor:
             elapsed += delay
             self._charge(ip, delay)
         self.stats.exhausted += 1
-        self._count("retry_exhausted_total")
         if self.telemetry is not None:
             self.telemetry.events.debug(
                 "retry", "exhausted", host=ip,
@@ -453,16 +497,14 @@ class RetryExecutor:
         if not self._check_breaker(ip):
             return False
         self.stats.operations += 1
-        self._count("retry_operations_total", kind="probe")
+        self._probe_operations += 1
         elapsed = 0.0
         failed_before = False
         for attempt in range(self.policy.max_attempts):
             self.stats.attempts += 1
-            self._count("retry_attempts_total")
             if operation():
                 if failed_before:
                     self.stats.recovered += 1
-                    self._count("retry_recovered_total")
                 self._note_activity(ip)
                 return True
             failed_before = True
@@ -486,4 +528,6 @@ class RetryExecutor:
     def restore_state(self, state: dict) -> None:
         self._rng.setstate(rng_state_from_json(state["rng"]))
         self.stats = RetryStats.from_dict(state["stats"])
+        # The restored telemetry already counts everything these stats do.
+        self._mark_published()
         self._host_retries = {int(k): v for k, v in state["host_retries"].items()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.retry import RetryExecutor
 from repro.core.tsunami.plugin import DetectionReport, MavDetectionPlugin, PluginContext
@@ -18,6 +19,7 @@ from repro.core.tsunami.plugins import ALL_PLUGINS
 from repro.net.http import Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 
 logger = logging.getLogger(__name__)
@@ -29,6 +31,11 @@ class EngineStats:
     detections: int = 0
     plugin_errors: int = 0
     runs_per_plugin: dict[str, int] = field(default_factory=dict)
+
+
+@lru_cache(maxsize=None)  # plugins x three verdicts
+def _verdict_series(slug: str, verdict: str) -> tuple:
+    return series_key("plugin_verdicts_total", plugin=slug, verdict=verdict)
 
 
 class TsunamiEngine:
@@ -103,9 +110,9 @@ class TsunamiEngine:
             return
         span.attrs["verdict"] = verdict
         self.telemetry.tracer.end(span)
-        self.telemetry.metrics.counter(
-            "plugin_verdicts_total", plugin=slug, verdict=verdict
-        ).inc()
+        pending = self.telemetry.metrics.pending
+        series = _verdict_series(slug, verdict)
+        pending[series] = pending.get(series, 0) + 1
         self.telemetry.metrics.histogram(
             "plugin_latency_seconds", plugin=slug
         ).observe(span.duration)

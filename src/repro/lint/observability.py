@@ -10,7 +10,8 @@ The sanctioned pattern is a *constant* family name with the variability
 in labels (``counter("plugin_verdicts_total", plugin=slug)``).
 
 ``OBS001`` flags every call to a registry factory method —
-``.counter(...)``, ``.gauge(...)``, ``.histogram(...)`` — whose name
+``.counter(...)``, ``.gauge(...)``, ``.histogram(...)`` — or to
+``series_key(...)`` (the key a deferred writer counts under) whose name
 argument is built dynamically:
 
 * an f-string with at least one interpolated field;
@@ -29,8 +30,9 @@ from pathlib import Path
 
 from repro.lint.findings import Finding
 
-#: registry factory methods whose first argument is a metric family name
-_FACTORY_METHODS = frozenset({"counter", "gauge", "histogram"})
+#: calls whose first argument is a metric family name: the registry
+#: factory methods, and the key builder of ``MetricsRegistry.pending``
+_FACTORY_METHODS = frozenset({"counter", "gauge", "histogram", "series_key"})
 
 
 def _is_constant_str(node: ast.expr) -> bool:
@@ -64,16 +66,14 @@ class _ModuleAuditor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _FACTORY_METHODS
-            and node.args
-        ):
+        # As a method or through a local alias (``counter = metrics.counter``).
+        called = getattr(func, "attr", None) or getattr(func, "id", None)
+        if called in _FACTORY_METHODS and node.args:
             reason = _dynamic_name_reason(node.args[0])
             if reason is not None:
                 self.findings.append(Finding(
                     self.rel, node.lineno, "OBS001",
-                    f"metric name passed to .{func.attr}() is an "
+                    f"metric name passed to .{called}() is an "
                     f"{reason}; use a constant family name and put the "
                     "variability in labels",
                 ))

@@ -23,6 +23,15 @@ handed over by worker threads — plus the parent telemetry handle, so a
 scrape never races a shard-local pipeline.  Once the sweep's fold has
 run (``finish_sweep``), the parent handle holds everything and becomes
 the single source.
+
+Staleness: per-probe counter writes stay local to the sweep thread
+until the registry is published, and publishing is that thread's alone
+— two threads computing the same delta would count it twice.  A scrape
+therefore reads ``MetricsRegistry.published_state()``, what the sweep
+last published, and never publishes itself.  The sweep publishes at
+every batch boundary and before ``finish_sweep``, so ``/metrics`` and
+``/funnel`` trail a running sequential sweep by at most one batch and
+are exact once it is done.
 """
 
 from __future__ import annotations
@@ -140,11 +149,13 @@ class ConsoleHub:
 
     @staticmethod
     def _registry_snapshot(telemetry) -> MetricsRegistry:
-        """Snapshot a live registry, retrying if a writer lands mid-read."""
+        """Snapshot what a live registry last published (this is not the
+        sweep's thread, so it must not publish), retrying if a writer
+        lands mid-read."""
         last: RuntimeError | None = None
         for _ in range(_READ_RETRIES):
             try:
-                state = telemetry.metrics.snapshot_state()
+                state = telemetry.metrics.published_state()
             except RuntimeError as exc:  # pragma: no cover - timing window
                 last = exc
                 continue

@@ -125,6 +125,10 @@ class EventLog:
     def events(self) -> tuple[Event, ...]:
         return tuple(self._events)
 
+    def since(self, mark: int) -> list[Event]:
+        """The records appended after the log held ``mark`` of them."""
+        return self._events[mark:]
+
     def select(
         self,
         stage: str | None = None,

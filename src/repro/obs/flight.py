@@ -24,6 +24,8 @@ operations console.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.util.tables import Table
 
 #: slowest probes kept per recorder (and after every fold)
@@ -57,6 +59,9 @@ class FlightRecorder:
             raise ValueError("flight recorder capacity must be at least 1")
         self.capacity = capacity
         self._records: list[dict] = []
+        #: key of the worst record the last compaction kept, once
+        #: ``capacity`` are held: the admission bar (see :meth:`record`)
+        self._bar: tuple | None = None
         #: exchanges noted since the last probe window closed (transient;
         #: never serialised — probe windows close before checkpoints land)
         self._exchanges: list[dict] = []
@@ -89,32 +94,49 @@ class FlightRecorder:
     # -- probe intake ----------------------------------------------------------
 
     def record(
-        self, span, events: tuple, exchange_mark: int
+        self, span, events: Sequence, exchange_mark: int
     ) -> None:
-        """Capture one finished probe span with its window context."""
+        """Capture one finished probe span with its window context.
+
+        Admission first: ``capacity`` records that sort at or before the
+        bar are already held, records are only ever added, and a tie goes
+        to the earlier arrival (the sort is stable) — so a probe whose
+        key does not sort strictly before the bar can never be kept, and
+        is counted without being built.  In a clock-less sweep every
+        duration is zero and this is nearly every probe.
+        """
         self.probes_seen += 1
-        record = {
+        attrs = span.attrs
+        host = str(attrs.get("host", ""))
+        port = attrs.get("port", 0)
+        duration = span.duration
+        bar = self._bar
+        if bar is not None and (
+            -duration, span.start, host, port or 0, span.name
+        ) >= bar:
+            del self._exchanges[exchange_mark:]
+            return
+        self._records.append({
             "name": span.name,
-            "host": str(span.attrs.get("host", "")),
-            "port": span.attrs.get("port", 0),
+            "host": host,
+            "port": port,
             "start": span.start,
-            "duration": span.duration,
+            "duration": duration,
             "attrs": {
-                k: span.attrs[k]
-                for k in sorted(span.attrs)
-                if k not in ("host", "port")
+                k: attrs[k] for k in sorted(attrs) if k not in ("host", "port")
             },
             "exchanges": [dict(e) for e in self._exchanges[exchange_mark:]],
             "events": [e.to_dict() for e in events],
-        }
+        })
         del self._exchanges[exchange_mark:]
-        self._records.append(record)
         if len(self._records) > self.capacity * _SLACK:
             self._compact()
 
     def _compact(self) -> None:
         self._records.sort(key=_record_key)
         del self._records[self.capacity:]
+        if len(self._records) == self.capacity:
+            self._bar = _record_key(self._records[-1])
 
     # -- access ----------------------------------------------------------------
 
@@ -183,3 +205,5 @@ class FlightRecorder:
         self.probes_seen = state["probes_seen"]
         self._records = [dict(r) for r in state["records"]]
         self._exchanges = []
+        self._bar = None
+        self._compact()

@@ -5,12 +5,25 @@ Everything numeric the runtime wants to expose lives here, keyed by
 rebinning), values come only from instrumented code charged to the
 SimClock, and every accessor iterates in sorted key order — so snapshots
 and the Prometheus exposition are deterministic across identical runs.
+
+Write local, publish on read.  A per-probe writer looks no series up:
+it adds to a plain local — the registry's ``pending`` dict, or a stats
+block of its own with a publish hook (:meth:`MetricsRegistry.defer`).
+Every read — ``counter_value``, ``counters_flat``, ``snapshot_state``,
+``absorb``, ``to_prometheus`` — publishes first, so a reader sees
+exactly what per-increment writes would have left, and a sweep nobody
+reads pays one publish per batch.  Publishing is single-writer: only
+the thread running the sweep may read through those accessors; any
+other thread (the console's HTTP handler) takes
+:meth:`MetricsRegistry.published_state`, which never publishes and is
+at most one batch behind.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
-from typing import Iterable
+from typing import Callable, Iterable
 
 #: default latency buckets, simulated seconds (retry backoff and chaos
 #: slow-responses are the only things that advance the clock mid-probe)
@@ -30,6 +43,12 @@ def _raw_key(name: str, labels: dict[str, object]) -> tuple:
     the value types (``1``, ``1.0`` and ``True`` hash alike but label
     different series)."""
     return (name, *labels.items(), *map(type, labels.values()))
+
+
+def series_key(name: str, **labels: object) -> tuple[str, _LabelKey]:
+    """Canonical key of one series — what ``MetricsRegistry.pending``
+    counts under.  Writers build theirs once, not per increment."""
+    return (name, _label_key(labels))
 
 
 def flat_name(name: str, labels: _LabelKey) -> str:
@@ -122,6 +141,49 @@ class MetricsRegistry:
         self._counter_memo: dict[object, Counter] = {}
         self._gauge_memo: dict[object, Gauge] = {}
         self._histogram_memo: dict[object, Histogram] = {}
+        #: counter adds not yet folded in, by :func:`series_key`.  The
+        #: per-probe write is ``pending[key] = pending.get(key, 0) + n``,
+        #: whole counts only (a float series must add in charge order,
+        #: see ``RetryExecutor.publish_counts``).  A key a writer touched
+        #: mints its series even at zero, exactly as
+        #: ``counter(...).inc(0)`` would, and one it never touched mints
+        #: nothing.  Writers hold keys, never series objects, so
+        #: ``restore_state`` replacing every series strands nobody.
+        self.pending: dict[tuple[str, _LabelKey], float] = {}
+        #: publish hooks of writers that keep their own books, held
+        #: weakly: a writer that is gone has published for the last time
+        self._deferred: list[weakref.WeakMethod] = []
+
+    # -- deferred writers ----------------------------------------------------
+
+    def defer(self, publish: Callable[[], None]) -> None:
+        """Register a writer's publish hook (a bound method).
+
+        The hook folds whatever the writer has accumulated locally into
+        this registry through the write accessors; it must leave nothing
+        pending and be free when nothing is.  Hooks run in registration
+        order, on the reading thread — which must be the writing one.
+        """
+        self._deferred = [ref for ref in self._deferred if ref() is not None]
+        self._deferred.append(weakref.WeakMethod(publish))
+
+    def publish(self) -> None:
+        """Fold the pending adds and every deferred writer's books in.
+        Every read accessor starts here; a sweep also calls it at batch
+        boundaries, which bounds how stale :meth:`published_state` is."""
+        pending = self.pending
+        if pending:
+            counters = self._counters
+            for key, amount in pending.items():
+                metric = counters.get(key)
+                if metric is None:
+                    metric = counters[key] = Counter()
+                metric.value += amount
+            pending.clear()
+        for ref in self._deferred:
+            publish = ref()
+            if publish is not None:
+                publish()
 
     # -- creation / lookup ---------------------------------------------------
 
@@ -164,6 +226,7 @@ class MetricsRegistry:
     # -- read accessors (0 for series never touched) -------------------------
 
     def counter_value(self, name: str, **labels: object) -> float:
+        self.publish()
         metric = self._counters.get((name, _label_key(labels)))
         return metric.value if metric is not None else 0.0
 
@@ -177,6 +240,7 @@ class MetricsRegistry:
 
     def counters_flat(self) -> dict[str, float]:
         """Every counter series under its canonical flattened name."""
+        self.publish()
         return {
             flat_name(name, labels): metric.value
             for (name, labels), metric in sorted(self._counters.items())
@@ -192,6 +256,8 @@ class MetricsRegistry:
         series created by the fold appear in a canonical order regardless
         of how the absorbed registry was populated.
         """
+        self.publish()
+        other.publish()
         for key, counter in sorted(other._counters.items()):
             mine = self._counters.get(key)
             if mine is None:
@@ -220,6 +286,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition (types annotated, sorted series)."""
+        self.publish()
         lines: list[str] = []
         seen_types: set[str] = set()
 
@@ -258,6 +325,12 @@ class MetricsRegistry:
     # -- checkpoint support --------------------------------------------------
 
     def snapshot_state(self) -> dict:
+        self.publish()
+        return self.published_state()
+
+    def published_state(self) -> dict:
+        """The snapshot as of the last publish, without publishing: the
+        one read another thread may make of a live registry."""
         return {
             "counters": [
                 [name, [list(p) for p in labels], metric.value]
@@ -281,6 +354,8 @@ class MetricsRegistry:
         }
 
     def restore_state(self, state: dict) -> None:
+        # Pending counts belong to the state being replaced.
+        self.publish()
         for table in (
             self._counters, self._gauges, self._histograms,
             self._counter_memo, self._gauge_memo, self._histogram_memo,

@@ -101,7 +101,7 @@ class _FlightTap:
         if self._marks and self._marks[-1][0] == span.span_id:
             _, event_mark, exchange_mark = self._marks.pop()
             self.flight.record(
-                span, self.events.events[event_mark:], exchange_mark
+                span, self.events.since(event_mark), exchange_mark
             )
 
 
@@ -151,7 +151,7 @@ class Telemetry:
         return TelemetrySummary(
             counters=self.metrics.counters_flat(),
             events=len(self.events),
-            spans=len(self.tracer.finished),
+            spans=self.tracer.finished_count,
         )
 
     # -- exporters -----------------------------------------------------------

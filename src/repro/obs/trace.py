@@ -19,29 +19,51 @@ resume *inside* its still-open ``sweep`` span.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator
-
 from repro.util.clock import SimClock
 
 
-@dataclass
 class Span:
-    """One timed region of the run."""
+    """One timed region of the run.
 
-    span_id: int
-    parent_id: int | None
-    name: str
-    start: float
-    end: float | None = None
-    attrs: dict[str, object] = field(default_factory=dict)
-    #: real perf_counter stamps, set only when the tracer's ``wall_clock``
-    #: is armed (profiling).  Deliberately excluded from ``to_dict`` — and
-    #: therefore from the JSONL export and every snapshot — because wall
-    #: time is nondeterministic and must never leak into canonical output.
-    wall_start: float | None = None
-    wall_end: float | None = None
+    Slotted and hand-initialised: a probe span is opened and closed once
+    per plugin run, so its construction is on the per-probe path.
+    """
+
+    __slots__ = (
+        "span_id", "parent_id", "name", "start", "end", "attrs",
+        "wall_start", "wall_end",
+    )
+
+    def __init__(
+        self,
+        span_id: int,
+        parent_id: int | None,
+        name: str,
+        start: float,
+        end: float | None = None,
+        attrs: dict[str, object] | None = None,
+        wall_start: float | None = None,
+        wall_end: float | None = None,
+    ) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.start = start
+        self.end = end
+        self.attrs = attrs if attrs is not None else {}
+        #: real perf_counter stamps, set only when the tracer's
+        #: ``wall_clock`` is armed (profiling).  Deliberately excluded from
+        #: ``to_dict`` — and therefore from the JSONL export and every
+        #: snapshot — because wall time is nondeterministic and must never
+        #: leak into canonical output.
+        self.wall_start = wall_start
+        self.wall_end = wall_end
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Span({self.span_id}, parent={self.parent_id}, {self.name!r}, "
+            f"{self.start}..{self.end}, {self.attrs})"
+        )
 
     @property
     def duration(self) -> float:
@@ -62,13 +84,38 @@ class Span:
     @classmethod
     def from_dict(cls, payload: dict) -> "Span":
         return cls(
-            span_id=payload["span_id"],
-            parent_id=payload["parent_id"],
-            name=payload["name"],
-            start=payload["start"],
-            end=payload["end"],
-            attrs=dict(payload["attrs"]),
+            payload["span_id"], payload["parent_id"], payload["name"],
+            payload["start"], payload["end"], dict(payload["attrs"]),
         )
+
+
+class _Scope:
+    """``with tracer.span(...)``: open on entry, close on exit."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        self._span = self._tracer.start(self._name, **self._attrs)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer, opened = self._tracer, self._span
+        if exc_type is None:
+            tracer.end(opened)
+            return
+        # An escaping exception (including a simulated kill) may leave
+        # abandoned child spans open; unwind them rather than masking
+        # the original error with a nesting violation.
+        stack = tracer._stack
+        while stack and stack[-1] is not opened:
+            tracer.end()
+        if stack and stack[-1] is opened:
+            tracer.end(opened)
 
 
 class Tracer:
@@ -99,18 +146,24 @@ class Tracer:
 
     @property
     def finished(self) -> tuple[Span, ...]:
-        """Completed spans, in completion order."""
+        """Completed spans, in completion order (a copy: callers that
+        only count them want :attr:`finished_count`)."""
         return tuple(self._finished)
+
+    @property
+    def finished_count(self) -> int:
+        return len(self._finished)
 
     def start(self, name: str, **attrs: object) -> Span:
         """Open a span as a child of the currently active one."""
         stack = self._stack
         span = Span(
-            span_id=self._next_id,
-            parent_id=stack[-1].span_id if stack else None,
-            name=name,
-            start=self._now(),
-            attrs=attrs,  # ``**attrs`` is already a fresh dict
+            self._next_id,
+            stack[-1].span_id if stack else None,
+            name,
+            self._now(),
+            None,
+            attrs,  # ``**attrs`` is already a fresh dict
         )
         self._next_id += 1
         if self.wall_clock is not None:
@@ -139,22 +192,8 @@ class Tracer:
             self.listener.on_end(top)
         return top
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Span]:
-        opened = self.start(name, **attrs)
-        try:
-            yield opened
-        except BaseException:
-            # An escaping exception (including a simulated kill) may leave
-            # abandoned child spans open; unwind them rather than masking
-            # the original error with a nesting violation.
-            while self._stack and self._stack[-1] is not opened:
-                self.end()
-            if self._stack and self._stack[-1] is opened:
-                self.end(opened)
-            raise
-        else:
-            self.end(opened)
+    def span(self, name: str, **attrs: object) -> _Scope:
+        return _Scope(self, name, attrs)
 
     # -- queries -------------------------------------------------------------
 
@@ -179,16 +218,10 @@ class Tracer:
         offset = self._next_id
         for span in other._finished:
             self._finished.append(Span(
-                span_id=span.span_id + offset,
-                parent_id=(
-                    None if span.parent_id is None else span.parent_id + offset
-                ),
-                name=span.name,
-                start=span.start,
-                end=span.end,
-                attrs=dict(span.attrs),
-                wall_start=span.wall_start,
-                wall_end=span.wall_end,
+                span.span_id + offset,
+                None if span.parent_id is None else span.parent_id + offset,
+                span.name, span.start, span.end, dict(span.attrs),
+                span.wall_start, span.wall_end,
             ))
         self._next_id += other._next_id
 

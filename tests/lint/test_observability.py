@@ -45,6 +45,17 @@ class TestDynamicMetricNames:
         """)
         assert rules(findings) == ["OBS001"]
 
+    def test_deferred_writer_keys_and_aliases_are_audited_too(self, tmp_path):
+        findings = audit(tmp_path, """
+            from repro.obs.metrics import series_key
+
+            def charge(telemetry, slug):
+                key = series_key(f"verdicts_{slug}_total")
+                counter = telemetry.metrics.counter
+                counter("runs_" + slug).inc()
+        """)
+        assert rules(findings) == ["OBS001", "OBS001"]
+
     def test_finding_carries_file_and_line(self, tmp_path):
         (finding,) = audit(tmp_path, """
             def charge(registry, host):

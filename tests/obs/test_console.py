@@ -6,14 +6,18 @@ while shards are still executing — without disturbing the run.
 """
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
 
+from repro.core.serialize import report_to_dict
 from repro.experiments.chaos_soak import run_chaos_soak
 from repro.obs.console import ConsoleHub, ConsoleServer
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.util.clock import SimClock
+from tests.obs.test_publish_on_read import chaos_pipeline
 
 
 def fetch(url):
@@ -52,6 +56,20 @@ class TestHubViews:
         hub.attach_telemetry(telemetry)
         assert hub.funnel()["stages"]["masscan"]["in"] == 7.0
         assert 'stage="masscan"' in hub.metrics_text()
+
+    def test_a_scrape_never_publishes(self):
+        """Publishing is the sweep thread's alone: a scrape serves what
+        was last published and leaves pending counts where they are."""
+        hub = ConsoleHub()
+        telemetry = Telemetry(clock=SimClock())
+        telemetry.metrics.counter("masscan_addresses_total").inc(4)
+        key = series_key("masscan_addresses_total")
+        telemetry.metrics.pending[key] = 3
+        hub.attach_telemetry(telemetry)
+        assert "masscan_addresses_total 4\n" in hub.metrics_text()
+        assert telemetry.metrics.pending == {key: 3}
+        telemetry.metrics.publish()  # the sweep reaches a batch boundary
+        assert "masscan_addresses_total 7\n" in hub.metrics_text()
 
     def test_midflight_payloads_merge_with_parent(self):
         hub = ConsoleHub()
@@ -241,3 +259,84 @@ class TestLiveChaosSoak:
             final = json.loads(fetch(server.url + "/funnel")[2])
             assert final["stages"]["masscan"]["in"] >= funnel["stages"][
                 "masscan"]["in"]
+
+
+class TestScrapedSweepCountsOnce:
+    def test_hammering_metrics_leaves_the_final_counters_alone(self):
+        """``/metrics`` is read from other threads throughout a sequential
+        chaos+retry sweep — whose live registry is the one being read —
+        and the sweep still ends on the counters of an unobserved run.  A
+        scrape that published would race the sweep thread's own publish:
+        counts added twice, or marked published without being added."""
+        quiet, ips = chaos_pipeline()
+        quiet_report = quiet.run(ips)
+        expected = quiet.telemetry.export_prometheus()
+        total = _series(expected)
+
+        hub = ConsoleHub()
+        pipeline, ips = chaos_pipeline(console=hub)
+        done = threading.Event()
+        scrapes, ahead = [0], []
+
+        class Witness:
+            """A deferred writer with nothing to write: it only notes
+            which threads ever ran a publish (the race itself needs luck
+            to show in the counters; the thread that caused it does not)."""
+
+            threads = set()
+
+            def hook(self):
+                self.threads.add(threading.current_thread())
+
+        witness = Witness()
+        pipeline.telemetry.metrics.defer(witness.hook)
+
+        def hammer():
+            while not done.is_set():
+                hub.metrics_text()
+                scrapes[0] += 1
+
+        def scrape(url):
+            while not done.is_set():
+                # mid-flight views trail the sweep, never run ahead of it
+                for name, value in _series(fetch(url + "/metrics")[2]).items():
+                    if value > total[name]:
+                        ahead.append((name, value))
+
+        with ConsoleServer(hub, port=0) as server:
+            # One scraper goes through the HTTP server and checks what it
+            # gets; three call the view its handler calls in a tight loop,
+            # so that reads overlap the sweep's own publishes as often as
+            # threads can.  More readers than this box has cores, and a
+            # switch interval short enough to cut a publish in two.
+            threads = [
+                threading.Thread(target=scrape, args=(server.url,), daemon=True)
+            ] + [threading.Thread(target=hammer, daemon=True) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                report = pipeline.run(ips)
+            finally:
+                sys.setswitchinterval(interval)
+                done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            final = fetch(server.url + "/metrics")[2]
+
+        assert scrapes[0] >= 20
+        assert witness.threads == {threading.current_thread()}
+        assert ahead == []
+        assert final == expected
+        assert pipeline.telemetry.export_prometheus() == expected
+        assert report_to_dict(report) == report_to_dict(quiet_report)
+
+
+def _series(exposition):
+    return {
+        line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in exposition.splitlines()
+        if not line.startswith("#")
+    }

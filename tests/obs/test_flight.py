@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder, _record_key
 from repro.obs.telemetry import Telemetry
@@ -112,6 +114,118 @@ class TestRecorder:
         record_probe(flight, 1.0, host="10.0.0.2")
         text = flight.render()
         assert "10.0.0.1" in text and "10.0.0.2" in text
+
+
+class BuildSortTrim:
+    """The recorder before admission, kept as the oracle: every probe is
+    built into a dict, the buffer is sorted and trimmed when it overflows
+    and on every fold."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.buffer = []
+        self.probes_seen = 0
+
+    def record(self, span, tag):
+        self.probes_seen += 1
+        self.buffer.append({
+            "name": span.name,
+            "host": str(span.attrs.get("host", "")),
+            "port": span.attrs.get("port", 0),
+            "start": span.start,
+            "duration": span.duration,
+            "attrs": {"tag": tag},
+            "exchanges": [],
+            "events": [],
+        })
+        if len(self.buffer) > self.capacity * 4:
+            self.compact()
+
+    def compact(self):
+        self.buffer.sort(key=_record_key)
+        del self.buffer[self.capacity:]
+
+    def absorb(self, other):
+        self.buffer.extend(dict(r) for r in other.buffer)
+        self.probes_seen += other.probes_seen
+        self.compact()
+
+    def to_dict(self):
+        return {
+            "capacity": self.capacity,
+            "probes_seen": self.probes_seen,
+            "records": sorted(self.buffer, key=_record_key)[: self.capacity],
+        }
+
+
+#: few distinct values, so ties at the capacity boundary are the rule; a
+#: clock-less sweep (every duration 0) is the all-ties case
+probes = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.5]),  # duration
+        st.sampled_from([0.0, 1.0]),                       # start
+        st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]),
+        st.sampled_from([80, 443]),
+        st.sampled_from(["probe:a", "probe:b"]),
+    ),
+    max_size=120,
+)
+
+
+class TestAdmission:
+    """A probe that cannot make the top-K is counted but never built."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        probes=probes,
+        capacity=st.integers(1, 5),
+        cuts=st.lists(st.integers(0, 120), max_size=4),
+        restore_at=st.one_of(st.none(), st.integers(0, 120)),
+    )
+    def test_admission_equals_build_sort_trim(
+        self, probes, capacity, cuts, restore_at
+    ):
+        """Random durations with ties, the stream cut into shards at
+        random points and folded in order, and a snapshot/restore (through
+        JSON) somewhere in the middle: same ``to_dict`` as building every
+        record, sorting and trimming."""
+        bounds = sorted({min(cut, len(probes)) for cut in cuts} | {len(probes)})
+        folded, oracle = FlightRecorder(capacity), BuildSortTrim(capacity)
+        shard, oracle_shard = FlightRecorder(capacity), BuildSortTrim(capacity)
+        for index, (duration, start, host, port, name) in enumerate(probes):
+            if index == restore_at:
+                state = json.loads(json.dumps(shard.snapshot_state()))
+                shard = FlightRecorder()
+                shard.restore_state(state)
+            span = probe_span(duration, start=start, host=host, port=port, name=name)
+            # the tag tells tied records apart: only arrival order may
+            span.attrs["tag"] = index
+            shard.record(span, (), shard.exchange_mark())
+            oracle_shard.record(span, index)
+            if index + 1 in bounds:
+                folded.absorb(shard)
+                oracle.absorb(oracle_shard)
+                shard, oracle_shard = FlightRecorder(capacity), BuildSortTrim(capacity)
+        assert folded.to_dict() == oracle.to_dict()
+
+    def test_a_rejected_probe_builds_nothing_and_clears_its_window(self):
+        flight = FlightRecorder(capacity=1)
+        for index in range(8):  # past capacity * slack: compacts, sets the bar
+            record_probe(flight, 5.0, start=float(index))
+        held = len(flight._records)
+        mark = flight.exchange_mark()
+        flight.note_exchange("/late", status=200)
+
+        class Exploding:
+            """An event whose serialisation would be noticed."""
+
+            def to_dict(self):
+                raise AssertionError("a rejected probe was built")
+
+        flight.record(probe_span(1.0), (Exploding(),), mark)
+        assert len(flight._records) == held
+        assert flight.probes_seen == 9
+        assert flight.exchange_mark() == mark  # its exchanges are gone
 
 
 class TestTelemetryTap:

@@ -20,6 +20,20 @@ class TestTracer:
         assert tracer.depth == 0
         assert [s.name for s in tracer.finished] == ["batch", "sweep"]
 
+    def test_finished_count_needs_no_copy(self):
+        tracer = Tracer()
+        assert tracer.finished_count == 0
+        with tracer.span("sweep"):
+            with tracer.span("batch"):
+                pass
+            assert tracer.finished_count == 1  # open spans do not count
+        assert tracer.finished_count == len(tracer.finished) == 2
+        other = Tracer()
+        with other.span("shard"):
+            pass
+        tracer.absorb(other)
+        assert tracer.finished_count == 3
+
     def test_durations_come_from_the_clock(self):
         clock = SimClock()
         tracer = Tracer(clock=clock)
