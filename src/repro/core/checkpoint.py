@@ -15,9 +15,15 @@ got.
 *Record layout.*  The file opens with one header line naming the format
 and its version, then holds one line per save::
 
-    repro-checkpoint-journal v2\\n
+    repro-checkpoint-journal v3\\n
     <crc32 of the body, 8 hex digits> <body: one JSON object>\\n
     ...
+
+Version 3 differs from 2 in one section: a finished span is written as
+the row the tracer holds (an 8-element list, see :mod:`repro.obs.trace`)
+where version 2 wrote a 6-key dict.  Nothing reads one as the other: a
+file whose header names another version is refused with
+:class:`~repro.util.errors.ConfigError` and left untouched.
 
 *Fold rule.*  :meth:`Checkpointer.load` folds the records, oldest
 first, into one payload.  Every top-level key of a record is
@@ -59,7 +65,7 @@ from pathlib import Path
 
 from repro.util.errors import CheckpointCorrupt, ConfigError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER = b"repro-checkpoint-journal v%d\n" % FORMAT_VERSION
 

@@ -59,7 +59,6 @@ from repro.core.serialize import report_from_dict, report_to_dict
 from repro.net.intervals import BLOCK_SIZE, FrameLike, IntervalSet, as_frame
 from repro.net.transport import TransportStats
 from repro.obs.profile import ProfileRollup, wall_now
-from repro.obs.trace import Span
 from repro.util.clock import SimClock
 from repro.util.rand import stable_hash
 
@@ -495,9 +494,8 @@ class ParallelScanEngine:
             if wall is not None:
                 pipe.wall_profile.note_shard(shard.index, wall)
             if pipe.profile:
-                pipe.shard_profiles[shard.index] = ProfileRollup.from_spans(
-                    Span.from_dict(p)
-                    for p in payload["telemetry"]["tracer"]["finished"]
+                pipe.shard_profiles[shard.index] = ProfileRollup.from_rows(
+                    payload["telemetry"]["tracer"]["finished"]
                 )
             telemetry.events.info(
                 "parallel", "shard-complete",

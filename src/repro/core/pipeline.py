@@ -431,9 +431,10 @@ class ScanPipeline:
 
     def _close_sweep(self, report: ScanReport, batches_done: int) -> None:
         tel = self.telemetry
-        sweep_span = tel.tracer.end()
+        sweep_span = tel.tracer.active
         sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
         sweep_span.attrs["batches"] = batches_done
+        tel.tracer.end(sweep_span)
         tel.events.info(
             "pipeline", "sweep-complete",
             addresses=report.port_scan.addresses_scanned,
@@ -575,11 +576,16 @@ class ScanPipeline:
 
         fingerprint = None
         if self._fingerprinter is not None:
-            with self.telemetry.tracer.span(
-                "stage:fingerprint", host=str(finding.ip), port=finding.port
-            ):
+            # A leaf span: recorded whole at its end, raise or return.
+            tracer = self.telemetry.tracer
+            opened = tracer.leaf_start()
+            try:
                 fingerprint = self._fingerprinter.fingerprint(
                     finding.ip, finding.port, finding.scheme, finding.candidates
+                )
+            finally:
+                tracer.leaf(
+                    "stage:fingerprint", opened, finding.ip.value, finding.port
                 )
 
         # Attribute the host to application(s): a fingerprint pins the

@@ -468,10 +468,12 @@ class Prefilter:
             pending = self.telemetry.metrics.pending
             if candidates:
                 pending[_MATCHED] = pending.get(_MATCHED, 0) + 1
-                self.telemetry.events.debug(
-                    "prefilter", "signature-match", host=ip,
-                    port=port, candidates=list(candidates),
-                )
+                events = self.telemetry.events
+                if events.wants("debug"):
+                    events.debug(
+                        "prefilter", "signature-match", host=ip,
+                        port=port, candidates=list(candidates),
+                    )
             else:
                 pending[_NO_MATCH] = pending.get(_NO_MATCH, 0) + 1
         if not candidates:

@@ -475,7 +475,7 @@ class RetryExecutor:
             elapsed += delay
             self._charge(ip, delay)
         self.stats.exhausted += 1
-        if self.telemetry is not None:
+        if self.telemetry is not None and self.telemetry.events.wants("debug"):
             self.telemetry.events.debug(
                 "retry", "exhausted", host=ip,
                 attempts=self.policy.max_attempts, error=type(last).__name__,

@@ -20,7 +20,7 @@ from repro.core.retry import RetryStats
 from repro.core.tsunami.plugin import DetectionReport
 from repro.obs.telemetry import TelemetrySummary
 from repro.net.http import Scheme
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import IPv4Address, dotted_quad
 
 FORMAT_VERSION = 1
 
@@ -100,7 +100,7 @@ def report_to_dict(
     return {
         "format_version": FORMAT_VERSION,
         "open_ports": {
-            str(IPv4Address(value)): list(ports)
+            dotted_quad(value): list(ports)
             for value, ports in islice(
                 report.port_scan.open_ports.items(), open_ports_since, None
             )

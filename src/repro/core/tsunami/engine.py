@@ -34,8 +34,16 @@ class EngineStats:
 
 
 @lru_cache(maxsize=None)  # plugins x three verdicts
-def _verdict_series(slug: str, verdict: str) -> tuple:
-    return series_key("plugin_verdicts_total", plugin=slug, verdict=verdict)
+def _probe_books(slug: str, verdict: str) -> tuple:
+    """What one probe outcome is booked under, built once: the span name,
+    its attrs (one mapping shared by every such span — nobody writes to
+    it), the verdict counter's series and the latency histogram's."""
+    return (
+        f"probe:{slug}",
+        {"verdict": verdict},
+        series_key("plugin_verdicts_total", plugin=slug, verdict=verdict),
+        series_key("plugin_latency_seconds", plugin=slug),
+    )
 
 
 class TsunamiEngine:
@@ -83,40 +91,36 @@ class TsunamiEngine:
             self.stats.runs_per_plugin[plugin.slug] = (
                 self.stats.runs_per_plugin.get(plugin.slug, 0) + 1
             )
-            span = None
+            window = None
             if self.telemetry is not None:
-                span = self.telemetry.tracer.start(
-                    f"probe:{plugin.slug}", host=str(ip), port=port
-                )
+                window = self.telemetry.probe_start()
             try:
                 report = plugin.detect(context)
             except Exception:
                 # A plugin crash is a plugin bug, not a scan failure.
                 self.stats.plugin_errors += 1
                 logger.exception("plugin %s crashed on %s:%s", plugin.slug, ip, port)
-                self._finish_probe(span, plugin.slug, ip, "error")
+                self._finish_probe(window, plugin.slug, ip, port, "error")
                 continue
             verdict = "detected" if report is not None else "clean"
-            self._finish_probe(span, plugin.slug, ip, verdict)
+            self._finish_probe(window, plugin.slug, ip, port, verdict)
             if report is not None:
                 self.stats.detections += 1
                 reports.append(report)
         return reports
 
     def _finish_probe(
-        self, span, slug: str, ip: IPv4Address, verdict: str
+        self, window, slug: str, ip: IPv4Address, port: int, verdict: str
     ) -> None:
-        if self.telemetry is None:
+        telemetry = self.telemetry
+        if telemetry is None:
             return
-        span.attrs["verdict"] = verdict
-        self.telemetry.tracer.end(span)
-        pending = self.telemetry.metrics.pending
-        series = _verdict_series(slug, verdict)
-        pending[series] = pending.get(series, 0) + 1
-        self.telemetry.metrics.histogram(
-            "plugin_latency_seconds", plugin=slug
-        ).observe(span.duration)
+        name, attrs, verdicts, latency = _probe_books(slug, verdict)
+        duration = telemetry.probe_end(window, name, ip, port, attrs)
+        pending = telemetry.metrics.pending
+        pending[verdicts] = pending.get(verdicts, 0) + 1
+        telemetry.metrics.observed[latency].append(duration)
         if verdict == "detected":
-            self.telemetry.events.info("tsunami", "mav-detected", host=ip, plugin=slug)
+            telemetry.events.info("tsunami", "mav-detected", host=ip, plugin=slug)
         elif verdict == "error":
-            self.telemetry.events.warn("tsunami", "plugin-error", host=ip, plugin=slug)
+            telemetry.events.warn("tsunami", "plugin-error", host=ip, plugin=slug)

@@ -68,7 +68,7 @@ class PluginContext:
             return None
         if self.telemetry is not None:
             self.telemetry.flight.note_exchange(
-                path, status=response.status, body_bytes=len(response.body)
+                path, response.status, len(response.body)
             )
         return response
 

@@ -183,7 +183,8 @@ class ChaosTransport(Transport):
         self.faults[kind] = self.faults.get(kind, 0) + 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("chaos_faults_total", kind=kind).inc()
-            self.telemetry.events.debug("chaos", "fault", host=ip, kind=kind)
+            if self.telemetry.events.wants("debug"):
+                self.telemetry.events.debug("chaos", "fault", host=ip, kind=kind)
 
     def _now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0

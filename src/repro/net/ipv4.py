@@ -16,6 +16,12 @@ from typing import Iterator
 MAX_IPV4 = 2**32 - 1
 
 
+def dotted_quad(value: int) -> str:
+    """Render an address integer (``0 <= value <= MAX_IPV4``) without
+    building an :class:`IPv4Address` first."""
+    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
+
+
 @dataclass(frozen=True, order=True)
 class IPv4Address:
     """An IPv4 address stored as an unsigned 32-bit integer."""
@@ -52,7 +58,7 @@ class IPv4Address:
         return IPv4Network(IPv4Address(self.value & 0xFFFFFF00), 24)
 
     def __str__(self) -> str:
-        return ".".join(str(o) for o in self.octets)
+        return dotted_quad(self.value)
 
     def __int__(self) -> int:
         return self.value

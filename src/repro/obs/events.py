@@ -76,6 +76,16 @@ class EventLog:
     def _now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
 
+    def wants(self, level: str) -> bool:
+        """Would a record at ``level`` be kept?  Ask before building the
+        arguments of an event that is usually filtered out.  A "no" is
+        counted as suppressed, exactly as emitting the record would have
+        been, so skip the emit on it."""
+        if LEVELS[level] >= LEVELS[self.min_level]:
+            return True
+        self.suppressed += 1
+        return False
+
     def emit(
         self,
         level: str,

@@ -5,7 +5,7 @@ An end-of-run report says a sweep took N simulated hours; it cannot say
 handle (i.e. per shard), the ``capacity`` slowest stage-III probes with
 their full context:
 
-* the probe span itself (path, host, port, SimClock window, verdict);
+* the probe itself (path, host, port, SimClock window, verdict);
 * every HTTP exchange the plugin issued (path, status, body size, or
   the transport error that ate the request);
 * every event logged while the probe was open — retry attempts, circuit
@@ -51,6 +51,19 @@ def _record_key(record: dict) -> tuple:
     )
 
 
+def _exchange_entry(
+    path: str, status: int | None, body_bytes: int | None, error: str | None
+) -> dict:
+    entry: dict = {"path": path}
+    if status is not None:
+        entry["status"] = status
+    if body_bytes is not None:
+        entry["body_bytes"] = body_bytes
+    if error is not None:
+        entry["error"] = error
+    return entry
+
+
 class FlightRecorder:
     """Bounded, deterministic ring of the slowest probe records."""
 
@@ -60,11 +73,13 @@ class FlightRecorder:
         self.capacity = capacity
         self._records: list[dict] = []
         #: key of the worst record the last compaction kept, once
-        #: ``capacity`` are held: the admission bar (see :meth:`record`)
-        self._bar: tuple | None = None
-        #: exchanges noted since the last probe window closed (transient;
-        #: never serialised — probe windows close before checkpoints land)
-        self._exchanges: list[dict] = []
+        #: ``capacity`` are held, split ``(key[:2], key[2:])``: the
+        #: admission bar (see :meth:`record_probe`)
+        self._bar: tuple[tuple, tuple] | None = None
+        #: ``(path, status, body_bytes, error)`` of every exchange noted
+        #: since the last probe window closed (transient; never serialised
+        #: — probe windows close before checkpoints land)
+        self._exchanges: list[tuple] = []
         #: probes seen in total, including ones compacted away
         self.probes_seen = 0
 
@@ -82,50 +97,63 @@ class FlightRecorder:
         error: str | None = None,
     ) -> None:
         """One plugin HTTP exchange (or its transport failure)."""
-        entry: dict = {"path": path}
-        if status is not None:
-            entry["status"] = status
-        if body_bytes is not None:
-            entry["body_bytes"] = body_bytes
-        if error is not None:
-            entry["error"] = error
-        self._exchanges.append(entry)
+        self._exchanges.append((path, status, body_bytes, error))
 
     # -- probe intake ----------------------------------------------------------
 
-    def record(
-        self, span, events: Sequence, exchange_mark: int
+    def record(self, span, events: Sequence, exchange_mark: int) -> None:
+        """:meth:`record_probe` for a probe held as a span view."""
+        attrs = span.attrs
+        self.record_probe(
+            span.name, attrs.get("host", ""), attrs.get("port", 0),
+            span.start, span.duration,
+            {k: v for k, v in attrs.items() if k not in ("host", "port")},
+            events, exchange_mark,
+        )
+
+    def record_probe(
+        self,
+        name: str,
+        host: object,
+        port: int | None,
+        start: float,
+        duration: float,
+        attrs: dict[str, object],
+        events: Sequence,
+        exchange_mark: int,
     ) -> None:
-        """Capture one finished probe span with its window context.
+        """Capture one finished probe with its window context: the events
+        logged and the exchanges noted (from ``exchange_mark`` on) while
+        it ran.  ``host`` is anything whose ``str`` is the dotted quad.
 
         Admission first: ``capacity`` records that sort at or before the
         bar are already held, records are only ever added, and a tie goes
         to the earlier arrival (the sort is stable) — so a probe whose
         key does not sort strictly before the bar can never be kept, and
-        is counted without being built.  In a clock-less sweep every
-        duration is zero and this is nearly every probe.
+        is counted without being built.  ``(-duration, start)`` settles
+        that for nearly every probe of a clocked sweep; the host is only
+        rendered on a tie there — which, in a clock-less sweep, where
+        every duration is zero, is every probe.
         """
         self.probes_seen += 1
-        attrs = span.attrs
-        host = str(attrs.get("host", ""))
-        port = attrs.get("port", 0)
-        duration = span.duration
         bar = self._bar
-        if bar is not None and (
-            -duration, span.start, host, port or 0, span.name
-        ) >= bar:
-            del self._exchanges[exchange_mark:]
-            return
+        if bar is not None:
+            head = (-duration, start)
+            if head > bar[0] or (
+                head == bar[0] and (str(host), port or 0, name) >= bar[1]
+            ):
+                del self._exchanges[exchange_mark:]
+                return
         self._records.append({
-            "name": span.name,
-            "host": host,
+            "name": name,
+            "host": str(host),
             "port": port,
-            "start": span.start,
+            "start": start,
             "duration": duration,
-            "attrs": {
-                k: attrs[k] for k in sorted(attrs) if k not in ("host", "port")
-            },
-            "exchanges": [dict(e) for e in self._exchanges[exchange_mark:]],
+            "attrs": {k: attrs[k] for k in sorted(attrs)},
+            "exchanges": [
+                _exchange_entry(*e) for e in self._exchanges[exchange_mark:]
+            ],
             "events": [e.to_dict() for e in events],
         })
         del self._exchanges[exchange_mark:]
@@ -136,7 +164,8 @@ class FlightRecorder:
         self._records.sort(key=_record_key)
         del self._records[self.capacity:]
         if len(self._records) == self.capacity:
-            self._bar = _record_key(self._records[-1])
+            key = _record_key(self._records[-1])
+            self._bar = (key[:2], key[2:])
 
     # -- access ----------------------------------------------------------------
 

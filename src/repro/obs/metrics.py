@@ -7,10 +7,11 @@ SimClock, and every accessor iterates in sorted key order — so snapshots
 and the Prometheus exposition are deterministic across identical runs.
 
 Write local, publish on read.  A per-probe writer looks no series up:
-it adds to a plain local — the registry's ``pending`` dict, or a stats
-block of its own with a publish hook (:meth:`MetricsRegistry.defer`).
-Every read — ``counter_value``, ``counters_flat``, ``snapshot_state``,
-``absorb``, ``to_prometheus`` — publishes first, so a reader sees
+it adds to a plain local — the registry's ``pending`` dict, its
+``observed`` lists, or a stats block of its own with a publish hook
+(:meth:`MetricsRegistry.defer`).  Every read — ``counter_value``,
+``histogram_count``, ``counters_flat``, ``snapshot_state``, ``absorb``,
+``to_prometheus`` — publishes first, so a reader sees
 exactly what per-increment writes would have left, and a sweep nobody
 reads pays one publish per batch.  Publishing is single-writer: only
 the thread running the sweep may read through those accessors; any
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
+from collections import defaultdict
 from typing import Callable, Iterable
 
 #: default latency buckets, simulated seconds (retry backoff and chaos
@@ -150,6 +152,16 @@ class MetricsRegistry:
         #: nothing.  Writers hold keys, never series objects, so
         #: ``restore_state`` replacing every series strands nobody.
         self.pending: dict[tuple[str, _LabelKey], float] = {}
+        #: histogram observations not yet folded in, by :func:`series_key`
+        #: (default buckets).  The per-probe write is
+        #: ``observed[key].append(value)``; publishing replays each
+        #: series' values in the order they were observed, so its float
+        #: ``total`` adds up exactly as per-probe ``observe`` calls would
+        #: have left it (series share no sum, so order *across* series
+        #: never mattered).
+        self.observed: defaultdict[tuple[str, _LabelKey], list[float]] = (
+            defaultdict(list)
+        )
         #: publish hooks of writers that keep their own books, held
         #: weakly: a writer that is gone has published for the last time
         self._deferred: list[weakref.WeakMethod] = []
@@ -168,9 +180,10 @@ class MetricsRegistry:
         self._deferred.append(weakref.WeakMethod(publish))
 
     def publish(self) -> None:
-        """Fold the pending adds and every deferred writer's books in.
-        Every read accessor starts here; a sweep also calls it at batch
-        boundaries, which bounds how stale :meth:`published_state` is."""
+        """Fold the pending adds and observations and every deferred
+        writer's books in.  Every read accessor starts here; a sweep also
+        calls it at batch boundaries, which bounds how stale
+        :meth:`published_state` is."""
         pending = self.pending
         if pending:
             counters = self._counters
@@ -180,6 +193,16 @@ class MetricsRegistry:
                     metric = counters[key] = Counter()
                 metric.value += amount
             pending.clear()
+        observed = self.observed
+        if observed:
+            histograms = self._histograms
+            for key, values in observed.items():
+                metric = histograms.get(key)
+                if metric is None:
+                    metric = histograms[key] = Histogram()
+                for value in values:
+                    metric.observe(value)
+            observed.clear()
         for ref in self._deferred:
             publish = ref()
             if publish is not None:
@@ -235,6 +258,7 @@ class MetricsRegistry:
         return metric.value if metric is not None else 0.0
 
     def histogram_count(self, name: str, **labels: object) -> int:
+        self.publish()
         metric = self._histograms.get((name, _label_key(labels)))
         return metric.count if metric is not None else 0
 

@@ -1,7 +1,8 @@
 """Span profiling: flamegraph-style rollups with dual time accounting.
 
 The :class:`~repro.obs.trace.Tracer` records *what* happened; this module
-answers *where the time went*.  A rollup aggregates finished spans by
+answers *where the time went*.  A rollup aggregates finished spans (as
+the tracer holds them: rows, see :mod:`repro.obs.trace`) by
 their **path** — the span names from the root down, joined with ``/``
 (``sweep/batch/stage:tsunami/probe:jenkins``) — and reports, per path:
 
@@ -33,9 +34,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.obs.trace import Span
+from repro.obs.trace import (
+    END, NAME, PARENT_ID, ROW_WIDTH, SPAN_ID, START, WALL_END, WALL_START,
+    Span, SpanViews,
+)
 from repro.util.tables import Table
 
 
@@ -82,66 +86,80 @@ class ProfileRollup:
 
     @classmethod
     def from_spans(cls, spans: Iterable[Span]) -> "ProfileRollup":
-        """Roll up finished spans (open spans must be excluded upstream).
+        """:meth:`from_rows` for spans held as views (open ones may be
+        mixed in; they are skipped)."""
+        if isinstance(spans, SpanViews):
+            return cls.from_rows(spans.rows)
+        return cls.from_rows(span.row() for span in spans)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence]) -> "ProfileRollup":
+        """Roll up a span record (rows still open are skipped).
 
         Span ids only need to be consistent *within* the record handed
         in; absorbed shard records qualify because the tracer rebases ids
         during the fold.
         """
         rollup = cls()
-        closed = [s for s in spans if s.end is not None]
-        by_id = {s.span_id: s for s in closed}
+        closed = [row for row in rows if row[END] is not None]
+        by_id = {row[SPAN_ID]: row for row in closed}
         child_total: dict[int, float] = {}
-        for span in closed:
-            if span.parent_id in by_id:
-                child_total[span.parent_id] = (
-                    child_total.get(span.parent_id, 0.0) + span.duration
+        for row in closed:
+            parent_id = row[PARENT_ID]
+            if parent_id in by_id:
+                child_total[parent_id] = (
+                    child_total.get(parent_id, 0.0) + (row[END] - row[START])
                 )
 
-        path_cache: dict[int, str] = {}
+        #: siblings of one name share a path: by (parent id, name)
+        path_by_step: dict[tuple, str] = {}
 
-        def path_of(span: Span) -> str:
-            cached = path_cache.get(span.span_id)
-            if cached is None:
-                parent = by_id.get(span.parent_id)
-                cached = (
-                    span.name if parent is None
-                    else f"{path_of(parent)}/{span.name}"
+        def path_of(row: Sequence) -> str:
+            step = (row[PARENT_ID], row[NAME])
+            path = path_by_step.get(step)
+            if path is None:
+                parent = by_id.get(row[PARENT_ID])
+                path = path_by_step[step] = (
+                    row[NAME] if parent is None
+                    else f"{path_of(parent)}/{row[NAME]}"
                 )
-                path_cache[span.span_id] = cached
-            return cached
+            return path
 
-        for span in closed:
-            stats = rollup.paths.setdefault(path_of(span), PathStats())
-            self_time = span.duration - child_total.get(span.span_id, 0.0)
+        paths = rollup.paths
+        for row in closed:
+            path = path_of(row)
+            stats = paths.get(path)
+            if stats is None:
+                stats = paths[path] = PathStats()
+            duration = row[END] - row[START]
+            self_time = duration - child_total.get(row[SPAN_ID], 0.0)
             stats.count += 1
-            stats.total += span.duration
+            stats.total += duration
             stats.self_time += self_time
-            if span.wall_start is not None and span.wall_end is not None:
+            if len(row) > ROW_WIDTH:
                 rollup.has_wall = True
-                wall = span.wall_end - span.wall_start
+                wall = row[WALL_END] - row[WALL_START]
                 stats.wall_total += wall
                 stats.wall_self += wall
-            if span.parent_id not in by_id:
-                rollup.root_total += span.duration
+            if row[PARENT_ID] not in by_id:
+                rollup.root_total += duration
                 rollup.root_self += self_time
         if rollup.has_wall:
-            rollup._subtract_child_wall(by_id, path_cache)
+            rollup._subtract_child_wall(by_id, path_by_step)
         return rollup
 
     def _subtract_child_wall(
-        self, by_id: dict[int, Span], path_cache: dict[int, str]
+        self, by_id: dict[int, Sequence], path_by_step: dict[tuple, str]
     ) -> None:
-        for span in by_id.values():
-            parent = by_id.get(span.parent_id)
+        for row in by_id.values():
+            parent = by_id.get(row[PARENT_ID])
             if (
                 parent is None
-                or span.wall_start is None or span.wall_end is None
-                or parent.wall_start is None or parent.wall_end is None
+                or len(row) == ROW_WIDTH or len(parent) == ROW_WIDTH
             ):
                 continue
-            stats = self.paths[path_cache[parent.span_id]]
-            stats.wall_self -= span.wall_end - span.wall_start
+            stats = self.paths[path_by_step[parent[PARENT_ID], parent[NAME]]]
+            stats.wall_self -= row[WALL_END] - row[WALL_START]
 
     # -- queries -------------------------------------------------------------
 

@@ -17,12 +17,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.net.ipv4 import IPv4Address
 from repro.obs.events import EventLog
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.metrics import MetricsRegistry, _label_key, flat_name
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import END, START, Tracer, row_to_dict
 from repro.util.clock import SimClock
 from repro.util.tables import Table
+
+#: one line of the JSONL export (sorting the keys, attrs included)
+_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 #: pipeline stages in funnel order
 FUNNEL_STAGES: tuple[str, ...] = ("masscan", "prefilter", "tsunami")
@@ -76,35 +80,6 @@ class TelemetrySummary:
         )
 
 
-class _FlightTap:
-    """Span listener feeding finished probe spans to the flight recorder.
-
-    On a probe span's start it marks the event log and exchange buffer;
-    on its end it hands the recorder the span plus everything logged in
-    that window.  Non-probe spans pass through untouched, so the tap adds
-    no cost to the canonical pillars.
-    """
-
-    def __init__(self, events: EventLog, flight: FlightRecorder) -> None:
-        self.events = events
-        self.flight = flight
-        #: (span_id, event mark, exchange mark) for open probe spans
-        self._marks: list[tuple[int, int, int]] = []
-
-    def on_start(self, span: Span) -> None:
-        if span.name.startswith("probe:"):
-            self._marks.append(
-                (span.span_id, len(self.events), self.flight.exchange_mark())
-            )
-
-    def on_end(self, span: Span) -> None:
-        if self._marks and self._marks[-1][0] == span.span_id:
-            _, event_mark, exchange_mark = self._marks.pop()
-            self.flight.record(
-                span, self.events.since(event_mark), exchange_mark
-            )
-
-
 class Telemetry:
     """Shared observability handle: events + spans + metrics + flight."""
 
@@ -119,7 +94,6 @@ class Telemetry:
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(capacity=flight_capacity)
-        self.tracer.listener = _FlightTap(self.events, self.flight)
 
     # -- cross-pillar helpers ------------------------------------------------
 
@@ -147,6 +121,41 @@ class Telemetry:
         if quarantined:
             metric(FUNNEL_METRIC, stage=stage, flow="quarantined").inc(quarantined)
 
+    def probe_start(self) -> tuple:
+        """Open a probe window; hand the result to :meth:`probe_end`.
+
+        The window is the probe's leaf span plus its flight context:
+        every event logged and every plugin exchange noted until it
+        closes.  Probes are leaves (see :mod:`repro.obs.trace`): open
+        nothing else on this handle's tracer until the window is closed.
+        """
+        return (
+            self.tracer.leaf_start(),
+            len(self.events),
+            self.flight.exchange_mark(),
+        )
+
+    def probe_end(
+        self,
+        window: tuple,
+        name: str,
+        ip: IPv4Address,
+        port: int,
+        attrs: dict[str, object],
+    ) -> float:
+        """Close a probe window: one span row, and the flight recorder's
+        admission test.  Returns the probe's SimClock duration.  ``attrs``
+        is recorded as given, not copied: pass a mapping nobody writes to.
+        """
+        opened, event_mark, exchange_mark = window
+        row = self.tracer.leaf(name, opened, ip.value, port, attrs)
+        duration = row[END] - row[START]
+        self.flight.record_probe(
+            name, ip, port, row[START], duration, attrs,
+            self.events.since(event_mark), exchange_mark,
+        )
+        return duration
+
     def summary(self) -> TelemetrySummary:
         return TelemetrySummary(
             counters=self.metrics.counters_flat(),
@@ -158,19 +167,10 @@ class Telemetry:
 
     def export_jsonl(self) -> str:
         """Events then finished spans, one JSON object per line."""
-        lines = [
-            json.dumps(
-                {"kind": "event", **e.to_dict()},
-                sort_keys=True, separators=(", ", ": "),
-            )
-            for e in self.events
-        ]
+        lines = [_encode({"kind": "event", **e.to_dict()}) for e in self.events]
         lines.extend(
-            json.dumps(
-                {"kind": "span", **s.to_dict()},
-                sort_keys=True, separators=(", ", ": "),
-            )
-            for s in self.tracer.finished
+            _encode({"kind": "span", **row_to_dict(row)})
+            for row in self.tracer.finished.rows
         )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -218,11 +218,20 @@ class Telemetry:
         self.flight.absorb(other.flight)
 
     def absorb_state(self, state: dict) -> None:
-        """Absorb a telemetry snapshot (a shard result that round-tripped
-        through checkpoint serialisation)."""
-        shard = Telemetry()
-        shard.restore_state(state)
-        self.absorb(shard)
+        """:meth:`absorb` for a telemetry snapshot (a shard payload, as it
+        comes back from a worker or out of a checkpoint).  The span rows
+        are rebased straight out of the snapshot; the three small pillars
+        are restored into throwaway objects and absorbed."""
+        events, metrics = EventLog(), MetricsRegistry()
+        events.restore_state(state["events"])
+        metrics.restore_state(state["metrics"])
+        self.events.absorb(events)
+        self.tracer.absorb_state(state["tracer"])
+        self.metrics.absorb(metrics)
+        if state.get("flight") is not None:
+            flight = FlightRecorder()
+            flight.restore_state(state["flight"])
+            self.flight.absorb(flight)
 
     # -- checkpoint support --------------------------------------------------
 

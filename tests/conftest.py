@@ -18,6 +18,23 @@ from repro.experiments.observe import run_observer_study
 from repro.experiments.scan import run_scan_study
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
+from repro.obs.trace import Span
+
+
+@pytest.fixture
+def spans_built(monkeypatch) -> list[str]:
+    """The name of every ``Span`` constructed while the test runs, in
+    order: open handles and views alike.  The per-host span record is
+    rows, so whatever scales with hosts must leave this list alone."""
+    built: list[str] = []
+    init = Span.__init__
+
+    def counted(self, span_id, parent_id, name, *args, **kwargs):
+        built.append(name)
+        init(self, span_id, parent_id, name, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counted)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,7 @@ class TestCheckpointer:
     @pytest.mark.parametrize("content", [
         b'{"format_version": 1, "seed": 3}',  # the old whole-state snapshot
         b"repro-checkpoint-journal v1\n",
+        b'repro-checkpoint-journal v2\n0af73c42 {"n": 1}\n',
         b"repro-checkpoint-journal v999\n00000000 {}\n",
     ])
     def test_old_or_unknown_format_refused(self, tmp_path, content):

@@ -4,7 +4,8 @@
 module drives real sweeps:
 
 * a save costs what the sweep added since the last one — pinned by exact
-  serialiser call counts and file sizes, never by time;
+  serialiser call, span-object and journal-row counts and file sizes,
+  never by time;
 * a journal cut anywhere inside its last record resumes from the record
   before it, and a damaged middle record is refused;
 * a sweep killed after *any* save resumes to the uninterrupted report
@@ -28,7 +29,6 @@ from repro.net.intervals import CompressedPopulation
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import Span
 from repro.util.errors import CheckpointCorrupt, ConfigError
 from tests.core.test_determinism_matrix import artifacts, sweep
 from tests.core.test_parallel import CrashingCheckpointer, SimulatedCrash
@@ -64,7 +64,7 @@ class KeptCheckpointer(Checkpointer):
         self.saves += 1
         if self.tracer is not None:
             self.open_spans += self.tracer.depth
-            self.finished_spans = len(self.tracer.finished)
+            self.finished_spans = self.tracer.finished_count
 
     def clear(self):
         pass
@@ -83,22 +83,16 @@ def census():
 
 class TestSavesCostTheirGrowth:
     def test_sequential_sweep_serialises_everything_once(
-        self, census, tmp_path, monkeypatch
+        self, census, tmp_path, monkeypatch, spans_built
     ):
         transport, frame = census
-        calls = {"span": 0, "finding": 0}
-        span_to_dict = Span.to_dict
+        calls = {"finding": 0}
         finding_to_dict = serialize.finding_to_dict
-
-        def counted_span(span):
-            calls["span"] += 1
-            return span_to_dict(span)
 
         def counted_finding(finding):
             calls["finding"] += 1
             return finding_to_dict(finding)
 
-        monkeypatch.setattr(Span, "to_dict", counted_span)
         monkeypatch.setattr(serialize, "finding_to_dict", counted_finding)
 
         telemetry = Telemetry()
@@ -112,10 +106,26 @@ class TestSavesCostTheirGrowth:
         assert checkpoint.saves == SAVES
         assert len(report.findings) > 1000
         assert calls["finding"] == len(report.findings)
-        # every finished span once, plus the open stack (the sweep span)
-        # each save carries whole
+        # The span record is rows from the probe to the file: the sweep
+        # built a Span for each span whose attrs it fills in while it is
+        # open and for nothing else — not per probe, not per fingerprint,
+        # and not one in eight saves.
+        assert sorted(set(spans_built)) == [
+            "batch", "stage:masscan", "stage:prefilter", "stage:tsunami", "sweep",
+        ]
+        assert len(spans_built) == 1 + 4 * SAVES
+        assert checkpoint.finished_spans > 2 * len(report.findings)
+        # every finished row is written once, and the open stack (the
+        # sweep span) rides whole on each save
+        records = read_journal(path)
         assert checkpoint.open_spans == SAVES
-        assert calls["span"] == checkpoint.finished_spans + checkpoint.open_spans
+        assert [len(r["telemetry"]["tracer"]["open"]) for r in records] == [1] * SAVES
+        written = [
+            row[0] for r in records
+            for row in r["growth"]["telemetry.tracer.finished"]
+        ]
+        # ... span 0 is the sweep, still open at the last save
+        assert sorted(written) == list(range(1, checkpoint.finished_spans + 1))
         assert path.stat().st_size <= 1.25 * snapshot_bytes(path)
 
     def test_shard_engine_writes_each_payload_once(self, census, tmp_path):
@@ -280,6 +290,27 @@ class TestKillAfterEverySave:
         killed_journal(path, "chaos", None, "thread", 4)
         assert [r["batches_done"] for r in read_journal(path)] == list(range(1, 8))
         assert resume(path, "chaos") == sequential_golden("chaos")
+
+
+class TestVersionTwoJournalsAreRefused:
+    """Format 2 carried one dict per finished span where format 3 carries
+    a row; there is no reading one as the other, so the version in the
+    header line decides and nothing else is looked at."""
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "shard"])
+    def test_refused_and_left_untouched(self, workers, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        killed_journal(path, "clean", workers, "thread", 1)
+        header, newline, records = path.read_bytes().partition(b"\n")
+        assert header == b"repro-checkpoint-journal v3"
+        version_two = b"repro-checkpoint-journal v2" + newline + records
+        path.write_bytes(version_two)
+        with pytest.raises(ConfigError, match="not a version-3 checkpoint journal"):
+            resume(path, "clean", workers)
+        assert path.read_bytes() == version_two
+        with pytest.raises(ConfigError):
+            Checkpointer(path).save({"n": 1})
+        assert path.read_bytes() == version_two
 
 
 class TestJournalBelongsToItsDriver:

@@ -8,6 +8,7 @@ from repro.net.ipv4 import (
     MAX_IPV4,
     IPv4Address,
     IPv4Network,
+    dotted_quad,
     iana_reserved_networks,
     is_reserved,
     scannable_address_count,
@@ -48,6 +49,27 @@ class TestIPv4Address:
     def test_str_parse_roundtrip_property(self, value):
         address = IPv4Address(value)
         assert IPv4Address.parse(str(address)) == address
+        # one rendering, with or without the object, and it is the
+        # octets joined: the form every report and golden already holds
+        assert str(address) == dotted_quad(value)
+        assert str(address) == ".".join(str(o) for o in address.octets)
+
+    @pytest.mark.parametrize("value", [
+        0, 1, 255, 256, 257, 2**16 - 1, 2**16, 2**24 - 1, 2**24,
+        2**31 - 1, 2**31, MAX_IPV4 - 255, MAX_IPV4 - 1, MAX_IPV4,
+        0xFF000000, 0x00FF0000, 0x0000FF00, 0x01020304, 0x0A00000A,
+    ])
+    def test_str_at_the_octet_boundaries(self, value):
+        address = IPv4Address(value)
+        text = str(address)
+        assert IPv4Address.parse(text) == address
+        assert text == dotted_quad(value) == ".".join(map(str, address.octets))
+
+    def test_dotted_quads_do_not_sort_numerically(self):
+        """Readers that order by the rendered host (the flight recorder's
+        tie-break) order by string: keep that in mind, and keep it so."""
+        nine, ten = IPv4Address.parse("10.0.0.9"), IPv4Address.parse("10.0.0.10")
+        assert nine < ten and str(nine) > str(ten)
 
 
 class TestIPv4Network:

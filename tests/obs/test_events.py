@@ -52,6 +52,19 @@ class TestEventLog:
         assert log.info("pipeline", "batch-complete") is not None
         assert len(log) == 1
 
+    def test_wants_answers_for_emit_and_counts_like_it(self):
+        """Callers ask before building a debug event's arguments; a "no"
+        is the suppression, counted once, as the emit would have been."""
+        log = EventLog(min_level="info")
+        assert not log.wants("debug")
+        assert log.suppressed == 1 and len(log) == 0
+        assert log.wants("info") and log.wants("error")
+        assert log.suppressed == 1
+        loud = EventLog(min_level="debug")
+        assert loud.wants("debug") and loud.suppressed == 0
+        with pytest.raises(KeyError):
+            log.wants("verbose")
+
     def test_debug_level_keeps_everything(self):
         log = EventLog(min_level="debug")
         log.debug("chaos", "fault")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.ipv4 import IPv4Address
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder, _record_key
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Span
@@ -208,6 +209,53 @@ class TestAdmission:
                 shard, oracle_shard = FlightRecorder(capacity), BuildSortTrim(capacity)
         assert folded.to_dict() == oracle.to_dict()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        probes=st.lists(
+            st.tuples(
+                # string order of these is not their numeric order
+                st.sampled_from([
+                    "10.0.0.9", "10.0.0.10", "10.0.0.100", "9.255.255.255",
+                    "100.0.0.1", "20.0.0.1", "2.0.0.1",
+                ]),
+                st.sampled_from([80, 443]),
+                st.sampled_from(["probe:a", "probe:b"]),
+            ),
+            max_size=150,
+        ),
+        capacity=st.integers(1, 5),
+    )
+    def test_lazy_tie_break_in_a_clockless_sweep(self, probes, capacity):
+        """Without a clock every duration and start is zero, every probe
+        ties with the bar on ``(-duration, start)`` and the rendered host
+        decides.  Fed as the engine feeds it — the address object, rendered
+        only if it comes to that — against eagerly built records."""
+        flight, oracle = FlightRecorder(capacity), BuildSortTrim(capacity)
+        for index, (host, port, name) in enumerate(probes):
+            flight.record_probe(
+                name, IPv4Address.parse(host), port, 0.0, 0.0,
+                {"tag": index}, (), flight.exchange_mark(),
+            )
+            oracle.record(probe_span(0.0, host=host, port=port, name=name), index)
+        assert flight.to_dict() == oracle.to_dict()
+
+    def test_the_host_is_rendered_only_on_a_tie(self):
+        flight = FlightRecorder(capacity=1)
+        for index in range(8):  # compacts: the bar is (-5.0, 0.0, ...)
+            record_probe(flight, 5.0, start=float(index))
+
+        class Unrendered:
+            def __str__(self):
+                raise AssertionError("the host was rendered")
+
+        flight.record_probe("probe:x", Unrendered(), 80, 0.0, 1.0, {}, (), 0)
+        flight.record_probe("probe:x", Unrendered(), 80, 1.0, 5.0, {}, (), 0)
+        assert flight.probes_seen == 10
+        with pytest.raises(AssertionError, match="rendered"):  # a tie, or a win
+            flight.record_probe("probe:x", Unrendered(), 80, 0.0, 5.0, {}, (), 0)
+        with pytest.raises(AssertionError, match="rendered"):
+            flight.record_probe("probe:x", Unrendered(), 80, 0.0, 9.0, {}, (), 0)
+
     def test_a_rejected_probe_builds_nothing_and_clears_its_window(self):
         flight = FlightRecorder(capacity=1)
         for index in range(8):  # past capacity * slack: compacts, sets the bar
@@ -229,15 +277,18 @@ class TestAdmission:
 
 
 class TestTelemetryTap:
-    """The recorder wired through the telemetry handle's span listener."""
+    """The recorder fed through the telemetry handle's probe window."""
 
     def run_probe(self, telemetry, clock, slug, host, duration):
-        tracer = telemetry.tracer
-        tracer.start(f"probe:{slug}", host=host, port=80)
+        window = telemetry.probe_start()
         telemetry.events.info("tsunami", "attempt", host=host)
         telemetry.flight.note_exchange("/check", status=200, body_bytes=5)
         clock.advance(duration)
-        tracer.end()
+        measured = telemetry.probe_end(
+            window, f"probe:{slug}", IPv4Address.parse(host), 80,
+            {"verdict": "clean"},
+        )
+        assert measured == duration
 
     def test_probe_spans_feed_the_recorder(self):
         clock = SimClock()
@@ -252,6 +303,14 @@ class TestTelemetryTap:
             {"path": "/check", "status": 200, "body_bytes": 5}
         ]
         assert [e["event"] for e in records[0]["events"]] == ["attempt"]
+        assert records[0]["host"] == "10.0.0.2" and records[0]["port"] == 80
+        assert records[0]["attrs"] == {"verdict": "clean"}
+        # the same two probes are the sweep's children in the span record
+        sweep = telemetry.tracer.spans_named("sweep")[0]
+        assert [
+            (s.name, s.attrs["host"], s.duration)
+            for s in telemetry.tracer.children_of(sweep)
+        ] == [("probe:jenkins", "10.0.0.1", 3.0), ("probe:docker", "10.0.0.2", 5.0)]
 
     def test_non_probe_spans_are_ignored(self):
         telemetry = Telemetry(clock=SimClock())

@@ -20,7 +20,8 @@ from repro.net.host import Host, Service
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport, Transport
-from repro.obs.telemetry import FUNNEL_STAGES
+from repro.obs.events import EventLog
+from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.util.clock import SimClock
 
 APPS = (
@@ -135,7 +136,7 @@ PLAN = FaultPlan(
 )
 
 
-def run_arm(die_after=None, checkpoint=None, seed=3):
+def run_arm(die_after=None, checkpoint=None, seed=3, events_level="info"):
     """One pipeline sweep over a freshly built chaotic world."""
     internet, ips = build_world(decoys=0)
     clock = SimClock()
@@ -147,10 +148,38 @@ def run_arm(die_after=None, checkpoint=None, seed=3):
     pipeline = ScanPipeline(
         transport, scanned_ports(), seed=seed, batch_size=3, fingerprint=False,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
-        clock=clock,
+        clock=clock, telemetry=Telemetry(clock=clock, events_level=events_level),
     )
     report = pipeline.run(ips, checkpoint=checkpoint)
     return pipeline, report
+
+
+class TestSuppressedDebugEvents:
+    """The three per-probe debug events (a chaos fault, an exhausted
+    retry, a signature match) are asked for before they are built."""
+
+    def test_suppressed_ones_are_counted_but_never_built(self, monkeypatch):
+        loud, _ = run_arm(events_level="debug")
+        debug_events = loud.telemetry.events.select(level="debug")
+        assert {(e.stage, e.name) for e in debug_events} == {
+            ("chaos", "fault"), ("retry", "exhausted"),
+            ("prefilter", "signature-match"),
+        }
+        assert loud.telemetry.events.suppressed == 0
+        match = loud.telemetry.events.select(name="signature-match")[0]
+        assert isinstance(dict(match.fields)["candidates"], list)
+
+        def built(self, *args, **fields):
+            raise AssertionError(f"a suppressed debug event was built: {args}")
+
+        monkeypatch.setattr(EventLog, "debug", built)
+        quiet, _ = run_arm()
+        assert quiet.telemetry.events.suppressed == len(debug_events)
+        assert quiet.telemetry.events.select(level="debug") == []
+        # the events that are kept are the same ones either way
+        assert [e.to_dict() for e in quiet.telemetry.events] == [
+            e.to_dict() for e in loud.telemetry.events if e.level != "debug"
+        ]
 
 
 class TestResumeTelemetry:
