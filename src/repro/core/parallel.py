@@ -94,16 +94,10 @@ PICKLE_BOUNDARY_TYPES = (
 )
 
 
-def _rebuild_interval_shard(
-    index: int, seed: int, runs: tuple[tuple[int, int], ...]
-) -> "Shard":
-    return Shard(index, seed, IntervalSet(runs))
-
-
 class Shard:
     """One /24-aligned slice of the candidate frame.
 
-    ``addresses`` is an :class:`~repro.net.intervals.IntervalSet` and
+    ``addresses`` is an :class:`~repro.net.intervals.IntervalSet`, which
     pickles as its runs, so a multi-million-address shard crosses the
     process boundary in a handful of pairs.
     """
@@ -114,11 +108,6 @@ class Shard:
         self.index = index
         self.seed = seed
         self.addresses = addresses
-
-    def __reduce__(self):
-        return _rebuild_interval_shard, (
-            self.index, self.seed, self.addresses.runs,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Shard(index={self.index}, addresses={len(self.addresses)})"

@@ -163,11 +163,6 @@ SIGNATURES: dict[str, tuple[str, ...]] = {
     ),
 }
 
-_COMPILED: dict[str, tuple[re.Pattern[str], ...]] = {
-    slug: tuple(re.compile(pattern) for pattern in patterns)
-    for slug, patterns in SIGNATURES.items()
-}
-
 
 def signature_count() -> int:
     """Total signatures in the corpus (the paper reports 90)."""
@@ -191,8 +186,8 @@ def signature_count() -> int:
 #    the 90 shipped ones) are verified by their own compiled regex.
 #
 # The result is bit-identical to the one-regex-at-a-time reference
-# (``match_signatures_naive``), which the regression tests pin over the
-# full canned-page corpus.
+# (``match_signatures_naive`` in ``tests/core/reference_matcher.py``),
+# which the regression tests pin over the full canned-page corpus.
 
 _parser = re._parser  # the stdlib sre parser (``sre_parse``'s new home)
 
@@ -341,20 +336,6 @@ def match_signatures(body: str) -> tuple[str, ...]:
     serve the same landing page on every host.
     """
     return _MATCHER.match(body)
-
-
-def match_signatures_naive(body: str) -> tuple[str, ...]:
-    """Reference implementation: one regex at a time, up to 90 scans.
-
-    Kept as the ground truth the single-pass matcher is regression-tested
-    against (and as the baseline the throughput bench times).
-    """
-    matches = [
-        slug
-        for slug, patterns in _COMPILED.items()
-        if any(pattern.search(body) for pattern in patterns)
-    ]
-    return tuple(matches)
 
 
 @dataclass(frozen=True)

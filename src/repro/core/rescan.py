@@ -50,7 +50,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.masscan import PortScanResult
@@ -487,28 +487,3 @@ class RescanEngine:
                 json.dumps(report_to_dict(prior.report), sort_keys=True)
             )
         return stable_hash(frame.runs, sorted(hinted), prior_digest)
-
-
-def run_full_sweep(
-    transport: object,
-    ports: Sequence[int],
-    frame: IntervalSet,
-    seed: int = 0,
-    batch_size: int = 4096,
-    fingerprint: bool = True,
-    knowledge_base: object | None = None,
-) -> ScanReport:
-    """A from-scratch sequential pipeline sweep (the equivalence oracle).
-
-    The longevity experiment and the determinism tests compare incremental
-    reports against this — same configuration the engine builds internally.
-    """
-    pipe = ScanPipeline(
-        transport=transport,
-        ports=tuple(ports),
-        seed=seed,
-        batch_size=batch_size,
-        fingerprint=fingerprint,
-        knowledge_base=knowledge_base,
-    )
-    return pipe.run(frame)

@@ -141,6 +141,11 @@ class IntervalSet:
     def __hash__(self) -> int:
         return hash(self._runs)
 
+    def __reduce__(self):
+        # pickle as the runs alone: a multi-million-address frame crosses
+        # a process boundary in a handful of pairs, whoever holds it
+        return IntervalSet, (self._runs,)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntervalSet({self._count} addresses, {len(self._runs)} runs)"
 

@@ -288,7 +288,7 @@ class WallProfile:
         """Distribution of per-shard wall times plus the slowest ``top``.
 
         A 100M-address sweep shards into hundreds of /24 groups; dumping
-        every shard's wall time made the bench file scale with the frame.
+        every shard's wall time made the profile dump scale with the frame.
         The distribution plus the worst offenders is what a regression
         hunt actually reads.
         """

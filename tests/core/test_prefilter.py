@@ -172,7 +172,7 @@ class TestSinglePassMatcherEquivalence:
         ]
 
     def test_identical_candidate_sets_on_corpus(self):
-        from repro.core.prefilter import match_signatures_naive
+        from tests.core.reference_matcher import match_signatures_naive
 
         bodies = self._corpus_bodies() + self._adversarial_bodies()
         assert len(bodies) > 90  # the corpus really loaded

@@ -3,7 +3,7 @@
 import pickle
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.attacks import (
@@ -490,6 +490,30 @@ def test_shards_partition_the_frame(runs, shard_blocks):
     ) == frame
 
 
+@given(_interval_set)
+@example([])
+@example([(5, 5)])
+@example([(0, 10**7)])
+def test_interval_set_pickles_as_its_runs(runs):
+    """The frame is what has a compact form, so it pickles as its runs
+    and whatever holds one — a planned shard — crosses the process
+    boundary compactly without a ``__reduce__`` of its own."""
+    from repro.core.parallel import plan_shards
+    from repro.net.intervals import IntervalSet
+
+    s = IntervalSet(runs)
+    clone = _clone(s)
+    assert clone == s
+    assert hash(clone) == hash(s)
+    assert len(clone) == len(s)
+    # bytes grow with the runs, never with the addresses they cover
+    assert len(pickle.dumps(s)) < 80 + 20 * len(s.runs)
+    for shard in plan_shards(s, seed=7, shard_blocks=4, exclude_reserved=False):
+        twin = _clone(shard)
+        assert (twin.index, twin.seed) == (shard.index, shard.seed)
+        assert twin.addresses == shard.addresses
+
+
 @given(_interval_set, st.integers(min_value=0, max_value=3000))
 def test_interval_take_is_lowest_prefix(runs, count):
     from repro.net.intervals import IntervalSet
@@ -538,11 +562,8 @@ def _salted_corpus_pages(salts: int) -> list[str]:
     st.randoms(use_true_random=False),
 )
 def test_memoised_match_signatures_equals_naive_through_eviction(extra, rng):
-    from repro.core.prefilter import (
-        MATCH_CACHE_SIZE,
-        match_signatures,
-        match_signatures_naive,
-    )
+    from repro.core.prefilter import MATCH_CACHE_SIZE, match_signatures
+    from tests.core.reference_matcher import match_signatures_naive
 
     pool = _salted_corpus_pages(salts=6) + extra
     assert len(set(pool)) > MATCH_CACHE_SIZE  # more bodies than the cache holds
