@@ -47,6 +47,7 @@ replay from the checkpointed ledger, and the rest runs live.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -55,7 +56,7 @@ from typing import Iterable
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.masscan import PortScanResult
 from repro.core.pipeline import ScanPipeline, ScanReport
-from repro.core.prefilter import PrefilterFinding
+from repro.core.prefilter import PrefilterFinding, PrefilterStats
 from repro.core.serialize import (
     finding_from_dict,
     finding_to_dict,
@@ -65,8 +66,9 @@ from repro.core.serialize import (
 from repro.net.http import Scheme
 from repro.net.intervals import BLOCK_MASK, IntervalSet
 from repro.net.ipv4 import IPv4Address
+from repro.obs.metrics import flat_name
 from repro.obs.telemetry import TelemetrySummary
-from repro.util.errors import ConfigError
+from repro.util.errors import CheckpointCorrupt, ConfigError, RecordWindowError
 from repro.util.rand import stable_hash
 
 RESCAN_FORMAT_VERSION = 1
@@ -93,19 +95,6 @@ class HostRecord:
     counters: dict[str, float] = field(default_factory=dict)
     events: int = 0
     spans: int = 0
-
-    def charge(
-        self,
-        before: tuple[dict[str, float], int, int],
-        after: tuple[dict[str, float], int, int],
-    ) -> None:
-        """Fold a captured live-telemetry delta into this record."""
-        for name, value in after[0].items():
-            delta = value - before[0].get(name, 0.0)
-            if delta:
-                self.counters[name] = self.counters.get(name, 0.0) + delta
-        self.events += after[1] - before[1]
-        self.spans += after[2] - before[2]
 
     def to_dict(self) -> dict:
         return {
@@ -183,21 +172,41 @@ class RescanState:
 
 
 def save_rescan_state(state: RescanState, path: str | Path) -> None:
-    """Write a sweep's replayable state as JSON (``--rescan-from`` input)."""
-    Path(path).write_text(json.dumps(state.to_dict(), indent=1))
+    """Write a sweep's replayable state as JSON (``--rescan-from`` input).
+
+    The file is a campaign's only copy of its state, so it is replaced
+    whole or not at all: written to a sibling temp file, made durable,
+    then renamed over ``path``.
+    """
+    path = Path(path)
+    scratch = path.with_name(path.name + ".tmp")
+    with open(scratch, "w") as out:
+        out.write(json.dumps(state.to_dict(), indent=1))
+        out.flush()
+        os.fsync(out.fileno())
+    os.replace(scratch, path)
 
 
 def load_rescan_state(path: str | Path) -> RescanState:
     """Load a state previously written by :func:`save_rescan_state`."""
-    return RescanState.from_dict(json.loads(Path(path).read_text()))
+    try:
+        return RescanState.from_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        raise CheckpointCorrupt(
+            f"rescan state file {path} is damaged: {error!r}"
+        ) from error
 
 
-def _capture(tel) -> tuple[dict[str, float], int, int]:
-    return (
-        tel.metrics.counters_flat(),
-        len(tel.events),
-        tel.tracer.finished_count,
-    )
+@dataclass
+class _NotedStats(PrefilterStats):
+    """Stage-II stats that also list, in order, what a fresh host's probe
+    noted: a record's ``responses``, taken where a replay puts them back."""
+
+    noted: list[tuple[int, str]] = field(default_factory=list)
+
+    def note(self, ip: IPv4Address, port: int, scheme: Scheme) -> None:
+        super().note(ip, port, scheme)
+        self.noted.append((port, scheme.value))
 
 
 class _ReplayingPipeline(ScanPipeline):
@@ -206,12 +215,22 @@ class _ReplayingPipeline(ScanPipeline):
     The sweep itself — spans, events, funnel and coverage charges — is
     the base class's batch step, untouched.  Only its two host steps are
     overridden: a host found in ``replay`` contributes its ledger record
-    without touching the network, any other host runs the real stage and
-    has the telemetry delta it produced written to a fresh record.
+    without touching the network, any other host runs the real stage
+    inside a *window* and has what it wrote there put in a fresh record.
+
+    The window contract.  Every counter a host step writes is an add
+    into ``MetricsRegistry.pending`` (see :mod:`repro.obs.metrics`), so
+    the step's counter delta is already a dict the size of what the host
+    touched: opening a window publishes, which leaves ``pending`` empty,
+    and closing it reads ``pending`` back — never the registry.  Nothing
+    may read the registry in between: a read publishes, and the adds it
+    folds in are gone from ``pending``; a window that finds one was made
+    raises :class:`~repro.util.errors.RecordWindowError`.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._prefilter.stats = _NotedStats()
         #: ledger records the current batch may replay, by host value
         self.replay: dict[int, HostRecord] = {}
         #: prior-sweep finding objects a replayed host may share
@@ -220,13 +239,50 @@ class _ReplayingPipeline(ScanPipeline):
         self.records: dict[int, HostRecord] = {}
         #: what the replayed hosts' stage-II/III work would have counted
         self.synthetic = TelemetrySummary()
+        #: series key -> flat name, built once per series a window closed on
+        self._flat_names: dict[tuple, str] = {}
+
+    def _open_window(self) -> tuple[int, int, int]:
+        """Start recording one fresh host step; hand the result to
+        :meth:`_close_window`."""
+        tel = self.telemetry
+        tel.metrics.publish()
+        return tel.metrics.publishes, len(tel.events), tel.tracer.finished_count
+
+    def _close_window(
+        self, window: tuple[int, int, int], record: HostRecord
+    ) -> None:
+        """Add to ``record`` what the host step wrote since ``window``."""
+        tel = self.telemetry
+        publishes, events, spans = window
+        if tel.metrics.publishes != publishes:
+            raise RecordWindowError(
+                f"the metrics registry was read while host "
+                f"{IPv4Address(record.value)} was being recorded: the read "
+                "published the counts the record is made of"
+            )
+        pending = tel.metrics.pending
+        counters, flat_names = record.counters, self._flat_names
+        # In series-key order, the order of a sorted registry snapshot: a
+        # record's counters are listed in the order a state file has them.
+        for key in sorted(pending):
+            amount = pending[key]
+            if amount:
+                name = flat_names.get(key)
+                if name is None:
+                    name = flat_names[key] = flat_name(*key)
+                counters[name] = counters.get(name, 0.0) + amount
+        record.events += len(tel.events) - events
+        record.spans += tel.tracer.finished_count - spans
 
     def _probe_host(self, ip, ports) -> list[PrefilterFinding]:
         stats = self._prefilter.stats
         record = self.replay.get(ip.value)
         if record is not None:
+            # The base tally: a replayed host is not noted a second time.
+            note = PrefilterStats.note
             for port, scheme in record.responses:
-                stats.note(ip, port, Scheme(scheme))
+                note(stats, ip, port, Scheme(scheme))
             self.records[ip.value] = record
             # A record carries a TelemetrySummary's three fields, so it
             # folds in directly — no per-host summary object.
@@ -236,21 +292,11 @@ class _ReplayingPipeline(ScanPipeline):
             # A token, not a finding: it makes the host a stage-III
             # candidate whose finding _verify_and_fingerprint installs.
             return [PrefilterFinding(ip, 0, Scheme.HTTP, (), "")]
-        before = _capture(self.telemetry)
-        http_seen = dict(stats.http_responses)
-        https_seen = dict(stats.https_responses)
+        stats.noted.clear()
+        window = self._open_window()
         findings = super()._probe_host(ip, ports)
-        responses = []
-        for port in ports:
-            for scheme in self._prefilter.schemes_for_port(port):
-                if scheme is Scheme.HTTP:
-                    seen, now = http_seen, stats.http_responses
-                else:
-                    seen, now = https_seen, stats.https_responses
-                if now.get(port, 0) > seen.get(port, 0):
-                    responses.append((port, scheme.value))
-        record = self.records[ip.value] = HostRecord(ip.value, tuple(responses))
-        record.charge(before, _capture(self.telemetry))
+        record = self.records[ip.value] = HostRecord(ip.value, tuple(stats.noted))
+        self._close_window(window, record)
         return findings
 
     def _verify_and_fingerprint(self, finding, report) -> None:
@@ -262,10 +308,10 @@ class _ReplayingPipeline(ScanPipeline):
                 host_finding = finding_from_dict(record.finding)
             report.findings[value] = host_finding
             return
-        before = _capture(self.telemetry)
+        window = self._open_window()
         super()._verify_and_fingerprint(finding, report)
         record = self.records[value]
-        record.charge(before, _capture(self.telemetry))
+        self._close_window(window, record)
         record.finding = finding_to_dict(report.findings[value])
 
     def _fold_stats(self, report: ScanReport) -> None:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, fields
 from repro.net.http import HttpRequest, HttpResponse, Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
 from repro.util.errors import ConnectionReset, ConnectionTimeout
@@ -55,6 +56,15 @@ _RATE_FIELDS = (
     "flap_rate",
     "outage_rate",
 )
+
+#: every fault kind ``ChaosTransport`` injects -> its counter series
+_FAULT_SERIES = {
+    kind: series_key("chaos_faults_total", kind=kind)
+    for kind in (
+        "outage", "flap", "syn-drop", "hang", "request-drop", "reset",
+        "slow", "stall", "poison", "truncate", "garble",
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -182,7 +192,10 @@ class ChaosTransport(Transport):
     def _note(self, kind: str, ip: IPv4Address | None = None) -> None:
         self.faults[kind] = self.faults.get(kind, 0) + 1
         if self.telemetry is not None:
-            self.telemetry.metrics.counter("chaos_faults_total", kind=kind).inc()
+            # A pending add: the registry folds it in when read.
+            pending = self.telemetry.metrics.pending
+            series = _FAULT_SERIES[kind]
+            pending[series] = pending.get(series, 0) + 1
             if self.telemetry.events.wants("debug"):
                 self.telemetry.events.debug("chaos", "fault", host=ip, kind=kind)
 

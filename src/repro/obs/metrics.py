@@ -165,6 +165,10 @@ class MetricsRegistry:
         #: publish hooks of writers that keep their own books, held
         #: weakly: a writer that is gone has published for the last time
         self._deferred: list[weakref.WeakMethod] = []
+        #: how many times :meth:`publish` has run.  Whoever reads its own
+        #: adds back out of ``pending`` (the re-scan ledger) compares two
+        #: readings to know that no publish took them away in between.
+        self.publishes = 0
 
     # -- deferred writers ----------------------------------------------------
 
@@ -184,6 +188,7 @@ class MetricsRegistry:
         writer's books in.  Every read accessor starts here; a sweep also
         calls it at batch boundaries, which bounds how stale
         :meth:`published_state` is."""
+        self.publishes += 1
         pending = self.pending
         if pending:
             counters = self._counters

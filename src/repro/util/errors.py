@@ -23,6 +23,20 @@ class CheckpointCorrupt(ReproError):
     dropped and resumed past.  A record before the tail that fails its
     checksum or does not parse means the file was damaged at rest;
     resuming from what is left would silently lose part of the sweep.
+    A re-scan state file is replaced whole, so one that is empty, cut
+    short, garbled or missing a section was damaged at rest too.
+    """
+
+
+class RecordWindowError(ReproError):
+    """The metrics registry was read while a host's record was being taken.
+
+    The re-scan ledger takes a freshly probed host's counter delta from
+    ``MetricsRegistry.pending``, between a publish that empties it and a
+    read of what the host added.  A registry read in between publishes,
+    which moves those adds out of ``pending``; the record would silently
+    lack them, so the sweep stops instead.  Deliberately *not* a
+    :class:`TransportError`: no stage may swallow it as a miss.
     """
 
 

@@ -8,6 +8,7 @@ scratch — only cheaper.  Every test here compares full
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
-from repro.util.errors import ConfigError
+from repro.util.errors import CheckpointCorrupt, ConfigError
 
 SEED = 20210603
 
@@ -121,6 +122,71 @@ class TestStatePersistence:
         assert loaded.records.keys() == baseline.records.keys()
         rescanned = engine.rescan(frame, loaded)
         assert dump(rescanned.report) == dump(fresh_oracle(world))
+
+    def test_save_replaces_the_file_whole_or_not_at_all(
+        self, tmp_path, monkeypatch
+    ):
+        """The file is a campaign's only copy of its state: it is made
+        durable under another name first, and a crash before the rename
+        leaves the previous one as it was."""
+        state = load_rescan_state(PARENT_STATE)
+        path = tmp_path / "state.json"
+        calls = []
+        for name in ("fsync", "replace"):
+            real = getattr(os, name)
+            monkeypatch.setattr(
+                os, name,
+                lambda *args, name=name, real=real: calls.append(name) or real(*args),
+            )
+        save_rescan_state(state, path)
+        assert calls == ["fsync", "replace"]
+        assert path.read_bytes() == PARENT_STATE.read_bytes()
+        assert os.listdir(tmp_path) == ["state.json"]  # no temp file left behind
+
+        def crash(fd):
+            raise OSError("simulated crash mid-write")
+
+        monkeypatch.setattr(os, "fsync", crash)
+        state.records.clear()
+        with pytest.raises(OSError):
+            save_rescan_state(state, path)
+        assert path.read_bytes() == PARENT_STATE.read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: "",
+        lambda text: text[: len(text) // 2],
+        lambda text: b"\xff\xfe\x00" + text.encode()[40:],
+        lambda text: "[]",
+        lambda text: _without(text, "records"),
+        lambda text: _without(text, "config", "ports"),
+        lambda text: _without(text, "records", 0, "counters"),
+    ], ids=[
+        "zero-length", "truncated", "garbled", "not-an-object",
+        "no-records", "no-ports", "record-without-counters",
+    ])
+    def test_a_damaged_state_file_is_refused_by_name(self, damage, tmp_path):
+        path = tmp_path / "state.json"
+        damaged = damage(PARENT_STATE.read_text())
+        path.write_bytes(damaged if isinstance(damaged, bytes) else damaged.encode())
+        with pytest.raises(CheckpointCorrupt, match="state.json"):
+            load_rescan_state(path)
+
+    def test_another_format_version_is_still_a_config_error(self, tmp_path):
+        payload = json.loads(PARENT_STATE.read_text())
+        payload["format_version"] += 1
+        (tmp_path / "state.json").write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="format version"):
+            load_rescan_state(tmp_path / "state.json")
+
+
+def _without(text: str, *path) -> str:
+    """The state file ``text`` with the entry at ``path`` deleted."""
+    payload = json.loads(text)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return json.dumps(payload)
 
 
 class TestConfigGuards:

@@ -217,6 +217,7 @@ class TestExecutorPublishing:
 DEFERRED = (
     "retry_", "masscan_", "prefilter_", "plugin_verdicts_total",
     "fingerprint_results_total", "crawler_fetches_total",
+    "chaos_faults_total",
 )
 
 
