@@ -43,15 +43,3 @@ def test_stage1_port_scan_only(benchmark, midsize_internet):
 
     result = benchmark(stage1)
     assert result.open_ports
-
-
-def test_rescan_throughput(benchmark, midsize_internet):
-    """The observer's three-hourly sweep must be cheap per host."""
-    transport = InMemoryTransport(midsize_internet)
-    pipeline = ScanPipeline(transport, scanned_ports(), fingerprint=False)
-    report = pipeline.run(midsize_internet.populated_addresses())
-    vulnerable = report.vulnerable_ips()
-    ports = {ip.value: report.port_scan.ports_of(ip) for ip in vulnerable}
-
-    rescan = benchmark(pipeline.rescan_hosts, vulnerable, ports)
-    assert len(rescan.vulnerable_ips()) == len(vulnerable)

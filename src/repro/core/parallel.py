@@ -40,6 +40,11 @@ payloads — plain JSON-safe data, the exact form a checkpoint stores —
 back over the result channel.  Because a payload is a pure function of
 the shard seed and the (read-only) forked transport, the two executors
 are byte-identical to each other and to ``workers=1``.
+
+Supervision is a field of the runner, not another engine: with
+``ScanPipeline.supervisor`` set, the same loop runs each shard under the
+escalation ladder of :mod:`repro.core.supervisor`, and the fold replays
+restarts and abandonments from the payloads, in shard order.
 """
 
 from __future__ import annotations
@@ -55,7 +60,14 @@ from dataclasses import dataclass
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
+from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_from_dict, report_to_dict
+from repro.core.supervisor import (
+    SupervisorConfig,
+    close_supervised_books,
+    note_shard_supervision,
+    run_supervised,
+)
 from repro.net.intervals import BLOCK_SIZE, FrameLike, IntervalSet, as_frame
 from repro.net.transport import TransportStats
 from repro.obs.profile import ProfileRollup, wall_now
@@ -170,6 +182,16 @@ class ShardRunner:
     knowledge_base: object
     retry_policy: object
     profile: bool
+    #: run every shard under the escalation ladder (restart budget,
+    #: deadlines, quarantine, crash injection): plain frozen config, so
+    #: it crosses the pickle boundary with the runner
+    supervisor: SupervisorConfig | None = None
+
+    def __post_init__(self) -> None:
+        # The quarantine gate lives in the retry executor, so supervised
+        # shards always run one (with the parent policy when given).
+        if self.supervisor is not None and self.retry_policy is None:
+            self.retry_policy = RetryPolicy()
 
     def run(self, shard: Shard) -> dict:
         start = wall_now() if self.profile else None
@@ -190,20 +212,19 @@ class ShardRunner:
         Everything mutable is created here and owned by this call: the
         forked transport, the shard clock (starting at zero), and the
         shard pipeline with its own telemetry, retry executor, and
-        breakers.  (The supervised runner overrides this with the
-        restart rung of the escalation ladder.)
+        breakers.  A supervised runner makes as many such universes as
+        the restart rung of the escalation ladder asks for.
         """
-        sub = self._build_pipeline(shard)
-        report = sub.run(shard.addresses)
-        return self._payload(shard, sub, report)
+        if self.supervisor is not None:
+            return run_supervised(self, shard)
+        sub = self.build_pipeline(shard, SimClock())
+        return self.payload(sub, sub.run(shard.addresses))
 
-    def _build_pipeline(self, shard: Shard, clock: SimClock | None = None, **extras):
-        """The shard's private pipeline.  The supervised runner passes the
-        clock its supervision watches plus further pipeline fields."""
+    def build_pipeline(self, shard: Shard, clock: SimClock, supervision=None):
+        """The shard's private pipeline on ``clock``, which a supervised
+        attempt's ``supervision`` watches."""
         from repro.core.pipeline import ScanPipeline
 
-        if clock is None:
-            clock = SimClock()
         return ScanPipeline(
             transport=self.transport.fork(shard.seed, clock),
             ports=self.ports,
@@ -215,10 +236,10 @@ class ShardRunner:
             retry_policy=self.retry_policy,
             clock=clock,
             profile=self.profile,
-            **extras,
+            supervision=supervision,
         )
 
-    def _payload(self, shard: Shard, sub, report) -> dict:
+    def payload(self, sub, report) -> dict:
         payload = {
             "report": report_to_dict(report),
             "telemetry": sub.telemetry.snapshot_state(),
@@ -276,34 +297,25 @@ def resolve_start_method(preferred: str | None = None) -> str:
 class ParallelScanEngine:
     """Run one sweep as concurrent, independently deterministic shards.
 
-    The engine borrows its configuration — and its fold targets (the
-    telemetry handle and transport stats) — from the parent
+    The engine borrows its whole configuration — sharding, executor,
+    supervision — and its fold targets (the telemetry handle and
+    transport stats) from the parent
     :class:`~repro.core.pipeline.ScanPipeline` that dispatched to it.
+    With ``pipeline.supervisor`` set every shard runs under the
+    escalation ladder of :mod:`repro.core.supervisor` and the fold closes
+    the coverage books, so a degraded report is one that reconciles.
     """
 
-    def __init__(
-        self,
-        pipeline,
-        workers: int,
-        shard_blocks: int = DEFAULT_SHARD_BLOCKS,
-        executor: str = "thread",
-        mp_start_method: str | None = None,
-    ) -> None:
-        if workers < 1:
+    def __init__(self, pipeline) -> None:
+        #: a sweep that is only supervised still runs as shards, on one worker
+        self.workers = 1 if pipeline.workers is None else pipeline.workers
+        if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if executor not in EXECUTORS:
+        if pipeline.executor not in EXECUTORS:
             raise ValueError(
-                f"unknown executor {executor!r}; pick from {EXECUTORS}"
+                f"unknown executor {pipeline.executor!r}; pick from {EXECUTORS}"
             )
         self.pipeline = pipeline
-        self.workers = workers
-        self.shard_blocks = shard_blocks
-        self.executor = executor
-        self.mp_start_method = mp_start_method
-        #: shards finished so far — progress accounting only, written
-        #: exclusively by the main-thread completion loop (workers
-        #: return payloads; they never touch engine state)
-        self._shards_done = 0
 
     # -- orchestration -------------------------------------------------------
 
@@ -314,7 +326,7 @@ class ParallelScanEngine:
     ):
         pipe = self.pipeline
         shards = plan_shards(
-            candidates, pipe.seed, self.shard_blocks,
+            candidates, pipe.seed, pipe.shard_blocks,
             exclude_reserved=pipe._masscan.exclude_reserved,
         )
         completed: dict[int, dict] = {}
@@ -353,7 +365,17 @@ class ParallelScanEngine:
                 knowledge_base = (
                     pipe.knowledge_base or build_default_knowledge_base()
                 )
-            runner = self._make_runner(knowledge_base)
+            runner = ShardRunner(
+                transport=pipe.transport,
+                ports=tuple(pipe.ports),
+                batch_size=pipe.batch_size,
+                fingerprint=pipe.fingerprint,
+                use_prefilter=pipe.use_prefilter,
+                knowledge_base=knowledge_base,
+                retry_policy=pipe.retry_policy,
+                profile=pipe.profile,
+                supervisor=pipe.supervisor,
+            )
             self._run_shards(runner, todo, completed, checkpoint, shards)
         report = self._fold(shards, completed)
         if checkpoint is not None:
@@ -363,24 +385,6 @@ class ParallelScanEngine:
         return report
 
     # -- shard execution ------------------------------------------------------
-
-    def _make_runner(
-        self, knowledge_base, runner_type=ShardRunner, **extras
-    ) -> ShardRunner:
-        """Bundle the pipeline's shard-relevant config into a runner (the
-        supervisor asks for its own runner type with supervision config)."""
-        pipe = self.pipeline
-        return runner_type(
-            transport=pipe.transport,
-            ports=tuple(pipe.ports),
-            batch_size=pipe.batch_size,
-            fingerprint=pipe.fingerprint,
-            use_prefilter=pipe.use_prefilter,
-            knowledge_base=knowledge_base,
-            retry_policy=pipe.retry_policy,
-            profile=pipe.profile,
-            **extras,
-        )
 
     def _run_shards(
         self,
@@ -397,14 +401,15 @@ class ParallelScanEngine:
         initializer (one pickle per worker) and execute
         ``_process_shard``, shipping payloads back over the result
         channel.  Either way workers run that callable and nothing else:
-        every console notification, the progress counter, and
-        checkpointing happen here on the main thread as results complete.
+        every console notification and checkpointing happen here on the
+        main thread as results complete.
         """
-        if self.executor == "process":
+        pipe = self.pipeline
+        if pipe.executor == "process":
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context(
-                    resolve_start_method(self.mp_start_method)
+                    resolve_start_method(pipe.mp_start_method)
                 ),
                 initializer=_init_worker,
                 initargs=(runner,),
@@ -413,7 +418,7 @@ class ParallelScanEngine:
         else:
             pool = ThreadPoolExecutor(max_workers=self.workers)
             work = runner.run
-        console = self.pipeline.console
+        console = pipe.console
         #: shards finished since the last save: a journal record carries
         #: only these, so each payload is written exactly once
         unsaved: list[int] = []
@@ -428,7 +433,8 @@ class ParallelScanEngine:
             for future in as_completed(futures):
                 shard = futures[future]
                 result = future.result()
-                self._note_shard_result(shard, result)
+                if console is not None:
+                    console.note_shard_done(shard.index, result)
                 completed[shard.index] = result
                 unsaved.append(shard.index)
                 if checkpoint is not None and checkpoint.due(len(completed)):
@@ -445,16 +451,6 @@ class ParallelScanEngine:
             # tests) must not wait out every queued shard; on the success
             # path there is nothing left to cancel.
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def _note_shard_result(self, shard: Shard, result: dict) -> None:
-        """Main-thread bookkeeping per completed shard: the progress
-        counter and console notification.  Worker callables return their
-        payload and nothing else, so the engine owns every write to its
-        own state."""
-        self._shards_done += 1
-        console = self.pipeline.console
-        if console is not None:
-            console.note_shard_done(shard.index, result)
 
     # -- fold (main thread) ---------------------------------------------------
 
@@ -490,22 +486,26 @@ class ParallelScanEngine:
                 "parallel", "shard-complete",
                 index=shard.index, addresses=payload["addresses"],
             )
-            self._note_shard_folded(shard, payload)
+            if pipe.supervisor is not None:
+                note_shard_supervision(
+                    telemetry.events, shard.index, payload["supervisor"]
+                )
         telemetry.events.info(
             "parallel", "sweep-complete",
             shards=len(shards),
             addresses=report.port_scan.addresses_scanned,
             awe_hosts=report.total_awe_hosts(),
         )
+        if pipe.supervisor is not None:
+            close_supervised_books(
+                report, telemetry.events,
+                [completed[shard.index]["supervisor"] for shard in shards],
+            )
         # Cumulative contract, like the sequential engine's _fold_stats:
         # the report carries the parent handle's summary, which now holds
         # every shard's counters plus the engine's own events.
         report.telemetry = telemetry.summary()
         return report
-
-    def _note_shard_folded(self, shard: Shard, payload: dict) -> None:
-        """Per-shard fold hook (the supervisor emits its restart and
-        abandonment record here, in canonical shard order)."""
 
     # -- checkpoint/resume ----------------------------------------------------
 
@@ -513,11 +513,14 @@ class ParallelScanEngine:
         """The knobs a checkpoint must match to be resumable by this
         engine — shared by the payload writer and the resume check."""
         pipe = self.pipeline
-        return {
+        config = {
             "engine": "parallel-shards",
             "seed": pipe.seed,
             "ports": list(pipe.ports),
             "batch_size": pipe.batch_size,
-            "shard_blocks": self.shard_blocks,
+            "shard_blocks": pipe.shard_blocks,
             "shards_total": len(shards),
         }
+        if pipe.supervisor is not None:
+            config.update(pipe.supervisor.resume_config())
+        return config

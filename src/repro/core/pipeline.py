@@ -38,6 +38,7 @@ from repro.core.tsunami.plugin import DetectionReport
 from repro.net.http import Scheme
 from repro.net.intervals import FrameLike
 from repro.net.ipv4 import IPv4Address
+from repro.net.transport import transport_layers
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
 from repro.obs.telemetry import Telemetry, TelemetrySummary
 from repro.util.clock import SimClock
@@ -200,12 +201,12 @@ class ScanPipeline:
     #: multiprocessing start method for the process executor (None =
     #: the REPRO_MP_START_METHOD env var, falling back to "spawn")
     mp_start_method: str | None = None
-    #: a SupervisorConfig: run the sweep under the supervised runtime
-    #: (escalation ladder, deadlines, quarantine); typed loosely to keep
-    #: this module import-cycle-free with repro.core.supervisor
+    #: a SupervisorConfig: run the sweep's shards under the supervised
+    #: runtime (escalation ladder, deadlines, quarantine); typed loosely
+    #: to keep this module import-cycle-free with repro.core.supervisor
     supervisor: object | None = None
-    #: runtime supervision handle for a shard-local pipeline — set by the
-    #: SweepSupervisor, never by callers
+    #: runtime supervision handle for a shard-local pipeline — set by a
+    #: supervised shard runner, never by callers
     supervision: object | None = None
     #: arm wall-clock span stamps and wall-time attribution.  Profiling
     #: never changes canonical output: wall numbers live only in the
@@ -226,15 +227,12 @@ class ScanPipeline:
         #: when profiling is off or the run was sequential)
         self.shard_profiles: dict[int, ProfileRollup] = {}
         # Telemetry-aware transports (ChaosTransport) join the shared
-        # handle unless the caller wired their own.  Decorator transports
-        # are unwrapped through their ``inner`` attribute.
-        target = self.transport
-        while target is not None:
-            if hasattr(target, "telemetry"):
-                if target.telemetry is None:
-                    target.telemetry = self.telemetry
+        # handle unless the caller wired their own.
+        for layer in transport_layers(self.transport):
+            if hasattr(layer, "telemetry"):
+                if layer.telemetry is None:
+                    layer.telemetry = self.telemetry
                 break
-            target = getattr(target, "inner", None)
         if self.retry_policy is not None:
             if self.circuit_breaker is None:
                 self.circuit_breaker = CircuitBreaker(
@@ -295,37 +293,18 @@ class ScanPipeline:
         component continues its random sequence where it stopped, so the
         final report equals an uninterrupted run's bit-for-bit.
 
-        With ``workers`` set, the sweep is dispatched to the sharded
-        parallel engine instead: shard-local pipelines run concurrently
-        and are folded deterministically (checkpoints then live at shard
-        boundaries).
-
-        With ``supervisor`` set, the sweep runs under the supervised
-        runtime — the sharded engine wrapped in an escalation ladder
-        with deadlines, watchdogs, and quarantine — and a degraded run
-        returns a partial report whose coverage ledger says exactly what
-        was given up.
+        With ``workers`` or ``supervisor`` set, the sweep is dispatched
+        to the sharded engine instead: shard-local pipelines run
+        concurrently and are folded deterministically (checkpoints then
+        live at shard boundaries).  Under ``supervisor`` each shard runs
+        inside an escalation ladder with deadlines, watchdogs, and
+        quarantine, and a degraded run returns a partial report whose
+        coverage ledger says exactly what was given up.
         """
-        if self.supervisor is not None and self.supervision is None:
-            from repro.core.supervisor import SweepSupervisor
-
-            engine = SweepSupervisor(
-                self,
-                workers=self.workers if self.workers is not None else 1,
-                shard_blocks=self.shard_blocks,
-                config=self.supervisor,
-                executor=self.executor,
-                mp_start_method=self.mp_start_method,
-            )
-            return engine.run(candidates, checkpoint)
-        if self.workers is not None:
+        if self.workers is not None or self.supervisor is not None:
             from repro.core.parallel import ParallelScanEngine
 
-            engine = ParallelScanEngine(
-                self, workers=self.workers, shard_blocks=self.shard_blocks,
-                executor=self.executor, mp_start_method=self.mp_start_method,
-            )
-            return engine.run(candidates, checkpoint)
+            return ParallelScanEngine(self).run(candidates, checkpoint)
         tel = self.telemetry
         if self.console is not None:
             self.console.attach_telemetry(tel)
@@ -363,37 +342,6 @@ class ScanPipeline:
             )
         if self.console is not None:
             self.console.finish_sweep(report)
-        return report
-
-    def rescan_hosts(
-        self, addresses: Sequence[IPv4Address], ports_by_host: dict[int, tuple[int, ...]] | None = None
-    ) -> ScanReport:
-        """Re-scan known hosts (the observer's three-hourly sweep).
-
-        Skips stage I's full port matrix when the interesting ports are
-        already known from a previous scan.
-        """
-        tel = self.telemetry
-        report = ScanReport()
-        scan = PortScanResult()
-        with tel.tracer.span("rescan", hosts=len(addresses)):
-            for ip in addresses:
-                ports = (
-                    ports_by_host.get(ip.value, self.ports)
-                    if ports_by_host
-                    else self.ports
-                )
-                open_ports = [p for p in ports if self._masscan.probe_port(ip, p)]
-                scan.addresses_scanned += 1
-                scan.probes_sent += len(ports)
-                scan.record(ip, open_ports)
-            report.port_scan.merge(scan)
-            self._run_later_stages(scan, report)
-        tel.events.info(
-            "pipeline", "rescan-complete",
-            hosts=len(addresses), open_hosts=len(scan.open_ports),
-        )
-        self._fold_stats(report)
         return report
 
     # -- internals -----------------------------------------------------------

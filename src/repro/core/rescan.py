@@ -66,6 +66,7 @@ from repro.core.serialize import (
 from repro.net.http import Scheme
 from repro.net.intervals import BLOCK_MASK, IntervalSet
 from repro.net.ipv4 import IPv4Address
+from repro.net.transport import transport_layers
 from repro.obs.metrics import flat_name
 from repro.obs.telemetry import TelemetrySummary
 from repro.util.errors import CheckpointCorrupt, ConfigError, RecordWindowError
@@ -326,7 +327,9 @@ class RescanEngine:
     The engine owns the determinism constraints: sweeps run sequentially
     (no workers), without retry or supervision — those paths consume
     per-probe randomness that replayed hosts would not consume, breaking
-    byte-identity.  Every sweep builds a fresh pipeline internally, so
+    byte-identity — and a sweep that can replay a host (a re-scan, or any
+    sweep handed a checkpoint) refuses a transport that carries such a
+    stream itself.  Every sweep builds a fresh pipeline internally, so
     telemetry, RNGs, and stage state always start from the seed.
     """
 
@@ -384,6 +387,8 @@ class RescanEngine:
             fingerprint=self.fingerprint,
             knowledge_base=self.knowledge_base,
         )
+        if prior is not None or checkpoint is not None:
+            self._check_replayable()
         config = {
             "engine": "rescan",
             "seed": self.seed,
@@ -500,6 +505,20 @@ class RescanEngine:
             if current_open.get(value) != ports:
                 churned.add(value & BLOCK_MASK)
         return churned
+
+    def _check_replayable(self) -> None:
+        """Raise ConfigError if a layer of the transport carries a per-call
+        stream (``snapshot_state``: state a resume must restore).  A
+        replayed host makes no calls, so every later host would meet
+        another stretch of it and the report would differ, silently."""
+        for layer in transport_layers(self.transport):
+            if callable(getattr(layer, "snapshot_state", None)):
+                raise ConfigError(
+                    f"{type(layer).__name__} answers from a per-call stream "
+                    "that replayed hosts would not advance; re-scans and "
+                    "checkpointed sweeps of the re-scan engine need a "
+                    "transport without one"
+                )
 
     def check_prior(self, frame: IntervalSet, prior: RescanState) -> None:
         """Raise ConfigError unless ``prior`` can seed a re-scan of ``frame``."""

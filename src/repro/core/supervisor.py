@@ -8,9 +8,11 @@ pathological host can stall a shard forever.  This module adds the third
 outcome real measurement infrastructure needs: **complete degraded**,
 with an exact account of what was given up.
 
-:class:`SweepSupervisor` wraps the sharded
-:class:`~repro.core.parallel.ParallelScanEngine` with an escalation
-ladder, every rung deterministic:
+Supervision is a field of the shard runner, not a second engine: a
+:class:`~repro.core.parallel.ShardRunner` carrying a
+:class:`SupervisorConfig` hands each shard to :func:`run_supervised`,
+and the sharded engine's fold replays what happened from the payloads.
+The escalation ladder, every rung deterministic:
 
 1. **retry** — the existing :class:`~repro.core.retry.RetryExecutor`
    handles transient transport faults (unchanged, but poison responses
@@ -42,29 +44,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.parallel import (
-    DEFAULT_SHARD_BLOCKS,
-    ParallelScanEngine,
-    Shard,
-    ShardRunner,
-)
-from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
 from repro.net.ipv4 import IPv4Address
-from repro.net.transport import TransportStats
+from repro.net.transport import TransportStats, transport_layers
 from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
 from repro.util.errors import ShardCrash
 
-#: worker-side entry point of the supervised runtime, consumed by the
-#: reprolint concurrency analyzer (see core/parallel.py for the base set)
-WORKER_ENTRY_POINTS = (
-    "repro.core.supervisor.SupervisedShardRunner.run",
-)
-
-#: the supervised runner and its config cross the pickle boundary whole
+#: the config crosses the pickle boundary as a field of the shard runner
+#: (consumed by the reprolint concurrency analyzer, see core/parallel.py)
 PICKLE_BOUNDARY_TYPES = (
-    "repro.core.supervisor.SupervisedShardRunner",
     "repro.core.supervisor.SupervisorConfig",
 )
 
@@ -128,6 +117,16 @@ class SupervisorConfig:
             if d is not None
         ]
         return min(deadlines) if deadlines else None
+
+    def resume_config(self) -> dict:
+        """The knobs a supervised checkpoint must match to be resumed."""
+        return {
+            "sweep_deadline": self.sweep_deadline,
+            "shard_deadline": self.shard_deadline,
+            "probe_deadline": self.probe_deadline,
+            "max_shard_restarts": self.max_shard_restarts,
+            "quarantine_threshold": self.quarantine_threshold,
+        }
 
 
 class Quarantine:
@@ -300,220 +299,124 @@ class ShardSupervision:
             self.telemetry.metrics.counter(name, **labels).inc()
 
 
-@dataclass
-class SupervisedShardRunner(ShardRunner):
-    """The shard runner with the escalation ladder's worker-side rungs.
+def run_supervised(runner, shard) -> dict:
+    """Run one shard under the restart rung of the ladder.
 
-    Like its base, this crosses the pickle boundary whole in process
-    mode, so everything the ladder needs inside a worker — restart
-    budget, deadlines, crash injection — must live in the (picklable)
-    :class:`SupervisorConfig`.  Custom ``crash_hook`` callables are a
-    thread-mode test hook only.
+    ``runner`` is the :class:`~repro.core.parallel.ShardRunner` whose
+    ``supervisor`` config asked for this.  Each attempt is a fresh
+    private universe with the same seeds — a fresh
+    :class:`ShardSupervision` on a fresh clock — so a retry after a
+    mid-shard crash cannot diverge from what an uninterrupted attempt
+    would have produced.  Only ``Exception`` triggers a restart: kill
+    signals (``BaseException``) must keep propagating or checkpoint/kill
+    tests would deadlock the ladder.
     """
-
-    config: SupervisorConfig = None  # always set by SweepSupervisor
-    crash_hook: object = None
-
-    def _execute(self, shard: Shard) -> dict:
-        """Run one shard under the restart rung of the ladder.
-
-        Each attempt is a fresh private universe with the same seeds, so
-        a retry after a mid-shard crash cannot diverge from what an
-        uninterrupted attempt would have produced.  Only ``Exception``
-        triggers a restart: kill signals (``BaseException``) must keep
-        propagating or checkpoint/kill tests would deadlock the ladder.
-        """
-        cfg = self.config
-        last: Exception | None = None
-        for attempt in range(cfg.max_shard_restarts + 1):
-            try:
-                self._crash(shard.index, attempt)
-                sub = self._build_pipeline(shard)
-                report = sub.run(shard.addresses)
-            except Exception as exc:
-                last = exc
-                continue
-            payload = self._payload(shard, sub, report)
-            payload["supervisor"] = {"restarts": attempt, "abandoned": False}
-            return payload
-        return self._abandoned_payload(shard, last)
-
-    def _crash(self, shard_index: int, attempt: int) -> None:
-        """Deterministic crash injection, config-driven by default."""
-        if self.crash_hook is not None:
-            self.crash_hook(shard_index, attempt)
-            return
-        for index, crashes in self.config.crash_shards:
-            if index == shard_index and attempt < crashes:
+    cfg = runner.supervisor
+    last: Exception | None = None
+    for attempt in range(cfg.max_shard_restarts + 1):
+        try:
+            if any(i == shard.index and attempt < n for i, n in cfg.crash_shards):
                 raise ShardCrash(
-                    f"injected crash: shard {shard_index} attempt {attempt}"
+                    f"injected crash: shard {shard.index} attempt {attempt}"
                 )
+            clock = SimClock()
+            supervision = ShardSupervision(cfg, clock, len(shard.addresses))
+            sub = runner.build_pipeline(shard, clock, supervision)
+            _arm_watchdog(sub.transport, cfg.probe_deadline)
+            supervision.telemetry = sub.telemetry
+            report = sub.run(shard.addresses)
+        except Exception as exc:
+            last = exc
+            continue
+        payload = runner.payload(sub, report)
+        payload["supervisor"] = {"restarts": attempt, "abandoned": False}
+        return payload
+    return _abandoned_payload(cfg, len(shard.addresses), last)
 
-    def __post_init__(self) -> None:
-        # The quarantine gate lives in the executor, so supervised shards
-        # always run one (with the parent policy when given).
-        if self.retry_policy is None:
-            self.retry_policy = RetryPolicy()
 
-    def _build_pipeline(self, shard: Shard):
-        clock = SimClock()
-        supervision = ShardSupervision(
-            self.config, clock, planned=len(shard.addresses)
-        )
-        sub = super()._build_pipeline(shard, clock, supervision=supervision)
-        self._arm_watchdog(sub.transport)
-        supervision.telemetry = sub.telemetry
-        return sub
-
-    def _arm_watchdog(self, transport) -> None:
-        """Set the per-probe deadline on the first watchdog-capable layer
-        of the (decorator) transport chain."""
-        if self.config.probe_deadline is None:
+def _arm_watchdog(transport, probe_deadline: float | None) -> None:
+    """Set the per-probe deadline on the first watchdog-capable layer
+    of the (decorator) transport chain."""
+    if probe_deadline is None:
+        return
+    for layer in transport_layers(transport):
+        if hasattr(layer, "watchdog"):
+            layer.watchdog = probe_deadline
             return
-        target = transport
-        while target is not None:
-            if hasattr(target, "watchdog"):
-                target.watchdog = self.config.probe_deadline
-                return
-            target = getattr(target, "inner", None)
-
-    def _abandoned_payload(self, shard: Shard, error: Exception | None) -> dict:
-        """The degraded result of a shard that exhausted its restarts.
-
-        A stub report accounting the shard's whole frame as unreachable
-        — built from plain data, so an abandoned shard folded live and
-        one folded out of a resumed checkpoint are identical.
-        """
-        from repro.core.pipeline import ScanReport
-
-        planned = len(shard.addresses)
-        report = ScanReport()
-        report.coverage.charge("masscan", planned, 0, unreachable=planned)
-        telemetry = Telemetry()
-        telemetry.funnel("masscan", planned, 0)
-        report.telemetry = telemetry.summary()
-        return {
-            "report": report_to_dict(report),
-            "telemetry": telemetry.snapshot_state(),
-            "transport_stats": TransportStats().to_dict(),
-            "addresses": 0,
-            "supervisor": {
-                "restarts": self.config.max_shard_restarts,
-                "abandoned": True,
-                "error": f"{type(error).__name__}: {error}",
-            },
-        }
 
 
-class SweepSupervisor(ParallelScanEngine):
-    """The sharded engine wrapped in the escalation ladder.
+def _abandoned_payload(
+    cfg: SupervisorConfig, planned: int, error: Exception | None
+) -> dict:
+    """The degraded result of a shard that exhausted its restarts.
 
-    Dispatched by :class:`~repro.core.pipeline.ScanPipeline` when its
-    ``supervisor`` config is set.  Inherits sharding, folding, and
-    shard-boundary checkpointing; adds per-shard supervision, bounded
-    restarts, abandonment, and the fold-time coverage reconciliation
-    that makes a degraded report trustworthy.
+    A stub report accounting the shard's whole frame as unreachable
+    — built from plain data, so an abandoned shard folded live and
+    one folded out of a resumed checkpoint are identical.
     """
+    from repro.core.pipeline import ScanReport
 
-    def __init__(
-        self,
-        pipeline,
-        workers: int,
-        shard_blocks: int = DEFAULT_SHARD_BLOCKS,
-        config: SupervisorConfig | None = None,
-        crash_hook=None,
-        executor: str = "thread",
-        mp_start_method: str | None = None,
-    ) -> None:
-        super().__init__(
-            pipeline, workers, shard_blocks,
-            executor=executor, mp_start_method=mp_start_method,
+    report = ScanReport()
+    report.coverage.charge("masscan", planned, 0, unreachable=planned)
+    telemetry = Telemetry()
+    telemetry.funnel("masscan", planned, 0)
+    report.telemetry = telemetry.summary()
+    return {
+        "report": report_to_dict(report),
+        "telemetry": telemetry.snapshot_state(),
+        "transport_stats": TransportStats().to_dict(),
+        "addresses": 0,
+        "supervisor": {
+            "restarts": cfg.max_shard_restarts,
+            "abandoned": True,
+            "error": f"{type(error).__name__}: {error}",
+        },
+    }
+
+
+# -- fold (main thread) -------------------------------------------------------
+
+
+def note_shard_supervision(events, index: int, meta: dict) -> None:
+    """Emit one folded shard's supervision record, in canonical shard order.
+
+    Restart and abandonment events are deliberately *not* emitted live
+    from workers: replaying them from payload metadata during the fold
+    keeps the telemetry stream identical across worker counts and across
+    kill-and-resume (where restarts that happened before the kill are
+    folded from the checkpoint).
+    """
+    if meta["restarts"]:
+        events.warn(
+            "supervisor", "shard-restart",
+            index=index, restarts=meta["restarts"],
         )
-        self.config = config if config is not None else SupervisorConfig()
-        #: called as ``crash_hook(shard_index, attempt)`` at the start of
-        #: every shard attempt; raising simulates a dying worker.  None
-        #: (the default) honours ``config.crash_shards``, which — being
-        #: plain config — also works across the process boundary.
-        self.crash_hook = crash_hook
-        self._restart_total = 0
-        self._abandon_total = 0
-
-    # -- shard execution ------------------------------------------------------
-
-    def _make_runner(self, knowledge_base) -> SupervisedShardRunner:
-        if self.crash_hook is not None and self.executor == "process":
-            raise ValueError(
-                "a custom crash_hook is thread-executor only; use "
-                "SupervisorConfig.crash_shards for process-mode injection"
-            )
-        return super()._make_runner(
-            knowledge_base, SupervisedShardRunner,
-            config=self.config, crash_hook=self.crash_hook,
+    if meta["abandoned"]:
+        events.error(
+            "supervisor", "shard-abandoned",
+            index=index, error=meta.get("error"),
         )
 
-    # -- fold (main thread) ---------------------------------------------------
 
-    def _note_shard_folded(self, shard: Shard, payload: dict) -> None:
-        """Emit the supervision record in canonical shard order.
+def close_supervised_books(report, events, metas: list[dict]) -> None:
+    """Close a supervised sweep's coverage account once every shard —
+    ``metas`` holds each payload's supervision record — is folded.
 
-        Restart and abandonment events are deliberately *not* emitted
-        live from worker threads: replaying them from payload metadata
-        during the fold keeps the telemetry stream identical across
-        worker counts and across kill-and-resume (where restarts that
-        happened before the kill are folded from the checkpoint).
-        """
-        meta = payload.get("supervisor")
-        if meta is None:
-            return
-        events = self.pipeline.telemetry.events
-        if meta["restarts"]:
-            self._restart_total += meta["restarts"]
-            events.warn(
-                "supervisor", "shard-restart",
-                index=shard.index, restarts=meta["restarts"],
-            )
-        if meta["abandoned"]:
-            self._abandon_total += 1
-            events.error(
-                "supervisor", "shard-abandoned",
-                index=shard.index, error=meta.get("error"),
-            )
-
-    def _fold(self, shards: list[Shard], completed: dict[int, dict]):
-        self._restart_total = 0
-        self._abandon_total = 0
-        report = super()._fold(shards, completed)
-        cov = report.coverage
-        cov.shard_restarts += self._restart_total
-        cov.shards_abandoned += self._abandon_total
-        telemetry = self.pipeline.telemetry
-        if cov.degraded:
-            telemetry.events.warn(
-                "supervisor", "sweep-degraded",
-                coverage=round(cov.coverage_fraction(), 6),
-                quarantined_hosts=len(cov.quarantined_hosts),
-                quarantined_blocks=len(cov.quarantined_blocks),
-                shards_abandoned=cov.shards_abandoned,
-                deadline_hits=cov.deadline_hits,
-            )
-        # The events above landed after the base fold took its summary.
-        report.telemetry = telemetry.summary()
-        # A degraded report is only trustworthy if its books balance:
-        # every stage ledger must close and must add up to the report's
-        # own totals.  Fail loudly here rather than ship bad accounting.
-        cov.verify()
-        cov.reconcile(report)
-        return report
-
-    # -- checkpoint/resume ----------------------------------------------------
-
-    def _expected_config(self, shards: list[Shard]) -> dict:
-        cfg = self.config
-        return {
-            **super()._expected_config(shards),
-            "sweep_deadline": cfg.sweep_deadline,
-            "shard_deadline": cfg.shard_deadline,
-            "probe_deadline": cfg.probe_deadline,
-            "max_shard_restarts": cfg.max_shard_restarts,
-            "quarantine_threshold": cfg.quarantine_threshold,
-        }
+    A degraded report is only trustworthy if its books balance: every
+    stage ledger must close and must add up to the report's own totals.
+    Fail loudly here rather than ship bad accounting.
+    """
+    cov = report.coverage
+    cov.shard_restarts += sum(meta["restarts"] for meta in metas)
+    cov.shards_abandoned += sum(meta["abandoned"] for meta in metas)
+    if cov.degraded:
+        events.warn(
+            "supervisor", "sweep-degraded",
+            coverage=round(cov.coverage_fraction(), 6),
+            quarantined_hosts=len(cov.quarantined_hosts),
+            quarantined_blocks=len(cov.quarantined_blocks),
+            shards_abandoned=cov.shards_abandoned,
+            deadline_hits=cov.deadline_hits,
+        )
+    cov.verify()
+    cov.reconcile(report)

@@ -12,8 +12,8 @@ same as every other analyzer).
 The graph is deliberately an over-approximation with one taint bit:
 
 * **Entry points** come from ``WORKER_ENTRY_POINTS`` registry tuples
-  that the runtime modules themselves declare (``core/parallel.py``,
-  ``core/supervisor.py``), plus two structural families: ``run`` methods
+  that the runtime modules themselves declare (``core/parallel.py``),
+  plus two structural families: ``run`` methods
   of Tsunami plugin classes (module-level singletons shared across
   shard threads) and ``fork`` methods of transport-protocol classes
   (they execute inside workers to build shard-local universes).

@@ -372,6 +372,5 @@ class ChaosTransport(Transport):
         self._rng.setstate(rng_state_from_json(state["rng"]))
         self.faults = dict(state["faults"])
         self.slow_seconds = state["slow_seconds"]
-        # Checkpoints written before the hang/stall faults carry neither.
-        self.hang_seconds = state.get("hang_seconds", 0.0)
-        self.stall_seconds = state.get("stall_seconds", 0.0)
+        self.hang_seconds = state["hang_seconds"]
+        self.stall_seconds = state["stall_seconds"]

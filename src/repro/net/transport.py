@@ -82,6 +82,14 @@ class TransportStats:
         )
 
 
+def transport_layers(transport):
+    """A (decorator) transport and every layer under it, outermost first:
+    decorators hold the transport they wrap as ``inner``."""
+    while transport is not None:
+        yield transport
+        transport = getattr(transport, "inner", None)
+
+
 class Transport(ABC):
     """What the scanning pipeline knows about the network."""
 

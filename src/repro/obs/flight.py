@@ -101,16 +101,6 @@ class FlightRecorder:
 
     # -- probe intake ----------------------------------------------------------
 
-    def record(self, span, events: Sequence, exchange_mark: int) -> None:
-        """:meth:`record_probe` for a probe held as a span view."""
-        attrs = span.attrs
-        self.record_probe(
-            span.name, attrs.get("host", ""), attrs.get("port", 0),
-            span.start, span.duration,
-            {k: v for k, v in attrs.items() if k not in ("host", "port")},
-            events, exchange_mark,
-        )
-
     def record_probe(
         self,
         name: str,

@@ -228,10 +228,9 @@ class Telemetry:
         self.events.absorb(events)
         self.tracer.absorb_state(state["tracer"])
         self.metrics.absorb(metrics)
-        if state.get("flight") is not None:
-            flight = FlightRecorder()
-            flight.restore_state(state["flight"])
-            self.flight.absorb(flight)
+        flight = FlightRecorder()
+        flight.restore_state(state["flight"])
+        self.flight.absorb(flight)
 
     # -- checkpoint support --------------------------------------------------
 
@@ -249,7 +248,4 @@ class Telemetry:
         self.events.restore_state(state["events"])
         self.tracer.restore_state(state["tracer"])
         self.metrics.restore_state(state["metrics"])
-        # Snapshots written before the flight recorder carry no block.
-        flight = state.get("flight")
-        if flight is not None:
-            self.flight.restore_state(flight)
+        self.flight.restore_state(state["flight"])

@@ -22,7 +22,9 @@ full workers × executor cross because it exercises every subsystem
 scenarios cover the remaining dimension pairs.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.core.pipeline import ScanPipeline
 from repro.core.prefilter import match_signatures
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
+from repro.core.supervisor import SupervisorConfig
 from repro.core.tsunami.htmlcheck import outline
 from repro.net.chaos import ChaosTransport
 from repro.net.host import Host, Service
@@ -50,6 +53,7 @@ from tests.core.test_parallel import (
     build_world,
 )
 from tests.core.test_supervisor import HOSTILE, SUPERVISED
+from tests.core.test_supervisor import run_arm as supervised_arm
 
 #: scenario name -> (fault plan, supervisor config, profiling armed,
 #: sweep the world's whole /24s as an interval frame instead of a list)
@@ -332,3 +336,76 @@ class TestIncrementalRescan:
             json.dumps(report_to_dict(resumed.report), sort_keys=True)
             == sequential_golden
         )
+
+
+# -- the matrix pinned to the parent commit ---------------------------------------
+
+#: sha256 of every artifact below as commit 072f703 — the last commit with
+#: a second engine and a second runner for supervised sweeps — produced it.
+#: Every golden above is computed by the commit under test, so a change that
+#: moves an event the same way in every arm stays green there; not here.
+#: Regenerate (only ever from that commit) with
+#: ``PYTHONPATH=src:. python tests/core/test_determinism_matrix.py``.
+PARENT_DIGESTS = Path(__file__).parent / "fixtures" / "matrix_digests_072f703.json"
+
+#: supervised shapes the five scenarios do not reach: a shard that runs out
+#: of restarts, shards that run out of clock, and supervision left at its
+#: defaults
+SUPERVISED_ARMS = {
+    "abandoned": SupervisorConfig(max_shard_restarts=1, crash_shards=((0, 99),)),
+    "deadline": SupervisorConfig(
+        sweep_deadline=40.0, probe_deadline=20.0, quarantine_threshold=1,
+    ),
+    "default": SupervisorConfig(),
+}
+
+
+def _sha256(value) -> str:
+    text = value if isinstance(value, str) else json.dumps(value)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def scenario_digests(scenario):
+    found = artifacts(*sweep(scenario, workers=1, executor="thread"))
+    return {name: _sha256(value) for name, value in found.items()}
+
+
+def supervised_digests(arm, executor="thread"):
+    report, pipeline = supervised_arm(
+        workers=2, config=SUPERVISED_ARMS[arm], executor=executor
+    )
+    if arm == "abandoned":
+        assert report.coverage.shards_abandoned == 1
+    if arm == "deadline":
+        assert report.coverage.deadline_hits == 3
+    return {
+        "report": _sha256(json.dumps(report_to_dict(report), sort_keys=True)),
+        "telemetry": _sha256(pipeline.telemetry.export_jsonl()),
+        "prometheus": _sha256(pipeline.telemetry.export_prometheus()),
+    }
+
+
+class TestPinnedToParent:
+    @pytest.fixture(scope="class")
+    def parent(self):
+        return json.loads(PARENT_DIGESTS.read_text())
+
+    def test_the_fixture_covers_every_scenario_and_arm(self, parent):
+        assert set(parent["scenarios"]) == set(SCENARIOS)
+        assert set(parent["supervised"]) == set(SUPERVISED_ARMS)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scenario_reproduces_the_parent(self, scenario, parent):
+        assert scenario_digests(scenario) == parent["scenarios"][scenario]
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("arm", SUPERVISED_ARMS)
+    def test_supervised_arm_reproduces_the_parent(self, arm, executor, parent):
+        assert supervised_digests(arm, executor) == parent["supervised"][arm]
+
+
+if __name__ == "__main__":
+    PARENT_DIGESTS.write_text(json.dumps({
+        "scenarios": {name: scenario_digests(name) for name in SCENARIOS},
+        "supervised": {name: supervised_digests(name) for name in SUPERVISED_ARMS},
+    }, indent=1, sort_keys=True) + "\n")

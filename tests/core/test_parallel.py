@@ -189,8 +189,15 @@ class TestWorkerCountInvariance:
 
     def test_invalid_worker_count_rejected(self):
         _, pipeline = run_arm(workers=1)
-        with pytest.raises(ValueError):
-            ParallelScanEngine(pipeline, workers=0)
+        pipeline.workers = 0
+        with pytest.raises(ValueError, match="workers"):
+            ParallelScanEngine(pipeline)
+
+    def test_unknown_executor_rejected(self):
+        _, pipeline = run_arm(workers=1)
+        pipeline.executor = "fiber"
+        with pytest.raises(ValueError, match="fiber"):
+            ParallelScanEngine(pipeline)
 
 
 class TestProfileInvariance:

@@ -117,40 +117,6 @@ class TestEthics:
         assert max(per_24.values()) < 60  # prefilter+plugins+fingerprint
 
 
-class TestRescan:
-    def test_rescan_refinds_vulnerable_hosts(self, tiny_scan_study, pipeline_factory):
-        pipeline = pipeline_factory(tiny_scan_study.internet)
-        vulnerable = tiny_scan_study.report.vulnerable_ips()
-        ports = {
-            ip.value: tiny_scan_study.report.port_scan.ports_of(ip)
-            for ip in vulnerable
-        }
-        rescan = pipeline.rescan_hosts(vulnerable, ports)
-        assert len(rescan.vulnerable_ips()) == len(vulnerable)
-
-    def test_rescan_sees_fixes(self, tiny_scan_study, pipeline_factory):
-        import copy
-
-        # Work on a private copy of one vulnerable host's app config.
-        target = tiny_scan_study.report.vulnerable_ips()[0]
-        host = tiny_scan_study.internet.host_at(target)
-        instance = next(i for i in host.apps() if i.app.is_vulnerable())
-        saved = copy.deepcopy(instance.app.config)
-        try:
-            try:
-                instance.app.secure()
-            except NotImplementedError:
-                pytest.skip("app cannot be secured in place")
-            pipeline = pipeline_factory(tiny_scan_study.internet)
-            rescan = pipeline.rescan_hosts([target])
-            assert target.value not in {
-                ip.value for ip in rescan.vulnerable_ips()
-            }
-        finally:
-            instance.app.config.clear()
-            instance.app.config.update(saved)
-
-
 class TestPrefilterAblation:
     """``use_prefilter=False`` runs the same batch step with a different
     per-host stage II: same detections, strictly more stage-III work, and

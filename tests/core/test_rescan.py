@@ -23,6 +23,7 @@ from repro.core.rescan import (
     save_rescan_state,
 )
 from repro.core.serialize import report_to_dict
+from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.host import Host, Service
 from repro.net.intervals import BLOCK_MASK, CompressedPopulation, IntervalSet
 from repro.net.ipv4 import IPv4Address
@@ -207,6 +208,59 @@ class TestConfigGuards:
         other = RescanEngine(transport, (80,), seed=SEED, batch_size=4096)
         with pytest.raises(ConfigError):
             other.rescan(frame, baseline)
+
+
+class _Relay:
+    """A decorator transport with no state of its own: the chaos layer is
+    one ``inner`` below it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name.endswith("_state"):
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+class TestStreamTransportRefused:
+    """A replayed host makes no transport calls, so a layer that answers
+    from a per-call stream hands every later host another stretch of it:
+    at commit 072f703, on the bench's rescan inputs (scale 0.3, seed 5)
+    under 5% request loss, a tick returned 15 vulnerable hosts where the
+    from-scratch sweep found 13, and a baseline killed after its third
+    save resumed to 361 findings where it found 372 — both without a
+    word.  Both are ``ConfigError`` now."""
+
+    @pytest.fixture(params=["outermost", "wrapped"])
+    def lossy(self, request):
+        internet, frame, _ = parent_state_world()
+        chaos = ChaosTransport(
+            InMemoryTransport(internet), FaultPlan(request_loss=0.05), seed=5
+        )
+        if request.param == "wrapped":
+            chaos = _Relay(chaos)
+        engine = RescanEngine(chaos, scanned_ports(), seed=SEED, batch_size=200)
+        return engine, frame
+
+    def test_a_tick_is_refused_naming_the_layer(self, lossy):
+        engine, frame = lossy
+        prior = engine.baseline(frame)  # a plain recorded baseline is fine
+        assert prior.report.vulnerable_ips()
+        with pytest.raises(ConfigError, match="ChaosTransport"):
+            engine.rescan(frame, prior)
+
+    def test_a_checkpointed_baseline_is_refused_before_it_probes(
+        self, lossy, tmp_path
+    ):
+        engine, frame = lossy
+        path = tmp_path / "baseline.ckpt"
+        with pytest.raises(ConfigError, match="ChaosTransport"):
+            engine.baseline(frame, checkpoint=_Crashing(path, 3))
+        with pytest.raises(ConfigError, match="ChaosTransport"):
+            engine.baseline(frame, checkpoint=Checkpointer(path))
+        assert engine.transport.stats.syn_probes == 0
+        assert not path.exists()
 
 
 class _Crashing(Checkpointer):

@@ -8,26 +8,29 @@ reconciles exactly with the ScanReport totals, and the whole thing is
 byte-identical across worker counts and kill-and-resume.
 """
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
 from repro.apps.catalog import scanned_ports
 from repro.core.checkpoint import Checkpointer
 from repro.core.coverage import CoverageReport, StageCoverage
+from repro.core.parallel import ParallelScanEngine, ShardRunner, plan_shards
 from repro.core.pipeline import ScanPipeline
 from repro.core.retry import RetryPolicy
 from repro.core.supervisor import (
     Quarantine,
     ShardSupervision,
     SupervisorConfig,
-    SweepSupervisor,
 )
 from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import InMemoryTransport
 from repro.util.clock import SimClock
-from repro.util.errors import CoverageError
+from repro.util.errors import ConfigError, CoverageError
 from tests.core.test_parallel import (
     CrashingCheckpointer,
     SimulatedCrash,
@@ -62,6 +65,7 @@ def run_arm(
     seed=7,
     shard_blocks=2,
     plan=HOSTILE,
+    executor="thread",
 ):
     """One supervised sweep over a freshly built hostile world."""
     internet, ips = build_world()
@@ -71,7 +75,7 @@ def run_arm(
         transport, scanned_ports(), seed=seed, batch_size=3,
         fingerprint=False, workers=workers, shard_blocks=shard_blocks,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
-        clock=clock, supervisor=config,
+        clock=clock, supervisor=config, executor=executor,
     )
     report = pipeline.run(ips, checkpoint=checkpoint)
     return report, pipeline
@@ -321,18 +325,15 @@ class TestHostileDeterminism:
         back = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
         assert back.coverage.to_dict() == report.coverage.to_dict()
 
-    def test_supervised_resume_refuses_mismatched_supervision(self, tmp_path):
-        from repro.util.errors import ConfigError
-
+    @pytest.mark.parametrize("key", ["quarantine_threshold", "max_shard_restarts"])
+    def test_supervised_resume_refuses_mismatched_supervision(self, key, tmp_path):
         crasher = CrashingCheckpointer(
             tmp_path / "scan.ckpt", die_after_saves=2, every_batches=1
         )
         with pytest.raises(SimulatedCrash):
             run_arm(workers=4, checkpoint=crasher)
-        import dataclasses
-
-        other = dataclasses.replace(SUPERVISED, quarantine_threshold=5)
-        with pytest.raises(ConfigError):
+        other = dataclasses.replace(SUPERVISED, **{key: 5})
+        with pytest.raises(ConfigError, match=key):
             run_arm(
                 workers=4, config=other,
                 checkpoint=Checkpointer(tmp_path / "scan.ckpt", every_batches=1),
@@ -401,9 +402,9 @@ class TestShardSupervision:
         assert sup.gate_skips_total == 2
 
 
-class TestSweepSupervisorDispatch:
+class TestSupervisedDispatch:
     def test_pipeline_dispatches_on_supervisor_config(self):
-        """Setting ``supervisor`` alone routes through SweepSupervisor."""
+        """Setting ``supervisor`` alone runs the sweep as supervised shards."""
         internet, ips = build_world()
         clock = SimClock()
         pipeline = ScanPipeline(
@@ -411,27 +412,46 @@ class TestSweepSupervisorDispatch:
             batch_size=3, fingerprint=False, shard_blocks=2, clock=clock,
             supervisor=SupervisorConfig(),
         )
+        assert pipeline.workers is None
+        assert ParallelScanEngine(pipeline).workers == 1
         report = pipeline.run(ips)
         # supervised sweeps always carry a verified coverage account
         report.coverage.verify()
         report.coverage.reconcile(report)
+        # ... and run as shards, which a plain workers=None sweep does not
+        assert "shard-complete" in pipeline.telemetry.export_jsonl()
 
-    def test_custom_crash_hook_is_honoured(self):
+
+class TestSupervisedRunner:
+    """Supervision is one defaulted field of the one shard runner."""
+
+    @staticmethod
+    def runner(**fields):
         internet, ips = build_world()
-        clock = SimClock()
-        pipeline = ScanPipeline(
-            InMemoryTransport(internet), scanned_ports(), seed=7,
-            batch_size=3, fingerprint=False, shard_blocks=2, clock=clock,
+        runner = ShardRunner(
+            transport=InMemoryTransport(internet), ports=scanned_ports(),
+            batch_size=3, fingerprint=False, use_prefilter=True,
+            knowledge_base=None, retry_policy=None, profile=False, **fields,
         )
-        calls = []
+        return runner, plan_shards(ips, seed=7, shard_blocks=2)
 
-        def hook(index, attempt):
-            calls.append((index, attempt))
+    def test_round_trips_pickle_with_its_config(self):
+        runner, shards = self.runner(supervisor=SUPERVISED)
+        # the quarantine gate lives in the retry executor
+        assert runner.retry_policy == RetryPolicy()
+        copied = pickle.loads(pickle.dumps(runner))
+        assert copied.supervisor == SUPERVISED
+        crashed_once = shards[1]  # SUPERVISED.crash_shards
+        assert copied.run(crashed_once) == runner.run(crashed_once)
+        assert copied.run(crashed_once)["supervisor"] == {
+            "restarts": 1, "abandoned": False,
+        }
 
-        engine = SweepSupervisor(
-            pipeline, workers=1, shard_blocks=2,
-            config=SupervisorConfig(), crash_hook=hook,
-        )
-        engine.run(ips)
-        assert calls  # one call per shard attempt
-        assert all(attempt == 0 for _, attempt in calls)
+    def test_a_plain_runner_pays_one_none_field_at_the_pickle_boundary(self):
+        runner, shards = self.runner()
+        assert runner.supervisor is None and runner.retry_policy is None
+        assert "supervisor" not in runner.run(shards[0])
+        without = copy.copy(runner)
+        del without.__dict__["supervisor"]  # the runner as the parent pickled it
+        grown = len(pickle.dumps(runner)) - len(pickle.dumps(without))
+        assert 0 < grown <= 16

@@ -226,11 +226,15 @@ class TestRobustness:
             "repro.core.parallel.ShardRunner",
         ) in entries
         assert ("repro.core.parallel._process_shard", None) in entries
-        # the supervised runner inherits run; the registry entry resolves
-        # to the base def with the subclass as the concrete receiver
-        assert (
-            "repro.core.parallel.ShardRunner.run",
-            "repro.core.supervisor.SupervisedShardRunner",
-        ) in entries
+        # supervision is a field of the one runner: no second entry point
+        assert len(entries) == 2
         boundary = set(graph.boundary_classes())
         assert "repro.core.parallel.ShardRunner" in boundary
+        assert "repro.core.supervisor.SupervisorConfig" in boundary
+        # ... and the supervised attempt loop is reached through the runner
+        reachable = {
+            graph.function_of(ctx).qualname
+            for ctx in graph.worker_contexts().values()
+        }
+        assert "repro.core.supervisor.run_supervised" in reachable
+        assert "repro.core.supervisor.ShardSupervision.note_poison" in reachable

@@ -502,18 +502,15 @@ class TestLatencyAndPoisonFaults:
         fresh.restore_state(state)
         assert fresh.snapshot_state() == state
 
-    def test_restore_tolerates_pre_latency_checkpoints(self, world):
-        """Checkpoints written before the hang/stall faults existed carry
-        neither field; restore must default them to zero."""
+    def test_restore_reads_no_older_format(self, world):
+        """``snapshot_state`` writes every field and the journal refuses
+        every format but its own, so a state without one is damage, not
+        an old checkpoint to be defaulted."""
         internet, _ = world
         transport = ChaosTransport(
             InMemoryTransport(internet), FaultPlan(syn_loss=0.5), seed=7
         )
         state = transport.snapshot_state()
         del state["hang_seconds"], state["stall_seconds"]
-        fresh = ChaosTransport(
-            InMemoryTransport(internet), FaultPlan(syn_loss=0.5), seed=7
-        )
-        fresh.restore_state(state)
-        assert fresh.hang_seconds == 0.0
-        assert fresh.stall_seconds == 0.0
+        with pytest.raises(KeyError):
+            transport.restore_state(state)

@@ -178,15 +178,10 @@ class TestFoldEdgeCases:
         from repro.obs.flight import FlightRecorder
 
         def record(recorder, host, start, duration):
-            class Span:
-                pass
-
-            span = Span()
-            span.name = "probe:http"
-            span.start = start
-            span.duration = duration
-            span.attrs = {"host": host, "port": 80}
-            recorder.record(span, events=(), exchange_mark=0)
+            recorder.record_probe(
+                "probe:http", host, 80, start, duration, {},
+                events=(), exchange_mark=0,
+            )
 
         def shard(hosts, duration):
             recorder = FlightRecorder(capacity=2)

@@ -21,8 +21,18 @@ def probe_span(duration, start=0.0, host="10.0.0.1", port=80, name="probe:x"):
     return span
 
 
+def feed(flight, span, events=(), mark=None):
+    """Hand ``flight`` the probe ``span`` shows, as the engine does: by field."""
+    attrs = dict(span.attrs)
+    flight.record_probe(
+        span.name, attrs.pop("host"), attrs.pop("port"), span.start,
+        span.duration, attrs, events,
+        flight.exchange_mark() if mark is None else mark,
+    )
+
+
 def record_probe(flight, duration, **kwargs):
-    flight.record(probe_span(duration, **kwargs), (), flight.exchange_mark())
+    feed(flight, probe_span(duration, **kwargs))
 
 
 class TestRecorder:
@@ -74,7 +84,7 @@ class TestRecorder:
         mark = flight.exchange_mark()
         flight.note_exchange("/login", status=401, body_bytes=12)
         flight.note_exchange("/api", error="ConnectionReset")
-        flight.record(probe_span(1.0), (), mark)
+        feed(flight, probe_span(1.0), mark=mark)
         (record,) = flight.records
         assert record["exchanges"] == [
             {"path": "/login", "status": 401, "body_bytes": 12},
@@ -83,11 +93,12 @@ class TestRecorder:
         # the consumed window is gone; the next probe starts clean
         assert flight.exchange_mark() == 1  # only the stray entry remains
 
-    def test_record_strips_host_port_from_attrs(self):
+    def test_record_keeps_host_and_port_apart_from_attrs(self):
         flight = FlightRecorder()
-        span = probe_span(1.0)
-        span.attrs["verdict"] = "mav"
-        flight.record(span, (), 0)
+        flight.record_probe(
+            "probe:x", IPv4Address.parse("10.0.0.1"), 80, 0.0, 1.0,
+            {"verdict": "mav"}, (), 0,
+        )
         (record,) = flight.records
         assert record["host"] == "10.0.0.1"
         assert record["port"] == 80
@@ -201,7 +212,7 @@ class TestAdmission:
             span = probe_span(duration, start=start, host=host, port=port, name=name)
             # the tag tells tied records apart: only arrival order may
             span.attrs["tag"] = index
-            shard.record(span, (), shard.exchange_mark())
+            feed(shard, span)
             oracle_shard.record(span, index)
             if index + 1 in bounds:
                 folded.absorb(shard)
@@ -270,7 +281,7 @@ class TestAdmission:
             def to_dict(self):
                 raise AssertionError("a rejected probe was built")
 
-        flight.record(probe_span(1.0), (Exploding(),), mark)
+        feed(flight, probe_span(1.0), (Exploding(),), mark)
         assert len(flight._records) == held
         assert flight.probes_seen == 9
         assert flight.exchange_mark() == mark  # its exchanges are gone
@@ -354,10 +365,12 @@ class TestTelemetryTap:
         restored.restore_state(state)
         assert restored.flight.to_dict() == telemetry.flight.to_dict()
 
-    def test_restore_tolerates_pre_flight_snapshots(self):
-        telemetry = Telemetry()
-        state = telemetry.snapshot_state()
-        state.pop("flight")  # a checkpoint written before the recorder shipped
-        fresh = Telemetry()
-        fresh.restore_state(state)
-        assert fresh.flight.probes_seen == 0
+    def test_restore_reads_no_snapshot_without_a_flight_block(self):
+        """Every snapshot carries all four pillars and the journal refuses
+        every format but its own: a missing block is damage."""
+        state = Telemetry().snapshot_state()
+        state.pop("flight")
+        with pytest.raises(KeyError):
+            Telemetry().restore_state(state)
+        with pytest.raises(KeyError):
+            Telemetry().absorb_state(state)

@@ -205,9 +205,10 @@ class TestResumeTelemetry:
         assert resumed_report.telemetry.to_dict() == clean_report.telemetry.to_dict()
 
 
-class TestRescanTelemetry:
-    def test_rescan_under_chaos_reports_nonzero_retry_counters(self):
-        """rescan_hosts folds retry/telemetry stats exactly like run()."""
+class TestChaosRetryTelemetry:
+    def test_sweep_under_chaos_reports_nonzero_retry_counters(self):
+        """Retry and chaos counters reach the report's telemetry summary,
+        and the masscan funnel takes in exactly the frame."""
         internet, ips = build_world(decoys=0)
         clock = SimClock()
         transport = ChaosTransport(
@@ -221,7 +222,7 @@ class TestRescanTelemetry:
             retry_policy=RetryPolicy(max_attempts=4, base_delay=0.5, max_delay=4.0),
             clock=clock,
         )
-        report = pipeline.rescan_hosts(ips)
+        report = pipeline.run(ips)
         assert report.retry_stats.retries > 0
         assert report.telemetry.counter("retry_retries_total") > 0
         assert report.telemetry.counter("chaos_faults_total", kind="syn-drop") > 0

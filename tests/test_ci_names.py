@@ -6,6 +6,7 @@ workflow or a document is not checked by anything that runs.  This is
 the check.
 """
 
+import importlib
 import json
 import re
 import subprocess
@@ -15,8 +16,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the deleted harness and its result file
-RETIRED = ("bench_throughput", "BENCH_scan")
+#: the deleted harness and its result file; the second engine, the second
+#: runner and the thread-only hook of supervised sweeps; the pipeline's
+#: fifth walk through the stages
+RETIRED = (
+    "bench_throughput", "BENCH_scan",
+    "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
+)
 
 #: history (what was done, what was asked) may name what is gone; the
 #: benchmark's README is frozen with the benchmark; this file defines
@@ -56,3 +62,42 @@ def test_ci_and_docs_name_only_what_exists():
         )
     ]
     assert naming == []
+
+
+def _names_code(layer: str, leaf: str) -> bool:
+    """Is ``<layer>.<leaf>`` something module ``repro.<layer>`` defines?"""
+    try:
+        module = importlib.import_module(f"repro.{layer}")
+    except ImportError:
+        return False
+    return hasattr(module, leaf)
+
+
+def test_docs_quote_only_metrics_the_benchmark_declares():
+    """A backticked ``workload.metric`` or ``layer.metric`` is in
+    BENCHMARK.json.  The grammar is the benchmark's own — a workload or a
+    layer it declares, then one name — not "anything with dots": module
+    paths are left alone, and under a layer the one other thing a name can
+    be is what the module of that name defines (``net.intervals.as_frame``)."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    end_to_end = {m["name"] for m in spec["end_to_end"]}
+    per_layer = {m["name"] for m in spec["per_layer"]}
+    layers = {name.rpartition(".")[0] for name in per_layer}
+
+    checked, unknown = set(), []
+    for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+        text = (ROOT / doc).read_text()
+        for token in sorted(set(re.findall(r"`([a-z_]+(?:\.\w+)+)`", text))):
+            head, _, leaf = token.rpartition(".")
+            if head in workloads:
+                declared = leaf in end_to_end
+            elif head in layers:
+                declared = token in per_layer or _names_code(head, leaf)
+            else:
+                continue
+            checked.add(token)
+            if not declared:
+                unknown.append(f"{doc}: {token}")
+    assert {"sweep_dense.wall_s", "core.checkpoint.share"} <= checked  # found
+    assert unknown == []

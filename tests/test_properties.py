@@ -346,16 +346,6 @@ def test_metrics_registry_pickle_round_trip(before, after):
     assert twin.to_prometheus() == registry.to_prometheus()
 
 
-class _SpanStub:
-    """The four attributes FlightRecorder.record reads from a span."""
-
-    def __init__(self, name, host, start, duration):
-        self.name = name
-        self.start = start
-        self.duration = duration
-        self.attrs = {"host": host, "port": 80}
-
-
 @given(
     st.lists(st.floats(min_value=0, max_value=600, allow_nan=False), max_size=30),
     st.lists(st.floats(min_value=0, max_value=600, allow_nan=False), max_size=30),
@@ -365,11 +355,11 @@ def test_flight_recorder_pickle_round_trip(before, after):
 
     def feed(recorder, durations, base):
         for index, duration in enumerate(durations):
-            span = _SpanStub(
-                "probe:http", f"203.0.113.{index % 200}",
-                float(base + index), duration,
+            recorder.record_probe(
+                "probe:http", f"203.0.113.{index % 200}", 80,
+                float(base + index), duration, {},
+                events=(), exchange_mark=recorder.exchange_mark(),
             )
-            recorder.record(span, events=(), exchange_mark=recorder.exchange_mark())
 
     recorder = FlightRecorder(capacity=4)
     feed(recorder, before, base=0)
