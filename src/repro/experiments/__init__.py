@@ -2,7 +2,8 @@
 
 * :mod:`repro.experiments.scan` — §3's Internet-wide scan (Tables 2-4,
   Figure 1 inputs).
-* :mod:`repro.experiments.observe` — RQ3's four-week observer (Figure 2).
+* :mod:`repro.experiments.longevity` — RQ3's re-scan campaign; Figure 2 is
+  :mod:`repro.experiments.observe`'s run of it over the vulnerable hosts.
 * :mod:`repro.experiments.honeypots` — §4's honeypot study (Tables 5-8,
   Figures 3-4).
 * :mod:`repro.experiments.defenders` — §5's commercial-scanner test.

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.longevity import HostStatus
 from repro.analysis.tables import table9
 from repro.experiments.config import StudyConfig
 from repro.experiments.defenders import DefenderStudy, run_defender_study
@@ -65,7 +66,7 @@ class FullStudy:
         if total_watched:
             lines.append(
                 "  still vulnerable after 4 weeks: >50% -> "
-                f"{100 * counts[list(counts)[0]] / total_watched:.0f}%"
+                f"{100 * counts[HostStatus.VULNERABLE] / total_watched:.0f}%"
             )
         return "\n".join(lines)
 

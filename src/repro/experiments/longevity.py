@@ -1,4 +1,4 @@
-"""The longevity re-scan campaign over an interval-compressed frame.
+"""The longevity re-scan campaign (RQ3 / Figure 2).
 
 The paper's four-week observation re-scans the same address frame every
 three hours.  Done naively that is a full three-stage sweep per cadence
@@ -13,7 +13,10 @@ Between ticks the lifecycle model plays out against the simulated hosts
 update versions).  Port-level churn is self-detected by the engine's
 stage-I diff; content-level churn (a fix or version update that leaves
 the open ports alone) is hinted via ``churned_blocks``, exactly the
-signal a real campaign gets from CT logs or passive DNS.
+signal a real campaign gets from CT logs or passive DNS.  Every sweep's
+report classifies each watched host by *observation alone* — the plugin
+fired → vulnerable; the application answers but the plugin stayed silent
+→ fixed; no finding → offline — and Figure 2 is a view over that log.
 
 The campaign is honest by construction: on sampled ticks the incremental
 report is compared byte-for-byte against a from-scratch sequential sweep
@@ -26,20 +29,23 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.apps.catalog import scanned_ports
-from repro.apps.versions import RELEASE_DB
-from repro.core.pipeline import ScanPipeline
+from repro.analysis.figures import Figure2
+from repro.analysis.longevity import HostStatus, ObservationLog, ObservedHost
+from repro.apps.catalog import app_by_slug, scanned_ports
+from repro.core.pipeline import ScanPipeline, ScanReport
 from repro.core.rescan import RescanEngine, RescanState
 from repro.core.serialize import report_to_dict
 from repro.experiments.config import StudyConfig
 from repro.net.intervals import BLOCK_MASK, CompressedPopulation, IntervalSet
-from repro.net.lifecycle import Fate, FateKind, LifecycleModel
+from repro.net.lifecycle import Churn, Deployment, LifecycleModel
 from repro.net.network import SimulatedInternet
 from repro.net.population import generate_internet
 from repro.net.transport import InMemoryTransport
 from repro.obs.profile import wall_now
+from repro.obs.telemetry import Telemetry
 from repro.util.errors import VerificationError
 from repro.util.tables import Table
 
@@ -73,14 +79,23 @@ class SweepCost:
 
 
 @dataclass
-class _Deployment:
-    """One vulnerable deployment under lifecycle churn."""
+class ObserverStudy:
+    """What the campaign observed of the hosts it watches."""
 
-    ip_value: int
-    slug: str
-    fate: Fate
-    exit_applied: bool = False
-    update_applied: bool = False
+    log: ObservationLog
+    sweep_count: int
+    version_updates: int
+    #: updates the campaign *measured* from the last sweep's fingerprints
+    #: (vs the generator-side count above); the paper found 101 hosts (2.4%)
+    observed_version_updates: int = 0
+    #: sweep/status counters for the observation window
+    telemetry: Telemetry | None = None
+
+    def figure2(self) -> Figure2:
+        return Figure2(self.log)
+
+    def final_counts(self) -> dict[HostStatus, int]:
+        return self.log.final_counts()
 
 
 @dataclass
@@ -175,88 +190,23 @@ def _report_digest(report) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True)
 
 
-def _plan_deployments(
-    internet: SimulatedInternet,
-    state: RescanState,
-    lifecycle: LifecycleModel,
-    rng: random.Random,
-) -> list[_Deployment]:
-    """One lifecycle fate per vulnerable host found by the baseline."""
-    deployments = []
-    for finding in state.report.findings.values():
-        for slug in finding.vulnerable_slugs:
-            host = internet.host_at(finding.ip)
-            app = host.app_instance(slug) if host else None
-            if app is None:
-                continue
-            deployments.append(
-                _Deployment(
-                    ip_value=finding.ip.value,
-                    slug=slug,
-                    fate=lifecycle.fate_for(rng, slug, app.version),
-                )
-            )
-            break  # one observed application per host, like the paper
-    return deployments
+def _observed(
+    report: ScanReport, deployment: Deployment
+) -> tuple[HostStatus, str | None]:
+    """One watched deployment as one sweep's report shows it: the status,
+    and the fingerprinted version while the watched app still answers."""
+    finding = report.findings.get(deployment.host.ip.value)
+    if finding is None:
+        return HostStatus.OFFLINE, None
+    observation = finding.observations.get(deployment.slug)
+    if observation is None:  # answers, but no longer with the watched app
+        return HostStatus.FIXED, None
+    status = HostStatus.VULNERABLE if observation.vulnerable else HostStatus.FIXED
+    return status, observation.version
 
 
-def _apply_churn(
-    internet: SimulatedInternet, deployments: list[_Deployment], now: float
-) -> tuple[set[int], set[int]]:
-    """Advance every deployment's fate to time ``now``.
-
-    Returns ``(content_blocks, port_blocks)``: /24 bases whose hosts
-    changed *content* (fix, version update — invisible to stage I, must
-    be hinted) and bases whose hosts changed their *port picture*
-    (offline — the engine self-detects these from the stage-I diff).
-    """
-    from repro.net.ipv4 import IPv4Address
-
-    content_blocks: set[int] = set()
-    port_blocks: set[int] = set()
-    for record in deployments:
-        host = internet.host_at(IPv4Address(record.ip_value))
-        if host is None:
-            continue
-        fate = record.fate
-        block = record.ip_value & BLOCK_MASK
-
-        if (
-            fate.update_time is not None
-            and now >= fate.update_time
-            and not record.update_applied
-        ):
-            record.update_applied = True
-            if host.online:
-                app = host.app_instance(record.slug)
-                if app is not None:
-                    next_release = RELEASE_DB.next_release_after(
-                        record.slug,
-                        RELEASE_DB.release_date(record.slug, app.version),
-                    )
-                    if next_release is not None:
-                        app.version = next_release.version
-                        content_blocks.add(block)
-
-        if (
-            fate.exit_time is not None
-            and now >= fate.exit_time
-            and not record.exit_applied
-        ):
-            record.exit_applied = True
-            if fate.kind is FateKind.OFFLINE:
-                host.take_offline()
-                port_blocks.add(block)
-            elif fate.kind is FateKind.FIXED and host.online:
-                app = host.app_instance(record.slug)
-                if app is not None and app.is_vulnerable():
-                    try:
-                        app.secure()
-                        content_blocks.add(block)
-                    except NotImplementedError:
-                        host.take_offline()  # no auth knob to flip
-                        port_blocks.add(block)
-    return content_blocks, port_blocks
+#: frozen into every saved re-scan state, so a resumed campaign must match
+_BATCH_SIZE = 16384
 
 
 def run_longevity_study(
@@ -264,33 +214,59 @@ def run_longevity_study(
     frame_addresses: int = 10_000_000,
     max_sweeps: int | None = None,
     verify_every: int = 8,
-    batch_size: int = 16384,
     resume_from: RescanState | None = None,
 ) -> LongevityStudy:
-    """Run the incremental longevity campaign.
+    """Run the campaign over an interval-compressed frame.
 
     ``frame_addresses`` sizes the interval frame (the paper's full scale
-    is 100M; CI runs 10M).  ``max_sweeps`` caps the cadence ticks for
-    smoke runs; by default the cadence covers the whole observation
-    window.  Every ``verify_every``-th sweep (and the last) is verified
-    byte-for-byte against a from-scratch sequential sweep.
-    ``resume_from`` continues a saved campaign: the baseline sweep is
-    skipped and the first tick diffs against the loaded state.
+    is 100M; CI runs 10M).  ``resume_from`` continues a saved campaign
+    over the frame it was saved with; it, ``max_sweeps`` and
+    ``verify_every`` are :func:`run_campaign`'s.
     """
     config = config or StudyConfig.tiny()
     internet, _, _ = generate_internet(config.population)
-    transport = InMemoryTransport(internet)
     if resume_from is not None:
         frame = resume_from.frame
     else:
         frame = CompressedPopulation.build(
             internet, frame_addresses, seed=config.seed
         ).frame
+    campaign, _ = run_campaign(
+        config, internet, frame, max_sweeps=max_sweeps,
+        verify_every=verify_every, resume_from=resume_from,
+    )
+    return campaign
+
+
+def run_campaign(
+    config: StudyConfig,
+    internet: SimulatedInternet,
+    frame: IntervalSet,
+    planned_from: ScanReport | None = None,
+    telemetry: Telemetry | None = None,
+    max_sweeps: int | None = None,
+    verify_every: int = 8,
+    resume_from: RescanState | None = None,
+) -> tuple[LongevityStudy, ObserverStudy]:
+    """Baseline ``frame``, then re-scan it incrementally on the cadence.
+
+    One fate is drawn per vulnerable host of ``planned_from`` (default:
+    the baseline's own report), in that report's order, and each sweep's
+    report is read into the observation log.  ``max_sweeps`` caps the
+    cadence ticks for smoke runs; by default the cadence covers the whole
+    observation window.  Every ``verify_every``-th sweep (and the last)
+    is verified byte-for-byte against a from-scratch sequential sweep.
+    ``resume_from`` continues a saved campaign: the baseline sweep is
+    skipped and the first tick diffs against the loaded state.  The two
+    results are the campaign's cost account and what it observed.
+    """
+    telemetry = telemetry or Telemetry()
+    transport = InMemoryTransport(internet)
     engine = RescanEngine(
         transport,
         scanned_ports(),
         seed=config.seed,
-        batch_size=batch_size,
+        batch_size=_BATCH_SIZE,
         fingerprint=config.fingerprint,
     )
 
@@ -329,7 +305,7 @@ def run_longevity_study(
             transport,
             scanned_ports(),
             seed=config.seed,
-            batch_size=batch_size,
+            batch_size=_BATCH_SIZE,
             fingerprint=config.fingerprint,
         ).run(frame)
         cost = SweepCost(
@@ -377,21 +353,51 @@ def run_longevity_study(
         config=config, frame=frame, baseline_cost=baseline_cost
     )
 
-    lifecycle = LifecycleModel(window=config.observation_window)
-    rng = random.Random(config.seed ^ 0xA11CE)
-    deployments = _plan_deployments(internet, state, lifecycle, rng)
+    deployments = LifecycleModel(window=config.observation_window).plan(
+        random.Random(config.seed ^ 0xA11CE),
+        [
+            # one observed application per host, like the paper
+            (internet.host_at(finding.ip), slugs[0])
+            for finding in (planned_from or state.report).findings.values()
+            if (slugs := finding.vulnerable_slugs)
+        ],
+    )
+    log = ObservationLog()
+    for d in deployments:
+        version = d.host.app_instance(d.slug).version
+        by_default = app_by_slug(d.slug).default_mav_in(version)
+        log.register_host(ObservedHost(d.host.ip.value, d.slug, by_default, version))
 
+    def observe(now: float, report: ScanReport) -> None:
+        statuses = {d.host.ip.value: _observed(report, d)[0] for d in deployments}
+        log.record_sweep(now, statuses)
+        telemetry.metrics.counter("observer_sweeps_total").inc()
+        for status, count in Counter(statuses.values()).items():
+            telemetry.metrics.counter(
+                "observer_status_total", status=status.value
+            ).inc(count)
+
+    observe(0.0, state.report)
     interval = config.rescan_interval
     total_ticks = int(config.observation_window // interval)
     if max_sweeps is not None:
         total_ticks = min(total_ticks, max_sweeps)
 
+    updates = 0
     for tick in range(1, total_ticks + 1):
         now = tick * interval
-        content_blocks, _port_blocks = _apply_churn(internet, deployments, now)
         # Only content churn needs a hint; port churn is self-detected.
-        state, cost = run_recorded(state, content_blocks | revalidate)
-        revalidate = set()
+        hints, revalidate = revalidate, set()
+        for deployment in deployments:
+            changed = deployment.advance(now)
+            if changed is Churn.NONE:
+                continue
+            if changed & Churn.CONTENT:
+                hints.add(deployment.host.ip.value & BLOCK_MASK)
+            if changed & Churn.UPDATED:
+                updates += 1
+        state, cost = run_recorded(state, hints)
+        observe(now, state.report)
         cost.index = tick
         cost.at_hours = now / 3600.0
         if tick % verify_every == 0 or tick == total_ticks:
@@ -407,4 +413,15 @@ def run_longevity_study(
         study.sweeps.append(cost)
 
     study.final_state = state
-    return study
+    observed_updates = sum(
+        1 for d in deployments
+        if _observed(state.report, d)[1]
+        not in (None, log.hosts[d.host.ip.value].version)
+    )
+    return study, ObserverStudy(
+        log=log,
+        sweep_count=len(log.sweeps),
+        version_updates=updates,
+        observed_version_updates=observed_updates,
+        telemetry=telemetry,
+    )

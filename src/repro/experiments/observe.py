@@ -1,260 +1,38 @@
 """The four-week observer study (RQ3 / Figure 2).
 
-After the initial scan, the observer re-scans every vulnerable host on a
-three-hour cadence.  Between sweeps the lifecycle model plays out: owners
-take hosts offline, complete CMS installations, flip authentication on,
-or update the software.  Each sweep classifies every host by *observation
-alone* — detection plugin fires → vulnerable; application answers but the
-plugin stays silent → fixed; no answer → offline.
+After the initial scan, the paper re-scans every vulnerable host on a
+three-hour cadence.  That is the longevity campaign
+(:mod:`repro.experiments.longevity`) over one particular frame: the
+addresses the scan found vulnerable, not the Internet.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from repro.analysis.figures import Figure2
-from repro.analysis.longevity import HostStatus, ObservationLog, ObservedHost
-from repro.apps.catalog import app_by_slug
-from repro.apps.versions import RELEASE_DB
-from repro.core.tsunami.plugin import PluginContext
-from repro.core.tsunami.plugins import plugin_for
+from repro.experiments.longevity import ObserverStudy, run_campaign
 from repro.experiments.scan import ScanStudy
-from repro.net.http import Scheme
-from repro.net.lifecycle import Fate, FateKind, LifecycleModel
+from repro.net.intervals import IntervalSet
+from repro.net.population import generate_internet
 from repro.obs.telemetry import Telemetry
-from repro.util.errors import TransportError
-
-
-@dataclass
-class _TrackedHost:
-    """Observer-side record of one vulnerable host under watch."""
-
-    ip_value: int
-    slug: str
-    port: int
-    scheme: Scheme
-    fate: Fate
-    update_applied: bool = False
-
-
-@dataclass
-class ObserverStudy:
-    """Results of the longevity observation."""
-
-    log: ObservationLog
-    sweep_count: int
-    version_updates: int
-    #: updates the observer *measured* by re-fingerprinting (vs the
-    #: generator-side count above); the paper found 101 hosts (2.4%)
-    observed_version_updates: int = 0
-    #: sweep/status counters for the observation window
-    telemetry: Telemetry | None = None
-
-    def figure2(self) -> Figure2:
-        return Figure2(self.log)
-
-    def final_counts(self) -> dict[HostStatus, int]:
-        return self.log.final_counts()
-
-
-def _classify(transport, tracked: _TrackedHost) -> HostStatus:
-    """One host, one sweep: vulnerable / fixed / offline."""
-    from repro.net.ipv4 import IPv4Address
-
-    ip = IPv4Address(tracked.ip_value)
-    if not transport.syn_probe(ip, tracked.port):
-        return HostStatus.OFFLINE
-    try:
-        transport.get(ip, tracked.port, "/", tracked.scheme)
-    except TransportError:
-        return HostStatus.OFFLINE
-    plugin = plugin_for(tracked.slug)
-    if plugin is not None:
-        context = PluginContext(transport, ip, tracked.port, tracked.scheme)
-        if plugin.detect(context) is not None:
-            return HostStatus.VULNERABLE
-    return HostStatus.FIXED
-
-
-def _apply_fate_transitions(
-    study: ScanStudy, tracked: _TrackedHost, now: float
-) -> int:
-    """Mutate the simulated host according to its fate.  Returns updates."""
-    from repro.net.ipv4 import IPv4Address
-
-    updates = 0
-    host = study.internet.host_at(IPv4Address(tracked.ip_value))
-    if host is None:
-        return 0
-    fate = tracked.fate
-
-    if (
-        fate.update_time is not None
-        and now >= fate.update_time
-        and not tracked.update_applied
-        and host.online
-    ):
-        app = host.app_instance(tracked.slug)
-        if app is not None:
-            next_release = RELEASE_DB.next_release_after(
-                tracked.slug, RELEASE_DB.release_date(tracked.slug, app.version)
-            )
-            if next_release is not None:
-                app.version = next_release.version
-                updates = 1
-        tracked.update_applied = True
-
-    if fate.exit_time is not None and now >= fate.exit_time:
-        if fate.kind is FateKind.OFFLINE:
-            host.take_offline()
-        elif fate.kind is FateKind.FIXED and host.online:
-            app = host.app_instance(tracked.slug)
-            if app is not None and app.is_vulnerable():
-                try:
-                    app.secure()
-                except NotImplementedError:
-                    host.take_offline()  # e.g. Polynote: no auth to enable
-    return updates
 
 
 def run_observer_study(
-    study: ScanStudy,
-    lifecycle: LifecycleModel | None = None,
-    telemetry: Telemetry | None = None,
+    study: ScanStudy, telemetry: Telemetry | None = None
 ) -> ObserverStudy:
-    """Observe every detected-vulnerable host for the configured window."""
-    config = study.config
-    lifecycle = lifecycle or LifecycleModel(window=config.observation_window)
-    telemetry = telemetry or Telemetry()
-    rng = random.Random(config.seed ^ 0xA11CE)
+    """Watch every detected-vulnerable host for the configured window.
 
-    # Register the watched population from the *pipeline's* findings.
-    log = ObservationLog()
-    tracked: list[_TrackedHost] = []
-    for finding in study.report.findings.values():
-        for slug in finding.vulnerable_slugs:
-            observation = finding.observations[slug]
-            host = study.internet.host_at(finding.ip)
-            app = host.app_instance(slug) if host else None
-            version = app.version if app is not None else (observation.version or "0")
-            spec = app_by_slug(slug)
-            log.register_host(
-                ObservedHost(
-                    ip_value=finding.ip.value,
-                    slug=slug,
-                    insecure_by_default=spec.default_mav_in(version),
-                    version=version,
-                )
-            )
-            tracked.append(
-                _TrackedHost(
-                    ip_value=finding.ip.value,
-                    slug=slug,
-                    port=observation.port,
-                    scheme=observation.scheme,
-                    fate=lifecycle.fate_for(rng, slug, version),
-                )
-            )
-            break  # one application per host is observed, like the paper
-
-    snapshots = _snapshot_tracked_state(study, tracked)
-    try:
-        updates = 0
-        sweeps = 0
-        now = 0.0
-        while now <= config.observation_window:
-            statuses: dict[int, HostStatus] = {}
-            with telemetry.tracer.span("observer-sweep", at=now):
-                for host in tracked:
-                    updates += _apply_fate_transitions(study, host, now)
-                    statuses[host.ip_value] = _classify(study.transport, host)
-            log.record_sweep(now, statuses)
-            telemetry.metrics.counter("observer_sweeps_total").inc()
-            for status in statuses.values():
-                telemetry.metrics.counter(
-                    "observer_status_total", status=status.value
-                ).inc()
-            sweeps += 1
-            now += config.rescan_interval
-
-        observed_updates = _measure_version_updates(study, tracked, log)
-    finally:
-        # The observation mutated the simulated hosts (owners went
-        # offline, fixed, or updated).  Restore them so the ScanStudy's
-        # internet stays a faithful image of scan time for later
-        # consumers (re-scans, disclosure planning, other analyses).
-        _restore_tracked_state(study, snapshots)
-    return ObserverStudy(
-        log=log,
-        sweep_count=sweeps,
-        version_updates=updates,
-        observed_version_updates=observed_updates,
-        telemetry=telemetry,
-    )
-
-
-def _snapshot_tracked_state(
-    study: ScanStudy, tracked: list[_TrackedHost]
-) -> list[tuple[int, bool, str, str, dict[str, object]]]:
-    import copy
-
-    from repro.net.ipv4 import IPv4Address
-
-    snapshots = []
-    for record in tracked:
-        host = study.internet.host_at(IPv4Address(record.ip_value))
-        if host is None:
-            continue
-        app = host.app_instance(record.slug)
-        if app is None:
-            continue
-        snapshots.append(
-            (record.ip_value, host.online, record.slug, app.version,
-             copy.deepcopy(app.config))
-        )
-    return snapshots
-
-
-def _restore_tracked_state(study: ScanStudy, snapshots) -> None:
-    from repro.net.ipv4 import IPv4Address
-
-    for ip_value, online, slug, version, config in snapshots:
-        host = study.internet.host_at(IPv4Address(ip_value))
-        if host is None:
-            continue
-        host.online = online
-        app = host.app_instance(slug)
-        if app is not None:
-            app.version = version
-            app.config.clear()
-            app.config.update(config)
-
-
-def _measure_version_updates(
-    study: ScanStudy, tracked: list[_TrackedHost], log: ObservationLog
-) -> int:
-    """Re-fingerprint the watched hosts and count changed versions.
-
-    "We also continued to apply our fingerprinter to all vulnerable
-    hosts, to see if some of them were updated" — 101 hosts (2.4%) in
-    the paper.  Only hosts still answering can be fingerprinted.
+    The owners' fates play out in a world rebuilt from the scan's
+    population model, so ``study.internet`` stays a faithful image of
+    scan time for later consumers (re-scans, disclosure planning).
     """
-    from repro.core.fingerprint.fingerprinter import VersionFingerprinter
-    from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
-    from repro.net.ipv4 import IPv4Address
-
-    fingerprinter = VersionFingerprinter(
-        study.transport, build_default_knowledge_base()
+    internet, _, _ = generate_internet(study.config.population)
+    watched = IntervalSet.from_values(
+        value for value, finding in study.report.findings.items()
+        if finding.vulnerable_slugs
     )
-    changed = 0
-    for host in tracked:
-        initial = log.hosts[host.ip_value].version
-        if initial is None:
-            continue
-        fingerprint = fingerprinter.fingerprint(
-            IPv4Address(host.ip_value), host.port, host.scheme, (host.slug,)
-        )
-        if fingerprint is not None and fingerprint.version != initial:
-            changed += 1
-    return changed
+    # Every address of this frame is a live host, so an oracle sweep costs
+    # five or six ticks: every 8th tick would be over a third of the campaign.
+    _, observer = run_campaign(
+        study.config, internet, watched,
+        planned_from=study.report, telemetry=telemetry, verify_every=32,
+    )
+    return observer

@@ -25,9 +25,11 @@ from __future__ import annotations
 import enum
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.apps.catalog import app_by_slug
+from repro.apps.versions import RELEASE_DB
 from repro.net.host import Host
 from repro.util.clock import DAY, HOUR, WEEK
 
@@ -52,6 +54,62 @@ class Fate:
         if self.exit_time is None or t < self.exit_time:
             return FateKind.VULNERABLE
         return self.kind
+
+
+class Churn(enum.Flag):
+    """What one lifecycle step changed on a host."""
+
+    NONE = 0
+    UPDATED = enum.auto()  # the application version was bumped
+    SECURED = enum.auto()  # authentication was switched on
+    OFFLINE = enum.auto()  # port churn: a port scan sees it unaided
+    #: invisible to a port scan, so a re-scan must be told
+    CONTENT = UPDATED | SECURED
+
+
+@dataclass
+class Deployment:
+    """One watched vulnerable deployment: the host, the app, its fate."""
+
+    host: Host
+    slug: str
+    fate: Fate
+    update_applied: bool = False
+
+    def advance(self, now: float) -> Churn:
+        """Play the fate out on the host up to ``now``; say what changed."""
+        host, fate = self.host, self.fate
+        changed = Churn.NONE
+        if not host.online:
+            return changed  # whatever falls due on a host that is gone is lost
+        if (
+            fate.update_time is not None
+            and now >= fate.update_time
+            and not self.update_applied
+        ):
+            self.update_applied = True
+            app = host.app_instance(self.slug)
+            if app is not None:
+                release = RELEASE_DB.next_release_after(
+                    self.slug, RELEASE_DB.release_date(self.slug, app.version)
+                )
+                if release is not None:
+                    app.version = release.version
+                    changed |= Churn.UPDATED
+        if fate.exit_time is not None and now >= fate.exit_time:
+            if fate.kind is FateKind.OFFLINE:
+                host.take_offline()
+                changed |= Churn.OFFLINE
+            elif fate.kind is FateKind.FIXED:
+                app = host.app_instance(self.slug)
+                if app is not None and app.is_vulnerable():
+                    try:
+                        app.secure()
+                        changed |= Churn.SECURED
+                    except NotImplementedError:
+                        host.take_offline()  # e.g. Polynote: no auth to enable
+                        changed |= Churn.OFFLINE
+        return changed
 
 
 #: Per-application hazard multipliers on the weekly exit rate.  >1 exits
@@ -138,10 +196,13 @@ class LifecycleModel:
         return Fate(FateKind.OFFLINE, exit_time, update_time)
 
     def plan(
-        self, rng: random.Random, hosts: list[tuple[Host, str, str]]
-    ) -> dict[int, Fate]:
-        """Assign fates to ``(host, slug, version)`` triples, keyed by IP."""
-        return {
-            host.ip.value: self.fate_for(rng, slug, version)
-            for host, slug, version in hosts
-        }
+        self, rng: random.Random, watched: Iterable[tuple[Host, str]]
+    ) -> list[Deployment]:
+        """One fate per ``(host, slug)``, drawn in the order given."""
+        return [
+            Deployment(
+                host, slug,
+                self.fate_for(rng, slug, host.app_instance(slug).version),
+            )
+            for host, slug in watched
+        ]

@@ -2,7 +2,24 @@
 
 import random
 
-from repro.net.lifecycle import APP_HAZARD, Fate, FateKind, LifecycleModel
+from repro.apps.base import AppInstance
+from repro.apps.catalog import create_instance
+from repro.apps.versions import RELEASE_DB
+from repro.core.tsunami.plugin import PluginContext
+from repro.core.tsunami.plugins import plugin_for
+from repro.net.host import Host, Service
+from repro.net.http import Scheme
+from repro.net.ipv4 import IPv4Address
+from repro.net.lifecycle import (
+    APP_HAZARD,
+    Churn,
+    Deployment,
+    Fate,
+    FateKind,
+    LifecycleModel,
+)
+from repro.net.network import SimulatedInternet
+from repro.net.transport import InMemoryTransport
 from repro.util.clock import HOUR, WEEK
 
 
@@ -90,13 +107,108 @@ class TestCalibration:
         # Paper: 2.4% updated during the four weeks.
         assert 0.01 < updates / len(fates) < 0.05
 
-    def test_plan_keys_by_ip(self):
-        from repro.net.host import Host
-        from repro.net.ipv4 import IPv4Address
-
-        model = LifecycleModel()
-        hosts = [
-            (Host(IPv4Address(100 + i)), "docker", "20.10") for i in range(5)
+    def test_plan_draws_in_the_order_given(self):
+        watched = [
+            (_vulnerable_host("docker", "20.10", 2375, last_octet=i), "docker")
+            for i in (9, 3, 7)
         ]
-        fates = model.plan(random.Random(0), hosts)
-        assert set(fates) == {100 + i for i in range(5)}
+        planned = LifecycleModel().plan(random.Random(0), watched)
+        assert [d.host for d in planned] == [host for host, _ in watched]
+        rng = random.Random(0)
+        assert [d.fate for d in planned] == [
+            LifecycleModel().fate_for(rng, "docker", "20.10") for _ in watched
+        ]
+
+
+def _vulnerable_host(slug, version, port, last_octet=20):
+    host = Host(IPv4Address.parse(f"93.184.90.{last_octet}"))
+    app = create_instance(slug, version, vulnerable=True)
+    host.add_service(Service(port, app=AppInstance(app, port)))
+    return host
+
+
+def _deployment(slug, version, port, kind, exit_time=None, update_time=None):
+    host = _vulnerable_host(slug, version, port)
+    return Deployment(host, slug, Fate(kind, exit_time, update_time))
+
+
+def _plugin_fires(deployment, port):
+    internet = SimulatedInternet()
+    internet.add_host(deployment.host)
+    context = PluginContext(
+        InMemoryTransport(internet), deployment.host.ip, port, Scheme.HTTP
+    )
+    return plugin_for(deployment.slug).detect(context) is not None
+
+
+class TestLifecycleStep:
+    """``Deployment.advance``: the one place an owner touches a host."""
+
+    def test_update_before_exit_bumps_the_version_once(self):
+        deployment = _deployment(
+            "jenkins", "2.0", 8080, FateKind.OFFLINE,
+            exit_time=10 * HOUR, update_time=2 * HOUR,
+        )
+        app = deployment.host.app_instance("jenkins")
+        following = RELEASE_DB.next_release_after(
+            "jenkins", RELEASE_DB.release_date("jenkins", "2.0")
+        ).version
+        assert deployment.advance(1 * HOUR) is Churn.NONE
+        assert deployment.advance(3 * HOUR) is Churn.UPDATED
+        assert Churn.UPDATED & Churn.CONTENT
+        assert app.version == following
+        assert deployment.advance(6 * HOUR) is Churn.NONE
+        assert app.version == following
+
+    def test_update_due_on_an_offline_host_changes_nothing(self):
+        deployment = _deployment(
+            "jenkins", "2.0", 8080, FateKind.OFFLINE,
+            exit_time=1 * HOUR, update_time=2 * HOUR,
+        )
+        assert deployment.advance(1 * HOUR) is Churn.OFFLINE
+        assert deployment.advance(3 * HOUR) is Churn.NONE
+        assert deployment.host.app_instance("jenkins").version == "2.0"
+
+    def test_offline_exit_is_port_churn(self):
+        deployment = _deployment(
+            "docker", "20.10", 2375, FateKind.OFFLINE, exit_time=5 * HOUR
+        )
+        assert deployment.advance(4 * HOUR) is Churn.NONE
+        assert deployment.host.online
+        changed = deployment.advance(6 * HOUR)
+        assert changed is Churn.OFFLINE and not changed & Churn.CONTENT
+        assert not deployment.host.online
+
+    def test_fixed_exit_secures_the_app_and_silences_the_plugin(self):
+        deployment = _deployment(
+            "jenkins", "2.0", 8080, FateKind.FIXED, exit_time=5 * HOUR
+        )
+        assert _plugin_fires(deployment, 8080)
+        changed = deployment.advance(6 * HOUR)
+        assert changed is Churn.SECURED and changed & Churn.CONTENT
+        assert deployment.host.online
+        assert not deployment.host.app_instance("jenkins").is_vulnerable()
+        assert not _plugin_fires(deployment, 8080)
+
+    def test_fixed_exit_without_an_auth_knob_goes_offline(self):
+        deployment = _deployment(
+            "polynote", "0.4.0", 8192, FateKind.FIXED, exit_time=5 * HOUR
+        )
+        assert deployment.advance(6 * HOUR) is Churn.OFFLINE
+        assert not deployment.host.online
+
+    def test_the_same_now_twice_is_a_no_op(self):
+        for kind, slug, version, port in (
+            (FateKind.OFFLINE, "docker", "20.10", 2375),
+            (FateKind.FIXED, "jenkins", "2.0", 8080),
+            (FateKind.FIXED, "polynote", "0.4.0", 8192),
+        ):
+            deployment = _deployment(
+                slug, version, port, kind,
+                exit_time=5 * HOUR, update_time=1 * HOUR,
+            )
+            assert deployment.advance(6 * HOUR) is not Churn.NONE
+            app = deployment.host.app_instance(slug)
+            before = (deployment.host.online, app.version, dict(app.config))
+            assert deployment.advance(6 * HOUR) is Churn.NONE
+            assert (deployment.host.online, app.version, dict(app.config)) == before

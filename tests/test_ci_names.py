@@ -18,10 +18,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the deleted harness and its result file; the second engine, the second
 #: runner and the thread-only hook of supervised sweeps; the pipeline's
-#: fifth walk through the stages
+#: fifth walk through the stages; the observer's private lifecycle step,
+#: fingerprint pass, host record and span
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
+    "_apply_fate_transitions", "_measure_version_updates", "_TrackedHost",
+    "observer-sweep",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
