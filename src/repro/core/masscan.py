@@ -157,13 +157,11 @@ class Masscan:
         order is recomputed and the first ``skip`` addresses — already
         scanned before the interruption — are not probed again.
 
-        When the transport offers liveness hints (see
-        ``Transport.live_values_in``) and neither retry nor supervision is
-        active, runs of guaranteed-dead addresses are accounted in bulk —
-        same probes, counters, and batch boundaries as probing them one by
-        one, without the per-address work.  A /24 with no live candidate
-        is never materialised at all, and inside a hinted block the dead
-        gap between two live hosts is accounted in one step.
+        Runs of addresses the transport's liveness hint (see
+        ``Transport.live_values_in``) rules out are accounted in bulk —
+        same probes, counters and batch boundaries as probing them one by
+        one, nothing sent (:meth:`_account_dead`).  A /24 with no live
+        candidate is never materialised at all.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -204,10 +202,9 @@ class Masscan:
     ) -> Iterator[tuple[int, int | None]]:
         """The sweep as ``(dead gap, live value)`` ops, after ``skip``.
 
-        The one producer for both modes.  With liveness hints each op is
-        the run of guaranteed-dead addresses before a hinted host, then
-        that host; without (retry, supervision, a hint-less transport)
-        every address is its own ``(0, value)`` op.  Dead gaps accumulate
+        Each op is the run of guaranteed-dead addresses before a hinted
+        host, then that host; a backend that cannot hint degenerates to
+        one ``(0, value)`` op per address.  Dead gaps accumulate
         across blocks and ride on the next live op (or one trailing
         ``(gap, None)``): nothing advances the clock or touches a result
         between a dead run and its flush, so deferral is observationally
@@ -215,9 +212,7 @@ class Masscan:
         instead of one per dead /24.
         """
         frame, counts, bases = self._plan_blocks(candidates)
-        hints = None
-        if self.supervision is None and self.retry is None:
-            hints = self._prefetch_hints(frame.runs)
+        hints = self._prefetch_hints(frame.runs)
         pending_dead = 0
         for base in bases:
             # Don't materialise yet: a dead or skipped block needs only
@@ -265,22 +260,24 @@ class Masscan:
     ) -> Iterator[tuple[int, int | None]]:
         """The supervised sweep's gate, as a lazy filter on the op stream.
 
-        Supervised ops are per-address (supervision disables hints), and
-        the consumer pulls the next op only after probing the last, so
-        the deadline and the quarantine ledger are consulted between
-        probes.  On the sweep deadline the stream simply ends: the
-        consumer flushes what it has and the pipeline accounts the
+        A batch can flush inside a dead gap, so a gap and its host pass as
+        two ops: the consumer pulls the second only after finishing the
+        first, and the deadline and the quarantine ledger are read after
+        whatever stages II/III did in between.  Only a host that may
+        answer is refused (a gate skip); the dead around it are dead,
+        quarantined /24 or not.  On the deadline the stream simply ends:
+        the consumer flushes what it has and the pipeline accounts the
         un-probed remainder as deadline-skipped coverage.
         """
         supervision = self.supervision
-        for op in ops:
-            if supervision.should_stop():
-                return
-            ip = IPv4Address(op[1])
-            if supervision.is_quarantined(ip):
-                supervision.note_gate_skip(ip)
-            else:
-                yield op
+        for gap, host in ops:
+            for dead, value in ((gap, None), (0, host)):
+                if supervision.should_stop():
+                    return
+                if value is not None and supervision.is_quarantined_value(value):
+                    supervision.note_gate_skip(IPv4Address(value))
+                else:
+                    yield dead, value
 
     def _close_span(self, span, result: PortScanResult) -> None:
         if span is None:
@@ -322,7 +319,7 @@ class Masscan:
 
         The hint sweep walks the frame's runs directly and groups the
         (few) live values by block — a block absent from the map is
-        guaranteed dead.  Returns None for transports without hints;
+        guaranteed dead.  Returns None for a backend that cannot know;
         the sweep is then per-address.
         """
         hints: dict[int, list[int]] = {}
@@ -337,15 +334,17 @@ class Masscan:
     def _account_dead(self, result: PortScanResult, count: int) -> None:
         """Account ``count`` guaranteed-dead addresses without probing.
 
-        Mirrors :meth:`_probe_host` for addresses the liveness hint says
-        cannot answer: the same probes-sent, addresses-scanned, transport
-        stats, and telemetry counters — minus the per-address transport
-        round trip that would return nothing.
+        A SYN, a re-probe or a fault to an address nothing listens at is
+        unobservable: its packets are counted as :meth:`_probe_host`
+        would count them — under retry, every attempt exhaustion would
+        have sent — and nothing else moves, not the retry stats, the
+        breaker, the jitter or fault stream, or the clock.
         """
         probes = count * len(self.ports)
         result.probes_sent += probes
         result.addresses_scanned += count
-        self.transport.stats.syn_probes += probes
+        attempts = 1 if self.retry is None else self.retry.policy.max_attempts
+        self.transport.stats.syn_probes += probes * attempts
         if self.telemetry is not None:
             self._count(count, 0)
 

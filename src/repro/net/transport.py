@@ -129,10 +129,11 @@ class Transport(ABC):
         backend cannot know.  The contract is one-sided: an address absent
         from the hint is guaranteed to answer nothing, so stage I may
         account for its probes in bulk without sending them; an address
-        present may still turn out dead.  Fault-injecting decorators keep
-        the default (None) so every probe still pays their per-call toll.
+        present may still turn out dead.  A decorator (see
+        :func:`transport_layers`) hints exactly as the transport it wraps.
         """
-        return None
+        inner = getattr(self, "inner", None)
+        return None if inner is None else inner.live_values_in(start, end)
 
     def fork(self, shard_seed: int, clock=None) -> "Transport":
         """An independent transport over the same network for one shard.

@@ -261,10 +261,18 @@ class _NoHints(InMemoryTransport):
 
 
 class TestStageIModesAgree:
-    """Every stage-I mode is one op producer feeding one consumer: hinted
-    bulk accounting, a hint-less transport, a fault-free retry executor
-    and an idle supervision must yield the same batches, batch for batch,
-    whatever the batch size and wherever a resumed sweep starts."""
+    """Stage I is one op producer feeding one consumer: hinted bulk
+    accounting, a hint-less transport, a fault-free retry executor and an
+    idle supervision — the last two over a backend that hints and over
+    one that cannot — must yield the same batches, batch for batch,
+    whatever the batch size and wherever a resumed sweep starts.
+
+    Batches and masscan counters are all the modes share.  Under
+    re-probes a hint-less backend is a different, dearer sweep: every
+    dead address goes through the retry executor, so its retry stats,
+    its clock and the faults a chaos layer charges are not the hinted
+    sweep's (``TestDeadFillerContributesCountsOnly`` pins the hinted
+    side)."""
 
     PORTS = (80, 8888)
     ORDER_SEED = 3
@@ -300,12 +308,14 @@ class TestStageIModesAgree:
         from repro.util.clock import SimClock
 
         internet, frame, _ = world
-        transport = (_NoHints if mode == "no-hints" else InMemoryTransport)(internet)
+        transport = (
+            _NoHints if mode.endswith("no-hints") else InMemoryTransport
+        )(internet)
         telemetry = Telemetry()
         extras = {}
-        if mode == "retry":
+        if mode.startswith("retry"):
             extras["retry"] = RetryExecutor(RetryPolicy())
-        elif mode == "supervised":
+        elif mode.startswith("supervised"):
             extras["supervision"] = ShardSupervision(
                 SupervisorConfig(), SimClock(), planned=len(frame)
             )
@@ -356,6 +366,12 @@ class TestStageIModesAgree:
                 assert other[:3] == hinted[:3], (mode, skip)
                 if mode != "retry":  # retry legitimately re-probes closed ports
                     assert other[3] == hinted[3], (mode, skip)
+            # The hint-less path under both stays covered: the same batches
+            # and, with no fault to tell them apart, the same packet count.
+            for mode in ("retry", "supervised"):
+                with_hints = self.batches(mode, world, batch_size, skip)
+                without = self.batches(mode + "-no-hints", world, batch_size, skip)
+                assert without == with_hints, (mode, skip)
 
     @pytest.mark.parametrize("form", ["list", "iterator", "duplicated"])
     @pytest.mark.parametrize("batch_size", [7, 256, 2**62])
@@ -368,3 +384,75 @@ class TestStageIModesAgree:
             for mode in ("hinted", "no-hints", "retry", "supervised"):
                 other = self.batches(mode, world, batch_size, skip, form)
                 assert other[:3] == golden[:3], (mode, skip)
+
+
+class TestGateOnHintedOps:
+    """The supervised gate refuses hosts, not addresses: only a value the
+    hint says may answer can be a gate skip, and the dead gap an op
+    carries is accounted whether or not its host is refused."""
+
+    PORTS = (80, 8888)
+    BASE = IPv4Address.parse("93.184.216.0").value
+    LIVE = (20, 32, 250)
+
+    def scanner(self):
+        from repro.core.supervisor import ShardSupervision, SupervisorConfig
+        from repro.net.intervals import IntervalSet
+        from repro.util.clock import SimClock
+
+        internet = SimulatedInternet()
+        for offset in self.LIVE:
+            host = Host(IPv4Address(self.BASE + offset))
+            host.add_service(Service(
+                8888, app=AppInstance(create_instance("jupyterlab"), 8888)
+            ))
+            internet.add_host(host)
+        # The populated /24, then a dead one: the sweep ends on a
+        # trailing (gap, None) op.
+        frame = IntervalSet([(self.BASE, self.BASE + 511)])
+        supervision = ShardSupervision(
+            SupervisorConfig(), SimClock(), planned=len(frame)
+        )
+        scanner = Masscan(
+            InMemoryTransport(internet), self.PORTS, randomise_order=False,
+            supervision=supervision,
+        )
+        return scanner, supervision, frame
+
+    def test_a_quarantined_host_is_a_gate_skip_and_its_gap_is_accounted(self):
+        scanner, supervision, frame = self.scanner()
+        supervision.quarantine.hosts.add(self.BASE + 32)
+        result = scanner.scan(frame)
+        assert supervision.gate_skips_total == 1
+        assert result.addresses_scanned == len(frame) - 1
+        assert sorted(result.open_ports) == [self.BASE + 20, self.BASE + 250]
+        assert result.probes_sent == (len(frame) - 1) * len(self.PORTS)
+        assert scanner.transport.stats.syn_probes == result.probes_sent
+
+    def test_a_slash24_quarantined_mid_sweep_skips_its_hosts_not_its_dead(self):
+        scanner, supervision, frame = self.scanner()
+        batches = scanner.scan_in_batches(frame, batch_size=25)
+        first = next(batches)  # .0 - .24: the host at .20 is probed
+        assert sorted(first.open_ports) == [self.BASE + 20]
+        supervision.quarantine.blocks.add(self.BASE)
+        rest = PortScanResult()
+        for batch in batches:
+            rest.merge(batch)
+        # .32 and .250 are refused; the 229 dead addresses around them
+        # and the dead /24 behind them are dead, not skipped.
+        assert supervision.gate_skips_total == 2
+        assert rest.open_ports == {}
+        assert first.addresses_scanned + rest.addresses_scanned == len(frame) - 2
+
+    def test_a_deadline_passed_inside_a_gap_stops_the_sweep_before_its_host(self):
+        scanner, supervision, frame = self.scanner()
+        supervision.deadline = 10.0
+        batches = scanner.scan_in_batches(frame, batch_size=25)
+        next(batches)  # flushed four addresses into the gap .21 - .31
+        supervision.clock.advance(10.0)
+        rest = list(batches)
+        # The gap already pulled is finished; the host at .32 behind it is
+        # not probed, and nothing after it is accounted at all.
+        assert supervision.deadline_hit
+        assert [(b.addresses_scanned, b.open_ports) for b in rest] == [(7, {})]
+        assert supervision.gate_skips_total == 0

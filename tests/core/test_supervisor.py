@@ -241,6 +241,39 @@ class TestDeadline:
             < loose.port_scan.addresses_scanned
         )
 
+    def test_a_deadline_over_whole_slash24s_with_gate_skips_still_reconciles(self):
+        """Hinted ops under the gate: dead gaps are accounted, quarantined
+        hosts are gate skips, the deadline ends the stream mid-frame, and
+        the stage-I books still close on the planned frame."""
+        from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
+
+        internet, ips = build_world(blocks=2)
+        frame = IntervalSet(
+            (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
+        )
+        clock = SimClock()
+        pipeline = ScanPipeline(
+            ChaosTransport(InMemoryTransport(internet), HOSTILE, seed=21, clock=clock),
+            scanned_ports(), seed=7, batch_size=3, fingerprint=False,
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
+            clock=clock,
+            supervisor=SupervisorConfig(
+                sweep_deadline=40.0, probe_deadline=20.0,
+                quarantine_threshold=1, quarantine_block_threshold=1,
+            ),
+        )
+        report = pipeline.run(frame)
+        masscan = report.coverage.stages["masscan"]
+        assert masscan.quarantined > 0 and masscan.deadline_skipped > 0
+        assert masscan.entered == len(frame)
+        assert masscan.entered == (
+            masscan.completed + masscan.dropped + masscan.quarantined
+        )
+        assert report.port_scan.addresses_scanned == (
+            masscan.entered - masscan.quarantined - masscan.deadline_skipped
+        )
+        report.coverage.reconcile(report)
+
 
 class TestEscalationLadder:
     def test_crashing_shard_is_restarted_and_result_unchanged(self):

@@ -8,7 +8,7 @@ from repro.net.host import Host, HostKind, Service
 from repro.net.http import HttpRequest, HttpResponse, Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
-from repro.net.transport import EthicsViolation, InMemoryTransport
+from repro.net.transport import EthicsViolation, InMemoryTransport, Transport
 from repro.util.errors import TransportError
 
 
@@ -194,3 +194,81 @@ class TestStatsMerge:
         restored = TransportStats.from_dict(transport.stats.to_dict())
         assert restored.to_dict() == transport.stats.to_dict()
         assert restored.requests_per_slash24 == transport.stats.requests_per_slash24
+
+
+class _PassThrough(Transport):
+    """A decorator that adds nothing and does not mention hints."""
+
+    def __init__(self, inner):
+        super().__init__(enforce_ethics=inner.enforce_ethics)
+        self.inner = inner
+        self.stats = inner.stats
+
+    def _port_open(self, ip, port):
+        return self.inner._port_open(ip, port)
+
+    def _exchange(self, ip, port, scheme, request):
+        return self.inner._exchange(ip, port, scheme, request)
+
+
+class TestLivenessHintsThroughDecorators:
+    def test_a_backend_that_cannot_know_says_so(self):
+        class Custom(Transport):
+            def _port_open(self, ip, port):
+                return False
+
+            def _exchange(self, ip, port, scheme, request):
+                raise NotImplementedError
+
+        assert Custom().live_values_in(0, 2**32 - 1) is None
+        assert _PassThrough(Custom()).live_values_in(0, 2**32 - 1) is None
+
+    def test_a_decorator_hints_as_its_backend_does(self, small_internet):
+        from repro.net.chaos import ChaosTransport, FaultPlan
+
+        internet, host = small_internet
+        base = host.ip.value & 0xFFFFFF00
+        chain = _PassThrough(
+            ChaosTransport(InMemoryTransport(internet), FaultPlan(syn_loss=1.0))
+        )
+        assert list(chain.live_values_in(base, base + 255)) == [host.ip.value]
+
+    def test_a_wrapper_without_the_method_does_not_change_a_retry_sweep(self):
+        """Report, JSONL and Prometheus bytes under chaos + retry are those
+        of the bare chain: a wrapper cannot silently turn a hinted sweep
+        into a per-address one."""
+        from repro.apps.catalog import scanned_ports
+        from repro.core.pipeline import ScanPipeline
+        from repro.core.retry import RetryPolicy
+        from repro.core.serialize import report_to_dict
+        from repro.net.chaos import ChaosTransport
+        from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
+        from repro.util.clock import SimClock
+        from tests.core.test_parallel import PLAN, build_world
+
+        def artifacts(wrap):
+            internet, ips = build_world()
+            frame = IntervalSet(
+                (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
+            )
+            clock = SimClock()
+            chaos = ChaosTransport(
+                InMemoryTransport(internet), PLAN, seed=21, clock=clock
+            )
+            transport = wrap(chaos)
+            pipeline = ScanPipeline(
+                transport, scanned_ports(), seed=7, batch_size=100,
+                fingerprint=False, clock=clock,
+                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
+            )
+            report = pipeline.run(frame)
+            assert report.retry_stats.retries and chaos.faults["syn-drop"]
+            return (
+                report_to_dict(report),
+                pipeline.telemetry.export_jsonl(),
+                pipeline.telemetry.export_prometheus(),
+                transport.stats.to_dict(),
+                clock.now,
+            )
+
+        assert artifacts(_PassThrough) == artifacts(lambda chain: chain)
