@@ -34,7 +34,7 @@ from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
 from repro.util.clock import SimClock
-from tests.core.test_parallel import APPS
+from tests.core.test_parallel import APPS, whole_blocks
 
 POLICY = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0)
 #: one heartbeat per shard whatever the address count, so both sweeps emit it
@@ -82,10 +82,7 @@ def sweep(hosts, plan, chaos_seed, supervised, only_live):
     """One single-batch sweep of the hosts' /24s, whole or live-only."""
     internet = build(hosts)
     backend = InMemoryTransport(internet)
-    frame = IntervalSet(
-        (ip.value & -BLOCK_SIZE, ip.value | (BLOCK_SIZE - 1))
-        for ip in internet.populated_addresses()
-    )
+    frame = whole_blocks(internet.populated_addresses())
     if only_live:
         frame = IntervalSet(
             (value, value)

@@ -39,7 +39,6 @@ from repro.core.supervisor import SupervisorConfig
 from repro.core.tsunami.htmlcheck import outline
 from repro.net.chaos import ChaosTransport
 from repro.net.host import Host, Service
-from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
@@ -51,6 +50,7 @@ from tests.core.test_parallel import (
     CrashingCheckpointer,
     SimulatedCrash,
     build_world,
+    whole_blocks,
 )
 from tests.core.test_supervisor import HOSTILE, SUPERVISED
 from tests.core.test_supervisor import run_arm as supervised_arm
@@ -74,9 +74,7 @@ def sweep(scenario, workers, executor, checkpoint=None):
     plan, supervisor, profile, intervals = SCENARIOS[scenario]
     internet, ips = build_world()
     if intervals:
-        ips = IntervalSet(
-            (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
-        )
+        ips = whole_blocks(ips)
     clock = SimClock()
     transport = InMemoryTransport(internet)
     if plan is not None:
@@ -262,12 +260,8 @@ class TestIncrementalRescan:
     @pytest.fixture(scope="class")
     def world(self):
         internet, ips = build_world()
-        frame = IntervalSet(
-            (ip.value & BLOCK_MASK, (ip.value & BLOCK_MASK) | 255)
-            for ip in ips
-        )
         transport = InMemoryTransport(internet)
-        return internet, transport, frame
+        return internet, transport, whole_blocks(ips)
 
     @pytest.fixture(scope="class")
     def sequential_golden(self, world):

@@ -366,12 +366,14 @@ class TestStageIModesAgree:
                 assert other[:3] == hinted[:3], (mode, skip)
                 if mode != "retry":  # retry legitimately re-probes closed ports
                     assert other[3] == hinted[3], (mode, skip)
-            # The hint-less path under both stays covered: the same batches
-            # and, with no fault to tell them apart, the same packet count.
-            for mode in ("retry", "supervised"):
-                with_hints = self.batches(mode, world, batch_size, skip)
-                without = self.batches(mode + "-no-hints", world, batch_size, skip)
-                assert without == with_hints, (mode, skip)
+                if mode != "no-hints":
+                    # The hint-less path under both stays covered: the same
+                    # batches and, with no fault to tell them apart, the
+                    # same packet count.
+                    without = self.batches(
+                        mode + "-no-hints", world, batch_size, skip
+                    )
+                    assert without == other, (mode, skip)
 
     @pytest.mark.parametrize("form", ["list", "iterator", "duplicated"])
     @pytest.mark.parametrize("batch_size", [7, 256, 2**62])

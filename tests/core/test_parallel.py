@@ -20,7 +20,7 @@ from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
 from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.host import Host, Service
-from repro.net.intervals import IntervalSet
+from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport
@@ -57,6 +57,13 @@ def build_world(blocks: int = 6):
         for offset in (1, 2, 3):
             ips.append(IPv4Address.parse(f"93.184.{100 + block}.{200 + offset}"))
     return internet, ips
+
+
+def whole_blocks(ips) -> IntervalSet:
+    """The /24s the addresses fall in, swept whole: 255/256 dead filler."""
+    return IntervalSet(
+        (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
+    )
 
 
 def run_arm(workers, chaos=False, checkpoint=None, seed=7, shard_blocks=2,

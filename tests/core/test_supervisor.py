@@ -36,6 +36,7 @@ from tests.core.test_parallel import (
     SimulatedCrash,
     build_world,
     outputs,
+    whole_blocks,
 )
 
 #: every fault family at once, including the three new ones
@@ -245,12 +246,8 @@ class TestDeadline:
         """Hinted ops under the gate: dead gaps are accounted, quarantined
         hosts are gate skips, the deadline ends the stream mid-frame, and
         the stage-I books still close on the planned frame."""
-        from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
-
         internet, ips = build_world(blocks=2)
-        frame = IntervalSet(
-            (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
-        )
+        frame = whole_blocks(ips)
         clock = SimClock()
         pipeline = ScanPipeline(
             ChaosTransport(InMemoryTransport(internet), HOSTILE, seed=21, clock=clock),

@@ -12,6 +12,16 @@ from repro.net.transport import EthicsViolation, InMemoryTransport, Transport
 from repro.util.errors import TransportError
 
 
+class _Silent(Transport):
+    """The least a backend can be: the two hooks, nothing overridden."""
+
+    def _port_open(self, ip, port):
+        return False
+
+    def _exchange(self, ip, port, scheme, request):
+        raise NotImplementedError
+
+
 @pytest.fixture()
 def small_internet():
     internet = SimulatedInternet()
@@ -156,17 +166,8 @@ class TestFork:
         assert parent.fork(shard_seed=1).enforce_ethics is False
 
     def test_base_transport_fork_is_abstract(self):
-        from repro.net.transport import Transport
-
-        class Custom(Transport):
-            def _port_open(self, ip, port):
-                return False
-
-            def _exchange(self, ip, port, scheme, request):
-                raise NotImplementedError
-
         with pytest.raises(NotImplementedError):
-            Custom().fork(shard_seed=1)
+            _Silent().fork(shard_seed=1)
 
 
 class TestStatsMerge:
@@ -213,15 +214,8 @@ class _PassThrough(Transport):
 
 class TestLivenessHintsThroughDecorators:
     def test_a_backend_that_cannot_know_says_so(self):
-        class Custom(Transport):
-            def _port_open(self, ip, port):
-                return False
-
-            def _exchange(self, ip, port, scheme, request):
-                raise NotImplementedError
-
-        assert Custom().live_values_in(0, 2**32 - 1) is None
-        assert _PassThrough(Custom()).live_values_in(0, 2**32 - 1) is None
+        assert _Silent().live_values_in(0, 2**32 - 1) is None
+        assert _PassThrough(_Silent()).live_values_in(0, 2**32 - 1) is None
 
     def test_a_decorator_hints_as_its_backend_does(self, small_internet):
         from repro.net.chaos import ChaosTransport, FaultPlan
@@ -242,15 +236,12 @@ class TestLivenessHintsThroughDecorators:
         from repro.core.retry import RetryPolicy
         from repro.core.serialize import report_to_dict
         from repro.net.chaos import ChaosTransport
-        from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, IntervalSet
         from repro.util.clock import SimClock
-        from tests.core.test_parallel import PLAN, build_world
+        from tests.core.test_parallel import PLAN, build_world, whole_blocks
 
         def artifacts(wrap):
             internet, ips = build_world()
-            frame = IntervalSet(
-                (ip.value & BLOCK_MASK, ip.value | (BLOCK_SIZE - 1)) for ip in ips
-            )
+            frame = whole_blocks(ips)
             clock = SimClock()
             chaos = ChaosTransport(
                 InMemoryTransport(internet), PLAN, seed=21, clock=clock
