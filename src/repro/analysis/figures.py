@@ -76,14 +76,6 @@ class Figure2:
 
     log: ObservationLog
 
-    def curves_by_app(self, status: HostStatus) -> dict[str, list[tuple[float, float]]]:
-        out = {}
-        for spec in in_scope_apps():
-            subset = self.log.subset_by_app(spec.slug)
-            if subset:
-                out[spec.slug] = self.log.series(status, subset).points
-        return out
-
     def curves_by_default(
         self, status: HostStatus
     ) -> dict[str, list[tuple[float, float]]]:

@@ -54,11 +54,6 @@ class ArrivalFit:
     ks_statistic: float
     p_value: float
 
-    @property
-    def plausibly_poisson(self) -> bool:
-        """Cannot reject the exponential-gap (Poisson process) model."""
-        return self.p_value > 0.01
-
 
 def interarrival_fit(attacks: list[Attack], honeypot: str) -> ArrivalFit:
     """KS-test the honeypot's attack gaps against an exponential law.

@@ -54,13 +54,6 @@ class PortScanResult:
     def ports_of(self, ip: IPv4Address) -> tuple[int, ...]:
         return self.open_ports.get(ip.value, ())
 
-    def count_per_port(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for ports in self.open_ports.values():
-            for port in ports:
-                counts[port] = counts.get(port, 0) + 1
-        return counts
-
     def merge(self, other: "PortScanResult") -> None:
         self.open_ports.update(other.open_ports)
         self.probes_sent += other.probes_sent

@@ -38,7 +38,7 @@ from repro.core.tsunami.plugin import DetectionReport
 from repro.net.http import Scheme
 from repro.net.intervals import FrameLike
 from repro.net.ipv4 import IPv4Address
-from repro.net.transport import transport_layers
+from repro.net.transport import stream_layer, transport_layers
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
 from repro.obs.telemetry import Telemetry, TelemetrySummary
 from repro.util.clock import SimClock
@@ -316,7 +316,11 @@ class ScanPipeline:
         if payload is not None:
             completed, batches_done, report = self._restore_checkpoint(payload)
         else:
-            self._open_sweep()
+            tel.events.info(
+                "pipeline", "sweep-start",
+                ports=len(self.ports), batch_size=self.batch_size,
+            )
+            tel.tracer.start("sweep")
         for batch in self._masscan.scan_in_batches(
             candidates, self.batch_size, skip=completed
         ):
@@ -333,7 +337,17 @@ class ScanPipeline:
                 )
         if self.supervision is not None:
             self._finish_supervised(completed)
-        self._close_sweep(report, batches_done)
+        sweep_span = tel.tracer.active
+        sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
+        sweep_span.attrs["batches"] = batches_done
+        tel.tracer.end(sweep_span)
+        tel.events.info(
+            "pipeline", "sweep-complete",
+            addresses=report.port_scan.addresses_scanned,
+            awe_hosts=report.total_awe_hosts(),
+            mav_hosts=len(report.vulnerable_ips()),
+        )
+        self._fold_stats(report)
         if checkpoint is not None:
             checkpoint.clear()  # a completed sweep must not be "resumed"
         if self.profile:
@@ -346,22 +360,14 @@ class ScanPipeline:
 
     # -- internals -----------------------------------------------------------
 
-    # The sweep in three pieces — open, one batch, close.  ``run`` above and
-    # the re-scan engine (repro.core.rescan) both drive exactly these, so
-    # every funnel charge, coverage charge, span and event has one issuer.
-
-    def _open_sweep(self) -> None:
-        tel = self.telemetry
-        tel.events.info(
-            "pipeline", "sweep-start",
-            ports=len(self.ports), batch_size=self.batch_size,
-        )
-        tel.tracer.start("sweep")
-
     def _run_batch(
         self, batch: PortScanResult, index: int, report: ScanReport
     ) -> None:
-        """One stage-I batch through stages II/III, inside its span."""
+        """One stage-I batch through stages II/III, inside its span.
+
+        The one batch step: the re-scan engine's pipeline
+        (repro.core.rescan) overrides it only to choose, first, which of
+        the batch's hosts replay."""
         tel = self.telemetry
         batch_span = tel.tracer.start("batch", index=index)
         self._run_later_stages(batch, report)
@@ -376,20 +382,6 @@ class ScanPipeline:
             addresses=batch.addresses_scanned,
             open_hosts=len(batch.open_ports),
         )
-
-    def _close_sweep(self, report: ScanReport, batches_done: int) -> None:
-        tel = self.telemetry
-        sweep_span = tel.tracer.active
-        sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
-        sweep_span.attrs["batches"] = batches_done
-        tel.tracer.end(sweep_span)
-        tel.events.info(
-            "pipeline", "sweep-complete",
-            addresses=report.port_scan.addresses_scanned,
-            awe_hosts=report.total_awe_hosts(),
-            mav_hosts=len(report.vulnerable_ips()),
-        )
-        self._fold_stats(report)
 
     def _run_later_stages(self, batch: PortScanResult, report: ScanReport) -> None:
         tel = self.telemetry
@@ -615,10 +607,7 @@ class ScanPipeline:
             "telemetry.tracer.finished": telemetry_state["tracer"].pop("finished"),
         }
         self._journal = self._journal_marks(report)
-        transport_state = None
-        snapshot = getattr(self.transport, "snapshot_state", None)
-        if callable(snapshot):
-            transport_state = snapshot()
+        stream = stream_layer(self.transport)
         return {
             **self._resume_config(),
             "completed_addresses": completed,
@@ -637,7 +626,7 @@ class ScanPipeline:
                 if self.circuit_breaker is not None
                 else None
             ),
-            "transport": transport_state,
+            "transport": stream.snapshot_state() if stream is not None else None,
             "telemetry": telemetry_state,
             GROWTH: growth,
         }
@@ -666,9 +655,9 @@ class ScanPipeline:
             self._retry.restore_state(payload["retry"])
         if self.circuit_breaker is not None and payload["breaker"] is not None:
             self.circuit_breaker.restore_state(payload["breaker"])
-        restore = getattr(self.transport, "restore_state", None)
-        if callable(restore) and payload["transport"] is not None:
-            restore(payload["transport"])
+        stream = stream_layer(self.transport)
+        if stream is not None and payload["transport"] is not None:
+            stream.restore_state(payload["transport"])
         self.telemetry.restore_state(payload["telemetry"])
         # The report's coverage block was copied from the live ledger at
         # save time, so restoring it re-seats the cumulative ledger too.

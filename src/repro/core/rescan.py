@@ -3,12 +3,21 @@
 The paper's longevity study (Figure 2) re-scans the same frame every
 three hours for four weeks.  Re-running the full pipeline 224 times pays
 the stage-II/III cost for every open host every time, even though almost
-nothing changes between sweeps.  This engine runs stage I in full (the
-cheap liveness probe — dead runs of the frame are accounted in bulk,
-not probed), diffs the result against the prior sweep, and re-runs the
-expensive later stages only for hosts in *churned* /24 blocks.  Every
-other host's stage-II/III contribution is replayed from the prior
-sweep's per-host ledger.
+nothing changes between sweeps.  A re-scan here is the sequential sweep
+(:meth:`ScanPipeline.run`) with one decision added per open host, taken
+in that host's own batch: replay its stage-II/III contribution from the
+prior sweep's per-host ledger, or probe it.
+
+The per-host rule: a host replays when stage I found it with exactly the
+open ports the prior sweep found, and its /24 is not in the caller's
+``churned_blocks``.  Port-level churn (a host gone, a new host, a port
+opened or closed) is thereby self-detected, and only the host that
+changed is probed.  Content-only churn (a fix deployed, a version
+upgrade behind the same open port) cannot be seen by stage I, so
+callers pass the /24s their churn feeds (lifecycle fates, CT-log hits)
+flag, before the sweep starts.  Deep-probing an unchanged host
+reproduces its prior results, so over-reporting churn costs only time,
+never correctness.
 
 The headline invariant: the :class:`~repro.core.pipeline.ScanReport` an
 incremental sweep produces is **byte-identical** to the report a
@@ -24,24 +33,17 @@ How the replay stays exact:
 * the ledger stores, per open host, its ``(port, scheme)`` response
   sequence, its serialised finding, and the flat telemetry deltas
   (counters / event count / span count) its stage-II/III work produced;
-* batches are processed in canonical order and hosts in sorted order
-  within each batch — exactly the pipeline's order — so replayed
-  ``stats.note`` calls and finding insertions interleave with fresh ones
-  in the same sequence a full sweep would produce;
+* the sweep is the pipeline's own — batches in canonical order, hosts in
+  sorted order within each — so replayed ``stats.note`` calls and
+  finding insertions interleave with fresh ones in the sequence a full
+  sweep produces;
 * funnel and coverage are charged live with the full per-batch numbers,
   so :meth:`CoverageReport.reconcile` holds for incremental passes too.
 
-Churn detection is two-sided: port-level changes (hosts going offline,
-new hosts, opened/closed ports) are self-detected from the stage-I diff;
-content-only changes (a fix deployed, a version upgrade behind the same
-open port) cannot be seen by stage I, so callers pass the blocks their
-churn feeds (lifecycle fates, CT-log hits) flag as ``churned_blocks``.
-Deep-probing an unchanged host in a churned block reproduces its prior
-results, so over-reporting churn costs only time, never correctness.
-
-Checkpoint/resume: an interrupted incremental pass resumes bit-identically
-— phase A (stage I) is deterministic and re-runs, completed batches
-replay from the checkpointed ledger, and the rest runs live.
+Checkpoint/resume is the sequential sweep's journal: each save also
+appends the ledger records made since the last one (``growth``) and
+carries the replayed hosts' telemetry whole (``synthetic``), so an
+interrupted pass resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
-from repro.core.masscan import PortScanResult
+from repro.core.checkpoint import GROWTH, Checkpointer
 from repro.core.pipeline import ScanPipeline, ScanReport
 from repro.core.prefilter import PrefilterFinding, PrefilterStats
 from repro.core.serialize import (
@@ -66,7 +67,7 @@ from repro.core.serialize import (
 from repro.net.http import Scheme
 from repro.net.intervals import BLOCK_MASK, IntervalSet
 from repro.net.ipv4 import IPv4Address
-from repro.net.transport import transport_layers
+from repro.net.transport import stream_layer
 from repro.obs.metrics import flat_name
 from repro.obs.telemetry import TelemetrySummary
 from repro.util.errors import CheckpointCorrupt, ConfigError, RecordWindowError
@@ -211,13 +212,16 @@ class _NotedStats(PrefilterStats):
 
 
 class _ReplayingPipeline(ScanPipeline):
-    """One sweep's pipeline, deciding per host "replay or probe".
+    """The sequential sweep, deciding per host whether to replay or probe.
 
-    The sweep itself — spans, events, funnel and coverage charges — is
-    the base class's batch step, untouched.  Only its two host steps are
-    overridden: a host found in ``replay`` contributes its ledger record
-    without touching the network, any other host runs the real stage
-    inside a *window* and has what it wrote there put in a fresh record.
+    The sweep itself — stage I, spans, events, funnel and coverage
+    charges, the checkpoint journal — is the base class's, untouched.
+    Each batch step first lists in ``replay`` the prior records of the
+    batch's open hosts that may replay (the per-host rule in the module
+    docstring); then, of the two host steps, a host found in ``replay``
+    contributes its ledger record without touching the network, and any
+    other host runs the real stage inside a *window* and has what it
+    wrote there put in a fresh record.
 
     The window contract.  Every counter a host step writes is an add
     into ``MetricsRegistry.pending`` (see :mod:`repro.obs.metrics`), so
@@ -232,16 +236,37 @@ class _ReplayingPipeline(ScanPipeline):
     def __post_init__(self) -> None:
         super().__post_init__()
         self._prefilter.stats = _NotedStats()
+        #: the sweep whose ledger hosts may replay from (None: probe all)
+        self.prior: RescanState | None = None
+        #: /24 bases the caller says may have changed behind unchanged ports
+        self.hinted: set[int] = set()
+        #: what a resumed sweep must agree on (see RescanEngine._run_hash)
+        self.run_hash: int | None = None
         #: ledger records the current batch may replay, by host value
         self.replay: dict[int, HostRecord] = {}
-        #: prior-sweep finding objects a replayed host may share
-        self.shareable: dict = {}
         #: this sweep's ledger: one record per open host, replayed or fresh
         self.records: dict[int, HostRecord] = {}
         #: what the replayed hosts' stage-II/III work would have counted
         self.synthetic = TelemetrySummary()
         #: series key -> flat name, built once per series a window closed on
         self._flat_names: dict[tuple, str] = {}
+        #: how many of ``records`` the checkpoint journal holds
+        self._saved = 0
+
+    def _run_batch(self, batch, index, report) -> None:
+        # Everything the rule reads is the host's own: its stage-I answer
+        # is in this batch, its prior answer and its hint are given.
+        prior = self.prior
+        if prior is not None:
+            before, hinted = prior.report.port_scan.open_ports, self.hinted
+            self.replay = {
+                value: prior.records[value]
+                for value, ports in batch.open_ports.items()
+                if before.get(value) == ports
+                and (value & BLOCK_MASK) not in hinted
+                and value in prior.records
+            }
+        super()._run_batch(batch, index, report)
 
     def _open_window(self) -> tuple[int, int, int]:
         """Start recording one fresh host step; hand the result to
@@ -304,7 +329,9 @@ class _ReplayingPipeline(ScanPipeline):
         value = finding.ip.value
         record = self.replay.get(value)
         if record is not None:
-            host_finding = self.shareable.get(value)
+            # A replayed record is the prior sweep's verbatim, so its
+            # (immutable) finding object is shared.
+            host_finding = self.prior.report.findings.get(value)
             if host_finding is None:
                 host_finding = finding_from_dict(record.finding)
             report.findings[value] = host_finding
@@ -318,6 +345,39 @@ class _ReplayingPipeline(ScanPipeline):
     def _fold_stats(self, report: ScanReport) -> None:
         super()._fold_stats(report)
         report.telemetry.merge(self.synthetic)
+
+    # -- checkpoint/resume: the sequential journal, plus the ledger ---------
+
+    def _resume_config(self) -> dict:
+        # "journal" tells this format from the engine's earlier journals:
+        # the same keys and engine name, none of the sequential sections.
+        return {
+            **super()._resume_config(),
+            "engine": "rescan",
+            "journal": "sequential",
+            "fingerprint": self.fingerprint,
+            "run_hash": self.run_hash,
+        }
+
+    def _checkpoint_payload(self, *args) -> dict:
+        payload = super()._checkpoint_payload(*args)
+        payload[GROWTH]["records"] = {
+            str(value): record.to_dict()
+            for value, record in islice(self.records.items(), self._saved, None)
+        }
+        payload["synthetic"] = self.synthetic.to_dict()
+        self._saved = len(self.records)
+        return payload
+
+    def _restore_checkpoint(self, payload: dict) -> tuple[int, int, ScanReport]:
+        resumed = super()._restore_checkpoint(payload)
+        self.records = {
+            int(value): HostRecord.from_dict(raw)
+            for value, raw in payload["records"].items()
+        }
+        self.synthetic = TelemetrySummary.from_dict(payload["synthetic"])
+        self._saved = len(self.records)
+        return resumed
 
 
 @dataclass
@@ -359,9 +419,9 @@ class RescanEngine:
 
         ``churned_blocks`` marks /24s whose hosts may have changed
         *content* without changing their open ports (lifecycle fates,
-        CT-log churn); port-level changes are self-detected from the
-        stage-I diff.  Accepts block bases or any address inside the
-        block.
+        CT-log churn); port-level changes are self-detected, host by
+        host, from stage I.  Accepts block bases or any address inside
+        the block.
         """
         self.check_prior(frame, prior)
         hinted = {
@@ -389,86 +449,10 @@ class RescanEngine:
         )
         if prior is not None or checkpoint is not None:
             self._check_replayable()
-        config = {
-            "engine": "rescan",
-            "seed": self.seed,
-            "ports": list(self.ports),
-            "batch_size": self.batch_size,
-            "fingerprint": self.fingerprint,
-        }
-        resumed_records: dict[int, HostRecord] = {}
-        resumed_batches = 0
+        pipe.prior, pipe.hinted = prior, hinted
         if checkpoint is not None:
-            config["run_hash"] = self._run_hash(frame, prior, hinted)
-            payload = checkpoint.load()
-            if payload is not None:
-                check_config_matches(payload, **config)
-                resumed_batches = payload["batches_done"]
-                resumed_records = {
-                    int(value): HostRecord.from_dict(raw)
-                    for value, raw in payload["records"].items()
-                }
-
-        # Phase A: the full port scan.  Runs for real every sweep — this
-        # is the "cheap liveness probe" (dead runs are accounted in bulk)
-        # — and must complete before later stages so churn is judged on
-        # whole /24 blocks, which batch boundaries can split.
-        report = ScanReport()
-        pipe._open_sweep()
-        batches: list[PortScanResult] = []
-        for batch in pipe._masscan.scan_in_batches(frame, self.batch_size):
-            report.port_scan.merge(batch)
-            batches.append(batch)
-
-        reusable: dict[int, HostRecord] = {}
-        if prior is not None:
-            churned = hinted | self._diff_churned_blocks(
-                prior.report.port_scan.open_ports, report.port_scan.open_ports
-            )
-            reusable = {
-                value: prior.records[value]
-                for value in report.port_scan.open_ports
-                if (value & BLOCK_MASK) not in churned
-                and value in prior.records
-            }
-
-        # Phase B: the pipeline's own batch step, in canonical batch
-        # order.  A batch completed before an interruption replays *every*
-        # host from the checkpointed ledger (hosts that ran fresh back
-        # then carry their captured deltas); those records are this
-        # sweep's results and may differ from the prior report, so their
-        # findings are re-parsed.  Records reused from the prior sweep are
-        # verbatim, so its (immutable) finding objects are shared.
-        saved = len(resumed_records)
-        for index, batch in enumerate(batches):
-            if index < resumed_batches:
-                pipe.replay, pipe.shareable = resumed_records, {}
-            else:
-                pipe.replay = reusable
-                pipe.shareable = prior.report.findings if prior is not None else {}
-            pipe._run_batch(batch, index, report)
-            # Batches the journal already covers replay without saving;
-            # a live batch appends only the records past ``saved``.
-            if (
-                checkpoint is not None
-                and index >= resumed_batches
-                and checkpoint.due(index + 1)
-            ):
-                checkpoint.save({
-                    **config,
-                    "batches_done": index + 1,
-                    GROWTH: {
-                        "records": {
-                            str(value): record.to_dict()
-                            for value, record in islice(
-                                pipe.records.items(), saved, None
-                            )
-                        },
-                    },
-                })
-                saved = len(pipe.records)
-
-        pipe._close_sweep(report, len(batches))
+            pipe.run_hash = self._run_hash(frame, prior, hinted)
+        report = pipe.run(frame, checkpoint)
         # In-memory detections match a serialisation round trip: rebuilt
         # from findings, so fresh and replayed hosts are indistinguishable.
         report.detections = [
@@ -477,8 +461,6 @@ class RescanEngine:
             for observation in finding.observations.values()
             if observation.detection is not None
         ]
-        if checkpoint is not None:
-            checkpoint.clear()
         return RescanState(
             report=report,
             records=pipe.records,
@@ -491,34 +473,19 @@ class RescanEngine:
 
     # -- helpers --------------------------------------------------------
 
-    @staticmethod
-    def _diff_churned_blocks(
-        prior_open: dict[int, tuple[int, ...]],
-        current_open: dict[int, tuple[int, ...]],
-    ) -> set[int]:
-        """Blocks whose stage-I picture changed since the prior sweep."""
-        churned = set()
-        for value, ports in current_open.items():
-            if prior_open.get(value) != ports:
-                churned.add(value & BLOCK_MASK)
-        for value, ports in prior_open.items():
-            if current_open.get(value) != ports:
-                churned.add(value & BLOCK_MASK)
-        return churned
-
     def _check_replayable(self) -> None:
         """Raise ConfigError if a layer of the transport carries a per-call
         stream (``snapshot_state``: state a resume must restore).  A
         replayed host makes no calls, so every later host would meet
         another stretch of it and the report would differ, silently."""
-        for layer in transport_layers(self.transport):
-            if callable(getattr(layer, "snapshot_state", None)):
-                raise ConfigError(
-                    f"{type(layer).__name__} answers from a per-call stream "
-                    "that replayed hosts would not advance; re-scans and "
-                    "checkpointed sweeps of the re-scan engine need a "
-                    "transport without one"
-                )
+        layer = stream_layer(self.transport)
+        if layer is not None:
+            raise ConfigError(
+                f"{type(layer).__name__} answers from a per-call stream "
+                "that replayed hosts would not advance; re-scans and "
+                "checkpointed sweeps of the re-scan engine need a "
+                "transport without one"
+            )
 
     def check_prior(self, frame: IntervalSet, prior: RescanState) -> None:
         """Raise ConfigError unless ``prior`` can seed a re-scan of ``frame``."""

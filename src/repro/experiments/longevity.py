@@ -5,13 +5,13 @@ three hours.  Done naively that is a full three-stage sweep per cadence
 tick — at 100M addresses, hundreds of full sweeps.  This experiment runs
 the campaign the way a real longitudinal study must: one recorded
 baseline sweep, then an *incremental* re-scan per tick that replays the
-unchanged hosts from the prior sweep and deep-probes only the /24s that
-churned.
+unchanged hosts from the prior sweep and deep-probes only the hosts that
+changed.
 
 Between ticks the lifecycle model plays out against the simulated hosts
 (owners go offline, complete installations, flip authentication on,
-update versions).  Port-level churn is self-detected by the engine's
-stage-I diff; content-level churn (a fix or version update that leaves
+update versions).  Port-level churn is self-detected by the engine, host
+by host, from stage I; content-level churn (a fix or version update that leaves
 the open ports alone) is hinted via ``churned_blocks``, exactly the
 signal a real campaign gets from CT logs or passive DNS.  Every sweep's
 report classifies each watched host by *observation alone* — the plugin
@@ -335,7 +335,7 @@ def run_campaign(
             vulnerable=len(state.report.vulnerable_ips()),
         )
         # The world may have drifted arbitrarily while the campaign was
-        # down, and content drift is invisible to the stage-I diff.  The
+        # down, and content drift is invisible to stage I.  The
         # first resumed tick therefore re-validates every /24 the prior
         # sweep saw live; later ticks are hint-driven again.
         revalidate = {value & BLOCK_MASK for value in state.records}

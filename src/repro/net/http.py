@@ -3,8 +3,7 @@
 The application emulators, the scanning pipeline, and the honeypot monitor
 all exchange :class:`HttpRequest`/:class:`HttpResponse` values.  The model
 covers what the paper's pipeline needs: methods, paths with query strings,
-headers, bodies, redirects, and wire (de)serialisation so the same messages
-can travel over the real-socket transport.
+headers, bodies and redirects.
 """
 
 from __future__ import annotations
@@ -102,15 +101,6 @@ class HttpRequest:
         """True for methods an ethical scanner must not send."""
         return self.method.upper() not in ("GET", "HEAD", "OPTIONS")
 
-    def to_wire(self) -> bytes:
-        """Serialise for the socket transport."""
-        lines = [f"{self.method} {self.path} HTTP/1.1"]
-        headers = dict(self.headers)
-        headers.setdefault("content-length", str(len(self.body.encode())))
-        for name, value in sorted(headers.items()):
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n" + self.body).encode()
-
 
 @dataclass(frozen=True)
 class HttpResponse:
@@ -172,37 +162,3 @@ class HttpResponse:
     @property
     def content_type(self) -> str:
         return self.headers.get("content-type", "")
-
-    def to_wire(self) -> bytes:
-        """Serialise for the socket transport."""
-        lines = [f"HTTP/1.1 {self.status} {self.reason}"]
-        headers = dict(self.headers)
-        headers.setdefault("content-length", str(len(self.body.encode())))
-        for name, value in sorted(headers.items()):
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n" + self.body).encode()
-
-
-def parse_wire_request(raw: bytes) -> HttpRequest:
-    """Parse a serialised request (socket transport receive path)."""
-    head, _, body = raw.partition(b"\r\n\r\n")
-    lines = head.decode(errors="replace").split("\r\n")
-    method, path, _version = lines[0].split(" ", 2)
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return HttpRequest(method, path, headers=headers, body=body.decode(errors="replace"))
-
-
-def parse_wire_response(raw: bytes) -> HttpResponse:
-    """Parse a serialised response (socket transport receive path)."""
-    head, _, body = raw.partition(b"\r\n\r\n")
-    lines = head.decode(errors="replace").split("\r\n")
-    parts = lines[0].split(" ", 2)
-    status = int(parts[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return HttpResponse(status, headers=headers, body=body.decode(errors="replace"))

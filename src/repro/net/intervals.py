@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from repro.net.ipv4 import MAX_IPV4, IPv4Address, IPv4Network, _RESERVED_ENDS, _RESERVED_STARTS
+from repro.net.ipv4 import MAX_IPV4, IPv4Address, _RESERVED_ENDS, _RESERVED_STARTS
 from repro.net.network import SimulatedInternet
 from repro.util.rand import stable_hash
 
@@ -60,15 +60,6 @@ class IntervalSet:
                 runs[-1] = (runs[-1][0], value)
             else:
                 runs.append((value, value))
-        return cls(runs)
-
-    @classmethod
-    def from_cidrs(cls, cidrs: Iterable[str]) -> "IntervalSet":
-        """Build a set from dotted CIDR notation (``"10.0.0.0/8"``)."""
-        runs = []
-        for text in cidrs:
-            net = IPv4Network.parse(text)
-            runs.append((net.first.value, net.last.value))
         return cls(runs)
 
     # -- algebra -------------------------------------------------------

@@ -90,6 +90,16 @@ def transport_layers(transport):
         transport = getattr(transport, "inner", None)
 
 
+def stream_layer(transport):
+    """The outermost layer that answers from a per-call stream — one with
+    ``snapshot_state``, state a checkpoint must save and a resume restore —
+    or None when no layer does."""
+    for layer in transport_layers(transport):
+        if callable(getattr(layer, "snapshot_state", None)):
+            return layer
+    return None
+
+
 class Transport(ABC):
     """What the scanning pipeline knows about the network."""
 

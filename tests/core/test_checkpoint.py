@@ -15,6 +15,7 @@ from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport, Transport
 from repro.util.clock import SimClock
 from repro.util.errors import CheckpointCorrupt, ConfigError
+from tests.core.test_rescan import _Crashing, _Relay
 
 
 class TestCheckpointer:
@@ -326,3 +327,28 @@ class TestResume:
         with pytest.raises(SimulatedCrash):
             arm(die_after=90, checkpoint=ckpt)
         assert report_to_dict(arm(checkpoint=ckpt)) == expected
+
+    def test_the_chaos_stream_is_saved_under_a_pass_through_layer(
+        self, tmp_path
+    ):
+        """The stream a resume restores is the chaos layer's wherever it
+        sits in the ``inner`` chain: a decorator with no state of its own
+        must not hide it, or the resumed batches meet the stream's start
+        again and the report differs without a word."""
+        def arm(checkpoint=None):
+            internet, ips = build_world()
+            transport = _Relay(ChaosTransport(
+                InMemoryTransport(internet),
+                FaultPlan(request_loss=0.1, reset_rate=0.05), seed=21,
+            ))
+            pipeline = ScanPipeline(
+                transport, scanned_ports(), seed=3, batch_size=2,
+                fingerprint=False,
+            )
+            return pipeline.run(ips, checkpoint=checkpoint)
+
+        expected = report_to_dict(arm())
+        path = tmp_path / "scan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            arm(checkpoint=_Crashing(path, 2))
+        assert report_to_dict(arm(checkpoint=Checkpointer(path))) == expected

@@ -83,12 +83,6 @@ class TestMasscan:
         with pytest.raises(ValueError):
             list(scanner.scan_in_batches(ips, batch_size=0))
 
-    def test_count_per_port(self, small_world):
-        internet, ips = small_world
-        scanner = Masscan(InMemoryTransport(internet), ports=(8888,))
-        result = scanner.scan(ips)
-        assert result.count_per_port() == {8888: len(ips)}
-
 
 class TestScanOrder:
     def _block_targets(self):

@@ -1,16 +1,8 @@
 """Tests for the HTTP message model."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.net.http import (
-    HttpRequest,
-    HttpResponse,
-    Scheme,
-    parse_wire_request,
-    parse_wire_response,
-)
+from repro.net.http import HttpRequest, HttpResponse, Scheme
 
 
 class TestHttpRequest:
@@ -69,40 +61,6 @@ class TestHttpResponse:
 
     def test_json_content_type(self):
         assert HttpResponse.json("{}").content_type == "application/json"
-
-
-class TestWireFormat:
-    def test_request_roundtrip(self):
-        request = HttpRequest.post("/a/b?c=1", "payload", headers={"x-h": "v"})
-        parsed = parse_wire_request(request.to_wire())
-        assert parsed.method == "POST"
-        assert parsed.path == "/a/b?c=1"
-        assert parsed.body == "payload"
-        assert parsed.headers["x-h"] == "v"
-
-    def test_response_roundtrip(self):
-        response = HttpResponse(404, {"content-type": "text/html"}, "gone")
-        parsed = parse_wire_response(response.to_wire())
-        assert parsed.status == 404
-        assert parsed.body == "gone"
-        assert parsed.content_type == "text/html"
-
-    @given(
-        st.sampled_from(["GET", "POST", "PUT"]),
-        st.text(
-            alphabet=st.characters(whitelist_categories=("Ll", "Nd")), max_size=20
-        ),
-        st.text(
-            alphabet=st.characters(whitelist_categories=("Ll", "Nd", "Zs")),
-            max_size=100,
-        ),
-    )
-    def test_wire_roundtrip_property(self, method, path_part, body):
-        request = HttpRequest(method, "/" + path_part, body=body)
-        parsed = parse_wire_request(request.to_wire())
-        assert parsed.method == method
-        assert parsed.path == "/" + path_part
-        assert parsed.body == body
 
 
 def test_scheme_str():

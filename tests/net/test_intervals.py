@@ -33,12 +33,6 @@ class TestConstruction:
         s = IntervalSet.from_values([ip, ip.value + 1])
         assert s.runs == ((ip.value, ip.value + 1),)
 
-    def test_from_cidrs(self):
-        s = IntervalSet.from_cidrs(["203.0.113.0/24"])
-        first = IPv4Address.parse("203.0.113.0").value
-        assert s.runs == ((first, first + 255),)
-        assert len(s) == 256
-
     def test_invalid_run_rejected(self):
         with pytest.raises(ValueError):
             IntervalSet([(10, 5)])

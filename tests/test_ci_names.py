@@ -19,12 +19,16 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the deleted harness and its result file; the second engine, the second
 #: runner and the thread-only hook of supervised sweeps; the pipeline's
 #: fifth walk through the stages; the observer's private lifecycle step,
-#: fingerprint pass, host record and span
+#: fingerprint pass, host record and span; the re-scan engine's own batch
+#: loop and the pipeline pieces it drove; the unused wire codec and figure
+#: helper
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
     "_apply_fate_transitions", "_measure_version_updates", "_TrackedHost",
     "observer-sweep",
+    "_diff_churned_blocks", "_open_sweep", "_close_sweep",
+    "parse_wire_request", "parse_wire_response", "curves_by_app",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
