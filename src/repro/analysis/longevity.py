@@ -73,9 +73,6 @@ class ObservationLog:
 
     # -- subsets for Figure 2's grouping -----------------------------------
 
-    def subset_by_app(self, slug: str) -> set[int]:
-        return {ip for ip, host in self.hosts.items() if host.slug == slug}
-
     def subset_by_default(self, insecure_by_default: bool) -> set[int]:
         return {
             ip for ip, host in self.hosts.items()

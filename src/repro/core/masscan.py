@@ -153,8 +153,8 @@ class Masscan:
         Runs of addresses the transport's liveness hint (see
         ``Transport.live_values_in``) rules out are accounted in bulk —
         same probes, counters and batch boundaries as probing them one by
-        one, nothing sent (:meth:`_account_dead`).  A /24 with no live
-        candidate is never materialised at all.
+        one, nothing sent.  A /24 with no live candidate is never
+        materialised at all.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -163,32 +163,47 @@ class Masscan:
         ops = self._ops(candidates, skip)
         if self.supervision is not None:
             ops = self._gated(ops)
-        result = PortScanResult()
-        span = None
+        ports, retry, telemetry = self.ports, self.retry, self.telemetry
+        width = len(ports)
+        # A SYN, a re-probe or a fault to an address nothing listens at is
+        # unobservable: a dead address's packets are counted as a probed
+        # one's would be — under retry, every attempt exhaustion would have
+        # sent — and nothing else moves, not the retry stats, the breaker,
+        # the jitter or fault stream, or the clock.
+        dead_syns = width * (1 if retry is None else retry.policy.max_attempts)
+        result, scanned, span = PortScanResult(), 0, None
         # One consumer for every mode: an op is ``dead`` addresses to
         # account in bulk, then (unless None) one address to probe, and a
         # full batch flushes wherever inside the op it fills up.
         for dead, value in ops:
             while dead or value is not None:
-                if span is None and self.telemetry is not None:
+                if span is None and telemetry is not None:
                     # Lazy: only a batch that scans at least one address
                     # opens a span, so resumed sweeps trace identically.
-                    span = self.telemetry.tracer.start("stage:masscan")
+                    span = telemetry.tracer.start("stage:masscan")
                 if dead:
-                    take = min(dead, batch_size - result.addresses_scanned)
-                    self._account_dead(result, take)
+                    take = min(dead, batch_size - scanned)
+                    scanned += take
+                    self.transport.stats.syn_probes += take * dead_syns
                     dead -= take
                 else:
-                    self._probe_host(IPv4Address(value), result)
+                    ip = IPv4Address(value)
+                    if retry is None:
+                        # One transport call answers all twelve ports.
+                        open_ports = self.transport.probe_ports(ip, ports)
+                    else:
+                        open_ports = [
+                            port for port in ports if self.probe_port(ip, port)
+                        ]
+                    scanned += 1
+                    if open_ports:
+                        result.open_ports[value] = tuple(sorted(open_ports))
                     value = None
-                if result.addresses_scanned >= batch_size:
-                    self._close_span(span, result)
-                    span = None
-                    yield result
-                    result = PortScanResult()
-        if result.addresses_scanned:
-            self._close_span(span, result)
-            yield result
+                if scanned >= batch_size:
+                    yield self._close_batch(span, result, scanned)
+                    result, scanned, span = PortScanResult(), 0, None
+        if scanned:
+            yield self._close_batch(span, result, scanned)
 
     def _ops(
         self, candidates: FrameLike, skip: int
@@ -225,26 +240,35 @@ class Masscan:
                 pending_dead += count - skip
                 skip = 0
                 continue
-            block_ops: Iterable[tuple[int, int | None]]
             if len(live) == count:
                 # As many to probe as members: they *are* the block.
-                block_ops = ((0, value) for value in live[skip:])
-            elif count == BLOCK_SIZE:
-                # A whole /24 is one run: no lookup of its runs either.
-                block_ops = _range_ops(
-                    base + skip, base | (BLOCK_SIZE - 1), live
-                )
-            else:
-                block_ops = _block_ops(
-                    frame.runs_in(base, base | (BLOCK_SIZE - 1)), skip, live
-                )
-            skip = 0
-            for dead, value in block_ops:
-                if value is None:
-                    pending_dead += dead
-                else:
-                    yield pending_dead + dead, value
+                for value in live[skip:]:
+                    yield pending_dead, value
                     pending_dead = 0
+                skip = 0
+                continue
+            # Inside a run the members are the range itself, so the dead
+            # stretch before each hinted host is ``value - cursor``: no
+            # member list, no set, no per-address walk.  A whole /24 is one
+            # run, with no lookup of its runs.  Hint values are ascending
+            # (transport contract) and the hint is one-sided, so a "live"
+            # value may still probe dead; it is probed either way.
+            last = base | (BLOCK_SIZE - 1)
+            runs = (
+                ((base, last),) if count == BLOCK_SIZE
+                else frame.runs_in(base, last)
+            )
+            for start, end in runs:
+                if skip > end - start:
+                    skip -= end - start + 1
+                    continue
+                cursor = start + skip
+                skip = 0
+                for value in live[bisect_left(live, cursor):bisect_right(live, end)]:
+                    yield pending_dead + value - cursor, value
+                    pending_dead = 0
+                    cursor = value + 1
+                pending_dead += end - cursor + 1
         if pending_dead:
             yield pending_dead, None
 
@@ -272,15 +296,34 @@ class Masscan:
                 else:
                     yield dead, value
 
-    def _close_span(self, span, result: PortScanResult) -> None:
+    def _close_batch(
+        self, span, result: PortScanResult, scanned: int
+    ) -> PortScanResult:
+        """Close a batch of ``scanned`` addresses: every one of them is
+        ``len(ports)`` probes, probed or accounted dead."""
+        result.addresses_scanned = scanned
+        result.probes_sent = scanned * len(self.ports)
         if span is None:
-            return
-        span.attrs["addresses"] = result.addresses_scanned
+            return result
+        span.attrs["addresses"] = scanned
         span.attrs["open_hosts"] = len(result.open_ports)
         self.telemetry.tracer.end(span)
+        # Stage I's three series move together (the open-ports one by zero
+        # for a batch with no open port, as it always has) and are tallied
+        # per batch, from the batch's own totals: they land in ``pending``
+        # here, never mid-batch, and always before the batch is yielded.
+        metrics = self.telemetry.metrics
+        pending = metrics.pending
+        for key, amount in (
+            (_ADDRESSES, scanned),
+            (_PROBES, result.probes_sent),
+            (_OPEN_PORTS, sum(map(len, result.open_ports.values()))),
+        ):
+            pending[key] = pending.get(key, 0) + amount
         # A batch flush is a publish point: pending counts never outgrow
         # a batch, whoever drives the generator.
-        self.telemetry.metrics.publish()
+        metrics.publish()
+        return result
 
     def probe_port(self, ip: IPv4Address, port: int) -> bool:
         """One logical SYN probe, re-probed under the retry policy if set."""
@@ -289,21 +332,6 @@ class Masscan:
                 ip, lambda: self.transport.syn_probe(ip, port)
             )
         return self.transport.syn_probe(ip, port)
-
-    def _probe_host(self, ip: IPv4Address, result: PortScanResult) -> None:
-        ports = self.ports
-        if self.retry is None:
-            # Batched fast path: one transport call for all twelve ports.
-            open_ports = self.transport.probe_ports(ip, ports)
-        else:
-            open_ports = [
-                port for port in ports if self.probe_port(ip, port)
-            ]
-        result.probes_sent += len(ports)
-        result.addresses_scanned += 1
-        result.record(ip, open_ports)
-        if self.telemetry is not None:
-            self._count(1, len(open_ports))
 
     def _prefetch_hints(
         self, runs: Sequence[tuple[int, int]]
@@ -323,67 +351,6 @@ class Masscan:
             for value in values:
                 hints.setdefault(value & BLOCK_MASK, []).append(value)
         return hints
-
-    def _account_dead(self, result: PortScanResult, count: int) -> None:
-        """Account ``count`` guaranteed-dead addresses without probing.
-
-        A SYN, a re-probe or a fault to an address nothing listens at is
-        unobservable: its packets are counted as :meth:`_probe_host`
-        would count them — under retry, every attempt exhaustion would
-        have sent — and nothing else moves, not the retry stats, the
-        breaker, the jitter or fault stream, or the clock.
-        """
-        probes = count * len(self.ports)
-        result.probes_sent += probes
-        result.addresses_scanned += count
-        attempts = 1 if self.retry is None else self.retry.policy.max_attempts
-        self.transport.stats.syn_probes += probes * attempts
-        if self.telemetry is not None:
-            self._count(count, 0)
-
-    def _count(self, addresses: int, open_ports: int) -> None:
-        """Count scanned addresses: all three series move together (the
-        open-ports one by zero for a closed host), as they always have.
-        Pending adds; each batch flush publishes them."""
-        pending = self.telemetry.metrics.pending
-        pending[_ADDRESSES] = pending.get(_ADDRESSES, 0) + addresses
-        pending[_PROBES] = pending.get(_PROBES, 0) + addresses * len(self.ports)
-        pending[_OPEN_PORTS] = pending.get(_OPEN_PORTS, 0) + open_ports
-
-
-def _block_ops(
-    runs: Iterable[tuple[int, int]], skip: int, live: Sequence[int]
-) -> Iterator[tuple[int, int | None]]:
-    """(dead gap, live value) ops for one block's runs, after ``skip`` members.
-
-    Inside a run the members are the range itself, so the gaps between
-    hinted hosts are arithmetic — no member list, no set, no per-address
-    walk.  A per-address sweep passes the whole block as ``live``.
-    """
-    for start, end in runs:
-        if skip > end - start:
-            skip -= end - start + 1
-            continue
-        yield from _range_ops(start + skip, end, live)
-        skip = 0
-
-
-def _range_ops(
-    start: int, end: int, live: Sequence[int]
-) -> Iterator[tuple[int, int | None]]:
-    """(dead gap, live value) ops for the contiguous range ``[start, end]``.
-
-    The dead stretch before each hinted host is ``value - cursor`` — no
-    member list is ever built.  Hint values are ascending (transport
-    contract) and the hint is one-sided, so a "live" value may still
-    probe dead; it is probed rather than skipped either way.
-    """
-    cursor = start
-    for value in live[bisect_left(live, start):bisect_right(live, end)]:
-        yield value - cursor, value
-        cursor = value + 1
-    if cursor <= end:
-        yield end - cursor + 1, None
 
 
 def burst_profile(order: Sequence[IPv4Address], window: int = 256) -> dict[int, int]:

@@ -80,6 +80,15 @@ class HostFinding:
             sorted(s for s, o in self.observations.items() if o.vulnerable)
         )
 
+    @property
+    def is_vulnerable(self) -> bool:
+        """:attr:`vulnerable_slugs` as a yes/no, without sorting a tuple
+        (an ``any`` as a loop: twice a sweep for every finding)."""
+        for observation in self.observations.values():
+            if observation.vulnerable:
+                return True
+        return False
+
 
 @dataclass
 class ScanReport:
@@ -125,7 +134,7 @@ class ScanReport:
         return [
             finding.ip
             for finding in self.findings.values()
-            if finding.vulnerable_slugs
+            if finding.is_vulnerable
         ]
 
     def observations(self) -> list[AppObservation]:
@@ -425,11 +434,11 @@ class ScanPipeline:
                 self._verify_and_fingerprint(finding, report)
         vulnerable_hosts = sum(
             1 for value in candidate_ips
-            if report.findings[value].vulnerable_slugs
+            if report.findings[value].is_vulnerable
         )
         quarantined_candidates = sum(
             1 for value in self._quarantined_values(candidate_ips)
-            if not report.findings[value].vulnerable_slugs
+            if not report.findings[value].is_vulnerable
         )
         tel.funnel(
             "tsunami", len(candidate_ips), vulnerable_hosts,

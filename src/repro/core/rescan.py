@@ -34,9 +34,10 @@ How the replay stays exact:
   sequence, its serialised finding, and the flat telemetry deltas
   (counters / event count / span count) its stage-II/III work produced;
 * the sweep is the pipeline's own — batches in canonical order, hosts in
-  sorted order within each — so replayed ``stats.note`` calls and
-  finding insertions interleave with fresh ones in the sequence a full
-  sweep produces;
+  sorted order within each — so replayed response tallies and finding
+  insertions interleave with fresh ones in the sequence a full sweep
+  produces, and replayed telemetry, whole counts summed at each fold,
+  adds up to what the hosts' own work would have counted;
 * funnel and coverage are charged live with the full per-batch numbers,
   so :meth:`CoverageReport.reconcile` holds for incremental passes too.
 
@@ -51,9 +52,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.checkpoint import GROWTH, Checkpointer
 from repro.core.pipeline import ScanPipeline, ScanReport
@@ -74,6 +76,8 @@ from repro.util.errors import CheckpointCorrupt, ConfigError, RecordWindowError
 from repro.util.rand import stable_hash
 
 RESCAN_FORMAT_VERSION = 1
+
+_HTTP = Scheme.HTTP.value
 
 
 @dataclass
@@ -107,6 +111,16 @@ class HostRecord:
             "events": self.events,
             "spans": self.spans,
         }
+
+    @cached_property
+    def replay_findings(self) -> tuple[PrefilterFinding, ...]:
+        """What stage II hands stage III when this record replays: for a
+        host with a finding, a token — not a finding — that makes it a
+        stage-III candidate whose finding ``_verify_and_fingerprint``
+        installs.  Built on first replay, reused by later ticks."""
+        if self.finding is None:
+            return ()
+        return (PrefilterFinding(IPv4Address(self.value), 0, Scheme.HTTP, (), ""),)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HostRecord":
@@ -246,8 +260,11 @@ class _ReplayingPipeline(ScanPipeline):
         self.replay: dict[int, HostRecord] = {}
         #: this sweep's ledger: one record per open host, replayed or fresh
         self.records: dict[int, HostRecord] = {}
-        #: what the replayed hosts' stage-II/III work would have counted
+        #: what the replayed hosts' stage-II/III work would have counted,
+        #: as of the last :meth:`_fold_stats`
         self.synthetic = TelemetrySummary()
+        #: records replayed since then, summed into ``synthetic`` there
+        self._replayed: list[HostRecord] = []
         #: series key -> flat name, built once per series a window closed on
         self._flat_names: dict[tuple, str] = {}
         #: how many of ``records`` the checkpoint journal holds
@@ -301,23 +318,21 @@ class _ReplayingPipeline(ScanPipeline):
         record.events += len(tel.events) - events
         record.spans += tel.tracer.finished_count - spans
 
-    def _probe_host(self, ip, ports) -> list[PrefilterFinding]:
+    def _probe_host(self, ip, ports) -> Sequence[PrefilterFinding]:
         stats = self._prefilter.stats
         record = self.replay.get(ip.value)
         if record is not None:
-            # The base tally: a replayed host is not noted a second time.
-            note = PrefilterStats.note
+            # PrefilterStats.note's tally, added straight in: a replayed
+            # host is not noted a second time.
+            http, https = stats.http_responses, stats.https_responses
             for port, scheme in record.responses:
-                note(stats, ip, port, Scheme(scheme))
+                counts = http if scheme == _HTTP else https
+                counts[port] = counts.get(port, 0) + 1
+            if record.responses:
+                stats.responsive_hosts.add(ip.value)
             self.records[ip.value] = record
-            # A record carries a TelemetrySummary's three fields, so it
-            # folds in directly — no per-host summary object.
-            self.synthetic.merge(record)
-            if record.finding is None:
-                return []
-            # A token, not a finding: it makes the host a stage-III
-            # candidate whose finding _verify_and_fingerprint installs.
-            return [PrefilterFinding(ip, 0, Scheme.HTTP, (), "")]
+            self._replayed.append(record)
+            return record.replay_findings
         stats.noted.clear()
         window = self._open_window()
         findings = super()._probe_host(ip, ports)
@@ -344,6 +359,11 @@ class _ReplayingPipeline(ScanPipeline):
 
     def _fold_stats(self, report: ScanReport) -> None:
         super()._fold_stats(report)
+        # Replayed records (a TelemetrySummary's three fields each) are
+        # summed here, in replay order, not as they replay; every save
+        # folds first, so the journal's ``synthetic`` stays cumulative.
+        self.synthetic.merge(*self._replayed)
+        self._replayed.clear()
         report.telemetry.merge(self.synthetic)
 
     # -- checkpoint/resume: the sequential journal, plus the ledger ---------

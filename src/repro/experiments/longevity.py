@@ -404,7 +404,7 @@ def run_campaign(
             oracle_cost = verify(state, f"sweep {tick}")
             cost.verified = True
             study.verified_sweeps += 1
-            if study.baseline_cost.mode == "resumed":
+            if study.baseline_cost.mode == "resumed" and study.verified_sweeps == 1:
                 # A resumed campaign has no measured baseline; the first
                 # oracle sweep stands in for the from-scratch cost.
                 study.baseline_cost.syn_probes = oracle_cost.syn_probes

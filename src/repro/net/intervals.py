@@ -42,9 +42,20 @@ class IntervalSet:
     __slots__ = ("_runs", "_starts", "_count")
 
     def __init__(self, runs: Iterable[tuple[int, int]] = ()) -> None:
-        self._runs: tuple[tuple[int, int], ...] = _normalise(runs)
-        self._starts: tuple[int, ...] = tuple(start for start, _ in self._runs)
-        self._count: int = sum(end - start + 1 for start, end in self._runs)
+        self._seat(_normalise(runs))
+
+    def _seat(self, runs: tuple[tuple[int, int], ...]) -> None:
+        self._runs: tuple[tuple[int, int], ...] = runs
+        self._starts: tuple[int, ...] = tuple(start for start, _ in runs)
+        self._count: int = sum(end - start + 1 for start, end in runs)
+
+    @classmethod
+    def _trusted(cls, runs: Iterable[tuple[int, int]]) -> "IntervalSet":
+        """A set over runs already sorted, disjoint and non-adjacent — what
+        the algebra's own walks over valid sets produce — not re-checked."""
+        self = cls.__new__(cls)
+        self._seat(tuple(runs))
+        return self
 
     # -- constructors --------------------------------------------------
 
@@ -80,7 +91,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._trusted(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         out: list[tuple[int, int]] = []
@@ -101,7 +112,7 @@ class IntervalSet:
                 k += 1
             if cursor <= end:
                 out.append((cursor, end))
-        return IntervalSet(out)
+        return IntervalSet._trusted(out)
 
     # -- queries -------------------------------------------------------
 
@@ -179,13 +190,13 @@ class IntervalSet:
         return sum(hi - lo + 1 for lo, hi in self.runs_in(start, end))
 
     def clip(self, start: int, end: int) -> "IntervalSet":
-        """The members within ``[start, end]`` as a new set.
+        """The members within ``[start, end]`` (``start <= end``) as a new set.
 
         Equal to ``intersect(IntervalSet([(start, end)]))`` but found by
         bisection instead of a walk from run 0, so cutting a frame into
         many consecutive pieces stays linear in the frame.
         """
-        return IntervalSet(self.runs_in(start, end))
+        return IntervalSet._trusted(self.runs_in(start, end))
 
     # -- /24 block views -----------------------------------------------
 
@@ -243,7 +254,7 @@ class IntervalSet:
                 break
             out.append((start, end))
             remaining -= size
-        return IntervalSet(out)
+        return IntervalSet._trusted(out)
 
     # -- serialisation -------------------------------------------------
 

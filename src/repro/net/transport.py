@@ -223,13 +223,11 @@ class InMemoryTransport(Transport):
         return self.internet.is_port_open(ip, port)
 
     def probe_ports(self, ip: IPv4Address, ports: Sequence[int]) -> list[int]:
-        # One host lookup serves all twelve ports; the probes are counted
-        # exactly as the per-port path would count them.
+        # One host lookup and one question serve all twelve ports; the
+        # probes are counted exactly as the per-port path would count them.
         self.stats.syn_probes += len(ports)
         host = self.internet.host_at(ip)
-        if host is None:
-            return []
-        return [port for port in ports if host.is_port_open(port)]
+        return [] if host is None else host.open_ports(ports)
 
     def live_values_in(self, start: int, end: int) -> Sequence[int] | None:
         # Populated addresses are the only ones that can answer; offline

@@ -49,11 +49,13 @@ class TelemetrySummary:
     events: int = 0
     spans: int = 0
 
-    def merge(self, other: "TelemetrySummary") -> None:
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0.0) + value
-        self.events += other.events
-        self.spans += other.spans
+    def merge(self, *others: "TelemetrySummary") -> None:
+        counters = self.counters
+        for other in others:
+            for name, value in other.counters.items():
+                counters[name] = counters.get(name, 0.0) + value
+            self.events += other.events
+            self.spans += other.spans
 
     def copy(self) -> "TelemetrySummary":
         return TelemetrySummary(dict(self.counters), self.events, self.spans)

@@ -44,11 +44,6 @@ class TestObservationLog:
         assert small_log.status_fraction(0.0, HostStatus.VULNERABLE) == 1.0
         assert small_log.status_fraction(6 * HOUR, HostStatus.VULNERABLE) == pytest.approx(1 / 3)
 
-    def test_subset_by_app(self, small_log):
-        subset = small_log.subset_by_app("hadoop")
-        assert subset == {1}
-        assert small_log.status_fraction(6 * HOUR, HostStatus.OFFLINE, subset) == 1.0
-
     def test_subset_by_default(self, small_log):
         assert small_log.subset_by_default(True) == {1, 2}
         assert small_log.subset_by_default(False) == {3}

@@ -1,0 +1,92 @@
+"""What a re-scan tick costs, in Python calls: the first cost-ledger row.
+
+Seconds depend on the machine and on whatever else it is running; how many
+Python functions a tick enters does not.  ``sys.setprofile`` counts every
+entry (a generator's resume counts as one, a C builtin not at all) while a
+tick re-scans a small generated world at the benchmark's 2% host churn,
+and the count is divided by the open hosts the tick saw.  The budget is
+this design's reading with stated slack, so a change that brings back
+per-host bookkeeping — a per-port host query in stage I, a counter write
+per address, a summary merge or a ``Scheme`` per replayed host — fails here
+before it shows in any timing.
+"""
+
+import random
+import sys
+
+import pytest
+
+from repro.apps.catalog import scanned_ports
+from repro.core.rescan import RescanEngine
+from repro.net.intervals import CompressedPopulation
+from repro.net.population import PopulationModel, generate_internet
+from repro.net.transport import InMemoryTransport
+from repro.util.rand import stable_hash
+
+SEED = 20210603
+CHURN = 0.02
+TICKS = 3
+
+#: Python calls per open host per tick.  Read 36.2-36.5 when this budget
+#: was set (each of three ticks, ten runs, any hash seed); the design
+#: before it — a 12-call port probe and a counter write per live host, a
+#: summary merge, a ``Scheme`` and a token per replayed host — read
+#: 62.5-62.7.  Budget: the reading's top x 1.15.
+BUDGET = 42.0
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """A world of 573 hosts framed as every populated /24 (255 of 256
+    framed addresses dead, as in the benchmark), and its recorded
+    baseline."""
+    internet, _, _ = generate_internet(PopulationModel(
+        awe_rate=0.0002, vuln_rate=0.005, background_rate=2e-8, seed=SEED,
+    ))
+    frame = CompressedPopulation.build(internet, 0, seed=SEED).frame
+    engine = RescanEngine(
+        InMemoryTransport(internet), scanned_ports(), seed=SEED, batch_size=4096
+    )
+    return internet, frame, engine, engine.baseline(frame)
+
+
+def calls_per_open_host(campaign) -> list[float]:
+    """One warm-up tick, then ``TICKS`` counted ones; before each, the
+    previous tick's removed hosts come back and a fresh seeded 2% go."""
+    internet, frame, engine, state = campaign
+    rng = random.Random(stable_hash(SEED, "churn"))
+    removed: list = []
+    readings = []
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    try:
+        for _ in range(TICKS + 1):
+            for host in removed:
+                internet.add_host(host)
+            addresses = internet.populated_addresses()
+            sample = rng.sample(addresses, max(1, int(len(addresses) * CHURN)))
+            removed = [internet.host_at(ip) for ip in sample]
+            for ip in sample:
+                internet.remove_host(ip)
+            calls = 0
+            previous = sys.getprofile()
+            sys.setprofile(count)
+            try:
+                state = engine.rescan(frame, state)
+            finally:
+                sys.setprofile(previous)
+            readings.append(calls / len(state.report.port_scan.open_ports))
+    finally:
+        for host in removed:
+            internet.add_host(host)
+    return readings[1:]
+
+
+def test_a_tick_stays_within_its_call_budget(campaign):
+    readings = calls_per_open_host(campaign)
+    assert all(reading <= BUDGET for reading in readings), readings

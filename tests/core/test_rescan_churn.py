@@ -78,16 +78,53 @@ def test_a_hinted_block_reprobes_every_one_of_its_hosts():
     assert probed == set(block)
 
 
-def test_a_host_whose_ports_changed_is_probed():
-    def open_another_port(internet):
-        host = internet.host_at(HOST)
-        host.add_service(Service(8500, app=AppInstance(
-            create_instance("consul", vulnerable=True), 8500
-        )))
+def open_another_port(internet, ip=HOST):
+    internet.host_at(ip).add_service(Service(8500, app=AppInstance(
+        create_instance("consul", vulnerable=True), 8500
+    )))
 
+
+def test_a_host_whose_ports_changed_is_probed():
     requests, probed = tick(open_another_port)
     assert requests > 0
     assert probed == {HOST.value}
+
+
+def test_stage_i_counts_never_land_in_a_host_record(tmp_path):
+    """Stage I tallies its counters per batch and hands them to the
+    registry before the batch reaches stages II/III, so no fresh host's
+    recording window can take them — not even the batch's first host —
+    and a save after the batch holds them.  The tick runs whole and
+    killed after its first save, then resumed; both equal a sweep from
+    scratch."""
+    internet, frame, engine = parent_state_world()
+    baseline = engine.baseline(frame)
+
+    def scratch():
+        return ScanPipeline(
+            engine.transport, scanned_ports(), seed=SEED, batch_size=200
+        )
+
+    batches = list(scratch()._masscan.scan_in_batches(frame, 200))
+    first = min(next(b.open_ports for b in batches if len(b.open_ports) > 1))
+    open_another_port(internet, IPv4Address(first))
+    expected = dump(scratch().run(frame))
+
+    path = tmp_path / "tick.ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        engine.rescan(frame, baseline, checkpoint=_Crashing(path, 1))
+    ticks = [
+        engine.rescan(frame, baseline),
+        engine.rescan(frame, baseline, checkpoint=Checkpointer(path)),
+    ]
+    for state in (baseline, *ticks):
+        assert not [
+            name for record in state.records.values()
+            for name in record.counters if name.startswith("masscan_")
+        ]
+    for state in ticks:
+        assert state.records[first] is not baseline.records[first]
+        assert dump(state.report) == expected
 
 
 def test_a_journal_the_engines_own_loop_wrote_is_refused_untouched(tmp_path):

@@ -64,6 +64,21 @@ class TestCampaign:
         # The first resumed tick re-validates every previously-live /24.
         assert resumed.sweeps[0].churned_blocks > 100
 
+    def test_a_resumed_campaign_keeps_its_first_oracle_as_stand_in(self, campaign):
+        """With no measured baseline, the first oracle sweep stands in for
+        the from-scratch cost; a later verified tick, whose oracle sends a
+        different number of requests, leaves it alone."""
+        def resumed(ticks):
+            return run_longevity_study(
+                frame_addresses=FRAME, max_sweeps=ticks, verify_every=1,
+                resume_from=campaign.final_state,
+            )
+
+        first, both = resumed(1), resumed(2)
+        assert both.verified_sweeps == 2
+        assert both.baseline_cost.http_requests == first.baseline_cost.http_requests
+        assert both.baseline_cost.syn_probes == first.baseline_cost.syn_probes
+
 
 class TestConfigPlumbing:
     def test_honours_observation_window(self):

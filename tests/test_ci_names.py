@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: fifth walk through the stages; the observer's private lifecycle step,
 #: fingerprint pass, host record and span; the re-scan engine's own batch
 #: loop and the pipeline pieces it drove; the unused wire codec and figure
-#: helper
+#: helper; stage I's per-host counter write, dead-gap helper and op
+#: generators, and the observation-log subset only a test called
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -29,6 +30,8 @@ RETIRED = (
     "observer-sweep",
     "_diff_churned_blocks", "_open_sweep", "_close_sweep",
     "parse_wire_request", "parse_wire_response", "curves_by_app",
+    "Masscan._count", "_account_dead", "_range_ops", "_block_ops",
+    "subset_by_app",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
