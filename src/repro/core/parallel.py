@@ -22,7 +22,7 @@ the data*:
   round-trip a checkpoint uses) and merged on the main thread in shard
   index order: reports merge, telemetry is absorbed with span-id
   rebasing, transport stats add.  The fold is the *only* sanctioned
-  write path out of a worker, which the ``DET005`` lint rule enforces.
+  write path out of a worker, which the ``RACE*`` lint rules enforce.
 
 Because every shard computation is independent and the fold order is
 canonical, a run with ``workers=4`` emits a report and telemetry JSONL

@@ -191,8 +191,8 @@ class ScanPipeline:
     retry_policy: RetryPolicy | None = None
     #: time source for backoff charging and breaker cooldowns
     clock: SimClock | None = None
-    #: stops hammering dead targets; auto-created when a policy is set
-    circuit_breaker: CircuitBreaker | None = None
+    #: stops hammering dead targets; built when a policy is set
+    circuit_breaker: CircuitBreaker | None = field(default=None, init=False)
     #: shared observability handle; auto-created on the pipeline clock
     telemetry: Telemetry | None = None
     #: run the sweep as concurrent /24-aligned shards on this many worker
@@ -243,10 +243,9 @@ class ScanPipeline:
                     layer.telemetry = self.telemetry
                 break
         if self.retry_policy is not None:
-            if self.circuit_breaker is None:
-                self.circuit_breaker = CircuitBreaker(
-                    clock=self.clock, telemetry=self.telemetry
-                )
+            self.circuit_breaker = CircuitBreaker(
+                clock=self.clock, telemetry=self.telemetry
+            )
             self._retry = RetryExecutor(
                 self.retry_policy,
                 rng=random.Random(stable_hash(self.seed, "retry")),

@@ -15,19 +15,20 @@ runtime disciplines that nothing used to check mechanically:
   actually survive pickling (the three bugs the process pool found at
   runtime in PR 7, now caught statically).
 
-Five analyzers turn those into machine-checked properties, each
+Four analyzers turn those into machine-checked properties, each
 emitting structured :class:`~repro.lint.findings.Finding` records:
 
 * :class:`~repro.lint.signatures.SignatureAuditor` (``SIG*`` rules)
 * :class:`~repro.lint.plugins.PluginContractAuditor` (``PLG*`` rules)
-* :class:`~repro.lint.determinism.DeterminismAuditor` (``DET*`` rules)
-* :class:`~repro.lint.observability.ObservabilityAuditor` (``OBS*``)
+* :class:`~repro.lint.determinism.DeterminismAuditor` (the per-module
+  ``DET*`` and ``OBS001`` rules)
 * :class:`~repro.lint.concurrency.ConcurrencyAuditor` (``RACE*`` /
   ``PKL*`` rules, on the whole-program
   :class:`~repro.lint.callgraph.CallGraph`)
 
-``python -m repro.lint`` runs them all over the whole tree; a committed
-baseline file lets CI fail only on *new* findings.
+``python -m repro.lint`` runs them all over the whole tree, parsing each
+module once (the call graph's trees are what every analyzer reads); a
+committed baseline file lets CI fail only on *new* findings.
 """
 
 from repro.lint.baseline import Baseline
@@ -35,7 +36,6 @@ from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import ConcurrencyAuditor
 from repro.lint.determinism import DeterminismAuditor
 from repro.lint.findings import RULES, Finding, Severity
-from repro.lint.observability import ObservabilityAuditor
 from repro.lint.plugins import PluginContractAuditor
 from repro.lint.signatures import SignatureAuditor
 
@@ -45,7 +45,6 @@ __all__ = [
     "ConcurrencyAuditor",
     "DeterminismAuditor",
     "Finding",
-    "ObservabilityAuditor",
     "PluginContractAuditor",
     "RULES",
     "Severity",

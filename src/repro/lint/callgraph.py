@@ -17,8 +17,12 @@ The graph is deliberately an over-approximation with one taint bit:
   of Tsunami plugin classes (module-level singletons shared across
   shard threads) and ``fork`` methods of transport-protocol classes
   (they execute inside workers to build shard-local universes).
-  Callables handed to ``pool.submit``/``pool.map`` as ``self.method``
-  are seeded too, so un-registered engines are still covered.
+  Callables handed to ``pool.submit``/``pool.map`` are seeded too, so
+  un-registered engines are still covered: ``self.method`` resolves in
+  the enclosing class, a bare name to a module function, and
+  ``x.method`` on a receiver of unknown type fans out to every method
+  of that name — all shared, since the pool runs them on the object the
+  main process handed over.
 * **Shared-self propagation**: a context is *shared* when its ``self``
   is an object the main process also holds (the pickled/shared runner, a
   plugin singleton, the parent transport).  ``self.m()`` keeps the same
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 #: registry names the graph consumes from scanned modules
@@ -99,7 +104,8 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """Per-module AST summary the graph is assembled from."""
+    """One parsed ``.py`` file: the tree every analyzer reads, and the
+    summary the graph is assembled from."""
 
     name: str                   # dotted name
     rel: str
@@ -130,10 +136,11 @@ class Context:
 class CallGraph:
     """The package-wide graph plus worker reachability.
 
-    Built once per lint run from every ``*.py`` under ``root``; the
-    concurrency auditor asks it two questions — *which defs can run in a
-    worker* (:meth:`worker_contexts`) and *which classes cross the
-    pickle boundary* (:meth:`boundary_classes`).
+    Built once per lint run from every ``*.py`` under ``root``, each
+    parsed exactly once: :attr:`modules` is the tree every analyzer
+    reads.  The concurrency auditor asks it two questions — *which defs
+    can run in a worker* (:meth:`worker_contexts`) and *which classes
+    cross the pickle boundary* (:meth:`boundary_classes`).
     """
 
     def __init__(self, root: Path) -> None:
@@ -331,52 +338,57 @@ class CallGraph:
                 entries.append((cls.methods["run"], cls.qualname))
         return entries
 
-    def dispatch_entry_points(self) -> list[tuple[FunctionInfo, str | None]]:
-        """Callables handed to ``pool.submit``/``pool.map``.
-
-        ``self.method`` targets resolve against the enclosing class (the
-        object demonstrably crosses into the pool); bare names resolve to
-        module functions.  Receivers we cannot type are left to DET005's
-        module-local audit.
-        """
-        entries: list[tuple[FunctionInfo, str | None]] = []
+    @cached_property
+    def dispatch_sites(self) -> list[tuple[FunctionInfo, ast.expr]]:
+        """``(enclosing def, callable)`` for every ``pool.submit``/
+        ``pool.map`` call: one scan, shared by entry-point seeding and
+        the ``RACE003`` closure audit."""
+        sites: list[tuple[FunctionInfo, ast.expr]] = []
         for info in self.modules.values():
+            defs = [*info.functions.values()]
             for cls in info.classes.values():
-                for method in cls.methods.values():
-                    entries.extend(
-                        self._dispatch_targets(info, method, cls)
-                    )
-            for fn in info.functions.values():
-                entries.extend(self._dispatch_targets(info, fn, None))
-        return entries
+                defs.extend(cls.methods.values())
+            for fn in defs:
+                sites.extend(
+                    (fn, node.args[0])
+                    for node in ast.walk(fn.node)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in POOL_DISPATCH_METHODS
+                    and node.args
+                )
+        return sites
+
+    def dispatch_entry_points(self) -> list[tuple[FunctionInfo, str | None]]:
+        """Callables handed to ``pool.submit``/``pool.map``."""
+        return [
+            entry
+            for fn, target in self.dispatch_sites
+            for entry in self._dispatch_targets(fn, target)
+        ]
 
     def _dispatch_targets(
-        self, info: ModuleInfo, fn: FunctionInfo, cls: ClassInfo | None
+        self, fn: FunctionInfo, target: ast.expr
     ) -> list[tuple[FunctionInfo, str | None]]:
-        found: list[tuple[FunctionInfo, str | None]] = []
-        for node in ast.walk(fn.node):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in POOL_DISPATCH_METHODS
-                and node.args
-            ):
-                continue
-            target = node.args[0]
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and cls is not None
-            ):
-                hit = self.resolve_method(cls, target.attr)
-                if hit is not None:
-                    found.append((hit, cls.qualname))
-            elif isinstance(target, ast.Name):
-                local = info.functions.get(target.id)
-                if local is not None:
-                    found.append((local, None))
-        return found
+        if isinstance(target, ast.Name):
+            local = self.modules[fn.module].functions.get(target.id)
+            return [] if local is None else [(local, None)]
+        if not isinstance(target, ast.Attribute):
+            return []
+        cls = self.classes.get(fn.cls) if fn.cls else None
+        if (
+            cls is not None
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            # the object demonstrably crosses into the pool
+            hit = self.resolve_method(cls, target.attr)
+            return [] if hit is None else [(hit, cls.qualname)]
+        # a receiver of unknown type: every method of that name
+        return [
+            (method, owner.qualname)
+            for owner, method in self.methods_by_name.get(target.attr, ())
+        ]
 
     # -- pickle boundary -----------------------------------------------------
 

@@ -3,8 +3,8 @@
 Exit codes: 0 = no findings outside the baseline, 1 = new findings (or
 stale baseline entries under ``--fail-on-stale``), 2 = usage /
 configuration error.  The report is a pure function of the tree: every
-run walks all of it (a cold whole-tree lint takes under two seconds)
-and folds the five analyzers' findings through
+run parses each module of it once (a cold whole-tree lint takes under
+two seconds) and folds the four analyzers' findings through
 :func:`~repro.lint.findings.sort_findings`.  Lint health is also
 charged to the shared :mod:`repro.obs` telemetry (one counter series per
 rule id), so ``--telemetry`` surfaces it in the same formats as the scan
@@ -17,13 +17,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.apps.catalog import in_scope_apps
 from repro.lint.baseline import Baseline
+from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import ConcurrencyAuditor
-from repro.lint.corpus import build_corpus
 from repro.lint.determinism import DeterminismAuditor
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.observability import ObservabilityAuditor
 from repro.lint.plugins import PluginContractAuditor
 from repro.lint.report import render_json, render_text, rule_catalog
 from repro.lint.signatures import SignatureAuditor
@@ -42,9 +40,9 @@ def default_root() -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Audit the signature corpus, plugin contracts, "
-                    "determinism invariants, and worker-concurrency / "
-                    "pickle-boundary hygiene.",
+        description="Audit signature shapes, plugin contracts, "
+                    "determinism invariants, metric names, and "
+                    "worker-concurrency / pickle-boundary hygiene.",
     )
     parser.add_argument("--root", type=Path, default=None,
                         help="repro package directory to audit "
@@ -61,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-on-stale", action="store_true",
                         help="exit 1 if the baseline carries fingerprints "
                              "that no longer fire")
-    parser.add_argument("--no-corpus", action="store_true",
-                        help="skip the canned-page recall/precision checks "
-                             "(shape-only signature audit)")
     parser.add_argument("--rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("--telemetry", choices=("jsonl", "prometheus"),
@@ -74,22 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_analyzers(root: Path, with_corpus: bool = True) -> list[Finding]:
-    """All findings for one tree, in canonical order."""
-    known_slugs = frozenset(spec.slug for spec in in_scope_apps())
+def run_analyzers(root: Path) -> list[Finding]:
+    """All findings for one tree, in canonical order; every analyzer
+    reads the one parse of each module the call graph holds."""
+    graph = CallGraph(root)
     auditors = (
-        SignatureAuditor(
-            root,
-            corpus=build_corpus() if with_corpus else None,
-            known_slugs=known_slugs,
-        ),
-        PluginContractAuditor(root, known_slugs=known_slugs),
+        SignatureAuditor(root),
+        PluginContractAuditor(root),
         DeterminismAuditor(root),
-        ObservabilityAuditor(root),
         ConcurrencyAuditor(root),
     )
     return sort_findings(
-        [finding for auditor in auditors for finding in auditor.run()]
+        [finding for auditor in auditors for finding in auditor.run(graph)]
     )
 
 
@@ -114,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: not a directory: {root}", file=sys.stderr)
         return 2
 
-    findings = run_analyzers(root, with_corpus=not args.no_corpus)
+    findings = run_analyzers(root)
     try:
         baseline = Baseline.load(args.baseline)
     except ValueError as error:

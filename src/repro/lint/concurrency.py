@@ -58,12 +58,7 @@ import ast
 import builtins
 from pathlib import Path
 
-from repro.lint.callgraph import (
-    POOL_DISPATCH_METHODS,
-    CallGraph,
-    ClassInfo,
-    FunctionInfo,
-)
+from repro.lint.callgraph import CallGraph, ClassInfo, Context, FunctionInfo
 from repro.lint.findings import Finding
 
 #: methods allowed to write `self` even on shared objects: object
@@ -105,12 +100,14 @@ class ConcurrencyAuditor:
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
 
-    def run(self) -> list[Finding]:
-        graph = CallGraph(self.root)
-        findings: list[Finding] = []
-        findings.extend(_RaceAuditor(graph).run())
-        findings.extend(_PickleAuditor(graph).run())
-        return findings
+    def run(self, graph: CallGraph | None = None) -> list[Finding]:
+        """Findings over ``graph`` (built from ``root`` if not given)."""
+        graph = graph or CallGraph(self.root)
+        contexts = list(graph.worker_contexts().values())
+        return [
+            *_RaceAuditor(graph, contexts).run(),
+            *_PickleAuditor(graph, contexts).run(),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +115,15 @@ class ConcurrencyAuditor:
 # ---------------------------------------------------------------------------
 
 class _RaceAuditor:
-    def __init__(self, graph: CallGraph) -> None:
+    def __init__(self, graph: CallGraph, contexts: list[Context]) -> None:
         self.graph = graph
+        self.contexts = contexts
         self.findings: list[Finding] = []
 
     def run(self) -> list[Finding]:
         audited_shared: set[str] = set()
         audited_any: set[str] = set()
-        for ctx in self.graph.worker_contexts().values():
+        for ctx in self.contexts:
             fn = self.graph.function_of(ctx)
             if fn.key not in audited_any:
                 audited_any.add(fn.key)
@@ -149,15 +147,7 @@ class _RaceAuditor:
                 # the audited def's own params, plus any nested def's
                 if not isinstance(sub, ast.Lambda):
                     owned.add(sub.name)
-                args = sub.args
-                owned.update(
-                    a.arg
-                    for a in (
-                        *args.posonlyargs, *args.args, *args.kwonlyargs,
-                        *([args.vararg] if args.vararg else []),
-                        *([args.kwarg] if args.kwarg else []),
-                    )
-                )
+                owned.update(_parameters(sub.args))
             elif isinstance(sub, ast.ExceptHandler) and sub.name:
                 owned.add(sub.name)
         return owned
@@ -214,29 +204,7 @@ class _RaceAuditor:
     # -- RACE003: closures handed to pools -----------------------------------
 
     def _audit_dispatch_closures(self) -> None:
-        for info in self.graph.modules.values():
-            for fns in (info.functions.values(), *(
-                cls.methods.values() for cls in info.classes.values()
-            )):
-                for fn in fns:
-                    self._audit_closures_in(fn)
-
-    def _audit_closures_in(self, fn: FunctionInfo) -> None:
-        local_defs = {
-            sub.name: sub
-            for sub in ast.walk(fn.node)
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and sub is not fn.node
-        }
-        for node in ast.walk(fn.node):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in POOL_DISPATCH_METHODS
-                and node.args
-            ):
-                continue
-            target = node.args[0]
+        for fn, target in self.graph.dispatch_sites:
             if isinstance(target, ast.Lambda):
                 self.findings.append(Finding(
                     fn.rel, target.lineno, "RACE003",
@@ -244,19 +212,33 @@ class _RaceAuditor:
                     "captures enclosing scope by reference; pass a "
                     "module-level callable and its arguments instead",
                 ))
-            elif (
-                isinstance(target, ast.Name)
-                and target.id in local_defs
-                and _free_names(local_defs[target.id])
-            ):
-                free = ", ".join(sorted(_free_names(local_defs[target.id])))
+                continue
+            if not isinstance(target, ast.Name):
+                continue
+            local_defs = {
+                sub.name: sub
+                for sub in ast.walk(fn.node)
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and sub is not fn.node
+            }
+            nested = local_defs.get(target.id)
+            free = _free_names(nested) if nested is not None else set()
+            if free:
                 self.findings.append(Finding(
                     fn.rel, target.lineno, "RACE003",
                     f"nested function {target.id!r} handed to a worker "
-                    f"pool closes over {free}; closures capture "
-                    "main-process cells by reference — pass a module-level "
-                    "callable and its arguments instead",
+                    f"pool closes over {', '.join(sorted(free))}; closures "
+                    "capture main-process cells by reference — pass a "
+                    "module-level callable and its arguments instead",
                 ))
+
+
+def _parameters(args: ast.arguments) -> set[str]:
+    """Every name a def's signature binds."""
+    extra = [a for a in (args.vararg, args.kwarg) if a is not None]
+    return {
+        a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, *extra)
+    }
 
 
 def _write_targets(node: ast.AST) -> list[ast.expr]:
@@ -306,15 +288,7 @@ def _free_names(fn: ast.AST) -> set[str]:
     """Names a nested def reads without binding them itself (ignoring
     likely module-level references is the caller's business; any free
     name in a pool-dispatched closure is capture by reference)."""
-    args = fn.args
-    bound = {
-        a.arg
-        for a in (
-            *args.posonlyargs, *args.args, *args.kwonlyargs,
-            *([args.vararg] if args.vararg else []),
-            *([args.kwarg] if args.kwarg else []),
-        )
-    }
+    bound = _parameters(fn.args)
     loads: set[str] = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Name):
@@ -333,8 +307,9 @@ def _free_names(fn: ast.AST) -> set[str]:
 # ---------------------------------------------------------------------------
 
 class _PickleAuditor:
-    def __init__(self, graph: CallGraph) -> None:
+    def __init__(self, graph: CallGraph, contexts: list[Context]) -> None:
         self.graph = graph
+        self.contexts = contexts
         self.findings: list[Finding] = []
         self.boundary = graph.boundary_classes()
         #: simple names of boundary classes, for constructor-site checks
@@ -458,8 +433,7 @@ class _PickleAuditor:
 
     def _audit_stored_lambdas(self) -> None:
         reachable_modules = {
-            self.graph.function_of(ctx).module
-            for ctx in self.graph.worker_contexts().values()
+            self.graph.function_of(ctx).module for ctx in self.contexts
         }
         for info in self.graph.modules.values():
             adjacent = (

@@ -1,12 +1,14 @@
-"""The canned-page ground-truth corpus for signature auditing.
+"""The canned-page ground-truth corpus for stage II's signatures.
 
 Every in-scope application emulator is instantiated in both its secure
 and its vulnerable configuration, and every canned GET path (exact
 routes plus the per-app query probes from Table 10) is fetched.  The
-resulting ``slug -> {page id -> body}`` mapping is what stage II's
-signatures are audited against: a signature that matches none of its own
-app's pages is dead weight, and one that matches another app's pages
-erodes stage-II precision.
+resulting ``slug -> {page id -> body}`` mapping is the ground truth of
+the tests that judge stage II against the emulators:
+``tests/core/test_signature_matrix.py`` (a signature that matches none
+of its own app's pages is dead weight, one that matches another app's
+pages erodes stage-II precision), ``tests/core/test_prefilter.py``,
+``tests/core/test_htmlcheck.py`` and ``tests/test_properties.py``.
 
 The corpus is deterministic: fixed instantiation order, sorted paths,
 and emulators that are themselves seeded by construction.

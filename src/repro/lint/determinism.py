@@ -1,4 +1,4 @@
-"""Determinism auditor (``DET*`` rules).
+"""Per-module rules: determinism (``DET*``) and metric names (``OBS001``).
 
 The checkpoint layer promises byte-identical resume and the telemetry
 layer byte-identical export; both hold only while every value in the
@@ -7,35 +7,37 @@ system derives from the seeded :class:`~repro.util.rand` /
 read, entropy draw, or unordered ``set`` walk feeding output would
 break replay silently — long after the commit that introduced it.
 
-This pass walks every module under the scanned root and flags:
+This pass walks every module under the scanned root once and flags:
 
 * ``DET001`` wall-clock reads (``time.time``, ``time.monotonic``,
   ``time.perf_counter`` and friends, ``datetime.now``/``utcnow``/
   ``today``);
 * ``DET002`` entropy sources (``os.urandom``, ``uuid.uuid1``/``uuid4``,
-  anything from ``secrets``);
+  anything from ``secrets``, ``random.SystemRandom``);
 * ``DET003`` unseeded randomness (module-level ``random.*`` calls,
-  ``random.Random()`` with no seed argument);
+  ``random.Random()`` with no seed, positional or ``x=``);
 * ``DET004`` iteration directly over a set display, ``set(...)`` call,
   or set comprehension (wrap in ``sorted(...)`` to fix);
-* ``DET005`` worker-pool callables (functions handed to ``.submit(...)``
-  or ``.map(...)``) that write state they do not own — ``self``
-  attributes, free names, ``global``/``nonlocal`` — instead of returning
-  results for the main thread to fold in canonical order.  Concurrent
-  writes are scheduling-ordered, so any output derived from them varies
-  with the worker count; the parallel engine's shard-fold API is the
-  sanctioned alternative (and its progress counter is baselined);
 * ``DET006`` unbounded loops — ``while True:`` / ``while 1:`` — which
   carry no structural guarantee of termination.  The supervised runtime
   promises every sweep ends (degraded if need be); a loop only a
   well-behaved peer can exit breaks that promise on the first tarpit.
   Iterate ``range(budget)``, charge a clock deadline, or demand
   measurable progress per pass instead; genuinely sanctioned loops go
-  in the lint baseline.
+  in the lint baseline;
+* ``OBS001`` a metric family name built at the call site — an f-string
+  with a field, ``+``/``%`` with a non-constant side, or ``.format`` —
+  passed (positionally or as ``name=``) to ``.counter``/``.gauge``/
+  ``.histogram`` or ``series_key``.  The registry keeps every
+  ``(name, labels)`` series forever, so a per-host name mints a series
+  per host; put the variability in labels instead.  A constant reaching
+  the call through a variable is fine.
 
-Import aliases are tracked per module, so ``from time import time as
-now`` does not escape the net; methods on *instances* that merely share
-a name (``self.clock.now()``, ``rng.random()``) are not flagged.
+Writes from worker-pool code are the call graph's business
+(``RACE*`` in :mod:`repro.lint.concurrency`).  Import aliases are
+tracked per module, so ``from time import time as now`` does not escape
+the net; methods on *instances* that merely share a name
+(``self.clock.now()``, ``rng.random()``) are not flagged.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from repro.lint.callgraph import CallGraph
 from repro.lint.findings import Finding
 
 #: (module, attribute) -> rule for forbidden function calls
@@ -67,12 +70,40 @@ _FORBIDDEN_CALLS: dict[tuple[str, str], str] = {
 #: every call into these modules is forbidden outright
 _FORBIDDEN_MODULES: dict[str, str] = {"secrets": "DET002"}
 
-_SET_CONSUMERS_OK = frozenset({
-    "sorted", "len", "sum", "min", "max", "any", "all", "frozenset", "set",
-})
+#: calls whose first argument is a metric family name: the registry
+#: factory methods, and the key builder of ``MetricsRegistry.pending``
+_FACTORY_METHODS = frozenset({"counter", "gauge", "histogram", "series_key"})
 
-#: methods that hand a callable to a worker pool (DET005 entry points)
-_POOL_DISPATCH_METHODS = frozenset({"submit", "map"})
+
+def _is_constant_str(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _dynamic_name_reason(node: ast.expr) -> str | None:
+    """Why this name expression is dynamically built, or ``None``."""
+    if isinstance(node, ast.JoinedStr):
+        if any(isinstance(v, ast.FormattedValue) for v in node.values):
+            return "f-string with interpolated fields"
+        return None  # f"constant" — odd but harmless
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod)):
+        if _is_constant_str(node.left) and _is_constant_str(node.right):
+            return None
+        operator = "+" if isinstance(node.op, ast.Add) else "%"
+        return f"string built with {operator!r} from non-constant parts"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "format"
+    ):
+        return "str.format(...) call"
+    return None
+
+
+def _argument(node: ast.Call, keyword: str) -> ast.expr | None:
+    """The first positional argument, else the one passed as ``keyword``."""
+    if node.args:
+        return node.args[0]
+    return next((kw.value for kw in node.keywords if kw.arg == keyword), None)
 
 
 class _ModuleAuditor(ast.NodeVisitor):
@@ -83,10 +114,6 @@ class _ModuleAuditor(ast.NodeVisitor):
         self.module_aliases: dict[str, str] = {}
         #: local name -> (module, function) for "from x import y [as z]"
         self.function_aliases: dict[str, tuple[str, str]] = {}
-        #: function name -> defs, for resolving worker-pool callables
-        self._function_defs: dict[str, list[ast.AST]] = {}
-        #: names handed to .submit()/.map() as the callable
-        self._worker_callables: list[str] = []
 
     # -- import tracking -----------------------------------------------------
 
@@ -113,26 +140,8 @@ class _ModuleAuditor(ast.NodeVisitor):
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(self.rel, node.lineno, rule, message))
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function_defs.setdefault(node.name, []).append(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function_defs.setdefault(node.name, []).append(node)
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_DISPATCH_METHODS
-            and node.args
-        ):
-            target = node.args[0]
-            if isinstance(target, ast.Attribute):
-                self._worker_callables.append(target.attr)
-            elif isinstance(target, ast.Name):
-                self._worker_callables.append(target.id)
         if (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Attribute)
@@ -147,44 +156,46 @@ class _ModuleAuditor(ast.NodeVisitor):
         elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             owner = self.module_aliases.get(func.value.id)
             if owner is not None:
-                base = owner.split(".")[-1]
-                rule = _FORBIDDEN_CALLS.get((base, func.attr))
-                if rule is not None:
-                    self._flag(node, rule, f"call to {owner}.{func.attr}()")
-                module_rule = _FORBIDDEN_MODULES.get(owner)
-                if module_rule is not None:
-                    self._flag(node, module_rule, f"call to {owner}.{func.attr}()")
-                if owner == "random":
-                    self._audit_random(node, func.attr)
+                self._audit_module_call(node, owner, func.attr)
         elif isinstance(func, ast.Name):
             target = self.function_aliases.get(func.id)
             if target is not None:
-                module, original = target
-                base = module.split(".")[-1]
-                rule = _FORBIDDEN_CALLS.get((base, original))
-                if rule is not None:
-                    self._flag(node, rule, f"call to {module}.{original}()")
-                module_rule = _FORBIDDEN_MODULES.get(module)
-                if module_rule is not None:
-                    self._flag(node, module_rule, f"call to {module}.{original}()")
-                if module == "random" and original != "Random":
-                    self._flag(node, "DET003",
-                               f"call to random.{original}() uses the shared "
-                               "unseeded generator")
-                if module == "random" and original == "Random" and not node.args:
-                    self._flag(node, "DET003", "random.Random() without a seed")
+                self._audit_module_call(node, *target)
+        self._audit_metric_name(node)
         self.generic_visit(node)
 
-    def _audit_random(self, node: ast.Call, attr: str) -> None:
+    def _audit_module_call(self, node: ast.Call, module: str, attr: str) -> None:
+        rule = _FORBIDDEN_CALLS.get((module.split(".")[-1], attr))
+        if rule is not None:
+            self._flag(node, rule, f"call to {module}.{attr}()")
+        module_rule = _FORBIDDEN_MODULES.get(module)
+        if module_rule is not None:
+            self._flag(node, module_rule, f"call to {module}.{attr}()")
+        if module != "random":
+            return
         if attr == "SystemRandom":
             self._flag(node, "DET002", "random.SystemRandom() reads OS entropy")
-        elif attr == "Random":
-            if not node.args:
-                self._flag(node, "DET003", "random.Random() without a seed")
-        else:
+        elif attr != "Random":
             self._flag(node, "DET003",
                        f"call to random.{attr}() uses the shared unseeded "
                        "generator")
+        elif _argument(node, "x") is None:
+            self._flag(node, "DET003", "random.Random() without a seed")
+
+    # -- dynamic metric names (OBS001) ---------------------------------------
+
+    def _audit_metric_name(self, node: ast.Call) -> None:
+        # As a method or through a local alias (``counter = metrics.counter``).
+        called = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        if called not in _FACTORY_METHODS:
+            return
+        name = _argument(node, "name")
+        reason = None if name is None else _dynamic_name_reason(name)
+        if reason is not None:
+            self._flag(node, "OBS001",
+                       f"metric name passed to .{called}() is an {reason}; "
+                       "use a constant family name and put the variability "
+                       "in labels")
 
     # -- set iteration -------------------------------------------------------
 
@@ -234,96 +245,29 @@ class _ModuleAuditor(ast.NodeVisitor):
         # elsewhere is ordering-sensitive.
         self.generic_visit(node)
 
-    # -- worker-pool shared-state writes (DET005) ----------------------------
-
-    def finalize(self) -> None:
-        """Audit callables handed to worker pools, after the whole module
-        has been walked (the def may appear after the ``.submit`` site)."""
-        audited: set[int] = set()
-        for name in self._worker_callables:
-            for fn in self._function_defs.get(name, []):
-                if id(fn) not in audited:
-                    audited.add(id(fn))
-                    self._audit_worker_callable(fn)
-
-    def _audit_worker_callable(self, fn) -> None:
-        args = fn.args
-        params = {
-            a.arg
-            for a in (
-                *args.posonlyargs, *args.args, *args.kwonlyargs,
-                *([args.vararg] if args.vararg else []),
-                *([args.kwarg] if args.kwarg else []),
-            )
-        }
-        owned = set(params)
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                owned.add(node.id)
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                self._flag(
-                    node, "DET005",
-                    f"worker callable {fn.name!r} declares "
-                    f"{'global' if isinstance(node, ast.Global) else 'nonlocal'}"
-                    f" {', '.join(node.names)}; worker results must be "
-                    "returned and folded on the main thread",
-                )
-                continue
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                self._audit_worker_write(fn, target, owned)
-
-    def _audit_worker_write(self, fn, target: ast.expr, owned: set[str]) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._audit_worker_write(fn, element, owned)
-            return
-        root = target
-        through_container = False
-        while isinstance(root, (ast.Attribute, ast.Subscript)):
-            through_container = True
-            root = root.value
-        if not through_container or not isinstance(root, ast.Name):
-            return  # a plain local rebind, or too dynamic to judge
-        if root.id == "self" or root.id not in owned:
-            self._flag(
-                target, "DET005",
-                f"worker callable {fn.name!r} writes shared state "
-                f"{ast.unparse(target)!r}; concurrent writes are "
-                "scheduling-ordered — return shard results and fold them "
-                "on the main thread in canonical order",
-            )
-
 
 class DeterminismAuditor:
-    """Audit every module under ``root`` for replay-breaking constructs."""
+    """Audit every module under ``root`` for replay-breaking constructs
+    and dynamic metric names.
+
+    It is also the one place a file that does not parse is reported
+    (``LNT001``); the other analyzers skip such a module.
+    """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
 
-    def _rel(self, path: Path) -> str:
-        return (Path(self.root.name) / path.relative_to(self.root)).as_posix()
-
-    def run(self) -> list[Finding]:
+    def run(self, graph: CallGraph | None = None) -> list[Finding]:
+        """Findings over ``graph``'s parsed modules (built if not given)."""
+        graph = graph or CallGraph(self.root)
         findings: list[Finding] = []
-        for path in sorted(self.root.rglob("*.py")):
-            if "__pycache__" in path.parts:
+        for info in graph.modules.values():
+            if info.parse_error is not None:
+                findings.append(Finding(
+                    info.rel, 0, "LNT001", f"cannot parse: {info.parse_error}"
+                ))
                 continue
-            findings.extend(self.audit_file(path))
+            auditor = _ModuleAuditor(info.rel)
+            auditor.visit(info.tree)
+            findings.extend(auditor.findings)
         return findings
-
-    def audit_file(self, path: Path) -> list[Finding]:
-        rel = self._rel(path)
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except (OSError, SyntaxError) as error:
-            return [Finding(rel, 0, "LNT001", f"cannot parse: {error}")]
-        auditor = _ModuleAuditor(rel)
-        auditor.visit(tree)
-        auditor.finalize()
-        return auditor.findings

@@ -40,15 +40,6 @@ RULES: dict[str, tuple[Severity, str]] = {
     "SIG003": (Severity.ERROR,
                "over-broad signature (can match the empty string or has "
                "no literal run of 4+ characters to anchor on)"),
-    "SIG004": (Severity.ERROR,
-               "dead signature: matches no canned page of its own "
-               "application"),
-    "SIG005": (Severity.ERROR,
-               "cross-application overlap: signature matches another "
-               "application's canned pages"),
-    "SIG006": (Severity.ERROR,
-               "signature corpus shape: slug unknown to the catalog or "
-               "signature count is not 5"),
     # -- plugin contract auditor --------------------------------------------
     "PLG001": (Severity.ERROR,
                "plugin class does not subclass MavDetectionPlugin"),
@@ -81,15 +72,11 @@ RULES: dict[str, tuple[Severity, str]] = {
     "DET004": (Severity.WARNING,
                "iteration over an unordered set expression can leak "
                "nondeterministic ordering into output"),
-    "DET005": (Severity.ERROR,
-               "worker-pool callable writes shared mutable state "
-               "(self attributes, free names, global/nonlocal) outside "
-               "the sanctioned main-thread shard-fold path"),
     "DET006": (Severity.ERROR,
                "unbounded loop (while True / while 1) with no structural "
                "bound; a hostile input can spin it forever — iterate a "
                "range, charge a deadline, or demand progress instead"),
-    # -- observability auditor ----------------------------------------------
+    # -- metric names (the same per-module walk) ----------------------------
     "OBS001": (Severity.ERROR,
                "metric registered under a dynamically-built name "
                "(f-string, concatenation, %, or .format with non-constant "

@@ -5,8 +5,9 @@ instruments*: subclasses of :class:`MavDetectionPlugin` that identify a
 catalog application, are reachable through ``ALL_PLUGINS``, talk to
 targets only through ``PluginContext.fetch``/``fetch_json``, swallow no
 unexpected exceptions, and never mutate server state.  This AST pass
-verifies all of that over ``core/tsunami/plugins/*.py`` without
-importing the modules, so broken or hostile fixture trees lint safely.
+verifies all of that over the parsed trees of
+``core/tsunami/plugins/*.py`` without importing the modules, so broken
+or hostile fixture trees lint safely.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.lint.callgraph import CallGraph, ModuleInfo
 from repro.lint.findings import Finding
 
 #: modules whose import in a plugin means transport-layer bypass
@@ -79,16 +81,12 @@ def _class_info(node: ast.ClassDef) -> _PluginClass:
     return _PluginClass(node.name, node.lineno, bases, slug, slug_line, has_detect)
 
 
-def extract_registered_names(init_path: Path) -> frozenset[str] | None:
+def extract_registered_names(tree: ast.Module) -> frozenset[str] | None:
     """Class names instantiated in ``ALL_PLUGINS`` — statically.
 
     Returns ``None`` when the registry cannot be located, in which case
     the registration check is skipped (minimal fixture trees).
     """
-    try:
-        tree = ast.parse(init_path.read_text(), filename=str(init_path))
-    except (OSError, SyntaxError):
-        return None
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Assign, ast.AnnAssign)):
             continue
@@ -132,43 +130,33 @@ class PluginContractAuditor:
         self.known_slugs = known_slugs
         self.signature_slugs = signature_slugs
 
-    @property
-    def plugins_dir(self) -> Path:
-        return self.root / "core" / "tsunami" / "plugins"
-
-    def _rel(self, path: Path) -> str:
-        return (Path(self.root.name) / path.relative_to(self.root)).as_posix()
-
-    def run(self) -> list[Finding]:
-        directory = self.plugins_dir
-        if not directory.is_dir():
-            return [Finding(
-                (Path(self.root.name) / "core" / "tsunami" / "plugins").as_posix(),
-                0, "LNT001", "plugins directory missing",
-            )]
-        registered = extract_registered_names(directory / "__init__.py")
+    def run(self, graph: CallGraph | None = None) -> list[Finding]:
+        """Findings over ``graph``'s plugin trees (built if not given).
+        A plugin that does not parse is left to the per-module pass."""
+        plugins = Path("core", "tsunami", "plugins")
+        package = (self.root.name / plugins).as_posix()
+        if not (self.root / plugins).is_dir():
+            return [Finding(package, 0, "LNT001", "plugins directory missing")]
+        graph = graph or CallGraph(self.root)
+        registered: frozenset[str] | None = None
         modules: list[_Module] = []
-        for path in sorted(directory.glob("*.py")):
-            if path.name == "__init__.py":
+        for info in graph.modules.values():
+            folder, _, name = info.rel.rpartition("/")
+            if folder != package:
                 continue
-            modules.append(self._audit_module(path))
+            if name == "__init__.py":
+                registered = extract_registered_names(info.tree)
+            elif info.parse_error is None:
+                modules.append(self._audit_module(info))
 
         findings = [f for module in modules for f in module.findings]
         findings.extend(self._audit_registry(modules, registered))
         return findings
 
-    def _audit_module(self, path: Path) -> _Module:
-        module = _Module(rel=self._rel(path))
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except (OSError, SyntaxError) as error:
-            module.findings.append(
-                Finding(module.rel, 0, "LNT001", f"cannot parse: {error}")
-            )
-            return module
-
+    def _audit_module(self, source: ModuleInfo) -> _Module:
+        module = _Module(rel=source.rel)
         local_classes: dict[str, _PluginClass] = {}
-        for node in ast.walk(tree):
+        for node in ast.walk(source.tree):
             if isinstance(node, ast.ClassDef):
                 info = _class_info(node)
                 local_classes[info.name] = info

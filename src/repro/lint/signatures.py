@@ -1,22 +1,17 @@
 """Signature-corpus auditor (``SIG*`` rules).
 
 The stage-II prefilter is 90 hand-written regexes; this analyzer makes
-their quality a machine-checked property.  It reads the ``SIGNATURES``
-dict *statically* from ``core/prefilter.py`` (findings point at the
-exact pattern line, and fixture trees lint without being imported) and
-checks each pattern on three axes:
+their *shape* a machine-checked property.  It reads the ``SIGNATURES``
+dict *statically* from ``core/prefilter.py``'s tree (findings point at
+the exact pattern line, and fixture trees lint without being imported):
+each pattern must compile, must not have catastrophic-backtracking
+structure (nested unbounded quantifiers, ambiguous alternation under a
+repeat), and must carry a literal run long enough to anchor on.
 
-* **shape** — must compile, must not have catastrophic-backtracking
-  structure (nested unbounded quantifiers, ambiguous alternation under a
-  repeat), and must carry a literal run long enough to anchor on;
-* **recall** — must match at least one canned page of its own
-  application (a dead signature is a silent recall hole);
-* **precision** — must match no canned page of any *other* application
-  (an overlap sends wrong candidates to stage III and, at Internet
-  scale, multiplies stage-III traffic).
-
-The recall/precision checks are exactly the static precision matrix the
-regression test in ``tests/core/test_signature_matrix.py`` locks in.
+What the patterns match is checked by tests, not here: own-page recall
+and zero cross-application hits against the emulators' canned pages in
+``tests/core/test_signature_matrix.py``, five signatures per in-scope
+application in ``tests/core/test_registry.py``.
 """
 
 from __future__ import annotations
@@ -32,22 +27,19 @@ except ImportError:  # pragma: no cover - older interpreters
     import sre_constants
     import sre_parse
 
+from repro.lint.callgraph import CallGraph
 from repro.lint.findings import Finding
 
 #: minimum guaranteed literal run for a signature to count as anchored
 MIN_LITERAL_RUN = 4
 
 
-def extract_signatures(
-    path: Path,
-) -> list[tuple[str, str, int]]:
+def extract_signatures(tree: ast.Module) -> list[tuple[str, str, int]]:
     """``(slug, pattern, line)`` triples from a prefilter module's AST.
 
-    Raises :class:`SyntaxError` if the module does not parse and
-    :class:`ValueError` if no ``SIGNATURES`` dict literal is present —
-    the auditor maps both onto findings.
+    Raises :class:`ValueError` if no ``SIGNATURES`` dict literal is
+    present — the auditor maps that onto a finding.
     """
-    tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -69,7 +61,7 @@ def extract_signatures(
                 if isinstance(element, ast.Constant) and isinstance(element.value, str):
                     triples.append((key.value, element.value, element.lineno))
         return triples
-    raise ValueError(f"no SIGNATURES dict literal in {path}")
+    raise ValueError("no SIGNATURES dict literal")
 
 
 # -- regex shape analysis ----------------------------------------------------
@@ -199,64 +191,31 @@ def longest_guaranteed_literal_run(pattern: str) -> int:
 
 
 class SignatureAuditor:
-    """Audit the signature corpus of one source tree.
+    """Audit the signature shapes of one source tree (``root`` is the
+    ``repro`` package directory)."""
 
-    ``root`` is the ``repro`` package directory.  ``corpus`` maps
-    ``slug -> {page id -> body}``; pass ``None`` to audit shape only
-    (recall/precision checks need ground-truth pages).  ``known_slugs``
-    and ``expected_count`` validate the corpus shape itself; either may
-    be ``None`` to skip.
-    """
-
-    def __init__(
-        self,
-        root: Path,
-        corpus: dict[str, dict[str, str]] | None = None,
-        known_slugs: frozenset[str] | None = None,
-        expected_count: int | None = 5,
-    ) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        self.corpus = corpus
-        self.known_slugs = known_slugs
-        self.expected_count = expected_count
 
-    @property
-    def prefilter_path(self) -> Path:
-        return self.root / "core" / "prefilter.py"
-
-    def _rel(self) -> str:
-        path = self.prefilter_path
-        return (Path(self.root.name) / path.relative_to(self.root)).as_posix()
-
-    def run(self) -> list[Finding]:
-        rel = self._rel()
+    def run(self, graph: CallGraph | None = None) -> list[Finding]:
+        """Findings over ``graph``'s prefilter tree (built if not given)."""
+        graph = graph or CallGraph(self.root)
+        rel = (Path(self.root.name) / "core" / "prefilter.py").as_posix()
+        info = graph.modules.get(f"{self.root.name}.core.prefilter")
+        if info is None:
+            return [Finding(rel, 0, "LNT001",
+                            f"cannot audit signatures: no {rel}")]
+        if info.parse_error is not None:
+            return []  # reported once, by the per-module pass
         try:
-            triples = extract_signatures(self.prefilter_path)
-        except (OSError, SyntaxError, ValueError) as error:
+            triples = extract_signatures(info.tree)
+        except ValueError as error:
             return [Finding(rel, 0, "LNT001", f"cannot audit signatures: {error}")]
-
-        findings: list[Finding] = []
-        per_slug: dict[str, list[tuple[str, int]]] = {}
-        for slug, pattern, line in triples:
-            per_slug.setdefault(slug, []).append((pattern, line))
-
-        for slug, patterns in per_slug.items():
-            first_line = patterns[0][1]
-            if self.known_slugs is not None and slug not in self.known_slugs:
-                findings.append(Finding(
-                    rel, first_line, "SIG006",
-                    f"signature slug {slug!r} is not an in-scope catalog app",
-                ))
-            if self.expected_count is not None and len(patterns) != self.expected_count:
-                findings.append(Finding(
-                    rel, first_line, "SIG006",
-                    f"{slug!r} has {len(patterns)} signatures, expected "
-                    f"{self.expected_count}",
-                ))
-
-        for slug, pattern, line in triples:
-            findings.extend(self._audit_pattern(rel, slug, pattern, line))
-        return findings
+        return [
+            finding
+            for slug, pattern, line in triples
+            for finding in self._audit_pattern(rel, slug, pattern, line)
+        ]
 
     def _audit_pattern(
         self, rel: str, slug: str, pattern: str, line: int
@@ -284,31 +243,5 @@ class SignatureAuditor:
                     rel, line, "SIG003",
                     f"{slug}: {pattern!r} guarantees only a {run}-char literal "
                     f"run (need {MIN_LITERAL_RUN})",
-                ))
-
-        if findings or self.corpus is None or slug not in self.corpus:
-            # Shape problems make corpus verdicts meaningless; unknown
-            # slugs (fixture trees) have no ground-truth pages to judge.
-            return findings
-
-        own_pages = self.corpus[slug]
-        if not any(compiled.search(body) for body in own_pages.values()):
-            findings.append(Finding(
-                rel, line, "SIG004",
-                f"{slug}: {pattern!r} matches none of its {len(own_pages)} "
-                f"canned pages",
-            ))
-        for other in sorted(self.corpus):
-            if other == slug:
-                continue
-            hits = sorted(
-                page for page, body in self.corpus[other].items()
-                if compiled.search(body)
-            )
-            if hits:
-                findings.append(Finding(
-                    rel, line, "SIG005",
-                    f"{slug}: {pattern!r} also matches {other} page(s): "
-                    f"{', '.join(hits[:3])}",
                 ))
         return findings

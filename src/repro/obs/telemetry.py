@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.net.ipv4 import IPv4Address
 from repro.obs.events import EventLog
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, _label_key, flat_name
 from repro.obs.trace import END, START, Tracer, row_to_dict
 from repro.util.clock import SimClock
@@ -89,13 +89,12 @@ class Telemetry:
         self,
         clock: SimClock | None = None,
         events_level: str = "info",
-        flight_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self.clock = clock
         self.events = EventLog(clock=clock, min_level=events_level)
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.flight = FlightRecorder()
 
     # -- cross-pillar helpers ------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Signature precision matrix: recall on own pages, zero cross-app hits.
 
-This is the committed regression twin of the lint signature auditor's
-corpus pass (SIG004/SIG005): every prefilter signature must match at
-least one canned page of its own application and no canned page of any
-other application.  A new emulator page or a loosened regex that breaks
-either property fails here with the offending pattern named.
+The one check of what stage II's signatures match (the linter checks
+only their shape): every prefilter signature must match at least one
+canned page of its own application and no canned page of any other
+application.  A new emulator page or a loosened regex that breaks
+either property fails here with the offending pattern named; the first
+run of this matrix found the 10 dead signatures EXPERIMENTS.md lists.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Analyzer self-test gate: the seeded-bug corpus must yield exactly
 the known findings.
 
-The corpus under ``fixtures/seeded_bugs/`` re-introduces the three
-concurrency/pickle bugs PR 7 hit at runtime; this script runs the full
-analyzer stack over it and diffs the result against the committed
-``expected.json``.  CI runs it as a standalone gate (any drift — a
-missed seeded bug, or new noise — fails the job); the pytest suite
-calls :func:`check` for the same assertion.
+The corpus under ``fixtures/seeded_bugs/`` seeds one bug per ``DET*``,
+``OBS001``, ``RACE*`` and ``PKL*`` rule — the three concurrency/pickle
+bugs PR 7 hit at runtime among them — each beside a near miss that must
+stay silent.  This script runs the full analyzer stack over it and diffs
+the result against the committed ``expected.json``.  CI runs it as a
+standalone gate (any drift — a missed seeded bug, or a near miss
+flagged — fails the job); the pytest suite calls :func:`check` for the
+same assertion.
 
 Usage: ``PYTHONPATH=src python tests/lint/check_seeded_corpus.py``
 """
@@ -25,12 +27,12 @@ EXPECTED = HERE / "fixtures" / "seeded_bugs" / "expected.json"
 def actual_findings() -> list[dict]:
     from repro.lint.cli import run_analyzers
 
-    # The corpus holds only the three buggy modules: no signature table
-    # and no plugin directory, which the SIG/PLG auditors report as
-    # structural LNT001 findings — not what this gate is about.
+    # The corpus holds no signature table and no plugin directory, which
+    # the SIG/PLG auditors report as structural LNT001 findings — not
+    # what this gate is about.
     return [
         {"path": f.path, "line": f.line, "rule": f.rule}
-        for f in run_analyzers(CORPUS, with_corpus=False)
+        for f in run_analyzers(CORPUS)
         if f.rule != "LNT001"
     ]
 

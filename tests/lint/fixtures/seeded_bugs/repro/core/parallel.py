@@ -3,9 +3,9 @@
 This is the shape ``core/parallel.py`` shipped with before the fix:
 the thread-pool worker wrapper bumps an engine attribute from worker
 threads, so the counter's trajectory — and anything derived from it —
-depends on scheduling order.  The analyzer must flag the write both via
-the dispatch-site audit (DET005) and via the whole-program worker
-reachability graph (RACE002).
+depends on scheduling order.  The whole-program worker reachability
+graph must flag the write (RACE002): the method is a registered entry
+point and a ``self.method`` handed to the pool.
 """
 
 from concurrent.futures import ThreadPoolExecutor, as_completed

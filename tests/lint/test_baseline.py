@@ -86,7 +86,7 @@ class TestStaleness:
 
     def test_stale_fingerprints_are_the_fixed_debt(self):
         kept = finding(rule="DET001")
-        fixed = finding(rule="DET005", path="repro/y.py")
+        fixed = finding(rule="RACE002", path="repro/y.py")
         baseline = Baseline.from_findings([kept, fixed])
         assert baseline.stale_fingerprints([kept]) == [fixed.fingerprint()]
         assert baseline.stale_fingerprints([kept, fixed]) == []
@@ -116,8 +116,7 @@ class TestCliRoundTrip:
     ):
         monkeypatch.chdir(tmp_path)
         baseline = tmp_path / "baseline.json"
-        args = ["--root", str(tree), "--no-corpus",
-                "--baseline", str(baseline)]
+        args = ["--root", str(tree), "--baseline", str(baseline)]
         code, _ = self.run(args + ["--update-baseline"], capsys)
         assert code == 0
         before = json.loads(baseline.read_text())["fingerprints"]
@@ -158,6 +157,5 @@ class TestCliRoundTrip:
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "baseline.json"
         bad.write_text("{oops")
-        code = main(["--root", str(tree), "--no-corpus",
-                     "--baseline", str(bad)])
+        code = main(["--root", str(tree), "--baseline", str(bad)])
         assert code == 2

@@ -107,6 +107,36 @@ class TestEntryPoints:
         assert ("repro.eng.Engine._work", "repro.eng.Engine") in entries
         assert ("repro.eng.helper", None) in entries
 
+    def test_untyped_receiver_fans_out_shared(self, tmp_path):
+        root = make_tree(tmp_path, {"eng.py": (
+            "class Runner:\n"
+            "    def work(self, s):\n"
+            "        return s\n"
+            "\n"
+            "\n"
+            "class Other:\n"
+            "    def work(self, s):\n"
+            "        return s\n"
+            "\n"
+            "\n"
+            "def run(pool, runner, shards):\n"
+            "    for s in shards:\n"
+            "        pool.submit(runner.work, s)\n"
+        )})
+        graph = CallGraph(root)
+        assert len(graph.dispatch_sites) == 1
+        entries = {
+            (fn.qualname, owner)
+            for fn, owner in graph.dispatch_entry_points()
+        }
+        assert entries == {
+            ("repro.eng.Runner.work", "repro.eng.Runner"),
+            ("repro.eng.Other.work", "repro.eng.Other"),
+        }
+        assert {
+            ("repro.eng.Runner.work", True), ("repro.eng.Other.work", True),
+        } <= reachable(graph)
+
 
 class TestSharedTaint:
     @pytest.fixture

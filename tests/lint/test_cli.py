@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import main
+from repro.lint.cli import default_root, main, run_analyzers
 
 BAD_PREFILTER = (
     "SIGNATURES = {\n"
@@ -43,7 +44,7 @@ def broken_tree(tmp_path: Path) -> Path:
 def worker_tree(tmp_path: Path) -> Path:
     """A two-file package with one violation per scope: a wall-clock read
     (file-scope DET001) and a worker-reachable shared counter, which only
-    the whole-program call graph can see (tree-scope RACE002 + DET005)."""
+    the whole-program call graph can see (tree-scope RACE002)."""
     root = tmp_path / "repro"
     root.mkdir()
     (root / "clockuser.py").write_text(CLOCK_USER)
@@ -93,9 +94,9 @@ class TestRealTree:
     ):
         """Exactly one finding is *deliberate* and explicitly baselined —
         the profiler's wall-clock read (DET001).  The parallel engine's
-        old DET005 (worker-side progress counter) was fixed by folding
-        shard completions on the main thread, so nothing else — no
-        DET, no RACE, no PKL — may surface on the real tree."""
+        old worker-side progress counter was fixed by folding shard
+        completions on the main thread, so nothing else — no DET, no
+        RACE, no PKL — may surface on the real tree."""
         monkeypatch.chdir(tmp_path)  # no baseline file in CWD
         code, out = run(["--format", "json"], capsys)
         assert code == 1
@@ -104,6 +105,25 @@ class TestRealTree:
             ("DET001", "repro/obs/profile.py"),
         ]
 
+    def test_each_module_is_parsed_once(self, monkeypatch):
+        """One ``ast.parse`` per ``.py`` file: every analyzer reads the
+        call graph's trees."""
+        root = default_root()
+        parsed: list[str] = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        run_analyzers(root)
+        files = sorted(
+            str(path) for path in root.rglob("*.py")
+            if "__pycache__" not in path.parts
+        )
+        assert sorted(parsed) == files
+
 
 class TestBrokenTree:
     def test_exits_nonzero_and_names_the_defects(
@@ -111,7 +131,7 @@ class TestBrokenTree:
     ):
         monkeypatch.chdir(tmp_path)
         code, out = run(
-            ["--root", str(broken_tree), "--no-corpus", "--format", "json"],
+            ["--root", str(broken_tree), "--format", "json"],
             capsys,
         )
         assert code == 1
@@ -126,7 +146,7 @@ class TestBrokenTree:
         self, broken_tree, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        args = ["--root", str(broken_tree), "--no-corpus", "--format", "json"]
+        args = ["--root", str(broken_tree), "--format", "json"]
         _, first = run(args, capsys)
         _, second = run(args, capsys)
         assert first == second
@@ -136,8 +156,7 @@ class TestBrokenTree:
     ):
         monkeypatch.chdir(tmp_path)
         baseline = tmp_path / "baseline.json"
-        args = ["--root", str(broken_tree), "--no-corpus",
-                "--baseline", str(baseline)]
+        args = ["--root", str(broken_tree), "--baseline", str(baseline)]
         code, _ = run(args + ["--update-baseline"], capsys)
         assert code == 0
         saved = json.loads(baseline.read_text())
@@ -152,7 +171,7 @@ class TestBrokenTree:
         monkeypatch.chdir(tmp_path)
         out_file = tmp_path / "report.json"
         code, _ = run(
-            ["--root", str(broken_tree), "--no-corpus", "--format", "json",
+            ["--root", str(broken_tree), "--format", "json",
              "--out", str(out_file)],
             capsys,
         )
@@ -166,7 +185,7 @@ class TestWorkerTree:
     ):
         monkeypatch.chdir(tmp_path)
         code, out = run(
-            ["--root", str(worker_tree), "--no-corpus", "--format", "json"],
+            ["--root", str(worker_tree), "--format", "json"],
             capsys,
         )
         assert code == 1
@@ -175,13 +194,12 @@ class TestWorkerTree:
         }
         assert ("DET001", "repro/clockuser.py") in rules
         assert ("RACE002", "repro/engine.py") in rules
-        assert ("DET005", "repro/engine.py") in rules
 
     def test_consecutive_json_runs_are_byte_identical(
         self, worker_tree, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        args = ["--root", str(worker_tree), "--no-corpus", "--format", "json"]
+        args = ["--root", str(worker_tree), "--format", "json"]
         _, first = run(args, capsys)
         _, second = run(args, capsys)
         assert first == second
@@ -194,6 +212,7 @@ class TestAuxiliaryModes:
         assert code == 0
         for rule in ("SIG001", "PLG001", "DET001", "LNT001"):
             assert rule in out
+        assert len(out.splitlines()) == 1 + 23  # header + one row per rule
 
     def test_bad_root_is_a_usage_error(self, tmp_path, capsys):
         code = main(["--root", str(tmp_path / "missing")])
@@ -204,8 +223,7 @@ class TestAuxiliaryModes:
     ):
         monkeypatch.chdir(tmp_path)
         code, out = run(
-            ["--root", str(broken_tree), "--no-corpus",
-             "--telemetry", "prometheus"],
+            ["--root", str(broken_tree), "--telemetry", "prometheus"],
             capsys,
         )
         assert code == 1

@@ -154,6 +154,97 @@ class TestRace003DispatchClosures:
         assert not [f for f in findings if f.rule == "RACE003"]
 
 
+class TestWorkerPoolWrites:
+    """Callables handed to ``.submit``/``.map`` must not write shared
+    state; the dispatch site alone makes them worker entry points."""
+
+    def audit(self, tmp_path, source):
+        return [(f.rule, f.line) for f in audit(tmp_path, {"module.py": source})]
+
+    def test_self_attribute_write_flagged(self, tmp_path):
+        source = (
+            "class Engine:\n"
+            "    def run(self, pool, shards):\n"
+            "        for shard in shards:\n"
+            "            pool.submit(self._work, shard)\n"
+            "    def _work(self, shard):\n"
+            "        self.done += 1\n"
+            "        return shard\n"
+        )
+        assert self.audit(tmp_path, source) == [("RACE002", 6)]
+
+    def test_untyped_receiver_method_flagged(self, tmp_path):
+        source = (
+            "class Runner:\n"
+            "    def work(self, shard):\n"
+            "        self.done += 1\n"
+            "        return shard\n"
+            "def run(pool, runner, shards):\n"
+            "    for s in shards:\n"
+            "        pool.submit(runner.work, s)\n"
+        )
+        assert self.audit(tmp_path, source) == [("RACE002", 3)]
+
+    def test_free_name_write_flagged(self, tmp_path):
+        source = (
+            "results = {}\n"
+            "def work(item):\n"
+            "    results[item] = item * 2\n"
+            "def run(pool, items):\n"
+            "    pool.map(work, items)\n"
+        )
+        assert self.audit(tmp_path, source) == [("RACE001", 3)]
+
+    def test_global_and_nonlocal_flagged(self, tmp_path):
+        source = (
+            "count = 0\n"
+            "def work(item):\n"
+            "    global count\n"
+            "    count = count + 1\n"
+            "def run(pool, items):\n"
+            "    pool.submit(work, items)\n"
+        )
+        assert self.audit(tmp_path, source) == [("RACE001", 3)]
+
+    def test_param_and_local_writes_allowed(self, tmp_path):
+        source = (
+            "def work(item):\n"
+            "    acc = {}\n"
+            "    acc[item] = item * 2\n"
+            "    item.results = acc\n"  # writing through a param is owned
+            "    return acc\n"
+            "def run(pool, items):\n"
+            "    pool.submit(work, items)\n"
+        )
+        assert self.audit(tmp_path, source) == []
+
+    def test_unsubmitted_function_not_audited(self, tmp_path):
+        source = (
+            "class Engine:\n"
+            "    def _work(self, shard):\n"
+            "        self.done += 1\n"
+        )
+        assert self.audit(tmp_path, source) == []
+
+    def test_submit_of_plain_value_ignored(self, tmp_path):
+        # e.g. ct_log.submit(certificate, when) — not a pool dispatch
+        source = (
+            "def publish(ct_log, certificate, when):\n"
+            "    ct_log.submit(certificate, when)\n"
+        )
+        assert self.audit(tmp_path, source) == []
+
+    def test_def_after_submit_site_still_audited(self, tmp_path):
+        source = (
+            "def run(pool, items):\n"
+            "    pool.map(work, items)\n"
+            "shared = []\n"
+            "def work(item):\n"
+            "    shared[0] = item\n"
+        )
+        assert self.audit(tmp_path, source) == [("RACE001", 5)]
+
+
 class TestPickleBoundary:
     def test_unstripped_telemetry_handle_is_flagged(self, tmp_path):
         findings = audit(tmp_path, {"net.py": (

@@ -1,14 +1,14 @@
-"""Tests for the observability auditor (OBS001)."""
+"""OBS001 (dynamic metric names), checked by the per-module walk."""
 
 import textwrap
 
 from repro.lint.cli import default_root
-from repro.lint.observability import ObservabilityAuditor
+from repro.lint.determinism import DeterminismAuditor
 
 
 def audit(tmp_path, source):
     (tmp_path / "mod.py").write_text(textwrap.dedent(source))
-    return ObservabilityAuditor(tmp_path).run()
+    return DeterminismAuditor(tmp_path).run()
 
 
 def rules(findings):
@@ -35,6 +35,13 @@ class TestDynamicMetricNames:
         findings = audit(tmp_path, """
             def charge(registry, port):
                 registry.histogram("lat_%s" % port).observe(0.1)
+        """)
+        assert rules(findings) == ["OBS001"]
+
+    def test_name_passed_by_keyword_is_flagged(self, tmp_path):
+        findings = audit(tmp_path, """
+            def charge(metrics, slug):
+                metrics.counter(name=f"hits_{slug}").inc()
         """)
         assert rules(findings) == ["OBS001"]
 
@@ -70,6 +77,7 @@ class TestSanctionedNames:
         assert audit(tmp_path, """
             def charge(registry, host):
                 registry.counter("probes_total", host=host).inc()
+                registry.counter(name="probes_total", host=host).inc()
         """) == []
 
     def test_constant_through_a_variable_is_fine(self, tmp_path):
@@ -105,4 +113,5 @@ class TestSanctionedNames:
 
 class TestRepoIsClean:
     def test_the_package_has_no_dynamic_metric_names(self):
-        assert ObservabilityAuditor(default_root()).run() == []
+        findings = DeterminismAuditor(default_root()).run()
+        assert [f for f in findings if f.rule == "OBS001"] == []

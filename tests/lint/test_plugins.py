@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -47,9 +48,8 @@ class TestRealTree:
         assert PluginContractAuditor(REPRO_ROOT).run() == []
 
     def test_registry_extraction_sees_all_18(self):
-        names = extract_registered_names(
-            REPRO_ROOT / "core" / "tsunami" / "plugins" / "__init__.py"
-        )
+        init = REPRO_ROOT / "core" / "tsunami" / "plugins" / "__init__.py"
+        names = extract_registered_names(ast.parse(init.read_text()))
         assert names is not None and len(names) == 18
 
 

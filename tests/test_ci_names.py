@@ -22,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: fingerprint pass, host record and span; the re-scan engine's own batch
 #: loop and the pipeline pieces it drove; the unused wire codec and figure
 #: helper; stage I's per-host counter write, dead-gap helper and op
-#: generators, and the observation-log subset only a test called
+#: generators, and the observation-log subset only a test called; the
+#: lint rules and passes that checked a property something else checks
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -32,6 +33,8 @@ RETIRED = (
     "parse_wire_request", "parse_wire_response", "curves_by_app",
     "Masscan._count", "_account_dead", "_range_ops", "_block_ops",
     "subset_by_app",
+    "DET005", "ObservabilityAuditor", "repro.lint.observability",
+    "no-corpus", "with_corpus", "SIG004", "SIG005", "SIG006",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
