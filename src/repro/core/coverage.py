@@ -29,11 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.net.ipv4 import IPv4Address
+from repro.obs.telemetry import FUNNEL_STAGES
 from repro.util.errors import CoverageError
 from repro.util.tables import Table
-
-#: stages in funnel order — kept in sync with repro.obs.telemetry
-COVERAGE_STAGES: tuple[str, ...] = ("masscan", "prefilter", "tsunami")
 
 
 @dataclass
@@ -93,7 +91,7 @@ class CoverageReport:
     """The per-stage ledgers plus the supervisor's incident record."""
 
     stages: dict[str, StageCoverage] = field(
-        default_factory=lambda: {s: StageCoverage() for s in COVERAGE_STAGES}
+        default_factory=lambda: {s: StageCoverage() for s in FUNNEL_STAGES}
     )
     #: ip values of hosts pulled from the sweep (poison / stall strikes)
     quarantined_hosts: set[int] = field(default_factory=set)
@@ -270,7 +268,7 @@ class CoverageReport:
             ("stage", "entered", "completed", "dropped",
              "quarantined", "deadline-skipped", "unreachable"),
         )
-        for stage in COVERAGE_STAGES:
+        for stage in FUNNEL_STAGES:
             ledger = self.stages.get(stage, StageCoverage())
             table.add_row(
                 stage, ledger.entered, ledger.completed, ledger.dropped,

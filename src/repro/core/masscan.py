@@ -364,7 +364,7 @@ def burst_profile(order: Sequence[IPv4Address], window: int = 256) -> dict[int, 
     window_counts: dict[int, int] = {}
     queue: deque[int] = deque(maxlen=window)
     for ip in order:
-        block = ip.value & 0xFFFFFF00
+        block = ip.value & BLOCK_MASK
         if len(queue) == window:
             # queue[0] is about to be evicted by the bounded append.
             window_counts[queue[0]] -= 1

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
+from repro.core.pipeline import DEFAULT_SHARD_BLOCKS
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_from_dict, report_to_dict
 from repro.core.supervisor import (
@@ -73,15 +74,6 @@ from repro.net.transport import TransportStats
 from repro.obs.profile import ProfileRollup, wall_now
 from repro.util.clock import SimClock
 from repro.util.rand import stable_hash
-
-#: /24 blocks per shard; small enough to balance load, large enough to
-#: keep the per-shard pipeline setup and fold costs amortised on sparse
-#: census frames (~1 populated address per block).  Must stay in sync
-#: with the ``ScanPipeline.shard_blocks`` field default.
-DEFAULT_SHARD_BLOCKS = 256
-
-#: shard execution backends (the ``ScanPipeline.executor`` field)
-EXECUTORS = ("thread", "process")
 
 #: multiprocessing start method used when neither the pipeline nor the
 #: REPRO_MP_START_METHOD environment variable picks one; spawn is the
@@ -309,12 +301,6 @@ class ParallelScanEngine:
     def __init__(self, pipeline) -> None:
         #: a sweep that is only supervised still runs as shards, on one worker
         self.workers = 1 if pipeline.workers is None else pipeline.workers
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if pipeline.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {pipeline.executor!r}; pick from {EXECUTORS}"
-            )
         self.pipeline = pipeline
 
     # -- orchestration -------------------------------------------------------
@@ -501,10 +487,6 @@ class ParallelScanEngine:
                 report, telemetry.events,
                 [completed[shard.index]["supervisor"] for shard in shards],
             )
-        # Cumulative contract, like the sequential engine's _fold_stats:
-        # the report carries the parent handle's summary, which now holds
-        # every shard's counters plus the engine's own events.
-        report.telemetry = telemetry.summary()
         return report
 
     # -- checkpoint/resume ----------------------------------------------------

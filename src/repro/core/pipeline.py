@@ -40,7 +40,7 @@ from repro.net.intervals import FrameLike
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import stream_layer, transport_layers
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
-from repro.obs.telemetry import Telemetry, TelemetrySummary
+from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
 from repro.util.errors import TransportError
 from repro.util.rand import stable_hash
@@ -101,8 +101,6 @@ class ScanReport:
     detections: list[DetectionReport] = field(default_factory=list)
     #: what the resilience layer did (zeros when no RetryPolicy is set)
     retry_stats: RetryStats = field(default_factory=RetryStats)
-    #: flattened telemetry counters + event/span totals for the run
-    telemetry: TelemetrySummary = field(default_factory=TelemetrySummary)
     #: per-stage scanned/dropped/quarantined/skipped accounting
     coverage: CoverageReport = field(default_factory=CoverageReport)
 
@@ -156,8 +154,17 @@ class ScanReport:
         self.findings.update(other.findings)
         self.detections.extend(other.detections)
         self.retry_stats.merge(other.retry_stats)
-        self.telemetry.merge(other.telemetry)
         self.coverage.merge(other.coverage)
+
+
+#: /24 blocks per shard when ``ScanPipeline.workers`` is set; small
+#: enough to balance load, large enough to keep the per-shard pipeline
+#: setup and fold costs amortised on sparse census frames (~1 populated
+#: address per block)
+DEFAULT_SHARD_BLOCKS = 256
+
+#: shard execution backends (the ``ScanPipeline.executor`` field)
+EXECUTORS = ("thread", "process")
 
 
 @dataclass
@@ -199,9 +206,8 @@ class ScanPipeline:
     #: threads (None = the classic sequential engine).  Output is
     #: byte-identical for every worker count; see repro.core.parallel.
     workers: int | None = None
-    #: /24 blocks per shard when ``workers`` is set (kept in sync with
-    #: repro.core.parallel.DEFAULT_SHARD_BLOCKS)
-    shard_blocks: int = 256
+    #: /24 blocks per shard when ``workers`` is set
+    shard_blocks: int = DEFAULT_SHARD_BLOCKS
     #: shard execution backend when ``workers`` is set: "thread" (shared
     #: memory, GIL-bound) or "process" (true multicore — the shard runner
     #: crosses the pickle boundary once per worker).  Output is
@@ -225,6 +231,17 @@ class ScanPipeline:
     console: object | None = None
 
     def __post_init__(self) -> None:
+        # Refused here, before a sweep has emitted anything.
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.shard_blocks < 1:
+            raise ValueError("shard_blocks must be at least 1")
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {self.executor!r}; pick from {EXECUTORS}"
+            )
         if self.telemetry is None:
             self.telemetry = Telemetry(clock=self.clock)
         if self.profile:
@@ -577,9 +594,7 @@ class ScanPipeline:
             # Overwrite, not merge: executor stats are cumulative and this
             # fold runs once per batch when checkpointing is on.
             report.retry_stats = self._retry.stats.copy()
-        # Same contract: the telemetry summary and coverage ledger are
-        # cumulative.
-        report.telemetry = self.telemetry.summary()
+        # Same contract: the coverage ledger is cumulative.
         report.coverage = self._coverage.copy()
 
     # -- checkpoint/resume ----------------------------------------------------

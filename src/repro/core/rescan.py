@@ -22,28 +22,27 @@ never correctness.
 The headline invariant: the :class:`~repro.core.pipeline.ScanReport` an
 incremental sweep produces is **byte-identical** to the report a
 from-scratch :meth:`ScanPipeline.run` over the same frame would produce
-— same findings in the same order, same response tallies, same telemetry
-summary, same reconciling coverage ledger.  The serialised report is a
-pure function of the world and the seed, never of how much was reused.
+— same findings in the same order, same response tallies, same
+reconciling coverage ledger.  The serialised report is a pure function
+of the world and the seed, never of how much was reused.  The sweep's
+:class:`~repro.obs.telemetry.Telemetry` is not part of it: it records
+the work this sweep did, and a replayed host does none.
 
 How the replay stays exact:
 
-* stage I runs for real, so ``open_ports`` (probe order) and every
-  masscan counter are live;
-* the ledger stores, per open host, its ``(port, scheme)`` response
-  sequence, its serialised finding, and the flat telemetry deltas
-  (counters / event count / span count) its stage-II/III work produced;
+* stage I runs for real, so ``open_ports`` (probe order) is live;
+* the ledger stores, per open host, only what the report does not
+  already hold: its ``(port, scheme)`` response sequence, and whether
+  it reached stage III — its finding is the prior report's own;
 * the sweep is the pipeline's own — batches in canonical order, hosts in
   sorted order within each — so replayed response tallies and finding
   insertions interleave with fresh ones in the sequence a full sweep
-  produces, and replayed telemetry, whole counts summed at each fold,
-  adds up to what the hosts' own work would have counted;
-* funnel and coverage are charged live with the full per-batch numbers,
-  so :meth:`CoverageReport.reconcile` holds for incremental passes too.
+  produces;
+* coverage is charged live with the full per-batch numbers, so
+  :meth:`CoverageReport.reconcile` holds for incremental passes too.
 
 Checkpoint/resume is the sequential sweep's journal: each save also
-appends the ledger records made since the last one (``growth``) and
-carries the replayed hosts' telemetry whole (``synthetic``), so an
+appends the ledger records made since the last one (``growth``), so an
 interrupted pass resumes bit-identically.
 """
 
@@ -60,22 +59,17 @@ from typing import Iterable, Sequence
 from repro.core.checkpoint import GROWTH, Checkpointer
 from repro.core.pipeline import ScanPipeline, ScanReport
 from repro.core.prefilter import PrefilterFinding, PrefilterStats
-from repro.core.serialize import (
-    finding_from_dict,
-    finding_to_dict,
-    report_from_dict,
-    report_to_dict,
-)
+from repro.core.serialize import report_from_dict, report_to_dict
 from repro.net.http import Scheme
 from repro.net.intervals import BLOCK_MASK, IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import stream_layer
-from repro.obs.metrics import flat_name
-from repro.obs.telemetry import TelemetrySummary
-from repro.util.errors import CheckpointCorrupt, ConfigError, RecordWindowError
+from repro.util.errors import CheckpointCorrupt, ConfigError
 from repro.util.rand import stable_hash
 
-RESCAN_FORMAT_VERSION = 1
+#: a version-1 file still loads: a record's copy of its finding reads as
+#: "reached stage III", and its telemetry counts are not read
+RESCAN_FORMAT_VERSION = 2
 
 _HTTP = Scheme.HTTP.value
 
@@ -84,41 +78,34 @@ _HTTP = Scheme.HTTP.value
 class HostRecord:
     """One open host's stage-II/III contribution to a sweep.
 
-    Everything needed to replay the host without touching the network:
-    the responses it gave stage II (in probe order), its finding (if the
-    prefilter matched anything), and the telemetry deltas its fresh
-    probe-and-verify produced.  Records are the unit of reuse *and* the
-    unit of checkpointing, which is what makes resumed and uninterrupted
+    What replaying the host without touching the network needs beyond the
+    sweep's report: the responses it gave stage II (in probe order), and
+    whether the prefilter sent it on to stage III, whose finding the
+    report holds.  Records are the unit of reuse *and* the unit of
+    checkpointing, which is what makes resumed and uninterrupted
     incremental passes bit-identical.
     """
 
     value: int
     #: ``(port, scheme value)`` pairs in the order stage II recorded them
     responses: tuple[tuple[int, str], ...] = ()
-    #: serialised finding entry (see ``finding_to_dict``), or None
-    finding: dict | None = None
-    #: flat counter-name -> delta from this host's stage-II/III work
-    counters: dict[str, float] = field(default_factory=dict)
-    events: int = 0
-    spans: int = 0
+    #: whether the host reached stage III (its finding is in the report)
+    finding: bool = False
 
     def to_dict(self) -> dict:
         return {
             "ip": self.value,
             "responses": [[port, scheme] for port, scheme in self.responses],
             "finding": self.finding,
-            "counters": dict(self.counters),
-            "events": self.events,
-            "spans": self.spans,
         }
 
     @cached_property
     def replay_findings(self) -> tuple[PrefilterFinding, ...]:
         """What stage II hands stage III when this record replays: for a
         host with a finding, a token — not a finding — that makes it a
-        stage-III candidate whose finding ``_verify_and_fingerprint``
+        stage-III candidate whose prior finding ``_verify_and_fingerprint``
         installs.  Built on first replay, reused by later ticks."""
-        if self.finding is None:
+        if not self.finding:
             return ()
         return (PrefilterFinding(IPv4Address(self.value), 0, Scheme.HTTP, (), ""),)
 
@@ -129,10 +116,8 @@ class HostRecord:
             responses=tuple(
                 (int(port), str(scheme)) for port, scheme in payload["responses"]
             ),
-            finding=payload["finding"],
-            counters={k: float(v) for k, v in payload["counters"].items()},
-            events=int(payload["events"]),
-            spans=int(payload["spans"]),
+            # a version-1 record holds the finding itself, or None
+            finding=bool(payload["finding"]),
         )
 
 
@@ -167,7 +152,7 @@ class RescanState:
     @classmethod
     def from_dict(cls, payload: dict) -> "RescanState":
         version = payload.get("format_version")
-        if version != RESCAN_FORMAT_VERSION:
+        if version not in (1, RESCAN_FORMAT_VERSION):
             raise ConfigError(
                 f"unsupported rescan state format version: {version!r}"
             )
@@ -233,18 +218,9 @@ class _ReplayingPipeline(ScanPipeline):
     Each batch step first lists in ``replay`` the prior records of the
     batch's open hosts that may replay (the per-host rule in the module
     docstring); then, of the two host steps, a host found in ``replay``
-    contributes its ledger record without touching the network, and any
-    other host runs the real stage inside a *window* and has what it
-    wrote there put in a fresh record.
-
-    The window contract.  Every counter a host step writes is an add
-    into ``MetricsRegistry.pending`` (see :mod:`repro.obs.metrics`), so
-    the step's counter delta is already a dict the size of what the host
-    touched: opening a window publishes, which leaves ``pending`` empty,
-    and closing it reads ``pending`` back — never the registry.  Nothing
-    may read the registry in between: a read publishes, and the adds it
-    folds in are gone from ``pending``; a window that finds one was made
-    raises :class:`~repro.util.errors.RecordWindowError`.
+    contributes its ledger record and its prior finding without touching
+    the network, and any other host runs the real stage and gets a fresh
+    record of what it answered.
     """
 
     def __post_init__(self) -> None:
@@ -260,13 +236,6 @@ class _ReplayingPipeline(ScanPipeline):
         self.replay: dict[int, HostRecord] = {}
         #: this sweep's ledger: one record per open host, replayed or fresh
         self.records: dict[int, HostRecord] = {}
-        #: what the replayed hosts' stage-II/III work would have counted,
-        #: as of the last :meth:`_fold_stats`
-        self.synthetic = TelemetrySummary()
-        #: records replayed since then, summed into ``synthetic`` there
-        self._replayed: list[HostRecord] = []
-        #: series key -> flat name, built once per series a window closed on
-        self._flat_names: dict[tuple, str] = {}
         #: how many of ``records`` the checkpoint journal holds
         self._saved = 0
 
@@ -285,39 +254,6 @@ class _ReplayingPipeline(ScanPipeline):
             }
         super()._run_batch(batch, index, report)
 
-    def _open_window(self) -> tuple[int, int, int]:
-        """Start recording one fresh host step; hand the result to
-        :meth:`_close_window`."""
-        tel = self.telemetry
-        tel.metrics.publish()
-        return tel.metrics.publishes, len(tel.events), tel.tracer.finished_count
-
-    def _close_window(
-        self, window: tuple[int, int, int], record: HostRecord
-    ) -> None:
-        """Add to ``record`` what the host step wrote since ``window``."""
-        tel = self.telemetry
-        publishes, events, spans = window
-        if tel.metrics.publishes != publishes:
-            raise RecordWindowError(
-                f"the metrics registry was read while host "
-                f"{IPv4Address(record.value)} was being recorded: the read "
-                "published the counts the record is made of"
-            )
-        pending = tel.metrics.pending
-        counters, flat_names = record.counters, self._flat_names
-        # In series-key order, the order of a sorted registry snapshot: a
-        # record's counters are listed in the order a state file has them.
-        for key in sorted(pending):
-            amount = pending[key]
-            if amount:
-                name = flat_names.get(key)
-                if name is None:
-                    name = flat_names[key] = flat_name(*key)
-                counters[name] = counters.get(name, 0.0) + amount
-        record.events += len(tel.events) - events
-        record.spans += tel.tracer.finished_count - spans
-
     def _probe_host(self, ip, ports) -> Sequence[PrefilterFinding]:
         stats = self._prefilter.stats
         record = self.replay.get(ip.value)
@@ -331,40 +267,21 @@ class _ReplayingPipeline(ScanPipeline):
             if record.responses:
                 stats.responsive_hosts.add(ip.value)
             self.records[ip.value] = record
-            self._replayed.append(record)
             return record.replay_findings
         stats.noted.clear()
-        window = self._open_window()
         findings = super()._probe_host(ip, ports)
-        record = self.records[ip.value] = HostRecord(ip.value, tuple(stats.noted))
-        self._close_window(window, record)
+        self.records[ip.value] = HostRecord(ip.value, tuple(stats.noted))
         return findings
 
     def _verify_and_fingerprint(self, finding, report) -> None:
         value = finding.ip.value
-        record = self.replay.get(value)
-        if record is not None:
+        if value in self.replay:
             # A replayed record is the prior sweep's verbatim, so its
             # (immutable) finding object is shared.
-            host_finding = self.prior.report.findings.get(value)
-            if host_finding is None:
-                host_finding = finding_from_dict(record.finding)
-            report.findings[value] = host_finding
+            report.findings[value] = self.prior.report.findings[value]
             return
-        window = self._open_window()
         super()._verify_and_fingerprint(finding, report)
-        record = self.records[value]
-        self._close_window(window, record)
-        record.finding = finding_to_dict(report.findings[value])
-
-    def _fold_stats(self, report: ScanReport) -> None:
-        super()._fold_stats(report)
-        # Replayed records (a TelemetrySummary's three fields each) are
-        # summed here, in replay order, not as they replay; every save
-        # folds first, so the journal's ``synthetic`` stays cumulative.
-        self.synthetic.merge(*self._replayed)
-        self._replayed.clear()
-        report.telemetry.merge(self.synthetic)
+        self.records[value].finding = True
 
     # -- checkpoint/resume: the sequential journal, plus the ledger ---------
 
@@ -385,7 +302,6 @@ class _ReplayingPipeline(ScanPipeline):
             str(value): record.to_dict()
             for value, record in islice(self.records.items(), self._saved, None)
         }
-        payload["synthetic"] = self.synthetic.to_dict()
         self._saved = len(self.records)
         return payload
 
@@ -395,7 +311,6 @@ class _ReplayingPipeline(ScanPipeline):
             int(value): HostRecord.from_dict(raw)
             for value, raw in payload["records"].items()
         }
-        self.synthetic = TelemetrySummary.from_dict(payload["synthetic"])
         self._saved = len(self.records)
         return resumed
 

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, TypeVar
 
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import BLOCK_MASK, IPv4Address
 from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
 from repro.util.errors import (
@@ -186,7 +186,7 @@ class CircuitBreaker:
     def allow(self, ip: IPv4Address) -> bool:
         """May the executor touch ``ip`` right now?"""
         block_ok = self._allow_one(
-            ip.value & 0xFFFFFF00, self._block_open_until,
+            ip.value & BLOCK_MASK, self._block_open_until,
             self._block_failures, self.slash24_threshold,
         )
         host_ok = self._allow_one(
@@ -198,12 +198,12 @@ class CircuitBreaker:
     def record_success(self, ip: IPv4Address) -> None:
         self._ticks += 1
         self._host_failures.pop(ip.value, None)
-        self._block_failures.pop(ip.value & 0xFFFFFF00, None)
+        self._block_failures.pop(ip.value & BLOCK_MASK, None)
 
     def record_failure(self, ip: IPv4Address) -> None:
         self._ticks += 1
         host = ip.value
-        block = ip.value & 0xFFFFFF00
+        block = ip.value & BLOCK_MASK
         self._host_failures[host] = self._host_failures.get(host, 0) + 1
         if self._host_failures[host] >= self.failure_threshold:
             self._host_open_until[host] = self._now() + self.cooldown

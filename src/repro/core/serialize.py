@@ -18,7 +18,6 @@ from repro.core.fingerprint.fingerprinter import Fingerprint, FingerprintMethod
 from repro.core.pipeline import AppObservation, HostFinding, ScanReport
 from repro.core.retry import RetryStats
 from repro.core.tsunami.plugin import DetectionReport
-from repro.obs.telemetry import TelemetrySummary
 from repro.net.http import Scheme
 from repro.net.ipv4 import IPv4Address, dotted_quad
 
@@ -110,7 +109,6 @@ def report_to_dict(
         "http_responses": dict(report.http_responses),
         "https_responses": dict(report.https_responses),
         "retry_stats": report.retry_stats.to_dict(),
-        "telemetry": report.telemetry.to_dict(),
         "coverage": report.coverage.to_dict(),
         "findings": findings,
     }
@@ -129,10 +127,9 @@ def report_from_dict(payload: dict) -> ScanReport:
     report.http_responses = {int(k): v for k, v in payload["http_responses"].items()}
     report.https_responses = {int(k): v for k, v in payload["https_responses"].items()}
     # Reports written before the resilience layer carry no retry block,
-    # ones from before the telemetry layer no telemetry block, and ones
-    # from before the supervised runtime no coverage block.
+    # and ones from before the supervised runtime no coverage block.  A
+    # ``telemetry`` block, which reports used to carry, is ignored.
     report.retry_stats = RetryStats.from_dict(payload.get("retry_stats", {}))
-    report.telemetry = TelemetrySummary.from_dict(payload.get("telemetry", {}))
     report.coverage = CoverageReport.from_dict(payload.get("coverage", {}))
 
     for entry in payload["findings"]:

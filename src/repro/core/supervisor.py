@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.serialize import report_to_dict
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import BLOCK_MASK, IPv4Address
 from repro.net.transport import TransportStats, transport_layers
 from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
@@ -68,10 +68,8 @@ class SupervisorConfig:
     """
 
     #: sweep-wide clock budget; every shard conceptually starts at t=0,
-    #: so this is charged per shard (None = no sweep deadline)
-    sweep_deadline: float | None = None
-    #: per-shard clock budget (None = no shard deadline)
-    shard_deadline: float | None = None
+    #: so this is charged per shard (None = no deadline)
+    deadline: float | None = None
     #: per-probe watchdog: latency faults charge at most this much before
     #: the exchange times out (None = wait out the full injected latency)
     probe_deadline: float | None = 60.0
@@ -91,8 +89,7 @@ class SupervisorConfig:
     crash_shards: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("sweep_deadline", "shard_deadline", "probe_deadline",
-                     "stall_window"):
+        for name in ("deadline", "probe_deadline", "stall_window"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -109,20 +106,10 @@ class SupervisorConfig:
             if index < 0 or crashes < 1:
                 raise ValueError(f"bad crash_shards entry: {entry}")
 
-    @property
-    def effective_deadline(self) -> float | None:
-        """The shard clock budget: the tighter of the two deadlines."""
-        deadlines = [
-            d for d in (self.sweep_deadline, self.shard_deadline)
-            if d is not None
-        ]
-        return min(deadlines) if deadlines else None
-
     def resume_config(self) -> dict:
         """The knobs a supervised checkpoint must match to be resumed."""
         return {
-            "sweep_deadline": self.sweep_deadline,
-            "shard_deadline": self.shard_deadline,
+            "deadline": self.deadline,
             "probe_deadline": self.probe_deadline,
             "max_shard_restarts": self.max_shard_restarts,
             "quarantine_threshold": self.quarantine_threshold,
@@ -152,7 +139,7 @@ class Quarantine:
         self._block_members: dict[int, set[int]] = {}
 
     def is_quarantined(self, value: int) -> bool:
-        return value in self.hosts or (value & 0xFFFFFF00) in self.blocks
+        return value in self.hosts or (value & BLOCK_MASK) in self.blocks
 
     def strike(self, value: int) -> tuple[bool, bool]:
         """Record one strike; returns (host_newly, block_newly) flags."""
@@ -164,7 +151,7 @@ class Quarantine:
             return False, False
         del self._strikes[value]
         self.hosts.add(value)
-        block = value & 0xFFFFFF00
+        block = value & BLOCK_MASK
         members = self._block_members.setdefault(block, set())
         members.add(value)
         if len(members) >= self.block_threshold and block not in self.blocks:
@@ -198,7 +185,7 @@ class ShardSupervision:
         self.quarantine = Quarantine(
             config.quarantine_threshold, config.quarantine_block_threshold
         )
-        self.deadline = config.effective_deadline
+        self.deadline = config.deadline
         self.deadline_hit = False
         self.poison_events = 0
         self.stall_events = 0
@@ -291,7 +278,7 @@ class ShardSupervision:
             if self.telemetry is not None:
                 self.telemetry.events.warn(
                     "supervisor", "quarantine-block",
-                    host=IPv4Address(ip.value & 0xFFFFFF00), reason=reason,
+                    host=IPv4Address(ip.value & BLOCK_MASK), reason=reason,
                 )
 
     def _count(self, name: str, **labels: object) -> None:
@@ -360,7 +347,6 @@ def _abandoned_payload(
     report.coverage.charge("masscan", planned, 0, unreachable=planned)
     telemetry = Telemetry()
     telemetry.funnel("masscan", planned, 0)
-    report.telemetry = telemetry.summary()
     return {
         "report": report_to_dict(report),
         "telemetry": telemetry.snapshot_state(),

@@ -55,7 +55,7 @@ HOSTILE_PLAN = FaultPlan(
 #: hang, a sweep deadline the hostile run cannot meet, a hair-trigger
 #: quarantine, and one injected crash of shard 0 (restarted, not fatal).
 SOAK_SUPERVISOR = SupervisorConfig(
-    sweep_deadline=600.0,
+    deadline=600.0,
     probe_deadline=30.0,
     max_shard_restarts=2,
     quarantine_threshold=1,
@@ -216,7 +216,7 @@ def run_chaos_coverage_study(
         # seconds per shard on this frame, and the study wants the
         # *fault* severity — not the baseline backoff — to move the
         # coverage curve, so the calm arm must fit inside the budget.
-        sweep_deadline=2 * SOAK_SUPERVISOR.sweep_deadline,
+        deadline=2 * SOAK_SUPERVISOR.deadline,
         probe_deadline=SOAK_SUPERVISOR.probe_deadline,
         quarantine_threshold=SOAK_SUPERVISOR.quarantine_threshold,
         quarantine_block_threshold=SOAK_SUPERVISOR.quarantine_block_threshold,

@@ -148,7 +148,7 @@ def _supervisor_config(args):
 
     defaults = SupervisorConfig()
     return SupervisorConfig(
-        sweep_deadline=args.deadline,
+        deadline=args.deadline,
         max_shard_restarts=(
             args.max_shard_restarts
             if args.max_shard_restarts is not None

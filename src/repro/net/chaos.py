@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, fields
 
 from repro.net.http import HttpRequest, HttpResponse, Scheme
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import BLOCK_MASK, IPv4Address
 from repro.net.transport import Transport
 from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
@@ -227,7 +227,7 @@ class ChaosTransport(Transport):
         """The time-keyed fault currently blacking out ``ip``, if any."""
         plan = self.plan
         if plan.outage_rate:
-            block = ip.value & 0xFFFFFF00
+            block = ip.value & BLOCK_MASK
             if self._affected(plan.outage_rate, "outage", block):
                 offset = (self._now() + self._phase(plan.outage_period, "outage", block))
                 if offset % plan.outage_period < plan.outage_down:

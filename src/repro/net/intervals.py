@@ -23,11 +23,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from repro.net.ipv4 import MAX_IPV4, IPv4Address, _RESERVED_ENDS, _RESERVED_STARTS
+from repro.net.ipv4 import (
+    BLOCK_MASK,
+    MAX_IPV4,
+    IPv4Address,
+    _RESERVED_ENDS,
+    _RESERVED_STARTS,
+)
 from repro.net.network import SimulatedInternet
 from repro.util.rand import stable_hash
 
-BLOCK_MASK = 0xFFFFFF00
 BLOCK_SIZE = 256
 
 

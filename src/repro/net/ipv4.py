@@ -15,6 +15,9 @@ from typing import Iterator
 
 MAX_IPV4 = 2**32 - 1
 
+#: ``value & BLOCK_MASK`` is the base of the /24 block holding ``value``
+BLOCK_MASK = 0xFFFFFF00
+
 
 def dotted_quad(value: int) -> str:
     """Render an address integer (``0 <= value <= MAX_IPV4``) without
@@ -55,7 +58,7 @@ class IPv4Address:
     @property
     def slash24(self) -> "IPv4Network":
         """The /24 block containing this address."""
-        return IPv4Network(IPv4Address(self.value & 0xFFFFFF00), 24)
+        return IPv4Network(IPv4Address(self.value & BLOCK_MASK), 24)
 
     def __str__(self) -> str:
         return dotted_quad(self.value)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.net.http import HttpRequest, HttpResponse, Scheme
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import BLOCK_MASK, IPv4Address
 from repro.util.errors import ReproError
 
 
@@ -48,7 +48,7 @@ class TransportStats:
 
     def note_request(self, ip: IPv4Address) -> None:
         self.http_requests += 1
-        block = ip.value & 0xFFFFFF00
+        block = ip.value & BLOCK_MASK
         self.requests_per_slash24[block] = self.requests_per_slash24.get(block, 0) + 1
 
     def merge(self, other: "TransportStats") -> None:

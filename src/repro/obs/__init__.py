@@ -30,7 +30,7 @@ from repro.obs.events import Event, EventLog
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
-from repro.obs.telemetry import FUNNEL_STAGES, Telemetry, TelemetrySummary
+from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Span",
     "Tracer",
     "Telemetry",
-    "TelemetrySummary",
     "WallProfile",
     "FUNNEL_STAGES",
     "wall_now",

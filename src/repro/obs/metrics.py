@@ -10,10 +10,9 @@ Write local, publish on read.  A per-probe writer looks no series up:
 it adds to a plain local — the registry's ``pending`` dict, its
 ``observed`` lists, or a stats block of its own with a publish hook
 (:meth:`MetricsRegistry.defer`).  Every read — ``counter_value``,
-``histogram_count``, ``counters_flat``, ``snapshot_state``, ``absorb``,
-``to_prometheus`` — publishes first, so a reader sees
-exactly what per-increment writes would have left, and a sweep nobody
-reads pays one publish per batch.  Publishing is single-writer: only
+``histogram_count``, ``snapshot_state``, ``absorb``, ``to_prometheus``
+— publishes first, so a reader sees exactly what per-increment writes
+would have left, and a sweep nobody reads pays one publish per batch.  Publishing is single-writer: only
 the thread running the sweep may read through those accessors; any
 other thread (the console's HTTP handler) takes
 :meth:`MetricsRegistry.published_state`, which never publishes and is
@@ -51,14 +50,6 @@ def series_key(name: str, **labels: object) -> tuple[str, _LabelKey]:
     """Canonical key of one series — what ``MetricsRegistry.pending``
     counts under.  Writers build theirs once, not per increment."""
     return (name, _label_key(labels))
-
-
-def flat_name(name: str, labels: _LabelKey) -> str:
-    """Canonical flattened series name: ``name{k=v,k2=v2}``."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
 
 
 class Counter:
@@ -165,10 +156,6 @@ class MetricsRegistry:
         #: publish hooks of writers that keep their own books, held
         #: weakly: a writer that is gone has published for the last time
         self._deferred: list[weakref.WeakMethod] = []
-        #: how many times :meth:`publish` has run.  Whoever reads its own
-        #: adds back out of ``pending`` (the re-scan ledger) compares two
-        #: readings to know that no publish took them away in between.
-        self.publishes = 0
 
     # -- deferred writers ----------------------------------------------------
 
@@ -188,7 +175,6 @@ class MetricsRegistry:
         writer's books in.  Every read accessor starts here; a sweep also
         calls it at batch boundaries, which bounds how stale
         :meth:`published_state` is."""
-        self.publishes += 1
         pending = self.pending
         if pending:
             counters = self._counters
@@ -266,14 +252,6 @@ class MetricsRegistry:
         self.publish()
         metric = self._histograms.get((name, _label_key(labels)))
         return metric.count if metric is not None else 0
-
-    def counters_flat(self) -> dict[str, float]:
-        """Every counter series under its canonical flattened name."""
-        self.publish()
-        return {
-            flat_name(name, labels): metric.value
-            for (name, labels), metric in sorted(self._counters.items())
-        }
 
     # -- shard folding -------------------------------------------------------
 

@@ -15,12 +15,11 @@ checkpoint/resume and exports three ways:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from repro.net.ipv4 import IPv4Address
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry, _label_key, flat_name
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import END, START, Tracer, row_to_dict
 from repro.util.clock import SimClock
 from repro.util.tables import Table
@@ -28,58 +27,11 @@ from repro.util.tables import Table
 #: one line of the JSONL export (sorting the keys, attrs included)
 _encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
-#: pipeline stages in funnel order
+#: pipeline stages in funnel order: the funnel's and the coverage ledger's
 FUNNEL_STAGES: tuple[str, ...] = ("masscan", "prefilter", "tsunami")
 
 #: counter family holding the per-stage host flow
 FUNNEL_METRIC = "funnel_hosts_total"
-
-
-@dataclass
-class TelemetrySummary:
-    """The numeric residue of a run, carried on the ScanReport.
-
-    Counters are flattened to their canonical series names
-    (``name{label=value}``), which keeps the summary JSON-safe and
-    mergeable — the same contract as
-    :class:`~repro.core.retry.RetryStats`.
-    """
-
-    counters: dict[str, float] = field(default_factory=dict)
-    events: int = 0
-    spans: int = 0
-
-    def merge(self, *others: "TelemetrySummary") -> None:
-        counters = self.counters
-        for other in others:
-            for name, value in other.counters.items():
-                counters[name] = counters.get(name, 0.0) + value
-            self.events += other.events
-            self.spans += other.spans
-
-    def copy(self) -> "TelemetrySummary":
-        return TelemetrySummary(dict(self.counters), self.events, self.spans)
-
-    def counter(self, name: str, **labels: object) -> float:
-        return self.counters.get(flat_name(name, _label_key(labels)), 0.0)
-
-    def funnel(self, stage: str, flow: str) -> float:
-        return self.counter(FUNNEL_METRIC, flow=flow, stage=stage)
-
-    def to_dict(self) -> dict:
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "events": self.events,
-            "spans": self.spans,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TelemetrySummary":
-        return cls(
-            counters=dict(payload.get("counters", {})),
-            events=payload.get("events", 0),
-            spans=payload.get("spans", 0),
-        )
 
 
 class Telemetry:
@@ -156,13 +108,6 @@ class Telemetry:
             self.events.since(event_mark), exchange_mark,
         )
         return duration
-
-    def summary(self) -> TelemetrySummary:
-        return TelemetrySummary(
-            counters=self.metrics.counters_flat(),
-            events=len(self.events),
-            spans=self.tracer.finished_count,
-        )
 
     # -- exporters -----------------------------------------------------------
 

@@ -28,18 +28,6 @@ class CheckpointCorrupt(ReproError):
     """
 
 
-class RecordWindowError(ReproError):
-    """The metrics registry was read while a host's record was being taken.
-
-    The re-scan ledger takes a freshly probed host's counter delta from
-    ``MetricsRegistry.pending``, between a publish that empties it and a
-    read of what the host added.  A registry read in between publishes,
-    which moves those adds out of ``pending``; the record would silently
-    lack them, so the sweep stops instead.  Deliberately *not* a
-    :class:`TransportError`: no stage may swallow it as a miss.
-    """
-
-
 class TransportError(ReproError):
     """A network-level failure: refused connection, timeout, reset.
 

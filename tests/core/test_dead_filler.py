@@ -44,13 +44,11 @@ SUPERVISOR = SupervisorConfig(heartbeat_every=1, quarantine_threshold=1)
 _COUNTING_EVENTS = {"batch-complete", "sweep-complete", "shard-complete", "heartbeat"}
 _COUNTING_SPANS = {"stage:masscan", "batch", "sweep"}
 #: the series that count addresses: masscan's own and its funnel row, as
-#: the Prometheus export and the report's telemetry summary spell them
+#: the Prometheus export spells them
 _COUNTING_SERIES = (
     "masscan_addresses_total", "masscan_probes_total",
     'funnel_hosts_total{flow="in",stage="masscan"}',
     'funnel_hosts_total{flow="dropped",stage="masscan"}',
-    "funnel_hosts_total{flow=in,stage=masscan}",
-    "funnel_hosts_total{flow=dropped,stage=masscan}",
 )
 
 _hosts = st.lists(
@@ -106,9 +104,6 @@ def everything_but_the_counts(report, pipeline):
         del body[name]
     for name in ("entered", "dropped"):
         del body["coverage"]["stages"]["masscan"][name]
-    counters = body["telemetry"]["counters"]
-    for name in [n for n in counters if n.startswith(_COUNTING_SERIES)]:
-        del counters[name]
     lines = []
     for line in pipeline.telemetry.export_jsonl().splitlines():
         record = json.loads(line)

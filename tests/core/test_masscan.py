@@ -323,11 +323,10 @@ class TestStageIModesAgree:
                 FRAME_FORMS[form](frame), batch_size, skip=skip
             )
         ]
-        counters = {
-            name: value
-            for name, value in telemetry.metrics.counters_flat().items()
-            if name.startswith("masscan_")
-        }
+        counters = [
+            series for series in telemetry.metrics.snapshot_state()["counters"]
+            if series[0].startswith("masscan_")
+        ]
         spans = [s.name for s in telemetry.tracer.finished]
         return seen, counters, spans, transport.stats.syn_probes
 

@@ -145,17 +145,18 @@ class TestPrefilterAblation:
         return pipeline.run(internet.populated_addresses()), pipeline
 
     @staticmethod
-    def plugin_runs(report):
+    def plugin_runs(pipeline):
         return sum(
-            value for name, value in report.telemetry.counters.items()
-            if name.startswith("plugin_verdicts_total")
+            value
+            for name, _, value in pipeline.telemetry.metrics.snapshot_state()["counters"]
+            if name == "plugin_verdicts_total"
         )
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_same_detections_more_plugin_work_books_balance(
         self, internet, workers
     ):
-        filtered, _ = self.sweep(internet, workers=workers)
+        filtered, plain = self.sweep(internet, workers=workers)
         ablated, pipeline = self.sweep(
             internet, workers=workers, use_prefilter=False
         )
@@ -163,13 +164,42 @@ class TestPrefilterAblation:
         assert {ip.value for ip in ablated.vulnerable_ips()} == {
             ip.value for ip in filtered.vulnerable_ips()
         }
-        assert self.plugin_runs(ablated) > self.plugin_runs(filtered)
+        assert self.plugin_runs(pipeline) > self.plugin_runs(plain)
         if workers is None:
-            assert pipeline.engine.stats.plugins_run == self.plugin_runs(ablated)
-        for report in (filtered, ablated):
+            assert pipeline.engine.stats.plugins_run == self.plugin_runs(pipeline)
+        for report, swept in ((filtered, plain), (ablated, pipeline)):
             report.coverage.reconcile(report)
+            value = swept.telemetry.metrics.counter_value
             for stage, ledger in report.coverage.stages.items():
-                assert report.telemetry.funnel(stage, "in") == ledger.entered
-                assert report.telemetry.funnel(stage, "out") == ledger.completed
+                funnel = {"stage": stage, "name": "funnel_hosts_total"}
+                assert value(**funnel, flow="in") == ledger.entered
+                assert value(**funnel, flow="out") == ledger.completed
         # Ablation hands every responsive host to stage III.
         assert ablated.total_awe_hosts() > filtered.total_awe_hosts()
+
+
+class TestOptionsRefusedAtConstruction:
+    """A bad value is refused by ``ScanPipeline`` itself, before a sweep
+    has emitted an event or opened a span: a sequential sweep used to
+    reach ``Masscan.scan_in_batches`` with ``batch_size=0`` after its
+    ``sweep-start``, and to ignore an unknown ``executor``."""
+
+    @pytest.mark.parametrize("option", [
+        {"batch_size": 0}, {"workers": 0}, {"shard_blocks": 0},
+        {"executor": "gpu"},
+    ], ids=["batch_size", "workers", "shard_blocks", "executor"])
+    def test_a_bad_value_raises_before_any_event(self, option):
+        from repro.apps.catalog import scanned_ports
+        from repro.core.pipeline import ScanPipeline
+        from repro.net.network import SimulatedInternet
+        from repro.net.transport import InMemoryTransport
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        with pytest.raises(ValueError, match=next(iter(option))):
+            ScanPipeline(
+                InMemoryTransport(SimulatedInternet()), scanned_ports(),
+                telemetry=telemetry, **option,
+            )
+        assert len(telemetry.events) == 0
+        assert telemetry.tracer.active is None

@@ -91,10 +91,9 @@ def test_a_host_whose_ports_changed_is_probed():
 
 
 def test_stage_i_counts_never_land_in_a_host_record(tmp_path):
-    """Stage I tallies its counters per batch and hands them to the
-    registry before the batch reaches stages II/III, so no fresh host's
-    recording window can take them — not even the batch's first host —
-    and a save after the batch holds them.  The tick runs whole and
+    """A record holds a host's stage-II answers and whether it reached
+    stage III, and no counts at all, not even for the batch's first host.
+    The tick, whose first open host changed its ports, runs whole and
     killed after its first save, then resumed; both equal a sweep from
     scratch."""
     internet, frame, engine = parent_state_world()
@@ -118,10 +117,9 @@ def test_stage_i_counts_never_land_in_a_host_record(tmp_path):
         engine.rescan(frame, baseline, checkpoint=Checkpointer(path)),
     ]
     for state in (baseline, *ticks):
-        assert not [
-            name for record in state.records.values()
-            for name in record.counters if name.startswith("masscan_")
-        ]
+        assert {
+            key for record in state.records.values() for key in record.to_dict()
+        } == {"ip", "responses", "finding"}
     for state in ticks:
         assert state.records[first] is not baseline.records[first]
         assert dump(state.report) == expected

@@ -55,34 +55,30 @@ class TestRoundTrip:
         }
 
     def test_all_stats_fields_survive(self, tiny_scan_study):
-        """Regression: retry and telemetry stats must round-trip losslessly."""
+        """Regression: retry stats must round-trip losslessly."""
         original = tiny_scan_study.report
         # JSON-encode the dict to mimic the on-disk path exactly
         rebuilt = report_from_dict(json.loads(json.dumps(report_to_dict(original))))
         assert rebuilt.retry_stats.to_dict() == original.retry_stats.to_dict()
-        assert rebuilt.telemetry.to_dict() == original.telemetry.to_dict()
         assert rebuilt.http_responses == original.http_responses
         assert rebuilt.https_responses == original.https_responses
         assert rebuilt.port_scan.addresses_scanned == original.port_scan.addresses_scanned
 
-    def test_nonzero_telemetry_round_trips(self):
-        """A report with live counters keeps them through serialisation."""
+    def test_a_telemetry_block_is_ignored(self):
+        """Reports used to carry a copy of the sweep's counters; one that
+        still has it loads, and saves without it."""
         from repro.core.pipeline import ScanReport
         from repro.core.retry import RetryStats
-        from repro.obs.telemetry import TelemetrySummary
 
         report = ScanReport()
         report.retry_stats = RetryStats(attempts=9, retries=4, recovered=2)
-        report.telemetry = TelemetrySummary(
-            counters={"retry_retries_total": 4.0, "funnel_hosts_total{flow=in,stage=masscan}": 12.0},
-            events=7,
-            spans=3,
-        )
-        rebuilt = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
+        payload = report_to_dict(report)
+        older = {**payload, "telemetry": {
+            "counters": {"retry_retries_total": 4.0}, "events": 7, "spans": 3,
+        }}
+        rebuilt = report_from_dict(json.loads(json.dumps(older)))
         assert rebuilt.retry_stats.retries == 4
-        assert rebuilt.telemetry.counter("retry_retries_total") == 4.0
-        assert rebuilt.telemetry.funnel("masscan", "in") == 12.0
-        assert (rebuilt.telemetry.events, rebuilt.telemetry.spans) == (7, 3)
+        assert report_to_dict(rebuilt) == payload
 
 
 class TestFileIO:

@@ -60,7 +60,7 @@ class TestSupervisionFlags:
             "--quarantine-threshold", "3",
         ])
         config = _supervisor_config(args)
-        assert config.sweep_deadline == 600.0
+        assert config.deadline == 600.0
         assert config.max_shard_restarts == 1
         assert config.quarantine_threshold == 3
 
@@ -70,7 +70,7 @@ class TestSupervisionFlags:
 
         args = build_parser().parse_args(["--deadline", "600"])
         config = _supervisor_config(args)
-        assert config.sweep_deadline == 600.0
+        assert config.deadline == 600.0
         assert config.max_shard_restarts == SupervisorConfig().max_shard_restarts
         assert (
             config.quarantine_threshold == SupervisorConfig().quarantine_threshold

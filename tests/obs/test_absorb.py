@@ -118,7 +118,7 @@ class TestTelemetryAbsorb:
         serialized.absorb_state(shard().snapshot_state())
         assert serialized.export_jsonl() == live.export_jsonl()
         assert (
-            serialized.summary().to_dict() == live.summary().to_dict()
+            serialized.metrics.snapshot_state() == live.metrics.snapshot_state()
         )
 
 
@@ -168,9 +168,9 @@ class TestFoldEdgeCases:
         parent = Telemetry()
         parent.events.info("parallel", "sweep-start")
         parent.funnel("masscan", 4, 2)
-        before = (parent.export_jsonl(), parent.summary().to_dict())
+        before = (parent.export_jsonl(), parent.metrics.snapshot_state())
         parent.absorb_state(Telemetry().snapshot_state())
-        assert (parent.export_jsonl(), parent.summary().to_dict()) == before
+        assert (parent.export_jsonl(), parent.metrics.snapshot_state()) == before
 
     def test_flight_top_k_ties_break_identically_across_fold_orders(self):
         """Records tied on duration at the capacity boundary must keep

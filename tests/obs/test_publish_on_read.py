@@ -35,6 +35,7 @@ from repro.util.clock import SimClock
 from tests.core.test_determinism_matrix import sweep
 from tests.core.test_parallel import CrashingCheckpointer
 from tests.core.test_parallel import SimulatedCrash as ShardCrash
+from tests.obs.test_metrics import flat_counters
 from tests.obs.test_pipeline_telemetry import (
     PLAN,
     KillSwitch,
@@ -80,7 +81,6 @@ class TestRegistryContract:
         key = series_key("ops_total")
         reads = {
             "counter_value": lambda r: r.counter_value("ops_total"),
-            "counters_flat": lambda r: r.counters_flat()["ops_total"],
             "snapshot_state": lambda r: r.snapshot_state()["counters"][0][2],
             "to_prometheus": lambda r: float(
                 r.to_prometheus().splitlines()[-1].split()[-1]
@@ -105,12 +105,12 @@ class TestRegistryContract:
         saved = registry.snapshot_state()
         registry.pending[series_key("ops_total")] = 9
         registry.restore_state(saved)
-        assert registry.counters_flat() == {}
+        assert flat_counters(registry) == {}
 
     def test_a_touched_key_mints_at_zero_and_an_untouched_one_never(self):
         registry = MetricsRegistry()
         registry.pending[series_key("touched_total")] = 0
-        assert registry.counters_flat() == {"touched_total": 0.0}
+        assert flat_counters(registry) == {"touched_total": 0.0}
 
     def test_hooks_run_in_registration_order_and_are_held_weakly(self):
         class Writer:
@@ -129,7 +129,7 @@ class TestRegistryContract:
         first = Writer(registry, "first", calls)
         second = Writer(registry, "second", calls)
         first.owed, second.owed = 2, 3
-        assert registry.counters_flat() == {
+        assert flat_counters(registry) == {
             "owed_total{by=first}": 2.0, "owed_total{by=second}": 3.0,
         }
         assert calls == ["first", "second"]
@@ -170,7 +170,7 @@ class TestExecutorPublishing:
         assert executor.probe(ip, lambda: next(answers))
         assert not executor.probe(ip, lambda: next(answers))
         stats = executor.stats
-        assert metrics.counters_flat() == {
+        assert flat_counters(metrics) == {
             "retry_attempts_total": float(stats.attempts),
             "retry_backoff_seconds_total": stats.backoff_seconds,
             "retry_operations_total{kind=probe}": 2.0,
@@ -182,7 +182,7 @@ class TestExecutorPublishing:
         executor, metrics = self.executor()
         ip = build_world()[1][0]
         assert executor.call(ip, lambda: "ok") == "ok"
-        assert metrics.counters_flat() == {
+        assert flat_counters(metrics) == {
             "retry_attempts_total": 1.0,
             "retry_operations_total{kind=call}": 1.0,
         }
@@ -317,10 +317,7 @@ class ReadingTransport(Transport):
         return self.inner.fetch_certificate(ip, port)
 
 
-READ_KINDS = (
-    "counter_value", "counters_flat", "summary", "roundtrip",
-    "prometheus", "absorb",
-)
+READ_KINDS = ("counter_value", "roundtrip", "prometheus", "absorb")
 
 
 def instrumented_sweep(reads: dict[int, str]):
@@ -352,7 +349,7 @@ def instrumented_sweep(reads: dict[int, str]):
 
     def on_read(kind):
         where = (transport.operations, kind)
-        expected = reference.counters_flat()
+        expected = flat_counters(reference)
         if kind == "counter_value":
             for name, labels in (
                 ("retry_backoff_seconds_total", {}),
@@ -367,14 +364,9 @@ def instrumented_sweep(reads: dict[int, str]):
                     metrics.counter_value(name, **labels),
                     reference.counter_value(name, **labels),
                 )
-        elif kind == "counters_flat":
-            check(where, deferred_only(metrics.counters_flat()), expected)
-        elif kind == "summary":
-            summary = pipeline.telemetry.summary().to_dict()
-            check(where, deferred_only(summary["counters"]), expected)
         elif kind == "roundtrip":
             metrics.restore_state(json.loads(json.dumps(metrics.snapshot_state())))
-            check(where, deferred_only(metrics.counters_flat()), expected)
+            check(where, deferred_only(flat_counters(metrics)), expected)
         elif kind == "prometheus":
             check(
                 where,
@@ -384,11 +376,11 @@ def instrumented_sweep(reads: dict[int, str]):
         elif kind == "absorb":
             fold = MetricsRegistry()
             fold.absorb(metrics)
-            check(where, deferred_only(fold.counters_flat()), expected)
+            check(where, deferred_only(flat_counters(fold)), expected)
 
     transport.on_read = on_read
     report = pipeline.run(ips)
-    check("final", deferred_only(metrics.counters_flat()), reference.counters_flat())
+    check("final", deferred_only(flat_counters(metrics)), flat_counters(reference))
     check(
         "final backoff",
         metrics.counter_value("retry_backoff_seconds_total"),
@@ -409,7 +401,7 @@ def unread():
 class TestReadsAtArbitraryPoints:
     def test_the_sweep_exercises_every_deferred_family(self, unread):
         operations, _, pipeline = unread
-        counters = pipeline.telemetry.metrics.counters_flat()
+        counters = flat_counters(pipeline.telemetry.metrics)
         for family in DEFERRED:
             assert any(name.startswith(family) for name in counters), family
         assert counters["retry_backoff_seconds_total"] > 0

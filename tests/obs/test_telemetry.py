@@ -1,10 +1,10 @@
-"""Tests for the Telemetry handle and TelemetrySummary."""
+"""Tests for the Telemetry handle."""
 
 import json
 
 import pytest
 
-from repro.obs.telemetry import FUNNEL_STAGES, Telemetry, TelemetrySummary
+from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.util.clock import SimClock
 
 
@@ -31,48 +31,6 @@ class TestFunnel:
         for stage in FUNNEL_STAGES:
             assert stage in rendered
         assert "10" in rendered and "4" in rendered and "6" in rendered
-
-
-class TestSummary:
-    def test_summary_reflects_all_three_pillars(self):
-        telemetry = Telemetry()
-        telemetry.metrics.counter("x_total", k="v").inc(2)
-        telemetry.events.info("s", "n")
-        with telemetry.tracer.span("stage"):
-            pass
-        summary = telemetry.summary()
-        assert summary.counter("x_total", k="v") == 2
-        assert summary.events == 1
-        assert summary.spans == 1
-
-    def test_merge_and_copy(self):
-        a = TelemetrySummary({"x": 1.0}, events=2, spans=1)
-        b = TelemetrySummary({"x": 2.0, "y": 5.0}, events=1, spans=3)
-        c = a.copy()
-        c.merge(b)
-        assert c.counters == {"x": 3.0, "y": 5.0}
-        assert (c.events, c.spans) == (3, 4)
-        assert a.counters == {"x": 1.0}  # copy detached
-
-    def test_dict_round_trip(self):
-        summary = TelemetrySummary({"b": 2.0, "a": 1.0}, events=4, spans=2)
-        payload = json.loads(json.dumps(summary.to_dict()))
-        assert list(payload["counters"]) == ["a", "b"]  # sorted
-        restored = TelemetrySummary.from_dict(payload)
-        assert restored.to_dict() == summary.to_dict()
-
-    def test_from_empty_dict(self):
-        summary = TelemetrySummary.from_dict({})
-        assert summary.counters == {}
-        assert (summary.events, summary.spans) == (0, 0)
-
-    def test_funnel_accessor(self):
-        telemetry = Telemetry()
-        telemetry.funnel("tsunami", 8, 3)
-        summary = telemetry.summary()
-        assert summary.funnel("tsunami", "in") == 8
-        assert summary.funnel("tsunami", "out") == 3
-        assert summary.funnel("tsunami", "dropped") == 5
 
 
 class TestExports:

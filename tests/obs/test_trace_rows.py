@@ -315,7 +315,6 @@ class TestNoSpanPerHost:
         state = through_json(telemetry.snapshot_state())
         ProfileRollup.from_spans(telemetry.tracer.finished)
         assert len(telemetry.tracer.finished) == telemetry.tracer.finished_count
-        telemetry.summary()
         assert spans_built == []
         Telemetry().restore_state(state)  # nothing was open: rows only
         assert spans_built == []

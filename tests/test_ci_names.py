@@ -35,6 +35,9 @@ RETIRED = (
     "subset_by_app",
     "DET005", "ObservabilityAuditor", "repro.lint.observability",
     "no-corpus", "with_corpus", "SIG004", "SIG005", "SIG006",
+    "TelemetrySummary", "RecordWindowError", "_open_window", "_close_window",
+    "counters_flat", "flat_reads", "shard_deadline", "sweep_deadline",
+    "effective_deadline",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
