@@ -1,10 +1,15 @@
 """Tests for IPv4 addresses and CIDR networks."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.net.ipv4 import (
+    BLOCK_MASK,
     MAX_IPV4,
     IPv4Address,
     IPv4Network,
@@ -31,6 +36,25 @@ class TestIPv4Address:
 
     def test_slash24(self):
         assert str(IPv4Address.parse("198.51.100.77").slash24) == "198.51.100.0/24"
+
+    def test_the_block_mask_is_written_out_once(self):
+        """Every /24 base in the package is ``value & BLOCK_MASK``; the
+        literal is on one line of this module, and ``repro.net.intervals``
+        re-exports the same constant."""
+        from repro.net import intervals
+
+        root = Path(repro.__file__).parent
+        spelled = [
+            path.relative_to(root).as_posix()
+            for path in sorted(root.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if re.search(r"0x[fF]{6}00\b", line)
+        ]
+        assert spelled == ["net/ipv4.py"]
+        assert intervals.BLOCK_MASK is BLOCK_MASK == 0xFFFFFF00
+        assert IPv4Address.parse("198.51.100.77").value & BLOCK_MASK == (
+            IPv4Address.parse("198.51.100.0").value
+        )
 
     @pytest.mark.parametrize(
         "bad", ["1.2.3", "1.2.3.4.5", "256.1.1.1", "a.b.c.d", "", "1..2.3"]
