@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from repro.core.fingerprint.knowledge_base import KnowledgeBase, file_hash
 from repro.core.retry import RetryExecutor
-from repro.net.http import HttpResponse, Scheme
+from repro.core.tsunami.plugin import PluginContext
+from repro.net.http import Scheme
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import Transport
 from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
-from repro.util.errors import TransportError
 
 _RESOURCE_RE = re.compile(r"""(?:src|href)=["']([^"']+)["']""")
 
@@ -64,17 +64,6 @@ class StaticFileCrawler:
             series = _FETCH_SERIES[outcome]
             pending[series] = pending.get(series, 0) + 1
 
-    def _get(
-        self, ip: IPv4Address, port: int, path: str, scheme: Scheme,
-        follow_redirects: int = 5,
-    ) -> HttpResponse:
-        def attempt() -> HttpResponse:
-            return self.transport.get(ip, port, path, scheme, follow_redirects)
-
-        if self.retry is not None:
-            return self.retry.call(ip, attempt)
-        return attempt()
-
     def crawl(
         self,
         ip: IPv4Address,
@@ -82,14 +71,20 @@ class StaticFileCrawler:
         scheme: Scheme,
         candidates: tuple[str, ...] = (),
         kb: KnowledgeBase | None = None,
+        memo: dict | None = None,
     ) -> dict[str, str]:
-        """Collect ``path -> hash`` for the target's static files."""
+        """Collect ``path -> hash`` for the target's static files.  Fetches
+        go through one :class:`PluginContext` over ``memo`` (the landing
+        page the pipeline already holds is read from there)."""
+        context = PluginContext(
+            self.transport, ip, port, scheme, retry=self.retry,
+            memo={} if memo is None else memo,
+        )
         observations: dict[str, str] = {}
         fetches = 0
 
-        try:
-            landing = self._get(ip, port, "/", scheme)
-        except TransportError:
+        landing = context.fetch("/")
+        if landing is None:
             self._count_fetch("error")
             return observations
         self._count_fetch("ok")
@@ -107,9 +102,8 @@ class StaticFileCrawler:
                 break
             if path in observations:
                 continue
-            try:
-                response = self._get(ip, port, path, scheme, follow_redirects=0)
-            except TransportError:
+            response = context.fetch(path, follow_redirects=0)
+            if response is None:
                 self._count_fetch("error")
                 continue
             self._count_fetch("ok")

@@ -81,9 +81,12 @@ class VersionFingerprinter:
         port: int,
         scheme: Scheme,
         candidates: tuple[str, ...],
+        memo: dict | None = None,
     ) -> Fingerprint | None:
-        """Identify the application and version running on a target."""
-        result = self._fingerprint(ip, port, scheme, candidates)
+        """Identify the application and version running on a target,
+        reading the answers already in ``memo`` (stage III's) first."""
+        memo = {} if memo is None else memo
+        result = self._fingerprint(ip, port, scheme, candidates, memo)
         if self.telemetry is not None:
             pending = self.telemetry.metrics.pending
             series = _RESULT_SERIES[result.method if result is not None else None]
@@ -96,15 +99,20 @@ class VersionFingerprinter:
         port: int,
         scheme: Scheme,
         candidates: tuple[str, ...],
+        memo: dict,
     ) -> Fingerprint | None:
-        context = PluginContext(self.transport, ip, port, scheme, retry=self.retry)
+        context = PluginContext(
+            self.transport, ip, port, scheme, retry=self.retry, memo=memo
+        )
         if self.use_disclosure:
             for slug in candidates:
                 version = extract_disclosed_version(context, slug)
                 if version is not None:
                     return Fingerprint(slug, version, FingerprintMethod.DISCLOSURE)
         if self.use_hashes:
-            observations = self.crawler.crawl(ip, port, scheme, candidates, self.kb)
+            observations = self.crawler.crawl(
+                ip, port, scheme, candidates, self.kb, memo
+            )
             identified = self.kb.identify(observations)
             if identified is not None:
                 slug, version = identified

@@ -519,7 +519,7 @@ class ScanPipeline:
                     continue
                 self._prefilter.stats.note(ip, port, scheme)
                 findings.append(
-                    PrefilterFinding(ip, port, scheme, all_slugs, response.body)
+                    PrefilterFinding(ip, port, scheme, all_slugs, response)
                 )
         return findings
 
@@ -527,8 +527,11 @@ class ScanPipeline:
         self, finding: PrefilterFinding, report: ScanReport
     ) -> None:
         host_finding = report.finding_for(finding.ip)
+        # Stage III asks the target each question once, starting from the
+        # answer stage II already has: its landing page.
+        memo = {("/", self._prefilter.max_redirects): finding.landing}
         detections = self._engine.scan_target(
-            finding.ip, finding.port, finding.scheme, finding.candidates
+            finding.ip, finding.port, finding.scheme, finding.candidates, memo
         )
         detected_slugs = {d.slug for d in detections}
         report.detections.extend(
@@ -546,7 +549,8 @@ class ScanPipeline:
             opened = tracer.leaf_start()
             try:
                 fingerprint = self._fingerprinter.fingerprint(
-                    finding.ip, finding.port, finding.scheme, finding.candidates
+                    finding.ip, finding.port, finding.scheme,
+                    finding.candidates, memo,
                 )
             finally:
                 tracer.leaf(

@@ -346,7 +346,12 @@ class PrefilterFinding:
     port: int
     scheme: Scheme
     candidates: tuple[str, ...]
-    body: str
+    #: the landing page as stage II received it; stage III reads it from here
+    landing: HttpResponse
+
+    @property
+    def body(self) -> str:
+        return self.landing.body
 
 
 @dataclass
@@ -459,7 +464,7 @@ class Prefilter:
                 pending[_NO_MATCH] = pending.get(_NO_MATCH, 0) + 1
         if not candidates:
             return None
-        return PrefilterFinding(ip, port, scheme, candidates, response.body)
+        return PrefilterFinding(ip, port, scheme, candidates, response)
 
     def probe_host(
         self, ip: IPv4Address, ports: Sequence[int]

@@ -107,7 +107,7 @@ class HostRecord:
         installs.  Built on first replay, reused by later ticks."""
         if not self.finding:
             return ()
-        return (PrefilterFinding(IPv4Address(self.value), 0, Scheme.HTTP, (), ""),)
+        return (PrefilterFinding(IPv4Address(self.value), 0, Scheme.HTTP, (), None),)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HostRecord":

@@ -79,11 +79,15 @@ class TsunamiEngine:
         port: int,
         scheme: Scheme,
         candidates: tuple[str, ...],
+        memo: dict | None = None,
     ) -> list[DetectionReport]:
-        """Run every candidate's plugin against one (ip, port, scheme)."""
+        """Run every candidate's plugin against one (ip, port, scheme).
+        The plugins share one answer memo: ``memo`` when given (the
+        pipeline seeds it with the stage-II landing page), else a new one."""
         context = PluginContext(
             self.transport, ip, port, scheme,
             retry=self.retry, telemetry=self.telemetry,
+            memo={} if memo is None else memo,
         )
         reports = []
         for plugin in self.plugins_for_candidates(candidates):

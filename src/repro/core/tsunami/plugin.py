@@ -4,14 +4,19 @@ Each plugin verifies one application's MAV with a handful of
 non-state-changing GET requests.  Plugins receive a :class:`PluginContext`
 wrapping the transport plus the target coordinates, use its helpers
 (``fetch``, ``fetch_json``), and return a :class:`DetectionReport` when —
-and only when — every detection step succeeds.
+and only when — every detection step succeeds.  A context asks its target
+each question once: answers are remembered per ``(path,
+follow_redirects)``, whatever their status, so the plugins, the
+disclosure extractors and the crawler that share one context share its
+answers; a transport failure is not remembered, and is asked again.
 """
 
 from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.retry import RetryExecutor
 from repro.net.http import HttpResponse, Scheme
@@ -47,25 +52,31 @@ class PluginContext:
     retry: RetryExecutor | None = None
     #: when set, every exchange is noted on the flight recorder
     telemetry: object | None = None
+    #: ``(path, follow_redirects) -> response`` already received
+    memo: dict[tuple[str, int], HttpResponse] = field(default_factory=dict)
 
     def fetch(self, path: str, follow_redirects: int = 5) -> HttpResponse | None:
-        """GET ``path``; ``None`` on any transport failure."""
-        def attempt() -> HttpResponse:
-            return self.transport.get(
-                self.ip, self.port, path, self.scheme, follow_redirects
+        """GET ``path``, or read it from the memo; ``None`` on any
+        transport failure.  A memo hit is noted as the wire answer was."""
+        key = (path, follow_redirects)
+        response = self.memo.get(key)
+        if response is None:
+            attempt = partial(
+                self.transport.get, self.ip, self.port, path, self.scheme,
+                follow_redirects,
             )
-
-        try:
-            if self.retry is not None:
-                response = self.retry.call(self.ip, attempt)
-            else:
-                response = attempt()
-        except TransportError as exc:
-            if self.telemetry is not None:
-                self.telemetry.flight.note_exchange(
-                    path, error=type(exc).__name__
-                )
-            return None
+            try:
+                if self.retry is not None:
+                    response = self.retry.call(self.ip, attempt)
+                else:
+                    response = attempt()
+            except TransportError as exc:
+                if self.telemetry is not None:
+                    self.telemetry.flight.note_exchange(
+                        path, error=type(exc).__name__
+                    )
+                return None
+            self.memo[key] = response
         if self.telemetry is not None:
             self.telemetry.flight.note_exchange(
                 path, response.status, len(response.body)

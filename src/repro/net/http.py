@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Mapping
 from urllib.parse import parse_qsl, urlsplit
 
@@ -69,7 +70,9 @@ class HttpRequest:
 
     @classmethod
     def get(cls, path: str, scheme: Scheme = Scheme.HTTP) -> "HttpRequest":
-        return cls("GET", path, scheme=scheme)
+        """The GET of ``path``: one shared instance per ``(path, scheme)``,
+        built on first use.  Requests are frozen; treat headers as such."""
+        return _get_request(path, scheme)
 
     @classmethod
     def post(
@@ -81,9 +84,9 @@ class HttpRequest:
     ) -> "HttpRequest":
         return cls("POST", path, headers=headers or {}, body=body, scheme=scheme)
 
-    @property
+    @cached_property
     def path_only(self) -> str:
-        """The path with any query string removed."""
+        """The path with any query string removed (parsed once)."""
         return urlsplit(self.path).path
 
     @property
@@ -100,6 +103,11 @@ class HttpRequest:
     def is_state_changing(self) -> bool:
         """True for methods an ethical scanner must not send."""
         return self.method.upper() not in ("GET", "HEAD", "OPTIONS")
+
+
+@lru_cache(maxsize=4096)
+def _get_request(path: str, scheme: Scheme) -> HttpRequest:
+    return HttpRequest("GET", path, scheme=scheme)
 
 
 @dataclass(frozen=True)

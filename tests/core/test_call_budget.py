@@ -1,14 +1,20 @@
-"""What a re-scan tick costs, in Python calls: the first cost-ledger row.
+"""What a sweep costs, in Python calls and requests: the cost-ledger rows.
 
 Seconds depend on the machine and on whatever else it is running; how many
-Python functions a tick enters does not.  ``sys.setprofile`` counts every
-entry (a generator's resume counts as one, a C builtin not at all) while a
-tick re-scans a small generated world at the benchmark's 2% host churn,
-and the count is divided by the open hosts the tick saw.  The budget is
-this design's reading with stated slack, so a change that brings back
-per-host bookkeeping — a per-port host query in stage I, a counter write
-per address, a summary merge or a ``Scheme`` per replayed host — fails here
-before it shows in any timing.
+Python functions a sweep enters does not.  ``sys.setprofile`` counts every
+entry (a generator's resume counts as one, a C builtin not at all), and
+the count is divided by the open hosts the sweep saw.  Two rows, over one
+small generated world:
+
+* the re-scan tick, at the benchmark's 2% host churn: a change that brings
+  back per-host bookkeeping — a per-port host query in stage I, a counter
+  write per address, a summary merge or a ``Scheme`` per replayed host —
+  fails here before it shows in any timing;
+* the dense sweep, a ``ScanPipeline`` run over the whole world: calls per
+  open host, and the HTTP requests it sends, pinned as a ceiling — a
+  stage III that asks a target a question already answered fails here.
+
+Each budget is this design's reading with stated slack.
 """
 
 import random
@@ -17,6 +23,7 @@ import sys
 import pytest
 
 from repro.apps.catalog import scanned_ports
+from repro.core.pipeline import ScanPipeline
 from repro.core.rescan import RescanEngine
 from repro.net.intervals import CompressedPopulation
 from repro.net.population import PopulationModel, generate_internet
@@ -33,6 +40,13 @@ TICKS = 3
 #: summary merge, a ``Scheme`` and a token per replayed host — read
 #: 62.5-62.7.  Budget: the reading's top x 1.15.
 BUDGET = 42.0
+
+#: Python calls per open host of a dense sweep.  Reads 132.2 (any hash
+#: seed) since stage III reads the landing page stage II fetched and asks
+#: each question once per target; 171.2 before.  Budget: the reading x 1.15.
+DENSE_BUDGET = 152.0
+#: HTTP requests of that sweep (567 open hosts): 1,369 since, 1,955 before
+DENSE_REQUESTS = 1369
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +104,30 @@ def calls_per_open_host(campaign) -> list[float]:
 def test_a_tick_stays_within_its_call_budget(campaign):
     readings = calls_per_open_host(campaign)
     assert all(reading <= BUDGET for reading in readings), readings
+
+
+def test_a_dense_sweep_stays_within_its_call_and_request_budgets(campaign):
+    """One warm-up sweep, then one counted."""
+    internet, frame, _, _ = campaign
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for _ in range(2):
+        transport = InMemoryTransport(internet)
+        pipeline = ScanPipeline(
+            transport, scanned_ports(), seed=SEED, batch_size=4096
+        )
+        calls = 0
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            report = pipeline.run(frame)
+        finally:
+            sys.setprofile(previous)
+    reading = calls / len(report.port_scan.open_ports)
+    assert reading <= DENSE_BUDGET, reading
+    assert transport.stats.http_requests <= DENSE_REQUESTS

@@ -27,7 +27,8 @@ from repro.core.supervisor import (
     SupervisorConfig,
 )
 from repro.net.chaos import ChaosTransport, FaultPlan
-from repro.net.ipv4 import IPv4Address
+from repro.net.host import Host, Service
+from repro.net.ipv4 import BLOCK_MASK, IPv4Address
 from repro.net.transport import InMemoryTransport
 from repro.util.clock import SimClock
 from repro.util.errors import ConfigError, CoverageError
@@ -47,6 +48,11 @@ HOSTILE = FaultPlan(
     stall_rate=0.05, stall_latency=90.0,
     poison_rate=0.25, truncate_rate=0.02,
 )
+
+def _poison(request):
+    """A responder whose every answer crashes the parser that reads it."""
+    raise RuntimeError(f"poison body for {request.path}")
+
 
 #: hair-trigger supervision plus one injected crash of shard 1
 SUPERVISED = SupervisorConfig(
@@ -250,13 +256,31 @@ class TestDeadline:
     def test_a_deadline_over_whole_slash24s_with_gate_skips_still_reconciles(self):
         """Hinted ops under the gate: dead gaps are accounted, quarantined
         hosts are gate skips, the deadline ends the stream mid-frame, and
-        the stage-I books still close on the planned frame."""
+        the stage-I books still close on the planned frame.
+
+        Both outcomes are there by construction, whatever the fault
+        draws: each /24 is its own shard, on its own clock.  One /24 opens
+        with a host whose every HTTP exchange is poison, on every scanned
+        port, and it is the sweep's only poison (the plan injects none):
+        the first batch's stage II quarantines it and, at a block
+        threshold of one, its /24, so the block's later hosts reach the
+        gate quarantined.  The other /24's six live hosts outlast the
+        deadline: stage I's backoffs alone charge each at least 8 s."""
         internet, ips = build_world(blocks=2)
         frame = whole_blocks(ips)
+        poisoned = Host(IPv4Address(ips[0].value & BLOCK_MASK | 1))
+        for port in scanned_ports():
+            poisoned.add_service(Service(port, responder=_poison))
+        internet.add_host(poisoned)
         clock = SimClock()
         pipeline = ScanPipeline(
-            ChaosTransport(InMemoryTransport(internet), HOSTILE, seed=21, clock=clock),
+            ChaosTransport(
+                InMemoryTransport(internet),
+                dataclasses.replace(HOSTILE, poison_rate=0.0),
+                seed=21, clock=clock,
+            ),
             scanned_ports(), seed=7, batch_size=3, fingerprint=False,
+            shard_blocks=1,
             retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
             clock=clock,
             supervisor=SupervisorConfig(
