@@ -344,7 +344,13 @@ class TestIncrementalRescan:
 #: under retry, and what those are charged is the decision that commit
 #: made (DESIGN.md s6).  Every ``report`` entry was re-baselined once more
 #: when reports stopped carrying a telemetry copy: each is the sha256 of
-#: the earlier report with its ``telemetry`` key removed.  Regenerate
+#: the earlier report with its ``telemetry`` key removed.  The chaos and
+#: supervised entries were re-baselined a second time when stage III began
+#: asking a target each question once (the landing page stage II fetched,
+#: one answer per path): those sweeps send fewer requests, so retry
+#: operations, fault draws and quarantines move.  ``clean`` and
+#: ``clean-profiled`` did not: without faults, an answer read from the
+#: memo is the answer the wire would give.  Regenerate
 #: (only ever from the commit whose bytes are being pinned) with
 #: ``PYTHONPATH=src:. python tests/core/test_determinism_matrix.py``.
 PARENT_DIGESTS = Path(__file__).parent / "fixtures" / "matrix_digests_072f703.json"
