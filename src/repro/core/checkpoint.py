@@ -46,14 +46,14 @@ A bad record with whole records after it cannot be a torn append; it
 raises :class:`~repro.util.errors.CheckpointCorrupt`.
 
 Sharded sweeps checkpoint at shard boundaries instead, storing each
-completed shard's JSON-safe payload verbatim — the same immutable form
-process-pool workers send back across the pickle boundary.  Because the
-stored form never depends on *how* the shard ran, checkpoints are
-executor-neutral: a sweep killed under the thread executor resumes under
-the process executor (or vice versa) and still reproduces the
-uninterrupted report bit for bit.  Worker count and executor are
-deliberately absent from the resume-config check below for the same
-reason.
+completed shard's :meth:`~repro.core.parallel.ShardResult.to_dict`, the
+only place a shard's result becomes JSON (workers hand over objects).
+Because the stored form never depends on *how* the shard ran,
+checkpoints are executor-neutral: a sweep killed under the thread
+executor resumes under the process executor (or vice versa) and still
+reproduces the uninterrupted report bit for bit.  Worker count and
+executor are deliberately absent from the resume-config check below for
+the same reason; stage switches and the retry policy are in it.
 """
 
 from __future__ import annotations
@@ -202,8 +202,9 @@ class Checkpointer:
 def check_config_matches(payload: dict, **expected: object) -> None:
     """Refuse to resume a checkpoint taken under a different configuration.
 
-    Resuming with a different seed, port list, or batch size would splice
-    two incompatible sweeps together and silently corrupt the report.
+    Resuming with a different seed, port list, batch size, stage switch
+    or retry policy would splice two incompatible sweeps together and
+    silently corrupt the report.
     """
     for key, value in expected.items():
         stored = payload.get(key)

@@ -16,35 +16,35 @@ the data*:
   :class:`~repro.obs.telemetry.Telemetry`, retry executor, and circuit
   breakers, all seeded from ``stable_hash(seed, "shard", index)``.
   Worker callables share *no* mutable state at all — they return their
-  shard payload and the main-thread completion loop does every write
+  shard result and the main-thread completion loop does every write
   (progress, console, checkpointing);
-* **deterministic fold** — shard results are serialised (the same
-  round-trip a checkpoint uses) and merged on the main thread in shard
-  index order: reports merge, telemetry is absorbed with span-id
-  rebasing, transport stats add.  The fold is the *only* sanctioned
-  write path out of a worker, which the ``RACE*`` lint rules enforce.
+* **deterministic fold** — each shard hands back a :class:`ShardResult`,
+  and the main thread folds shard *i* once shards 0…*i* are in: reports
+  merge, telemetry is absorbed with span-id rebasing, transport stats
+  add.  The fold is the *only* sanctioned write path out of a worker,
+  which the ``RACE*`` lint rules enforce.
 
 Because every shard computation is independent and the fold order is
 canonical, a run with ``workers=4`` emits a report and telemetry JSONL
 byte-identical to ``workers=1`` — the acceptance property the parallel
 equivalence tests pin.  Checkpoint/resume works at shard boundaries: the
-checkpoint stores completed shard payloads, and a resumed run re-executes
-only the missing shards.
+checkpoint stores completed shards' :meth:`ShardResult.to_dict`, and a
+resumed run re-executes only the missing shards.
 
 Two executors run the same shards.  ``executor="thread"`` shares the
 :class:`ShardRunner` by reference across a thread pool — cheap, but the
 GIL serialises the actual scanning.  ``executor="process"`` pickles the
 runner once into each worker of a spawn-safe
-:class:`~concurrent.futures.ProcessPoolExecutor` and ships shard
-payloads — plain JSON-safe data, the exact form a checkpoint stores —
-back over the result channel.  Because a payload is a pure function of
-the shard seed and the (read-only) forked transport, the two executors
-are byte-identical to each other and to ``workers=1``.
+:class:`~concurrent.futures.ProcessPoolExecutor` and ships each
+:class:`ShardResult` back over the result channel, pickled as objects.
+Because a result is a pure function of the shard seed and the
+(read-only) forked transport, the two executors are byte-identical to
+each other and to ``workers=1``.
 
 Supervision is a field of the runner, not another engine: with
 ``ScanPipeline.supervisor`` set, the same loop runs each shard under the
 escalation ladder of :mod:`repro.core.supervisor`, and the fold replays
-restarts and abandonments from the payloads, in shard order.
+restarts and abandonments from the results, in shard order.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
-from repro.core.pipeline import DEFAULT_SHARD_BLOCKS
+from repro.core.pipeline import DEFAULT_SHARD_BLOCKS, ScanReport
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_from_dict, report_to_dict
 from repro.core.supervisor import (
@@ -85,7 +85,7 @@ DEFAULT_START_METHOD = "spawn"
 #: analyzer seeds its worker-reachability graph from these (plain data,
 #: consumed from the AST — keep the dotted names in sync with the defs)
 WORKER_ENTRY_POINTS = (
-    "repro.core.parallel.ShardRunner.run",
+    "repro.core.parallel.ShardRunner.execute",
     "repro.core.parallel._process_shard",
 )
 
@@ -94,6 +94,7 @@ WORKER_ENTRY_POINTS = (
 #: main-process handles, no locks or open resources)
 PICKLE_BOUNDARY_TYPES = (
     "repro.core.parallel.Shard",
+    "repro.core.parallel.ShardResult",
     "repro.core.parallel.ShardRunner",
 )
 
@@ -149,6 +150,36 @@ def plan_shards(
     return shards
 
 
+@dataclass(frozen=True)
+class ShardResult:
+    """What one shard hands back to the fold: its live report, which a
+    process worker pickles as it is, and small JSON-safe blocks.
+
+    :meth:`to_dict` is the journal form a sharded checkpoint stores, and
+    :meth:`from_dict` reads it back once per resumed shard, so the fold
+    has one input type.
+    """
+
+    report: ScanReport
+    telemetry: dict
+    transport_stats: dict
+    addresses: int
+    #: per-path real seconds measured in the worker (profiled runs only);
+    #: a diagnostic side-channel, never merged into canonical output
+    wall: dict | None = None
+    #: restarts and abandonment (supervised runs only)
+    supervisor: dict | None = None
+
+    def to_dict(self) -> dict:
+        payload = {k: v for k, v in vars(self).items() if v is not None}
+        payload["report"] = report_to_dict(self.report)
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ShardResult":
+        return cls(**{**payload, "report": report_from_dict(payload["report"])})
+
+
 @dataclass
 class ShardRunner:
     """Everything one shard needs to run, picklable as a unit.
@@ -161,9 +192,9 @@ class ShardRunner:
     are observably identical, which is what makes the two executors
     byte-identical.
 
-    The return value of :meth:`run` is plain JSON-safe data (the same
-    serialised form a checkpoint stores); it is the only thing that
-    crosses back out of a worker.
+    Workers call :meth:`execute`, whose :class:`ShardResult` is the only
+    thing that crosses back out of a worker; :meth:`run` gives the same
+    result in its JSON-safe journal form.
     """
 
     transport: object
@@ -186,19 +217,10 @@ class ShardRunner:
             self.retry_policy = RetryPolicy()
 
     def run(self, shard: Shard) -> dict:
-        start = wall_now() if self.profile else None
-        payload = self._execute(shard)
-        if start is not None:
-            # The payload is owned by this call until it crosses the
-            # fold, so stamping the shard's wall seconds races with
-            # nothing.  Wall numbers are a diagnostic side-channel; they
-            # never enter the canonical report or telemetry.
-            payload.setdefault("wall", {"paths": {}})["elapsed"] = (
-                wall_now() - start
-            )
-        return payload
+        """:meth:`execute`, in the form a checkpoint stores."""
+        return self.execute(shard).to_dict()
 
-    def _execute(self, shard: Shard) -> dict:
+    def execute(self, shard: Shard) -> ShardResult:
         """One shard, in a fully private deterministic universe.
 
         Everything mutable is created here and owned by this call: the
@@ -207,10 +229,20 @@ class ShardRunner:
         breakers.  A supervised runner makes as many such universes as
         the restart rung of the escalation ladder asks for.
         """
+        start = wall_now() if self.profile else None
         if self.supervisor is not None:
-            return run_supervised(self, shard)
-        sub = self.build_pipeline(shard, SimClock())
-        return self.payload(sub, sub.run(shard.addresses))
+            result = run_supervised(self, shard)
+        else:
+            sub = self.build_pipeline(shard, SimClock())
+            result = self.result(sub, sub.run(shard.addresses))
+        if start is not None:
+            # Wall numbers are a diagnostic side-channel; they never
+            # enter the canonical report or telemetry.
+            wall = result.wall or {"paths": {}}
+            result = replace(
+                result, wall={**wall, "elapsed": wall_now() - start}
+            )
+        return result
 
     def build_pipeline(self, shard: Shard, clock: SimClock, supervision=None):
         """The shard's private pipeline on ``clock``, which a supervised
@@ -231,20 +263,22 @@ class ShardRunner:
             supervision=supervision,
         )
 
-    def payload(self, sub, report) -> dict:
-        payload = {
-            "report": report_to_dict(report),
-            "telemetry": sub.telemetry.snapshot_state(),
-            "transport_stats": sub.transport.stats.to_dict(),
-            "addresses": report.port_scan.addresses_scanned,
-        }
+    def result(self, sub, report, supervisor: dict | None = None) -> ShardResult:
+        wall = None
         if sub.profile:
             # The wall side-channel: per-path real seconds measured inside
             # the worker, folded into the parent's WallProfile on the main
-            # thread.  Never merged into the canonical report or telemetry.
+            # thread.
             rollup = ProfileRollup.from_spans(sub.telemetry.tracer.finished)
-            payload["wall"] = {"paths": rollup.wall_to_dict()}
-        return payload
+            wall = {"paths": rollup.wall_to_dict()}
+        return ShardResult(
+            report=report,
+            telemetry=sub.telemetry.snapshot_state(),
+            transport_stats=sub.transport.stats.to_dict(),
+            addresses=report.port_scan.addresses_scanned,
+            wall=wall,
+            supervisor=supervisor,
+        )
 
 
 #: the runner a process-pool worker executes shards with, installed once
@@ -259,10 +293,10 @@ def _init_worker(runner: ShardRunner) -> None:
     _WORKER_RUNNER = runner
 
 
-def _process_shard(shard: Shard) -> dict:
+def _process_shard(shard: Shard) -> ShardResult:
     """The function a process-pool worker runs per shard."""
     assert _WORKER_RUNNER is not None, "worker initializer did not run"
-    return _WORKER_RUNNER.run(shard)
+    return _WORKER_RUNNER.execute(shard)
 
 
 def resolve_start_method(preferred: str | None = None) -> str:
@@ -315,13 +349,13 @@ class ParallelScanEngine:
             candidates, pipe.seed, pipe.shard_blocks,
             exclude_reserved=pipe._masscan.exclude_reserved,
         )
-        completed: dict[int, dict] = {}
+        completed: dict[int, ShardResult] = {}
         if checkpoint is not None:
             payload = checkpoint.load()
             if payload is not None:
                 check_config_matches(payload, **self._expected_config(shards))
                 completed = {
-                    int(index): result
+                    int(index): ShardResult.from_dict(result)
                     for index, result in payload["shards"].items()
                 }
         # Note: the event mentions neither the worker count nor how many
@@ -342,6 +376,10 @@ class ParallelScanEngine:
             )
             for index in sorted(completed):
                 console.note_shard_done(index, completed[index])
+        report = ScanReport()
+        #: shards folded so far; the fold takes them in index order
+        self._folded = 0
+        self._fold_ready(report, completed)
         todo = [shard for shard in shards if shard.index not in completed]
         if todo:
             # The shared knowledge base is read-only during a sweep, so
@@ -362,8 +400,18 @@ class ParallelScanEngine:
                 profile=pipe.profile,
                 supervisor=pipe.supervisor,
             )
-            self._run_shards(runner, todo, completed, checkpoint, shards)
-        report = self._fold(shards, completed)
+            self._run_shards(runner, todo, completed, checkpoint, shards, report)
+        pipe.telemetry.events.info(
+            "parallel", "sweep-complete",
+            shards=len(shards),
+            addresses=report.port_scan.addresses_scanned,
+            awe_hosts=report.total_awe_hosts(),
+        )
+        if pipe.supervisor is not None:
+            close_supervised_books(
+                report, pipe.telemetry.events,
+                [completed[shard.index].supervisor for shard in shards],
+            )
         if checkpoint is not None:
             checkpoint.clear()
         if console is not None:
@@ -376,19 +424,20 @@ class ParallelScanEngine:
         self,
         runner: ShardRunner,
         todo: list[Shard],
-        completed: dict[int, dict],
+        completed: dict[int, ShardResult],
         checkpoint: Checkpointer | None,
         shards: list[Shard],
+        report,
     ) -> None:
         """Run shards on the configured pool; one completion loop for both.
 
         Thread workers share the runner by reference and execute
-        ``runner.run``; process workers get it through the pool
+        ``runner.execute``; process workers get it through the pool
         initializer (one pickle per worker) and execute
-        ``_process_shard``, shipping payloads back over the result
+        ``_process_shard``, shipping results back over the result
         channel.  Either way workers run that callable and nothing else:
-        every console notification and checkpointing happen here on the
-        main thread as results complete.
+        every console notification, checkpoint save and fold step happens
+        here on the main thread as results complete.
         """
         pipe = self.pipeline
         if pipe.executor == "process":
@@ -403,10 +452,10 @@ class ParallelScanEngine:
             work = _process_shard
         else:
             pool = ThreadPoolExecutor(max_workers=self.workers)
-            work = runner.run
+            work = runner.execute
         console = pipe.console
         #: shards finished since the last save: a journal record carries
-        #: only these, so each payload is written exactly once
+        #: only these, so each result is written exactly once
         unsaved: list[int] = []
         try:
             futures = {pool.submit(work, shard): shard for shard in todo}
@@ -427,11 +476,12 @@ class ParallelScanEngine:
                     checkpoint.save({
                         **self._expected_config(shards),
                         GROWTH: {"shards": {
-                            str(index): completed[index]
+                            str(index): completed[index].to_dict()
                             for index in sorted(unsaved)
                         }},
                     })
                     unsaved.clear()
+                self._fold_ready(report, completed)
         finally:
             # cancel_futures: a mid-sweep crash (the kill-and-resume
             # tests) must not wait out every queued shard; on the success
@@ -440,54 +490,41 @@ class ParallelScanEngine:
 
     # -- fold (main thread) ---------------------------------------------------
 
-    def _fold(self, shards: list[Shard], completed: dict[int, dict]):
-        """Merge shard results in canonical index order.
+    def _fold_ready(self, report, completed: dict[int, ShardResult]) -> None:
+        """Fold, in canonical index order, every shard whose predecessors
+        are all in, so early shards fold while later ones still run.
 
-        This is the sanctioned write path out of the worker pool: by the
-        time a payload reaches here it is immutable data, and everything
-        it touches (the merged report, the parent telemetry, the parent
+        This is the sanctioned write path out of the worker pool: a
+        result is immutable once it lands here, and everything it
+        touches (the merged report, the parent telemetry, the parent
         transport stats) is only ever written by the main thread.
         """
-        from repro.core.pipeline import ScanReport
-
         pipe = self.pipeline
         telemetry = pipe.telemetry
-        report = ScanReport()
-        for shard in shards:
-            payload = completed[shard.index]
-            shard_report = report_from_dict(payload["report"])
-            report.merge(shard_report)
-            telemetry.absorb_state(payload["telemetry"])
+        while self._folded in completed:
+            index = self._folded
+            result = completed[index]
+            if pipe.console is not None:
+                # From here the parent handle holds this shard's numbers.
+                pipe.console.note_shard_folded(index)
+            report.merge(result.report)
+            telemetry.absorb_state(result.telemetry)
             pipe.transport.stats.merge(
-                TransportStats.from_dict(payload["transport_stats"])
+                TransportStats.from_dict(result.transport_stats)
             )
-            wall = payload.get("wall")
-            if wall is not None:
-                pipe.wall_profile.note_shard(shard.index, wall)
+            if result.wall is not None:
+                pipe.wall_profile.note_shard(index, result.wall)
             if pipe.profile:
-                pipe.shard_profiles[shard.index] = ProfileRollup.from_rows(
-                    payload["telemetry"]["tracer"]["finished"]
+                pipe.shard_profiles[index] = ProfileRollup.from_rows(
+                    result.telemetry["tracer"]["finished"]
                 )
             telemetry.events.info(
                 "parallel", "shard-complete",
-                index=shard.index, addresses=payload["addresses"],
+                index=index, addresses=result.addresses,
             )
             if pipe.supervisor is not None:
-                note_shard_supervision(
-                    telemetry.events, shard.index, payload["supervisor"]
-                )
-        telemetry.events.info(
-            "parallel", "sweep-complete",
-            shards=len(shards),
-            addresses=report.port_scan.addresses_scanned,
-            awe_hosts=report.total_awe_hosts(),
-        )
-        if pipe.supervisor is not None:
-            close_supervised_books(
-                report, telemetry.events,
-                [completed[shard.index]["supervisor"] for shard in shards],
-            )
-        return report
+                note_shard_supervision(telemetry.events, index, result.supervisor)
+            self._folded += 1
 
     # -- checkpoint/resume ----------------------------------------------------
 
@@ -496,10 +533,8 @@ class ParallelScanEngine:
         engine — shared by the payload writer and the resume check."""
         pipe = self.pipeline
         config = {
+            **pipe._resume_config(),
             "engine": "parallel-shards",
-            "seed": pipe.seed,
-            "ports": list(pipe.ports),
-            "batch_size": pipe.batch_size,
             "shard_blocks": pipe.shard_blocks,
             "shards_total": len(shards),
         }

@@ -20,7 +20,7 @@ boundaries so a killed sweep resumes without re-scanning.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
@@ -610,6 +610,9 @@ class ScanPipeline:
             "seed": self.seed,
             "ports": list(self.ports),
             "batch_size": self.batch_size,
+            "fingerprint": self.fingerprint,
+            "use_prefilter": self.use_prefilter,
+            "retry_policy": self.retry_policy and asdict(self.retry_policy),
         }
 
     def _checkpoint_payload(

@@ -286,13 +286,14 @@ class _ReplayingPipeline(ScanPipeline):
     # -- checkpoint/resume: the sequential journal, plus the ledger ---------
 
     def _resume_config(self) -> dict:
-        # "journal" tells this format from the engine's earlier journals:
-        # the same keys and engine name, none of the sequential sections.
+        # "journal", checked first, refuses the engine's earlier journals
+        # by name: the same engine name, none of the sequential sections.
+        config = super()._resume_config()
+        del config["engine"]
         return {
-            **super()._resume_config(),
             "engine": "rescan",
             "journal": "sequential",
-            "fingerprint": self.fingerprint,
+            **config,
             "run_hash": self.run_hash,
         }
 

@@ -11,7 +11,7 @@ with an exact account of what was given up.
 Supervision is a field of the shard runner, not a second engine: a
 :class:`~repro.core.parallel.ShardRunner` carrying a
 :class:`SupervisorConfig` hands each shard to :func:`run_supervised`,
-and the sharded engine's fold replays what happened from the payloads.
+and the sharded engine's fold replays what happened from the results.
 The escalation ladder, every rung deterministic:
 
 1. **retry** — the existing :class:`~repro.core.retry.RetryExecutor`
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.serialize import report_to_dict
 from repro.net.ipv4 import BLOCK_MASK, IPv4Address
 from repro.net.transport import TransportStats, transport_layers
 from repro.obs.telemetry import Telemetry
@@ -286,7 +285,7 @@ class ShardSupervision:
             self.telemetry.metrics.counter(name, **labels).inc()
 
 
-def run_supervised(runner, shard) -> dict:
+def run_supervised(runner, shard):
     """Run one shard under the restart rung of the ladder.
 
     ``runner`` is the :class:`~repro.core.parallel.ShardRunner` whose
@@ -315,10 +314,10 @@ def run_supervised(runner, shard) -> dict:
         except Exception as exc:
             last = exc
             continue
-        payload = runner.payload(sub, report)
-        payload["supervisor"] = {"restarts": attempt, "abandoned": False}
-        return payload
-    return _abandoned_payload(cfg, len(shard.addresses), last)
+        return runner.result(
+            sub, report, supervisor={"restarts": attempt, "abandoned": False}
+        )
+    return _abandoned_result(cfg, len(shard.addresses), last)
 
 
 def _arm_watchdog(transport, probe_deadline: float | None) -> None:
@@ -332,32 +331,28 @@ def _arm_watchdog(transport, probe_deadline: float | None) -> None:
             return
 
 
-def _abandoned_payload(
-    cfg: SupervisorConfig, planned: int, error: Exception | None
-) -> dict:
-    """The degraded result of a shard that exhausted its restarts.
-
-    A stub report accounting the shard's whole frame as unreachable
-    — built from plain data, so an abandoned shard folded live and
-    one folded out of a resumed checkpoint are identical.
-    """
+def _abandoned_result(cfg: SupervisorConfig, planned: int, error: Exception | None):
+    """The degraded :class:`~repro.core.parallel.ShardResult` of a shard
+    that exhausted its restarts: a stub report accounting the shard's
+    whole frame as unreachable."""
+    from repro.core.parallel import ShardResult
     from repro.core.pipeline import ScanReport
 
     report = ScanReport()
     report.coverage.charge("masscan", planned, 0, unreachable=planned)
     telemetry = Telemetry()
     telemetry.funnel("masscan", planned, 0)
-    return {
-        "report": report_to_dict(report),
-        "telemetry": telemetry.snapshot_state(),
-        "transport_stats": TransportStats().to_dict(),
-        "addresses": 0,
-        "supervisor": {
+    return ShardResult(
+        report=report,
+        telemetry=telemetry.snapshot_state(),
+        transport_stats=TransportStats().to_dict(),
+        addresses=0,
+        supervisor={
             "restarts": cfg.max_shard_restarts,
             "abandoned": True,
             "error": f"{type(error).__name__}: {error}",
         },
-    }
+    )
 
 
 # -- fold (main thread) -------------------------------------------------------
@@ -367,7 +362,7 @@ def note_shard_supervision(events, index: int, meta: dict) -> None:
     """Emit one folded shard's supervision record, in canonical shard order.
 
     Restart and abandonment events are deliberately *not* emitted live
-    from workers: replaying them from payload metadata during the fold
+    from workers: replaying them from result metadata during the fold
     keeps the telemetry stream identical across worker counts and across
     kill-and-resume (where restarts that happened before the kill are
     folded from the checkpoint).
@@ -386,7 +381,7 @@ def note_shard_supervision(events, index: int, meta: dict) -> None:
 
 def close_supervised_books(report, events, metas: list[dict]) -> None:
     """Close a supervised sweep's coverage account once every shard —
-    ``metas`` holds each payload's supervision record — is folded.
+    ``metas`` holds each result's supervision record — is folded.
 
     A degraded report is only trustworthy if its books balance: every
     stage ledger must close and must add up to the report's own totals.

@@ -18,11 +18,11 @@ finish, and fold — with a :class:`ConsoleServer`, a stdlib
 
 The console is read-only and diagnostic: it never writes into the
 pipeline, and nothing it serves feeds canonical output.  Mid-flight its
-numbers come from *completed shard payloads* — immutable snapshots
-handed over by worker threads — plus the parent telemetry handle, so a
-scrape never races a shard-local pipeline.  Once the sweep's fold has
-run (``finish_sweep``), the parent handle holds everything and becomes
-the single source.
+numbers come from the parent telemetry handle plus the *completed shard
+results* not yet folded into it (``note_shard_folded``) — immutable
+snapshots handed over by the workers — so a scrape never races a
+shard-local pipeline.  Once the sweep is done (``finish_sweep``), the
+parent handle holds everything and becomes the single source.
 
 Staleness: per-probe counter writes stay local to the sweep thread
 until the registry is published, and publishing is that thread's alone
@@ -55,8 +55,9 @@ class ConsoleHub:
     """Thread-safe progress aggregation point for one (or more) sweeps.
 
     Engines call the ``attach_telemetry`` / ``begin_sweep`` /
-    ``note_shard_running`` / ``note_shard_done`` / ``finish_sweep``
-    hooks; readers (the HTTP handler, tests) call the view methods.
+    ``note_shard_running`` / ``note_shard_done`` / ``note_shard_folded``
+    / ``finish_sweep`` hooks; readers (the HTTP handler, tests) call the
+    view methods.
     All hooks are cheap — a dict update under one lock — so worker
     threads pay nothing measurable for being observable.
     """
@@ -66,8 +67,10 @@ class ConsoleHub:
         self._telemetry = None
         #: shard index -> {"planned", "status", "scanned", "wall"}
         self._shards: dict[int, dict] = {}
-        #: immutable completed-shard payloads, by index (mid-flight only)
-        self._payloads: dict[int, dict] = {}
+        #: completed shards' immutable ShardResults, by index (mid-flight)
+        self._results: dict[int, object] = {}
+        #: indices of those results the parent handle already holds
+        self._folded: set[int] = set()
         self._report = None
         self._done = False
 
@@ -88,7 +91,8 @@ class ConsoleHub:
                 }
                 for entry in shard_plan
             }
-            self._payloads = {}
+            self._results = {}
+            self._folded = set()
             self._report = None
             self._done = False
 
@@ -96,28 +100,34 @@ class ConsoleHub:
         with self._lock:
             self._shard_entry(index)["status"] = "running"
 
-    def note_shard_done(self, index: int, payload: dict) -> None:
-        """One shard finished; ``payload`` is its immutable result."""
+    def note_shard_done(self, index: int, result) -> None:
+        """One shard finished; ``result`` is its immutable ShardResult."""
         with self._lock:
             entry = self._shard_entry(index)
             entry["status"] = "done"
-            entry["scanned"] = payload.get("addresses", 0)
-            wall = payload.get("wall")
+            entry["scanned"] = result.addresses
+            wall = result.wall
             if wall is not None and "elapsed" in wall:
                 entry["wall"] = round(wall["elapsed"], 6)
-            supervisor = payload.get("supervisor")
+            supervisor = result.supervisor
             if supervisor is not None:
                 if supervisor.get("abandoned"):
                     entry["status"] = "abandoned"
                 if supervisor.get("restarts"):
                     entry["restarts"] = supervisor["restarts"]
-            self._payloads[index] = payload
+            if not self._done:
+                self._results[index] = result
+
+    def note_shard_folded(self, index: int) -> None:
+        """The parent handle now holds shard ``index``'s numbers."""
+        with self._lock:
+            self._folded.add(index)
 
     def finish_sweep(self, report) -> None:
         """The fold has run; the parent handle now holds everything."""
         with self._lock:
             self._report = report
-            self._payloads = {}
+            self._results = {}
             self._done = True
 
     def _shard_entry(self, index: int) -> dict:
@@ -130,20 +140,23 @@ class ConsoleHub:
 
     # -- aggregation ---------------------------------------------------------
 
-    def _sources(self) -> tuple[object, list[dict]]:
+    def _sources(self) -> tuple[object, list]:
+        """The parent handle and the results it does not hold yet."""
         with self._lock:
-            payloads = [] if self._done else list(self._payloads.values())
-            return self._telemetry, payloads
+            return self._telemetry, [
+                result for index, result in self._results.items()
+                if index not in self._folded
+            ]
 
     def _metrics_registry(self) -> MetricsRegistry:
-        """Merged registry: parent handle plus unfolded shard payloads."""
-        telemetry, payloads = self._sources()
+        """Merged registry: parent handle plus unfolded shard results."""
+        telemetry, results = self._sources()
         merged = MetricsRegistry()
         if telemetry is not None:
             merged.absorb(self._registry_snapshot(telemetry))
-        for payload in payloads:
+        for result in results:
             shard = MetricsRegistry()
-            shard.restore_state(payload["telemetry"]["metrics"])
+            shard.restore_state(result.telemetry["metrics"])
             merged.absorb(shard)
         return merged
 
@@ -187,12 +200,11 @@ class ConsoleHub:
         """The quarantine ledger, merged across shard coverage blocks."""
         with self._lock:
             report = self._report
-            payloads = [] if self._done else list(self._payloads.values())
+            results = list(self._results.values())
         if report is not None:
-            coverage = report.coverage.to_dict()
-            return self._quarantine_view([coverage])
+            return self._quarantine_view([report.coverage.to_dict()])
         return self._quarantine_view(
-            [payload["report"].get("coverage", {}) for payload in payloads]
+            [result.report.coverage.to_dict() for result in results]
         )
 
     @staticmethod
@@ -235,12 +247,12 @@ class ConsoleHub:
 
     def flight(self) -> dict:
         """The merged flight recorder (slowest probes so far)."""
-        telemetry, payloads = self._sources()
+        telemetry, results = self._sources()
         merged = FlightRecorder()
         if telemetry is not None:
             merged.absorb(telemetry.flight)
-        for payload in payloads:
-            state = payload["telemetry"].get("flight")
+        for result in results:
+            state = result.telemetry.get("flight")
             if state is not None:
                 shard = FlightRecorder()
                 shard.restore_state(state)

@@ -255,7 +255,7 @@ class WallProfile:
         return bool(self.shards or self.path_self)
 
     def note_shard(self, index: int, wall: dict) -> None:
-        """Fold one shard payload's ``wall`` section (main thread only)."""
+        """Fold one shard result's ``wall`` block (main thread only)."""
         if "elapsed" in wall:
             self.shards[index] = self.shards.get(index, 0.0) + wall["elapsed"]
         for path, timings in wall.get("paths", {}).items():

@@ -164,7 +164,7 @@ class Telemetry:
         self.flight.absorb(other.flight)
 
     def absorb_state(self, state: dict) -> None:
-        """:meth:`absorb` for a telemetry snapshot (a shard payload, as it
+        """:meth:`absorb` for a telemetry snapshot (a shard result's, as it
         comes back from a worker or out of a checkpoint).  The span rows
         are rebased straight out of the snapshot; the three small pillars
         are restored into throwaway objects and absorbed."""

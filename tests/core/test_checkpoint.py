@@ -246,6 +246,60 @@ def run_arm(die_after=None, checkpoint=None, seed=3):
     return pipeline.run(ips, checkpoint=checkpoint)
 
 
+#: resumes that used to be accepted with a changed knob, and reported
+#: something no uninterrupted sweep would: each row is the field the
+#: refusal names and the pipeline fields the resume changes
+CHANGED_KNOBS = {
+    "fingerprint-on": ("fingerprint", {"fingerprint": True}),
+    "prefilter-off": ("use_prefilter", {"use_prefilter": False}),
+    "retry-off": ("retry_policy", {"retry_policy": None}),
+    "max-attempts-5": ("retry_policy", {"retry_policy": RetryPolicy(
+        max_attempts=5, base_delay=0.5, max_delay=4.0,
+    )}),
+}
+
+
+def knob_arm(checkpoint, workers=None, **fields):
+    """A sweep of the ten-host chaos world, sequential or in two shards."""
+    internet, ips = build_world()
+    clock = SimClock()
+    transport = ChaosTransport(
+        InMemoryTransport(internet), PLAN, seed=21, clock=clock
+    )
+    config = {
+        "seed": 3, "batch_size": 3, "fingerprint": False,
+        "retry_policy": RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
+        "clock": clock, "workers": workers, "shard_blocks": 1, **fields,
+    }
+    return ScanPipeline(transport, scanned_ports(), **config).run(
+        ips, checkpoint=checkpoint
+    )
+
+
+class TestResumeRefusesChangedKnobs:
+    @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "sharded"])
+    @pytest.mark.parametrize("change", sorted(CHANGED_KNOBS))
+    def test_a_changed_knob_is_refused_by_name(self, tmp_path, change, workers):
+        field, fields = CHANGED_KNOBS[change]
+        path = tmp_path / "scan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            knob_arm(_Crashing(path, 1), workers)
+        journal = path.read_bytes()
+        with pytest.raises(ConfigError, match=f" {field}="):
+            knob_arm(Checkpointer(path), workers, **fields)
+        assert path.read_bytes() == journal
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "sharded"])
+    def test_unchanged_knobs_resume_to_the_uninterrupted_report(
+        self, tmp_path, workers
+    ):
+        expected = report_to_dict(knob_arm(None, workers))
+        path = tmp_path / "scan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            knob_arm(_Crashing(path, 1), workers)
+        assert report_to_dict(knob_arm(Checkpointer(path), workers)) == expected
+
+
 class TestResume:
     def test_checkpointing_does_not_change_the_report(self, tmp_path):
         plain = report_to_dict(run_arm())

@@ -230,9 +230,9 @@ class TestContentCaches:
 
 class TestCrossExecutorResume:
     def test_thread_checkpoint_resumes_under_process_executor(self, tmp_path):
-        """A checkpoint is executor-neutral: payloads saved by thread
+        """A checkpoint is executor-neutral: results saved by thread
         workers must fold identically when the resume runs on processes
-        (and vice versa), because both store the same JSON-safe form."""
+        (and vice versa), because both store the same journal form."""
         path = str(tmp_path / "sweep.ckpt")
         crasher = CrashingCheckpointer(path, 2, every_batches=1)
         with pytest.raises(SimulatedCrash):
@@ -245,6 +245,25 @@ class TestCrossExecutorResume:
             *sweep("hostile-supervised", 1, "thread")
         )
         assert artifacts(report, pipeline) == reference
+
+    @pytest.mark.parametrize("killed, resumed", [
+        ((2, "thread"), (4, "process")),
+        ((4, "process"), (1, "thread")),
+    ], ids=["w2-thread-to-w4-process", "w4-process-to-w1-thread"])
+    def test_workers_and_executor_may_change_across_a_resume(
+        self, killed, resumed, golden, tmp_path
+    ):
+        """Worker count and executor decide no output, so the resume
+        check leaves them out and either may change."""
+        path = str(tmp_path / "sweep.ckpt")
+        crasher = CrashingCheckpointer(path, 2, every_batches=1)
+        with pytest.raises(SimulatedCrash):
+            sweep("hostile-supervised", *killed, checkpoint=crasher)
+        report, pipeline = sweep(
+            "hostile-supervised", *resumed,
+            checkpoint=Checkpointer(path, every_batches=1),
+        )
+        assert artifacts(report, pipeline) == golden("hostile-supervised")
 
 
 class TestIncrementalRescan:

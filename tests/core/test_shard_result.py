@@ -1,0 +1,123 @@
+"""A shard's result crosses the pickle boundary as objects.
+
+Workers hand the fold a :class:`~repro.core.parallel.ShardResult` holding
+their live report; JSON is written only when a checkpoint saves, and read
+back once per resumed shard.  These tests pin that mechanism by counting
+the report serialisers, and pin that the journal form folds to the same
+bytes as the live objects.
+"""
+
+import json
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.apps.catalog import scanned_ports
+from repro.core import serialize
+from repro.core.checkpoint import Checkpointer
+from repro.core.parallel import ShardResult, ShardRunner
+from repro.core.pipeline import ScanPipeline
+from repro.net.transport import InMemoryTransport
+from tests.core.test_determinism_matrix import artifacts, sweep
+from tests.core.test_parallel import (
+    CrashingCheckpointer,
+    SimulatedCrash,
+    build_world,
+)
+
+SERIALISERS = ("report_to_dict", "report_from_dict")
+
+
+@pytest.fixture
+def serialiser_calls(monkeypatch, tmp_path):
+    """Count report serialiser calls, in this process and in any worker
+    forked from it (each call appends a line to a shared log file)."""
+    log = tmp_path / "calls.log"
+    for name in SERIALISERS:
+        original = getattr(serialize, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            with open(log, "a") as out:
+                out.write(_name + "\n")
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+
+    def read() -> Counter:
+        calls = Counter(log.read_text().split()) if log.exists() else Counter()
+        log.unlink(missing_ok=True)
+        return Counter({name: calls[name] for name in SERIALISERS})
+
+    return read
+
+
+def sharded_sweep(executor, checkpoint=None):
+    internet, ips = build_world()
+    pipeline = ScanPipeline(
+        InMemoryTransport(internet), scanned_ports(), seed=7, batch_size=3,
+        fingerprint=False, workers=2, shard_blocks=2, executor=executor,
+        mp_start_method="fork",
+    )
+    return pipeline.run(ips, checkpoint=checkpoint)
+
+
+class TestMechanism:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_a_live_sweep_serialises_no_report(self, executor, serialiser_calls):
+        report = sharded_sweep(executor)
+        assert report.findings
+        assert serialiser_calls() == Counter(
+            {"report_to_dict": 0, "report_from_dict": 0}
+        )
+
+    def test_a_resume_reads_each_checkpointed_shard_once(
+        self, serialiser_calls, tmp_path
+    ):
+        path = tmp_path / "sweep.ckpt"
+        with pytest.raises(SimulatedCrash):
+            sharded_sweep(
+                "thread", CrashingCheckpointer(path, 2, every_batches=1)
+            )
+        saved = len(Checkpointer(path).load()["shards"])
+        assert saved >= 2
+        serialiser_calls()  # the killed run wrote its shards: not counted
+        sharded_sweep("thread", Checkpointer(path, every_batches=1))
+        assert serialiser_calls()["report_from_dict"] == saved
+
+
+def detections(report):
+    return Counter(
+        (d.ip.value, d.port, d.scheme.value, d.slug, d.title, d.details)
+        for d in report.detections
+    )
+
+
+@pytest.mark.parametrize("scenario", ["chaos", "hostile-supervised"])
+def test_the_journal_form_folds_to_the_same_bytes(scenario, monkeypatch):
+    """Folding live results and folding each one through JSON give the
+    same report, JSONL, Prometheus and flight artifacts; the detections,
+    which the journal does not hold, agree as a multiset."""
+
+    def everything(report, pipeline):
+        return {
+            **artifacts(report, pipeline),
+            "prometheus": pipeline.telemetry.metrics.to_prometheus(),
+        }
+
+    live_report, live_pipeline = sweep(scenario, 2, "thread")
+    execute = ShardRunner.execute
+
+    def through_json(runner, shard):
+        text = json.dumps(execute(runner, shard).to_dict())
+        return ShardResult.from_dict(json.loads(text))
+
+    monkeypatch.setattr(ShardRunner, "execute", through_json)
+    report, pipeline = sweep(scenario, 2, "thread")
+    assert everything(report, pipeline) == everything(live_report, live_pipeline)
+    assert detections(report) == detections(live_report)

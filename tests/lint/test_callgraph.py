@@ -252,7 +252,7 @@ class TestRobustness:
             for fn, owner in graph.registry_entry_points()
         }
         assert (
-            "repro.core.parallel.ShardRunner.run",
+            "repro.core.parallel.ShardRunner.execute",
             "repro.core.parallel.ShardRunner",
         ) in entries
         assert ("repro.core.parallel._process_shard", None) in entries
@@ -260,6 +260,7 @@ class TestRobustness:
         assert len(entries) == 2
         boundary = set(graph.boundary_classes())
         assert "repro.core.parallel.ShardRunner" in boundary
+        assert "repro.core.parallel.ShardResult" in boundary
         assert "repro.core.supervisor.SupervisorConfig" in boundary
         # ... and the supervised attempt loop is reached through the runner
         reachable = {

@@ -207,12 +207,17 @@ class TestFoldEdgeCases:
         """Double-count protection: once finish_sweep has run, the parent
         handle holds every shard's counters, so a straggler payload (a
         pool result delivered late) must not re-enter the aggregate."""
+        from repro.core.parallel import ShardResult
+        from repro.core.pipeline import ScanReport
         from repro.obs.console import ConsoleHub
 
         def payload():
             telemetry = Telemetry()
             telemetry.funnel("masscan", 10, 6)
-            return {"telemetry": telemetry.snapshot_state(), "addresses": 10}
+            return ShardResult(
+                report=ScanReport(), telemetry=telemetry.snapshot_state(),
+                transport_stats={}, addresses=10,
+            )
 
         parent = Telemetry()
         hub = ConsoleHub()
@@ -222,9 +227,7 @@ class TestFoldEdgeCases:
         # mid-flight: the unfolded payload counts exactly once
         assert hub.funnel()["stages"]["masscan"]["in"] == 10.0
 
-        parent.absorb_state(payload()["telemetry"])  # the canonical fold
-        from repro.core.pipeline import ScanReport
-
+        parent.absorb_state(payload().telemetry)  # the canonical fold
         hub.finish_sweep(ScanReport())
         assert hub.funnel()["stages"]["masscan"]["in"] == 10.0
         # the straggler: same shard's payload delivered again, post-fold

@@ -11,13 +11,27 @@ import threading
 import urllib.error
 import urllib.request
 
+from repro.core.parallel import ShardResult
+from repro.core.pipeline import ScanReport
 from repro.core.serialize import report_to_dict
 from repro.experiments.chaos_soak import run_chaos_soak
+from repro.net.ipv4 import IPv4Address
 from repro.obs.console import ConsoleHub, ConsoleServer
 from repro.obs.metrics import series_key
 from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.util.clock import SimClock
 from tests.obs.test_publish_on_read import chaos_pipeline
+
+
+def shard_result(telemetry, addresses, quarantined=(), supervisor=None):
+    report = ScanReport()
+    report.coverage.quarantined_hosts.update(
+        IPv4Address.parse(text).value for text in quarantined
+    )
+    return ShardResult(
+        report=report, telemetry=telemetry.snapshot_state(),
+        transport_stats={}, addresses=addresses, supervisor=supervisor,
+    )
 
 
 def fetch(url):
@@ -86,11 +100,7 @@ class TestHubViews:
             "funnel_hosts_total", stage="masscan", flow="in"
         ).inc(4)
         hub.note_shard_running(0)
-        hub.note_shard_done(0, {
-            "addresses": 10,
-            "telemetry": shard.snapshot_state(),
-            "report": {"coverage": {"quarantined_hosts": ["10.0.0.9"]}},
-        })
+        hub.note_shard_done(0, shard_result(shard, 10, ["10.0.0.9"]))
 
         assert hub.funnel()["stages"]["masscan"]["in"] == 7.0
         shards = hub.shards()
@@ -115,10 +125,7 @@ class TestHubViews:
         shard.metrics.counter(
             "funnel_hosts_total", stage="masscan", flow="in"
         ).inc(4)
-        hub.note_shard_done(0, {
-            "addresses": 10, "telemetry": shard.snapshot_state(),
-            "report": {"coverage": {}},
-        })
+        hub.note_shard_done(0, shard_result(shard, 10))
         assert hub.funnel()["stages"]["masscan"]["in"] == 4.0
 
         # emulate the fold: the parent registry absorbs the shard's counts
@@ -137,15 +144,34 @@ class TestHubViews:
         assert hub.shards()["complete"] is True
         assert hub.quarantine()["quarantined_hosts"] == ["10.0.0.1"]
 
+    def test_a_shard_folded_mid_sweep_counts_once(self):
+        """The engine folds shards as they land: once the parent holds a
+        shard's numbers its result stops adding to the metrics, and its
+        quarantines stay in view until the sweep is done."""
+        hub = ConsoleHub()
+        parent = Telemetry(clock=SimClock())
+        hub.attach_telemetry(parent)
+        hub.begin_sweep([{"index": 0, "addresses": 10},
+                         {"index": 1, "addresses": 10}])
+        shard = Telemetry(clock=SimClock())
+        shard.metrics.counter(
+            "funnel_hosts_total", stage="masscan", flow="in"
+        ).inc(4)
+        hub.note_shard_done(0, shard_result(shard, 10, ["10.0.0.9"]))
+        hub.note_shard_done(1, shard_result(shard, 10))
+        assert hub.funnel()["stages"]["masscan"]["in"] == 8.0
+
+        hub.note_shard_folded(0)
+        parent.absorb_state(shard.snapshot_state())
+        assert hub.funnel()["stages"]["masscan"]["in"] == 8.0  # not 12
+        assert hub.quarantine()["quarantined_hosts"] == ["10.0.0.9"]
+
     def test_abandoned_shards_count_as_done(self):
         hub = ConsoleHub()
         hub.begin_sweep([{"index": 0, "addresses": 5}])
-        hub.note_shard_done(0, {
-            "addresses": 2,
-            "telemetry": Telemetry().snapshot_state(),
-            "report": {"coverage": {}},
-            "supervisor": {"abandoned": True, "restarts": 2},
-        })
+        hub.note_shard_done(0, shard_result(
+            Telemetry(), 2, supervisor={"abandoned": True, "restarts": 2},
+        ))
         shards = hub.shards()
         assert shards["done"] == 1
         assert shards["shards"]["0"]["status"] == "abandoned"
@@ -203,8 +229,8 @@ class PausingHub(ConsoleHub):
         self.first_done = threading.Event()
         self.release = threading.Event()
 
-    def note_shard_done(self, index, payload):
-        super().note_shard_done(index, payload)
+    def note_shard_done(self, index, result):
+        super().note_shard_done(index, result)
         if not self.first_done.is_set():
             self.first_done.set()
             # block the worker outside the hub lock until the test has

@@ -200,7 +200,7 @@ _KB_CACHE: dict[str, object] = {}
 # Pickle round-trips of shard state
 #
 # The process executor ships every shard-state component across the
-# pickle boundary (the ShardRunner into workers, nothing back but JSON).
+# pickle boundary (the ShardRunner into workers, a ShardResult back).
 # A component is process-safe iff a pickled clone is *behaviourally*
 # equivalent: the same subsequent inputs must produce the same subsequent
 # outputs and serialised state as the original.
