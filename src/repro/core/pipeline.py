@@ -12,7 +12,8 @@ unchanged against the simulator or a real loopback socket.
 Resilience (§6.2's "lower bound" gap): an optional
 :class:`~repro.core.retry.RetryPolicy` threads one shared
 :class:`~repro.core.retry.RetryExecutor` — with a per-host/per-/24
-circuit breaker — through every stage, and an optional
+circuit breaker — through stages II and III (stage I only re-sends SYNs
+up to the policy's attempts), and an optional
 :class:`~repro.core.checkpoint.Checkpointer` persists progress at batch
 boundaries so a killed sweep resumes without re-scanning.
 """

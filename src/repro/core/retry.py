@@ -16,10 +16,13 @@ large-scale HTTP clients ship:
   recording everything in :class:`RetryStats`, which the pipeline
   surfaces on its :class:`~repro.core.pipeline.ScanReport`.
 
-Every pipeline stage threads its transport operations through one shared
+Stages II and III thread their transport operations through one shared
 executor, so retries, budgets, and breaker state are coherent across
-stage I re-probes, stage II probing, stage III plugin requests, and the
-fingerprint crawler.
+stage II probing, stage III plugin requests, and the fingerprint
+crawler: an HTTP retry to a live server does wait.  Stage I does not
+enter the executor.  It is a stateless SYN sender, and a re-send there
+is one more packet (see :meth:`~repro.core.masscan.Masscan.scan_in_batches`);
+only the policy's ``max_attempts`` reaches it.
 """
 
 from __future__ import annotations
@@ -85,7 +88,11 @@ class RetryPolicy:
 
 @dataclass
 class RetryStats:
-    """What the resilience layer did during one sweep."""
+    """What the resilience layer did during one sweep's stages II and III.
+
+    Stage-I re-sends are packets, not operations: they are counted in the
+    ``masscan_resends_total`` series and in the transport's ``syn_probes``.
+    """
 
     #: transport operations that entered the executor
     operations: int = 0
@@ -266,16 +273,10 @@ class CircuitBreaker:
 class RetryExecutor:
     """Runs transport operations under a policy, breaker, and stats block.
 
-    One executor is shared by every pipeline stage.  Two entry points:
-
-    * :meth:`call` for operations that raise
-      :class:`~repro.util.errors.TransportError` on failure (HTTP
-      requests, certificate fetches) — re-raises after the final attempt;
-    * :meth:`probe` for SYN probes, whose failure mode is a ``False``
-      return — a lost probe is indistinguishable from a closed port, so
-      stage I re-probes instead of trusting a single answer.  Probe
-      misses never feed the breaker (most ports are closed on healthy
-      hosts); only request-path failures do.
+    One executor is shared by stages II and III.  Its entry point,
+    :meth:`call`, runs operations that raise
+    :class:`~repro.util.errors.TransportError` on failure (HTTP requests,
+    certificate fetches) and re-raises after the final attempt.
 
     Exceptions that are *not* :class:`~repro.util.errors.TransportError`
     are classified as poison: the target's response deterministically
@@ -310,9 +311,6 @@ class RetryExecutor:
         #: the stats as of the last publish; what they gained since is
         #: what the counter series are still owed
         self._published = self.stats.copy()
-        #: probes among the operations not yet published (the stats do
-        #: not split ``operations`` by kind, the series do)
-        self._probe_operations = 0
         #: backoff delays not yet published, in charge order: the series
         #: is a float sum, and only the same adds in the same order land
         #: on the same bits as adding at each charge
@@ -333,6 +331,7 @@ class RetryExecutor:
         ("deadline_denials", "retry_denials_total", {"reason": "deadline"}),
         ("poisoned", "retry_poisoned_total", {}),
         ("quarantine_skips", "retry_quarantine_skips_total", {}),
+        ("operations", "retry_operations_total", {"kind": "call"}),
     )
 
     def publish_counts(self) -> None:
@@ -350,12 +349,6 @@ class RetryExecutor:
             gained = getattr(stats, name) - getattr(published, name)
             if gained:
                 counter(series, **labels).inc(gained)
-        operations = stats.operations - published.operations
-        probes = self._probe_operations
-        if operations - probes:
-            counter("retry_operations_total", kind="call").inc(operations - probes)
-        if probes:
-            counter("retry_operations_total", kind="probe").inc(probes)
         if self._backoffs:
             backoff = counter("retry_backoff_seconds_total")
             for delay in self._backoffs:
@@ -364,23 +357,9 @@ class RetryExecutor:
 
     def _mark_published(self) -> None:
         self._published = self.stats.copy()
-        self._probe_operations = 0
         self._backoffs.clear()
 
     # -- internals ---------------------------------------------------------
-
-    def _check_breaker(self, ip: IPv4Address) -> bool:
-        if self.breaker is not None and not self.breaker.allow(ip):
-            self.stats.breaker_skips += 1
-            return False
-        return True
-
-    def _check_quarantine(self, ip: IPv4Address) -> bool:
-        """True when ``ip`` is quarantined (operation must be refused)."""
-        if self.supervision is None or not self.supervision.is_quarantined(ip):
-            return False
-        self.stats.quarantine_skips += 1
-        return True
 
     def _classify_poison(self, ip: IPv4Address, exc: Exception) -> PoisonError:
         """Account a non-transport crash and wrap it for the caller."""
@@ -397,18 +376,12 @@ class RetryExecutor:
         if self.supervision is not None:
             self.supervision.note_activity(ip)
 
-    def _may_retry(
-        self, ip: IPv4Address, attempt: int, elapsed: float, use_budget: bool = True
-    ) -> float | None:
+    def _may_retry(self, ip: IPv4Address, attempt: int, elapsed: float) -> float | None:
         """Backoff delay for the next retry, or None to give up."""
         if attempt + 1 >= self.policy.max_attempts:
             return None
         budget = self.policy.per_host_budget
-        if (
-            use_budget
-            and budget is not None
-            and self._host_retries.get(ip.value, 0) >= budget
-        ):
+        if budget is not None and self._host_retries.get(ip.value, 0) >= budget:
             self.stats.budget_denials += 1
             return None
         if self.breaker is not None and not self.breaker.allow(ip):
@@ -420,12 +393,11 @@ class RetryExecutor:
             return None
         return delay
 
-    def _charge(self, ip: IPv4Address, delay: float, use_budget: bool = True) -> None:
+    def _charge(self, ip: IPv4Address, delay: float) -> None:
         self.stats.retries += 1
         self.stats.backoff_seconds += delay
         self._backoffs.append(delay)
-        if use_budget:
-            self._host_retries[ip.value] = self._host_retries.get(ip.value, 0) + 1
+        self._host_retries[ip.value] = self._host_retries.get(ip.value, 0) + 1
         if self.clock is not None:
             self.clock.advance(delay)
 
@@ -438,9 +410,11 @@ class RetryExecutor:
         non-transport exceptions are classified as poison and re-raised
         without consuming a single retry.
         """
-        if self._check_quarantine(ip):
+        if self.supervision is not None and self.supervision.is_quarantined(ip):
+            self.stats.quarantine_skips += 1
             raise QuarantineSkip(f"{ip} is quarantined")
-        if not self._check_breaker(ip):
+        if self.breaker is not None and not self.breaker.allow(ip):
+            self.stats.breaker_skips += 1
             raise CircuitOpen(f"circuit open for {ip}")
         self.stats.operations += 1
         elapsed = 0.0
@@ -483,38 +457,6 @@ class RetryExecutor:
         self._note_activity(ip)
         assert last is not None
         raise last
-
-    def probe(self, ip: IPv4Address, operation: Callable[[], bool]) -> bool:
-        """Run a boolean probe with re-probes; False only if all fail.
-
-        A ``False`` may mean "closed port" rather than "lost probe", so
-        re-probes neither consume the per-host retry budget nor count as
-        exhausted operations — every genuinely closed port would
-        otherwise drain both.
-        """
-        if self._check_quarantine(ip):
-            return False
-        if not self._check_breaker(ip):
-            return False
-        self.stats.operations += 1
-        self._probe_operations += 1
-        elapsed = 0.0
-        failed_before = False
-        for attempt in range(self.policy.max_attempts):
-            self.stats.attempts += 1
-            if operation():
-                if failed_before:
-                    self.stats.recovered += 1
-                self._note_activity(ip)
-                return True
-            failed_before = True
-            delay = self._may_retry(ip, attempt, elapsed, use_budget=False)
-            if delay is None:
-                break
-            elapsed += delay
-            self._charge(ip, delay, use_budget=False)
-        self._note_activity(ip)
-        return False
 
     # -- checkpoint support ------------------------------------------------
 

@@ -9,8 +9,8 @@ Two studies share this module:
   transient-failure component;
 * :func:`run_recall_recovery_study` — quantifies how much of that
   lower-bound gap is *closable*: under the same injected faults, a
-  :class:`~repro.core.retry.RetryPolicy` (re-probes, backoff with seeded
-  jitter, circuit breakers) wins most of the lost recall back.
+  :class:`~repro.core.retry.RetryPolicy` (SYN re-sends, HTTP retries with
+  seeded-jitter backoff, circuit breakers) wins most of the lost recall back.
 """
 
 from __future__ import annotations

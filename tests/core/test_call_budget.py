@@ -15,7 +15,10 @@ small generated world:
   stage III that asks a target a question already answered fails here;
 * the same sweep as shards on one worker thread, counting the main thread
   only — the orchestration and the fold — so a fold that parses shard
-  reports back out of text fails here.
+  reports back out of text fails here;
+* the same sweep under the benchmark's retry policy and weather: calls
+  per open host, and the SYNs it sends pinned exactly — a stage I that
+  walks its re-sends through the retry executor fails here.
 
 Each budget is this design's reading with stated slack.
 """
@@ -28,9 +31,12 @@ import pytest
 from repro.apps.catalog import scanned_ports
 from repro.core.pipeline import ScanPipeline
 from repro.core.rescan import RescanEngine
+from repro.core.retry import RetryPolicy
+from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.intervals import CompressedPopulation
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
+from repro.util.clock import SimClock
 from repro.util.rand import stable_hash
 
 SEED = 20210603
@@ -57,6 +63,19 @@ DENSE_REQUESTS = 1369
 #: as objects; 31.9 while the fold parsed each one back out of its JSON
 #: form.  Budget: the reading's top x 1.15.
 SHARDED_BUDGET = 18.7
+
+#: the benchmark's ``sweep_retry`` policy, and weather it has to retry in
+RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=8.0)
+RETRY_WEATHER = FaultPlan(request_loss=0.03, slow_rate=0.02)
+#: Python calls per open host of the dense sweep under that policy and
+#: weather.  Reads 408.8 since stage I re-sends SYNs without the retry
+#: executor; 758.3 while every port of a live host went through it, with a
+#: breaker check, a jitter draw and a backoff before each re-send.
+#: Budget: the reading x 1.15.
+RETRY_BUDGET = 470.1
+#: SYNs of that sweep: every attempt to every port, the dead included;
+#: the same before and since
+RETRY_SYNS = 5_279_598
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +168,23 @@ def test_a_sharded_sweep_folds_within_its_call_budget(campaign):
         report, calls = count_calls(lambda: pipeline.run(frame))
     reading = calls / len(report.port_scan.open_ports)
     assert reading <= SHARDED_BUDGET, reading
+
+
+def test_a_retry_sweep_stays_within_its_call_budget_and_sends_the_same_syns(
+    campaign,
+):
+    """One warm-up sweep, then one counted."""
+    internet, frame, _, _ = campaign
+    for _ in range(2):
+        clock = SimClock()
+        transport = ChaosTransport(
+            InMemoryTransport(internet), RETRY_WEATHER, seed=SEED, clock=clock
+        )
+        pipeline = ScanPipeline(
+            transport, scanned_ports(), seed=SEED, batch_size=4096,
+            retry_policy=RETRY_POLICY, clock=clock,
+        )
+        report, calls = count_calls(lambda: pipeline.run(frame))
+    reading = calls / len(report.port_scan.open_ports)
+    assert reading <= RETRY_BUDGET, reading
+    assert transport.stats.syn_probes == RETRY_SYNS

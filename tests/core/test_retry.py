@@ -144,43 +144,6 @@ class TestRetryExecutorCall:
         assert executor.stats.retries == 0
 
 
-class TestRetryExecutorProbe:
-    def _executor(self, **kwargs):
-        return RetryExecutor(
-            RetryPolicy(max_attempts=3, jitter=False, per_host_budget=2),
-            rng=random.Random(0), **kwargs,
-        )
-
-    def test_reprobe_recovers_lost_probe(self):
-        executor = self._executor()
-        answers = iter([False, True])
-        assert executor.probe(IP, lambda: next(answers))
-        assert executor.stats.recovered == 1
-
-    def test_closed_port_returns_false_without_exhausted(self):
-        executor = self._executor()
-        assert not executor.probe(IP, lambda: False)
-        assert executor.stats.attempts == 3
-        # a closed port is not a failed operation
-        assert executor.stats.exhausted == 0
-
-    def test_probe_retries_do_not_consume_host_budget(self):
-        executor = self._executor()
-        for _ in range(10):  # 20 re-probes, far past the 2-retry budget
-            executor.probe(IP, lambda: False)
-        assert executor.stats.budget_denials == 0
-        # the request path still has its full budget afterwards
-        assert executor.call(IP, FailNTimes(2)) == "ok"
-
-    def test_probe_misses_do_not_feed_the_breaker(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        executor = self._executor(breaker=breaker)
-        for _ in range(5):
-            executor.probe(IP, lambda: False)
-        assert breaker.allow(IP)
-        assert breaker.open_circuits() == 0
-
-
 class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
         breaker = CircuitBreaker(failure_threshold=3, cooldown=300.0)
@@ -267,16 +230,6 @@ class TestExecutorWithBreaker:
             executor.call(IP, FailNTimes(9))
         with pytest.raises(CircuitOpen):
             executor.call(IP, FailNTimes(0))
-        assert executor.stats.breaker_skips == 1
-
-    def test_open_circuit_skips_probes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1e9)
-        executor = RetryExecutor(
-            RetryPolicy(max_attempts=1), rng=random.Random(0), breaker=breaker
-        )
-        with pytest.raises(ConnectionTimeout):
-            executor.call(IP, FailNTimes(9))
-        assert not executor.probe(IP, lambda: True)
         assert executor.stats.breaker_skips == 1
 
     def test_breaker_stops_mid_operation_retries(self):
@@ -442,17 +395,9 @@ class TestQuarantineGate:
 
         assert issubclass(QuarantineSkip, TransportError)
 
-    def test_probe_refuses_quarantined_target(self):
-        executor = self._executor(FakeSupervision(quarantined=(IP,)))
-        calls = []
-        assert executor.probe(IP, lambda: calls.append(1) or True) is False
-        assert calls == []
-        assert executor.stats.quarantine_skips == 1
-
     def test_other_hosts_unaffected(self):
         executor = self._executor(FakeSupervision(quarantined=(IP,)))
         assert executor.call(OTHER_BLOCK, FailNTimes(0)) == "ok"
-        assert executor.probe(OTHER_BLOCK, lambda: True) is True
 
     def test_stats_roundtrip_includes_new_fields(self):
         stats = RetryStats(poisoned=3, quarantine_skips=2)

@@ -49,6 +49,12 @@ HOSTILE = FaultPlan(
     poison_rate=0.25, truncate_rate=0.02,
 )
 
+#: HOSTILE with every other answered exchange a slow one, each charged the
+#: full 20 s watchdog: stage I sends packets and never waits, so only the
+#: time stages II/III spend brings a shard's clock to a 40 s deadline
+SLOW_HOSTILE = dataclasses.replace(HOSTILE, slow_rate=0.5)
+
+
 def _poison(request):
     """A responder whose every answer crashes the parser that reads it."""
     raise RuntimeError(f"poison body for {request.path}")
@@ -217,7 +223,7 @@ class TestDeadline:
             deadline=40.0, probe_deadline=20.0,
             quarantine_threshold=1, stall_window=120.0,
         )
-        report, _ = run_arm(workers=1, config=config)
+        report, _ = run_arm(workers=1, config=config, plan=SLOW_HOSTILE)
         cov = report.coverage
         assert cov.deadline_hits > 0
         masscan = cov.stages["masscan"]
@@ -231,10 +237,12 @@ class TestDeadline:
         tight, _ = run_arm(
             workers=1,
             config=SupervisorConfig(deadline=40.0, probe_deadline=20.0),
+            plan=SLOW_HOSTILE,
         )
         loose, _ = run_arm(
             workers=1,
             config=SupervisorConfig(probe_deadline=20.0),
+            plan=SLOW_HOSTILE,
         )
         assert (
             tight.port_scan.addresses_scanned
@@ -248,8 +256,8 @@ class TestDeadline:
             deadline=40.0, probe_deadline=20.0,
             quarantine_threshold=1, stall_window=120.0,
         )
-        one = run_arm(workers=1, config=config)
-        four = run_arm(workers=4, config=config)
+        one = run_arm(workers=1, config=config, plan=SLOW_HOSTILE)
+        four = run_arm(workers=4, config=config, plan=SLOW_HOSTILE)
         assert one[0].coverage.deadline_hits > 1  # more than one shard cut
         assert outputs(*four) == outputs(*one)
 
@@ -265,7 +273,10 @@ class TestDeadline:
         the first batch's stage II quarantines it and, at a block
         threshold of one, its /24, so the block's later hosts reach the
         gate quarantined.  The other /24's six live hosts outlast the
-        deadline: stage I's backoffs alone charge each at least 8 s."""
+        deadline: every answered exchange is a 10 s slow response (under
+        the 20 s watchdog, so it still answers), and stage II asks each
+        live host at least once, batch by batch, before stage I reaches
+        the next."""
         internet, ips = build_world(blocks=2)
         frame = whole_blocks(ips)
         poisoned = Host(IPv4Address(ips[0].value & BLOCK_MASK | 1))
@@ -276,7 +287,9 @@ class TestDeadline:
         pipeline = ScanPipeline(
             ChaosTransport(
                 InMemoryTransport(internet),
-                dataclasses.replace(HOSTILE, poison_rate=0.0),
+                dataclasses.replace(
+                    HOSTILE, poison_rate=0.0, slow_rate=1.0, slow_latency=10.0
+                ),
                 seed=21, clock=clock,
             ),
             scanned_ports(), seed=7, batch_size=3, fingerprint=False,

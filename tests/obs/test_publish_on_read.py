@@ -32,6 +32,7 @@ from repro.net.transport import InMemoryTransport, Transport
 from repro.obs.metrics import MetricsRegistry, series_key
 from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
+from repro.util.errors import ConnectionTimeout
 from tests.core.test_determinism_matrix import sweep
 from tests.core.test_parallel import CrashingCheckpointer
 from tests.core.test_parallel import SimulatedCrash as ShardCrash
@@ -154,6 +155,24 @@ class TestRegistryContract:
         assert ran == [True]
 
 
+def lost():
+    raise ConnectionTimeout("lost")
+
+
+def answering(answers):
+    """An operation that raises each exception in ``answers`` and returns
+    each other value, in turn."""
+    answers = iter(answers)
+
+    def operation():
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    return operation
+
+
 class TestExecutorPublishing:
     def executor(self, **policy):
         telemetry = Telemetry(clock=SimClock())
@@ -166,14 +185,18 @@ class TestExecutorPublishing:
     def test_series_mirror_the_stats_field_for_field(self):
         executor, metrics = self.executor()
         ip = build_world()[1][0]
-        answers = iter([False, True, False, False, False])
-        assert executor.probe(ip, lambda: next(answers))
-        assert not executor.probe(ip, lambda: next(answers))
+        operation = answering([ConnectionTimeout("lost"), "ok"] + [
+            ConnectionTimeout("lost")
+        ] * 3)
+        assert executor.call(ip, operation) == "ok"
+        with pytest.raises(ConnectionTimeout):
+            executor.call(ip, operation)
         stats = executor.stats
         assert flat_counters(metrics) == {
             "retry_attempts_total": float(stats.attempts),
             "retry_backoff_seconds_total": stats.backoff_seconds,
-            "retry_operations_total{kind=probe}": 2.0,
+            "retry_exhausted_total": 1.0,
+            "retry_operations_total{kind=call}": 2.0,
             "retry_recovered_total": 1.0,
             "retry_retries_total": float(stats.retries),
         }
@@ -188,11 +211,12 @@ class TestExecutorPublishing:
         }
 
     def test_backoff_lands_on_the_bits_of_per_charge_adds(self):
-        executor, metrics = self.executor()
+        executor, metrics = self.executor(per_host_budget=None)
         ip = build_world()[1][0]
         seen = []
         for round_ in range(40):
-            executor.probe(ip, lambda: False)
+            with pytest.raises(ConnectionTimeout):
+                executor.call(ip, lost)
             if round_ % 7 == 0:  # publish at uneven points
                 seen.append(metrics.counter_value("retry_backoff_seconds_total"))
         assert metrics.counter_value(
@@ -203,9 +227,11 @@ class TestExecutorPublishing:
     def test_restore_owes_nothing(self):
         executor, metrics = self.executor()
         ip = build_world()[1][0]
-        executor.probe(ip, lambda: False)
+        with pytest.raises(ConnectionTimeout):
+            executor.call(ip, lost)
         saved_metrics, saved_retry = metrics.snapshot_state(), executor.snapshot_state()
-        executor.probe(ip, lambda: False)  # pending when the restore lands
+        with pytest.raises(ConnectionTimeout):
+            executor.call(ip, lost)  # pending when the restore lands
         executor.restore_state(saved_retry)
         metrics.restore_state(saved_metrics)
         assert metrics.snapshot_state() == saved_metrics
@@ -249,8 +275,8 @@ class EagerPending(dict):
 class EagerStats(RetryStats):
     """``RetryExecutor.stats`` stand-in: every field write is mirrored into
     the reference registry at once, as ``RetryExecutor._count`` used to.
-    ``kind`` (set by the tagged entry points) and ``delay`` (set by
-    :class:`RecordingPolicy`) say what the field alone cannot."""
+    ``delay`` (set by :class:`RecordingPolicy`) says what the field alone
+    cannot."""
 
     SERIES = {
         "attempts": ("retry_attempts_total", {}),
@@ -268,7 +294,7 @@ class EagerStats(RetryStats):
         reference = self.__dict__.get("reference")
         if reference is not None:
             if name == "operations":
-                reference.counter("retry_operations_total", kind=self.kind).inc()
+                reference.counter("retry_operations_total", kind="call").inc()
             elif name == "backoff_seconds":
                 # the exact delay, not ``value - old`` (which rounds)
                 reference.counter("retry_backoff_seconds_total").inc(self.delay)
@@ -334,11 +360,6 @@ def instrumented_sweep(reads: dict[int, str]):
     metrics.pending = EagerPending(reference)
     stats = pipeline.retry.stats = EagerStats()
     object.__setattr__(policy, "sink", stats)  # the policy is frozen
-    for kind in ("probe", "call"):
-        def tagged(ip, operation, entry=getattr(pipeline.retry, kind), kind=kind):
-            stats.kind = kind
-            return entry(ip, operation)
-        setattr(pipeline.retry, kind, tagged)
     stats.reference = reference
 
     mismatches = []
@@ -354,8 +375,9 @@ def instrumented_sweep(reads: dict[int, str]):
             for name, labels in (
                 ("retry_backoff_seconds_total", {}),
                 ("retry_attempts_total", {}),
-                ("retry_operations_total", {"kind": "probe"}),
+                ("retry_operations_total", {"kind": "call"}),
                 ("masscan_addresses_total", {}),
+                ("masscan_resends_total", {}),
                 ("prefilter_fetches_total", {"scheme": "http"}),
                 ("crawler_fetches_total", {"outcome": "ok"}),
             ):

@@ -37,7 +37,7 @@ RETIRED = (
     "no-corpus", "with_corpus", "SIG004", "SIG005", "SIG006",
     "TelemetrySummary", "RecordWindowError", "_open_window", "_close_window",
     "counters_flat", "flat_reads", "shard_deadline", "sweep_deadline",
-    "effective_deadline",
+    "effective_deadline", "probe_port(", "_probe_operations",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
