@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.retry import RetryExecutor
-from repro.core.tsunami.plugin import DetectionReport, MavDetectionPlugin, PluginContext
+from repro.core.tsunami.plugin import Detection, DetectionReport, PluginContext
 from repro.core.tsunami.plugins import ALL_PLUGINS
 from repro.net.http import Scheme
 from repro.net.ipv4 import IPv4Address
@@ -52,7 +52,7 @@ class TsunamiEngine:
     def __init__(
         self,
         transport: Transport,
-        plugins: tuple[MavDetectionPlugin, ...] = ALL_PLUGINS,
+        plugins: tuple[Detection, ...] = ALL_PLUGINS,
         retry: "RetryExecutor | None" = None,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -63,12 +63,12 @@ class TsunamiEngine:
         self.stats = EngineStats()
 
     @property
-    def plugins(self) -> tuple[MavDetectionPlugin, ...]:
+    def plugins(self) -> tuple[Detection, ...]:
         return tuple(self._by_slug.values())
 
     def plugins_for_candidates(
         self, candidates: tuple[str, ...]
-    ) -> list[MavDetectionPlugin]:
+    ) -> list[Detection]:
         return [
             self._by_slug[slug] for slug in candidates if slug in self._by_slug
         ]

@@ -5,8 +5,6 @@ runtime disciplines that nothing used to check mechanically:
 
 * the 90-regex **signature corpus** in :mod:`repro.core.prefilter`
   (stage II lives or dies on its precision and recall);
-* the 18 **Tsunami plugins** in :mod:`repro.core.tsunami.plugins`
-  (stage III's correctness rests on their API contract);
 * the **determinism invariant** — byte-identical replay and resume —
   which a single stray ``time.time()`` or unordered ``set`` walk would
   silently break;
@@ -15,11 +13,10 @@ runtime disciplines that nothing used to check mechanically:
   actually survive pickling (the three bugs the process pool found at
   runtime in PR 7, now caught statically).
 
-Four analyzers turn those into machine-checked properties, each
+Three analyzers turn those into machine-checked properties, each
 emitting structured :class:`~repro.lint.findings.Finding` records:
 
 * :class:`~repro.lint.signatures.SignatureAuditor` (``SIG*`` rules)
-* :class:`~repro.lint.plugins.PluginContractAuditor` (``PLG*`` rules)
 * :class:`~repro.lint.determinism.DeterminismAuditor` (the per-module
   ``DET*`` and ``OBS001`` rules)
 * :class:`~repro.lint.concurrency.ConcurrencyAuditor` (``RACE*`` /
@@ -36,7 +33,6 @@ from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import ConcurrencyAuditor
 from repro.lint.determinism import DeterminismAuditor
 from repro.lint.findings import RULES, Finding, Severity
-from repro.lint.plugins import PluginContractAuditor
 from repro.lint.signatures import SignatureAuditor
 
 __all__ = [
@@ -45,7 +41,6 @@ __all__ = [
     "ConcurrencyAuditor",
     "DeterminismAuditor",
     "Finding",
-    "PluginContractAuditor",
     "RULES",
     "Severity",
     "SignatureAuditor",

@@ -13,10 +13,8 @@ The graph is deliberately an over-approximation with one taint bit:
 
 * **Entry points** come from ``WORKER_ENTRY_POINTS`` registry tuples
   that the runtime modules themselves declare (``core/parallel.py``),
-  plus two structural families: ``run`` methods
-  of Tsunami plugin classes (module-level singletons shared across
-  shard threads) and ``fork`` methods of transport-protocol classes
-  (they execute inside workers to build shard-local universes).
+  plus one structural family: ``fork`` methods of transport-protocol
+  classes (they execute inside workers to build shard-local universes).
   Callables handed to ``pool.submit``/``pool.map`` are seeded too, so
   un-registered engines are still covered: ``self.method`` resolves in
   the enclosing class, a bare name to a module function, and
@@ -24,8 +22,8 @@ The graph is deliberately an over-approximation with one taint bit:
   of that name — all shared, since the pool runs them on the object the
   main process handed over.
 * **Shared-self propagation**: a context is *shared* when its ``self``
-  is an object the main process also holds (the pickled/shared runner, a
-  plugin singleton, the parent transport).  ``self.m()`` keeps the same
+  is an object the main process also holds (the pickled/shared runner,
+  the parent transport).  ``self.m()`` keeps the same
   object, so the callee inherits the bit; ``self.field.m()`` calls a
   method on a field of a shared object, which is just as shared; but a
   call on a *locally created* value (a constructor result, any call's
@@ -58,10 +56,6 @@ BOUNDARY_REGISTRY = "PICKLE_BOUNDARY_TYPES"
 
 #: pool methods that take a worker callable as their first argument
 POOL_DISPATCH_METHODS = frozenset({"submit", "map"})
-
-#: the plugin base class whose subclasses' ``run`` methods execute
-#: inside shard pipelines on shared singleton instances
-PLUGIN_BASE = "MavDetectionPlugin"
 
 #: the transport-protocol method that builds shard-local universes
 #: inside workers (and marks its class as pickle-boundary-crossing)
@@ -296,13 +290,6 @@ class CallGraph:
                 return candidate.methods[name]
         return None
 
-    def subclasses_plugin_base(self, cls: ClassInfo) -> bool:
-        return any(
-            base == PLUGIN_BASE or base.endswith(f".{PLUGIN_BASE}")
-            for c in self.mro(cls)
-            for base in c.bases
-        )
-
     # -- entry points --------------------------------------------------------
 
     def registry_entry_points(self) -> list[tuple[FunctionInfo, str]]:
@@ -329,13 +316,11 @@ class CallGraph:
         return None
 
     def structural_entry_points(self) -> list[tuple[FunctionInfo, str]]:
-        """Plugin ``run`` methods and transport ``fork`` methods."""
+        """Transport ``fork`` methods."""
         entries: list[tuple[FunctionInfo, str]] = []
         for cls in self.classes.values():
             if FORK_METHOD in cls.methods:
                 entries.append((cls.methods[FORK_METHOD], cls.qualname))
-            if "run" in cls.methods and self.subclasses_plugin_base(cls):
-                entries.append((cls.methods["run"], cls.qualname))
         return entries
 
     @cached_property

@@ -4,7 +4,7 @@ Exit codes: 0 = no findings outside the baseline, 1 = new findings (or
 stale baseline entries under ``--fail-on-stale``), 2 = usage /
 configuration error.  The report is a pure function of the tree: every
 run parses each module of it once (a cold whole-tree lint takes under
-two seconds) and folds the four analyzers' findings through
+two seconds) and folds the three analyzers' findings through
 :func:`~repro.lint.findings.sort_findings`.  Lint health is also
 charged to the shared :mod:`repro.obs` telemetry (one counter series per
 rule id), so ``--telemetry`` surfaces it in the same formats as the scan
@@ -22,7 +22,6 @@ from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import ConcurrencyAuditor
 from repro.lint.determinism import DeterminismAuditor
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.plugins import PluginContractAuditor
 from repro.lint.report import render_json, render_text, rule_catalog
 from repro.lint.signatures import SignatureAuditor
 
@@ -40,8 +39,8 @@ def default_root() -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Audit signature shapes, plugin contracts, "
-                    "determinism invariants, metric names, and "
+        description="Audit signature shapes, determinism invariants, "
+                    "metric names, and "
                     "worker-concurrency / pickle-boundary hygiene.",
     )
     parser.add_argument("--root", type=Path, default=None,
@@ -75,7 +74,6 @@ def run_analyzers(root: Path) -> list[Finding]:
     graph = CallGraph(root)
     auditors = (
         SignatureAuditor(root),
-        PluginContractAuditor(root),
         DeterminismAuditor(root),
         ConcurrencyAuditor(root),
     )

@@ -18,7 +18,7 @@ Two rule families:
   whose root is a module-level or closure-captured name).  Module state
   is shared no matter which object the code ran on.
 * ``RACE002`` a method running on a *shared* ``self`` — the pickled
-  shard runner, a plugin singleton, the parent transport — writes a
+  shard runner, the parent transport — writes a
   ``self`` attribute outside the sanctioned constructor/pickle hooks.
   Shard results must be returned and folded on the main thread in
   canonical order; writes on shard-local objects are fine and are not

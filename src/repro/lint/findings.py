@@ -40,25 +40,6 @@ RULES: dict[str, tuple[Severity, str]] = {
     "SIG003": (Severity.ERROR,
                "over-broad signature (can match the empty string or has "
                "no literal run of 4+ characters to anchor on)"),
-    # -- plugin contract auditor --------------------------------------------
-    "PLG001": (Severity.ERROR,
-               "plugin class does not subclass MavDetectionPlugin"),
-    "PLG002": (Severity.ERROR,
-               "plugin slug missing from the app catalog or the "
-               "signature corpus"),
-    "PLG003": (Severity.ERROR,
-               "plugin class not registered in ALL_PLUGINS"),
-    "PLG004": (Severity.ERROR,
-               "plugin bypasses PluginContext.fetch/fetch_json (raw "
-               "transport, socket, or HTTP client use)"),
-    "PLG005": (Severity.ERROR,
-               "bare except swallows all errors, including programming "
-               "bugs"),
-    "PLG006": (Severity.ERROR,
-               "plugin issues state-changing requests (POST/PUT/DELETE "
-               "helpers are forbidden in detection code)"),
-    "PLG007": (Severity.ERROR,
-               "duplicate plugin slug within the plugins package"),
     # -- determinism auditor ------------------------------------------------
     "DET001": (Severity.ERROR,
                "wall-clock read (time.time/monotonic/perf_counter, "

@@ -8,7 +8,6 @@ import pytest
 from repro.apps.base import AppInstance
 from repro.apps.catalog import create_instance
 from repro.core.tsunami.engine import TsunamiEngine
-from repro.core.tsunami.plugin import MavDetectionPlugin
 from repro.core.tsunami.plugins import plugin_for
 from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.host import Host, Service
@@ -71,8 +70,9 @@ class TestEthicsThroughDecorators:
         assert response is not None
 
 
-class Crashing(MavDetectionPlugin):
+class Crashing:
     slug = "crashing"
+    title = "A check with a bug"
 
     def detect(self, context):
         raise RuntimeError("kaboom: plugin bug")

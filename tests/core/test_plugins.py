@@ -1,6 +1,6 @@
-"""Tests for the 18 Tsunami MAV detection plugins.
+"""Tests for the 18 Tsunami MAV detection rows.
 
-The contract per plugin: it reports on a vulnerable instance of its
+The contract per row: it reports on a vulnerable instance of its
 application, stays silent on a secured instance, stays silent on every
 *other* application, and never sends a state-changing request.
 """
@@ -158,10 +158,10 @@ class TestEngine:
 
     def test_crashing_plugin_is_contained(self):
         from repro.core.tsunami.engine import TsunamiEngine
-        from repro.core.tsunami.plugin import MavDetectionPlugin
 
-        class Broken(MavDetectionPlugin):
+        class Broken:
             slug = "broken"
+            title = "A check with a bug"
 
             def detect(self, context):
                 raise RuntimeError("boom")

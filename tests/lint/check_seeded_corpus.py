@@ -27,9 +27,8 @@ EXPECTED = HERE / "fixtures" / "seeded_bugs" / "expected.json"
 def actual_findings() -> list[dict]:
     from repro.lint.cli import run_analyzers
 
-    # The corpus holds no signature table and no plugin directory, which
-    # the SIG/PLG auditors report as structural LNT001 findings — not
-    # what this gate is about.
+    # The corpus holds no signature table, which the SIG auditor reports
+    # as a structural LNT001 finding — not what this gate is about.
     return [
         {"path": f.path, "line": f.line, "rule": f.rule}
         for f in run_analyzers(CORPUS)

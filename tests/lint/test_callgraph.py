@@ -54,33 +54,17 @@ class TestEntryPoints:
             ("repro.eng.work", None),
         }
 
-    def test_fork_and_plugin_run_are_structural_entries(self, tmp_path):
+    def test_fork_is_a_structural_entry(self, tmp_path):
         root = make_tree(tmp_path, {
             "net.py": (
                 "class Transport:\n"
                 "    def fork(self, seed):\n"
                 "        return self\n"
             ),
-            "plug.py": (
-                "from repro.base import MavDetectionPlugin\n"
-                "\n"
-                "\n"
-                "class Probe(MavDetectionPlugin):\n"
-                "    def run(self, ctx):\n"
-                "        return []\n"
-                "\n"
-                "\n"
-                "class NotAPlugin:\n"
-                "    def run(self, ctx):\n"
-                "        return []\n"
-            ),
-            "base.py": "class MavDetectionPlugin:\n    pass\n",
         })
         graph = CallGraph(root)
         entries = {fn.qualname for fn, _ in graph.structural_entry_points()}
-        assert "repro.net.Transport.fork" in entries
-        assert "repro.plug.Probe.run" in entries
-        assert "repro.plug.NotAPlugin.run" not in entries
+        assert entries == {"repro.net.Transport.fork"}
 
     def test_pool_dispatch_seeds_self_methods_and_module_functions(
         self, tmp_path

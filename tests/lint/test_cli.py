@@ -18,24 +18,15 @@ BAD_PREFILTER = (
     "}\n"
 )
 
-BAD_PLUGIN = (
-    "class EvilPlugin:\n"
-    '    slug = "app"\n'
-    "    def detect(self, context):\n"
-    '        return context.post("/")\n'
-)
-
 CLOCK_USER = "import time\n\ndef stamp():\n    return time.time()\n"
 
 
 @pytest.fixture
 def broken_tree(tmp_path: Path) -> Path:
-    """A minimal repro tree with a ReDoS signature, a rogue plugin, and a
-    wall-clock read — one violation per analyzer."""
+    """A minimal repro tree with a ReDoS signature and a wall-clock read."""
     root = tmp_path / "repro"
-    (root / "core" / "tsunami" / "plugins").mkdir(parents=True)
+    (root / "core").mkdir(parents=True)
     (root / "core" / "prefilter.py").write_text(BAD_PREFILTER)
-    (root / "core" / "tsunami" / "plugins" / "evil.py").write_text(BAD_PLUGIN)
     (root / "clockuser.py").write_text(CLOCK_USER)
     return root
 
@@ -137,7 +128,7 @@ class TestBrokenTree:
         assert code == 1
         report = json.loads(out)
         rules = {f["rule"] for f in report["findings"]}
-        assert {"SIG002", "PLG001", "PLG006", "DET001"} <= rules
+        assert {"SIG002", "DET001"} <= rules
         det = next(f for f in report["findings"] if f["rule"] == "DET001")
         assert det["path"] == "repro/clockuser.py"
         assert det["line"] == 4
@@ -210,9 +201,9 @@ class TestAuxiliaryModes:
     def test_rules_catalog_lists_every_rule(self, capsys):
         code, out = run(["--rules"], capsys)
         assert code == 0
-        for rule in ("SIG001", "PLG001", "DET001", "LNT001"):
+        for rule in ("SIG001", "DET001", "LNT001"):
             assert rule in out
-        assert len(out.splitlines()) == 1 + 23  # header + one row per rule
+        assert len(out.splitlines()) == 1 + 16  # header + one row per rule
 
     def test_bad_root_is_a_usage_error(self, tmp_path, capsys):
         code = main(["--root", str(tmp_path / "missing")])
