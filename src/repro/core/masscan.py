@@ -172,48 +172,60 @@ class Masscan:
         # wait on the target.  No executor, backoff, jitter draw, breaker or
         # clock is involved; the fault stream alone sees each packet.  A
         # dead address's packets are counted in ``syn_probes`` as a probed
-        # one's would be — every attempt, as a closed port sends — and
-        # nothing else: not the fault stream, not the re-sends tally.
+        # one's would be — every attempt, as a closed port sends — once per
+        # batch, and nothing else: not the fault stream, not the re-sends.
         dead_syns = len(ports) * attempts
-        result, scanned, resends, span = PortScanResult(), 0, 0, None
-        # One consumer for every mode: an op is ``dead`` addresses to
-        # account in bulk, then (unless None) one address to probe, and a
+        result, scanned, dead, resends, span = PortScanResult(), 0, 0, 0, None
+        # One consumer for every mode: an op is a ``gap`` of dead addresses
+        # to account in bulk, then (unless None) one address to probe; a
         # full batch flushes wherever inside the op it fills up.
-        for dead, value in ops:
-            while dead or value is not None:
+        for gap, value in ops:
+            while gap:
                 if span is None and telemetry is not None:
                     # Lazy: only a batch that scans at least one address
                     # opens a span, so resumed sweeps trace identically.
                     span = telemetry.tracer.start("stage:masscan")
-                if dead:
-                    take = min(dead, batch_size - scanned)
-                    scanned += take
-                    self.transport.stats.syn_probes += take * dead_syns
-                    dead -= take
-                else:
-                    ip = IPv4Address(value)
-                    if attempts == 1:
-                        # One transport call answers all twelve ports.
-                        open_ports = probe_ports(ip, ports)
-                    else:
-                        # Port by port, up to ``attempts`` SYNs each, until
-                        # the first SYN/ACK: ``sent`` ends as the re-sends.
-                        open_ports = []
-                        for port in ports:
-                            for sent in range(attempts):
-                                if syn_probe(ip, port):
-                                    open_ports.append(port)
-                                    break
-                            resends += sent
-                    scanned += 1
-                    if open_ports:
-                        result.open_ports[value] = tuple(sorted(open_ports))
-                    value = None
+                take = min(gap, batch_size - scanned)
+                scanned += take
+                dead += take
+                gap -= take
                 if scanned >= batch_size:
-                    yield self._close_batch(span, result, scanned, resends)
-                    result, scanned, resends, span = PortScanResult(), 0, 0, None
+                    yield self._close_batch(
+                        span, result, scanned, dead * dead_syns, resends
+                    )
+                    result, scanned, dead, resends, span = (
+                        PortScanResult(), 0, 0, 0, None
+                    )
+            if value is None:
+                continue
+            if span is None and telemetry is not None:
+                span = telemetry.tracer.start("stage:masscan")
+            ip = IPv4Address(value)
+            if attempts == 1:
+                # One transport call answers all twelve ports.
+                open_ports = probe_ports(ip, ports)
+            else:
+                # Port by port, up to ``attempts`` SYNs each, until the
+                # first SYN/ACK: ``sent`` ends as the re-sends.
+                open_ports = []
+                for port in ports:
+                    for sent in range(attempts):
+                        if syn_probe(ip, port):
+                            open_ports.append(port)
+                            break
+                    resends += sent
+            scanned += 1
+            if open_ports:
+                result.open_ports[value] = tuple(sorted(open_ports))
+            if scanned >= batch_size:
+                yield self._close_batch(
+                    span, result, scanned, dead * dead_syns, resends
+                )
+                result, scanned, dead, resends, span = (
+                    PortScanResult(), 0, 0, 0, None
+                )
         if scanned:
-            yield self._close_batch(span, result, scanned, resends)
+            yield self._close_batch(span, result, scanned, dead * dead_syns, resends)
 
     def _ops(
         self, candidates: FrameLike, skip: int
@@ -307,11 +319,14 @@ class Masscan:
                     yield dead, value
 
     def _close_batch(
-        self, span, result: PortScanResult, scanned: int, resends: int
+        self, span, result: PortScanResult, scanned: int, dead_syns: int,
+        resends: int,
     ) -> PortScanResult:
         """Close a batch of ``scanned`` addresses: every one of them is
-        ``len(ports)`` probes, probed or accounted dead; under a retry
-        policy the probed ones took ``resends`` more SYNs."""
+        ``len(ports)`` probes, probed or accounted dead; the dead ones sent
+        ``dead_syns`` SYNs, and under a retry policy the probed ones took
+        ``resends`` more."""
+        self.transport.stats.syn_probes += dead_syns
         result.addresses_scanned = scanned
         result.probes_sent = scanned * len(self.ports)
         if span is None:

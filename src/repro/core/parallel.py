@@ -386,9 +386,9 @@ class ParallelScanEngine:
             # building it once saves every shard the construction cost.
             knowledge_base = None
             if pipe.fingerprint:
-                knowledge_base = (
-                    pipe.knowledge_base or build_default_knowledge_base()
-                )
+                knowledge_base = pipe.knowledge_base
+                if knowledge_base is None:
+                    knowledge_base = build_default_knowledge_base()
             runner = ShardRunner(
                 transport=pipe.transport,
                 ports=tuple(pipe.ports),

@@ -92,6 +92,44 @@ class HostFinding:
 
 
 @dataclass
+class HostRecord:
+    """One open host's stage-II/III contribution to a sweep: a re-scan
+    ledger entry (see repro.core.rescan).
+
+    What replaying the host without touching the network needs beyond the
+    sweep's report: the responses it gave stage II (in probe order), and
+    whether the prefilter sent it on to stage III, whose finding the
+    report holds.  Records are the unit of reuse *and* the unit of
+    checkpointing, which is what makes resumed and uninterrupted
+    incremental passes bit-identical.
+    """
+
+    value: int
+    #: ``(port, scheme value)`` pairs in the order stage II recorded them
+    responses: tuple[tuple[int, str], ...] = ()
+    #: whether the host reached stage III (its finding is in the report)
+    finding: bool = False
+
+    def to_dict(self) -> dict:
+        return {
+            "ip": self.value,
+            "responses": [[port, scheme] for port, scheme in self.responses],
+            "finding": self.finding,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "HostRecord":
+        return cls(
+            value=int(payload["ip"]),
+            responses=tuple(
+                (int(port), str(scheme)) for port, scheme in payload["responses"]
+            ),
+            # a version-1 record holds the finding itself, or None
+            finding=bool(payload["finding"]),
+        )
+
+
+@dataclass
 class ScanReport:
     """Aggregate output of one full pipeline run."""
 
@@ -166,6 +204,8 @@ DEFAULT_SHARD_BLOCKS = 256
 
 #: shard execution backends (the ``ScanPipeline.executor`` field)
 EXECUTORS = ("thread", "process")
+
+_HTTP = Scheme.HTTP.value
 
 
 @dataclass
@@ -287,12 +327,21 @@ class ScanPipeline:
             self.transport, retry=self._retry, telemetry=self.telemetry
         )
         if self.fingerprint:
-            kb = self.knowledge_base or build_default_knowledge_base()
+            kb = self.knowledge_base
+            if kb is None:
+                kb = build_default_knowledge_base()
             self._fingerprinter = VersionFingerprinter(
                 self.transport, kb, retry=self._retry, telemetry=self.telemetry
             )
         else:
             self._fingerprinter = None
+        #: a re-scan's ledger (repro.core.rescan), None for a plain sweep:
+        #: this sweep's record of each open host, replayed or fresh
+        self.records: dict[int, HostRecord] | None = None
+        #: the current batch's hosts that replay: their prior records by
+        #: value, and the prior report's findings, where theirs are
+        self.replay: dict[int, HostRecord] = {}
+        self.prior_findings: dict[int, HostFinding] = {}
 
     @property
     def engine(self) -> TsunamiEngine:
@@ -393,7 +442,7 @@ class ScanPipeline:
 
         The one batch step: the re-scan engine's pipeline
         (repro.core.rescan) overrides it only to choose, first, which of
-        the batch's hosts replay."""
+        the batch's hosts replay (``replay``)."""
         tel = self.telemetry
         batch_span = tel.tracer.start("batch", index=index)
         self._run_later_stages(batch, report)
@@ -416,20 +465,47 @@ class ScanPipeline:
         # entered stage I but left through the quarantined door.
         gate_skips = sup.drain_gate_skips() if sup is not None else 0
         entered = batch.addresses_scanned + gate_skips
-        open_hosts = len(batch.open_ports)
+        open_ports = batch.open_ports
+        open_hosts = len(open_ports)
         # Batches partition the address space, so per-batch funnel charges
         # sum to exactly the ScanReport totals.
         tel.funnel("masscan", entered, open_hosts, quarantined=gate_skips)
         self._coverage.charge(
             "masscan", entered, open_hosts, quarantined=gate_skips
         )
-        findings: list[PrefilterFinding] = []
+        # Hosts in sorted order, replayed or fresh, so a re-scan's tallies
+        # and findings interleave as a from-scratch sweep's do.  A replayed
+        # host is folded in place, without the network: the tally of its
+        # recorded responses (``PrefilterStats.note``'s, added straight
+        # in), its ledger entry, and, if it reached stage III, its prior
+        # finding in the stage-III list.
+        stats = self._prefilter.stats
+        http, https = stats.http_responses, stats.https_responses
+        records, replay, noted = self.records, self.replay, stats.noted
+        findings: list[PrefilterFinding | HostFinding] = []
         with tel.tracer.span("stage:prefilter", hosts=open_hosts):
-            for ip in batch.hosts_with_open_ports():
-                findings.extend(self._probe_host(ip, batch.ports_of(ip)))
+            for value in sorted(open_ports):
+                if records is not None:
+                    record = replay.get(value)
+                    if record is not None:
+                        for port, scheme in record.responses:
+                            counts = http if scheme == _HTTP else https
+                            counts[port] = counts.get(port, 0) + 1
+                        if record.responses:
+                            stats.responsive_hosts.add(value)
+                        records[value] = record
+                        if record.finding:
+                            findings.append(self.prior_findings[value])
+                        continue
+                    noted.clear()
+                findings.extend(
+                    self._probe_host(IPv4Address(value), open_ports[value])
+                )
+                if records is not None:
+                    records[value] = HostRecord(value, tuple(noted))
         # Open hosts quarantined by stage I/II strikes never reach stage
         # III, whatever partial findings stage II managed to fetch first.
-        quarantined_open = self._quarantined_values(batch.open_ports)
+        quarantined_open = self._quarantined_values(open_ports)
         findings = [f for f in findings if f.ip.value not in quarantined_open]
         candidate_ips = {finding.ip.value for finding in findings}
         tel.funnel(
@@ -448,7 +524,13 @@ class ScanPipeline:
                     # but run no plugins against it.
                     report.finding_for(finding.ip)
                     continue
+                if type(finding) is HostFinding:
+                    # Replayed: the prior sweep's (immutable) finding, shared.
+                    report.findings[finding.ip.value] = finding
+                    continue
                 self._verify_and_fingerprint(finding, report)
+                if records is not None:
+                    records[finding.ip.value].finding = True
         vulnerable_hosts = sum(
             1 for value in candidate_ips
             if report.findings[value].is_vulnerable

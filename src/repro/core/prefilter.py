@@ -362,11 +362,16 @@ class PrefilterStats:
     https_responses: dict[int, int] = field(default_factory=dict)
     #: ips (values) that produced at least one HTTP(S) response
     responsive_hosts: set[int] = field(default_factory=set)
+    #: when a list, each note also lands here as ``(port, scheme value)``:
+    #: a re-scan's record of what a fresh host answered
+    noted: list[tuple[int, str]] | None = None
 
     def note(self, ip: IPv4Address, port: int, scheme: Scheme) -> None:
         counts = self.http_responses if scheme is Scheme.HTTP else self.https_responses
         counts[port] = counts.get(port, 0) + 1
         self.responsive_hosts.add(ip.value)
+        if self.noted is not None:
+            self.noted.append((port, scheme.value))
 
 
 #: per scheme, the (fetches, failures, responses) series of a landing GET

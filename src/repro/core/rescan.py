@@ -4,9 +4,12 @@ The paper's longevity study (Figure 2) re-scans the same frame every
 three hours for four weeks.  Re-running the full pipeline 224 times pays
 the stage-II/III cost for every open host every time, even though almost
 nothing changes between sweeps.  A re-scan here is the sequential sweep
-(:meth:`ScanPipeline.run`) with one decision added per open host, taken
-in that host's own batch: replay its stage-II/III contribution from the
-prior sweep's per-host ledger, or probe it.
+(:meth:`ScanPipeline.run`) run with a ledger: its one batch step then
+decides per open host, in that host's own batch, whether to replay its
+stage-II/III contribution from the prior sweep's per-host ledger — a
+dict hit, folded in place — or probe it.  This module holds the state
+file, the per-batch replay rule and the engine that drives them; a
+ledger entry is a :class:`~repro.core.pipeline.HostRecord`.
 
 The per-host rule: a host replays when stage I found it with exactly the
 open ports the prior sweep found, and its /24 is not in the caller's
@@ -50,17 +53,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.checkpoint import GROWTH, Checkpointer
-from repro.core.pipeline import ScanPipeline, ScanReport
-from repro.core.prefilter import PrefilterFinding, PrefilterStats
+from repro.core.pipeline import HostRecord, ScanPipeline, ScanReport
 from repro.core.serialize import report_from_dict, report_to_dict
-from repro.net.http import Scheme
 from repro.net.intervals import BLOCK_MASK, IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import stream_layer
@@ -70,55 +70,6 @@ from repro.util.rand import stable_hash
 #: a version-1 file still loads: a record's copy of its finding reads as
 #: "reached stage III", and its telemetry counts are not read
 RESCAN_FORMAT_VERSION = 2
-
-_HTTP = Scheme.HTTP.value
-
-
-@dataclass
-class HostRecord:
-    """One open host's stage-II/III contribution to a sweep.
-
-    What replaying the host without touching the network needs beyond the
-    sweep's report: the responses it gave stage II (in probe order), and
-    whether the prefilter sent it on to stage III, whose finding the
-    report holds.  Records are the unit of reuse *and* the unit of
-    checkpointing, which is what makes resumed and uninterrupted
-    incremental passes bit-identical.
-    """
-
-    value: int
-    #: ``(port, scheme value)`` pairs in the order stage II recorded them
-    responses: tuple[tuple[int, str], ...] = ()
-    #: whether the host reached stage III (its finding is in the report)
-    finding: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "ip": self.value,
-            "responses": [[port, scheme] for port, scheme in self.responses],
-            "finding": self.finding,
-        }
-
-    @cached_property
-    def replay_findings(self) -> tuple[PrefilterFinding, ...]:
-        """What stage II hands stage III when this record replays: for a
-        host with a finding, a token — not a finding — that makes it a
-        stage-III candidate whose prior finding ``_verify_and_fingerprint``
-        installs.  Built on first replay, reused by later ticks."""
-        if not self.finding:
-            return ()
-        return (PrefilterFinding(IPv4Address(self.value), 0, Scheme.HTTP, (), None),)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HostRecord":
-        return cls(
-            value=int(payload["ip"]),
-            responses=tuple(
-                (int(port), str(scheme)) for port, scheme in payload["responses"]
-            ),
-            # a version-1 record holds the finding itself, or None
-            finding=bool(payload["finding"]),
-        )
 
 
 @dataclass
@@ -198,44 +149,28 @@ def load_rescan_state(path: str | Path) -> RescanState:
         ) from error
 
 
-@dataclass
-class _NotedStats(PrefilterStats):
-    """Stage-II stats that also list, in order, what a fresh host's probe
-    noted: a record's ``responses``, taken where a replay puts them back."""
-
-    noted: list[tuple[int, str]] = field(default_factory=list)
-
-    def note(self, ip: IPv4Address, port: int, scheme: Scheme) -> None:
-        super().note(ip, port, scheme)
-        self.noted.append((port, scheme.value))
-
-
 class _ReplayingPipeline(ScanPipeline):
-    """The sequential sweep, deciding per host whether to replay or probe.
+    """The sequential sweep, with a ledger and a per-batch replay rule.
 
-    The sweep itself — stage I, spans, events, funnel and coverage
-    charges, the checkpoint journal — is the base class's, untouched.
-    Each batch step first lists in ``replay`` the prior records of the
+    The sweep itself — stage I, the batch step that replays or probes
+    each host, spans, events, funnel and coverage charges, the checkpoint
+    journal — is the base class's.  This class only holds a ledger
+    (``records``, which turns replay on in the batch step), notes what
+    fresh hosts answer, lists in ``replay`` the prior records of each
     batch's open hosts that may replay (the per-host rule in the module
-    docstring); then, of the two host steps, a host found in ``replay``
-    contributes its ledger record and its prior finding without touching
-    the network, and any other host runs the real stage and gets a fresh
-    record of what it answered.
+    docstring), and adds the ledger to the checkpoint journal.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self._prefilter.stats = _NotedStats()
+        self.records = {}
+        self._prefilter.stats.noted = []
         #: the sweep whose ledger hosts may replay from (None: probe all)
         self.prior: RescanState | None = None
         #: /24 bases the caller says may have changed behind unchanged ports
         self.hinted: set[int] = set()
         #: what a resumed sweep must agree on (see RescanEngine._run_hash)
         self.run_hash: int | None = None
-        #: ledger records the current batch may replay, by host value
-        self.replay: dict[int, HostRecord] = {}
-        #: this sweep's ledger: one record per open host, replayed or fresh
-        self.records: dict[int, HostRecord] = {}
         #: how many of ``records`` the checkpoint journal holds
         self._saved = 0
 
@@ -252,36 +187,8 @@ class _ReplayingPipeline(ScanPipeline):
                 and (value & BLOCK_MASK) not in hinted
                 and value in prior.records
             }
+            self.prior_findings = prior.report.findings
         super()._run_batch(batch, index, report)
-
-    def _probe_host(self, ip, ports) -> Sequence[PrefilterFinding]:
-        stats = self._prefilter.stats
-        record = self.replay.get(ip.value)
-        if record is not None:
-            # PrefilterStats.note's tally, added straight in: a replayed
-            # host is not noted a second time.
-            http, https = stats.http_responses, stats.https_responses
-            for port, scheme in record.responses:
-                counts = http if scheme == _HTTP else https
-                counts[port] = counts.get(port, 0) + 1
-            if record.responses:
-                stats.responsive_hosts.add(ip.value)
-            self.records[ip.value] = record
-            return record.replay_findings
-        stats.noted.clear()
-        findings = super()._probe_host(ip, ports)
-        self.records[ip.value] = HostRecord(ip.value, tuple(stats.noted))
-        return findings
-
-    def _verify_and_fingerprint(self, finding, report) -> None:
-        value = finding.ip.value
-        if value in self.replay:
-            # A replayed record is the prior sweep's verbatim, so its
-            # (immutable) finding object is shared.
-            report.findings[value] = self.prior.report.findings[value]
-            return
-        super()._verify_and_fingerprint(finding, report)
-        self.records[value].finding = True
 
     # -- checkpoint/resume: the sequential journal, plus the ledger ---------
 

@@ -8,8 +8,8 @@ small generated world:
 
 * the re-scan tick, at the benchmark's 2% host churn: a change that brings
   back per-host bookkeeping — a per-port host query in stage I, a counter
-  write per address, a summary merge or a ``Scheme`` per replayed host —
-  fails here before it shows in any timing;
+  write per address, a summary merge, or an address object or host-step
+  call per replayed host — fails here before it shows in any timing;
 * the dense sweep, a ``ScanPipeline`` run over the whole world: calls per
   open host, and the HTTP requests it sends, pinned as a ceiling — a
   stage III that asks a target a question already answered fails here;
@@ -43,12 +43,14 @@ SEED = 20210603
 CHURN = 0.02
 TICKS = 3
 
-#: Python calls per open host per tick.  Read 36.2-36.5 when this budget
-#: was set (each of three ticks, ten runs, any hash seed); the design
-#: before it — a 12-call port probe and a counter write per live host, a
-#: summary merge, a ``Scheme`` and a token per replayed host — read
-#: 62.5-62.7.  Budget: the reading's top x 1.15.
-BUDGET = 42.0
+#: Python calls per open host per tick.  Reads 29.6-29.9 (each of three
+#: ticks, any hash seed) since the batch step folds a replayed host's
+#: record in place — no address object, ports lookup, host-step call or
+#: stage-III token.  The design before read 34.7-35.1 (36.2-36.5 when its
+#: budget of 42.0 was set); the one before that — a 12-call port probe
+#: and a counter write per live host, a summary merge, a ``Scheme`` and a
+#: token per replayed host — 62.5-62.7.  Budget: the reading's top x 1.15.
+BUDGET = 34.4
 
 #: Python calls per open host of a dense sweep.  Reads 132.2 (any hash
 #: seed) since stage III reads the landing page stage II fetched and asks

@@ -203,3 +203,49 @@ class TestOptionsRefusedAtConstruction:
             )
         assert len(telemetry.events) == 0
         assert telemetry.tracer.active is None
+
+
+class TestAPassedKnowledgeBase:
+    """A knowledge base passed in is the one the fingerprinter hashes
+    against, even an empty one (whose ``len`` is 0, so it is falsy): it
+    matches no file, so no version comes from a hash match — sequentially
+    and sharded.  Without one the default knowledge base is built."""
+
+    @pytest.fixture(scope="class")
+    def internet(self):
+        from repro.net.population import PopulationModel, generate_internet
+
+        internet, _geo, _census = generate_internet(
+            PopulationModel(awe_rate=0.0005, vuln_rate=0.2,
+                            background_rate=2e-7, seed=17)
+        )
+        return internet
+
+    @staticmethod
+    def hash_matches(internet, **kwargs) -> int:
+        from repro.apps.catalog import scanned_ports
+        from repro.core.fingerprint.fingerprinter import FingerprintMethod
+        from repro.core.pipeline import ScanPipeline
+        from repro.net.transport import InMemoryTransport
+
+        report = ScanPipeline(
+            InMemoryTransport(internet), scanned_ports(), batch_size=64,
+            **kwargs,
+        ).run(internet.populated_addresses())
+        assert report.observations()
+        return sum(
+            1 for o in report.observations()
+            if o.fingerprint is not None
+            and o.fingerprint.method is FingerprintMethod.HASH_MATCH
+        )
+
+    def test_without_one_the_default_is_built(self, internet):
+        assert self.hash_matches(internet) > 0
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_an_empty_one_is_the_one_used(self, internet, workers):
+        from repro.core.fingerprint.knowledge_base import KnowledgeBase
+
+        assert self.hash_matches(
+            internet, knowledge_base=KnowledgeBase(), workers=workers
+        ) == 0

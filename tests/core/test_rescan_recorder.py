@@ -140,6 +140,37 @@ class TestAChurnSequence:
         assert ledger(resumed) == ledger(engine.rescan(frame, stale, hint))
 
 
+def test_churned_ticks_serialise_in_a_scratch_sweeps_order():
+    """Five ticks at 2% host churn — a fresh seeded 2% removed, the last
+    2% restored — each dumped *without* ``sort_keys`` like a plain sweep
+    of the world as it then is: the findings list, the response tallies'
+    key order and ``open_ports``' order are the sweep's, whether a host
+    replayed or was probed."""
+    internet, pop = build_world()
+    frame = pop.frame
+    engine = RescanEngine(
+        InMemoryTransport(internet), scanned_ports(), seed=SEED,
+        batch_size=-(-len(frame) // BATCHES),
+    )
+    state = engine.baseline(frame)
+    rng = random.Random(7)
+    removed = []
+    for _ in range(5):
+        for host in removed:
+            internet.add_host(host)
+        addresses = internet.populated_addresses()
+        removed = [
+            internet.host_at(ip)
+            for ip in rng.sample(addresses, len(addresses) // 50)
+        ]
+        for host in removed:
+            internet.remove_host(host.ip)
+        state = engine.rescan(frame, state)
+        assert sha256(json.dumps(report_to_dict(state.report))) == sha256(
+            json.dumps(report_to_dict(scratch(engine, frame)))
+        )
+
+
 def test_a_chaos_baseline_records_what_a_plain_sweep_reports():
     """Faults are the transport's: a baseline under them reports what a
     plain sweep over the same weather does, and its ledger holds every

@@ -24,7 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: helper; stage I's per-host counter write, dead-gap helper and op
 #: generators, and the observation-log subset only a test called; the
 #: lint rules and passes that checked a property something else checks;
-#: the plugin base class, its auditor and its rules
+#: the plugin base class, its auditor and its rules; the re-scan
+#: pipeline's stage-III token and its noting stats class
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -41,7 +42,7 @@ RETIRED = (
     "effective_deadline", "probe_port(", "_probe_operations",
     "MavDetectionPlugin", "PluginContractAuditor", "repro.lint.plugins",
     "PLUGIN_BASE", "PLG001", "PLG002", "PLG003", "PLG004", "PLG005",
-    "PLG006", "PLG007",
+    "PLG006", "PLG007", "replay_findings", "_NotedStats",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
