@@ -40,6 +40,9 @@ class Fingerprint:
     version: str
     method: FingerprintMethod
 
+    def __reduce__(self):
+        return Fingerprint, (self.slug, self.version, self.method)
+
 
 #: fingerprint method (None = unidentified) -> its result-counter series
 _RESULT_SERIES = {

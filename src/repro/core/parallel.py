@@ -15,9 +15,9 @@ the data*:
   :class:`~repro.util.clock.SimClock` starting at zero, its own
   :class:`~repro.obs.telemetry.Telemetry`, retry executor, and circuit
   breakers, all seeded from ``stable_hash(seed, "shard", index)``.
-  Worker callables share *no* mutable state at all — they return their
-  shard result and the main-thread completion loop does every write
-  (progress, console, checkpointing);
+  Workers share no mutable state but which shard is next — they return
+  their shard result and the main-thread completion loop does every
+  write (progress, console, checkpointing);
 * **deterministic fold** — each shard hands back a :class:`ShardResult`,
   and the main thread folds shard *i* once shards 0…*i* are in: reports
   merge, telemetry is absorbed with span-id rebasing, transport stats
@@ -32,14 +32,15 @@ checkpoint stores completed shards' :meth:`ShardResult.to_dict`, and a
 resumed run re-executes only the missing shards.
 
 Two executors run the same shards.  ``executor="thread"`` shares the
-:class:`ShardRunner` by reference across a thread pool — cheap, but the
-GIL serialises the actual scanning.  ``executor="process"`` pickles the
-runner once into each worker of a spawn-safe
-:class:`~concurrent.futures.ProcessPoolExecutor` and ships each
-:class:`ShardResult` back over the result channel, pickled as objects.
-Because a result is a pure function of the shard seed and the
-(read-only) forked transport, the two executors are byte-identical to
-each other and to ``workers=1``.
+:class:`ShardRunner` by reference across a thread pool, whose GIL
+serialises the scanning, so the main thread only orchestrates.  Under
+``executor="process"`` the parent is one of the ``workers``: it and its
+children claim shards from one shared counter, a child's sender thread
+writes each :class:`ShardResult`, pickled as objects, to the child's
+pipe, and the parent lands what has arrived between its own shards.  A
+result is a pure function of the shard seed and the (read-only) forked
+transport, so the two executors are byte-identical to each other and to
+``workers=1``.
 
 Supervision is a field of the runner, not another engine: with
 ``ScanPipeline.supervisor`` set, the same loop runs each shard under the
@@ -51,12 +52,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
+from multiprocessing.connection import wait
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
@@ -81,12 +81,12 @@ from repro.util.rand import stable_hash
 #: bugs fork would mask
 DEFAULT_START_METHOD = "spawn"
 
-#: callables that execute inside pool workers; the reprolint concurrency
+#: callables that execute inside workers; the reprolint concurrency
 #: analyzer seeds its worker-reachability graph from these (plain data,
 #: consumed from the AST — keep the dotted names in sync with the defs)
 WORKER_ENTRY_POINTS = (
     "repro.core.parallel.ShardRunner.execute",
-    "repro.core.parallel._process_shard",
+    "repro.core.parallel._claim_shards",
 )
 
 #: classes whose instances cross the process-executor pickle boundary
@@ -185,9 +185,9 @@ class ShardRunner:
     """Everything one shard needs to run, picklable as a unit.
 
     The runner is the single implementation of shard execution for both
-    executors: thread workers share it by reference, process workers get
-    a pickled copy via the pool initializer (once per worker, not per
-    shard).  Every field is read-only during a sweep — the transport is
+    executors: thread workers and the parent share it by reference, each
+    child process gets a pickled copy when it starts (once per child, not
+    per shard).  Every field is read-only during a sweep — the transport is
     *forked* per shard, never probed directly — so sharing and copying
     are observably identical, which is what makes the two executors
     byte-identical.
@@ -281,22 +281,40 @@ class ShardRunner:
         )
 
 
-#: the runner a process-pool worker executes shards with, installed once
-#: per worker by :func:`_init_worker` (workers are single-threaded, so
-#: this is plain per-process state, not shared mutable state)
-_WORKER_RUNNER: ShardRunner | None = None
+def _claim(counter, todo: list[Shard]) -> Shard | None:
+    """The next shard of ``todo`` no process has claimed, or None."""
+    with counter.get_lock():
+        position = counter.value
+        counter.value = position + 1
+    return todo[position] if position < len(todo) else None
 
 
-def _init_worker(runner: ShardRunner) -> None:
-    """Process-pool initializer: unpickle the shard runner once."""
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
+def _claim_shards(runner: ShardRunner, todo: list[Shard], counter, channel) -> None:
+    """A child process: claim shards until none is left.  A sender thread
+    writes each result, or the exception its shard raised, to ``channel``,
+    so the child never waits for the parent to read."""
+    with ThreadPoolExecutor(max_workers=1) as sender:
+        for shard in iter(partial(_claim, counter, todo), None):
+            try:
+                result = runner.execute(shard)
+            except Exception as error:
+                result = error
+            sender.submit(channel.send, (shard.index, result))
+    channel.close()
 
 
-def _process_shard(shard: Shard) -> ShardResult:
-    """The function a process-pool worker runs per shard."""
-    assert _WORKER_RUNNER is not None, "worker initializer did not run"
-    return _WORKER_RUNNER.execute(shard)
+def _arrived(channels: list, timeout: float | None):
+    """``(index, result)`` pairs the children have sent; a channel at end
+    of file (its child exited, whole or killed mid-message) is dropped."""
+    for channel in wait(channels, timeout):
+        try:
+            index, result = channel.recv()
+        except (EOFError, OSError):
+            channels.remove(channel)
+            continue
+        if isinstance(result, Exception):
+            raise result
+        yield index, result
 
 
 def resolve_start_method(preferred: str | None = None) -> str:
@@ -420,58 +438,29 @@ class ParallelScanEngine:
 
     # -- shard execution ------------------------------------------------------
 
-    def _run_shards(
-        self,
-        runner: ShardRunner,
-        todo: list[Shard],
-        completed: dict[int, ShardResult],
-        checkpoint: Checkpointer | None,
-        shards: list[Shard],
-        report,
-    ) -> None:
-        """Run shards on the configured pool; one completion loop for both.
-
-        Thread workers share the runner by reference and execute
-        ``runner.execute``; process workers get it through the pool
-        initializer (one pickle per worker) and execute
-        ``_process_shard``, shipping results back over the result
-        channel.  Either way workers run that callable and nothing else:
-        every console notification, checkpoint save and fold step happens
-        here on the main thread as results complete.
-        """
+    def _run_shards(self, runner, todo, completed, checkpoint, shards, report):
+        """One completion loop for both executors: workers only execute
+        shards, and every console note, checkpoint save and fold step
+        happens here on the main thread as results land."""
         pipe = self.pipeline
         if pipe.executor == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context(
-                    resolve_start_method(pipe.mp_start_method)
-                ),
-                initializer=_init_worker,
-                initargs=(runner,),
-            )
-            work = _process_shard
+            results = self._process_results(runner, todo, completed)
         else:
-            pool = ThreadPoolExecutor(max_workers=self.workers)
-            work = runner.execute
+            results = self._thread_results(runner, todo)
         console = pipe.console
+        if console is not None:
+            # "running" spans queued-plus-executing: the next event is landing
+            for shard in todo:
+                console.note_shard_running(shard.index)
         #: shards finished since the last save: a journal record carries
         #: only these, so each result is written exactly once
         unsaved: list[int] = []
-        try:
-            futures = {pool.submit(work, shard): shard for shard in todo}
-            if console is not None:
-                # Submission hands the shard to the pool; completion is
-                # the next observable event, so "running" spans the
-                # queued-plus-executing window.
-                for shard in todo:
-                    console.note_shard_running(shard.index)
-            for future in as_completed(futures):
-                shard = futures[future]
-                result = future.result()
+        with closing(results):
+            for index, result in results:
                 if console is not None:
-                    console.note_shard_done(shard.index, result)
-                completed[shard.index] = result
-                unsaved.append(shard.index)
+                    console.note_shard_done(index, result)
+                completed[index] = result
+                unsaved.append(index)
                 if checkpoint is not None and checkpoint.due(len(completed)):
                     checkpoint.save({
                         **self._expected_config(shards),
@@ -482,11 +471,48 @@ class ParallelScanEngine:
                     })
                     unsaved.clear()
                 self._fold_ready(report, completed)
+
+    def _thread_results(self, runner: ShardRunner, todo: list[Shard]):
+        pool = ThreadPoolExecutor(max_workers=self.workers)
+        try:
+            futures = {pool.submit(runner.execute, s): s.index for s in todo}
+            yield from ((futures[f], f.result()) for f in as_completed(futures))
         finally:
-            # cancel_futures: a mid-sweep crash (the kill-and-resume
-            # tests) must not wait out every queued shard; on the success
-            # path there is nothing left to cancel.
-            pool.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)  # a crash skips the queue
+
+    def _process_results(self, runner, todo: list[Shard], completed: dict):
+        """The parent and ``workers - 1`` children claim shards from one
+        counter; the parent yields what children sent between its own
+        shards, then runs each not in ``completed``: a dead child loses none."""
+        context = multiprocessing.get_context(
+            resolve_start_method(self.pipeline.mp_start_method)
+        )
+        counter, children, channels = context.Value("i", 0), [], []
+        try:
+            for _ in range(min(self.workers, len(todo)) - 1):
+                channel, child_end = context.Pipe(duplex=False)
+                children.append(context.Process(
+                    target=_claim_shards, args=(runner, todo, counter, child_end),
+                    daemon=True,
+                ))
+                children[-1].start()
+                # Closed before the next child starts, so the child holds
+                # the only writing end: its exit is EOF on ``channel``.
+                child_end.close()
+                channels.append(channel)
+            for shard in iter(partial(_claim, counter, todo), None):
+                yield shard.index, runner.execute(shard)
+                yield from _arrived(channels, timeout=0)
+            while channels:
+                yield from _arrived(channels, timeout=None)
+            for shard in todo:
+                if shard.index not in completed:
+                    yield shard.index, runner.execute(shard)
+        finally:
+            for child in children:
+                if channels:  # stopped early: no child's work is wanted
+                    child.kill()
+                child.join()
 
     # -- fold (main thread) ---------------------------------------------------
 

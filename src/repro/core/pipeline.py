@@ -63,6 +63,10 @@ class AppObservation:
     def version(self) -> str | None:
         return self.fingerprint.version if self.fingerprint else None
 
+    def __reduce__(self):
+        return AppObservation, (self.ip, self.slug, self.port, self.scheme,
+                                self.vulnerable, self.detection, self.fingerprint)
+
 
 @dataclass
 class HostFinding:
@@ -70,6 +74,9 @@ class HostFinding:
 
     ip: IPv4Address
     observations: dict[str, AppObservation] = field(default_factory=dict)
+
+    def __reduce__(self):
+        return HostFinding, (self.ip, self.observations)
 
     @property
     def slugs(self) -> tuple[str, ...]:
@@ -243,15 +250,15 @@ class ScanPipeline:
     circuit_breaker: CircuitBreaker | None = field(default=None, init=False)
     #: shared observability handle; auto-created on the pipeline clock
     telemetry: Telemetry | None = None
-    #: run the sweep as concurrent /24-aligned shards on this many worker
-    #: threads (None = the classic sequential engine).  Output is
-    #: byte-identical for every worker count; see repro.core.parallel.
+    #: shard the sweep over this many workers: threads, or processes that
+    #: compute shards, the parent included (None = the sequential engine).
+    #: Output is byte-identical for every count; see repro.core.parallel.
     workers: int | None = None
     #: /24 blocks per shard when ``workers`` is set
     shard_blocks: int = DEFAULT_SHARD_BLOCKS
     #: shard execution backend when ``workers`` is set: "thread" (shared
     #: memory, GIL-bound) or "process" (true multicore — the shard runner
-    #: crosses the pickle boundary once per worker).  Output is
+    #: crosses the pickle boundary once per child).  Output is
     #: byte-identical either way; see repro.core.parallel.
     executor: str = "thread"
     #: multiprocessing start method for the process executor (None =

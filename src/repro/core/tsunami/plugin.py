@@ -40,6 +40,10 @@ class DetectionReport:
     def __str__(self) -> str:
         return f"[{self.slug}] {self.ip}:{self.port} — {self.title}"
 
+    def __reduce__(self):
+        fields = (self.ip, self.port, self.scheme, self.slug, self.title, self.details)
+        return DetectionReport, fields
+
 
 @dataclass
 class PluginContext:

@@ -42,9 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None,
                         help="run the sweep as concurrent /24-aligned shards "
-                             "on this many workers (scan / observe "
-                             "experiments); the report and telemetry are "
-                             "byte-identical for every worker count")
+                             "on this many workers: threads, or processes "
+                             "that compute shards, the parent included "
+                             "(scan / observe experiments); the report and "
+                             "telemetry are byte-identical for every worker "
+                             "count")
     parser.add_argument("--executor", choices=("thread", "process"),
                         default="thread",
                         help="shard execution backend when --workers is set: "

@@ -66,6 +66,10 @@ class IPv4Address:
     def __int__(self) -> int:
         return self.value
 
+    def __reduce__(self):
+        # Pickled as the constructor call: a shard result holds thousands.
+        return IPv4Address, (self.value,)
+
 
 @dataclass(frozen=True, order=True)
 class IPv4Network:

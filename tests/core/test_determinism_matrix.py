@@ -6,7 +6,8 @@ function of the seed.  This file pins that property across every
 execution dimension at once:
 
 * worker count        1 / 2 / 4 / 8
-* executor            thread pool / process pool (spawn-safe pickling)
+* executor            thread pool / processes, the parent among them
+                      (spawn-safe pickling)
 * fault plan          clean / chaos / hostile-supervised
 * frame               address list / interval set (hostile-supervised)
 * interruption        straight through / kill-and-resume via checkpoint
@@ -130,7 +131,9 @@ def _arm_id(arm):
 
 
 #: the full workers × executor cross on the everything-at-once scenario,
-#: plus pairwise coverage of the lighter scenarios
+#: plus pairwise coverage of the lighter scenarios.  A ``w1 process`` arm
+#: runs in the parent alone; every scenario keeps a ``w≥2 process`` arm,
+#: so each one crosses the pickle boundary
 STRAIGHT_ARMS = [
     (scenario, workers, executor)
     for scenario in ("hostile-supervised",)
@@ -166,6 +169,14 @@ class TestStraightThrough:
     def test_arm_matches_golden(self, arm, golden):
         scenario, workers, executor = arm
         assert artifacts(*sweep(scenario, workers, executor)) == golden(scenario)
+
+    def test_every_scenario_has_an_arm_with_a_child(self):
+        """``workers=1`` on processes never starts a child."""
+        crossing = {
+            scenario for scenario, workers, executor in STRAIGHT_ARMS
+            if executor == "process" and workers >= 2
+        }
+        assert crossing == set(SCENARIOS)
 
 
 class TestKillAndResume:

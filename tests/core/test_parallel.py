@@ -8,7 +8,12 @@ through a shard-boundary checkpoint.
 
 import inspect
 import json
+import multiprocessing
+import os
+import signal
 import time
+from multiprocessing.process import BaseProcess
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +409,125 @@ class TestShardCheckpointResume:
             run_arm(workers=4, chaos=True,
                     checkpoint=Checkpointer(tmp_path / "scan.ckpt"),
                     shard_blocks=3)
+
+
+class ShardLog(InMemoryTransport):
+    """Notes the process that runs each shard, in a file every worker
+    process appends to (it crosses the pickle boundary as its path)."""
+
+    def __init__(self, internet, log):
+        super().__init__(internet)
+        self.log = str(log)
+
+    def fork(self, shard_seed, clock=None):
+        with open(self.log, "a") as out:
+            out.write(f"{os.getpid()} {shard_seed}\n")
+        return super().fork(shard_seed, clock)
+
+    def runs(self) -> list[tuple[int, int]]:
+        """``(pid, shard seed)`` per shard run, in the order they began."""
+        lines = Path(self.log).read_text().splitlines()
+        return [tuple(map(int, line.split())) for line in lines]
+
+
+class ChildFate(InMemoryTransport):
+    """A child process is SIGKILLed (``fate="kill"``), or raises, as it
+    starts its first shard.  The parent's first shard waits until that
+    has happened, so it happens mid-sweep whatever the start method."""
+
+    def __init__(self, internet, marker, fate):
+        super().__init__(internet)
+        self.marker = str(marker)
+        self.fate = fate
+
+    def fork(self, shard_seed, clock=None):
+        marker = Path(self.marker)
+        if multiprocessing.parent_process() is not None:
+            marker.touch()
+            if self.fate == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("shard failed in a child")
+        deadline = time.monotonic() + 60
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return super().fork(shard_seed, clock)
+
+
+def process_sweep(transport, workers, blocks=6, shard_blocks=2):
+    """A plain sweep of ``build_world(blocks)`` through ``transport`` (over
+    that world's internet) on the process executor."""
+    _, ips = build_world(blocks)
+    pipeline = ScanPipeline(
+        transport, scanned_ports(), seed=7, batch_size=3, fingerprint=False,
+        workers=workers, shard_blocks=shard_blocks, executor="process",
+        clock=SimClock(),
+    )
+    return pipeline.run(ips), pipeline
+
+
+@pytest.fixture
+def child_starts(monkeypatch):
+    """How many processes a sweep starts."""
+    started = []
+    start = BaseProcess.start
+
+    def counted(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", counted)
+    return started
+
+
+class TestProcessWorkers:
+    """Under ``executor="process"`` the parent is one of the ``workers``."""
+
+    @pytest.mark.parametrize("workers, children", [(1, 0), (2, 1)])
+    def test_workers_counts_the_parent(
+        self, workers, children, child_starts, tmp_path
+    ):
+        internet, _ = build_world()
+        transport = ShardLog(internet, tmp_path / "shards.log")
+        result = outputs(*process_sweep(transport, workers))
+        assert result == outputs(*run_arm(workers=1))
+        assert len(child_starts) == children
+        pids = [pid for pid, _ in transport.runs()]
+        assert len(pids) == len(plan_shards(build_world()[1], 7, 2)) == 3
+        assert os.getpid() in pids  # the parent landed at least one shard
+        assert len(set(pids)) <= workers
+        assert multiprocessing.active_children() == []
+
+    def test_more_processes_than_cores_claim_each_shard_once(self, tmp_path):
+        """Four processes race for twelve one-block shards on the shared
+        counter: a lost update would run a shard twice or never."""
+        internet, ips = build_world(blocks=12)
+        transport = ShardLog(internet, tmp_path / "shards.log")
+        result = outputs(*process_sweep(transport, 4, blocks=12, shard_blocks=1))
+        shards = plan_shards(ips, seed=7, shard_blocks=1)
+        assert len(shards) == 12
+        assert sorted(seed for _, seed in transport.runs()) == sorted(
+            shard.seed for shard in shards
+        )
+        clean = ScanPipeline(
+            InMemoryTransport(internet), scanned_ports(), seed=7, batch_size=3,
+            fingerprint=False, workers=1, shard_blocks=1, clock=SimClock(),
+        )
+        assert result == outputs(clean.run(ips), clean)
+
+    def test_a_killed_child_loses_no_shard(self, tmp_path):
+        """The parent reads the dead child's end of file and runs the shard
+        the child had claimed itself: the sweep is the golden one."""
+        internet, _ = build_world()
+        transport = ChildFate(internet, tmp_path / "died", fate="kill")
+        assert outputs(*process_sweep(transport, 2)) == outputs(
+            *run_arm(workers=1)
+        )
+        assert (tmp_path / "died").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_shard_raising_in_a_child_raises_in_the_parent(self, tmp_path):
+        internet, _ = build_world()
+        transport = ChildFate(internet, tmp_path / "raised", fate="raise")
+        with pytest.raises(ValueError, match="shard failed in a child"):
+            process_sweep(transport, 2)
+        assert multiprocessing.active_children() == []

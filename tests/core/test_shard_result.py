@@ -3,11 +3,13 @@
 Workers hand the fold a :class:`~repro.core.parallel.ShardResult` holding
 their live report; JSON is written only when a checkpoint saves, and read
 back once per resumed shard.  These tests pin that mechanism by counting
-the report serialisers, and pin that the journal form folds to the same
-bytes as the live objects.
+the report serialisers, pin that the journal form folds to the same
+bytes as the live objects, and bound what a full shard's result pickles
+to.
 """
 
 import json
+import pickle
 import sys
 from collections import Counter
 
@@ -16,8 +18,12 @@ import pytest
 from repro.apps.catalog import scanned_ports
 from repro.core import serialize
 from repro.core.checkpoint import Checkpointer
-from repro.core.parallel import ShardResult, ShardRunner
-from repro.core.pipeline import ScanPipeline
+from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
+from repro.core.parallel import ShardResult, ShardRunner, plan_shards
+from repro.core.pipeline import DEFAULT_SHARD_BLOCKS, ScanPipeline
+from repro.experiments.config import StudyConfig
+from repro.net.intervals import CompressedPopulation
+from repro.net.population import generate_internet
 from repro.net.transport import InMemoryTransport
 from tests.core.test_determinism_matrix import artifacts, sweep
 from tests.core.test_parallel import (
@@ -121,3 +127,31 @@ def test_the_journal_form_folds_to_the_same_bytes(scenario, monkeypatch):
     report, pipeline = sweep(scenario, 2, "thread")
     assert everything(report, pipeline) == everything(live_report, live_pipeline)
     assert detections(report) == detections(live_report)
+
+
+#: bytes a full shard's pickled result may take on the tiny study world.
+#: The report's value types pickle as their constructor calls: 60-65 KB a
+#: shard; as dataclass state (a dict of field names per object) they took
+#: 78-84 KB.
+FULL_SHARD_CEILING = 70_000
+
+
+def test_a_full_shard_result_pickles_under_the_ceiling():
+    """Every shard of ``DEFAULT_SHARD_BLOCKS`` /24s, fingerprinted, as the
+    process executor sends it.  Pickled size depends on the seeded world
+    and the pickle protocol only, not on the machine."""
+    world = generate_internet(StudyConfig.tiny().with_seed(7).population)[0]
+    frame = CompressedPopulation.build(world, 1, seed=7).frame
+    runner = ShardRunner(
+        transport=InMemoryTransport(world), ports=tuple(scanned_ports()),
+        batch_size=4096, fingerprint=True, use_prefilter=True,
+        knowledge_base=build_default_knowledge_base(), retry_policy=None,
+        profile=False,
+    )
+    full = [
+        shard for shard in plan_shards(frame, seed=3)
+        if len(shard.addresses.block_bases()) == DEFAULT_SHARD_BLOCKS
+    ]
+    assert len(full) >= 20
+    sizes = [len(pickle.dumps(runner.execute(shard))) for shard in full]
+    assert max(sizes) <= FULL_SHARD_CEILING, sizes

@@ -239,7 +239,7 @@ class TestRobustness:
             "repro.core.parallel.ShardRunner.execute",
             "repro.core.parallel.ShardRunner",
         ) in entries
-        assert ("repro.core.parallel._process_shard", None) in entries
+        assert ("repro.core.parallel._claim_shards", None) in entries
         # supervision is a field of the one runner: no second entry point
         assert len(entries) == 2
         boundary = set(graph.boundary_classes())

@@ -25,7 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: generators, and the observation-log subset only a test called; the
 #: lint rules and passes that checked a property something else checks;
 #: the plugin base class, its auditor and its rules; the re-scan
-#: pipeline's stage-III token and its noting stats class
+#: pipeline's stage-III token and its noting stats class; the process
+#: pool's per-shard function, its initializer and its per-worker runner
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -43,6 +44,7 @@ RETIRED = (
     "MavDetectionPlugin", "PluginContractAuditor", "repro.lint.plugins",
     "PLUGIN_BASE", "PLG001", "PLG002", "PLG003", "PLG004", "PLG005",
     "PLG006", "PLG007", "replay_findings", "_NotedStats",
+    "_process_shard", "_init_worker", "_WORKER_RUNNER",
 )
 
 #: history (what was done, what was asked) may name what is gone; the

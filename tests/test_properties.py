@@ -3,6 +3,7 @@
 import pickle
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -505,6 +506,54 @@ def test_interval_set_pickles_as_its_runs(runs):
         twin = _clone(shard)
         assert (twin.index, twin.seed) == (shard.index, shard.seed)
         assert twin.addresses == shard.addresses
+
+
+def _report_values():
+    """The five value types a shard's report is made of."""
+    from repro.core.fingerprint.fingerprinter import Fingerprint, FingerprintMethod
+    from repro.core.pipeline import AppObservation, HostFinding
+    from repro.core.tsunami.plugin import DetectionReport
+    from repro.net.http import Scheme
+
+    ip = st.integers(min_value=0, max_value=2**32 - 1).map(IPv4Address)
+    text = st.text(max_size=12)
+    port = st.integers(min_value=0, max_value=65535)
+    scheme = st.sampled_from(Scheme)
+    fingerprint = st.builds(
+        Fingerprint, text, text, st.sampled_from(FingerprintMethod)
+    )
+    detection = st.builds(DetectionReport, ip, port, scheme, text, text, text)
+    observation = st.builds(
+        AppObservation, ip, text, port, scheme, st.booleans(),
+        st.none() | detection, st.none() | fingerprint,
+    )
+    finding = st.builds(
+        HostFinding, ip, st.dictionaries(text, observation, max_size=3)
+    )
+    return st.one_of(ip, fingerprint, detection, observation, finding)
+
+
+@given(_report_values())
+def test_report_values_pickle_as_their_constructor_call(value):
+    """What a process worker sends back is built of these: each pickles as
+    a call of its class on its fields, and comes back equal, hashing
+    equal where it hashes, and frozen where it was frozen."""
+    from dataclasses import FrozenInstanceError, fields
+
+    cls, args = value.__reduce__()
+    assert cls is type(value)
+    assert args == tuple(getattr(value, f.name) for f in fields(value))
+    clone = _clone(value)
+    assert type(clone) is type(value)
+    assert clone == value
+    if cls.__hash__ is not None:
+        assert hash(clone) == hash(value)
+    name = fields(value)[0].name
+    if cls.__dataclass_params__.frozen:
+        with pytest.raises(FrozenInstanceError):
+            setattr(clone, name, getattr(value, name))
+    else:
+        setattr(clone, name, getattr(value, name))
 
 
 @given(_interval_set, st.integers(min_value=0, max_value=3000))
