@@ -13,16 +13,25 @@ follows what the sweep added since the last one, never how far it has
 got.
 
 *Record layout.*  The file opens with one header line naming the format
-and its version, then holds one line per save::
+and its version, then holds one framed record per save::
 
-    repro-checkpoint-journal v3\\n
-    <crc32 of the body, 8 hex digits> <body: one JSON object>\\n
+    repro-checkpoint-journal v4\\n
+    <body length> <crc32 of the body> <crc32 of the 17 bytes before it>\\n
+    <body: pickle protocol 5 of one dict of plain values>
     ...
 
-Version 3 differs from 2 in one section: a finished span is written as
-the row the tracer holds (an 8-element list, see :mod:`repro.obs.trace`)
-where version 2 wrote a 6-key dict.  Nothing reads one as the other: a
-file whose header names another version is refused with
+The three frame fields are 8 hex digits each.  A body holds dicts,
+lists, tuples, strings, numbers, booleans and None only, and is read
+back by an unpickler whose ``find_class`` refuses every global: a
+journal can name no class or callable to import, so loading one runs
+no code but the unpickler's own.  A body whose checksum holds but which
+does not decode to a dict of such values was written on purpose, not
+torn, and raises :class:`~repro.util.errors.CheckpointCorrupt`.
+
+Version 4 replaced version 3's ``<crc32> <JSON>`` lines with this
+framing, and writes each per-host section as flat tuples (see
+:func:`~repro.core.serialize.report_rows`).  Nothing reads one version
+as another: a file whose header names another version is refused with
 :class:`~repro.util.errors.ConfigError` and left untouched.
 
 *Fold rule.*  :meth:`Checkpointer.load` folds the records, oldest
@@ -38,16 +47,18 @@ is grafted into the folded payload at its path, so drivers restore from
 the same shape a whole-state snapshot would have had.
 
 *Torn-tail rule.*  A save is one ``write`` at the end of the file, so a
-crash mid-save can only leave a partial *last* line.  A last record that
-is incomplete or fails its checksum is dropped on load and the file is
-cut back to the end of the last whole record before anything is
+crash mid-save can only leave a partial *last* record.  A last record
+that is incomplete or fails a checksum is dropped on load and the file
+is cut back to the end of the last whole record before anything is
 appended: a crash *during* a checkpoint leaves the previous one intact.
-A bad record with whole records after it cannot be a torn append; it
-raises :class:`~repro.util.errors.CheckpointCorrupt`.
+A bad record with bytes after it cannot be a torn append; it raises
+:class:`~repro.util.errors.CheckpointCorrupt`.  The frame line has a
+checksum of its own, so a damaged length is refused as such instead of
+reading as a record that runs past the end of the file.
 
 Sharded sweeps checkpoint at shard boundaries instead, storing each
-completed shard's :meth:`~repro.core.parallel.ShardResult.to_dict`, the
-only place a shard's result becomes JSON (workers hand over objects).
+completed shard's :meth:`~repro.core.parallel.ShardResult.to_rows`, the
+only place a shard's result is encoded (workers hand over objects).
 Because the stored form never depends on *how* the shard ran,
 checkpoints are executor-neutral: a sweep killed under the thread
 executor resumes under the process executor (or vice versa) and still
@@ -58,36 +69,58 @@ the same reason; stage switches and the retry policy are in it.
 
 from __future__ import annotations
 
-import json
+import io
 import os
+import pickle
 import zlib
 from pathlib import Path
 
 from repro.util.errors import CheckpointCorrupt, ConfigError
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _HEADER = b"repro-checkpoint-journal v%d\n" % FORMAT_VERSION
 
 #: record key holding the append-only sections (see the fold rule above)
 GROWTH = "growth"
 
+#: bytes in a record's frame line: three 8-hex-digit fields and a newline
+_FRAME = 27
+
 
 def _encode_record(payload: dict) -> bytes:
-    body = json.dumps(payload).encode()
-    return b"%08x %b\n" % (zlib.crc32(body), body)
+    body = pickle.dumps(payload, protocol=5)
+    head = b"%08x %08x" % (len(body), zlib.crc32(body))
+    return b"%b %08x\n%b" % (head, zlib.crc32(head), body)
 
 
-def _decode_record(line: bytes) -> dict | None:
-    """The record on one journal line, or None when it is not whole."""
-    checksum, _, body = line.partition(b" ")
+def _frame(line: bytes) -> tuple[int, int] | None:
+    """A whole, undamaged frame line's body length and body checksum."""
     try:
-        if len(checksum) != 8 or int(checksum, 16) != zlib.crc32(body):
-            return None
-        record = json.loads(body)
+        length, checksum, check = (int(field, 16) for field in line.split(b" "))
     except ValueError:
         return None
-    return record if isinstance(record, dict) else None
+    if line != b"%08x %08x %08x\n" % (length, checksum, check):
+        return None
+    return (length, checksum) if zlib.crc32(line[:17]) == check else None
+
+
+class _PlainValues(pickle.Unpickler):
+    """Reads a record body: a global of any name is refused, never imported."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(f"the record names a global: {module}.{name}")
+
+
+def _decode_body(body: bytes, where: str) -> dict:
+    try:
+        record = _PlainValues(io.BytesIO(body)).load()
+    except Exception as error:  # any failure to decode is damage
+        raise CheckpointCorrupt(f"{where} does not decode: {error!r}") from error
+    if not isinstance(record, dict):
+        kind = type(record).__name__
+        raise CheckpointCorrupt(f"{where} decodes to {kind}, not to a dict")
+    return record
 
 
 def _read_journal(data: bytes) -> tuple[list[dict], int]:
@@ -103,17 +136,19 @@ def _read_journal(data: bytes) -> tuple[list[dict], int]:
     records: list[dict] = []
     pos = len(_HEADER)
     while pos < len(data):
-        newline = data.find(b"\n", pos)
-        record = None if newline < 0 else _decode_record(data[pos:newline])
-        if record is None:
-            if 0 <= newline < len(data) - 1:
+        where = f"checkpoint record {len(records) + 1} (byte {pos})"
+        frame = _frame(data[pos:pos + _FRAME])
+        # A frame line that is not whole and intact ends where it would.
+        end = pos + _FRAME + (frame[0] if frame is not None else 0)
+        body = data[pos + _FRAME:end]
+        if frame is None or len(body) != frame[0] or zlib.crc32(body) != frame[1]:
+            if end < len(data):
                 raise CheckpointCorrupt(
-                    f"checkpoint record {len(records) + 1} (byte {pos}) is "
-                    "damaged and is not the journal's tail"
+                    f"{where} is damaged and is not the journal's tail"
                 )
             break  # a torn last append: resume from the record before it
-        records.append(record)
-        pos = newline + 1
+        records.append(_decode_body(body, where))
+        pos = end
     return records, pos
 
 
@@ -179,7 +214,14 @@ class Checkpointer:
     def load(self) -> dict | None:
         """The folded payload, or None when no checkpoint exists yet."""
         records = self._recover()
-        return _fold(records) if records else None
+        if not records:
+            return None
+        try:
+            return _fold(records)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise CheckpointCorrupt(
+                f"checkpoint {self.path} does not fold: {error!r}"
+            ) from error
 
     def clear(self) -> None:
         """Remove the checkpoint (a completed sweep needs no resume)."""

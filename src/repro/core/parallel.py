@@ -28,7 +28,7 @@ Because every shard computation is independent and the fold order is
 canonical, a run with ``workers=4`` emits a report and telemetry JSONL
 byte-identical to ``workers=1`` — the acceptance property the parallel
 equivalence tests pin.  Checkpoint/resume works at shard boundaries: the
-checkpoint stores completed shards' :meth:`ShardResult.to_dict`, and a
+checkpoint stores completed shards' :meth:`ShardResult.to_rows`, and a
 resumed run re-executes only the missing shards.
 
 Two executors run the same shards.  ``executor="thread"`` shares the
@@ -62,7 +62,7 @@ from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
 from repro.core.pipeline import DEFAULT_SHARD_BLOCKS, ScanReport
 from repro.core.retry import RetryPolicy
-from repro.core.serialize import report_from_dict, report_to_dict
+from repro.core.serialize import report_from_rows, report_rows, report_to_dict
 from repro.core.supervisor import (
     SupervisorConfig,
     close_supervised_books,
@@ -155,9 +155,9 @@ class ShardResult:
     """What one shard hands back to the fold: its live report, which a
     process worker pickles as it is, and small JSON-safe blocks.
 
-    :meth:`to_dict` is the journal form a sharded checkpoint stores, and
-    :meth:`from_dict` reads it back once per resumed shard, so the fold
-    has one input type.
+    :meth:`to_rows` is the journal form a sharded checkpoint stores, and
+    :meth:`from_rows` reads it back once per resumed shard, so the fold
+    has one input type.  :meth:`to_dict` is the JSON-safe form.
     """
 
     report: ScanReport
@@ -171,13 +171,19 @@ class ShardResult:
     supervisor: dict | None = None
 
     def to_dict(self) -> dict:
+        return self._encoded(report_to_dict)
+
+    def to_rows(self) -> dict:
+        return self._encoded(report_rows)
+
+    def _encoded(self, encode_report) -> dict:
         payload = {k: v for k, v in vars(self).items() if v is not None}
-        payload["report"] = report_to_dict(self.report)
+        payload["report"] = encode_report(self.report)
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ShardResult":
-        return cls(**{**payload, "report": report_from_dict(payload["report"])})
+    def from_rows(cls, payload: dict) -> "ShardResult":
+        return cls(**{**payload, "report": report_from_rows(payload["report"])})
 
 
 @dataclass
@@ -194,7 +200,7 @@ class ShardRunner:
 
     Workers call :meth:`execute`, whose :class:`ShardResult` is the only
     thing that crosses back out of a worker; :meth:`run` gives the same
-    result in its JSON-safe journal form.
+    result in its JSON-safe form.
     """
 
     transport: object
@@ -217,7 +223,7 @@ class ShardRunner:
             self.retry_policy = RetryPolicy()
 
     def run(self, shard: Shard) -> dict:
-        """:meth:`execute`, in the form a checkpoint stores."""
+        """:meth:`execute`, as :meth:`ShardResult.to_dict` gives it."""
         return self.execute(shard).to_dict()
 
     def execute(self, shard: Shard) -> ShardResult:
@@ -373,7 +379,7 @@ class ParallelScanEngine:
             if payload is not None:
                 check_config_matches(payload, **self._expected_config(shards))
                 completed = {
-                    int(index): ShardResult.from_dict(result)
+                    index: ShardResult.from_rows(result)
                     for index, result in payload["shards"].items()
                 }
         # Note: the event mentions neither the worker count nor how many
@@ -465,7 +471,7 @@ class ParallelScanEngine:
                     checkpoint.save({
                         **self._expected_config(shards),
                         GROWTH: {"shards": {
-                            str(index): completed[index].to_dict()
+                            index: completed[index].to_rows()
                             for index in sorted(unsaved)
                         }},
                     })

@@ -711,11 +711,11 @@ class ScanPipeline:
         """One journal record: the small cumulative state whole, plus
         what each append-only section gained since the last save.  The
         marks move up to match, so call it once per save."""
-        from repro.core.serialize import report_to_dict
+        from repro.core.serialize import report_rows
 
         marks = self._journal
         stats = self._prefilter.stats
-        report_state = report_to_dict(report, marks.open_ports, marks.findings)
+        report_state = report_rows(report, marks.open_ports, marks.findings)
         telemetry_state = self.telemetry.snapshot_state(marks.events, marks.spans)
         growth = {
             "report.open_ports": report_state.pop("open_ports"),
@@ -753,20 +753,16 @@ class ScanPipeline:
 
     def _restore_checkpoint(self, payload: dict) -> tuple[int, int, ScanReport]:
         """Rebuild pipeline state from a checkpoint payload."""
-        from repro.core.serialize import report_from_dict
+        from repro.core.serialize import report_from_rows
 
         check_config_matches(payload, **self._resume_config())
         # ``completed_addresses`` counts along the seed's block order; a
         # pipeline that has swept before has shuffled its RNG past it.
         self._masscan.rng = random.Random(self.seed)
-        report = report_from_dict(payload["report"])
+        report = report_from_rows(payload["report"])
         stats = self._prefilter.stats
-        stats.http_responses = {
-            int(k): v for k, v in payload["prefilter"]["http_responses"].items()
-        }
-        stats.https_responses = {
-            int(k): v for k, v in payload["prefilter"]["https_responses"].items()
-        }
+        stats.http_responses = payload["prefilter"]["http_responses"]
+        stats.https_responses = payload["prefilter"]["https_responses"]
         stats.responsive_hosts = set(payload["prefilter"]["responsive_hosts"])
         if self.clock is not None and payload["clock_now"] is not None:
             if payload["clock_now"] > self.clock.now:

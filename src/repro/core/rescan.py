@@ -45,8 +45,9 @@ How the replay stays exact:
   :meth:`CoverageReport.reconcile` holds for incremental passes too.
 
 Checkpoint/resume is the sequential sweep's journal: each save also
-appends the ledger records made since the last one (``growth``), so an
-interrupted pass resumes bit-identically.
+appends the ledger records made since the last one (``growth``), each as
+an ``(ip value, responses, finding)`` row, so an interrupted pass
+resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -206,19 +207,16 @@ class _ReplayingPipeline(ScanPipeline):
 
     def _checkpoint_payload(self, *args) -> dict:
         payload = super()._checkpoint_payload(*args)
-        payload[GROWTH]["records"] = {
-            str(value): record.to_dict()
-            for value, record in islice(self.records.items(), self._saved, None)
-        }
+        payload[GROWTH]["records"] = [
+            (record.value, record.responses, record.finding)
+            for record in islice(self.records.values(), self._saved, None)
+        ]
         self._saved = len(self.records)
         return payload
 
     def _restore_checkpoint(self, payload: dict) -> tuple[int, int, ScanReport]:
         resumed = super()._restore_checkpoint(payload)
-        self.records = {
-            int(value): HostRecord.from_dict(raw)
-            for value, raw in payload["records"].items()
-        }
+        self.records = {row[0]: HostRecord(*row) for row in payload["records"]}
         self._saved = len(self.records)
         return resumed
 

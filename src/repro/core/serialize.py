@@ -5,6 +5,10 @@ runs once (22 hours, 64 machines) and the analysis iterates offline.
 This module serialises a :class:`~repro.core.pipeline.ScanReport` to a
 stable JSON document — findings, detections, fingerprints, port counts —
 so analyses can re-run without re-scanning.
+
+A checkpoint journal holds the same report as rows of plain values
+(:func:`report_rows`): a finding is a flat tuple per observation, and a
+report file's JSON entry is a rendering of that row.
 """
 
 from __future__ import annotations
@@ -24,93 +28,107 @@ from repro.net.ipv4 import IPv4Address, dotted_quad
 FORMAT_VERSION = 1
 
 
-def finding_to_dict(finding: HostFinding) -> dict:
-    """One host's stage-II/III results as a JSON-safe entry."""
-    observations = []
-    for observation in finding.observations.values():
-        entry: dict = {
-            "slug": observation.slug,
-            "port": observation.port,
-            "scheme": observation.scheme.value,
-            "vulnerable": observation.vulnerable,
-        }
-        if observation.fingerprint is not None:
-            entry["fingerprint"] = {
-                "slug": observation.fingerprint.slug,
-                "version": observation.fingerprint.version,
-                "method": observation.fingerprint.method.value,
-            }
-        if observation.detection is not None:
-            entry["detection"] = {
-                "title": observation.detection.title,
-                "details": observation.detection.details,
-            }
-        observations.append(entry)
-    return {"ip": str(finding.ip), "observations": observations}
+def finding_row(finding: HostFinding) -> tuple:
+    """``(ip value, observations)``, an observation being ``(slug, port,
+    scheme, vulnerable, fingerprint slug, version, method, detection
+    title, details)`` with None for what it does not have."""
+    rows = []
+    for o in finding.observations.values():
+        fp, detection = o.fingerprint, o.detection
+        # ``_value_`` is the member's value without the ``value``
+        # property's two Python calls.
+        rows.append((
+            o.slug, o.port, o.scheme._value_, o.vulnerable,
+            fp and fp.slug, fp and fp.version, fp and fp.method._value_,
+            detection and detection.title, detection and detection.details,
+        ))
+    return finding.ip.value, tuple(rows)
 
 
-def finding_from_dict(entry: dict) -> HostFinding:
-    """Rebuild one host's finding from :func:`finding_to_dict` output."""
-    ip = IPv4Address.parse(entry["ip"])
+def finding_from_row(row: tuple) -> HostFinding:
+    """Rebuild one host's finding from :func:`finding_row` output."""
+    value, rows = row
+    ip = IPv4Address(value)
     finding = HostFinding(ip)
-    for raw in entry["observations"]:
-        observation = AppObservation(
-            ip=ip,
-            slug=raw["slug"],
-            port=raw["port"],
-            scheme=Scheme(raw["scheme"]),
-            vulnerable=raw["vulnerable"],
+    for slug, port, scheme, vuln, fp_slug, version, method, title, details in rows:
+        scheme = Scheme(scheme)
+        finding.observations[slug] = AppObservation(
+            ip, slug, port, scheme, vuln,
+            detection=(
+                None if title is None
+                else DetectionReport(ip, port, scheme, slug, title, details)
+            ),
+            fingerprint=(
+                None if method is None
+                else Fingerprint(fp_slug, version, FingerprintMethod(method))
+            ),
         )
-        fingerprint = raw.get("fingerprint")
-        if fingerprint:
-            observation.fingerprint = Fingerprint(
-                slug=fingerprint["slug"],
-                version=fingerprint["version"],
-                method=FingerprintMethod(fingerprint["method"]),
-            )
-        detection = raw.get("detection")
-        if detection:
-            observation.detection = DetectionReport(
-                ip=ip,
-                port=raw["port"],
-                scheme=Scheme(raw["scheme"]),
-                slug=raw["slug"],
-                title=detection["title"],
-                details=detection["details"],
-            )
-        finding.observations[raw["slug"]] = observation
     return finding
 
 
-def report_to_dict(
+def _as_entry(row: tuple) -> dict:
+    """A :func:`finding_row` as the report file's JSON entry."""
+    value, rows = row
+    observations = []
+    for slug, port, scheme, vuln, fp_slug, version, method, title, details in rows:
+        entry = {"slug": slug, "port": port, "scheme": scheme, "vulnerable": vuln}
+        if method is not None:
+            entry["fingerprint"] = {
+                "slug": fp_slug, "version": version, "method": method,
+            }
+        if title is not None:
+            entry["detection"] = {"title": title, "details": details}
+        observations.append(entry)
+    return {"ip": dotted_quad(value), "observations": observations}
+
+
+def _as_row(entry: dict) -> tuple:
+    """A report file's JSON entry as a :func:`finding_row`."""
+    rows = []
+    for raw in entry["observations"]:
+        fp, detection = raw.get("fingerprint") or {}, raw.get("detection") or {}
+        rows.append((
+            raw["slug"], raw["port"], raw["scheme"], raw["vulnerable"],
+            fp.get("slug"), fp.get("version"), fp.get("method"),
+            detection.get("title"), detection.get("details"),
+        ))
+    return IPv4Address.parse(entry["ip"]).value, rows
+
+
+def report_rows(
     report: ScanReport, open_ports_since: int = 0, findings_since: int = 0
 ) -> dict:
-    """A JSON-safe dictionary capturing the whole report.
-
-    The two per-host sections only ever gain entries during a sweep
-    (batches partition the address space), so a checkpoint journal record
-    passes how many of each it already holds and gets just the newer
-    ones; every other key is a cumulative total either way.
-    """
-    findings = [
-        finding_to_dict(finding)
-        for finding in islice(report.findings.values(), findings_since, None)
-    ]
+    """The report as plain values, its per-host sections as rows:
+    ``(ip value, ports)`` pairs and :func:`finding_row` tuples.  Those
+    sections only gain entries during a sweep, so a journal record passes
+    how many of each it already holds and gets just the newer ones."""
     return {
-        "format_version": FORMAT_VERSION,
-        "open_ports": {
-            dotted_quad(value): list(ports)
-            for value, ports in islice(
-                report.port_scan.open_ports.items(), open_ports_since, None
-            )
-        },
+        "open_ports": list(
+            islice(report.port_scan.open_ports.items(), open_ports_since, None)
+        ),
         "probes_sent": report.port_scan.probes_sent,
         "addresses_scanned": report.port_scan.addresses_scanned,
         "http_responses": dict(report.http_responses),
         "https_responses": dict(report.https_responses),
         "retry_stats": report.retry_stats.to_dict(),
         "coverage": report.coverage.to_dict(),
-        "findings": findings,
+        "findings": [
+            finding_row(finding)
+            for finding in islice(report.findings.values(), findings_since, None)
+        ],
+    }
+
+
+def report_to_dict(report: ScanReport) -> dict:
+    """A JSON-safe dictionary capturing the whole report."""
+    state = report_rows(report)
+    return {
+        "format_version": FORMAT_VERSION,
+        **state,
+        "open_ports": {
+            dotted_quad(value): list(ports) for value, ports in state["open_ports"]
+        },
+        "findings": [_as_entry(row) for row in state["findings"]],
     }
 
 
@@ -119,21 +137,31 @@ def report_from_dict(payload: dict) -> ScanReport:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported report format version: {version!r}")
+    return report_from_rows({
+        **payload,
+        "open_ports": [
+            (IPv4Address.parse(text).value, tuple(sorted(ports)))
+            for text, ports in payload["open_ports"].items() if ports
+        ],
+        "findings": [_as_row(entry) for entry in payload["findings"]],
+    })
+
+
+def report_from_rows(state: dict) -> ScanReport:
+    """Rebuild a report from :func:`report_rows` output."""
     report = ScanReport()
-    for text, ports in payload["open_ports"].items():
-        report.port_scan.record(IPv4Address.parse(text), ports)
-    report.port_scan.probes_sent = payload["probes_sent"]
-    report.port_scan.addresses_scanned = payload["addresses_scanned"]
-    report.http_responses = {int(k): v for k, v in payload["http_responses"].items()}
-    report.https_responses = {int(k): v for k, v in payload["https_responses"].items()}
+    report.port_scan.open_ports.update(state["open_ports"])
+    report.port_scan.probes_sent = state["probes_sent"]
+    report.port_scan.addresses_scanned = state["addresses_scanned"]
+    report.http_responses = {int(k): v for k, v in state["http_responses"].items()}
+    report.https_responses = {int(k): v for k, v in state["https_responses"].items()}
     # Reports written before the resilience layer carry no retry block,
     # and ones from before the supervised runtime no coverage block.  A
     # ``telemetry`` block, which reports used to carry, is ignored.
-    report.retry_stats = RetryStats.from_dict(payload.get("retry_stats", {}))
-    report.coverage = CoverageReport.from_dict(payload.get("coverage", {}))
-
-    for entry in payload["findings"]:
-        finding = finding_from_dict(entry)
+    report.retry_stats = RetryStats.from_dict(state.get("retry_stats", {}))
+    report.coverage = CoverageReport.from_dict(state.get("coverage", {}))
+    for row in state["findings"]:
+        finding = finding_from_row(row)
         report.findings[finding.ip.value] = finding
         report.detections.extend(
             o.detection for o in finding.observations.values()

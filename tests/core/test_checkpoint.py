@@ -1,6 +1,11 @@
 """Tests for checkpoint/resume: a killed sweep continues losslessly."""
 
+import pickle
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import AppInstance
 from repro.apps.catalog import create_instance, scanned_ports
@@ -16,6 +21,24 @@ from repro.net.transport import InMemoryTransport, Transport
 from repro.util.clock import SimClock
 from repro.util.errors import CheckpointCorrupt, ConfigError
 from tests.core.test_rescan import _Crashing, _Relay
+
+HEADER = b"repro-checkpoint-journal v4\n"
+
+
+def framed(body: bytes) -> bytes:
+    """One version-4 record around ``body``: its frame line (length, body
+    CRC-32, the CRC-32 of those 17 bytes), then the body."""
+    head = b"%08x %08x" % (len(body), zlib.crc32(body))
+    return head + b" %08x\n" % zlib.crc32(head) + body
+
+
+def record_starts(data: bytes) -> list[int]:
+    """Where each record starts, read off the frame lines; the last entry
+    is the file's end."""
+    starts = [len(HEADER)]
+    while starts[-1] < len(data):
+        starts.append(starts[-1] + 27 + int(data[starts[-1]:starts[-1] + 8], 16))
+    return starts
 
 
 class TestCheckpointer:
@@ -97,9 +120,25 @@ class TestCheckpointer:
         path = tmp_path / "scan.ckpt"
         Checkpointer(path).save({"n": 1})
         with open(path, "ab") as journal:
-            journal.write(b"0badc0de {\"n\": ")
+            journal.write(framed(pickle.dumps({"n": 9}, protocol=5))[:-4])
         Checkpointer(path).save({"n": 2})
         assert Checkpointer(path).load() == {"n": 2}
+
+    def test_the_record_layout(self, tmp_path):
+        """The header line, then per save a frame line and the body: a
+        protocol-5 pickle of the payload, tuples kept as tuples."""
+        path = tmp_path / "scan.ckpt"
+        first = {"n": 1, GROWTH: {"rows": [(1, (80, 443))]}}
+        second = {"n": 2, GROWTH: {"rows": [(2, (22,))]}}
+        ckpt = Checkpointer(path)
+        ckpt.save(first)
+        ckpt.save(second)
+        assert path.read_bytes() == HEADER + b"".join(
+            framed(pickle.dumps(payload, protocol=5)) for payload in (first, second)
+        )
+        assert Checkpointer(path).load() == {
+            "n": 2, "rows": [(1, (80, 443)), (2, (22,))],
+        }
 
     def test_first_save_torn_inside_the_header(self, tmp_path):
         path = tmp_path / "scan.ckpt"
@@ -116,8 +155,27 @@ class TestCheckpointer:
         for n in range(3):
             ckpt.save({"n": n})
         data = bytearray(path.read_bytes())
-        second = data.index(b"\n", data.index(b"\n") + 1) + 1
-        data[second + 12] ^= 0x01
+        second = record_starts(bytes(data))[1]
+        data[second + 27 + 12] ^= 0x01  # inside the second record's body
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorrupt):
+            Checkpointer(path).load()
+        with pytest.raises(CheckpointCorrupt):
+            Checkpointer(path).save({"n": 9})
+        assert path.read_bytes() == bytes(data)  # evidence left untouched
+
+    @pytest.mark.parametrize("offset", [0, 7, 8, 12, 26, -1])
+    def test_damage_anywhere_in_a_middle_record_is_refused(self, tmp_path, offset):
+        """In the frame line (length, separator, checksums, newline) or
+        at the body's last byte, damage with a record after it is
+        refused."""
+        path = tmp_path / "scan.ckpt"
+        ckpt = Checkpointer(path)
+        for n in range(3):
+            ckpt.save({"n": n, GROWTH: {"seen": list(range(10))}})
+        data = bytearray(path.read_bytes())
+        second, third = record_starts(bytes(data))[1:3]
+        data[(third if offset < 0 else second) + offset] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointCorrupt):
             Checkpointer(path).load()
@@ -136,6 +194,7 @@ class TestCheckpointer:
         b'{"format_version": 1, "seed": 3}',  # the old whole-state snapshot
         b"repro-checkpoint-journal v1\n",
         b'repro-checkpoint-journal v2\n0af73c42 {"n": 1}\n',
+        b'repro-checkpoint-journal v3\n0af73c42 {"n": 1}\n',
         b"repro-checkpoint-journal v999\n00000000 {}\n",
     ])
     def test_old_or_unknown_format_refused(self, tmp_path, content):
@@ -160,6 +219,100 @@ class TestCheckpointer:
             check_config_matches(payload, seed=4)
         with pytest.raises(ConfigError):
             check_config_matches(payload, ports=[80])
+
+
+class Canary:
+    """Constructing one sets ``built``: a journal record that names this
+    class would build one on load if the reader imported globals."""
+
+    built = False
+
+    def __init__(self):
+        Canary.built = True
+
+    def __reduce__(self):
+        return Canary, ()
+
+
+def canary_body(protocol: int) -> bytes:
+    """A record body that names :class:`Canary` (GLOBAL below protocol 4,
+    STACK_GLOBAL from it), with the flag left unset."""
+    body = pickle.dumps({"n": 2, "canary": Canary()}, protocol=protocol)
+    Canary.built = False
+    return body
+
+
+#: keys the sweep engines use, so generated records reach the fold's grafting
+#: and the resume's config check, not only the decoder
+KEYS = st.sampled_from(["growth", "report", "report.findings", "engine", "seed", "n"])
+PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6) | KEYS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(KEYS | st.integers(), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestTheReaderImportsNothing:
+    """A body under a correct checksum was written on purpose, not torn:
+    whatever it holds, loading it imports and runs nothing, and a body
+    that is not plain values is refused as damage wherever it sits."""
+
+    @pytest.mark.parametrize("protocol", [0, 2, 5])
+    @pytest.mark.parametrize("last", [True, False], ids=["tail", "middle"])
+    def test_a_record_naming_a_global_is_corrupt(self, tmp_path, protocol, last):
+        records = [pickle.dumps({"n": 1}, protocol=5), canary_body(protocol)]
+        if not last:
+            records.append(pickle.dumps({"n": 3}, protocol=5))
+        data = HEADER + b"".join(map(framed, records))
+        path = tmp_path / "scan.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointCorrupt, match="global"):
+            Checkpointer(path).load()
+        with pytest.raises(CheckpointCorrupt):
+            Checkpointer(path).save({"n": 9})
+        assert not Canary.built
+        assert path.read_bytes() == data
+
+    def test_a_resume_from_it_probes_nothing(self, tmp_path):
+        internet, ips = build_world()
+        transport = InMemoryTransport(internet)
+        data = HEADER + framed(canary_body(5))
+        path = tmp_path / "scan.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointCorrupt):
+            ScanPipeline(
+                transport, scanned_ports(), seed=3, batch_size=3, fingerprint=False
+            ).run(ips, checkpoint=Checkpointer(path))
+        assert not Canary.built
+        assert transport.stats.syn_probes == 0
+        assert path.read_bytes() == data
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        body=st.binary(max_size=120) | PLAIN.map(lambda v: pickle.dumps(v, protocol=5)),
+        last=st.booleans(),
+    )
+    def test_any_body_is_refused_as_damage_or_config(
+        self, tmp_path_factory, body, last
+    ):
+        data = HEADER + framed(pickle.dumps({"n": 1}, protocol=5)) + framed(body)
+        if not last:
+            data += framed(pickle.dumps({"n": 3}, protocol=5))
+        path = tmp_path_factory.mktemp("journal") / "scan.ckpt"
+        path.write_bytes(data)
+        internet, ips = build_world()
+        transport = InMemoryTransport(internet)
+        with pytest.raises((CheckpointCorrupt, ConfigError)):
+            ScanPipeline(
+                transport, scanned_ports(), seed=3, batch_size=3, fingerprint=False
+            ).run(ips, checkpoint=Checkpointer(path))
+        assert transport.stats.syn_probes == 0
+        assert path.read_bytes() == data
 
 
 class SimulatedCrash(BaseException):

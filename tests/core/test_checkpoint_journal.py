@@ -4,8 +4,8 @@
 module drives real sweeps:
 
 * a save costs what the sweep added since the last one — pinned by exact
-  serialiser call, span-object and journal-row counts and file sizes,
-  never by time;
+  finding-row, span-object and journal-row counts and file sizes, never
+  by time;
 * a journal cut anywhere inside its last record resumes from the record
   before it, and a damaged middle record is refused;
 * a sweep killed after *any* save resumes to the uninterrupted report
@@ -16,12 +16,14 @@ module drives real sweeps:
 """
 
 import json
+import pickle
+import zlib
 
 import pytest
 
 from repro.apps.catalog import scanned_ports
 from repro.core import serialize
-from repro.core.checkpoint import Checkpointer
+from repro.core.checkpoint import Checkpointer, _read_journal
 from repro.core.parallel import plan_shards
 from repro.core.pipeline import ScanPipeline
 from repro.core.rescan import RescanEngine
@@ -38,14 +40,24 @@ SAVES = 8
 
 def read_journal(path) -> list[dict]:
     """The journal's records as written, unfolded."""
-    lines = path.read_bytes().splitlines()[1:]
-    return [json.loads(line.split(b" ", 1)[1]) for line in lines]
+    records, end = _read_journal(path.read_bytes())
+    assert end == path.stat().st_size
+    return records
+
+
+def record_starts(data: bytes) -> list[int]:
+    """Where each record's frame line starts, and the file's end: a frame
+    line is 27 bytes and opens with the body's length in hex."""
+    starts = [data.index(b"\n") + 1]
+    while starts[-1] < len(data):
+        starts.append(starts[-1] + 27 + int(data[starts[-1]:starts[-1] + 8], 16))
+    return starts
 
 
 def snapshot_bytes(path) -> int:
     """Size of the one whole-state snapshot the journal folds back into —
     what the last save alone used to write."""
-    return len(json.dumps(Checkpointer(path).load()))
+    return len(pickle.dumps(Checkpointer(path).load(), protocol=5))
 
 
 class KeptCheckpointer(Checkpointer):
@@ -87,13 +99,13 @@ class TestSavesCostTheirGrowth:
     ):
         transport, frame = census
         calls = {"finding": 0}
-        finding_to_dict = serialize.finding_to_dict
+        finding_row = serialize.finding_row
 
         def counted_finding(finding):
             calls["finding"] += 1
-            return finding_to_dict(finding)
+            return finding_row(finding)
 
-        monkeypatch.setattr(serialize, "finding_to_dict", counted_finding)
+        monkeypatch.setattr(serialize, "finding_row", counted_finding)
 
         telemetry = Telemetry()
         path = tmp_path / "sweep.ckpt"
@@ -145,7 +157,7 @@ class TestSavesCostTheirGrowth:
             for record in read_journal(path)
             for index in record["growth"]["shards"]
         ]
-        assert sorted(written, key=int) == [str(s.index) for s in shards]
+        assert sorted(written) == [s.index for s in shards]
         assert path.stat().st_size <= 1.25 * snapshot_bytes(path)
 
     def test_rescan_engine_writes_each_host_record_once(self, census, tmp_path):
@@ -159,9 +171,9 @@ class TestSavesCostTheirGrowth:
 
         assert checkpoint.saves == SAVES
         written = [
-            int(value)
+            row[0]
             for record in read_journal(path)
-            for value in record["growth"]["records"]
+            for row in record["growth"]["records"]
         ]
         assert len(written) == len(set(written))
         assert set(written) == set(state.records)
@@ -202,9 +214,7 @@ class TestTornAndDamagedJournals:
         path = tmp_path / "sweep.ckpt"
         killed_journal(path, "clean", None, "thread", SAVES)
         data = path.read_bytes()
-        starts = [data.index(b"\n") + 1]
-        while starts[-1] < len(data):
-            starts.append(data.index(b"\n", starts[-1]) + 1)
+        starts = record_starts(data)
         assert len(starts) == SAVES + 1  # the last "start" is the file's end
         return path, data, starts
 
@@ -245,13 +255,29 @@ class TestTornAndDamagedJournals:
     @pytest.mark.parametrize("offset", [0, 7, 8, 9, 400, -1])
     def test_flipped_byte_in_a_middle_record(self, journal, offset):
         """Damage with whole records after it is not a torn append: the
-        resume refuses it as what it is, in the checksum, the separator,
-        the body or the newline."""
+        resume refuses it as what it is, in the body's length, the
+        separator, the body's checksum, the body or its last byte."""
         path, data, starts = journal
         record, following = starts[3], starts[4]
         damaged = bytearray(data)
         damaged[(following if offset < 0 else record) + offset] ^= 0x01
         path.write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointCorrupt):
+            resume(path, "clean")
+        assert path.read_bytes() == bytes(damaged)
+
+    def test_flipped_length_byte_in_a_middle_record(self, journal):
+        """A length digit flipped so the record runs past the end of the
+        file reads, by its length alone, as a torn last append.  The frame
+        line's own checksum refuses it instead, and nothing is cut."""
+        path, data, starts = journal
+        record = starts[3]
+        damaged = bytearray(data)
+        damaged[record] ^= 0x01  # the length's top digit: 0 -> 1
+        assert record + 27 + int(damaged[record:record + 8], 16) > len(data)
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointCorrupt, match="not the journal's tail"):
+            Checkpointer(path).load()
         with pytest.raises(CheckpointCorrupt):
             resume(path, "clean")
         assert path.read_bytes() == bytes(damaged)
@@ -294,23 +320,39 @@ class TestKillAfterEverySave:
 
 class TestVersionTwoJournalsAreRefused:
     """Format 2 carried one dict per finished span where format 3 carries
-    a row; there is no reading one as the other, so the version in the
-    header line decides and nothing else is looked at."""
+    a row, and format 3 a ``<crc32> <JSON>`` line per save where format 4
+    frames a pickle of rows; there is no reading one as another, so the
+    version in the header line decides and nothing else is looked at."""
 
     @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "shard"])
     def test_refused_and_left_untouched(self, workers, tmp_path):
         path = tmp_path / "sweep.ckpt"
         killed_journal(path, "clean", workers, "thread", 1)
         header, newline, records = path.read_bytes().partition(b"\n")
-        assert header == b"repro-checkpoint-journal v3"
+        assert header == b"repro-checkpoint-journal v4"
         version_two = b"repro-checkpoint-journal v2" + newline + records
         path.write_bytes(version_two)
-        with pytest.raises(ConfigError, match="not a version-3 checkpoint journal"):
+        with pytest.raises(ConfigError, match="not a version-4 checkpoint journal"):
             resume(path, "clean", workers)
         assert path.read_bytes() == version_two
         with pytest.raises(ConfigError):
             Checkpointer(path).save({"n": 1})
         assert path.read_bytes() == version_two
+
+    def test_a_hand_written_version_three_journal(self, tmp_path):
+        """A whole format-3 record — checksum, space, JSON, newline — is
+        refused by the header before its line is read."""
+        body = json.dumps({"engine": "sequential", "seed": 1, "batches_done": 1})
+        version_three = b"repro-checkpoint-journal v3\n%08x %b\n" % (
+            zlib.crc32(body.encode()), body.encode(),
+        )
+        path = tmp_path / "sweep.ckpt"
+        path.write_bytes(version_three)
+        with pytest.raises(ConfigError, match="not a version-4 checkpoint journal"):
+            resume(path, "clean")
+        with pytest.raises(ConfigError):
+            Checkpointer(path).save({"n": 1})
+        assert path.read_bytes() == version_three
 
 
 class TestJournalBelongsToItsDriver:

@@ -9,6 +9,7 @@ from-scratch sweep.  A probed host's record is a new object; a replayed
 one is the prior's own.
 """
 
+import json
 import shutil
 from pathlib import Path
 
@@ -127,16 +128,37 @@ def test_stage_i_counts_never_land_in_a_host_record(tmp_path):
 
 def test_a_journal_the_engines_own_loop_wrote_is_refused_untouched(tmp_path):
     """Its config keys all match a resume of the same tick, but it holds
-    none of the sequential journal's sections: it is refused by name
-    before anything is probed, not resumed into a ``KeyError``."""
+    none of the sequential journal's sections.  It is a format-3 file, so
+    its header refuses it before a record is read or anything is probed;
+    were it rewritten in format 4, its ``journal=None`` tag would."""
     _, frame, engine = parent_state_world()
     path = tmp_path / "rescan.ckpt"
     shutil.copyfile(PARENT_JOURNAL, path)
-    with pytest.raises(ConfigError, match="journal=None"):
+    with pytest.raises(ConfigError, match="not a version-4 checkpoint journal"):
         engine.rescan(
             frame, load_rescan_state(PARENT_STATE), checkpoint=Checkpointer(path)
         )
     assert path.read_bytes() == PARENT_JOURNAL.read_bytes()
+    assert engine.transport.stats.syn_probes == 0
+
+
+def test_its_records_rewritten_in_the_current_format_are_refused_by_name(
+    tmp_path,
+):
+    """The same records, each re-saved as a format-4 record: the header
+    passes, and the ``journal`` tag, checked first, refuses them before
+    anything is probed, not resumed into a ``KeyError``."""
+    _, frame, engine = parent_state_world()
+    path = tmp_path / "rescan.ckpt"
+    journal = Checkpointer(path)
+    for line in PARENT_JOURNAL.read_bytes().splitlines()[1:]:
+        journal.save(json.loads(line.split(b" ", 1)[1]))
+    rewritten = path.read_bytes()
+    with pytest.raises(ConfigError, match="journal=None"):
+        engine.rescan(
+            frame, load_rescan_state(PARENT_STATE), checkpoint=Checkpointer(path)
+        )
+    assert path.read_bytes() == rewritten
     assert engine.transport.stats.syn_probes == 0
 
 

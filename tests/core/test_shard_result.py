@@ -1,14 +1,13 @@
 """A shard's result crosses the pickle boundary as objects.
 
 Workers hand the fold a :class:`~repro.core.parallel.ShardResult` holding
-their live report; JSON is written only when a checkpoint saves, and read
-back once per resumed shard.  These tests pin that mechanism by counting
-the report serialisers, pin that the journal form folds to the same
-bytes as the live objects, and bound what a full shard's result pickles
-to.
+their live report; its report is encoded only when a checkpoint saves,
+and decoded once per resumed shard.  These tests pin that mechanism by
+counting the report serialisers, pin that the journal form folds to the
+same bytes as the live objects, and bound what a full shard's result
+pickles to.
 """
 
-import json
 import pickle
 import sys
 from collections import Counter
@@ -32,7 +31,7 @@ from tests.core.test_parallel import (
     build_world,
 )
 
-SERIALISERS = ("report_to_dict", "report_from_dict")
+SERIALISERS = ("report_to_dict", "report_from_dict", "report_rows", "report_from_rows")
 
 
 @pytest.fixture
@@ -78,9 +77,7 @@ class TestMechanism:
     def test_a_live_sweep_serialises_no_report(self, executor, serialiser_calls):
         report = sharded_sweep(executor)
         assert report.findings
-        assert serialiser_calls() == Counter(
-            {"report_to_dict": 0, "report_from_dict": 0}
-        )
+        assert serialiser_calls() == Counter(dict.fromkeys(SERIALISERS, 0))
 
     def test_a_resume_reads_each_checkpointed_shard_once(
         self, serialiser_calls, tmp_path
@@ -94,7 +91,9 @@ class TestMechanism:
         assert saved >= 2
         serialiser_calls()  # the killed run wrote its shards: not counted
         sharded_sweep("thread", Checkpointer(path, every_batches=1))
-        assert serialiser_calls()["report_from_dict"] == saved
+        calls = serialiser_calls()
+        assert calls["report_from_rows"] == saved
+        assert calls["report_from_dict"] == 0
 
 
 def detections(report):
@@ -105,10 +104,11 @@ def detections(report):
 
 
 @pytest.mark.parametrize("scenario", ["chaos", "hostile-supervised"])
-def test_the_journal_form_folds_to_the_same_bytes(scenario, monkeypatch):
-    """Folding live results and folding each one through JSON give the
-    same report, JSONL, Prometheus and flight artifacts; the detections,
-    which the journal does not hold, agree as a multiset."""
+def test_the_journal_form_folds_to_the_same_bytes(scenario, monkeypatch, tmp_path):
+    """Folding live results and folding each one through a checkpoint
+    journal give the same report, JSONL, Prometheus and flight artifacts;
+    the detections, which the journal does not hold, agree as a
+    multiset."""
 
     def everything(report, pipeline):
         return {
@@ -119,11 +119,13 @@ def test_the_journal_form_folds_to_the_same_bytes(scenario, monkeypatch):
     live_report, live_pipeline = sweep(scenario, 2, "thread")
     execute = ShardRunner.execute
 
-    def through_json(runner, shard):
-        text = json.dumps(execute(runner, shard).to_dict())
-        return ShardResult.from_dict(json.loads(text))
+    def through_journal(runner, shard):
+        journal = Checkpointer(tmp_path / f"shard-{shard.index}.ckpt")
+        journal.clear()
+        journal.save({"shard": execute(runner, shard).to_rows()})
+        return ShardResult.from_rows(journal.load()["shard"])
 
-    monkeypatch.setattr(ShardRunner, "execute", through_json)
+    monkeypatch.setattr(ShardRunner, "execute", through_journal)
     report, pipeline = sweep(scenario, 2, "thread")
     assert everything(report, pipeline) == everything(live_report, live_pipeline)
     assert detections(report) == detections(live_report)
