@@ -21,10 +21,10 @@ sweep would be.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.retry import RetryExecutor
 from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE, FrameLike, IntervalSet, as_frame
@@ -43,10 +43,6 @@ class PortScanResult:
     open_ports: dict[int, tuple[int, ...]] = field(default_factory=dict)
     probes_sent: int = 0
     addresses_scanned: int = 0
-
-    def record(self, ip: IPv4Address, ports: Sequence[int]) -> None:
-        if ports:
-            self.open_ports[ip.value] = tuple(sorted(ports))
 
     def hosts_with_open_ports(self) -> list[IPv4Address]:
         return [IPv4Address(value) for value in sorted(self.open_ports)]
@@ -99,11 +95,9 @@ class Masscan:
 
         Inside a block the order is always ascending: every address of a
         /24 lands in the same network whatever its position, so a
-        within-block shuffle buys no politeness — the block-level
-        shuffle alone spreads consecutive probes across unrelated
-        networks.  The ascending order is what lets stage I account the
-        dead gap between two live hosts in one step instead of one per
-        address.
+        within-block shuffle buys no politeness.  The ascending order is
+        what lets stage I add a block to a batch in one step.  Plan once
+        per sweep: the shuffle consumes the RNG.
         """
         frame = as_frame(candidates, self.exclude_reserved)
         counts = frame.block_counts()
@@ -113,15 +107,8 @@ class Masscan:
         return frame, counts, bases
 
     def iter_target_order(self, candidates: FrameLike) -> Iterator[IPv4Address]:
-        """Filter reserved ranges and order targets for the sweep, lazily.
-
-        With randomisation on, /24 blocks are shuffled so consecutive
-        probes land in unrelated networks (the paper's politeness
-        measure); each block is probed in ascending order (see
-        :meth:`_plan_blocks`).  Only one block is materialised beyond the
-        block index itself, so resuming deep into a multi-million-address
-        sweep does not copy the whole order.
-        """
+        """The sweep's address order (see :meth:`_plan_blocks`), lazily:
+        one block is materialised at a time, never the whole order."""
         frame, _counts, bases = self._plan_blocks(candidates)
         for base in bases:
             for value in frame.block_values(base):
@@ -152,183 +139,155 @@ class Masscan:
         order is recomputed and the first ``skip`` addresses — already
         scanned before the interruption — are not probed again.
 
-        Runs of addresses the transport's liveness hint (see
-        ``Transport.live_values_in``) rules out are accounted in bulk —
-        same probes, counters and batch boundaries as probing them one by
-        one, nothing sent.  A /24 with no live candidate is never
-        materialised at all.
+        One walk over the block plan: a /24 adds its dead addresses (the
+        ones the transport's liveness hint, ``live_values_in``, rules out)
+        to the batch as a count and the rest — every member for a backend
+        that cannot hint — to its probe list, split only where a batch
+        boundary or ``skip`` cuts it.  The flush asks the transport once
+        (``probe_ports``), or under a retry policy re-sends port by port
+        over the same list.  Nothing in stage I reads an answer or moves
+        the clock or the quarantine ledger, so the packets and decisions
+        are the ones asking host by host made, in the same order.
+
+        A supervised sweep gates the list: a quarantined host is a gate
+        skip, neither probed nor counted; the dead around it are dead.
+        The deadline is read at the first member and, after each flush,
+        at the next member if the batch ended on a probed host, else at
+        the next host (or the end) once the dead run is finished; a
+        deadline ends the sweep there.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if skip < 0:
             raise ValueError("skip must be non-negative")
-        ops = self._ops(candidates, skip)
-        if self.supervision is not None:
-            ops = self._gated(ops)
-        ports, telemetry = self.ports, self.telemetry
-        attempts = 1 if self.retry is None else self.retry.policy.max_attempts
-        probe_ports, syn_probe = self.transport.probe_ports, self.transport.syn_probe
-        # Stage I is a stateless sender: a re-send is one more SYN, never a
-        # wait on the target.  No executor, backoff, jitter draw, breaker or
-        # clock is involved; the fault stream alone sees each packet.  A
-        # dead address's packets are counted in ``syn_probes`` as a probed
-        # one's would be — every attempt, as a closed port sends — once per
-        # batch, and nothing else: not the fault stream, not the re-sends.
-        dead_syns = len(ports) * attempts
-        result, scanned, dead, resends, span = PortScanResult(), 0, 0, 0, None
-        # One consumer for every mode: an op is a ``gap`` of dead addresses
-        # to account in bulk, then (unless None) one address to probe; a
-        # full batch flushes wherever inside the op it fills up.
-        for gap, value in ops:
-            while gap:
-                if span is None and telemetry is not None:
-                    # Lazy: only a batch that scans at least one address
-                    # opens a span, so resumed sweeps trace identically.
-                    span = telemetry.tracer.start("stage:masscan")
-                take = min(gap, batch_size - scanned)
-                scanned += take
-                dead += take
-                gap -= take
-                if scanned >= batch_size:
-                    yield self._close_batch(
-                        span, result, scanned, dead * dead_syns, resends
-                    )
-                    result, scanned, dead, resends, span = (
-                        PortScanResult(), 0, 0, 0, None
-                    )
-            if value is None:
-                continue
-            if span is None and telemetry is not None:
-                span = telemetry.tracer.start("stage:masscan")
-            ip = IPv4Address(value)
-            if attempts == 1:
-                # One transport call answers all twelve ports.
-                open_ports = probe_ports(ip, ports)
-            else:
-                # Port by port, up to ``attempts`` SYNs each, until the
-                # first SYN/ACK: ``sent`` ends as the re-sends.
-                open_ports = []
-                for port in ports:
-                    for sent in range(attempts):
-                        if syn_probe(ip, port):
-                            open_ports.append(port)
-                            break
-                    resends += sent
-            scanned += 1
-            if open_ports:
-                result.open_ports[value] = tuple(sorted(open_ports))
-            if scanned >= batch_size:
-                yield self._close_batch(
-                    span, result, scanned, dead * dead_syns, resends
-                )
-                result, scanned, dead, resends, span = (
-                    PortScanResult(), 0, 0, 0, None
-                )
-        if scanned:
-            yield self._close_batch(span, result, scanned, dead * dead_syns, resends)
-
-    def _ops(
-        self, candidates: FrameLike, skip: int
-    ) -> Iterator[tuple[int, int | None]]:
-        """The sweep as ``(dead gap, live value)`` ops, after ``skip``.
-
-        Each op is the run of guaranteed-dead addresses before a hinted
-        host, then that host; a backend that cannot hint degenerates to
-        one ``(0, value)`` op per address.  Dead gaps accumulate
-        across blocks and ride on the next live op (or one trailing
-        ``(gap, None)``): nothing advances the clock or touches a result
-        between a dead run and its flush, so deferral is observationally
-        identical while a sparse frame collapses to a few ops per batch
-        instead of one per dead /24.
-        """
         frame, counts, bases = self._plan_blocks(candidates)
         hints = self._prefetch_hints(frame.runs)
-        pending_dead = 0
+        gate, telemetry = self.supervision, self.telemetry
+        # The batch: its probe list, its members, the dead among them.
+        values: list[int] = []
+        scanned = dead = 0
+        span = None
+        # A supervised sweep's next deadline read: at "any" member, at the
+        # next "host", None (read since the last flush), or "stop" (hit).
+        owed = None if gate is None else "any"
         for base in bases:
-            # Don't materialise yet: a dead or skipped block needs only
-            # its size, and dead blocks are the bulk of a sparse frame.
             count = counts[base]
             if skip >= count:
                 skip -= count
                 continue
-            # The addresses to probe: the hinted ones, or without hints
-            # every member.  Hints come from queries over the frame's own
-            # runs, so they are members too.
+            # To probe, ascending: the hinted (hints are asked over the
+            # frame's own runs, so members too), or every member.
             live: Sequence[int] = (
-                range(base, base + BLOCK_SIZE) if hints is None
-                else hints.get(base, ())
+                hints.get(base, ()) if hints is not None
+                else range(base, base + BLOCK_SIZE) if count == BLOCK_SIZE
+                else frame.block_values(base)
             )
-            if not live:
-                pending_dead += count - skip
-                skip = 0
+            if not skip and gate is None and scanned + count <= batch_size:
+                # The whole block fits: one step, whatever its hosts.
+                if span is None and telemetry is not None:
+                    span = telemetry.tracer.start("stage:masscan")
+                values += live
+                dead += count - len(live)
+                scanned += count
+                if scanned == batch_size:
+                    yield self._flush(span, values, scanned, dead)
+                    values, scanned, dead, span = [], 0, 0, None
                 continue
-            if len(live) == count:
-                # As many to probe as members: they *are* the block.
-                for value in live[skip:]:
-                    yield pending_dead, value
-                    pending_dead = 0
-                skip = 0
-                continue
-            # Inside a run the members are the range itself, so the dead
-            # stretch before each hinted host is ``value - cursor``: no
-            # member list, no set, no per-address walk.  A whole /24 is one
-            # run, with no lookup of its runs.  Hint values are ascending
-            # (transport contract) and the hint is one-sided, so a "live"
-            # value may still probe dead; it is probed either way.
-            last = base | (BLOCK_SIZE - 1)
-            runs = (
-                ((base, last),) if count == BLOCK_SIZE
-                else frame.runs_in(base, last)
-            )
-            for start, end in runs:
-                if skip > end - start:
-                    skip -= end - start + 1
-                    continue
-                cursor = start + skip
-                skip = 0
-                for value in live[bisect_left(live, cursor):bisect_right(live, end)]:
-                    yield pending_dead + value - cursor, value
-                    pending_dead = 0
-                    cursor = value + 1
-                pending_dead += end - cursor + 1
-        if pending_dead:
-            yield pending_dead, None
+            live, offsets = self._after_skip(frame, base, count, live, skip)
+            members, skip, at, i = count - skip, 0, 0, 0
+            while at < members:
+                limit = members
+                if owed is not None:
+                    ahead = offsets[i] if i < len(offsets) else members
+                    if owed == "host" and ahead > at:
+                        limit = ahead  # finish the dead run, then read
+                    elif gate.should_stop():
+                        owed = "stop"
+                        break
+                    else:
+                        owed = None
+                # The members up to the batch boundary: a gated host
+                # moves the boundary one member on.
+                room, j, gated, newly = batch_size - scanned, i, 0, 1
+                while newly:
+                    end = min(at + room + gated, limit)
+                    k = bisect_left(offsets, end, j)
+                    newly = 0
+                    for value in live[j:k]:
+                        if gate is not None and gate.is_quarantined_value(value):
+                            gate.note_gate_skip(IPv4Address(value))
+                            newly += 1
+                        else:
+                            values.append(value)
+                    j = k
+                    gated += newly
+                if span is None and telemetry is not None and end - at > gated:
+                    span = telemetry.tracer.start("stage:masscan")
+                scanned += end - at - gated
+                dead += end - at - (j - i)
+                on_host = j > i and offsets[j - 1] == end - 1
+                at, i = end, j
+                if scanned == batch_size:
+                    yield self._flush(span, values, scanned, dead)
+                    values, scanned, dead, span = [], 0, 0, None
+                    if gate is not None:
+                        owed = "any" if on_host else "host"
+            if owed == "stop":
+                break
+        if owed == "host":
+            gate.should_stop()  # the read a final dead run still owes
+        if scanned:
+            yield self._flush(span, values, scanned, dead)
 
-    def _gated(
-        self, ops: Iterable[tuple[int, int | None]]
-    ) -> Iterator[tuple[int, int | None]]:
-        """The supervised sweep's gate, as a lazy filter on the op stream.
+    @staticmethod
+    def _after_skip(
+        frame: IntervalSet, base: int, count: int, live: Sequence[int], skip: int
+    ) -> tuple[Sequence[int], Sequence[int]]:
+        """A split block's addresses to probe past its first ``skip``
+        members, and each one's offset among the members left."""
+        if len(live) == count:  # every member is probed: offsets are indexes
+            live = live[skip:]
+            return live, range(len(live))
+        offsets = [frame.count_in(base, value - 1) - skip for value in live]
+        first = bisect_left(offsets, 0)
+        return live[first:], offsets[first:]
 
-        A batch can flush inside a dead gap, so a gap and its host pass as
-        two ops: the consumer pulls the second only after finishing the
-        first, and the deadline and the quarantine ledger are read after
-        whatever stages II/III did in between.  Only a host that may
-        answer is refused (a gate skip); the dead around it are dead,
-        quarantined /24 or not.  On the deadline the stream simply ends:
-        the consumer flushes what it has and the pipeline accounts the
-        un-probed remainder as deadline-skipped coverage.
-        """
-        supervision = self.supervision
-        for gap, host in ops:
-            for dead, value in ((gap, None), (0, host)):
-                if supervision.should_stop():
-                    return
-                if value is not None and supervision.is_quarantined_value(value):
-                    supervision.note_gate_skip(IPv4Address(value))
-                else:
-                    yield dead, value
-
-    def _close_batch(
-        self, span, result: PortScanResult, scanned: int, dead_syns: int,
-        resends: int,
+    def _flush(
+        self, span, values: list[int], scanned: int, dead: int
     ) -> PortScanResult:
-        """Close a batch of ``scanned`` addresses: every one of them is
-        ``len(ports)`` probes, probed or accounted dead; the dead ones sent
-        ``dead_syns`` SYNs, and under a retry policy the probed ones took
-        ``resends`` more."""
-        self.transport.stats.syn_probes += dead_syns
+        """Close a batch of ``scanned`` addresses: ask the transport
+        about ``values``, and account every address as ``len(ports)``
+        probes and the ``dead`` ones' SYNs with nothing sent."""
+        ports, transport = self.ports, self.transport
+        attempts = 1 if self.retry is None else self.retry.policy.max_attempts
+        result, resends = PortScanResult(), 0
+        if attempts == 1:
+            # One transport call answers the whole batch.
+            result.open_ports = transport.probe_ports(values, ports)
+        else:
+            # Stage I is a stateless sender: a re-send is one more SYN,
+            # never a wait on the target.  No executor, backoff, jitter
+            # draw, breaker or clock is involved; the fault stream alone
+            # sees each packet.  Host by host, port by port, up to
+            # ``attempts`` SYNs each until the first SYN/ACK: ``sent``
+            # ends as the re-sends.
+            syn_probe = transport.syn_probe
+            for value in values:
+                ip, found = IPv4Address(value), []
+                for port in ports:
+                    for sent in range(attempts):
+                        if syn_probe(ip, port):
+                            found.append(port)
+                            break
+                    resends += sent
+                if found:
+                    result.open_ports[value] = tuple(sorted(found))
+        # A dead address's packets are counted as a probed one's would
+        # be — every attempt, as a closed port sends — and nothing else:
+        # not the fault stream, not the re-sends.
+        transport.stats.syn_probes += dead * len(ports) * attempts
         result.addresses_scanned = scanned
-        result.probes_sent = scanned * len(self.ports)
+        result.probes_sent = scanned * len(ports)
         if span is None:
             return result
         span.attrs["addresses"] = scanned
@@ -357,13 +316,9 @@ class Masscan:
     def _prefetch_hints(
         self, runs: Sequence[tuple[int, int]]
     ) -> dict[int, list[int]] | None:
-        """One liveness query per frame run instead of one per /24.
-
-        The hint sweep walks the frame's runs directly and groups the
-        (few) live values by block — a block absent from the map is
-        guaranteed dead.  Returns None for a backend that cannot know;
-        the sweep is then per-address.
-        """
+        """One liveness query per frame run, grouped by /24: a block
+        absent from the map is guaranteed dead.  None for a backend that
+        cannot know; every member is then probed."""
         hints: dict[int, list[int]] = {}
         for start, end in runs:
             values = self.transport.live_values_in(start, end)

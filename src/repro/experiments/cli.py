@@ -18,6 +18,7 @@ from repro.experiments.full_study import run_full_study
 from repro.experiments.honeypots import run_honeypot_study
 from repro.experiments.observe import run_observer_study
 from repro.experiments.scan import run_scan_study
+from repro.util.errors import ConfigError
 
 _SCALES = {
     "tiny": StudyConfig.tiny,
@@ -264,7 +265,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.console import ConsoleHub, ConsoleServer
 
         hub = ConsoleHub()
-        server = ConsoleServer(hub, port=args.console_port).start()
+        try:
+            server = ConsoleServer(hub, port=args.console_port).start()
+        except ConfigError as error:
+            print(f"repro-study: {error}", file=sys.stderr)
+            return 2
         print(f"operations console at {server.url}", file=sys.stderr)
     try:
         report, telemetry = _run(

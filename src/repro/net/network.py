@@ -10,7 +10,7 @@ addresses, but only populated ones cost memory.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.net.host import Host, HostKind
 from repro.net.http import HttpRequest, HttpResponse, Scheme
@@ -71,6 +71,18 @@ class SimulatedInternet:
         return values[lo:hi]
 
     # -- what the wire exposes ------------------------------------------------
+
+    def open_ports_at(
+        self, values: Sequence[int], ports: Sequence[int]
+    ) -> dict[int, tuple[int, ...]]:
+        """Stage I's batch question: ``{value: sorted open ports}`` for
+        each of ``values`` with one of ``ports`` open, in their order."""
+        host_at, found = self._hosts.get, {}
+        for value in values:
+            host = host_at(value)
+            if host is not None and (open_ports := host.open_ports(ports)):
+                found[value] = tuple(sorted(open_ports))
+        return found
 
     def is_port_open(self, ip: IPv4Address, port: int) -> bool:
         host = self._hosts.get(ip.value)

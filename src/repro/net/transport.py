@@ -122,15 +122,24 @@ class Transport(ABC):
         self.stats.note_probe(ip)
         return self._port_open(ip, port)
 
-    def probe_ports(self, ip: IPv4Address, ports: Sequence[int]) -> list[int]:
-        """Stage-I batch probe: the sub-list of ``ports`` open on ``ip``.
+    def probe_ports(
+        self, values: Sequence[int], ports: Sequence[int]
+    ) -> dict[int, tuple[int, ...]]:
+        """Stage-I batch probe: ``{value: sorted open ports}`` for each of
+        the address ints ``values`` with a port open, in probe order.
 
-        Semantically one ``syn_probe`` per port, in order.  Backends may
-        override it with a cheaper equivalent (one host lookup instead of
-        one per port); fault-injecting transports keep the default so
-        every probe still passes through their per-call machinery.
+        Semantically one ``syn_probe`` per (address, port), in order.
+        Backends may override it with a cheaper equivalent (one host-map
+        walk); fault-injecting transports keep the default so every
+        probe still passes through their per-call machinery.
         """
-        return [port for port in ports if self.syn_probe(ip, port)]
+        found: dict[int, tuple[int, ...]] = {}
+        for value in values:
+            ip = IPv4Address(value)
+            open_ports = [port for port in ports if self.syn_probe(ip, port)]
+            if open_ports:
+                found[value] = tuple(sorted(open_ports))
+        return found
 
     def live_values_in(self, start: int, end: int) -> Sequence[int] | None:
         """Liveness hint: addresses in ``[start, end]`` that *may* answer.
@@ -222,12 +231,13 @@ class InMemoryTransport(Transport):
     def _port_open(self, ip: IPv4Address, port: int) -> bool:
         return self.internet.is_port_open(ip, port)
 
-    def probe_ports(self, ip: IPv4Address, ports: Sequence[int]) -> list[int]:
-        # One host lookup and one question serve all twelve ports; the
-        # probes are counted exactly as the per-port path would count them.
-        self.stats.syn_probes += len(ports)
-        host = self.internet.host_at(ip)
-        return [] if host is None else host.open_ports(ports)
+    def probe_ports(
+        self, values: Sequence[int], ports: Sequence[int]
+    ) -> dict[int, tuple[int, ...]]:
+        # One host-map walk, one question per host for all twelve ports;
+        # the probes are counted as per-port probing would count them.
+        self.stats.syn_probes += len(values) * len(ports)
+        return self.internet.open_ports_at(values, ports)
 
     def live_values_in(self, start: int, end: int) -> Sequence[int] | None:
         # Populated addresses are the only ones that can answer; offline

@@ -43,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import FUNNEL_METRIC, FUNNEL_STAGES
+from repro.util.errors import ConfigError
 
 #: funnel flows served per stage
 _FLOWS = ("in", "out", "dropped", "quarantined")
@@ -367,13 +368,21 @@ class ConsoleServer:
     Binds loopback only — the console is an operator's window, not a
     public service.  ``port=0`` asks the OS for an ephemeral port (the
     integration tests' mode); the bound port is available as ``.port``.
+    A port that cannot be bound (taken, or privileged) is a
+    :class:`~repro.util.errors.ConfigError` naming it and the OS reason.
     """
 
     def __init__(
         self, hub: ConsoleHub, port: int = 0, host: str = "127.0.0.1"
     ) -> None:
         self.hub = hub
-        self._server = _ConsoleHTTPServer((host, port), _ConsoleHandler)
+        try:
+            self._server = _ConsoleHTTPServer((host, port), _ConsoleHandler)
+        except OSError as error:
+            raise ConfigError(
+                f"console cannot listen on {host}:{port}: "
+                f"{error.strerror or error}"
+            ) from None
         self._server.hub = hub
         self._thread: threading.Thread | None = None
 

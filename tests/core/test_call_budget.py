@@ -7,9 +7,10 @@ the count is divided by the open hosts the sweep saw.  Two rows, over one
 small generated world:
 
 * the re-scan tick, at the benchmark's 2% host churn: a change that brings
-  back per-host bookkeeping — a per-port host query in stage I, a counter
-  write per address, a summary merge, or an address object or host-step
-  call per replayed host — fails here before it shows in any timing;
+  back per-host bookkeeping — a transport call or a per-port host query
+  per live host in stage I, a counter write per address, a summary
+  merge, or an address object or host-step call per replayed host —
+  fails here before it shows in any timing;
 * the dense sweep, a ``ScanPipeline`` run over the whole world: calls per
   open host, and the HTTP requests it sends, pinned as a ceiling — a
   stage III that asks a target a question already answered fails here;
@@ -47,22 +48,25 @@ SEED = 20210603
 CHURN = 0.02
 TICKS = 3
 
-#: Python calls per open host per tick.  Reads 29.6-29.9 (each of three
-#: ticks, any hash seed) since the batch step folds a replayed host's
-#: record in place — no address object, ports lookup, host-step call or
-#: stage-III token.  The design before read 34.7-35.1 (36.2-36.5 when its
-#: budget of 42.0 was set); the one before that — a 12-call port probe
-#: and a counter write per live host, a summary merge, a ``Scheme`` and a
-#: token per replayed host — 62.5-62.7.  Budget: the reading's top x 1.15.
-BUDGET = 34.4
+#: Python calls per open host per tick.  Reads 24.7-25.0 (each of three
+#: ticks, any hash seed) since stage I asks the transport once per batch
+#: — no address object, transport call or host lookup call per live
+#: host; 29.6-29.9 while it asked host by host, since the batch step
+#: folds a replayed host's record in place.  The design before read
+#: 34.7-35.1 (36.2-36.5 when its budget of 42.0 was set); the one before
+#: that — a 12-call port probe and a counter write per live host, a
+#: summary merge, a ``Scheme`` and a token per replayed host — 62.5-62.7.
+#: Budget: the reading's top x 1.15.
+BUDGET = 28.7
 
 #: Python calls per open host of a dense sweep.  Reads 132.2 (any hash
 #: seed) since stage III reads the landing page stage II fetched and asks
 #: each question once per target; 171.2 before; 133.0 since the detection
 #: checks are table rows run by one interpreter (a ``check`` call per
-#: step, a ``fold`` call per lower-cased or squeezed body).  Budget: the
-#: 132.2 reading x 1.15.
-DENSE_BUDGET = 152.0
+#: step, a ``fold`` call per lower-cased or squeezed body); 126.9, from
+#: 131.9, since stage I asks the transport once per batch.  Budget: the
+#: 126.9 reading x 1.15.
+DENSE_BUDGET = 146.0
 #: HTTP requests of that sweep (567 open hosts): 1,369 since, 1,955 before
 DENSE_REQUESTS = 1369
 
@@ -77,10 +81,11 @@ SHARDED_BUDGET = 18.7
 RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=8.0)
 RETRY_WEATHER = FaultPlan(request_loss=0.03, slow_rate=0.02)
 #: Python calls per open host of the dense sweep under that policy and
-#: weather.  Reads 408.8 since stage I re-sends SYNs without the retry
-#: executor; 758.3 while every port of a live host went through it, with a
-#: breaker check, a jitter draw and a backoff before each re-send.
-#: Budget: the reading x 1.15.
+#: weather.  Reads 407.5 since stage I re-sends SYNs without the retry
+#: executor (408.5-408.8 while it did so host by host); 758.3 while every
+#: port of a live host went through it, with a breaker check, a jitter
+#: draw and a backoff before each re-send.  Budget: the 408.8 reading
+#: x 1.15.
 RETRY_BUDGET = 470.1
 #: SYNs of that sweep: every attempt to every port, the dead included;
 #: the same before and since

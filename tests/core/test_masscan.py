@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import AppInstance
 from repro.apps.catalog import create_instance
 from repro.core.masscan import Masscan, PortScanResult, burst_profile
 from repro.net.host import Host, Service
+from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.intervals import IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
@@ -255,11 +258,11 @@ class _NoHints(InMemoryTransport):
 
 
 class TestStageIModesAgree:
-    """Stage I is one op producer feeding one consumer: hinted bulk
-    accounting, a hint-less transport, a fault-free retry executor and an
-    idle supervision — the last two over a backend that hints and over
-    one that cannot — must yield the same batches, batch for batch,
-    whatever the batch size and wherever a resumed sweep starts.
+    """Stage I is one block walk: hinted bulk accounting, a hint-less
+    transport, a fault-free retry executor and an idle supervision — the
+    last two over a backend that hints and over one that cannot — must
+    yield the same batches, batch for batch, whatever the batch size and
+    wherever a resumed sweep starts.
 
     Batches and masscan counters are all the modes share; the retry
     sweep's own ``masscan_resends_total`` is left out of the comparison.
@@ -384,8 +387,8 @@ class TestStageIModesAgree:
 
 class TestGateOnHintedOps:
     """The supervised gate refuses hosts, not addresses: only a value the
-    hint says may answer can be a gate skip, and the dead gap an op
-    carries is accounted whether or not its host is refused."""
+    hint says may answer can be a gate skip, and the dead run before a
+    host is accounted whether or not the host is refused."""
 
     PORTS = (80, 8888)
     BASE = IPv4Address.parse("93.184.216.0").value
@@ -403,8 +406,8 @@ class TestGateOnHintedOps:
                 8888, app=AppInstance(create_instance("jupyterlab"), 8888)
             ))
             internet.add_host(host)
-        # The populated /24, then a dead one: the sweep ends on a
-        # trailing (gap, None) op.
+        # The populated /24, then a dead one: the sweep ends on a dead
+        # run.
         frame = IntervalSet([(self.BASE, self.BASE + 511)])
         supervision = ShardSupervision(
             SupervisorConfig(), SimClock(), planned=len(frame)
@@ -452,3 +455,149 @@ class TestGateOnHintedOps:
         assert supervision.deadline_hit
         assert [(b.addresses_scanned, b.open_ports) for b in rest] == [(7, {})]
         assert supervision.gate_skips_total == 0
+
+
+class _Asked(InMemoryTransport):
+    """Records, in order, the addresses stage I asks in batch and the
+    SYNs it sends one by one; ``hints`` off makes a backend that cannot
+    know which addresses are dead."""
+
+    def __init__(self, internet, hints=True):
+        super().__init__(internet)
+        self.hints = hints
+        self.asked = []
+
+    def live_values_in(self, start, end):
+        return super().live_values_in(start, end) if self.hints else None
+
+    def probe_ports(self, values, ports):
+        self.asked.extend(values)
+        return super().probe_ports(values, ports)
+
+    def syn_probe(self, ip, port):
+        self.asked.append((ip.value, port))
+        return super().syn_probe(ip, port)
+
+
+class _AskedChaos(ChaosTransport):
+    """A lossy layer recording every SYN its fault stream sees."""
+
+    def __init__(self, inner):
+        super().__init__(inner, FaultPlan(syn_loss=0.3), seed=5)
+        self.asked = []
+
+    def syn_probe(self, ip, port):
+        self.asked.append((ip.value, port))
+        return super().syn_probe(ip, port)
+
+
+class TestBlockWalkMatchesHostByHost:
+    """The /24 block walk against stage I as it was, host by host
+    (``tests/core/reference_stage_one.py``): the same batches, open ports
+    in the same insertion order, the same SYN count, re-sends and gate
+    decisions, and the same packets in the same order — over frames of
+    whole and partial /24s with a reserved cut, any batch size, any
+    resume point, with and without hints, one or three attempts with and
+    without loss, and a supervision gate whose quarantine and deadline
+    move between batches the way stages II/III move them."""
+
+    PORTS = (8888, 80)
+    #: six /24s, 198.51.97.0 - 198.51.102.255; 198.51.100/24 is reserved
+    BASE = IPv4Address.parse("198.51.97.0").value
+    SPAN = 6 * 256
+
+    def sweep(self, walk, case):
+        from repro.core.retry import RetryExecutor, RetryPolicy
+        from repro.core.supervisor import ShardSupervision, SupervisorConfig
+        from repro.util.clock import SimClock
+
+        internet = SimulatedInternet()
+        for offset, kind in case["hosts"]:
+            host = Host(IPv4Address(self.BASE + offset))
+            for port in ((8888,), (80, 8888), (22,))[kind]:
+                host.add_service(Service(
+                    port, app=AppInstance(create_instance("jupyterlab"), port)
+                ))
+            internet.add_host(host)
+        inner = _Asked(internet, hints=case["hints"])
+        transport = _AskedChaos(inner) if case["chaos"] else inner
+        frame = IntervalSet([
+            (self.BASE + start, self.BASE + min(start + length, self.SPAN) - 1)
+            for start, length in case["runs"]
+        ])
+        supervision = None
+        if case["supervised"]:
+            supervision = ShardSupervision(
+                SupervisorConfig(), SimClock(), planned=len(frame)
+            )
+            supervision.quarantine.blocks.add(self.BASE + 256 * case["block"])
+            supervision.deadline = case["deadline"]
+        scanner = Masscan(
+            transport, self.PORTS, rng=random.Random(case["seed"]),
+            randomise_order=case["shuffle"], supervision=supervision,
+            retry=RetryExecutor(RetryPolicy(max_attempts=case["attempts"])),
+        )
+        seen = []
+        for index, (batch, resends) in enumerate(
+            walk(scanner, frame, case["batch_size"], case["skip"])
+        ):
+            skips = None
+            if supervision is not None:
+                skips = supervision.drain_gate_skips()
+                # what stages II/III do between batches: time passes, and
+                # a host strikes out
+                supervision.clock.advance(1.0)
+                if index == case["strike_after"]:
+                    supervision.quarantine.hosts.add(
+                        self.BASE + case["struck"]
+                    )
+            seen.append((
+                batch.addresses_scanned, batch.probes_sent,
+                list(batch.open_ports.items()), resends,
+                transport.stats.syn_probes, skips,
+            ))
+        stopped = supervision is not None and supervision.deadline_hit
+        return seen, transport.asked, stopped
+
+    @staticmethod
+    def walk(scanner, frame, batch_size, skip):
+        """The block walk, each batch with its re-sends read off the
+        counter series stage I tallies them in."""
+        from repro.obs.telemetry import Telemetry
+
+        scanner.telemetry = telemetry = Telemetry()
+        before = 0.0
+        for batch in scanner.scan_in_batches(frame, batch_size, skip=skip):
+            total = telemetry.metrics.counter_value("masscan_resends_total")
+            yield batch, int(total - before)
+            before = total
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(0, SPAN - 1), st.integers(1, 600)),
+            min_size=1, max_size=5,
+        ),
+        hosts=st.lists(
+            st.tuples(st.integers(0, SPAN - 1), st.integers(0, 2)),
+            max_size=16, unique_by=lambda host: host[0],
+        ),
+        batch_size=st.one_of(
+            st.sampled_from([1, 7, 256, 2**62]), st.integers(1, 700)
+        ),
+        skip=st.one_of(st.just(0), st.integers(0, SPAN + 10)),
+        hints=st.booleans(),
+        chaos=st.booleans(),
+        attempts=st.sampled_from([1, 3]),
+        supervised=st.booleans(),
+        block=st.integers(0, 5),
+        deadline=st.one_of(st.none(), st.integers(0, 6).map(float)),
+        strike_after=st.integers(0, 4),
+        struck=st.integers(0, SPAN - 1),
+        seed=st.integers(0, 3),
+        shuffle=st.booleans(),
+    )
+    def test_batches_packets_and_gate_decisions_match(self, **case):
+        from tests.core.reference_stage_one import reference_batches
+
+        assert self.sweep(self.walk, case) == self.sweep(reference_batches, case)

@@ -107,7 +107,7 @@ class TestPrefilterProbing:
     def test_run_covers_port_scan_result(self):
         internet, ip = self._internet_with("polynote", True, 8192)
         scan = PortScanResult()
-        scan.record(ip, [8192])
+        scan.open_ports[ip.value] = (8192,)
         prefilter = Prefilter(InMemoryTransport(internet))
         findings = prefilter.run(scan)
         assert [f.candidates for f in findings] == [("polynote",)]

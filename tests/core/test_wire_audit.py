@@ -54,9 +54,9 @@ class WireAudit(Transport):
         self.asked.add(ip)
         return self.inner.syn_probe(ip, port)
 
-    def probe_ports(self, ip, ports):
-        self.asked.add(ip)
-        return self.inner.probe_ports(ip, ports)
+    def probe_ports(self, values, ports):
+        self.asked.update(map(IPv4Address, values))
+        return self.inner.probe_ports(values, ports)
 
     def fetch_certificate(self, ip, port):
         self.asked.add(ip)

@@ -135,20 +135,41 @@ class TestProbePorts:
         batched = InMemoryTransport(internet)
         per_port = InMemoryTransport(internet)
         ports = (22, 80, 443, 8080)
-        assert batched.probe_ports(host.ip, ports) == [
-            port for port in ports if per_port.syn_probe(host.ip, port)
-        ]
+        assert batched.probe_ports([host.ip.value], ports) == {
+            host.ip.value: tuple(
+                port for port in ports if per_port.syn_probe(host.ip, port)
+            )
+        }
 
     def test_counts_one_probe_per_port(self, small_internet):
         internet, host = small_internet
         transport = InMemoryTransport(internet)
-        transport.probe_ports(host.ip, (22, 80, 443))
+        transport.probe_ports([host.ip.value], (22, 80, 443))
         assert transport.stats.syn_probes == 3
 
     def test_dead_address_probes_in_one_lookup(self):
         transport = InMemoryTransport(SimulatedInternet())
-        assert transport.probe_ports(IPv4Address.parse("52.1.2.3"), (80, 443)) == []
+        dead = IPv4Address.parse("52.1.2.3").value
+        assert transport.probe_ports([dead], (80, 443)) == {}
         assert transport.stats.syn_probes == 2
+
+    def test_a_batch_answers_in_probe_order_as_the_base_class_does(
+        self, small_internet
+    ):
+        """One call for many addresses: the open ones in the order asked,
+        ports sorted, every (address, port) counted — the same answer the
+        base class gives from one ``syn_probe`` per (address, port)."""
+        internet, host = small_internet
+        dead = IPv4Address.parse("52.1.2.3").value
+        values = [dead, host.ip.value, dead + 1]
+        ports = (8080, 443, 80, 22)
+        batched = InMemoryTransport(internet)
+        per_port = InMemoryTransport(internet)
+        answer = batched.probe_ports(values, ports)
+        assert answer == Transport.probe_ports(per_port, values, ports)
+        assert list(answer) == [host.ip.value]
+        assert list(answer[host.ip.value]) == sorted(answer[host.ip.value])
+        assert batched.stats.syn_probes == per_port.stats.syn_probes == 12
 
 
 class TestFork:

@@ -6,10 +6,13 @@ while shards are still executing — without disturbing the run.
 """
 
 import json
+import socket
 import sys
 import threading
 import urllib.error
 import urllib.request
+
+import pytest
 
 from repro.core.parallel import ShardResult
 from repro.core.pipeline import ScanReport
@@ -20,6 +23,7 @@ from repro.obs.console import ConsoleHub, ConsoleServer
 from repro.obs.metrics import series_key
 from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.util.clock import SimClock
+from repro.util.errors import ConfigError
 from tests.obs.test_publish_on_read import chaos_pipeline
 
 
@@ -218,6 +222,40 @@ class TestServerEndpoints:
         with ConsoleServer(ConsoleHub(), port=0) as server:
             assert server.port > 0
             assert server.url == f"http://127.0.0.1:{server.port}"
+
+
+class TestPortInUse:
+    """A console port something else holds is a configuration error
+    naming the port and the OS reason, not a raw ``OSError``."""
+
+    @staticmethod
+    def taken_port():
+        blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen()
+        return blocker, blocker.getsockname()[1]
+
+    def test_the_server_refuses_with_a_config_error(self):
+        blocker, port = self.taken_port()
+        with blocker, pytest.raises(ConfigError) as refused:
+            ConsoleServer(ConsoleHub(), port=port)
+        message = str(refused.value)
+        assert f"127.0.0.1:{port}" in message
+        assert "in use" in message.lower()
+
+    def test_the_cli_exits_nonzero_with_one_line(self, capsys):
+        from repro.experiments.cli import main
+
+        blocker, port = self.taken_port()
+        with blocker:
+            status = main([
+                "--experiment", "scan", "--scale", "tiny",
+                "--console-port", str(port),
+            ])
+        out, err = capsys.readouterr()
+        assert status != 0 and out == ""
+        assert err.count("\n") == 1 and f"127.0.0.1:{port}" in err
+        assert "Traceback" not in err
 
 
 class PausingHub(ConsoleHub):

@@ -26,7 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: lint rules and passes that checked a property something else checks;
 #: the plugin base class, its auditor and its rules; the re-scan
 #: pipeline's stage-III token and its noting stats class; the process
-#: pool's per-shard function, its initializer and its per-worker runner
+#: pool's per-shard function, its initializer and its per-worker runner;
+#: stage I's per-host op stream, its lazy gate and its batch closer
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -45,6 +46,7 @@ RETIRED = (
     "PLUGIN_BASE", "PLG001", "PLG002", "PLG003", "PLG004", "PLG005",
     "PLG006", "PLG007", "replay_findings", "_NotedStats",
     "_process_shard", "_init_worker", "_WORKER_RUNNER",
+    "_ops", "_gated(", "`_gated`", "_close_batch",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
