@@ -58,13 +58,9 @@ reading as a record that runs past the end of the file.
 
 Sharded sweeps checkpoint at shard boundaries instead, storing each
 completed shard's :meth:`~repro.core.parallel.ShardResult.to_rows`, the
-only place a shard's result is encoded (workers hand over objects).
-Because the stored form never depends on *how* the shard ran,
-checkpoints are executor-neutral: a sweep killed under the thread
-executor resumes under the process executor (or vice versa) and still
-reproduces the uninterrupted report bit for bit.  Worker count and
-executor are deliberately absent from the resume-config check below for
-the same reason; stage switches and the retry policy are in it.
+only place a shard's result is encoded (workers hand over objects), so
+a sweep killed under one executor resumes under the other.  Every record
+carries the sweep's :func:`~repro.core.pipeline.resume_key`.
 """
 
 from __future__ import annotations
@@ -242,16 +238,13 @@ class Checkpointer:
 
 
 def check_config_matches(payload: dict, **expected: object) -> None:
-    """Refuse to resume a checkpoint taken under a different configuration.
-
-    Resuming with a different seed, port list, batch size, stage switch
-    or retry policy would splice two incompatible sweeps together and
-    silently corrupt the report.
-    """
+    """Refuse to resume saved state taken under a different configuration:
+    that would splice two incompatible sweeps and silently corrupt the
+    report."""
     for key, value in expected.items():
         stored = payload.get(key)
         if stored != value:
             raise ConfigError(
-                f"checkpoint was taken with {key}={stored!r}, "
-                f"but this pipeline uses {key}={value!r}"
+                f"the saved state was taken with {key}={stored!r}, "
+                f"but this sweep uses {key}={value!r}"
             )

@@ -60,7 +60,7 @@ from multiprocessing.connection import wait
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
-from repro.core.pipeline import DEFAULT_SHARD_BLOCKS, ScanReport
+from repro.core.pipeline import DEFAULT_SHARD_BLOCKS, ScanReport, resume_key
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_from_rows, report_rows, report_to_dict
 from repro.core.supervisor import (
@@ -369,19 +369,21 @@ class ParallelScanEngine:
         checkpoint: Checkpointer | None = None,
     ):
         pipe = self.pipeline
-        shards = plan_shards(
-            candidates, pipe.seed, pipe.shard_blocks,
-            exclude_reserved=pipe._masscan.exclude_reserved,
-        )
-        completed: dict[int, ShardResult] = {}
+        key, completed = None, {}
         if checkpoint is not None:
+            candidates = as_frame(candidates, exclude_reserved=False)
+            key = resume_key(pipe, "parallel-shards", candidates)
             payload = checkpoint.load()
             if payload is not None:
-                check_config_matches(payload, **self._expected_config(shards))
+                check_config_matches(payload, **key)
                 completed = {
                     index: ShardResult.from_rows(result)
                     for index, result in payload["shards"].items()
                 }
+        shards = plan_shards(
+            candidates, pipe.seed, pipe.shard_blocks,
+            exclude_reserved=pipe._masscan.exclude_reserved,
+        )
         # Note: the event mentions neither the worker count nor how many
         # shards were resumed from a checkpoint — telemetry output is
         # defined to be identical for every worker count and for
@@ -424,7 +426,7 @@ class ParallelScanEngine:
                 profile=pipe.profile,
                 supervisor=pipe.supervisor,
             )
-            self._run_shards(runner, todo, completed, checkpoint, shards, report)
+            self._run_shards(runner, todo, completed, checkpoint, key, report)
         pipe.telemetry.events.info(
             "parallel", "sweep-complete",
             shards=len(shards),
@@ -444,7 +446,7 @@ class ParallelScanEngine:
 
     # -- shard execution ------------------------------------------------------
 
-    def _run_shards(self, runner, todo, completed, checkpoint, shards, report):
+    def _run_shards(self, runner, todo, completed, checkpoint, key, report):
         """One completion loop for both executors: workers only execute
         shards, and every console note, checkpoint save and fold step
         happens here on the main thread as results land."""
@@ -469,7 +471,7 @@ class ParallelScanEngine:
                 unsaved.append(index)
                 if checkpoint is not None and checkpoint.due(len(completed)):
                     checkpoint.save({
-                        **self._expected_config(shards),
+                        **key,
                         GROWTH: {"shards": {
                             index: completed[index].to_rows()
                             for index in sorted(unsaved)
@@ -557,19 +559,3 @@ class ParallelScanEngine:
             if pipe.supervisor is not None:
                 note_shard_supervision(telemetry.events, index, result.supervisor)
             self._folded += 1
-
-    # -- checkpoint/resume ----------------------------------------------------
-
-    def _expected_config(self, shards: list[Shard]) -> dict:
-        """The knobs a checkpoint must match to be resumable by this
-        engine — shared by the payload writer and the resume check."""
-        pipe = self.pipeline
-        config = {
-            **pipe._resume_config(),
-            "engine": "parallel-shards",
-            "shard_blocks": pipe.shard_blocks,
-            "shards_total": len(shards),
-        }
-        if pipe.supervisor is not None:
-            config.update(pipe.supervisor.resume_config())
-        return config

@@ -21,7 +21,7 @@ boundaries so a killed sweep resumes without re-scanning.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
@@ -36,8 +36,9 @@ from repro.core.prefilter import Prefilter, PrefilterFinding
 from repro.core.retry import CircuitBreaker, RetryExecutor, RetryPolicy, RetryStats
 from repro.core.tsunami.engine import TsunamiEngine
 from repro.core.tsunami.plugin import DetectionReport
+from repro.net.chaos import FaultPlan
 from repro.net.http import Scheme
-from repro.net.intervals import FrameLike
+from repro.net.intervals import FrameLike, IntervalSet, as_frame
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import stream_layer, transport_layers
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
@@ -214,6 +215,15 @@ EXECUTORS = ("thread", "process")
 
 _HTTP = Scheme.HTTP.value
 
+#: The ``ScanPipeline`` fields a sweep's output does not depend on (the
+#: reasons: DESIGN.md §6).  Every other field goes into :func:`resume_key`,
+#: so a field added later is refused across a resume until named here.
+OUTPUT_NEUTRAL = frozenset({
+    "transport", "clock", "telemetry", "console", "profile", "workers",
+    "executor", "mp_start_method", "supervision", "circuit_breaker",
+    "knowledge_base",
+})
+
 
 @dataclass
 class _JournalMarks:
@@ -234,6 +244,8 @@ class _JournalMarks:
 @dataclass
 class ScanPipeline:
     """Configurable three-stage pipeline."""
+
+    journal_engine = "sequential"  # the ``engine`` its checkpoints name
 
     transport: object  # Transport; typed loosely to avoid import cycles in docs
     ports: tuple[int, ...]
@@ -394,7 +406,11 @@ class ScanPipeline:
         completed = 0
         batches_done = 0
         self._journal = _JournalMarks()
-        payload = checkpoint.load() if checkpoint is not None else None
+        payload = None
+        if checkpoint is not None:
+            candidates = as_frame(candidates, exclude_reserved=False)
+            self._key = resume_key(self, self.journal_engine, candidates)
+            payload = checkpoint.load()
         if payload is not None:
             completed, batches_done, report = self._restore_checkpoint(payload)
         else:
@@ -693,18 +709,6 @@ class ScanPipeline:
 
     # -- checkpoint/resume ----------------------------------------------------
 
-    def _resume_config(self) -> dict:
-        """The knobs a checkpoint must match to be resumable here."""
-        return {
-            "engine": "sequential",
-            "seed": self.seed,
-            "ports": list(self.ports),
-            "batch_size": self.batch_size,
-            "fingerprint": self.fingerprint,
-            "use_prefilter": self.use_prefilter,
-            "retry_policy": self.retry_policy and asdict(self.retry_policy),
-        }
-
     def _checkpoint_payload(
         self, completed: int, batches_done: int, report: ScanReport
     ) -> dict:
@@ -729,7 +733,7 @@ class ScanPipeline:
         self._journal = self._journal_marks(report)
         stream = stream_layer(self.transport)
         return {
-            **self._resume_config(),
+            **self._key,
             "completed_addresses": completed,
             "batches_done": batches_done,
             "report": report_state,
@@ -755,7 +759,7 @@ class ScanPipeline:
         """Rebuild pipeline state from a checkpoint payload."""
         from repro.core.serialize import report_from_rows
 
-        check_config_matches(payload, **self._resume_config())
+        check_config_matches(payload, **self._key)
         # ``completed_addresses`` counts along the seed's block order; a
         # pipeline that has swept before has shuffled its RNG past it.
         self._masscan.rng = random.Random(self.seed)
@@ -791,3 +795,33 @@ class ScanPipeline:
             spans=self.telemetry.tracer.finished_count,
             responsive_hosts=set(self._prefilter.stats.responsive_hosts),
         )
+
+
+#: the fields :func:`resume_key` holds, in declaration order
+_OUTPUT_DETERMINING = tuple(
+    spec.name for spec in fields(ScanPipeline)
+    if spec.name not in OUTPUT_NEUTRAL
+)
+
+
+def resume_key(
+    pipeline: ScanPipeline, engine: str, frame: IntervalSet | None
+) -> dict:
+    """What a checkpoint must match for ``pipeline`` to resume it, as
+    plain values: the journal's driver (``engine``), every
+    output-determining field, the hash of the frame's runs (None: not
+    compared), and the plan and seed of the transport's chaos layer."""
+    key: dict = {"engine": engine}
+    for name in _OUTPUT_DETERMINING:
+        value = getattr(pipeline, name)
+        if hasattr(value, "__dataclass_fields__"):
+            value = asdict(value)
+        key[name] = list(value) if isinstance(value, tuple) else value
+    key["frame"] = None if frame is None else stable_hash(frame.runs)
+    key["fault_plan"] = key["chaos_seed"] = None
+    for layer in transport_layers(pipeline.transport):
+        plan = getattr(layer, "plan", None)
+        if isinstance(plan, FaultPlan):
+            key["fault_plan"], key["chaos_seed"] = asdict(plan), layer.seed
+            break
+    return key

@@ -59,8 +59,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.checkpoint import GROWTH, Checkpointer
-from repro.core.pipeline import HostRecord, ScanPipeline, ScanReport
+from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
+from repro.core.pipeline import HostRecord, ScanPipeline, ScanReport, resume_key
 from repro.core.serialize import report_from_dict, report_to_dict
 from repro.net.intervals import BLOCK_MASK, IntervalSet
 from repro.net.ipv4 import IPv4Address
@@ -85,15 +85,20 @@ class RescanState:
     batch_size: int
     fingerprint: bool
 
+    @property
+    def config(self) -> dict:
+        """The settings the sweep ran with, as the state file stores them."""
+        return {
+            "seed": self.seed,
+            "ports": list(self.ports),
+            "batch_size": self.batch_size,
+            "fingerprint": self.fingerprint,
+        }
+
     def to_dict(self) -> dict:
         return {
             "format_version": RESCAN_FORMAT_VERSION,
-            "config": {
-                "seed": self.seed,
-                "ports": list(self.ports),
-                "batch_size": self.batch_size,
-                "fingerprint": self.fingerprint,
-            },
+            "config": self.config,
             "frame": self.frame.to_dict(),
             "report": report_to_dict(self.report),
             "records": [
@@ -144,6 +149,8 @@ def load_rescan_state(path: str | Path) -> RescanState:
     """Load a state previously written by :func:`save_rescan_state`."""
     try:
         return RescanState.from_dict(json.loads(Path(path).read_text()))
+    except FileNotFoundError as error:
+        raise ConfigError(f"no rescan state file at {path}") from error
     except (ValueError, KeyError, TypeError, AttributeError) as error:
         raise CheckpointCorrupt(
             f"rescan state file {path} is damaged: {error!r}"
@@ -162,6 +169,8 @@ class _ReplayingPipeline(ScanPipeline):
     docstring), and adds the ledger to the checkpoint journal.
     """
 
+    journal_engine = "rescan"
+
     def __post_init__(self) -> None:
         super().__post_init__()
         self.records = {}
@@ -170,7 +179,7 @@ class _ReplayingPipeline(ScanPipeline):
         self.prior: RescanState | None = None
         #: /24 bases the caller says may have changed behind unchanged ports
         self.hinted: set[int] = set()
-        #: what a resumed sweep must agree on (see RescanEngine._run_hash)
+        #: the hints and prior report a resumed sweep must agree on
         self.run_hash: int | None = None
         #: how many of ``records`` the checkpoint journal holds
         self._saved = 0
@@ -193,20 +202,9 @@ class _ReplayingPipeline(ScanPipeline):
 
     # -- checkpoint/resume: the sequential journal, plus the ledger ---------
 
-    def _resume_config(self) -> dict:
-        # "journal", checked first, refuses the engine's earlier journals
-        # by name: the same engine name, none of the sequential sections.
-        config = super()._resume_config()
-        del config["engine"]
-        return {
-            "engine": "rescan",
-            "journal": "sequential",
-            **config,
-            "run_hash": self.run_hash,
-        }
-
     def _checkpoint_payload(self, *args) -> dict:
         payload = super()._checkpoint_payload(*args)
+        payload["journal"], payload["run_hash"] = "sequential", self.run_hash
         payload[GROWTH]["records"] = [
             (record.value, record.responses, record.finding)
             for record in islice(self.records.values(), self._saved, None)
@@ -215,6 +213,11 @@ class _ReplayingPipeline(ScanPipeline):
         return payload
 
     def _restore_checkpoint(self, payload: dict) -> tuple[int, int, ScanReport]:
+        # "journal", checked first, refuses the engine's earlier journals
+        # by name: the same engine name, none of the sequential sections.
+        check_config_matches(
+            payload, journal="sequential", run_hash=self.run_hash
+        )
         resumed = super()._restore_checkpoint(payload)
         self.records = {row[0]: HostRecord(*row) for row in payload["records"]}
         self._saved = len(self.records)
@@ -264,7 +267,6 @@ class RescanEngine:
         host, from stage I.  Accepts block bases or any address inside
         the block.
         """
-        self.check_prior(frame, prior)
         hinted = {
             (b.value if isinstance(b, IPv4Address) else int(b)) & BLOCK_MASK
             for b in churned_blocks
@@ -280,19 +282,18 @@ class RescanEngine:
         hinted: set[int],
         checkpoint: Checkpointer | None,
     ) -> RescanState:
-        pipe = _ReplayingPipeline(
-            transport=self.transport,
-            ports=self.ports,
-            seed=self.seed,
-            batch_size=self.batch_size,
-            fingerprint=self.fingerprint,
-            knowledge_base=self.knowledge_base,
-        )
+        pipe = self._pipeline()
+        if prior is not None:
+            self.check_prior(frame, prior, pipe)
         if prior is not None or checkpoint is not None:
             self._check_replayable()
         pipe.prior, pipe.hinted = prior, hinted
         if checkpoint is not None:
-            pipe.run_hash = self._run_hash(frame, prior, hinted)
+            # What a resumed pass must agree on beyond the resume key.
+            prior_digest = prior and stable_hash(
+                json.dumps(report_to_dict(prior.report), sort_keys=True)
+            )
+            pipe.run_hash = stable_hash(sorted(hinted), prior_digest)
         report = pipe.run(frame, checkpoint)
         # In-memory detections match a serialisation round trip: rebuilt
         # from findings, so fresh and replayed hosts are indistinguishable.
@@ -314,6 +315,16 @@ class RescanEngine:
 
     # -- helpers --------------------------------------------------------
 
+    def _pipeline(self) -> _ReplayingPipeline:
+        return _ReplayingPipeline(
+            transport=self.transport,
+            ports=self.ports,
+            seed=self.seed,
+            batch_size=self.batch_size,
+            fingerprint=self.fingerprint,
+            knowledge_base=self.knowledge_base,
+        )
+
     def _check_replayable(self) -> None:
         """Raise ConfigError if a layer of the transport carries a per-call
         stream (``snapshot_state``: state a resume must restore).  A
@@ -328,35 +339,17 @@ class RescanEngine:
                 "transport without one"
             )
 
-    def check_prior(self, frame: IntervalSet, prior: RescanState) -> None:
-        """Raise ConfigError unless ``prior`` can seed a re-scan of ``frame``."""
+    def check_prior(
+        self, frame: IntervalSet, prior: RescanState, pipe=None
+    ) -> None:
+        """Raise ConfigError unless ``prior`` can seed a re-scan of ``frame``
+        by ``pipe`` (by default, the pipeline a sweep of this engine runs):
+        the settings the state stores are compared with its resume key."""
         if prior.frame != frame:
             raise ConfigError(
                 "prior rescan state covers a different frame; incremental "
                 "re-scans must diff against the same candidate frame"
             )
-        for name, ours, theirs in (
-            ("seed", self.seed, prior.seed),
-            ("ports", tuple(self.ports), tuple(prior.ports)),
-            ("batch_size", self.batch_size, prior.batch_size),
-            ("fingerprint", self.fingerprint, prior.fingerprint),
-        ):
-            if ours != theirs:
-                raise ConfigError(
-                    f"prior rescan state was taken with {name}={theirs!r}, "
-                    f"but this engine uses {name}={ours!r}"
-                )
-
-    def _run_hash(
-        self,
-        frame: IntervalSet,
-        prior: RescanState | None,
-        hinted: set[int],
-    ) -> int:
-        """Fingerprint of everything a resumed pass must agree on."""
-        prior_digest = None
-        if prior is not None:
-            prior_digest = stable_hash(
-                json.dumps(report_to_dict(prior.report), sort_keys=True)
-            )
-        return stable_hash(frame.runs, sorted(hinted), prior_digest)
+        key = resume_key(pipe or self._pipeline(), "rescan", None)
+        stored = prior.config
+        check_config_matches(stored, **{name: key[name] for name in stored})

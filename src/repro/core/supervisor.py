@@ -105,15 +105,6 @@ class SupervisorConfig:
             if index < 0 or crashes < 1:
                 raise ValueError(f"bad crash_shards entry: {entry}")
 
-    def resume_config(self) -> dict:
-        """The knobs a supervised checkpoint must match to be resumed."""
-        return {
-            "deadline": self.deadline,
-            "probe_deadline": self.probe_deadline,
-            "max_shard_restarts": self.max_shard_restarts,
-            "quarantine_threshold": self.quarantine_threshold,
-        }
-
 
 class Quarantine:
     """Strike ledger for poison targets.

@@ -18,7 +18,7 @@ from repro.experiments.full_study import run_full_study
 from repro.experiments.honeypots import run_honeypot_study
 from repro.experiments.observe import run_observer_study
 from repro.experiments.scan import run_scan_study
-from repro.util.errors import ConfigError
+from repro.util.errors import ReproError
 
 _SCALES = {
     "tiny": StudyConfig.tiny,
@@ -261,17 +261,13 @@ def main(argv: list[str] | None = None) -> int:
         config = config.with_seed(args.seed)
     profile = args.profile or args.profile_out is not None
     hub = server = None
-    if args.console_port is not None:
-        from repro.obs.console import ConsoleHub, ConsoleServer
-
-        hub = ConsoleHub()
-        try:
-            server = ConsoleServer(hub, port=args.console_port).start()
-        except ConfigError as error:
-            print(f"repro-study: {error}", file=sys.stderr)
-            return 2
-        print(f"operations console at {server.url}", file=sys.stderr)
     try:
+        if args.console_port is not None:
+            from repro.obs.console import ConsoleHub, ConsoleServer
+
+            hub = ConsoleHub()
+            server = ConsoleServer(hub, port=args.console_port).start()
+            print(f"operations console at {server.url}", file=sys.stderr)
         report, telemetry = _run(
             args.experiment, config,
             markdown=args.markdown, workers=args.workers,
@@ -285,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
                 "rescan_out": args.rescan_out,
             },
         )
+    except ReproError as error:
+        print(f"repro-study: {error}", file=sys.stderr)
+        return 2
     finally:
         if server is not None:
             server.stop()

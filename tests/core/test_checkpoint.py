@@ -1,7 +1,11 @@
 """Tests for checkpoint/resume: a killed sweep continues losslessly."""
 
+import json
+import multiprocessing
 import pickle
 import zlib
+from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +13,20 @@ from hypothesis import strategies as st
 
 from repro.apps.base import AppInstance
 from repro.apps.catalog import create_instance, scanned_ports
-from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
-from repro.core.pipeline import ScanPipeline
+from repro.core.checkpoint import (
+    GROWTH,
+    Checkpointer,
+    _read_journal,
+    check_config_matches,
+)
+from repro.core.pipeline import OUTPUT_NEUTRAL, ScanPipeline, resume_key
+from repro.core.rescan import RescanEngine
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_to_dict
+from repro.core.supervisor import SupervisorConfig
 from repro.net.chaos import ChaosTransport, FaultPlan
 from repro.net.host import Host, Service
+from repro.net.intervals import IntervalSet
 from repro.net.ipv4 import IPv4Address
 from repro.net.network import SimulatedInternet
 from repro.net.transport import InMemoryTransport, Transport
@@ -399,58 +411,207 @@ def run_arm(die_after=None, checkpoint=None, seed=3):
     return pipeline.run(ips, checkpoint=checkpoint)
 
 
-#: resumes that used to be accepted with a changed knob, and reported
+#: the arms a knob is changed on, as the pipeline fields each sets
+ARMS = {
+    "sequential": {},
+    "sharded": {"workers": 2},
+    "supervised": {"workers": 2, "supervisor": SupervisorConfig()},
+}
+ALL_ARMS = tuple(ARMS)
+SHARD_ARMS = ("sharded", "supervised")
+
+#: a changed value for each SupervisorConfig field
+SUPERVISOR_CHANGES = {
+    "deadline": 10_000.0, "probe_deadline": 30.0, "max_shard_restarts": 1,
+    "quarantine_threshold": 3, "quarantine_block_threshold": 4,
+    "stall_window": 300.0, "heartbeat_every": 2, "crash_shards": ((1, 1),),
+}
+
+#: resumes that were once accepted with a changed knob, and reported
 #: something no uninterrupted sweep would: each row is the field the
-#: refusal names and the pipeline fields the resume changes
+#: refusal names, what the resume changes (pipeline fields, or the arm's
+#: ``frame`` slice, fault ``plan`` or ``chaos_seed``) and the arms it is
+#: changed on
 CHANGED_KNOBS = {
-    "fingerprint-on": ("fingerprint", {"fingerprint": True}),
-    "prefilter-off": ("use_prefilter", {"use_prefilter": False}),
-    "retry-off": ("retry_policy", {"retry_policy": None}),
+    "fingerprint-on": ("fingerprint", {"fingerprint": True}, ALL_ARMS),
+    "prefilter-off": ("use_prefilter", {"use_prefilter": False}, ALL_ARMS),
+    "retry-off": ("retry_policy", {"retry_policy": None}, ALL_ARMS),
     "max-attempts-5": ("retry_policy", {"retry_policy": RetryPolicy(
         max_attempts=5, base_delay=0.5, max_delay=4.0,
-    )}),
+    )}, ALL_ARMS),
+    "seed-4": ("seed", {"seed": 4}, ALL_ARMS),
+    "ports-fewer": ("ports", {"ports": scanned_ports()[1:]}, ALL_ARMS),
+    "batch-size-2": ("batch_size", {"batch_size": 2}, ALL_ARMS),
+    "frame-smaller": ("frame", {"frame": slice(1, None)}, ALL_ARMS),
+    "shard-blocks-2": ("shard_blocks", {"shard_blocks": 2}, SHARD_ARMS),
+    "fault-plan": (
+        "fault_plan", {"plan": replace(PLAN, reset_rate=0.03)}, ALL_ARMS,
+    ),
+    "chaos-seed-22": ("chaos_seed", {"chaos_seed": 22}, ALL_ARMS),
+    **{
+        f"supervisor-{name}": (
+            "supervisor",
+            {"supervisor": SupervisorConfig(**{name: value})},
+            ("supervised",),
+        )
+        for name, value in SUPERVISOR_CHANGES.items()
+    },
+}
+
+#: output-neutral changes across a resume of the sharded arm: the fields
+#: the killed sweep ran with, then the fields the resume runs with
+NEUTRAL_CHANGES = {
+    "workers-2-to-1": ({}, {"workers": 1}),
+    "workers-1-to-3": ({"workers": 1}, {"workers": 3}),
+    "thread-to-process": ({}, {"executor": "process"}),
+    "process-to-thread": ({"executor": "process"}, {}),
+    "profile-on": ({}, {"profile": True}),
+    "fork-to-spawn": (
+        {"executor": "process", "mp_start_method": "fork"},
+        {"executor": "process", "mp_start_method": "spawn"},
+    ),
+    "spawn-to-fork": (
+        {"executor": "process", "mp_start_method": "spawn"},
+        {"executor": "process", "mp_start_method": "fork"},
+    ),
 }
 
 
-def knob_arm(checkpoint, workers=None, **fields):
-    """A sweep of the ten-host chaos world, sequential or in two shards."""
+def knob_arm(
+    checkpoint, arm="sequential", frame=slice(None), plan=PLAN, chaos_seed=21,
+    **fields,
+):
+    """A sweep of the ten-host chaos world, sequential, in two shards or
+    in two supervised shards, over the ``frame`` slice of its hosts."""
     internet, ips = build_world()
     clock = SimClock()
     transport = ChaosTransport(
-        InMemoryTransport(internet), PLAN, seed=21, clock=clock
+        InMemoryTransport(internet), plan, seed=chaos_seed, clock=clock
     )
     config = {
-        "seed": 3, "batch_size": 3, "fingerprint": False,
+        "ports": scanned_ports(), "seed": 3, "batch_size": 3,
+        "fingerprint": False,
         "retry_policy": RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
-        "clock": clock, "workers": workers, "shard_blocks": 1, **fields,
+        "clock": clock, "shard_blocks": 1, **ARMS[arm], **fields,
     }
-    return ScanPipeline(transport, scanned_ports(), **config).run(
-        ips, checkpoint=checkpoint
+    return ScanPipeline(transport, **config).run(
+        ips[frame], checkpoint=checkpoint
     )
+
+
+def rescan_arm(checkpoint, frame=slice(None), churned=None, **fields):
+    """A re-scan engine's sweep of the ten-host world without chaos: its
+    baseline, or with ``churned`` hosts a re-scan against that baseline."""
+    internet, ips = build_world()
+    config = {
+        "ports": scanned_ports(), "seed": 3, "batch_size": 3,
+        "fingerprint": False, **fields,
+    }
+    engine = RescanEngine(InMemoryTransport(internet), **config)
+    addresses = IntervalSet.from_values(ips[frame])
+    if churned is None:
+        return engine.baseline(addresses, checkpoint).report
+    prior = engine.baseline(addresses)
+    return engine.rescan(addresses, prior, churned, checkpoint).report
 
 
 class TestResumeRefusesChangedKnobs:
-    @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "sharded"])
-    @pytest.mark.parametrize("change", sorted(CHANGED_KNOBS))
-    def test_a_changed_knob_is_refused_by_name(self, tmp_path, change, workers):
-        field, fields = CHANGED_KNOBS[change]
+    @pytest.mark.parametrize("change,arm", [
+        pytest.param(change, arm, id=f"{change}-{arm}")
+        for change in sorted(CHANGED_KNOBS)
+        for arm in CHANGED_KNOBS[change][2]
+    ])
+    def test_a_changed_knob_is_refused_by_name(self, tmp_path, change, arm):
+        field, changes, _ = CHANGED_KNOBS[change]
         path = tmp_path / "scan.ckpt"
         with pytest.raises(KeyboardInterrupt):
-            knob_arm(_Crashing(path, 1), workers)
+            knob_arm(_Crashing(path, 1), arm)
         journal = path.read_bytes()
         with pytest.raises(ConfigError, match=f" {field}="):
-            knob_arm(Checkpointer(path), workers, **fields)
+            knob_arm(Checkpointer(path), arm, **changes)
         assert path.read_bytes() == journal
 
-    @pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "sharded"])
+    @pytest.mark.parametrize("arm", ALL_ARMS)
     def test_unchanged_knobs_resume_to_the_uninterrupted_report(
-        self, tmp_path, workers
+        self, tmp_path, arm
     ):
-        expected = report_to_dict(knob_arm(None, workers))
+        expected = report_to_dict(knob_arm(None, arm))
         path = tmp_path / "scan.ckpt"
         with pytest.raises(KeyboardInterrupt):
-            knob_arm(_Crashing(path, 1), workers)
-        assert report_to_dict(knob_arm(Checkpointer(path), workers)) == expected
+            knob_arm(_Crashing(path, 1), arm)
+        assert report_to_dict(knob_arm(Checkpointer(path), arm)) == expected
+
+    @pytest.mark.parametrize("change", sorted(NEUTRAL_CHANGES))
+    def test_an_output_neutral_change_resumes_to_the_uninterrupted_report(
+        self, tmp_path, change
+    ):
+        killed, resumed = NEUTRAL_CHANGES[change]
+        methods = {
+            fields.get("mp_start_method") for fields in (killed, resumed)
+        }
+        available = set(multiprocessing.get_all_start_methods())
+        if not methods - {None} <= available:
+            pytest.skip(f"start methods {methods} not all available here")
+        expected = json.dumps(report_to_dict(knob_arm(None, "sharded")))
+        path = tmp_path / "scan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            knob_arm(_Crashing(path, 1), "sharded", **killed)
+        report = knob_arm(Checkpointer(path), "sharded", **resumed)
+        assert json.dumps(report_to_dict(report)) == expected
+
+    @pytest.mark.parametrize("field,change", [
+        ("frame", {"frame": slice(1, None)}),
+        ("seed", {"seed": 4}),
+        ("ports", {"ports": scanned_ports()[1:]}),
+        ("batch_size", {"batch_size": 2}),
+        ("run_hash", {"churned": [IPv4Address.parse("93.184.100.10")]}),
+    ], ids=["frame", "seed", "ports", "batch-size", "hints"])
+    def test_a_rescan_journal_refuses_a_changed_knob(
+        self, tmp_path, field, change
+    ):
+        path = tmp_path / "rescan.ckpt"
+        churned = () if "churned" in change else None
+        with pytest.raises(KeyboardInterrupt):
+            rescan_arm(_Crashing(path, 1), churned=churned)
+        journal = path.read_bytes()
+        with pytest.raises(ConfigError, match=f" {field}="):
+            rescan_arm(Checkpointer(path), **{"churned": churned, **change})
+        assert path.read_bytes() == journal
+
+    def test_every_pipeline_field_is_neutral_or_in_the_key(self):
+        """Never both, never neither: a field added later is refused
+        across a resume until it is declared output-neutral."""
+        pipeline = ScanPipeline(InMemoryTransport(SimulatedInternet()), (80,))
+        key = resume_key(pipeline, "sequential", None)
+        names = {spec.name for spec in dataclass_fields(ScanPipeline)}
+        for name in names:
+            assert (name in OUTPUT_NEUTRAL) != (name in key), name
+        assert OUTPUT_NEUTRAL <= names
+        assert set(SUPERVISOR_CHANGES) == {
+            spec.name for spec in dataclass_fields(SupervisorConfig)
+        }
+
+    def test_a_journal_carrying_the_earlier_key_is_refused_untouched(
+        self, tmp_path
+    ):
+        """Before the one key, a sequential record carried no frame,
+        shard count, supervisor or chaos settings: its records, re-saved
+        without them, are refused by name and never resumed."""
+        path = tmp_path / "scan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            knob_arm(_Crashing(path, 2))
+        records, _ = _read_journal(path.read_bytes())
+        path.unlink()
+        earlier = Checkpointer(path)
+        for record in records:
+            for name in ("shard_blocks", "supervisor", "frame", "fault_plan",
+                         "chaos_seed"):
+                del record[name]
+            earlier.save(record)
+        journal = path.read_bytes()
+        with pytest.raises(ConfigError, match=" shard_blocks=None"):
+            knob_arm(Checkpointer(path))
+        assert path.read_bytes() == journal
 
 
 class TestResume:
@@ -504,9 +665,9 @@ class TestResume:
             run_arm(checkpoint=ckpt, seed=4)
 
     def test_successful_completion_clears_the_checkpoint(self, tmp_path):
-        """A stale file after success would hijack the next sweep: a run
-        over a *different* candidate list (same config) would load it and
-        silently skip everything."""
+        """A stale file after success would hijack the next sweep of the
+        same frame and settings: its key matches, so the run would load it
+        and skip everything.  (A different frame is refused by the key.)"""
         ckpt = Checkpointer(tmp_path / "scan.ckpt")
         run_arm(checkpoint=ckpt)
         assert not ckpt.exists()

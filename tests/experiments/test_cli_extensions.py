@@ -112,3 +112,39 @@ class TestChaosExperiments:
         assert stormy.quarantined_hosts > 0
         assert stormy.mavs_found < calm.mavs_found
         assert "Severity" in study.table().render()
+
+
+class TestBadRescanState:
+    """A saved state the longevity campaign cannot continue from ends the
+    run with one ``repro-study: <message>`` line and exit status 2."""
+
+    LONGEVITY = [
+        "--experiment", "longevity", "--scale", "tiny",
+        "--frame-addresses", "100000", "--max-sweeps", "1",
+    ]
+
+    def refused(self, capsys, *extra):
+        status = main([*self.LONGEVITY, *extra])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("repro-study: ") and err.count("\n") == 1
+        return err
+
+    def test_a_state_with_no_sections(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text('{"format_version": 2}')
+        err = self.refused(capsys, "--rescan-from", str(state))
+        assert str(state) in err and "damaged" in err
+
+    def test_a_missing_state_file(self, capsys, tmp_path):
+        state = tmp_path / "never-written.json"
+        err = self.refused(capsys, "--rescan-from", str(state))
+        assert f"no rescan state file at {state}" in err
+
+    def test_a_state_taken_at_another_seed(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        saved = main([*self.LONGEVITY, "--seed", "7", "--rescan-out", str(state)])
+        assert saved == 0
+        capsys.readouterr()
+        err = self.refused(capsys, "--seed", "8", "--rescan-from", str(state))
+        assert " seed=7," in err and " seed=8" in err

@@ -27,7 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the plugin base class, its auditor and its rules; the re-scan
 #: pipeline's stage-III token and its noting stats class; the process
 #: pool's per-shard function, its initializer and its per-worker runner;
-#: stage I's per-host op stream, its lazy gate and its batch closer
+#: stage I's per-host op stream, its lazy gate and its batch closer; the
+#: per-driver resume-config lists and the sharded journal's shard count
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -47,6 +48,7 @@ RETIRED = (
     "PLG006", "PLG007", "replay_findings", "_NotedStats",
     "_process_shard", "_init_worker", "_WORKER_RUNNER",
     "_ops", "_gated(", "`_gated`", "_close_batch",
+    "_resume_config", "_expected_config", "resume_config(", "shards_total",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
