@@ -20,8 +20,8 @@ the data*:
   write (progress, console, checkpointing);
 * **deterministic fold** — each shard hands back a :class:`ShardResult`,
   and the main thread folds shard *i* once shards 0…*i* are in: reports
-  merge, telemetry is absorbed with span-id rebasing, transport stats
-  add.  The fold is the *only* sanctioned write path out of a worker,
+  merge, the telemetry snapshot is decoded straight into the parent
+  (``Telemetry.absorb_state``, span ids rebased), transport stats add.  The fold is the *only* sanctioned write path out of a worker,
   which the ``RACE*`` lint rules enforce.
 
 Because every shard computation is independent and the fold order is
@@ -59,7 +59,6 @@ from functools import partial
 from multiprocessing.connection import wait
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
-from repro.core.fingerprint.knowledge_base import build_default_knowledge_base
 from repro.core.pipeline import DEFAULT_SHARD_BLOCKS, ScanReport, resume_key
 from repro.core.retry import RetryPolicy
 from repro.core.serialize import report_from_rows, report_rows, report_to_dict
@@ -408,20 +407,15 @@ class ParallelScanEngine:
         self._fold_ready(report, completed)
         todo = [shard for shard in shards if shard.index not in completed]
         if todo:
-            # The shared knowledge base is read-only during a sweep, so
-            # building it once saves every shard the construction cost.
-            knowledge_base = None
-            if pipe.fingerprint:
-                knowledge_base = pipe.knowledge_base
-                if knowledge_base is None:
-                    knowledge_base = build_default_knowledge_base()
+            # The knowledge base is read-only during a sweep, so every
+            # shard shares the one the parent pipeline built.
             runner = ShardRunner(
                 transport=pipe.transport,
                 ports=tuple(pipe.ports),
                 batch_size=pipe.batch_size,
                 fingerprint=pipe.fingerprint,
                 use_prefilter=pipe.use_prefilter,
-                knowledge_base=knowledge_base,
+                knowledge_base=pipe.knowledge_base,
                 retry_policy=pipe.retry_policy,
                 profile=pipe.profile,
                 supervisor=pipe.supervisor,

@@ -346,11 +346,12 @@ class ScanPipeline:
             self.transport, retry=self._retry, telemetry=self.telemetry
         )
         if self.fingerprint:
-            kb = self.knowledge_base
-            if kb is None:
-                kb = build_default_knowledge_base()
+            if self.knowledge_base is None:
+                # Kept, so shards and a re-scan engine's later sweeps share it.
+                self.knowledge_base = build_default_knowledge_base()
             self._fingerprinter = VersionFingerprinter(
-                self.transport, kb, retry=self._retry, telemetry=self.telemetry
+                self.transport, self.knowledge_base,
+                retry=self._retry, telemetry=self.telemetry,
             )
         else:
             self._fingerprinter = None

@@ -316,7 +316,7 @@ class RescanEngine:
     # -- helpers --------------------------------------------------------
 
     def _pipeline(self) -> _ReplayingPipeline:
-        return _ReplayingPipeline(
+        pipe = _ReplayingPipeline(
             transport=self.transport,
             ports=self.ports,
             seed=self.seed,
@@ -324,6 +324,9 @@ class RescanEngine:
             fingerprint=self.fingerprint,
             knowledge_base=self.knowledge_base,
         )
+        # Read-only during a sweep: the first sweep's build serves the rest.
+        self.knowledge_base = pipe.knowledge_base
+        return pipe
 
     def _check_replayable(self) -> None:
         """Raise ConfigError if a layer of the transport carries a per-call

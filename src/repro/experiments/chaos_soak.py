@@ -237,7 +237,7 @@ def run_chaos_coverage_study(
         merged.events.info(
             "chaos-coverage", "severity-arm", severity=severity
         )
-        merged.absorb(pipeline.telemetry)
+        merged.absorb_state(pipeline.telemetry.snapshot_state())
         coverage = report.coverage
         coverage.verify()
         coverage.reconcile(report)

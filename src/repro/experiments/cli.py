@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.flight_out is not None:
             with open(args.flight_out, "w") as handle:
                 json.dump(
-                    telemetry.flight.to_dict(), handle,
+                    telemetry.flight.snapshot_state(), handle,
                     indent=2, sort_keys=True,
                 )
                 handle.write("\n")

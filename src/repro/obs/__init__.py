@@ -7,14 +7,17 @@ so two runs with the same seed produce *identical* telemetry:
   (JSONL-serialisable records with level/stage/host fields);
 * :mod:`repro.obs.trace` — nested tracing spans
   (sweep → batch → stage → per-host plugin probe);
-* :mod:`repro.obs.metrics` — a metrics registry of counters, gauges, and
+* :mod:`repro.obs.metrics` — a metrics registry of counters and
   fixed-bucket histograms (stage funnel, per-plugin latency/verdicts,
   retry/circuit-breaker and chaos-fault counters, honeypot activity).
 
-:class:`~repro.obs.telemetry.Telemetry` bundles the three behind one
-handle that every instrumented layer shares, snapshots through
-:mod:`repro.core.checkpoint`, and exports as JSONL, Prometheus text
-exposition, or a human-readable funnel table.
+:class:`~repro.obs.telemetry.Telemetry` bundles the three (and the
+flight recorder) behind one handle that every instrumented layer
+shares, snapshots through :mod:`repro.core.checkpoint`, and exports as
+JSONL, Prometheus text exposition, or a human-readable funnel table.
+Every pillar has one encoder, ``snapshot_state``, and one decoder,
+``absorb_state``, which is also how shard telemetry folds into the
+parent; ``restore_state`` is that decoder run into an emptied pillar.
 
 On top of the pillars sit the diagnostic layers:
 
@@ -28,7 +31,7 @@ On top of the pillars sit the diagnostic layers:
 
 from repro.obs.events import Event, EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
 from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.obs.trace import Span, Tracer
@@ -38,7 +41,6 @@ __all__ = [
     "EventLog",
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ProfileRollup",

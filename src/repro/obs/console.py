@@ -154,28 +154,22 @@ class ConsoleHub:
         telemetry, results = self._sources()
         merged = MetricsRegistry()
         if telemetry is not None:
-            merged.absorb(self._registry_snapshot(telemetry))
+            merged.absorb_state(self._published_state(telemetry))
         for result in results:
-            shard = MetricsRegistry()
-            shard.restore_state(result.telemetry["metrics"])
-            merged.absorb(shard)
+            merged.absorb_state(result.telemetry["metrics"])
         return merged
 
     @staticmethod
-    def _registry_snapshot(telemetry) -> MetricsRegistry:
-        """Snapshot what a live registry last published (this is not the
-        sweep's thread, so it must not publish), retrying if a writer
-        lands mid-read."""
+    def _published_state(telemetry) -> dict:
+        """What a live registry last published (this is not the sweep's
+        thread, so it must not publish), retrying if a writer lands
+        mid-read."""
         last: RuntimeError | None = None
         for _ in range(_READ_RETRIES):
             try:
-                state = telemetry.metrics.published_state()
+                return telemetry.metrics.published_state()
             except RuntimeError as exc:  # pragma: no cover - timing window
                 last = exc
-                continue
-            registry = MetricsRegistry()
-            registry.restore_state(state)
-            return registry
         raise last  # pragma: no cover - eight consecutive collisions
 
     # -- read-side views -----------------------------------------------------
@@ -251,14 +245,12 @@ class ConsoleHub:
         telemetry, results = self._sources()
         merged = FlightRecorder()
         if telemetry is not None:
-            merged.absorb(telemetry.flight)
+            merged.absorb_state(telemetry.flight.snapshot_state())
         for result in results:
             state = result.telemetry.get("flight")
             if state is not None:
-                shard = FlightRecorder()
-                shard.restore_state(state)
-                merged.absorb(shard)
-        return merged.to_dict()
+                merged.absorb_state(state)
+        return merged.snapshot_state()
 
     def dashboard_html(self) -> str:
         """The plain-HTML view of everything above — no scripts, no CSS

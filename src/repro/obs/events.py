@@ -160,19 +160,7 @@ class EventLog:
             return ""
         return "\n".join(e.to_json() for e in self._events) + "\n"
 
-    # -- shard folding -------------------------------------------------------
-
-    def absorb(self, other: "EventLog") -> None:
-        """Append another log's records (the shard-merge step).
-
-        Records keep their own shard-local timestamps; ordering within the
-        merged log is fold order, which the parallel engine keeps
-        canonical by absorbing shards in index order.
-        """
-        self._events.extend(other._events)
-        self.suppressed += other.suppressed
-
-    # -- checkpoint support --------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     def snapshot_state(self, since: int = 0) -> dict:
         """The log's state; ``since`` skips records a checkpoint journal
@@ -183,7 +171,19 @@ class EventLog:
             "events": [e.to_dict() for e in self._events[since:]],
         }
 
+    def absorb_state(self, state: dict) -> None:
+        """Append a snapshot's records (the decoder, and the shard-merge
+        step).
+
+        Records keep their own shard-local timestamps; ordering within the
+        merged log is fold order, which the parallel engine keeps
+        canonical by absorbing shards in index order.
+        """
+        self._events.extend(Event.from_dict(p) for p in state["events"])
+        self.suppressed += state["suppressed"]
+
     def restore_state(self, state: dict) -> None:
         self.min_level = state["min_level"]
-        self.suppressed = state["suppressed"]
-        self._events = [Event.from_dict(p) for p in state["events"]]
+        self._events = []
+        self.suppressed = 0
+        self.absorb_state(state)

@@ -14,12 +14,12 @@ their full context:
 
 Determinism rules match the rest of :mod:`repro.obs`: durations and
 ordering come from the SimClock only, records fold in canonical shard
-order (:meth:`FlightRecorder.absorb` keeps the global slowest
+order (:meth:`FlightRecorder.absorb_state` keeps the global slowest
 ``capacity``), and the recorder snapshots/restores through the
 checkpoint layer so a killed sweep resumes with its record intact.  The
-recorder is *not* part of the canonical report or telemetry JSONL — it
-exports separately (``to_dict``/``render``) for artifacts and the
-operations console.
+recorder is *not* part of the canonical report or telemetry JSONL — its
+snapshot is also its export (``snapshot_state``/``render``) for
+artifacts and the operations console.
 """
 
 from __future__ import annotations
@@ -167,28 +167,7 @@ class FlightRecorder:
     def __len__(self) -> int:
         return min(len(self._records), self.capacity)
 
-    # -- shard folding ---------------------------------------------------------
-
-    def absorb(self, other: "FlightRecorder") -> None:
-        """Fold another recorder's record in (the shard-merge step).
-
-        Called in canonical shard order by the telemetry fold; the merged
-        record keeps the globally slowest ``capacity`` probes under the
-        same value-determined ordering, so the result is identical for
-        every worker count.
-        """
-        self._records.extend(dict(r) for r in other._records)
-        self.probes_seen += other.probes_seen
-        self._compact()
-
     # -- exports ---------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "probes_seen": self.probes_seen,
-            "records": self.records,
-        }
 
     def table(self, title: str = "Flight recorder (slowest probes)") -> Table:
         table = Table(
@@ -209,7 +188,7 @@ class FlightRecorder:
     def render(self) -> str:
         return self.table().render()
 
-    # -- checkpoint support ----------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
         """Records only — exchange windows never span a checkpoint."""
@@ -219,10 +198,23 @@ class FlightRecorder:
             "records": self.records,
         }
 
+    def absorb_state(self, state: dict) -> None:
+        """Fold a snapshot's records in (the decoder, and the shard-merge
+        step).
+
+        Called in canonical shard order by the telemetry fold; the merged
+        record keeps the globally slowest ``capacity`` probes under the
+        same value-determined ordering, so the result is identical for
+        every worker count.
+        """
+        self._records.extend(dict(r) for r in state["records"])
+        self.probes_seen += state["probes_seen"]
+        self._compact()
+
     def restore_state(self, state: dict) -> None:
         self.capacity = state["capacity"]
-        self.probes_seen = state["probes_seen"]
-        self._records = [dict(r) for r in state["records"]]
+        self._records = []
+        self.probes_seen = 0
         self._exchanges = []
         self._bar = None
-        self._compact()
+        self.absorb_state(state)

@@ -1,18 +1,22 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Everything numeric the runtime wants to expose lives here, keyed by
-``(name, sorted labels)``.  Buckets are fixed at creation (no dynamic
-rebinning), values come only from instrumented code charged to the
-SimClock, and every accessor iterates in sorted key order — so snapshots
-and the Prometheus exposition are deterministic across identical runs.
+``(name, sorted labels)``.  Every histogram has the default buckets
+(no dynamic rebinning), values come only from instrumented code charged
+to the SimClock, and every accessor iterates in sorted key order — so
+snapshots and the Prometheus exposition are deterministic across
+identical runs.
 
-Write local, publish on read.  A per-probe writer looks no series up:
-it adds to a plain local — the registry's ``pending`` dict, its
-``observed`` lists, or a stats block of its own with a publish hook
-(:meth:`MetricsRegistry.defer`).  Every read — ``counter_value``,
-``histogram_count``, ``snapshot_state``, ``absorb``, ``to_prometheus``
-— publishes first, so a reader sees exactly what per-increment writes
-would have left, and a sweep nobody reads pays one publish per batch.  Publishing is single-writer: only
+Write local, publish on read.  A per-probe or per-batch writer looks no
+series up: it adds to a plain local — the registry's ``pending`` dict
+under a :func:`series_key` it built once, its ``observed`` lists, or a
+stats block of its own with a publish hook
+(:meth:`MetricsRegistry.defer`).  ``counter(name, **labels)`` is for
+cold writers, and for float series that must add in charge order.
+Every read — ``counter_value``, ``histogram_count``, ``snapshot_state``,
+``absorb_state``, ``to_prometheus`` — publishes first, so a reader sees
+exactly what per-increment writes would have left, and a sweep nobody
+reads pays one publish per batch.  Publishing is single-writer: only
 the thread running the sweep may read through those accessors; any
 other thread (the console's HTTP handler) takes
 :meth:`MetricsRegistry.published_state`, which never publishes and is
@@ -39,13 +43,6 @@ def _label_key(labels: dict[str, object]) -> _LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _raw_key(name: str, labels: dict[str, object]) -> tuple:
-    """Memo key of a labelled lookup as spelt: kwargs in call order, plus
-    the value types (``1``, ``1.0`` and ``True`` hash alike but label
-    different series)."""
-    return (name, *labels.items(), *map(type, labels.values()))
-
-
 def series_key(name: str, **labels: object) -> tuple[str, _LabelKey]:
     """Canonical key of one series — what ``MetricsRegistry.pending``
     counts under.  Writers build theirs once, not per increment."""
@@ -64,24 +61,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -116,24 +95,16 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Lazily-created, labelled metric families.
+    """Lazily-created, labelled counter and histogram families.
 
-    Instrumented code asks for its series by ``(name, **labels)`` on every
-    increment, so each family keeps a memo from the *raw* call (the bare
-    name, or ``_raw_key`` when labelled) to the series it resolved to;
-    only the first call with a given spelling pays for the canonical
-    sorted, stringified key.  The memos live and die with the series
-    objects: ``restore_state`` replaces those and clears the memos, which
-    is why call sites keep no handles of their own.
+    Its state has one encoder, :meth:`snapshot_state`, and one decoder,
+    :meth:`absorb_state`, which is also the shard fold; a restore is an
+    emptied registry absorbing the snapshot.
     """
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, _LabelKey], Counter] = {}
-        self._gauges: dict[tuple[str, _LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
-        self._counter_memo: dict[object, Counter] = {}
-        self._gauge_memo: dict[object, Gauge] = {}
-        self._histogram_memo: dict[object, Histogram] = {}
         #: counter adds not yet folded in, by :func:`series_key`.  The
         #: per-probe write is ``pending[key] = pending.get(key, 0) + n``,
         #: whole counts only (a float series must add in charge order,
@@ -202,39 +173,10 @@ class MetricsRegistry:
     # -- creation / lookup ---------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
-        raw = _raw_key(name, labels) if labels else name
-        metric = self._counter_memo.get(raw)
+        key = series_key(name, **labels)
+        metric = self._counters.get(key)
         if metric is None:
-            metric = self._counter_memo[raw] = self._counters.setdefault(
-                (name, _label_key(labels)), Counter()
-            )
-        return metric
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        raw = _raw_key(name, labels) if labels else name
-        metric = self._gauge_memo.get(raw)
-        if metric is None:
-            metric = self._gauge_memo[raw] = self._gauges.setdefault(
-                (name, _label_key(labels)), Gauge()
-            )
-        return metric
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Iterable[float] | None = None,
-        **labels: object,
-    ) -> Histogram:
-        raw = _raw_key(name, labels) if labels else name
-        metric = self._histogram_memo.get(raw)
-        if metric is None:
-            key = (name, _label_key(labels))
-            metric = self._histograms.get(key)
-            if metric is None:
-                metric = self._histograms[key] = Histogram(
-                    buckets if buckets is not None else DEFAULT_BUCKETS
-                )
-            self._histogram_memo[raw] = metric
+            metric = self._counters[key] = Counter()
         return metric
 
     # -- read accessors (0 for series never touched) -------------------------
@@ -244,50 +186,10 @@ class MetricsRegistry:
         metric = self._counters.get((name, _label_key(labels)))
         return metric.value if metric is not None else 0.0
 
-    def gauge_value(self, name: str, **labels: object) -> float:
-        metric = self._gauges.get((name, _label_key(labels)))
-        return metric.value if metric is not None else 0.0
-
     def histogram_count(self, name: str, **labels: object) -> int:
         self.publish()
         metric = self._histograms.get((name, _label_key(labels)))
         return metric.count if metric is not None else 0
-
-    # -- shard folding -------------------------------------------------------
-
-    def absorb(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (the shard-merge step).
-
-        Counters and gauges add; histograms add bucket-wise and therefore
-        require identical bounds.  Iteration is in sorted key order so the
-        series created by the fold appear in a canonical order regardless
-        of how the absorbed registry was populated.
-        """
-        self.publish()
-        other.publish()
-        for key, counter in sorted(other._counters.items()):
-            mine = self._counters.get(key)
-            if mine is None:
-                mine = self._counters[key] = Counter()
-            mine.value += counter.value
-        for key, gauge in sorted(other._gauges.items()):
-            mine = self._gauges.get(key)
-            if mine is None:
-                mine = self._gauges[key] = Gauge()
-            mine.value += gauge.value
-        for key, histogram in sorted(other._histograms.items()):
-            mine = self._histograms.get(key)
-            if mine is None:
-                mine = self._histograms[key] = Histogram(histogram.bounds)
-            if mine.bounds != histogram.bounds:
-                raise ValueError(
-                    f"cannot absorb histogram {key[0]!r}: bucket bounds differ"
-                )
-            mine.counts = [
-                a + b for a, b in zip(mine.counts, histogram.counts)
-            ]
-            mine.total += histogram.total
-            mine.count += histogram.count
 
     # -- exposition ----------------------------------------------------------
 
@@ -315,9 +217,6 @@ class MetricsRegistry:
         for (name, labels), counter in sorted(self._counters.items()):
             type_line(name, "counter")
             lines.append(f"{name}{label_text(labels)} {_num(counter.value)}")
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            type_line(name, "gauge")
-            lines.append(f"{name}{label_text(labels)} {_num(gauge.value)}")
         for (name, labels), histogram in sorted(self._histograms.items()):
             type_line(name, "histogram")
             for bound, cumulative in histogram.cumulative():
@@ -343,10 +242,6 @@ class MetricsRegistry:
                 [name, [list(p) for p in labels], metric.value]
                 for (name, labels), metric in sorted(self._counters.items())
             ],
-            "gauges": [
-                [name, [list(p) for p in labels], metric.value]
-                for (name, labels), metric in sorted(self._gauges.items())
-            ],
             "histograms": [
                 [
                     name,
@@ -360,28 +255,42 @@ class MetricsRegistry:
             ],
         }
 
+    def absorb_state(self, state: dict) -> None:
+        """Fold a snapshot in: the decoder, and the shard-merge step.
+
+        Counters add; histograms add bucket-wise and therefore require
+        identical bounds.  The snapshot is in sorted key order, so the
+        series the fold creates appear in a canonical order.  A
+        ``"gauges"`` list, which snapshots carried before the gauge
+        family went, is ignored.
+        """
+        self.publish()
+        counters, histograms = self._counters, self._histograms
+        for name, labels, value in state["counters"]:
+            key = (name, tuple((k, v) for k, v in labels))
+            mine = counters.get(key)
+            if mine is None:
+                mine = counters[key] = Counter()
+            mine.value += value
+        for name, labels, bounds, counts, total, count in state["histograms"]:
+            key = (name, tuple((k, v) for k, v in labels))
+            mine = histograms.get(key)
+            if mine is None:
+                mine = histograms[key] = Histogram(bounds)
+            if mine.bounds != tuple(bounds):
+                raise ValueError(
+                    f"cannot absorb histogram {name!r}: bucket bounds differ"
+                )
+            mine.counts = [a + b for a, b in zip(mine.counts, counts)]
+            mine.total += total
+            mine.count += count
+
     def restore_state(self, state: dict) -> None:
         # Pending counts belong to the state being replaced.
         self.publish()
-        for table in (
-            self._counters, self._gauges, self._histograms,
-            self._counter_memo, self._gauge_memo, self._histogram_memo,
-        ):
-            table.clear()
-        for name, labels, value in state["counters"]:
-            key = (name, tuple((k, v) for k, v in labels))
-            counter = self._counters[key] = Counter()
-            counter.value = value
-        for name, labels, value in state["gauges"]:
-            key = (name, tuple((k, v) for k, v in labels))
-            self._gauges[key] = gauge = Gauge()
-            gauge.value = value
-        for name, labels, bounds, counts, total, count in state["histograms"]:
-            key = (name, tuple((k, v) for k, v in labels))
-            histogram = self._histograms[key] = Histogram(bounds)
-            histogram.counts = list(counts)
-            histogram.total = total
-            histogram.count = count
+        self._counters.clear()
+        self._histograms.clear()
+        self.absorb_state(state)
 
 
 def _num(value: float) -> str:

@@ -3,8 +3,10 @@
 Every instrumented layer — stage I-III, the retry executor, the chaos
 transport, the honeypot fleet — shares a single :class:`Telemetry`, so
 cross-layer views (the stage funnel, retry counters next to chaos fault
-counters) come for free.  The handle snapshots/restores as one unit for
-checkpoint/resume and exports three ways:
+counters) come for free.  Its state has one encoder (``snapshot_state``)
+and one decoder (``absorb_state``, which is also the shard fold), each
+pillar by pillar; a restore is the decoder run into emptied pillars.  It
+exports three ways:
 
 * :meth:`Telemetry.export_jsonl` — the full record, one JSON object per
   line (events and finished spans);
@@ -19,7 +21,7 @@ import json
 from repro.net.ipv4 import IPv4Address
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, series_key
 from repro.obs.trace import END, START, Tracer, row_to_dict
 from repro.util.clock import SimClock
 from repro.util.tables import Table
@@ -32,6 +34,15 @@ FUNNEL_STAGES: tuple[str, ...] = ("masscan", "prefilter", "tsunami")
 
 #: counter family holding the per-stage host flow
 FUNNEL_METRIC = "funnel_hosts_total"
+
+#: (stage, flow) -> the funnel series' key, built once: the funnel runs
+#: three times a batch, so it writes ``pending`` as every other per-batch
+#: writer does, with no label sorting per charge
+_FUNNEL_KEYS = {
+    (stage, flow): series_key(FUNNEL_METRIC, stage=stage, flow=flow)
+    for stage in FUNNEL_STAGES
+    for flow in ("in", "out", "dropped", "quarantined")
+}
 
 
 class Telemetry:
@@ -65,14 +76,17 @@ class Telemetry:
                 f"({hosts_out} out + {quarantined} quarantined) "
                 f"than it received ({hosts_in})"
             )
-        metric = self.metrics.counter
-        metric(FUNNEL_METRIC, stage=stage, flow="in").inc(hosts_in)
-        metric(FUNNEL_METRIC, stage=stage, flow="out").inc(hosts_out)
-        metric(FUNNEL_METRIC, stage=stage, flow="dropped").inc(
-            hosts_in - hosts_out - quarantined
-        )
+        pending = self.metrics.pending
+        flows = [
+            ("in", hosts_in),
+            ("out", hosts_out),
+            ("dropped", hosts_in - hosts_out - quarantined),
+        ]
         if quarantined:
-            metric(FUNNEL_METRIC, stage=stage, flow="quarantined").inc(quarantined)
+            flows.append(("quarantined", quarantined))
+        for flow, hosts in flows:
+            key = _FUNNEL_KEYS[stage, flow]
+            pending[key] = pending.get(key, 0) + hosts
 
     def probe_start(self) -> tuple:
         """Open a probe window; hand the result to :meth:`probe_end`.
@@ -148,37 +162,7 @@ class Telemetry:
             return self.funnel_table().render() + "\n"
         raise ValueError(f"unknown telemetry format {fmt!r}")
 
-    # -- shard folding -------------------------------------------------------
-
-    def absorb(self, other: "Telemetry") -> None:
-        """Fold another handle's record into this one, pillar by pillar.
-
-        This is the sanctioned merge step for shard-local telemetry: the
-        parallel engine gives every shard its own :class:`Telemetry` and
-        absorbs them on the main thread in canonical shard order, so the
-        merged events/spans/metrics are identical for any worker count.
-        """
-        self.events.absorb(other.events)
-        self.tracer.absorb(other.tracer)
-        self.metrics.absorb(other.metrics)
-        self.flight.absorb(other.flight)
-
-    def absorb_state(self, state: dict) -> None:
-        """:meth:`absorb` for a telemetry snapshot (a shard result's, as it
-        comes back from a worker or out of a checkpoint).  The span rows
-        are rebased straight out of the snapshot; the three small pillars
-        are restored into throwaway objects and absorbed."""
-        events, metrics = EventLog(), MetricsRegistry()
-        events.restore_state(state["events"])
-        metrics.restore_state(state["metrics"])
-        self.events.absorb(events)
-        self.tracer.absorb_state(state["tracer"])
-        self.metrics.absorb(metrics)
-        flight = FlightRecorder()
-        flight.restore_state(state["flight"])
-        self.flight.absorb(flight)
-
-    # -- checkpoint support --------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     def snapshot_state(self, events_since: int = 0, spans_since: int = 0) -> dict:
         """All four pillars; the two append-only records (events,
@@ -189,6 +173,20 @@ class Telemetry:
             "metrics": self.metrics.snapshot_state(),
             "flight": self.flight.snapshot_state(),
         }
+
+    def absorb_state(self, state: dict) -> None:
+        """Fold a snapshot in, pillar by pillar, each in place.
+
+        This is the sanctioned merge step for shard-local telemetry: the
+        parallel engine gives every shard its own :class:`Telemetry` and
+        folds the snapshots on the main thread in canonical shard order,
+        so the merged events/spans/metrics are identical for any worker
+        count.
+        """
+        self.events.absorb_state(state["events"])
+        self.tracer.absorb_state(state["tracer"])
+        self.metrics.absorb_state(state["metrics"])
+        self.flight.absorb_state(state["flight"])
 
     def restore_state(self, state: dict) -> None:
         self.events.restore_state(state["events"])

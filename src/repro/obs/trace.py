@@ -35,7 +35,7 @@ a leaf is running, nothing else may be started on its tracer.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.net.ipv4 import dotted_quad
 from repro.util.clock import SimClock
@@ -331,40 +331,7 @@ class Tracer:
             if row[PARENT_ID] == span.span_id
         ]
 
-    # -- shard folding -------------------------------------------------------
-
-    def absorb(self, other: "Tracer") -> None:
-        """Fold another tracer's finished spans into this record.
-
-        Shard tracers number spans from zero, so absorbed span ids (and
-        the parent links between them) are rebased past this tracer's id
-        space; absorbing shards in canonical order therefore yields the
-        same ids for any worker count.
-        """
-        if other._stack:
-            raise ValueError("cannot absorb a tracer with open spans")
-        self._rebase(other._finished, other._next_id)
-
-    def absorb_state(self, state: dict) -> None:
-        """:meth:`absorb` straight from a :meth:`snapshot_state` (a shard
-        payload): its rows are rebased as they are, nothing is rebuilt."""
-        if state["open"]:
-            raise ValueError("cannot absorb a tracer with open spans")
-        self._rebase(state["finished"], state["next_id"])
-
-    def _rebase(self, rows: Iterable[Sequence], ids: int) -> None:
-        offset = self._next_id
-        self._finished.extend(
-            (
-                row[SPAN_ID] + offset,
-                None if row[PARENT_ID] is None else row[PARENT_ID] + offset,
-                *row[NAME:],
-            )
-            for row in rows
-        )
-        self._next_id += ids
-
-    # -- checkpoint support --------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     def snapshot_state(self, since: int = 0) -> dict:
         """Finished rows plus the still-open stack (a checkpoint may land
@@ -380,7 +347,32 @@ class Tracer:
             "open": [span.row()[:ROW_WIDTH] for span in self._stack],
         }
 
+    def absorb_state(self, state: dict) -> None:
+        """Fold a snapshot's finished rows into this record (the decoder,
+        and the shard-merge step); its rows are rebased as they are,
+        nothing is rebuilt.
+
+        Shard tracers number spans from zero, so absorbed span ids (and
+        the parent links between them) are rebased past this tracer's id
+        space; absorbing shards in canonical order therefore yields the
+        same ids for any worker count.
+        """
+        if state["open"]:
+            raise ValueError("cannot absorb a tracer with open spans")
+        offset = self._next_id
+        self._finished.extend(
+            (
+                row[SPAN_ID] + offset,
+                None if row[PARENT_ID] is None else row[PARENT_ID] + offset,
+                *row[NAME:],
+            )
+            for row in state["finished"]
+        )
+        self._next_id += state["next_id"]
+
     def restore_state(self, state: dict) -> None:
-        self._next_id = state["next_id"]
-        self._finished = [tuple(row) for row in state["finished"]]
+        """Replace the record with a snapshot's, reopening its open spans."""
+        self._finished = []
+        self._next_id = 0
+        self.absorb_state({**state, "open": []})
         self._stack = [Span.from_row(row) for row in state["open"]]

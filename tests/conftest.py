@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.catalog import scanned_ports
+from repro.core.fingerprint.knowledge_base import KnowledgeBase
 from repro.core.pipeline import ScanPipeline
 from repro.experiments.config import StudyConfig
 from repro.experiments.defenders import run_defender_study
@@ -34,6 +35,22 @@ def spans_built(monkeypatch) -> list[str]:
         init(self, span_id, parent_id, name, *args, **kwargs)
 
     monkeypatch.setattr(Span, "__init__", counted)
+    return built
+
+
+@pytest.fixture
+def kb_builds(monkeypatch) -> list[KnowledgeBase]:
+    """Every ``KnowledgeBase`` constructed while the test runs.  A sweep
+    reads its knowledge base and never writes it, so one is enough for
+    any number of shards or re-scan ticks."""
+    built: list[KnowledgeBase] = []
+    init = KnowledgeBase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KnowledgeBase, "__init__", counted)
     return built
 
 

@@ -48,34 +48,40 @@ SEED = 20210603
 CHURN = 0.02
 TICKS = 3
 
-#: Python calls per open host per tick.  Reads 24.7-25.0 (each of three
-#: ticks, any hash seed) since stage I asks the transport once per batch
-#: — no address object, transport call or host lookup call per live
-#: host; 29.6-29.9 while it asked host by host, since the batch step
+#: Python calls per open host per tick.  Reads 15.6-15.9 (each of three
+#: ticks, any hash seed) since the engine builds one knowledge base for
+#: all its sweeps and the stage funnel writes prebuilt series keys;
+#: 24.7-25.0 while every tick built its own knowledge base, since stage I
+#: asks the transport once per batch — no address object, transport call
+#: or host lookup call per live host; 29.6-29.9 while it asked host by
+#: host, since the batch step
 #: folds a replayed host's record in place.  The design before read
 #: 34.7-35.1 (36.2-36.5 when its budget of 42.0 was set); the one before
 #: that — a 12-call port probe and a counter write per live host, a
 #: summary merge, a ``Scheme`` and a token per replayed host — 62.5-62.7.
 #: Budget: the reading's top x 1.15.
-BUDGET = 28.7
+BUDGET = 18.3
 
 #: Python calls per open host of a dense sweep.  Reads 132.2 (any hash
 #: seed) since stage III reads the landing page stage II fetched and asks
 #: each question once per target; 171.2 before; 133.0 since the detection
 #: checks are table rows run by one interpreter (a ``check`` call per
 #: step, a ``fold`` call per lower-cased or squeezed body); 126.9, from
-#: 131.9, since stage I asks the transport once per batch.  Budget: the
-#: 126.9 reading x 1.15.
+#: 131.9, since stage I asks the transport once per batch; 125.2 since
+#: the stage funnel writes prebuilt series keys.  Budget: the 126.9
+#: reading x 1.15.
 DENSE_BUDGET = 146.0
 #: HTTP requests of that sweep (567 open hosts): 1,369 since, 1,955 before
 DENSE_REQUESTS = 1369
 
 #: Main-thread Python calls per open host of that sweep on one shard
-#: worker thread.  Reads 16.26-16.28 (any hash seed; the wait for the
-#: pool thread moves the last digits) since shard reports reach the fold
-#: as objects; 31.9 while the fold parsed each one back out of its JSON
-#: form.  Budget: the reading's top x 1.15.
-SHARDED_BUDGET = 18.7
+#: worker thread.  Reads 8.41 (any hash seed; the wait for the pool
+#: thread moves the last digits) since each telemetry pillar decodes the
+#: shard's snapshot in place; 16.26-16.28 while the fold restored three
+#: pillars into throwaway objects first, since shard reports reach the
+#: fold as objects; 31.9 while the fold parsed each one back out of its
+#: JSON form.  Budget: the reading's top x 1.15.
+SHARDED_BUDGET = 9.7
 
 #: the benchmark's ``sweep_retry`` policy, and weather it has to retry in
 RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=8.0)

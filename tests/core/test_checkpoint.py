@@ -477,12 +477,9 @@ NEUTRAL_CHANGES = {
 }
 
 
-def knob_arm(
-    checkpoint, arm="sequential", frame=slice(None), plan=PLAN, chaos_seed=21,
-    **fields,
-):
-    """A sweep of the ten-host chaos world, sequential, in two shards or
-    in two supervised shards, over the ``frame`` slice of its hosts."""
+def knob_pipeline(arm="sequential", plan=PLAN, chaos_seed=21, **fields):
+    """The pipeline of the ten-host chaos world, sequential, in two shards
+    or in two supervised shards, and the world's hosts."""
     internet, ips = build_world()
     clock = SimClock()
     transport = ChaosTransport(
@@ -494,9 +491,30 @@ def knob_arm(
         "retry_policy": RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
         "clock": clock, "shard_blocks": 1, **ARMS[arm], **fields,
     }
-    return ScanPipeline(transport, **config).run(
-        ips[frame], checkpoint=checkpoint
-    )
+    return ScanPipeline(transport, **config), ips
+
+
+def knob_arm(checkpoint, arm="sequential", frame=slice(None), **options):
+    """A sweep of :func:`knob_pipeline`'s world over the ``frame`` slice
+    of its hosts."""
+    pipeline, ips = knob_pipeline(arm, **options)
+    return pipeline.run(ips[frame], checkpoint=checkpoint)
+
+
+def with_gauges(value):
+    """``value`` with an empty ``"gauges"`` family in every metrics
+    snapshot, where snapshots carried it before the family went."""
+    if isinstance(value, dict):
+        value = {key: with_gauges(item) for key, item in value.items()}
+        if value.keys() == {"counters", "histograms"}:
+            return {
+                "counters": value["counters"], "gauges": [],
+                "histograms": value["histograms"],
+            }
+        return value
+    if isinstance(value, (list, tuple)):
+        return type(value)(with_gauges(item) for item in value)
+    return value
 
 
 def rescan_arm(checkpoint, frame=slice(None), churned=None, **fields):
@@ -612,6 +630,37 @@ class TestResumeRefusesChangedKnobs:
         with pytest.raises(ConfigError, match=" shard_blocks=None"):
             knob_arm(Checkpointer(path))
         assert path.read_bytes() == journal
+
+
+    @pytest.mark.parametrize("arm", ["sequential", "sharded"])
+    def test_a_journal_with_the_retired_gauge_family_resumes(
+        self, tmp_path, arm
+    ):
+        """Journals written before the gauge family went carry
+        ``"gauges": []`` in every metrics snapshot, under the same key:
+        they resume to the uninterrupted report and telemetry."""
+        pipeline, ips = knob_pipeline(arm)
+        expected = (
+            json.dumps(report_to_dict(pipeline.run(ips))),
+            pipeline.telemetry.export_jsonl(),
+            pipeline.telemetry.export_prometheus(),
+        )
+        path = tmp_path / "scan.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            knob_arm(_Crashing(path, 2), arm)
+        records, _ = _read_journal(path.read_bytes())
+        path.unlink()
+        earlier = Checkpointer(path)
+        for record in records:
+            earlier.save(with_gauges(record))
+        assert b"gauges" in path.read_bytes()
+        pipeline, ips = knob_pipeline(arm)
+        report = pipeline.run(ips, checkpoint=Checkpointer(path))
+        assert (
+            json.dumps(report_to_dict(report)),
+            pipeline.telemetry.export_jsonl(),
+            pipeline.telemetry.export_prometheus(),
+        ) == expected
 
 
 class TestResume:

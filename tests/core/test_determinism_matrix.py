@@ -104,7 +104,7 @@ def artifacts(report, pipeline):
         "quarantined_blocks": sorted(report.coverage.quarantined_blocks),
         "profile": json.dumps(rollup.to_dict(), sort_keys=True),
         "flight": json.dumps(
-            pipeline.telemetry.flight.to_dict(), sort_keys=True
+            pipeline.telemetry.flight.snapshot_state(), sort_keys=True
         ),
     }
 

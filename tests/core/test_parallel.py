@@ -100,6 +100,17 @@ def outputs(report, pipeline):
     )
 
 
+def test_a_sharded_sweep_builds_one_knowledge_base(kb_builds):
+    """The parent pipeline's knowledge base serves every shard."""
+    internet, ips = build_world()
+    report = ScanPipeline(
+        InMemoryTransport(internet), scanned_ports(), seed=7,
+        workers=2, shard_blocks=2,
+    ).run(ips)
+    assert report.findings
+    assert len(kb_builds) == 1
+
+
 class TestPlanShards:
     def test_shards_are_slash24_aligned_and_sorted(self):
         _, ips = build_world()
@@ -262,7 +273,7 @@ class TestProfileInvariance:
             rollup = ProfileRollup.from_spans(pipeline.telemetry.tracer.finished)
             return (
                 json.dumps(rollup.to_dict(), sort_keys=True),
-                json.dumps(pipeline.telemetry.flight.to_dict(), sort_keys=True),
+                json.dumps(pipeline.telemetry.flight.snapshot_state(), sort_keys=True),
             )
 
         baseline_report, baseline_pipe = run_arm(
@@ -358,8 +369,8 @@ class TestShardCheckpointResume:
         )
         assert outputs(resumed_report, resumed_pipe) == expected
         assert (
-            resumed_pipe.telemetry.flight.to_dict()
-            == expected_pipe.telemetry.flight.to_dict()
+            resumed_pipe.telemetry.flight.snapshot_state()
+            == expected_pipe.telemetry.flight.snapshot_state()
         )
 
     def test_resume_only_reexecutes_missing_shards(self, tmp_path):

@@ -32,6 +32,7 @@ from repro.net.network import SimulatedInternet
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
 from repro.util.errors import CheckpointCorrupt, ConfigError
+from tests.core.test_parallel import build_world
 
 SEED = 20210603
 
@@ -67,6 +68,18 @@ def fresh_oracle(world):
     _, transport, frame, _ = world
     pipe = ScanPipeline(transport, scanned_ports(), seed=SEED, batch_size=4096)
     return pipe.run(frame)
+
+
+def test_an_engine_builds_one_knowledge_base(kb_builds):
+    """A baseline and three ticks share the first sweep's build."""
+    internet, ips = build_world()
+    frame = IntervalSet((ip.value, ip.value) for ip in ips)
+    engine = RescanEngine(InMemoryTransport(internet), scanned_ports(), seed=SEED)
+    state = engine.baseline(frame)
+    for _ in range(3):
+        state = engine.rescan(frame, state)
+    assert state.report.findings
+    assert len(kb_builds) == 1
 
 
 class TestBaseline:

@@ -3,7 +3,7 @@
 This is ``repro.obs.trace`` as it was before the finished record became
 rows: every span — per-host ones included — is a ``Span`` object from
 its start, pushed on the stack, closed by ``end`` and kept as an object;
-snapshots are one dict per span; ``absorb`` copies objects; the JSONL
+snapshots are one dict per span; ``fold`` copies live objects; the JSONL
 export and the profile rollup read attributes.  ``test_trace_rows.py``
 runs random programs against both and requires equal output.
 """
@@ -129,7 +129,7 @@ class Tracer:
     def span(self, name, **attrs):
         return _Scope(self, name, attrs)
 
-    def absorb(self, other):
+    def fold(self, other):
         if other._stack:
             raise ValueError("cannot absorb a tracer with open spans")
         offset = self._next_id

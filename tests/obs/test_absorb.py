@@ -1,15 +1,17 @@
-"""Unit tests for the shard-fold absorb API across the three pillars.
+"""Unit tests for the shard fold across the telemetry pillars.
 
-``absorb`` is the sanctioned merge path the parallel engine uses to fold
-shard-local telemetry into the parent handle; these tests pin the
-pillar-level contracts it relies on (span-id rebasing, bucket-wise
-histogram addition, event concatenation).
+Each pillar decodes its snapshot in one method, ``absorb_state``, which
+is also the merge path the parallel engine uses to fold shard-local
+telemetry into the parent handle; these tests pin the pillar-level
+contracts it relies on (span-id rebasing, counter and bucket-wise
+histogram addition, event concatenation, flight top-K).
 """
 
 import pytest
 
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricsRegistry, series_key
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer
 from repro.util.clock import SimClock
@@ -24,7 +26,7 @@ class TestTracerAbsorb:
         with shard.span("outer"):
             with shard.span("inner"):
                 pass
-        parent.absorb(shard)
+        parent.absorb_state(shard.snapshot_state())
         names = [s.name for s in parent.finished]
         assert names == ["sweep", "inner", "outer"]
         ids = {s.name: s.span_id for s in parent.finished}
@@ -38,14 +40,14 @@ class TestTracerAbsorb:
             tracer = Tracer()
             with tracer.span(name):
                 pass
-            return tracer
+            return tracer.snapshot_state()
 
         a = Tracer()
-        a.absorb(shard("one"))
-        a.absorb(shard("two"))
+        a.absorb_state(shard("one"))
+        a.absorb_state(shard("two"))
         b = Tracer()
-        b.absorb(shard("one"))
-        b.absorb(shard("two"))
+        b.absorb_state(shard("one"))
+        b.absorb_state(shard("two"))
         assert [s.to_dict() for s in a.finished] == [
             s.to_dict() for s in b.finished
         ]
@@ -54,38 +56,40 @@ class TestTracerAbsorb:
         parent, shard = Tracer(), Tracer()
         shard.start("still-open")
         with pytest.raises(ValueError):
-            parent.absorb(shard)
+            parent.absorb_state(shard.snapshot_state())
 
 
 class TestMetricsAbsorb:
-    def test_counters_and_gauges_fold(self):
+    def test_counters_fold(self):
         parent, shard = MetricsRegistry(), MetricsRegistry()
         parent.counter("probes", stage="masscan").inc(3)
         shard.counter("probes", stage="masscan").inc(4)
         shard.counter("probes", stage="tsunami").inc(1)
-        shard.gauge("depth").set(5)
-        parent.absorb(shard)
+        parent.absorb_state(shard.snapshot_state())
         assert parent.counter_value("probes", stage="masscan") == 7
         assert parent.counter_value("probes", stage="tsunami") == 1
-        assert parent.gauge("depth").value == 5
 
     def test_histograms_fold_bucket_wise(self):
         parent, shard = MetricsRegistry(), MetricsRegistry()
-        for value in (0.1, 0.5):
-            parent.histogram("latency").observe(value)
-        for value in (0.5, 2.0):
-            shard.histogram("latency").observe(value)
-        parent.absorb(shard)
-        merged = parent.histogram("latency")
-        assert merged.count == 4
-        assert merged.total == pytest.approx(3.1)
+        parent.observed[series_key("latency")].extend((0.1, 0.5))
+        shard.observed[series_key("latency")].extend((0.5, 2.0))
+        parent.absorb_state(shard.snapshot_state())
+        (merged,) = parent.snapshot_state()["histograms"]
+        name, _, _, counts, total, count = merged
+        assert (name, count) == ("latency", 4)
+        assert counts[:4] == [0, 1, 2, 1]  # 0.25, 1.0 and 5.0 buckets
+        assert total == pytest.approx(3.1)
 
     def test_histogram_bounds_mismatch_is_an_error(self):
-        parent, shard = MetricsRegistry(), MetricsRegistry()
-        parent.histogram("latency", buckets=(1.0, 2.0)).observe(0.5)
-        shard.histogram("latency", buckets=(1.0, 5.0)).observe(0.5)
+        def state(bounds):
+            return {"counters": [], "histograms": [
+                ["latency", [], list(bounds), [1] + [0] * len(bounds), 0.5, 1],
+            ]}
+
+        parent = MetricsRegistry()
+        parent.absorb_state(state((1.0, 2.0)))
         with pytest.raises(ValueError):
-            parent.absorb(shard)
+            parent.absorb_state(state((1.0, 5.0)))
 
 
 class TestEventLogAbsorb:
@@ -95,31 +99,28 @@ class TestEventLogAbsorb:
         parent.info("parallel", "sweep-start")
         shard.info("masscan", "batch")
         shard.debug("masscan", "noise")  # suppressed below min_level
-        parent.absorb(shard)
+        parent.absorb_state(shard.snapshot_state())
         assert [e.name for e in parent] == ["sweep-start", "batch"]
-        assert parent.suppressed == shard.suppressed
+        assert parent.suppressed == shard.suppressed == 1
 
 
 class TestTelemetryAbsorb:
     def test_absorb_state_round_trips_a_snapshot(self):
         """The engine folds *serialized* shard telemetry (the checkpoint
-        form); absorbing a snapshot must equal absorbing the live handle."""
-        def shard():
-            clock = SimClock()
-            telemetry = Telemetry(clock=clock)
-            telemetry.events.info("masscan", "batch", index=0)
-            with telemetry.tracer.span("stage:masscan"):
-                clock.advance(1.5)
-            telemetry.funnel("masscan", 10, 4)
-            return telemetry
-
-        live, serialized = Telemetry(), Telemetry()
-        live.absorb(shard())
-        serialized.absorb_state(shard().snapshot_state())
-        assert serialized.export_jsonl() == live.export_jsonl()
-        assert (
-            serialized.metrics.snapshot_state() == live.metrics.snapshot_state()
-        )
+        form); folding a snapshot into an empty handle must reproduce the
+        shard's own exports, and equal restoring it."""
+        clock = SimClock()
+        shard = Telemetry(clock=clock)
+        shard.events.info("masscan", "batch", index=0)
+        with shard.tracer.span("stage:masscan"):
+            clock.advance(1.5)
+        shard.funnel("masscan", 10, 4)
+        folded, restored = Telemetry(), Telemetry()
+        folded.absorb_state(shard.snapshot_state())
+        restored.restore_state(shard.snapshot_state())
+        for handle in (folded, restored):
+            assert handle.export_jsonl() == shard.export_jsonl()
+            assert handle.export_prometheus() == shard.export_prometheus()
 
 
 class TestFoldEdgeCases:
@@ -129,21 +130,16 @@ class TestFoldEdgeCases:
     def test_identical_span_ids_from_two_shards_never_collide(self):
         """Process workers all number their spans from 1; absorbing two
         shards with byte-identical id ranges must rebase both."""
-        def shard():
-            tracer = Tracer()
-            with tracer.span("outer"):
-                with tracer.span("inner"):
-                    pass
-            return tracer.snapshot_state()
-
-        state = shard()
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        state = tracer.snapshot_state()
         parent = Tracer()
         with parent.span("sweep"):
             pass
         for _ in range(2):  # same serialized ids absorbed twice
-            twin = Tracer()
-            twin.restore_state(state)
-            parent.absorb(twin)
+            parent.absorb_state(state)
         ids = [span.span_id for span in parent.finished]
         assert len(ids) == len(set(ids)) == 5
         # parent links still point inside their own shard after rebasing
@@ -156,7 +152,7 @@ class TestFoldEdgeCases:
         shard = Tracer()
         with shard.span("shard-span"):
             pass
-        parent.absorb(shard)
+        parent.absorb_state(shard.snapshot_state())
         with parent.span("late-parent-span"):
             pass
         ids = [span.span_id for span in parent.finished]
@@ -175,19 +171,14 @@ class TestFoldEdgeCases:
     def test_flight_top_k_ties_break_identically_across_fold_orders(self):
         """Records tied on duration at the capacity boundary must keep
         the same winners whatever order shards are absorbed in."""
-        from repro.obs.flight import FlightRecorder
-
-        def record(recorder, host, start, duration):
-            recorder.record_probe(
-                "probe:http", host, 80, start, duration, {},
-                events=(), exchange_mark=0,
-            )
-
         def shard(hosts, duration):
             recorder = FlightRecorder(capacity=2)
             for index, host in enumerate(hosts):
-                record(recorder, host, float(index), duration)
-            return recorder
+                recorder.record_probe(
+                    "probe:http", host, 80, float(index), duration, {},
+                    events=(), exchange_mark=0,
+                )
+            return recorder.snapshot_state()
 
         # four records, all tied at duration=5.0: the capacity-2 cut
         # lands inside the tie and must resolve by (start, host) alone
@@ -195,12 +186,12 @@ class TestFoldEdgeCases:
         b = shard(("198.51.100.1", "198.51.100.2"), 5.0)
 
         forward = FlightRecorder(capacity=2)
-        forward.absorb(shard(("203.0.113.1", "203.0.113.2"), 5.0))
-        forward.absorb(shard(("198.51.100.1", "198.51.100.2"), 5.0))
+        forward.absorb_state(a)
+        forward.absorb_state(b)
         backward = FlightRecorder(capacity=2)
-        backward.absorb(b)
-        backward.absorb(a)
-        assert forward.to_dict() == backward.to_dict()
+        backward.absorb_state(b)
+        backward.absorb_state(a)
+        assert forward.snapshot_state() == backward.snapshot_state()
         assert forward.probes_seen == backward.probes_seen == 4
 
     def test_console_ignores_payload_arriving_after_the_fold(self):

@@ -72,8 +72,8 @@ class TestRecorder:
             shard = left if index < 5 else right
             record_probe(shard, duration, start=float(index))
         folded = FlightRecorder(capacity=4)
-        folded.absorb(left)
-        folded.absorb(right)
+        folded.absorb_state(left.snapshot_state())
+        folded.absorb_state(right.snapshot_state())
 
         assert folded.records == whole.records
         assert folded.probes_seen == whole.probes_seen == 10
@@ -114,7 +114,7 @@ class TestRecorder:
         assert restored.capacity == 2
         assert restored.probes_seen == 3
         assert restored.records == flight.records
-        assert restored.to_dict() == flight.to_dict()
+        assert restored.snapshot_state() == flight.snapshot_state()
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -157,12 +157,12 @@ class BuildSortTrim:
         self.buffer.sort(key=_record_key)
         del self.buffer[self.capacity:]
 
-    def absorb(self, other):
+    def fold(self, other):
         self.buffer.extend(dict(r) for r in other.buffer)
         self.probes_seen += other.probes_seen
         self.compact()
 
-    def to_dict(self):
+    def dump(self):
         return {
             "capacity": self.capacity,
             "probes_seen": self.probes_seen,
@@ -199,7 +199,7 @@ class TestAdmission:
     ):
         """Random durations with ties, the stream cut into shards at
         random points and folded in order, and a snapshot/restore (through
-        JSON) somewhere in the middle: same ``to_dict`` as building every
+        JSON) somewhere in the middle: same snapshot as building every
         record, sorting and trimming."""
         bounds = sorted({min(cut, len(probes)) for cut in cuts} | {len(probes)})
         folded, oracle = FlightRecorder(capacity), BuildSortTrim(capacity)
@@ -215,10 +215,10 @@ class TestAdmission:
             feed(shard, span)
             oracle_shard.record(span, index)
             if index + 1 in bounds:
-                folded.absorb(shard)
-                oracle.absorb(oracle_shard)
+                folded.absorb_state(shard.snapshot_state())
+                oracle.fold(oracle_shard)
                 shard, oracle_shard = FlightRecorder(capacity), BuildSortTrim(capacity)
-        assert folded.to_dict() == oracle.to_dict()
+        assert folded.snapshot_state() == oracle.dump()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -248,7 +248,7 @@ class TestAdmission:
                 {"tag": index}, (), flight.exchange_mark(),
             )
             oracle.record(probe_span(0.0, host=host, port=port, name=name), index)
-        assert flight.to_dict() == oracle.to_dict()
+        assert flight.snapshot_state() == oracle.dump()
 
     def test_the_host_is_rendered_only_on_a_tie(self):
         flight = FlightRecorder(capacity=1)
@@ -349,7 +349,7 @@ class TestTelemetryTap:
             self.run_probe(a, clock_a, "jenkins", "10.0.0.1", 9.0)
         with b.tracer.span("sweep"):
             self.run_probe(b, clock_b, "docker", "10.0.0.2", 4.0)
-        a.absorb(b)
+        a.absorb_state(b.snapshot_state())
         assert [r["name"] for r in a.flight.records] == [
             "probe:jenkins", "probe:docker",
         ]
@@ -363,7 +363,9 @@ class TestTelemetryTap:
         state = json.loads(json.dumps(telemetry.snapshot_state()))
         restored = Telemetry(clock=SimClock())
         restored.restore_state(state)
-        assert restored.flight.to_dict() == telemetry.flight.to_dict()
+        assert (
+            restored.flight.snapshot_state() == telemetry.flight.snapshot_state()
+        )
 
     def test_restore_reads_no_snapshot_without_a_flight_block(self):
         """Every snapshot carries all four pillars and the journal refuses

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, series_key
 
 
 def flat_counters(registry: MetricsRegistry) -> dict[str, float]:
@@ -26,13 +26,6 @@ class TestPrimitives:
         assert counter.value == 3.5
         with pytest.raises(ValueError):
             counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
 
     def test_histogram_buckets(self):
         histogram = Histogram(bounds=(1.0, 5.0))
@@ -71,7 +64,6 @@ class TestRegistry:
     def test_untouched_series_read_as_zero(self):
         registry = MetricsRegistry()
         assert registry.counter_value("nope") == 0.0
-        assert registry.gauge_value("nope") == 0.0
         assert registry.histogram_count("nope") == 0
 
     def test_snapshot_is_sorted(self):
@@ -84,13 +76,12 @@ class TestRegistry:
     def test_prometheus_exposition(self):
         registry = MetricsRegistry()
         registry.counter("requests_total", code=200).inc(3)
-        registry.gauge("depth").set(2)
-        registry.histogram("latency_seconds", buckets=(1.0,)).observe(0.5)
+        registry.observed[series_key("latency_seconds")].append(0.5)
         text = registry.to_prometheus()
         assert "# TYPE requests_total counter" in text
         assert 'requests_total{code="200"} 3' in text
-        assert "# TYPE depth gauge" in text
-        assert "depth 2" in text
+        assert "# TYPE latency_seconds histogram" in text
+        assert 'latency_seconds_bucket{le="0.25"} 0' in text
         assert 'latency_seconds_bucket{le="1"} 1' in text
         assert 'latency_seconds_bucket{le="+Inf"} 1' in text
         assert "latency_seconds_sum 0.5" in text
@@ -107,23 +98,20 @@ class TestRegistry:
         assert registry.to_prometheus() == ""
 
 
-class TestSeriesMemo:
-    """``(name, **labels)`` resolves through a registry-owned memo keyed on
-    the raw kwargs; it must never outlive or alias the series it names."""
+class TestSeriesLookup:
+    """``(name, **labels)`` resolves to the series under its
+    :func:`series_key`; it must never alias another series."""
 
-    def test_restore_state_drops_memoised_handles(self):
+    def test_a_lookup_after_restore_finds_the_restored_series(self):
         registry = MetricsRegistry()
         registry.counter("ops_total", kind="call").inc(2)
-        registry.gauge("depth", q="a").set(4)
-        registry.histogram("lat", buckets=(1.0,), q="a").observe(0.5)
+        registry.observed[series_key("lat", q="a")].append(0.5)
         registry.restore_state(registry.snapshot_state())
-        # restore_state replaced every metric object: a lookup answered
-        # from a surviving memo would increment an orphan
+        # restore_state replaced every metric object: a lookup must find
+        # the restored one, not increment an orphan
         registry.counter("ops_total", kind="call").inc()
-        registry.gauge("depth", q="a").inc()
-        registry.histogram("lat", q="a").observe(0.5)
+        registry.observed[series_key("lat", q="a")].append(0.5)
         assert flat_counters(registry) == {"ops_total{kind=call}": 3.0}
-        assert registry.gauge_value("depth", q="a") == 5
         assert registry.histogram_count("lat", q="a") == 2
 
     def test_kwarg_order_and_value_type_share_a_series(self):
@@ -131,7 +119,9 @@ class TestSeriesMemo:
         first = registry.counter("ops_total", a=1, b=2)
         assert registry.counter("ops_total", b=2, a=1) is first
         assert registry.counter("ops_total", a="1", b="2") is first
-        assert registry.counter("ops_total", a=1, b=2) is first  # memo hit
+        assert series_key("ops_total", b=2, a=1) == series_key(
+            "ops_total", a="1", b="2"
+        )
         assert list(flat_counters(registry)) == ["ops_total{a=1,b=2}"]
 
     def test_equal_hashing_values_keep_their_own_series(self):
@@ -148,29 +138,28 @@ class TestSeriesMemo:
             "ops_total{x=True}": 2.0,
         }
 
-    def test_kinds_do_not_share_a_memo(self):
+    def test_kinds_do_not_share_a_series(self):
         registry = MetricsRegistry()
         registry.counter("depth").inc()
-        registry.gauge("depth").set(7)
-        registry.histogram("depth").observe(1.0)
+        registry.observed[series_key("depth")].append(1.0)
+        registry.observed[series_key("depth")].append(2.0)
         assert registry.counter_value("depth") == 1
-        assert registry.gauge_value("depth") == 7
-        assert registry.histogram_count("depth") == 1
+        assert registry.histogram_count("depth") == 2
 
-    def test_absorb_folds_into_memoised_objects(self):
+    def test_absorb_state_folds_into_live_series(self):
         registry = MetricsRegistry()
         handle = registry.counter("ops_total", kind="call")
         handle.inc()
-        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
+        registry.observed[series_key("lat")].append(0.5)
         shard = MetricsRegistry()
         shard.counter("ops_total", kind="call").inc(4)
         shard.counter("ops_total", kind="probe").inc()
-        shard.histogram("lat", buckets=(1.0,)).observe(2.0)
-        registry.absorb(shard)
-        # the fold mutated the live objects, so memoised lookups see it...
+        shard.observed[series_key("lat")].append(2.0)
+        registry.absorb_state(shard.snapshot_state())
+        # the fold added into the live objects, so held handles see it...
         assert registry.counter("ops_total", kind="call") is handle
         assert handle.value == 5
-        assert registry.histogram("lat").cumulative()[-1] == (float("inf"), 2)
+        assert registry.histogram_count("lat") == 2
         # ...and a series the fold created is found by the next lookup
         registry.counter("ops_total", kind="probe").inc()
         assert flat_counters(registry) == {
@@ -213,20 +202,18 @@ class TestExpositionEscaping:
 
     def test_histogram_le_labels_are_untouched(self):
         registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(0.5,)).observe(9.0)
+        registry.observed[series_key("lat")].append(9999.0)
         text = registry.to_prometheus()
         # the out-of-bounds observation lands only in the +Inf bucket
-        assert 'lat_bucket{le="0.5"} 0' in text
+        assert 'lat_bucket{le="1800"} 0' in text
         assert 'lat_bucket{le="+Inf"} 1' in text
         assert "lat_count 1" in text
 
     def test_inf_bucket_always_counts_everything(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "lat", code=500, buckets=(1.0, 2.0)
+        registry.observed[series_key("lat", code=500)].extend(
+            (0.5, 1.5, 99.0, float("inf"))
         )
-        for value in (0.5, 1.5, 99.0, float("inf")):
-            histogram.observe(value)
         text = registry.to_prometheus()
         assert 'lat_bucket{code="500",le="+Inf"} 4' in text
         assert 'lat_count{code="500"} 4' in text
@@ -234,8 +221,12 @@ class TestExpositionEscaping:
     def test_snapshot_restore_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("ops_total", kind="call").inc(7)
-        registry.gauge("open").set(-2.5)
-        registry.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
+        registry.observed[series_key("lat")].append(1.5)
+        # bounds ride in the snapshot, so a series decoded with other
+        # bounds than the default ones round-trips too
+        registry.absorb_state({"counters": [], "histograms": [
+            ["wide", [["q", "a"]], [1.0, 2.0], [0, 1, 0], 1.5, 1],
+        ]})
         # the snapshot must survive JSON (it rides in the checkpoint file)
         state = json.loads(json.dumps(registry.snapshot_state()))
         restored = MetricsRegistry()
@@ -250,3 +241,28 @@ class TestExpositionEscaping:
         registry.restore_state(fresh.snapshot_state())
         assert registry.counter_value("stale_total") == 0.0
         assert registry.counter_value("ops_total") == 1.0
+
+
+class TestDecoder:
+    """``absorb_state`` is the registry's one decoder."""
+
+    def test_a_snapshot_with_the_retired_gauge_family_decodes(self):
+        """Snapshots written before the gauge family went carry a
+        ``"gauges"`` list; the decoder ignores it."""
+        registry = MetricsRegistry()
+        registry.restore_state({
+            "counters": [["ops_total", [], 2.0]],
+            "gauges": [["depth", [], 4.0]],
+            "histograms": [],
+        })
+        assert registry.to_prometheus() == (
+            "# TYPE ops_total counter\nops_total 2\n"
+        )
+        assert "gauges" not in registry.snapshot_state()
+
+    def test_histogram_bounds_mismatch_is_an_error(self):
+        registry = MetricsRegistry()
+        registry.observed[series_key("lat")].append(0.5)
+        other = [["lat", [], [1.0, 5.0], [1, 0, 0], 0.5, 1]]
+        with pytest.raises(ValueError, match="bucket bounds differ"):
+            registry.absorb_state({"counters": [], "histograms": other})

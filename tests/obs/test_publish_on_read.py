@@ -92,12 +92,12 @@ class TestRegistryContract:
             registry.pending[key] = 2
             assert read(registry) == 2, name
 
-    def test_absorb_publishes_both_sides(self):
+    def test_absorb_state_publishes_both_sides(self):
         key = series_key("ops_total")
         mine, theirs = MetricsRegistry(), MetricsRegistry()
         mine.pending[key] = 2
         theirs.pending[key] = 5
-        mine.absorb(theirs)
+        mine.absorb_state(theirs.snapshot_state())
         assert mine.published_state()["counters"] == [["ops_total", [], 7.0]]
         assert theirs.published_state()["counters"] == [["ops_total", [], 5.0]]
 
@@ -243,7 +243,7 @@ class TestExecutorPublishing:
 DEFERRED = (
     "retry_", "masscan_", "prefilter_", "plugin_verdicts_total",
     "fingerprint_results_total", "crawler_fetches_total",
-    "chaos_faults_total",
+    "chaos_faults_total", "funnel_hosts_total",
 )
 
 
@@ -397,7 +397,7 @@ def instrumented_sweep(reads: dict[int, str]):
             )
         elif kind == "absorb":
             fold = MetricsRegistry()
-            fold.absorb(metrics)
+            fold.absorb_state(metrics.snapshot_state())
             check(where, deferred_only(flat_counters(fold)), expected)
 
     transport.on_read = on_read

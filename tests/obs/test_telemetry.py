@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.metrics import series_key
 from repro.obs.telemetry import FUNNEL_STAGES, Telemetry
 from repro.util.clock import SimClock
 
@@ -69,7 +70,7 @@ class TestExports:
         telemetry = Telemetry(clock=clock)
         telemetry.events.info("s", "n")
         telemetry.metrics.counter("x_total").inc()
-        telemetry.metrics.histogram("lat").observe(0.3)
+        telemetry.metrics.observed[series_key("lat")].append(0.3)
         open_span = telemetry.tracer.start("sweep")
         state = json.loads(json.dumps(telemetry.snapshot_state()))
 

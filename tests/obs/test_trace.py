@@ -31,7 +31,7 @@ class TestTracer:
         other = Tracer()
         with other.span("shard"):
             pass
-        tracer.absorb(other)
+        tracer.absorb_state(other.snapshot_state())
         assert tracer.finished_count == 3
 
     def test_durations_come_from_the_clock(self):

@@ -237,13 +237,12 @@ class TestRowsEqualTheEagerTracer:
         shards=st.lists(programs, min_size=1, max_size=5),
         cuts=st.sets(st.integers(1, 4)),
         wall=st.booleans(),
-        as_payloads=st.booleans(),
     )
-    def test_a_fold_over_any_grouping(self, shards, cuts, wall, as_payloads):
+    def test_a_fold_over_any_grouping(self, shards, cuts, wall):
         """Shard records folded flat, in order, by the eager tracer; by
         the row tracer in consecutive groups, each folded first into a
-        tracer of its own — live, or as the snapshot a worker returns.
-        Same ids, same links, same record."""
+        tracer of its own from the snapshot a worker returns, then on
+        from that tracer's snapshot.  Same ids, same links, same record."""
         pairs = []
         for shard in shards:
             eager, rows = EagerKit(wall), RowKit(wall)
@@ -258,7 +257,7 @@ class TestRowsEqualTheEagerTracer:
         with flat.span("parent"):
             pass
         for eager_tracer, _ in pairs:
-            flat.absorb(eager_tracer)
+            flat.fold(eager_tracer)
 
         folded = Tracer()
         with folded.span("parent"):
@@ -267,14 +266,9 @@ class TestRowsEqualTheEagerTracer:
         for low, high in zip(bounds, bounds[1:]):
             group = Tracer()
             for _, row_tracer in pairs[low:high]:
-                if as_payloads:
-                    group.absorb_state(through_json(row_tracer.snapshot_state()))
-                else:
-                    group.absorb(row_tracer)
-            folded.absorb(group)
-        assert_same_record(
-            flat, folded, view=canonical if as_payloads else with_wall
-        )
+                group.absorb_state(through_json(row_tracer.snapshot_state()))
+            folded.absorb_state(group.snapshot_state())
+        assert_same_record(flat, folded, view=canonical)
 
 
 # -- what scales with hosts builds no Span --------------------------------------

@@ -49,6 +49,8 @@ RETIRED = (
     "_process_shard", "_init_worker", "_WORKER_RUNNER",
     "_ops", "_gated(", "`_gated`", "_close_batch",
     "_resume_config", "_expected_config", "resume_config(", "shards_total",
+    "Gauge", "gauge_value", "_raw_key", "_counter_memo", "_histogram_memo",
+    ".absorb(",
 )
 
 #: history (what was done, what was asked) may name what is gone; the

@@ -332,11 +332,13 @@ def test_event_log_pickle_round_trip(before, after):
 def test_metrics_registry_pickle_round_trip(before, after):
     from repro.obs.metrics import MetricsRegistry
 
+    from repro.obs.metrics import series_key
+
     def feed(registry, values):
         for value in values:
             registry.counter("probes_total", stage="masscan").inc()
-            registry.gauge("inflight").set(value)
-            registry.histogram("latency_seconds").observe(value)
+            registry.counter("backoff_seconds_total").inc(value)
+            registry.observed[series_key("latency_seconds")].append(value)
 
     registry = MetricsRegistry()
     feed(registry, before)
@@ -367,9 +369,86 @@ def test_flight_recorder_pickle_round_trip(before, after):
     twin = _clone(recorder)
     feed(recorder, after, base=1000)
     feed(twin, after, base=1000)
-    assert twin.to_dict() == recorder.to_dict()
     assert twin.probes_seen == recorder.probes_seen
     assert twin.snapshot_state() == recorder.snapshot_state()
+
+
+_amounts = st.one_of(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0, max_value=1e6, allow_nan=False),
+)
+
+
+@given(
+    counters=st.lists(
+        st.tuples(st.sampled_from(["a_total", "b_total"]),
+                  st.sampled_from(["x", "y", 3]), _amounts),
+        max_size=12,
+    ),
+    observations=st.lists(
+        st.tuples(st.sampled_from(["lat", "wait"]),
+                  st.floats(min_value=0, max_value=4000, allow_nan=False)),
+        max_size=12,
+    ),
+    events=st.lists(st.sampled_from(["debug", "info", "warn", "error"]), max_size=8),
+    spans=st.lists(st.booleans(), max_size=10),
+    probes=st.lists(st.floats(min_value=0, max_value=60, allow_nan=False), max_size=24),
+)
+def test_a_snapshot_decodes_to_the_same_exports(
+    counters, observations, events, spans, probes
+):
+    """``absorb_state(snapshot_state())`` into an empty handle reproduces
+    the JSONL and Prometheus exports and the flight dump, and a restore
+    equals it; open spans are refused by the fold, and a restore reopens
+    them so the sweep ends with the same record."""
+    from repro.obs.metrics import series_key
+    from repro.obs.telemetry import Telemetry
+
+    clock = SimClock()
+    telemetry = Telemetry(clock=clock)
+    for name, label, amount in counters:
+        telemetry.metrics.counter(name, kind=label).inc(amount)
+    for name, value in observations:
+        telemetry.metrics.observed[series_key(name)].append(value)
+    for index, level in enumerate(events):
+        clock.advance(0.5)
+        telemetry.events.emit(level, "stage", f"event-{index}", n=index)
+    for index, close in enumerate(spans):  # True closes the innermost span
+        clock.advance(1.0)
+        if close and telemetry.tracer.active is not None:
+            telemetry.tracer.end()
+        else:
+            telemetry.tracer.start(f"span-{index}", index=index)
+    for index, duration in enumerate(probes):
+        telemetry.flight.record_probe(
+            "probe:http", f"203.0.113.{index % 7}", 80, float(index),
+            duration, {}, (), telemetry.flight.exchange_mark(),
+        )
+
+    def exports(handle):
+        return (
+            handle.export_jsonl(),
+            handle.export_prometheus(),
+            handle.flight.snapshot_state(),
+            handle.events.suppressed,
+        )
+
+    state = telemetry.snapshot_state()
+    restored = Telemetry(clock=clock)
+    restored.restore_state(state)
+    assert exports(restored) == exports(telemetry)
+    folded = Telemetry(clock=clock)
+    if telemetry.tracer.depth:
+        with pytest.raises(ValueError, match="open spans"):
+            folded.tracer.absorb_state(state["tracer"])
+        for handle in (telemetry, restored):
+            while handle.tracer.active is not None:
+                handle.tracer.end()
+        assert exports(restored) == exports(telemetry)
+    else:
+        folded.absorb_state(state)
+        assert exports(folded) == exports(telemetry)
+        assert folded.snapshot_state() == restored.snapshot_state()
 
 
 # ---------------------------------------------------------------------------
