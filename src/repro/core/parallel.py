@@ -21,8 +21,11 @@ the data*:
 * **deterministic fold** — each shard hands back a :class:`ShardResult`,
   and the main thread folds shard *i* once shards 0…*i* are in: reports
   merge, the telemetry snapshot is decoded straight into the parent
-  (``Telemetry.absorb_state``, span ids rebased), transport stats add.  The fold is the *only* sanctioned write path out of a worker,
-  which the ``RACE*`` lint rules enforce.
+  (``Telemetry.absorb_state``, span ids rebased), transport stats add.
+  The fold is the *only* sanctioned write path out of a worker;
+  ``tests/core/test_worker_boundary.py`` audits a real sweep for any
+  other, and for anything crossing into a process worker that should
+  not.
 
 Because every shard computation is independent and the fold order is
 canonical, a run with ``workers=4`` emits a report and telemetry JSONL
@@ -79,24 +82,6 @@ from repro.util.rand import stable_hash
 #: only method available everywhere and the one that catches pickling
 #: bugs fork would mask
 DEFAULT_START_METHOD = "spawn"
-
-#: callables that execute inside workers; the reprolint concurrency
-#: analyzer seeds its worker-reachability graph from these (plain data,
-#: consumed from the AST — keep the dotted names in sync with the defs)
-WORKER_ENTRY_POINTS = (
-    "repro.core.parallel.ShardRunner.execute",
-    "repro.core.parallel._claim_shards",
-)
-
-#: classes whose instances cross the process-executor pickle boundary
-#: whole (the analyzer audits their attribute hygiene: no lambdas, no
-#: main-process handles, no locks or open resources)
-PICKLE_BOUNDARY_TYPES = (
-    "repro.core.parallel.Shard",
-    "repro.core.parallel.ShardResult",
-    "repro.core.parallel.ShardRunner",
-)
-
 
 class Shard:
     """One /24-aligned slice of the candidate frame.

@@ -50,12 +50,6 @@ from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
 from repro.util.errors import ShardCrash
 
-#: the config crosses the pickle boundary as a field of the shard runner
-#: (consumed by the reprolint concurrency analyzer, see core/parallel.py)
-PICKLE_BOUNDARY_TYPES = (
-    "repro.core.supervisor.SupervisorConfig",
-)
-
 
 @dataclass(frozen=True)
 class SupervisorConfig:

@@ -4,7 +4,7 @@ Exit codes: 0 = no findings outside the baseline, 1 = new findings (or
 stale baseline entries under ``--fail-on-stale``), 2 = usage /
 configuration error.  The report is a pure function of the tree: every
 run parses each module of it once (a cold whole-tree lint takes under
-two seconds) and folds the three analyzers' findings through
+two seconds) and folds the two analyzers' findings through
 :func:`~repro.lint.findings.sort_findings`.  Lint health is also
 charged to the shared :mod:`repro.obs` telemetry (one counter series per
 rule id), so ``--telemetry`` surfaces it in the same formats as the scan
@@ -18,10 +18,9 @@ import sys
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
-from repro.lint.callgraph import CallGraph
-from repro.lint.concurrency import ConcurrencyAuditor
 from repro.lint.determinism import DeterminismAuditor
 from repro.lint.findings import Finding, sort_findings
+from repro.lint.modules import parse_modules
 from repro.lint.report import render_json, render_text, rule_catalog
 from repro.lint.signatures import SignatureAuditor
 
@@ -39,9 +38,8 @@ def default_root() -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Audit signature shapes, determinism invariants, "
-                    "metric names, and "
-                    "worker-concurrency / pickle-boundary hygiene.",
+        description="Audit signature shapes, determinism invariants "
+                    "and metric names.",
     )
     parser.add_argument("--root", type=Path, default=None,
                         help="repro package directory to audit "
@@ -69,16 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_analyzers(root: Path) -> list[Finding]:
-    """All findings for one tree, in canonical order; every analyzer
-    reads the one parse of each module the call graph holds."""
-    graph = CallGraph(root)
-    auditors = (
-        SignatureAuditor(root),
-        DeterminismAuditor(root),
-        ConcurrencyAuditor(root),
-    )
+    """All findings for one tree, in canonical order; both analyzers
+    read the one parse of each module."""
+    modules = parse_modules(root)
+    auditors = (SignatureAuditor(root), DeterminismAuditor(root))
     return sort_findings(
-        [finding for auditor in auditors for finding in auditor.run(graph)]
+        [finding for auditor in auditors for finding in auditor.run(modules)]
     )
 
 

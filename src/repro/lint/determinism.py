@@ -27,17 +27,15 @@ This pass walks every module under the scanned root once and flags:
   in the lint baseline;
 * ``OBS001`` a metric family name built at the call site — an f-string
   with a field, ``+``/``%`` with a non-constant side, or ``.format`` —
-  passed (positionally or as ``name=``) to ``.counter``/``.gauge``/
-  ``.histogram`` or ``series_key``.  The registry keeps every
-  ``(name, labels)`` series forever, so a per-host name mints a series
-  per host; put the variability in labels instead.  A constant reaching
-  the call through a variable is fine.
+  passed (positionally or as ``name=``) to ``.counter`` or
+  ``series_key``.  The registry keeps every ``(name, labels)`` series
+  forever, so a per-host name mints a series per host; put the
+  variability in labels instead.  A constant reaching the call through a
+  variable is fine.
 
-Writes from worker-pool code are the call graph's business
-(``RACE*`` in :mod:`repro.lint.concurrency`).  Import aliases are
-tracked per module, so ``from time import time as now`` does not escape
-the net; methods on *instances* that merely share a name
-(``self.clock.now()``, ``rng.random()``) are not flagged.
+Import aliases are tracked per module, so ``from time import time as
+now`` does not escape the net; methods on *instances* that merely share
+a name (``self.clock.now()``, ``rng.random()``) are not flagged.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.lint.callgraph import CallGraph
 from repro.lint.findings import Finding
+from repro.lint.modules import ModuleInfo, parse_modules
 
 #: (module, attribute) -> rule for forbidden function calls
 _FORBIDDEN_CALLS: dict[tuple[str, str], str] = {
@@ -70,9 +68,10 @@ _FORBIDDEN_CALLS: dict[tuple[str, str], str] = {
 #: every call into these modules is forbidden outright
 _FORBIDDEN_MODULES: dict[str, str] = {"secrets": "DET002"}
 
-#: calls whose first argument is a metric family name: the registry
-#: factory methods, and the key builder of ``MetricsRegistry.pending``
-_FACTORY_METHODS = frozenset({"counter", "gauge", "histogram", "series_key"})
+#: calls whose first argument is a metric family name: the registry's
+#: counter accessor, and ``series_key``, which keys
+#: ``MetricsRegistry.pending``
+_FACTORY_METHODS = frozenset({"counter", "series_key"})
 
 
 def _is_constant_str(node: ast.expr) -> bool:
@@ -251,17 +250,18 @@ class DeterminismAuditor:
     and dynamic metric names.
 
     It is also the one place a file that does not parse is reported
-    (``LNT001``); the other analyzers skip such a module.
+    (``LNT001``); the signature auditor skips such a module.
     """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
 
-    def run(self, graph: CallGraph | None = None) -> list[Finding]:
-        """Findings over ``graph``'s parsed modules (built if not given)."""
-        graph = graph or CallGraph(self.root)
+    def run(self, modules: dict[str, ModuleInfo] | None = None) -> list[Finding]:
+        """Findings over ``modules`` (parsed if not given)."""
+        if modules is None:
+            modules = parse_modules(self.root)
         findings: list[Finding] = []
-        for info in graph.modules.values():
+        for info in modules.values():
             if info.parse_error is not None:
                 findings.append(Finding(
                     info.rel, 0, "LNT001", f"cannot parse: {info.parse_error}"

@@ -25,8 +25,8 @@ class Severity(enum.Enum):
         return {"error": 0, "warning": 1, "info": 2}[self.value]
 
 
-#: rule id -> (severity, one-line description).  The DESIGN.md rule
-#: catalog is generated from this table; keep the two in sync.
+#: rule id -> (severity, one-line description).  DESIGN.md §9's rule
+#: catalog lists the same ids (``tests/lint/test_cli.py`` checks).
 RULES: dict[str, tuple[Severity, str]] = {
     # -- cross-analyzer ------------------------------------------------------
     "LNT001": (Severity.ERROR,
@@ -63,37 +63,6 @@ RULES: dict[str, tuple[Severity, str]] = {
                "(f-string, concatenation, %, or .format with non-constant "
                "parts); per-host values in metric names explode series "
                "cardinality — use a fixed name plus labels instead"),
-    # -- concurrency auditor (whole-program, call-graph-bounded) -------------
-    "RACE001": (Severity.ERROR,
-                "worker-reachable code writes module-level or "
-                "closure-captured state; concurrent writes are "
-                "scheduling-ordered — return results and fold them on "
-                "the main thread"),
-    "RACE002": (Severity.ERROR,
-                "method running on a main-process-shared object inside "
-                "workers writes a self attribute; fold-owned state may "
-                "only be written by the main-thread fold in canonical "
-                "shard order"),
-    "RACE003": (Severity.ERROR,
-                "closure (lambda or nested function with free variables) "
-                "handed to a worker pool; closures capture main-process "
-                "cells by reference — pass a module-level callable and "
-                "its arguments instead"),
-    # -- pickle-boundary auditor ---------------------------------------------
-    "PKL001": (Severity.ERROR,
-               "lambda or locally-defined function stored where it must "
-               "cross the process-executor pickle boundary; local "
-               "functions cannot be pickled — use a small picklable "
-               "callable class"),
-    "PKL002": (Severity.ERROR,
-               "pickle-boundary class binds a main-process-only handle "
-               "(telemetry/console/hub/tracer) without a __getstate__ "
-               "that strips it; the handle would cross into worker "
-               "processes"),
-    "PKL003": (Severity.ERROR,
-               "pickle-boundary class binds an unpicklable runtime "
-               "resource (lock, open handle, socket, executor) without "
-               "stripping it in __getstate__"),
 }
 
 

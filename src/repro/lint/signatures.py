@@ -27,8 +27,8 @@ except ImportError:  # pragma: no cover - older interpreters
     import sre_constants
     import sre_parse
 
-from repro.lint.callgraph import CallGraph
 from repro.lint.findings import Finding
+from repro.lint.modules import ModuleInfo, parse_modules
 
 #: minimum guaranteed literal run for a signature to count as anchored
 MIN_LITERAL_RUN = 4
@@ -197,11 +197,13 @@ class SignatureAuditor:
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
 
-    def run(self, graph: CallGraph | None = None) -> list[Finding]:
-        """Findings over ``graph``'s prefilter tree (built if not given)."""
-        graph = graph or CallGraph(self.root)
+    def run(self, modules: dict[str, ModuleInfo] | None = None) -> list[Finding]:
+        """Findings over the prefilter tree of ``modules`` (parsed if not
+        given)."""
+        if modules is None:
+            modules = parse_modules(self.root)
         rel = (Path(self.root.name) / "core" / "prefilter.py").as_posix()
-        info = graph.modules.get(f"{self.root.name}.core.prefilter")
+        info = modules.get(f"{self.root.name}.core.prefilter")
         if info is None:
             return [Finding(rel, 0, "LNT001",
                             f"cannot audit signatures: no {rel}")]

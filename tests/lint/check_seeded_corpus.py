@@ -1,10 +1,9 @@
 """Analyzer self-test gate: the seeded-bug corpus must yield exactly
 the known findings.
 
-The corpus under ``fixtures/seeded_bugs/`` seeds one bug per ``DET*``,
-``OBS001``, ``RACE*`` and ``PKL*`` rule — the three concurrency/pickle
-bugs PR 7 hit at runtime among them — each beside a near miss that must
-stay silent.  This script runs the full analyzer stack over it and diffs
+The corpus under ``fixtures/seeded_bugs/`` seeds one bug per ``DET*``
+and ``OBS001`` rule, each beside a near miss that must stay silent.
+This script runs the full analyzer stack over it and diffs
 the result against the committed ``expected.json``.  CI runs it as a
 standalone gate (any drift — a missed seeded bug, or a near miss
 flagged — fails the job); the pytest suite calls :func:`check` for the

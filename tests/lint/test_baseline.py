@@ -86,7 +86,7 @@ class TestStaleness:
 
     def test_stale_fingerprints_are_the_fixed_debt(self):
         kept = finding(rule="DET001")
-        fixed = finding(rule="RACE002", path="repro/y.py")
+        fixed = finding(rule="DET004", path="repro/y.py")
         baseline = Baseline.from_findings([kept, fixed])
         assert baseline.stale_fingerprints([kept]) == [fixed.fingerprint()]
         assert baseline.stale_fingerprints([kept, fixed]) == []

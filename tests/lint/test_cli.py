@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.lint.cli import default_root, main, run_analyzers
+from repro.lint.findings import RULES
 
 BAD_PREFILTER = (
     "SIGNATURES = {\n"
@@ -28,38 +30,6 @@ def broken_tree(tmp_path: Path) -> Path:
     (root / "core").mkdir(parents=True)
     (root / "core" / "prefilter.py").write_text(BAD_PREFILTER)
     (root / "clockuser.py").write_text(CLOCK_USER)
-    return root
-
-
-@pytest.fixture
-def worker_tree(tmp_path: Path) -> Path:
-    """A two-file package with one violation per scope: a wall-clock read
-    (file-scope DET001) and a worker-reachable shared counter, which only
-    the whole-program call graph can see (tree-scope RACE002)."""
-    root = tmp_path / "repro"
-    root.mkdir()
-    (root / "clockuser.py").write_text(CLOCK_USER)
-    (root / "engine.py").write_text(
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "\n"
-        "WORKER_ENTRY_POINTS = (\n"
-        '    "repro.engine.Engine._work",\n'
-        ")\n"
-        "\n"
-        "\n"
-        "class Engine:\n"
-        "    def __init__(self):\n"
-        "        self.done = 0\n"
-        "\n"
-        "    def run(self, shards):\n"
-        "        with ThreadPoolExecutor() as pool:\n"
-        "            for shard in shards:\n"
-        "                pool.submit(self._work, shard)\n"
-        "\n"
-        "    def _work(self, shard):\n"
-        "        self.done += 1\n"
-        "        return shard\n"
-    )
     return root
 
 
@@ -84,10 +54,8 @@ class TestRealTree:
         self, tmp_path, capsys, monkeypatch
     ):
         """Exactly one finding is *deliberate* and explicitly baselined —
-        the profiler's wall-clock read (DET001).  The parallel engine's
-        old worker-side progress counter was fixed by folding shard
-        completions on the main thread, so nothing else — no DET, no
-        RACE, no PKL — may surface on the real tree."""
+        the profiler's wall-clock read (DET001); nothing else may surface
+        on the real tree."""
         monkeypatch.chdir(tmp_path)  # no baseline file in CWD
         code, out = run(["--format", "json"], capsys)
         assert code == 1
@@ -97,8 +65,8 @@ class TestRealTree:
         ]
 
     def test_each_module_is_parsed_once(self, monkeypatch):
-        """One ``ast.parse`` per ``.py`` file: every analyzer reads the
-        call graph's trees."""
+        """One ``ast.parse`` per ``.py`` file: both analyzers read the
+        same trees."""
         root = default_root()
         parsed: list[str] = []
         real_parse = ast.parse
@@ -141,6 +109,7 @@ class TestBrokenTree:
         _, first = run(args, capsys)
         _, second = run(args, capsys)
         assert first == second
+        assert not list(tmp_path.glob(".reprolint*"))  # a run leaves nothing
 
     def test_update_baseline_then_rerun_exits_zero(
         self, broken_tree, tmp_path, capsys, monkeypatch
@@ -170,40 +139,20 @@ class TestBrokenTree:
         assert json.loads(out_file.read_text())["total"] >= 4
 
 
-class TestWorkerTree:
-    def test_file_and_tree_scope_rules_fire(
-        self, worker_tree, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        code, out = run(
-            ["--root", str(worker_tree), "--format", "json"],
-            capsys,
-        )
-        assert code == 1
-        rules = {
-            (f["rule"], f["path"]) for f in json.loads(out)["findings"]
-        }
-        assert ("DET001", "repro/clockuser.py") in rules
-        assert ("RACE002", "repro/engine.py") in rules
-
-    def test_consecutive_json_runs_are_byte_identical(
-        self, worker_tree, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        args = ["--root", str(worker_tree), "--format", "json"]
-        _, first = run(args, capsys)
-        _, second = run(args, capsys)
-        assert first == second
-        assert not list(tmp_path.glob(".reprolint*"))  # a run leaves nothing
-
-
 class TestAuxiliaryModes:
     def test_rules_catalog_lists_every_rule(self, capsys):
         code, out = run(["--rules"], capsys)
         assert code == 0
         for rule in ("SIG001", "DET001", "LNT001"):
             assert rule in out
-        assert len(out.splitlines()) == 1 + 16  # header + one row per rule
+        assert len(out.splitlines()) == 1 + len(RULES)  # header + a row each
+
+    def test_design_catalog_lists_exactly_the_rules(self):
+        """DESIGN.md §9's rule catalog table and ``RULES`` name the same
+        rule ids."""
+        design = (Path(__file__).resolve().parents[2] / "DESIGN.md").read_text()
+        catalog = design.split("### Rule catalog", 1)[1].split("\n\n", 2)[1]
+        assert set(re.findall(r"^\| `(\w+)` \|", catalog, re.M)) == set(RULES)
 
     def test_bad_root_is_a_usage_error(self, tmp_path, capsys):
         code = main(["--root", str(tmp_path / "missing")])

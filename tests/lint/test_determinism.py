@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.determinism import DeterminismAuditor
+from tests.lint import check_seeded_corpus
 
 REPRO_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -162,3 +163,11 @@ class TestUnboundedLoops:
         findings = audit_source(tmp_path, source)
         assert [f.rule for f in findings] == ["DET006", "DET006"]
         assert [f.line for f in findings] == [1, 2]
+
+
+class TestRegressionCorpus:
+    """The analyzers flag exactly the seeded bugs — no more, no less (the
+    same assertion the CI gate script makes)."""
+
+    def test_seeded_corpus_matches_expected_exactly(self):
+        assert check_seeded_corpus.check() == []

@@ -27,14 +27,16 @@ class TestDynamicMetricNames:
     def test_concatenation_with_variable_is_flagged(self, tmp_path):
         findings = audit(tmp_path, """
             def charge(registry, slug):
-                registry.gauge("depth_" + slug).set(1)
+                registry.counter("depth_" + slug).inc()
         """)
         assert rules(findings) == ["OBS001"]
 
     def test_percent_formatting_is_flagged(self, tmp_path):
         findings = audit(tmp_path, """
-            def charge(registry, port):
-                registry.histogram("lat_%s" % port).observe(0.1)
+            from repro.obs.metrics import series_key
+
+            def charge(metrics, port):
+                metrics.pending[series_key("lat_%s" % port)] = 1
         """)
         assert rules(findings) == ["OBS001"]
 
@@ -49,6 +51,15 @@ class TestDynamicMetricNames:
         findings = audit(tmp_path, """
             def charge(registry, host):
                 registry.counter("probes_{}_total".format(host)).inc()
+        """)
+        assert rules(findings) == ["OBS001"]
+
+    def test_series_key_by_keyword_is_flagged(self, tmp_path):
+        findings = audit(tmp_path, """
+            from repro.obs import metrics
+
+            def charge(registry, slug):
+                registry.pending[metrics.series_key(name=f"hits_{slug}")] = 1
         """)
         assert rules(findings) == ["OBS001"]
 

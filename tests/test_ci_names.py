@@ -51,6 +51,11 @@ RETIRED = (
     "_resume_config", "_expected_config", "resume_config(", "shards_total",
     "Gauge", "gauge_value", "_raw_key", "_counter_memo", "_histogram_memo",
     ".absorb(",
+    # the static worker-boundary analyzer, its call graph, registries, rules
+    "WORKER_ENTRY_POINTS", "PICKLE_BOUNDARY_TYPES", "ConcurrencyAuditor",
+    "repro.lint.concurrency", "worker_contexts", "boundary_classes",
+    "CallGraph", "repro.lint.callgraph", "lint/callgraph.py",
+    "RACE001", "RACE002", "RACE003", "PKL001", "PKL002", "PKL003",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
@@ -61,8 +66,12 @@ MAY_NAME_RETIRED = {
     "tests/test_ci_names.py",
 }
 #: a document that may name some retired names: DESIGN.md's static
-#: analysis section says where each retired plugin rule went
-MAY_NAME = {"DESIGN.md": {f"PLG00{n}" for n in range(1, 8)}}
+#: analysis section says where each retired plugin, race and pickle rule
+#: went
+MAY_NAME = {"DESIGN.md": {
+    *(f"PLG00{n}" for n in range(1, 8)),
+    *(f"{family}00{n}" for family in ("RACE", "PKL") for n in range(1, 4)),
+}}
 
 
 def test_ci_and_docs_name_only_what_exists():
