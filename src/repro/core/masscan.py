@@ -140,14 +140,15 @@ class Masscan:
         scanned before the interruption — are not probed again.
 
         One walk over the block plan: a /24 adds its dead addresses (the
-        ones the transport's liveness hint, ``live_values_in``, rules out)
-        to the batch as a count and the rest — every member for a backend
-        that cannot hint — to its probe list, split only where a batch
-        boundary or ``skip`` cuts it.  The flush asks the transport once
-        (``probe_ports``), or under a retry policy re-sends port by port
-        over the same list.  Nothing in stage I reads an answer or moves
-        the clock or the quarantine ledger, so the packets and decisions
-        are the ones asking host by host made, in the same order.
+        ones the transport's liveness hint, ``live_values_in`` asked once
+        over the frame's hull, rules out) to the batch as a count and the
+        rest — every member for a backend that cannot hint — to its probe
+        list, split only where a batch boundary or ``skip`` cuts it.  The
+        flush asks the transport once (``probe_ports``), or under a retry
+        policy re-sends port by port over the same list.  Nothing in stage
+        I reads an answer or moves the clock or the quarantine ledger, so
+        the packets and decisions are the ones asking host by host made,
+        in the same order.
 
         A supervised sweep gates the list: a quarantined host is a gate
         skip, neither probed nor counted; the dead around it are dead.
@@ -175,8 +176,8 @@ class Masscan:
             if skip >= count:
                 skip -= count
                 continue
-            # To probe, ascending: the hinted (hints are asked over the
-            # frame's own runs, so members too), or every member.
+            # To probe, ascending: the hinted (the hints are cut to the
+            # frame's runs, so members only), or every member.
             live: Sequence[int] = (
                 hints.get(base, ()) if hints is not None
                 else range(base, base + BLOCK_SIZE) if count == BLOCK_SIZE
@@ -316,16 +317,28 @@ class Masscan:
     def _prefetch_hints(
         self, runs: Sequence[tuple[int, int]]
     ) -> dict[int, list[int]] | None:
-        """One liveness query per frame run, grouped by /24: a block
-        absent from the map is guaranteed dead.  None for a backend that
-        cannot know; every member is then probed."""
+        """The frame's live members by /24, from one liveness query over
+        the frame's hull: a block absent from the map is guaranteed dead.
+        None for a backend that cannot know; every member is then probed.
+
+        One walk of the sorted answer beside the runs; hosts between two
+        runs are skipped in one bisection, so a sparse frame in a dense
+        world pays per run, not per host of its hull.
+        """
+        if not runs:
+            return {}
+        values = self.transport.live_values_in(runs[0][0], runs[-1][1])
+        if values is None:
+            return None
         hints: dict[int, list[int]] = {}
+        index, size = 0, len(values)
         for start, end in runs:
-            values = self.transport.live_values_in(start, end)
-            if values is None:
-                return None
-            for value in values:
+            if index < size and values[index] < start:
+                index = bisect_left(values, start, index)
+            while index < size and values[index] <= end:
+                value = values[index]
                 hints.setdefault(value & BLOCK_MASK, []).append(value)
+                index += 1
         return hints
 
 

@@ -406,6 +406,12 @@ class ScanPipeline:
         report = ScanReport()
         completed = 0
         batches_done = 0
+        # The books a report folds start empty, so a second run() on one
+        # pipeline reports itself alone (a resume re-seats them).
+        self._coverage = CoverageReport()
+        stats = self._prefilter.stats
+        stats.http_responses, stats.https_responses = {}, {}
+        stats.responsive_hosts = set()
         self._journal = _JournalMarks()
         payload = None
         if checkpoint is not None:
@@ -444,7 +450,8 @@ class ScanPipeline:
             "pipeline", "sweep-complete",
             addresses=report.port_scan.addresses_scanned,
             awe_hosts=report.total_awe_hosts(),
-            mav_hosts=len(report.vulnerable_ips()),
+            # the ledger is this run's, so it counts vulnerable_ips()
+            mav_hosts=self._coverage.stages["tsunami"].completed,
         )
         self._fold_stats(report)
         if checkpoint is not None:
@@ -574,8 +581,8 @@ class ScanPipeline:
 
     def _quarantined_values(self, values: Iterable[int]) -> set[int]:
         sup = self.supervision
-        if sup is None:
-            return set()
+        if sup is None or not sup.quarantine.hosts:
+            return set()  # nothing is quarantined: no walk over ``values``
         return {v for v in values if sup.is_quarantined_value(v)}
 
     def _finish_supervised(self, completed: int) -> None:

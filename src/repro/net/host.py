@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from typing import TYPE_CHECKING
 
@@ -100,16 +100,6 @@ class Host:
         if self.kind is HostKind.MIDDLEBOX:
             return True
         return port in self.services
-
-    def open_ports(self, ports: Sequence[int]) -> list[int]:
-        """The sub-list of ``ports`` :meth:`is_port_open` says are open, in
-        one question: stage I asks it once per live host."""
-        if not self.online:
-            return []
-        if self.kind is HostKind.MIDDLEBOX:
-            return list(ports)
-        services = self.services
-        return [port for port in ports if port in services]
 
     def certificate_on(self, port: int):
         """The certificate a TLS handshake on ``port`` would present."""

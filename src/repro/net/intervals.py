@@ -99,9 +99,17 @@ class IntervalSet:
         return IntervalSet._trusted(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
+        """The members not in ``other``; ``self`` itself when no hole of
+        ``other`` meets a run, which one bisection per hole decides."""
+        holes, runs = other._runs, self._runs
+        for hole_start, hole_end in holes:
+            index = bisect_right(self._starts, hole_end) - 1
+            if index >= 0 and runs[index][1] >= hole_start:
+                break
+        else:
+            return self
         out: list[tuple[int, int]] = []
         j = 0
-        holes = other._runs
         for start, end in self._runs:
             cursor = start
             while j < len(holes) and holes[j][1] < cursor:

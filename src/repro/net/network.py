@@ -76,11 +76,19 @@ class SimulatedInternet:
         self, values: Sequence[int], ports: Sequence[int]
     ) -> dict[int, tuple[int, ...]]:
         """Stage I's batch question: ``{value: sorted open ports}`` for
-        each of ``values`` with one of ``ports`` open, in their order."""
+        each of ``values`` with one of ``ports`` open, in their order.
+
+        What :meth:`Host.is_port_open` says of each port, asked as one set
+        intersection per live host."""
         host_at, found = self._hosts.get, {}
+        wanted, every = frozenset(ports), tuple(sorted(ports))
         for value in values:
             host = host_at(value)
-            if host is not None and (open_ports := host.open_ports(ports)):
+            if host is None or not host.online:
+                continue
+            if host.kind is HostKind.MIDDLEBOX:
+                found[value] = every
+            elif open_ports := wanted.intersection(host.services):
                 found[value] = tuple(sorted(open_ports))
         return found
 

@@ -148,7 +148,9 @@ class Transport(ABC):
         backend cannot know.  The contract is one-sided: an address absent
         from the hint is guaranteed to answer nothing, so stage I may
         account for its probes in bulk without sending them; an address
-        present may still turn out dead.  A decorator (see
+        present may still turn out dead.  Stage I asks once per sweep,
+        over the frame's hull, so the answer may name addresses outside
+        the frame; the scanner drops them.  A decorator (see
         :func:`transport_layers`) hints exactly as the transport it wraps.
         """
         inner = getattr(self, "inner", None)

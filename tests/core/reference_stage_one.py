@@ -2,10 +2,11 @@
 
 This is ``repro.core.masscan.Masscan.scan_in_batches`` as it was before
 the block walk: a producer of ``(dead gap, live value)`` ops, one per
-host to probe, a lazy supervision gate over them, and one consumer that
-asks the transport once per host.  Production never calls it; the
-property in ``test_masscan.py`` requires the block walk to yield the same
-batches, send the same packets in the same order and make the same gate
+host to probe, over liveness hints asked one frame run at a time; a lazy
+supervision gate over them; and one consumer that asks the transport
+once per host.  Production never calls it; the property in
+``test_masscan.py`` requires the block walk to yield the same batches,
+send the same packets in the same order and make the same gate
 decisions.
 """
 
@@ -14,14 +15,28 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from repro.core.masscan import PortScanResult
-from repro.net.intervals import BLOCK_SIZE
+from repro.net.intervals import BLOCK_MASK, BLOCK_SIZE
 from repro.net.ipv4 import IPv4Address
+
+
+def run_hints(transport, frame):
+    """The liveness hints by /24, asked run by run: each answer holds
+    frame members only, so nothing needs dropping.  None for a backend
+    that cannot know."""
+    hints = {}
+    for start, end in frame.runs:
+        values = transport.live_values_in(start, end)
+        if values is None:
+            return None
+        for value in values:
+            hints.setdefault(value & BLOCK_MASK, []).append(value)
+    return hints
 
 
 def op_stream(scanner, candidates, skip):
     """The sweep after ``skip`` as ``(dead gap, live value)`` ops."""
     frame, counts, bases = scanner._plan_blocks(candidates)
-    hints = scanner._prefetch_hints(frame.runs)
+    hints = run_hints(scanner.transport, frame)
     pending_dead = 0
     for base in bases:
         count = counts[base]

@@ -394,8 +394,8 @@ def build_world():
     return internet, ips
 
 
-def run_arm(die_after=None, checkpoint=None, seed=3):
-    """One pipeline sweep over a freshly built world."""
+def arm_pipeline(die_after=None, seed=3):
+    """A pipeline over a freshly built world, and the world's addresses."""
     internet, ips = build_world()
     clock = SimClock()
     transport = ChaosTransport(
@@ -408,6 +408,12 @@ def run_arm(die_after=None, checkpoint=None, seed=3):
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
         clock=clock,
     )
+    return pipeline, ips
+
+
+def run_arm(die_after=None, checkpoint=None, seed=3):
+    """One pipeline sweep over a freshly built world."""
+    pipeline, ips = arm_pipeline(die_after, seed)
     return pipeline.run(ips, checkpoint=checkpoint)
 
 
@@ -690,21 +696,26 @@ class TestResume:
         completed = ckpt.load()["completed_addresses"]
         assert completed > 0  # at least one batch landed before the kill
 
-        internet, ips = build_world()
-        clock = SimClock()
-        transport = ChaosTransport(
-            InMemoryTransport(internet), PLAN, seed=21, clock=clock
-        )
-        pipeline = ScanPipeline(
-            transport, scanned_ports(), seed=3, batch_size=3, fingerprint=False,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0),
-            clock=clock,
-        )
+        pipeline, ips = arm_pipeline()
         pipeline.run(ips, checkpoint=ckpt)
         # only the remaining addresses were probed on the wire after resume:
         # at most max_attempts probes per port, and zero for completed hosts
         ceiling = (len(ips) - completed) * len(scanned_ports()) * 3
-        assert 0 < transport.stats.syn_probes <= ceiling
+        assert 0 < pipeline.transport.stats.syn_probes <= ceiling
+
+    def test_sweep_complete_counts_the_vulnerable_hosts_after_a_resume(
+        self, tmp_path
+    ):
+        """The event reads the coverage ledger, which a resume restores
+        from the journal; it still counts the report's vulnerable hosts."""
+        ckpt = Checkpointer(tmp_path / "scan.ckpt")
+        with pytest.raises(SimulatedCrash):
+            run_arm(die_after=200, checkpoint=ckpt)
+        assert ckpt.load()["completed_addresses"] > 0
+        pipeline, ips = arm_pipeline()
+        report = pipeline.run(ips, checkpoint=ckpt)
+        (event,) = pipeline.telemetry.events.select("pipeline", "sweep-complete")
+        assert dict(event.fields)["mav_hosts"] == len(report.vulnerable_ips()) > 0
 
     def test_resume_refuses_mismatched_config(self, tmp_path):
         ckpt = Checkpointer(tmp_path / "scan.ckpt")

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import AppInstance
@@ -466,8 +466,10 @@ class _Asked(InMemoryTransport):
         super().__init__(internet)
         self.hints = hints
         self.asked = []
+        self.hint_queries = []
 
     def live_values_in(self, start, end):
+        self.hint_queries.append((start, end))
         return super().live_values_in(start, end) if self.hints else None
 
     def probe_ports(self, values, ports):
@@ -572,6 +574,26 @@ class TestBlockWalkMatchesHostByHost:
             yield batch, int(total - before)
             before = total
 
+    #: a plain hinted sweep, for the examples below
+    PLAIN = dict(
+        batch_size=7, skip=0, hints=True, chaos=False, attempts=1,
+        supervised=False, block=0, deadline=None, strike_after=0, struck=0,
+        seed=0, shuffle=True,
+    )
+
+    # Stage I asks for liveness over the frame's hull, so each of these
+    # live hosts outside the frame is in the answer and must be dropped:
+    # in an unframed /24 between two runs,
+    @example(runs=[(0, 256), (512, 256)], hosts=[(5, 0), (261, 1), (517, 0)],
+             **PLAIN)
+    # in the reserved /24 a run crosses,
+    @example(runs=[(600, 400)], hosts=[(700, 0), (800, 1), (900, 0)], **PLAIN)
+    # in a hole of a partial /24,
+    @example(runs=[(0, 10), (20, 10)], hosts=[(5, 0), (15, 1), (25, 2)],
+             **PLAIN)
+    # and beside a frame that is empty once the reserved /24 is cut.
+    @example(runs=[(768, 200)], hosts=[(700, 0), (800, 1), (1100, 0)],
+             **PLAIN)
     @settings(max_examples=150, deadline=None)
     @given(
         runs=st.lists(
@@ -601,3 +623,32 @@ class TestBlockWalkMatchesHostByHost:
         from tests.core.reference_stage_one import reference_batches
 
         assert self.sweep(self.walk, case) == self.sweep(reference_batches, case)
+
+
+def test_a_sweep_asks_for_liveness_once_over_the_frame_hull():
+    """Three runs with unframed space and a reserved /24 between them, in
+    many batches: one ``live_values_in`` call, over the frame's hull."""
+    from repro.apps.catalog import scanned_ports
+    from repro.core.pipeline import ScanPipeline
+
+    base = IPv4Address.parse("198.51.97.0").value
+    internet = SimulatedInternet()
+    for offset in (3, 300, 700, 900, 1300):
+        host = Host(IPv4Address(base + offset))
+        host.add_service(
+            Service(8888, app=AppInstance(create_instance("jupyterlab"), 8888))
+        )
+        internet.add_host(host)
+    transport = _Asked(internet)
+    frame = IntervalSet([
+        (base, base + 99), (base + 700, base + 1000), (base + 1200, base + 1400),
+    ])
+    report = ScanPipeline(
+        transport, scanned_ports(), seed=1, batch_size=50
+    ).run(frame)
+    assert transport.hint_queries == [(base, base + 1400)]
+    # the hosts at 300 (unframed) and 900 (reserved) were never asked
+    assert sorted(report.port_scan.open_ports) == [
+        base + 3, base + 700, base + 1300,
+    ]
+    assert sorted(transport.asked) == [base + 3, base + 700, base + 1300]

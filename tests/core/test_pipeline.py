@@ -177,6 +177,23 @@ class TestPrefilterAblation:
         # Ablation hands every responsive host to stage III.
         assert ablated.total_awe_hosts() > filtered.total_awe_hosts()
 
+    def test_a_second_run_reports_itself_alone(self, internet):
+        """One pipeline run twice: the second report's coverage and
+        response tallies are its own run's, so its books reconcile, its
+        sweep-complete event counts its vulnerable hosts, and its tallies
+        are the first run's (same world, same answers)."""
+        first, pipeline = self.sweep(internet)
+        second = pipeline.run(internet.populated_addresses())
+        second.coverage.reconcile(second)
+        assert second.coverage == first.coverage
+        assert second.http_responses == first.http_responses
+        assert second.https_responses == first.https_responses
+        events = pipeline.telemetry.events.select("pipeline", "sweep-complete")
+        assert [dict(event.fields)["mav_hosts"] for event in events] == [
+            len(first.vulnerable_ips()), len(second.vulnerable_ips()),
+        ]
+        assert second.vulnerable_ips()
+
 
 class TestOptionsRefusedAtConstruction:
     """A bad value is refused by ``ScanPipeline`` itself, before a sweep

@@ -374,6 +374,19 @@ class TestHostileDeterminism:
         assert resumed[1] == expected[1]
         assert not ckpt.exists()
 
+    def test_sweep_complete_counts_every_vulnerable_host(self):
+        """Each shard's sweep-complete event reads its coverage ledger;
+        over the shards they count the report's vulnerable hosts.  Less
+        poison than HOSTILE, so a host survives to be found vulnerable
+        while others are quarantined and a shard restarts."""
+        report, pipeline = run_arm(
+            workers=2, plan=dataclasses.replace(HOSTILE, poison_rate=0.1)
+        )
+        assert report.coverage.quarantined_hosts
+        events = pipeline.telemetry.events.select("pipeline", "sweep-complete")
+        mav_hosts = sum(dict(event.fields)["mav_hosts"] for event in events)
+        assert mav_hosts == len(report.vulnerable_ips()) > 0
+
     def test_quarantine_lists_identical_across_arms(self, tmp_path):
         base, _ = run_arm(workers=1)
         four, _ = run_arm(workers=4)

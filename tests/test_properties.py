@@ -496,6 +496,29 @@ def test_interval_algebra_matches_set_algebra(a_runs, b_runs):
     assert set(a.difference(b).iter_values()) == a_oracle - b_oracle
 
 
+@given(_interval_set, _interval_set)
+def test_interval_difference_is_the_walk_or_the_set_itself(a_runs, b_runs):
+    """The difference is the compressed set difference of the members,
+    and it is ``a`` itself exactly when no run of ``a`` meets a hole."""
+    from repro.net.intervals import IntervalSet
+
+    a, b = IntervalSet(a_runs), IntervalSet(b_runs)
+    a_oracle, b_oracle = _oracle(a_runs), _oracle(b_runs)
+    cut = a.difference(b)
+    assert cut == IntervalSet.from_values(a_oracle - b_oracle)
+    assert (cut is a) == (not a_oracle & b_oracle)
+
+
+@given(_interval_set)
+def test_interval_block_counts_survive_a_pickle_round_trip(runs):
+    """A pickle carries the runs alone; the clone's block plan is the
+    original's."""
+    from repro.net.intervals import IntervalSet
+
+    frame = IntervalSet(runs)
+    assert _clone(frame).block_counts() == frame.block_counts()
+
+
 @given(_interval_set, st.integers(min_value=0, max_value=5000))
 def test_interval_membership_matches_oracle(runs, probe):
     from repro.net.intervals import IntervalSet
