@@ -145,7 +145,6 @@ class ScanReport:
     http_responses: dict[int, int] = field(default_factory=dict)
     https_responses: dict[int, int] = field(default_factory=dict)
     findings: dict[int, HostFinding] = field(default_factory=dict)
-    detections: list[DetectionReport] = field(default_factory=list)
     #: what the resilience layer did (zeros when no RetryPolicy is set)
     retry_stats: RetryStats = field(default_factory=RetryStats)
     #: per-stage scanned/dropped/quarantined/skipped accounting
@@ -192,6 +191,17 @@ class ScanReport:
     def total_awe_hosts(self) -> int:
         return len(self.findings)
 
+    @property
+    def detections(self) -> tuple[DetectionReport, ...]:
+        """Each observation's detection, host by host: a view of the
+        findings, not a second copy of them."""
+        return tuple(
+            observation.detection
+            for finding in self.findings.values()
+            for observation in finding.observations.values()
+            if observation.detection is not None
+        )
+
     def merge(self, other: "ScanReport") -> None:
         self.port_scan.merge(other.port_scan)
         for port, count in other.http_responses.items():
@@ -199,7 +209,6 @@ class ScanReport:
         for port, count in other.https_responses.items():
             self.https_responses[port] = self.https_responses.get(port, 0) + count
         self.findings.update(other.findings)
-        self.detections.extend(other.detections)
         self.retry_stats.merge(other.retry_stats)
         self.coverage.merge(other.coverage)
 
@@ -648,13 +657,6 @@ class ScanPipeline:
             finding.ip, finding.port, finding.scheme, finding.candidates, memo
         )
         detected_slugs = {d.slug for d in detections}
-        report.detections.extend(
-            d for d in detections
-            if not (
-                d.slug in host_finding.observations
-                and host_finding.observations[d.slug].vulnerable
-            )
-        )
 
         fingerprint = None
         if self._fingerprinter is not None:

@@ -294,17 +294,8 @@ class RescanEngine:
                 json.dumps(report_to_dict(prior.report), sort_keys=True)
             )
             pipe.run_hash = stable_hash(sorted(hinted), prior_digest)
-        report = pipe.run(frame, checkpoint)
-        # In-memory detections match a serialisation round trip: rebuilt
-        # from findings, so fresh and replayed hosts are indistinguishable.
-        report.detections = [
-            observation.detection
-            for finding in report.findings.values()
-            for observation in finding.observations.values()
-            if observation.detection is not None
-        ]
         return RescanState(
-            report=report,
+            report=pipe.run(frame, checkpoint),
             records=pipe.records,
             frame=frame,
             seed=self.seed,

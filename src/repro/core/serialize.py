@@ -163,10 +163,6 @@ def report_from_rows(state: dict) -> ScanReport:
     for row in state["findings"]:
         finding = finding_from_row(row)
         report.findings[finding.ip.value] = finding
-        report.detections.extend(
-            o.detection for o in finding.observations.values()
-            if o.detection is not None
-        )
     return report
 
 

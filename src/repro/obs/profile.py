@@ -47,9 +47,10 @@ def wall_now() -> float:
     """The one sanctioned wall-clock read in the package.
 
     Everything deterministic charges the SimClock; wall-time profiling is
-    the explicit exception (baselined under DET001) because attributing a
-    real regression needs real seconds.  Callers must keep the values out
-    of canonical reports and telemetry exports.
+    the explicit exception because attributing a real regression needs
+    real seconds.  Callers must keep the values out of canonical reports
+    and telemetry exports (``TestProfileInvariance`` in
+    ``tests/core/test_parallel.py`` holds profiled output to unprofiled).
     """
     return time.perf_counter()
 

@@ -13,7 +13,7 @@ from repro.apps.catalog import in_scope_apps
 from repro.core.prefilter import SIGNATURES
 from repro.core.tsunami.plugin import Get
 from repro.core.tsunami.plugins import ALL_PLUGINS
-from repro.lint.corpus import build_corpus
+from tests.core.corpus import build_corpus
 
 #: GoCD markers from other releases in Table 10 than the emulated ones
 MARKERS_FROM_OTHER_RELEASES = {

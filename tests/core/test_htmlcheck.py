@@ -12,7 +12,7 @@ from repro.core.tsunami.htmlcheck import (
     is_valid_html,
     outline,
 )
-from repro.lint.corpus import build_corpus
+from tests.core.corpus import build_corpus
 
 
 class TestIsValidHtml:

@@ -148,7 +148,7 @@ class TestSinglePassMatcherEquivalence:
     """
 
     def _corpus_bodies(self):
-        from repro.lint.corpus import build_corpus
+        from tests.core.corpus import build_corpus
 
         return [
             body

@@ -11,6 +11,7 @@ pickles to.
 import pickle
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -131,18 +132,39 @@ def test_the_journal_form_folds_to_the_same_bytes(scenario, monkeypatch, tmp_pat
     assert detections(report) == detections(live_report)
 
 
-#: bytes a full shard's pickled result may take on the tiny study world.
-#: The report's value types pickle as their constructor calls: 60-65 KB a
-#: shard; as dataclass state (a dict of field names per object) they took
-#: 78-84 KB.
+#: bytes a full shard's pickled result may take on the tiny study world
+#: and on the dense one (the default study at the 0.05 share of its rates
+#: the benchmark's dense sweep uses).  The report's value types pickle as
+#: their constructor calls: 60-65 KB a shard on the tiny world, under 70 KB
+#: on the dense one; as dataclass state (a dict of field names per object)
+#: they took 78-84 KB on the tiny world.
 FULL_SHARD_CEILING = 70_000
 
 
-def test_a_full_shard_result_pickles_under_the_ceiling():
+def tiny_world():
+    return generate_internet(StudyConfig.tiny().with_seed(7).population)[0]
+
+
+def dense_world():
+    share = 0.05
+    model = StudyConfig.default().with_seed(7).population
+    model = replace(
+        model,
+        awe_rate=model.awe_rate * share,
+        vuln_rate=min(1.0, model.vuln_rate * share),
+        background_rate=model.background_rate * share,
+    )
+    return generate_internet(model)[0]
+
+
+@pytest.mark.parametrize(
+    "world, shards", [(tiny_world, 20), (dense_world, 6)], ids=["tiny", "dense"]
+)
+def test_a_full_shard_result_pickles_under_the_ceiling(world, shards):
     """Every shard of ``DEFAULT_SHARD_BLOCKS`` /24s, fingerprinted, as the
     process executor sends it.  Pickled size depends on the seeded world
     and the pickle protocol only, not on the machine."""
-    world = generate_internet(StudyConfig.tiny().with_seed(7).population)[0]
+    world = world()
     frame = CompressedPopulation.build(world, 1, seed=7).frame
     runner = ShardRunner(
         transport=InMemoryTransport(world), ports=tuple(scanned_ports()),
@@ -154,6 +176,6 @@ def test_a_full_shard_result_pickles_under_the_ceiling():
         shard for shard in plan_shards(frame, seed=3)
         if len(shard.addresses.block_bases()) == DEFAULT_SHARD_BLOCKS
     ]
-    assert len(full) >= 20
+    assert len(full) >= shards
     sizes = [len(pickle.dumps(runner.execute(shard))) for shard in full]
     assert max(sizes) <= FULL_SHARD_CEILING, sizes

@@ -1,9 +1,9 @@
 """Signature precision matrix: recall on own pages, zero cross-app hits.
 
-The one check of what stage II's signatures match (the linter checks
-only their shape): every prefilter signature must match at least one
-canned page of its own application and no canned page of any other
-application.  A new emulator page or a loosened regex that breaks
+The one check of what stage II's signatures match
+(``test_signature_shape.py`` checks only their shape): every prefilter
+signature must match at least one canned page of its own application and
+no canned page of any other application.  A new emulator page or a loosened regex that breaks
 either property fails here with the offending pattern named; the first
 run of this matrix found the 10 dead signatures EXPERIMENTS.md lists.
 """
@@ -15,7 +15,7 @@ import re
 import pytest
 
 from repro.core.prefilter import SIGNATURES
-from repro.lint.corpus import build_corpus
+from tests.core.corpus import build_corpus
 
 SLUGS = sorted(SIGNATURES)
 

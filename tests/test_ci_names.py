@@ -28,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: pipeline's stage-III token and its noting stats class; the process
 #: pool's per-shard function, its initializer and its per-worker runner;
 #: stage I's per-host op stream, its lazy gate and its batch closer; the
-#: per-driver resume-config lists and the sharded journal's shard count
+#: per-driver resume-config lists and the sharded journal's shard count;
+#: the static analyzer, its baseline and every rule it had left
 RETIRED = (
     "bench_throughput", "BENCH_scan",
     "SweepSupervisor", "SupervisedShardRunner", "crash_hook", "rescan_hosts",
@@ -38,12 +39,12 @@ RETIRED = (
     "parse_wire_request", "parse_wire_response", "curves_by_app",
     "Masscan._count", "_account_dead", "_range_ops", "_block_ops",
     "subset_by_app",
-    "DET005", "ObservabilityAuditor", "repro.lint.observability",
+    "DET005", "ObservabilityAuditor",
     "no-corpus", "with_corpus", "SIG004", "SIG005", "SIG006",
     "TelemetrySummary", "RecordWindowError", "_open_window", "_close_window",
     "counters_flat", "flat_reads", "shard_deadline", "sweep_deadline",
     "effective_deadline", "probe_port(", "_probe_operations",
-    "MavDetectionPlugin", "PluginContractAuditor", "repro.lint.plugins",
+    "MavDetectionPlugin", "PluginContractAuditor",
     "PLUGIN_BASE", "PLG001", "PLG002", "PLG003", "PLG004", "PLG005",
     "PLG006", "PLG007", "replay_findings", "_NotedStats",
     "_process_shard", "_init_worker", "_WORKER_RUNNER",
@@ -53,9 +54,13 @@ RETIRED = (
     ".absorb(",
     # the static worker-boundary analyzer, its call graph, registries, rules
     "WORKER_ENTRY_POINTS", "PICKLE_BOUNDARY_TYPES", "ConcurrencyAuditor",
-    "repro.lint.concurrency", "worker_contexts", "boundary_classes",
-    "CallGraph", "repro.lint.callgraph", "lint/callgraph.py",
+    "worker_contexts", "boundary_classes",
+    "CallGraph", "lint/callgraph.py",
     "RACE001", "RACE002", "RACE003", "PKL001", "PKL002", "PKL003",
+    # the rest of the analyzer: its package, baseline, auditors and rules
+    "repro.lint", "reprolint-baseline", "SignatureAuditor",
+    "DeterminismAuditor", "SIG001", "SIG002", "SIG003", "DET001", "DET002",
+    "DET003", "DET004", "DET006", "OBS001",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
@@ -66,11 +71,11 @@ MAY_NAME_RETIRED = {
     "tests/test_ci_names.py",
 }
 #: a document that may name some retired names: DESIGN.md's static
-#: analysis section says where each retired plugin, race and pickle rule
-#: went
+#: analysis section says where each retired rule went
 MAY_NAME = {"DESIGN.md": {
     *(f"PLG00{n}" for n in range(1, 8)),
-    *(f"{family}00{n}" for family in ("RACE", "PKL") for n in range(1, 4)),
+    *(f"{family}00{n}" for family in ("RACE", "PKL", "SIG") for n in range(1, 4)),
+    "DET001", "DET002", "DET003", "DET004", "DET006", "OBS001",
 }}
 
 

@@ -689,7 +689,7 @@ def test_interval_serialisation_round_trip(runs):
 
 def _salted_corpus_pages(salts: int) -> list[str]:
     if "pages" not in _KB_CACHE:
-        from repro.lint.corpus import build_corpus
+        from tests.core.corpus import build_corpus
 
         _KB_CACHE["pages"] = sorted({
             body for pages in build_corpus().values() for body in pages.values()
