@@ -34,6 +34,10 @@ from repro.obs.metrics import series_key
 from repro.obs.telemetry import Telemetry
 from repro.util.rand import shuffled
 
+#: a sweep's block plan, ``(frame, counts, bases)``: see
+#: :meth:`Masscan.plan_blocks`
+BlockPlan = tuple[IntervalSet, dict[int, int], list[int]]
+
 
 @dataclass
 class PortScanResult:
@@ -81,9 +85,7 @@ class Masscan:
     #: to keep this module free of supervisor imports)
     supervision: object | None = None
 
-    def _plan_blocks(
-        self, candidates: FrameLike
-    ) -> tuple[IntervalSet, dict[int, int], list[int]]:
+    def plan_blocks(self, candidates: FrameLike) -> BlockPlan:
         """The sweep's block plan: ``(frame, counts, bases)``.
 
         ``frame`` is the candidates as an interval set with the reserved
@@ -97,7 +99,10 @@ class Masscan:
         /24 lands in the same network whatever its position, so a
         within-block shuffle buys no politeness.  The ascending order is
         what lets stage I add a block to a batch in one step.  Plan once
-        per sweep: the shuffle consumes the RNG.
+        per sweep: the shuffle consumes the RNG.  The plan is a pure
+        function of the candidates, the seed and the two switches, and
+        nothing reads it but stage I, so one plan serves every sweep of a
+        re-scan campaign (repro.core.rescan).
         """
         frame = as_frame(candidates, self.exclude_reserved)
         counts = frame.block_counts()
@@ -107,9 +112,9 @@ class Masscan:
         return frame, counts, bases
 
     def iter_target_order(self, candidates: FrameLike) -> Iterator[IPv4Address]:
-        """The sweep's address order (see :meth:`_plan_blocks`), lazily:
+        """The sweep's address order (see :meth:`plan_blocks`), lazily:
         one block is materialised at a time, never the whole order."""
-        frame, _counts, bases = self._plan_blocks(candidates)
+        frame, _counts, bases = self.plan_blocks(candidates)
         for base in bases:
             for value in frame.block_values(base):
                 yield IPv4Address(value)
@@ -130,6 +135,7 @@ class Masscan:
         candidates: FrameLike,
         batch_size: int,
         skip: int = 0,
+        plan: BlockPlan | None = None,
     ) -> Iterator[PortScanResult]:
         """Yield partial results every ``batch_size`` addresses.
 
@@ -138,6 +144,8 @@ class Masscan:
         ``skip`` resumes a checkpointed sweep: the deterministic target
         order is recomputed and the first ``skip`` addresses — already
         scanned before the interruption — are not probed again.
+        ``plan`` is the candidates' :meth:`plan_blocks` made before (a
+        re-scan campaign's, made once for all its sweeps); None plans here.
 
         One walk over the block plan: a /24 adds its dead addresses (the
         ones the transport's liveness hint, ``live_values_in`` asked once
@@ -161,7 +169,7 @@ class Masscan:
             raise ValueError("batch_size must be positive")
         if skip < 0:
             raise ValueError("skip must be non-negative")
-        frame, counts, bases = self._plan_blocks(candidates)
+        frame, counts, bases = plan or self.plan_blocks(candidates)
         hints = self._prefetch_hints(frame.runs)
         gate, telemetry = self.supervision, self.telemetry
         # The batch: its probe list, its members, the dead among them.

@@ -31,14 +31,14 @@ from repro.core.fingerprint.knowledge_base import (
     KnowledgeBase,
     build_default_knowledge_base,
 )
-from repro.core.masscan import Masscan, PortScanResult
+from repro.core.masscan import BlockPlan, Masscan, PortScanResult
 from repro.core.prefilter import Prefilter, PrefilterFinding
 from repro.core.retry import CircuitBreaker, RetryExecutor, RetryPolicy, RetryStats
 from repro.core.tsunami.engine import TsunamiEngine
 from repro.core.tsunami.plugin import DetectionReport
 from repro.net.chaos import FaultPlan
 from repro.net.http import Scheme
-from repro.net.intervals import FrameLike, IntervalSet, as_frame
+from repro.net.intervals import BLOCK_MASK, FrameLike, IntervalSet, as_frame
 from repro.net.ipv4 import IPv4Address
 from repro.net.transport import stream_layer, transport_layers
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
@@ -180,6 +180,13 @@ class ScanReport:
             for finding in self.findings.values()
             if finding.is_vulnerable
         ]
+
+    def vulnerable_values(self) -> set[int]:
+        """The values of :meth:`vulnerable_ips`, as a set."""
+        return {
+            value for value, finding in self.findings.items()
+            if finding.is_vulnerable
+        }
 
     def observations(self) -> list[AppObservation]:
         return [
@@ -364,13 +371,21 @@ class ScanPipeline:
             )
         else:
             self._fingerprinter = None
+        #: this sweep's vulnerable hosts (values), counted as stage III
+        #: finds them: the tsunami funnel's count, and what a re-scan of
+        #: this sweep carries for the hosts it replays
+        self.vulnerable: set[int] = set()
         #: a re-scan's ledger (repro.core.rescan), None for a plain sweep:
         #: this sweep's record of each open host, replayed or fresh
         self.records: dict[int, HostRecord] | None = None
-        #: the current batch's hosts that replay: their prior records by
-        #: value, and the prior report's findings, where theirs are
-        self.replay: dict[int, HostRecord] = {}
-        self.prior_findings: dict[int, HostFinding] = {}
+        #: the sweep a re-scan replays from (a RescanState: its open
+        #: ports, ledger, findings and vulnerable set), None: probe all
+        self.prior = None
+        #: /24 bases the caller says may have changed behind unchanged ports
+        self.hinted: set[int] = set()
+        #: a re-scan campaign's block plan (Masscan.plan_blocks), made
+        #: once for all its sweeps; None: stage I plans for this run
+        self.block_plan: BlockPlan | None = None
 
     @property
     def engine(self) -> TsunamiEngine:
@@ -421,6 +436,7 @@ class ScanPipeline:
         stats = self._prefilter.stats
         stats.http_responses, stats.https_responses = {}, {}
         stats.responsive_hosts = set()
+        self.vulnerable = set()
         self._journal = _JournalMarks()
         payload = None
         if checkpoint is not None:
@@ -436,7 +452,7 @@ class ScanPipeline:
             )
             tel.tracer.start("sweep")
         for batch in self._masscan.scan_in_batches(
-            candidates, self.batch_size, skip=completed
+            candidates, self.batch_size, skip=completed, plan=self.block_plan
         ):
             report.port_scan.merge(batch)
             self._run_batch(batch, batches_done, report)
@@ -478,11 +494,7 @@ class ScanPipeline:
     def _run_batch(
         self, batch: PortScanResult, index: int, report: ScanReport
     ) -> None:
-        """One stage-I batch through stages II/III, inside its span.
-
-        The one batch step: the re-scan engine's pipeline
-        (repro.core.rescan) overrides it only to choose, first, which of
-        the batch's hosts replay (``replay``)."""
+        """One stage-I batch through stages II/III, inside its span."""
         tel = self.telemetry
         batch_span = tel.tracer.start("batch", index=index)
         self._run_later_stages(batch, report)
@@ -514,40 +526,51 @@ class ScanPipeline:
             "masscan", entered, open_hosts, quarantined=gate_skips
         )
         # Hosts in sorted order, replayed or fresh, so a re-scan's tallies
-        # and findings interleave as a from-scratch sweep's do.  A replayed
-        # host is folded in place, without the network: the tally of its
-        # recorded responses (``PrefilterStats.note``'s, added straight
-        # in), its ledger entry, and, if it reached stage III, its prior
-        # finding in the stage-III list.
+        # and findings interleave as a from-scratch sweep's do.  With a
+        # prior sweep, a host replays when stage I found it with the open
+        # ports the prior found, its /24 is not hinted and the prior's
+        # ledger holds it (everything the rule reads is the host's own).
+        # A replayed host is folded in place, without the network: the
+        # tally of its recorded responses (``PrefilterStats.note``'s,
+        # added straight in), its ledger entry, and, if it reached stage
+        # III, its prior finding in the stage-III list.
         stats = self._prefilter.stats
         http, https = stats.http_responses, stats.https_responses
-        records, replay, noted = self.records, self.replay, stats.noted
-        findings: list[PrefilterFinding | HostFinding] = []
+        records, noted, prior = self.records, stats.noted, self.prior
+        if prior is not None:
+            before, ledger = prior.report.port_scan.open_ports, prior.records
+            prior_findings, hinted = prior.report.findings, self.hinted
+        # (host value, its prior finding or one of its stage-II findings)
+        found: list[tuple[int, PrefilterFinding | HostFinding]] = []
         with tel.tracer.span("stage:prefilter", hosts=open_hosts):
-            for value in sorted(open_ports):
+            for value, ports in sorted(open_ports.items()):
                 if records is not None:
-                    record = replay.get(value)
-                    if record is not None:
-                        for port, scheme in record.responses:
-                            counts = http if scheme == _HTTP else https
-                            counts[port] = counts.get(port, 0) + 1
+                    if (
+                        prior is not None
+                        and before.get(value) == ports
+                        and (value & BLOCK_MASK) not in hinted
+                        and (record := ledger.get(value)) is not None
+                    ):
                         if record.responses:
+                            for port, scheme in record.responses:
+                                counts = http if scheme == _HTTP else https
+                                counts[port] = counts.get(port, 0) + 1
                             stats.responsive_hosts.add(value)
                         records[value] = record
                         if record.finding:
-                            findings.append(self.prior_findings[value])
+                            found.append((value, prior_findings[value]))
                         continue
                     noted.clear()
-                findings.extend(
-                    self._probe_host(IPv4Address(value), open_ports[value])
-                )
+                for finding in self._probe_host(IPv4Address(value), ports):
+                    found.append((value, finding))
                 if records is not None:
                     records[value] = HostRecord(value, tuple(noted))
         # Open hosts quarantined by stage I/II strikes never reach stage
         # III, whatever partial findings stage II managed to fetch first.
         quarantined_open = self._quarantined_values(open_ports)
-        findings = [f for f in findings if f.ip.value not in quarantined_open]
-        candidate_ips = {finding.ip.value for finding in findings}
+        if quarantined_open:
+            found = [pair for pair in found if pair[0] not in quarantined_open]
+        candidate_ips = {value for value, _ in found}
         tel.funnel(
             "prefilter", open_hosts, len(candidate_ips),
             quarantined=len(quarantined_open),
@@ -556,9 +579,14 @@ class ScanPipeline:
             "prefilter", open_hosts, len(candidate_ips),
             quarantined=len(quarantined_open),
         )
+        # A host is vulnerable once a stage-III pass detects anything on
+        # it; a replayed host carries the prior sweep's verdict.
+        vulnerable = self.vulnerable
+        vulnerable_before = len(vulnerable)
+        carried = prior.vulnerable if prior is not None else ()
         with tel.tracer.span("stage:tsunami", hosts=len(candidate_ips)):
-            for finding in findings:
-                if sup is not None and sup.is_quarantined_value(finding.ip.value):
+            for value, finding in found:
+                if sup is not None and sup.is_quarantined_value(value):
                     # Quarantined mid-stage (or /24 collateral): keep the
                     # host's entry so stage-III accounting still balances,
                     # but run no plugins against it.
@@ -566,18 +594,17 @@ class ScanPipeline:
                     continue
                 if type(finding) is HostFinding:
                     # Replayed: the prior sweep's (immutable) finding, shared.
-                    report.findings[finding.ip.value] = finding
+                    report.findings[value] = finding
+                    if value in carried:
+                        vulnerable.add(value)
                     continue
-                self._verify_and_fingerprint(finding, report)
+                if self._verify_and_fingerprint(finding, report):
+                    vulnerable.add(value)
                 if records is not None:
-                    records[finding.ip.value].finding = True
-        vulnerable_hosts = sum(
-            1 for value in candidate_ips
-            if report.findings[value].is_vulnerable
-        )
-        quarantined_candidates = sum(
-            1 for value in self._quarantined_values(candidate_ips)
-            if not report.findings[value].is_vulnerable
+                    records[value].finding = True
+        vulnerable_hosts = len(vulnerable) - vulnerable_before
+        quarantined_candidates = len(
+            self._quarantined_values(candidate_ips) - vulnerable
         )
         tel.funnel(
             "tsunami", len(candidate_ips), vulnerable_hosts,
@@ -648,7 +675,9 @@ class ScanPipeline:
 
     def _verify_and_fingerprint(
         self, finding: PrefilterFinding, report: ScanReport
-    ) -> None:
+    ) -> bool:
+        """Stage III and the fingerprint for one stage-II finding, folded
+        into the host's entry: whether stage III detected anything."""
         host_finding = report.finding_for(finding.ip)
         # Stage III asks the target each question once, starting from the
         # answer stage II already has: its landing page.
@@ -689,7 +718,9 @@ class ScanPipeline:
                     finding.ip, slug, finding.port, finding.scheme
                 )
                 host_finding.observations[slug] = observation
-            if slug in detected_slugs:
+            if slug in detected_slugs and observation.detection is None:
+                # The observation keeps its first port and scheme, so it
+                # keeps that port's detection too, as a report row does.
                 observation.vulnerable = True
                 observation.detection = next(
                     d for d in detections if d.slug == slug
@@ -704,6 +735,7 @@ class ScanPipeline:
                     vulnerable=True, detection=detection,
                 )
                 host_finding.observations[detection.slug] = observation
+        return bool(detections)
 
     def _fold_stats(self, report: ScanReport) -> None:
         for port, count in self._prefilter.stats.http_responses.items():
@@ -792,6 +824,7 @@ class ScanPipeline:
         # The report's coverage block was copied from the live ledger at
         # save time, so restoring it re-seats the cumulative ledger too.
         self._coverage = report.coverage.copy()
+        self.vulnerable = report.vulnerable_values()
         # Everything just restored is what the journal already holds.
         self._journal = self._journal_marks(report)
         return payload["completed_addresses"], payload["batches_done"], report

@@ -7,9 +7,11 @@ nothing changes between sweeps.  A re-scan here is the sequential sweep
 (:meth:`ScanPipeline.run`) run with a ledger: its one batch step then
 decides per open host, in that host's own batch, whether to replay its
 stage-II/III contribution from the prior sweep's per-host ledger — a
-dict hit, folded in place — or probe it.  This module holds the state
-file, the per-batch replay rule and the engine that drives them; a
-ledger entry is a :class:`~repro.core.pipeline.HostRecord`.
+dict hit, folded in place — or probe it.  The rule runs in the batch
+step's one sorted host loop (``ScanPipeline._run_later_stages``); this
+module holds the state file, the ledger's journal and the engine that
+drives the sweeps.  A ledger entry is a
+:class:`~repro.core.pipeline.HostRecord`.
 
 The per-host rule: a host replays when stage I found it with exactly the
 open ports the prior sweep found, and its /24 is not in the caller's
@@ -42,7 +44,16 @@ How the replay stays exact:
   insertions interleave with fresh ones in the sequence a full sweep
   produces;
 * coverage is charged live with the full per-batch numbers, so
-  :meth:`CoverageReport.reconcile` holds for incremental passes too.
+  :meth:`CoverageReport.reconcile` holds for incremental passes too; a
+  replayed host's verdict (vulnerable or not) is the prior sweep's, read
+  from the set of vulnerable hosts its state carries, not re-read from
+  the finding.
+
+What a campaign repeats is made once: the stage-I block plan (the frame
+without its reserved ranges, its per-/24 counts and the seeded shuffle)
+is a pure function of the frame and the seed, which a prior pins, so
+the baseline (or the first tick after a load) makes it and every later
+tick starts stage I from it.
 
 Checkpoint/resume is the sequential sweep's journal: each save also
 appends the ledger records made since the last one (``growth``), each as
@@ -54,12 +65,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
+from repro.core.masscan import BlockPlan
 from repro.core.pipeline import HostRecord, ScanPipeline, ScanReport, resume_key
 from repro.core.serialize import report_from_dict, report_to_dict
 from repro.net.intervals import BLOCK_MASK, IntervalSet
@@ -84,6 +96,17 @@ class RescanState:
     ports: tuple[int, ...]
     batch_size: int
     fingerprint: bool
+    #: the values of the report's vulnerable hosts: a re-scan's verdict
+    #: for each host it replays.  Derived from the report when not given
+    #: (a loaded state); a sweep gives the set it counted.
+    vulnerable: set[int] | None = field(default=None, compare=False)
+    #: the frame's block plan (repro.core.masscan), which every re-scan
+    #: of this state reuses; None until a sweep makes it (a loaded state)
+    plan: BlockPlan | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.vulnerable is None:
+            self.vulnerable = self.report.vulnerable_values()
 
     @property
     def config(self) -> dict:
@@ -158,15 +181,14 @@ def load_rescan_state(path: str | Path) -> RescanState:
 
 
 class _ReplayingPipeline(ScanPipeline):
-    """The sequential sweep, with a ledger and a per-batch replay rule.
+    """The sequential sweep, with a ledger.
 
     The sweep itself — stage I, the batch step that replays or probes
-    each host, spans, events, funnel and coverage charges, the checkpoint
-    journal — is the base class's.  This class only holds a ledger
-    (``records``, which turns replay on in the batch step), notes what
-    fresh hosts answer, lists in ``replay`` the prior records of each
-    batch's open hosts that may replay (the per-host rule in the module
-    docstring), and adds the ledger to the checkpoint journal.
+    each host by the per-host rule, spans, events, funnel and coverage
+    charges, the checkpoint journal — is the base class's.  This class
+    only holds a ledger (``records``, which turns replay on in the batch
+    step), notes what fresh hosts answer, and adds the ledger to the
+    checkpoint journal.
     """
 
     journal_engine = "rescan"
@@ -175,30 +197,10 @@ class _ReplayingPipeline(ScanPipeline):
         super().__post_init__()
         self.records = {}
         self._prefilter.stats.noted = []
-        #: the sweep whose ledger hosts may replay from (None: probe all)
-        self.prior: RescanState | None = None
-        #: /24 bases the caller says may have changed behind unchanged ports
-        self.hinted: set[int] = set()
         #: the hints and prior report a resumed sweep must agree on
         self.run_hash: int | None = None
         #: how many of ``records`` the checkpoint journal holds
         self._saved = 0
-
-    def _run_batch(self, batch, index, report) -> None:
-        # Everything the rule reads is the host's own: its stage-I answer
-        # is in this batch, its prior answer and its hint are given.
-        prior = self.prior
-        if prior is not None:
-            before, hinted = prior.report.port_scan.open_ports, self.hinted
-            self.replay = {
-                value: prior.records[value]
-                for value, ports in batch.open_ports.items()
-                if before.get(value) == ports
-                and (value & BLOCK_MASK) not in hinted
-                and value in prior.records
-            }
-            self.prior_findings = prior.report.findings
-        super()._run_batch(batch, index, report)
 
     # -- checkpoint/resume: the sequential journal, plus the ledger ---------
 
@@ -288,6 +290,10 @@ class RescanEngine:
         if prior is not None or checkpoint is not None:
             self._check_replayable()
         pipe.prior, pipe.hinted = prior, hinted
+        # One plan per campaign: the prior's, checked above to be of this
+        # frame and seed, or made here for the baseline or the first
+        # re-scan of a loaded state.
+        pipe.block_plan = (prior and prior.plan) or pipe._masscan.plan_blocks(frame)
         if checkpoint is not None:
             # What a resumed pass must agree on beyond the resume key.
             prior_digest = prior and stable_hash(
@@ -302,6 +308,8 @@ class RescanEngine:
             ports=tuple(self.ports),
             batch_size=self.batch_size,
             fingerprint=self.fingerprint,
+            vulnerable=pipe.vulnerable,
+            plan=pipe.block_plan,
         )
 
     # -- helpers --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures, and a time limit on every test phase.
 
 The expensive artefacts (a generated Internet, a full scan, the honeypot
 study) are session-scoped: tests treat them as read-only measurement
@@ -6,6 +6,9 @@ results, so sharing them is safe and keeps the suite fast.
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 import pytest
 
@@ -20,6 +23,51 @@ from repro.experiments.scan import run_scan_study
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
 from repro.obs.trace import Span
+
+
+#: seconds one test phase (setup, call or teardown) may run before it
+#: fails: a hang is a failure, not a run that waits for the CI runner's
+#: limit.  The slowest tier-1 phase (a session fixture's study) takes
+#: well under a minute.
+TEST_TIME_LIMIT = 300
+
+
+def _out_of_time(_signum, _frame):
+    pytest.fail(f"test phase ran past {TEST_TIME_LIMIT} s", pytrace=False)
+
+
+@contextlib.contextmanager
+def _time_limit():
+    """Arm ``SIGALRM`` for one phase; its handler fails the phase where
+    it runs.  Where there is no ``SIGALRM`` the phase runs unlimited."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    with _time_limit():
+        yield
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ def run_hints(transport, frame):
 
 def op_stream(scanner, candidates, skip):
     """The sweep after ``skip`` as ``(dead gap, live value)`` ops."""
-    frame, counts, bases = scanner._plan_blocks(candidates)
+    frame, counts, bases = scanner.plan_blocks(candidates)
     hints = run_hints(scanner.transport, frame)
     pending_dead = 0
     for base in bases:

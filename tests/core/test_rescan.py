@@ -417,6 +417,121 @@ class TestResumeAtEveryBoundary:
         assert dump(engine.rescan(frame, resumed).report) == oracle
 
 
+class TestTheReplayRule:
+    """The rule runs inside the batch step's host loop, so it is checked
+    here against the rule recomputed from the prior sweep alone: a host
+    replays iff stage I found it with the prior's open ports, its /24 is
+    not hinted and the prior's ledger holds it.  The churned world has a
+    hinted /24 of several hosts, a host whose open ports changed and a
+    host gone.  A replayed host's record is the prior's own; a probed
+    host's is new.  A replayed host's verdict is carried from the prior's
+    vulnerable set, which a loaded or resumed state derives again."""
+
+    @pytest.fixture(scope="class")
+    def churned(self):
+        internet, _, _ = generate_internet(
+            PopulationModel(awe_rate=0.0002, vuln_rate=0.2,
+                            background_rate=1e-7, seed=11)
+        )
+        # Generated hosts sit one to a /24: give the hinted one company.
+        first = internet.populated_addresses()[0]
+        hinted = first.value & BLOCK_MASK
+        for offset, (slug, port) in enumerate((("jenkins", 8080), ("grav", 80))):
+            host = Host(IPv4Address(hinted + 200 + offset))
+            host.add_service(Service(port, app=AppInstance(
+                create_instance(slug, vulnerable=slug == "jenkins"), port
+            )))
+            internet.add_host(host)
+        frame = CompressedPopulation.build(internet, 0, seed=SEED).frame
+        engine = RescanEngine(
+            InMemoryTransport(internet), scanned_ports(), seed=SEED,
+            batch_size=-(-len(frame) // 4),
+        )
+        prior = engine.baseline(frame)
+        before = prior.report.port_scan.open_ports
+        outside = [v for v in sorted(before) if v & BLOCK_MASK != hinted]
+        changed = next(v for v in outside if 8500 not in before[v])
+        gone = outside[len(outside) // 2]
+        internet.host_at(IPv4Address(changed)).add_service(Service(
+            8500, app=AppInstance(create_instance("consul", vulnerable=True), 8500)
+        ))
+        internet.remove_host(IPv4Address(gone))
+        assert sum(1 for v in before if v & BLOCK_MASK == hinted) == 3
+        return engine, frame, prior, {hinted}, changed, gone
+
+    @staticmethod
+    def rule(prior, open_ports, hinted) -> set[int]:
+        before = prior.report.port_scan.open_ports
+        return {
+            value for value, ports in open_ports.items()
+            if before.get(value) == ports
+            and value & BLOCK_MASK not in hinted
+            and value in prior.records
+        }
+
+    def check(self, engine, frame, prior, hinted, tick) -> set[int]:
+        """The tick is a from-scratch sweep, its vulnerable set is its
+        report's, and its hosts replayed by the rule: the probed ones."""
+        open_ports = tick.report.port_scan.open_ports
+        replayed = {
+            value for value, record in tick.records.items()
+            if record is prior.records.get(value)
+        }
+        assert set(tick.records) == set(open_ports)
+        assert replayed == self.rule(prior, open_ports, hinted)
+        self.check_report(engine, frame, tick)
+        return set(open_ports) - replayed
+
+    @staticmethod
+    def check_report(engine, frame, tick) -> None:
+        scratch = ScanPipeline(
+            engine.transport, scanned_ports(), seed=SEED,
+            batch_size=engine.batch_size,
+        ).run(frame)
+        assert dump(tick.report) == dump(scratch)
+        assert tick.vulnerable == {ip.value for ip in tick.report.vulnerable_ips()}
+
+    def test_replayed_and_probed_hosts_follow_the_rule(self, churned):
+        engine, frame, prior, hinted, changed, gone = churned
+        tick = engine.rescan(frame, prior, hinted)
+        probed = self.check(engine, frame, prior, hinted, tick)
+        (base,) = hinted
+        in_block = {v for v in tick.records if v & BLOCK_MASK == base}
+        assert probed == in_block | {changed}
+        assert gone not in tick.records
+        # a replayed host carries its verdict, a probed one earns it
+        replayed_vulnerable = tick.vulnerable - probed
+        assert replayed_vulnerable and replayed_vulnerable <= prior.vulnerable
+        assert changed in tick.vulnerable
+
+    def test_a_loaded_prior_derives_the_verdicts_it_carries(
+        self, churned, tmp_path
+    ):
+        engine, frame, prior, hinted, _, _ = churned
+        save_rescan_state(prior, tmp_path / "prior.json")
+        loaded = load_rescan_state(tmp_path / "prior.json")
+        assert loaded.plan is None
+        assert loaded.vulnerable == prior.vulnerable
+        tick = engine.rescan(frame, loaded, hinted)
+        self.check(engine, frame, loaded, hinted, tick)
+        assert tick.plan is not None
+
+    @pytest.mark.parametrize("kill_after", (1, 3))
+    def test_the_verdicts_survive_a_resume(self, churned, kill_after, tmp_path):
+        engine, frame, prior, hinted, _, _ = churned
+        path = tmp_path / "tick.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            engine.rescan(
+                frame, prior, hinted, checkpoint=_Crashing(path, kill_after)
+            )
+        tick = engine.rescan(frame, prior, hinted, checkpoint=Checkpointer(path))
+        # (the records restored from the journal are copies, not the
+        # prior's: the replay rule is checked on the uninterrupted ticks)
+        self.check_report(engine, frame, tick)
+        # and the resumed tick's carried set serves the next tick
+        self.check(engine, frame, tick, set(), engine.rescan(frame, tick))
+
+
 # -- a state file written before the engine was rebuilt ---------------------------
 
 #: ``save_rescan_state`` output of commit 55661fa — the last commit whose

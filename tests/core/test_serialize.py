@@ -47,6 +47,16 @@ class TestRoundTrip:
             [o for o in original.observations() if o.detection]
         )
 
+    def test_detections_are_the_ones_a_reload_rebuilds(self, tiny_scan_study):
+        """A row keeps an observation's port and scheme and its detection's
+        title and details, so the detection must be the one found on that
+        port: a host vulnerable to one application on 80 and 443 keeps
+        the first port's detection, as it keeps the first port."""
+        original = tiny_scan_study.report
+        rebuilt = report_from_dict(report_to_dict(original))
+        assert len(original.detections) == 212
+        assert rebuilt.detections == original.detections
+
     def test_vulnerable_ips_identical(self, tiny_scan_study):
         original = tiny_scan_study.report
         rebuilt = report_from_dict(report_to_dict(original))
