@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, ClassVar, Iterable, Mapping
 
 from repro.net.http import HttpRequest, HttpResponse
@@ -193,7 +194,9 @@ class WebApplication:
         )
 
     @classmethod
+    @cache
     def _collect_routes(cls) -> dict[tuple[str, str], RouteHandler]:
+        """Built once per class: its instances share the dict, read-only."""
         routes: dict[tuple[str, str], RouteHandler] = {}
         for klass in reversed(cls.__mro__):
             for attr in vars(klass).values():

@@ -78,7 +78,7 @@ class StaticFileCrawler:
         page the pipeline already holds is read from there)."""
         context = PluginContext(
             self.transport, ip, port, scheme, retry=self.retry,
-            memo={} if memo is None else memo,
+            memo=memo,
         )
         observations: dict[str, str] = {}
         fetches = 0

@@ -31,6 +31,8 @@ class FingerprintMethod(enum.Enum):
     DISCLOSURE = "disclosure"
     HASH_MATCH = "hash-match"
 
+    __hash__ = object.__hash__  # by identity, as ``Scheme``'s
+
 
 @dataclass(frozen=True)
 class Fingerprint:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.checkpoint import GROWTH, Checkpointer, check_config_matches
 from repro.core.coverage import CoverageReport
@@ -44,7 +44,6 @@ from repro.net.transport import stream_layer, transport_layers
 from repro.obs.profile import ProfileRollup, WallProfile, wall_now
 from repro.obs.telemetry import Telemetry
 from repro.util.clock import SimClock
-from repro.util.errors import TransportError
 from repro.util.rand import stable_hash
 
 
@@ -355,11 +354,15 @@ class ScanPipeline:
             retry=self._retry, telemetry=self.telemetry,
             supervision=self.supervision,
         )
-        self._prefilter = Prefilter(
-            self.transport, retry=self._retry, telemetry=self.telemetry
-        )
         self._engine = TsunamiEngine(
             self.transport, retry=self._retry, telemetry=self.telemetry
+        )
+        self._prefilter = Prefilter(
+            self.transport, retry=self._retry, telemetry=self.telemetry,
+            unfiltered=(
+                None if self.use_prefilter
+                else tuple(p.slug for p in self._engine.plugins)
+            ),
         )
         if self.fingerprint:
             if self.knowledge_base is None:
@@ -534,7 +537,8 @@ class ScanPipeline:
         # tally of its recorded responses (``PrefilterStats.note``'s,
         # added straight in), its ledger entry, and, if it reached stage
         # III, its prior finding in the stage-III list.
-        stats = self._prefilter.stats
+        prefilter = self._prefilter
+        stats = prefilter.stats
         http, https = stats.http_responses, stats.https_responses
         records, noted, prior = self.records, stats.noted, self.prior
         if prior is not None:
@@ -561,7 +565,7 @@ class ScanPipeline:
                             found.append((value, prior_findings[value]))
                         continue
                     noted.clear()
-                for finding in self._probe_host(IPv4Address(value), ports):
+                for finding in prefilter.probe_host(IPv4Address(value), ports):
                     found.append((value, finding))
                 if records is not None:
                     records[value] = HostRecord(value, tuple(noted))
@@ -646,32 +650,6 @@ class ScanPipeline:
         cov.deadline_hits = 1 if sup.deadline_hit else 0
         cov.quarantined_hosts = set(sup.quarantine.hosts)
         cov.quarantined_blocks = set(sup.quarantine.blocks)
-
-    def _probe_host(
-        self, ip: IPv4Address, ports: Sequence[int]
-    ) -> list[PrefilterFinding]:
-        """Stage II for one open host: the findings stage III will verify.
-
-        Ablation mode (``use_prefilter=False``) skips signature matching:
-        stage II still has to discover which scheme each port speaks, but
-        instead of narrowing candidates it hands every responding port to
-        every plugin — the configuration the prefilter ablation measures.
-        """
-        if self.use_prefilter:
-            return self._prefilter.probe_host(ip, ports)
-        all_slugs = tuple(p.slug for p in self._engine.plugins)
-        findings = []
-        for port in ports:
-            for scheme in self._prefilter.schemes_for_port(port):
-                try:
-                    response = self._prefilter.fetch_landing(ip, port, scheme)
-                except TransportError:
-                    continue
-                self._prefilter.stats.note(ip, port, scheme)
-                findings.append(
-                    PrefilterFinding(ip, port, scheme, all_slugs, response)
-                )
-        return findings
 
     def _verify_and_fingerprint(
         self, finding: PrefilterFinding, report: ScanReport

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from repro.core.masscan import PortScanResult
@@ -338,16 +338,21 @@ def match_signatures(body: str) -> tuple[str, ...]:
     return _MATCHER.match(body)
 
 
-@dataclass(frozen=True)
 class PrefilterFinding:
-    """An open port whose body matched at least one signature."""
+    """An open port whose body matched at least one signature, with the
+    landing page as stage II received it: stage III reads it from here."""
 
-    ip: IPv4Address
-    port: int
-    scheme: Scheme
-    candidates: tuple[str, ...]
-    #: the landing page as stage II received it; stage III reads it from here
-    landing: HttpResponse
+    __slots__ = ("ip", "port", "scheme", "candidates", "landing")
+
+    def __init__(
+        self, ip: IPv4Address, port: int, scheme: Scheme,
+        candidates: tuple[str, ...], landing: HttpResponse,
+    ) -> None:
+        self.ip = ip
+        self.port = port
+        self.scheme = scheme
+        self.candidates = candidates
+        self.landing = landing
 
     @property
     def body(self) -> str:
@@ -388,7 +393,9 @@ _NO_MATCH = series_key("prefilter_no_match_total")
 
 
 class Prefilter:
-    """Stage-II prober."""
+    """Stage-II prober.  With ``unfiltered`` set (the prefilter ablation)
+    no signature is matched: every port that answers on a scheme is a
+    finding with those candidates."""
 
     def __init__(
         self,
@@ -396,11 +403,13 @@ class Prefilter:
         max_redirects: int = 5,
         retry: RetryExecutor | None = None,
         telemetry: Telemetry | None = None,
+        unfiltered: tuple[str, ...] | None = None,
     ) -> None:
         self.transport = transport
         self.max_redirects = max_redirects
         self.retry = retry
         self.telemetry = telemetry
+        self.unfiltered = unfiltered
         self.stats = PrefilterStats()
 
     def schemes_for_port(self, port: int) -> tuple[Scheme, ...]:
@@ -426,11 +435,6 @@ class Prefilter:
 
     def fetch_landing(self, ip: IPv4Address, port: int, scheme: Scheme) -> HttpResponse:
         """The stage-II landing-page GET, retried when a policy is set."""
-        def attempt() -> HttpResponse:
-            return self.transport.get(
-                ip, port, "/", scheme, follow_redirects=self.max_redirects
-            )
-
         # Counter adds are pending ones: the registry folds them in when read.
         pending = (
             self.telemetry.metrics.pending if self.telemetry is not None else None
@@ -439,10 +443,15 @@ class Prefilter:
             fetches, failures, responses = _FETCH_SERIES[scheme]
             pending[fetches] = pending.get(fetches, 0) + 1
         try:
-            if self.retry is not None:
-                response = self.retry.call(ip, attempt)
+            if self.retry is None:
+                response = self.transport.get(
+                    ip, port, "/", scheme, follow_redirects=self.max_redirects
+                )
             else:
-                response = attempt()
+                response = self.retry.call(ip, partial(
+                    self.transport.get, ip, port, "/", scheme,
+                    follow_redirects=self.max_redirects,
+                ))
         except TransportError:
             if pending is not None:
                 pending[failures] = pending.get(failures, 0) + 1
@@ -454,6 +463,8 @@ class Prefilter:
     def evaluate(
         self, ip: IPv4Address, port: int, scheme: Scheme, response: HttpResponse
     ) -> PrefilterFinding | None:
+        if self.unfiltered is not None:
+            return PrefilterFinding(ip, port, scheme, self.unfiltered, response)
         candidates = match_signatures(response.body)
         if self.telemetry is not None:
             pending = self.telemetry.metrics.pending

@@ -87,7 +87,7 @@ class TsunamiEngine:
         context = PluginContext(
             self.transport, ip, port, scheme,
             retry=self.retry, telemetry=self.telemetry,
-            memo={} if memo is None else memo,
+            memo=memo,
         )
         reports = []
         for plugin in self.plugins_for_candidates(candidates):

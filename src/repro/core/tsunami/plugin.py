@@ -14,7 +14,7 @@ answers; a transport failure is not remembered, and is asked again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from string import Formatter
 
@@ -45,20 +45,28 @@ class DetectionReport:
         return DetectionReport, fields
 
 
-@dataclass
 class PluginContext:
-    """Target coordinates plus transport helpers for one plugin run."""
+    """Target coordinates plus transport helpers for one plugin run.
 
-    transport: Transport
-    ip: IPv4Address
-    port: int
-    scheme: Scheme
-    #: when set, transient transport failures are retried with backoff
-    retry: RetryExecutor | None = None
-    #: when set, every exchange is noted on the flight recorder
-    telemetry: object | None = None
-    #: ``(path, follow_redirects) -> response`` already received
-    memo: dict[tuple[str, int], HttpResponse] = field(default_factory=dict)
+    ``retry``, when set, retries transient transport failures with backoff;
+    ``telemetry``, when set, notes every exchange on the flight recorder;
+    ``memo`` maps ``(path, follow_redirects)`` to the response already
+    received (a new dict when not given)."""
+
+    __slots__ = ("transport", "ip", "port", "scheme", "retry", "telemetry", "memo")
+
+    def __init__(
+        self, transport: Transport, ip: IPv4Address, port: int, scheme: Scheme,
+        retry: RetryExecutor | None = None, telemetry: object | None = None,
+        memo: dict[tuple[str, int], HttpResponse] | None = None,
+    ) -> None:
+        self.transport = transport
+        self.ip = ip
+        self.port = port
+        self.scheme = scheme
+        self.retry = retry
+        self.telemetry = telemetry
+        self.memo = {} if memo is None else memo
 
     def fetch(self, path: str, follow_redirects: int = 5) -> HttpResponse | None:
         """GET ``path``, or read it from the memo; ``None`` on any
@@ -66,15 +74,16 @@ class PluginContext:
         key = (path, follow_redirects)
         response = self.memo.get(key)
         if response is None:
-            attempt = partial(
-                self.transport.get, self.ip, self.port, path, self.scheme,
-                follow_redirects,
-            )
             try:
-                if self.retry is not None:
-                    response = self.retry.call(self.ip, attempt)
+                if self.retry is None:
+                    response = self.transport.get(
+                        self.ip, self.port, path, self.scheme, follow_redirects
+                    )
                 else:
-                    response = attempt()
+                    response = self.retry.call(self.ip, partial(
+                        self.transport.get, self.ip, self.port, path,
+                        self.scheme, follow_redirects,
+                    ))
             except TransportError as exc:
                 if self.telemetry is not None:
                     self.telemetry.flight.note_exchange(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Mapping
 from urllib.parse import parse_qsl, urlsplit
 
@@ -20,6 +21,9 @@ class Scheme(enum.Enum):
 
     HTTP = "http"
     HTTPS = "https"
+
+    #: members are singletons compared by identity; so is this C-level hash
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -99,7 +103,7 @@ class HttpRequest:
         """Body parsed as a urlencoded form."""
         return dict(parse_qsl(self.body, keep_blank_values=True))
 
-    @property
+    @cached_property
     def is_state_changing(self) -> bool:
         """True for methods an ethical scanner must not send."""
         return self.method.upper() not in ("GET", "HEAD", "OPTIONS")
@@ -110,54 +114,73 @@ def _get_request(path: str, scheme: Scheme) -> HttpRequest:
     return HttpRequest("GET", path, scheme=scheme)
 
 
-@dataclass(frozen=True)
-class HttpResponse:
-    """An HTTP response as produced by a service."""
+class HttpResponse(tuple):
+    """An HTTP response as produced by a service: an immutable ``(status,
+    headers, body)`` tuple, equal only to another response.  The constructor
+    lower-cases header names; the factories' literal names already are."""
 
-    status: int
-    headers: Mapping[str, str] = field(default_factory=dict)
-    body: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "headers", _canonical(self.headers))
+    def __new__(
+        cls, status: int, headers: Mapping[str, str] | None = None, body: str = ""
+    ) -> "HttpResponse":
+        return tuple.__new__(cls, (status, _canonical(headers), body))
+
+    status = property(itemgetter(0))
+    headers = property(itemgetter(1))
+    body = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is HttpResponse and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"HttpResponse(status={self[0]!r}, headers={self[1]!r}, body={self[2]!r})"
 
     @classmethod
     def ok(cls, body: str, content_type: str = "text/html") -> "HttpResponse":
-        return cls(200, {"content-type": content_type}, body)
+        return tuple.__new__(cls, (200, {"content-type": content_type}, body))
 
     @classmethod
     def html(cls, body: str, status: int = 200) -> "HttpResponse":
-        return cls(status, {"content-type": "text/html"}, body)
+        return tuple.__new__(cls, (status, {"content-type": "text/html"}, body))
 
     @classmethod
     def json(cls, body: str, status: int = 200) -> "HttpResponse":
-        return cls(status, {"content-type": "application/json"}, body)
+        return tuple.__new__(cls, (status, {"content-type": "application/json"}, body))
 
     @classmethod
     def redirect(cls, location: str, status: int = 302) -> "HttpResponse":
         if status not in REDIRECT_CODES:
             raise ValueError(f"{status} is not a redirect status")
-        return cls(status, {"location": location})
+        return tuple.__new__(cls, (status, {"location": location}, ""))
 
     @classmethod
     def not_found(cls, body: str = "404 Not Found") -> "HttpResponse":
-        return cls(404, {"content-type": "text/html"}, body)
+        return tuple.__new__(cls, (404, {"content-type": "text/html"}, body))
 
     @classmethod
     def unauthorized(cls, realm: str = "restricted") -> "HttpResponse":
-        return cls(
+        return tuple.__new__(cls, (
             401,
             {"www-authenticate": f'Basic realm="{realm}"', "content-type": "text/html"},
             "<html><body>401 Authorization Required</body></html>",
-        )
+        ))
 
     @classmethod
     def forbidden(cls, body: str = "403 Forbidden") -> "HttpResponse":
-        return cls(403, {"content-type": "text/html"}, body)
+        return tuple.__new__(cls, (403, {"content-type": "text/html"}, body))
 
     @property
     def reason(self) -> str:
-        return REASON_PHRASES.get(self.status, "Unknown")
+        return REASON_PHRASES.get(self[0], "Unknown")
 
     @property
     def is_redirect(self) -> bool:

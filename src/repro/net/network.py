@@ -9,7 +9,7 @@ addresses, but only populated ones cost memory.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterator, Sequence
 
 from repro.net.host import Host, HostKind
@@ -31,11 +31,12 @@ class SimulatedInternet:
         if host.ip.value in self._hosts:
             raise ValueError(f"duplicate host at {host.ip}")
         self._hosts[host.ip.value] = host
-        self._sorted_values = None
+        if self._sorted_values is not None:
+            insort(self._sorted_values, host.ip.value)
 
     def remove_host(self, ip: IPv4Address) -> None:
-        self._hosts.pop(ip.value, None)
-        self._sorted_values = None
+        if self._hosts.pop(ip.value, None) is not None and self._sorted_values:
+            del self._sorted_values[bisect_left(self._sorted_values, ip.value)]
 
     def host_at(self, ip: IPv4Address) -> Host | None:
         return self._hosts.get(ip.value)
@@ -59,9 +60,10 @@ class SimulatedInternet:
     def populated_values_in(self, start: int, end: int) -> list[int]:
         """Raw address ints with a host inside inclusive ``[start, end]``.
 
-        Backed by a sorted-key cache (rebuilt after population changes),
-        so the interval fast path in stage I can classify a /24 block
-        with two bisections instead of 256 dictionary lookups.
+        Backed by a sorted-key list, built on the first query and kept
+        current by ``add_host``/``remove_host``, so the interval fast path
+        in stage I can classify a /24 block with two bisections instead of
+        256 dictionary lookups, and a churned world is not re-sorted.
         """
         if self._sorted_values is None:
             self._sorted_values = sorted(self._hosts)

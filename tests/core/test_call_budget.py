@@ -80,9 +80,13 @@ BUDGET = 7.5
 #: 131.9, since stage I asks the transport once per batch; 125.2 since
 #: the stage funnel writes prebuilt series keys; 118.2 since stage I
 #: asks for liveness once per sweep and each live host one set
-#: intersection (budget 146.0 before, from the 126.9 reading).  Budget:
-#: the 118.2 reading x 1.15.
-DENSE_BUDGET = 136.0
+#: intersection (budget 146.0 before, from the 126.9 reading); 116.1
+#: after the later re-scan work; 96.5 since a response is a tuple-backed
+#: value, a target's context and stage-II finding are slotted classes
+#: with a plain ``__init__``, a fetch without a retry policy calls the
+#: transport directly and ``Scheme``/``FingerprintMethod`` hash by
+#: identity.  Budget: the 96.5 reading x 1.15 (the 116.1 design fails it).
+DENSE_BUDGET = 111.0
 #: HTTP requests of that sweep (567 open hosts): 1,369 since, 1,955 before
 DENSE_REQUESTS = 1369
 
@@ -99,12 +103,13 @@ SHARDED_BUDGET = 9.7
 RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=8.0)
 RETRY_WEATHER = FaultPlan(request_loss=0.03, slow_rate=0.02)
 #: Python calls per open host of the dense sweep under that policy and
-#: weather.  Reads 407.5 since stage I re-sends SYNs without the retry
-#: executor (408.5-408.8 while it did so host by host); 758.3 while every
-#: port of a live host went through it, with a breaker check, a jitter
-#: draw and a backoff before each re-send.  Budget: the 408.8 reading
-#: x 1.15.
-RETRY_BUDGET = 470.1
+#: weather.  Reads 377.0 since responses, contexts and findings stopped
+#: being dataclasses (398.7 before, after the later re-scan work); 407.5
+#: since stage I re-sends SYNs without the retry executor (408.5-408.8
+#: while it did so host by host); 758.3 while every port of a live host
+#: went through it, with a breaker check, a jitter draw and a backoff
+#: before each re-send.  Budget: the 377.0 reading x 1.15.
+RETRY_BUDGET = 433.6
 #: SYNs of that sweep: every attempt to every port, the dead included;
 #: the same before and since
 RETRY_SYNS = 5_279_598

@@ -723,3 +723,44 @@ def test_memoised_match_signatures_equals_naive_through_eviction(extra, rng):
     assert match_signatures.cache_info().currsize == 0
     for body in rng.sample(pool, k=25):
         assert match_signatures(body) == match_signatures_naive(body)
+
+
+# ---------------------------------------------------------------------------
+# Sparse address map: the sorted key list survives churn
+# ---------------------------------------------------------------------------
+
+_churn_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "query"]),
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=0, max_value=64),
+    ),
+    max_size=60,
+)
+
+
+@given(_churn_steps)
+def test_populated_values_in_equals_a_sorted_filter_after_any_churn(steps):
+    """Adds and removes between queries keep the sorted key list current:
+    every query equals the sorted, filtered oracle of the hosts present."""
+    from repro.net.host import Host
+    from repro.net.network import SimulatedInternet
+
+    internet, present = SimulatedInternet(), set()
+    for op, value, other in steps:
+        if op == "add":
+            if value in present:
+                with pytest.raises(ValueError):
+                    internet.add_host(Host(IPv4Address(value)))
+            else:
+                internet.add_host(Host(IPv4Address(value)))
+                present.add(value)
+        elif op == "remove":
+            internet.remove_host(IPv4Address(value))
+            present.discard(value)
+        else:
+            start, end = min(value, other), max(value, other)
+            assert internet.populated_values_in(start, end) == sorted(
+                v for v in present if start <= v <= end
+            )
+    assert internet.populated_values_in(0, 64) == sorted(present)
