@@ -54,9 +54,6 @@ class StageCoverage:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def copy(self) -> "StageCoverage":
-        return StageCoverage(**self.to_dict())
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -141,9 +138,6 @@ class CoverageReport:
         self.shard_restarts += other.shard_restarts
         self.shards_abandoned += other.shards_abandoned
         self.deadline_hits += other.deadline_hits
-
-    def copy(self) -> "CoverageReport":
-        return CoverageReport.from_dict(self.to_dict())
 
     def to_dict(self) -> dict:
         return {

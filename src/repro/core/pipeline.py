@@ -253,7 +253,6 @@ class _JournalMarks:
     findings: int = 0
     events: int = 0
     spans: int = 0
-    responsive_hosts: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -348,7 +347,6 @@ class ScanPipeline:
             )
         else:
             self._retry = None
-        self._coverage = CoverageReport()
         self._masscan = Masscan(
             self.transport, self.ports, rng=random.Random(self.seed),
             retry=self._retry, telemetry=self.telemetry,
@@ -433,12 +431,6 @@ class ScanPipeline:
         report = ScanReport()
         completed = 0
         batches_done = 0
-        # The books a report folds start empty, so a second run() on one
-        # pipeline reports itself alone (a resume re-seats them).
-        self._coverage = CoverageReport()
-        stats = self._prefilter.stats
-        stats.http_responses, stats.https_responses = {}, {}
-        stats.responsive_hosts = set()
         self.vulnerable = set()
         self._journal = _JournalMarks()
         payload = None
@@ -454,6 +446,15 @@ class ScanPipeline:
                 ports=len(self.ports), batch_size=self.batch_size,
             )
             tel.tracer.start("sweep")
+        # The report is the run's one book for what it reports: stage II
+        # tallies into it, the executor counts into it and the stages
+        # charge its ledger, so a second run() on one pipeline reports
+        # itself alone and a resume carries on the books it restored.
+        stats = self._prefilter.stats
+        stats.http_responses = report.http_responses
+        stats.https_responses = report.https_responses
+        if self._retry is not None:
+            self._retry.adopt(report.retry_stats)
         for batch in self._masscan.scan_in_batches(
             candidates, self.batch_size, skip=completed, plan=self.block_plan
         ):
@@ -464,12 +465,11 @@ class ScanPipeline:
             if self.supervision is not None:
                 self.supervision.heartbeat(completed)
             if checkpoint is not None and checkpoint.due(batches_done):
-                self._fold_stats(report)
                 checkpoint.save(
                     self._checkpoint_payload(completed, batches_done, report)
                 )
         if self.supervision is not None:
-            self._finish_supervised(completed)
+            self._finish_supervised(completed, report)
         sweep_span = tel.tracer.active
         sweep_span.attrs["addresses"] = report.port_scan.addresses_scanned
         sweep_span.attrs["batches"] = batches_done
@@ -479,9 +479,8 @@ class ScanPipeline:
             addresses=report.port_scan.addresses_scanned,
             awe_hosts=report.total_awe_hosts(),
             # the ledger is this run's, so it counts vulnerable_ips()
-            mav_hosts=self._coverage.stages["tsunami"].completed,
+            mav_hosts=report.coverage.stages["tsunami"].completed,
         )
-        self._fold_stats(report)
         if checkpoint is not None:
             checkpoint.clear()  # a completed sweep must not be "resumed"
         if self.profile:
@@ -524,10 +523,7 @@ class ScanPipeline:
         open_hosts = len(open_ports)
         # Batches partition the address space, so per-batch funnel charges
         # sum to exactly the ScanReport totals.
-        tel.funnel("masscan", entered, open_hosts, quarantined=gate_skips)
-        self._coverage.charge(
-            "masscan", entered, open_hosts, quarantined=gate_skips
-        )
+        self._charge(report, "masscan", entered, open_hosts, gate_skips)
         # Hosts in sorted order, replayed or fresh, so a re-scan's tallies
         # and findings interleave as a from-scratch sweep's do.  With a
         # prior sweep, a host replays when stage I found it with the open
@@ -538,9 +534,8 @@ class ScanPipeline:
         # added straight in), its ledger entry, and, if it reached stage
         # III, its prior finding in the stage-III list.
         prefilter = self._prefilter
-        stats = prefilter.stats
-        http, https = stats.http_responses, stats.https_responses
-        records, noted, prior = self.records, stats.noted, self.prior
+        http, https = report.http_responses, report.https_responses
+        records, noted, prior = self.records, prefilter.stats.noted, self.prior
         if prior is not None:
             before, ledger = prior.report.port_scan.open_ports, prior.records
             prior_findings, hinted = prior.report.findings, self.hinted
@@ -555,11 +550,9 @@ class ScanPipeline:
                         and (value & BLOCK_MASK) not in hinted
                         and (record := ledger.get(value)) is not None
                     ):
-                        if record.responses:
-                            for port, scheme in record.responses:
-                                counts = http if scheme == _HTTP else https
-                                counts[port] = counts.get(port, 0) + 1
-                            stats.responsive_hosts.add(value)
+                        for port, scheme in record.responses:
+                            counts = http if scheme == _HTTP else https
+                            counts[port] = counts.get(port, 0) + 1
                         records[value] = record
                         if record.finding:
                             found.append((value, prior_findings[value]))
@@ -575,13 +568,9 @@ class ScanPipeline:
         if quarantined_open:
             found = [pair for pair in found if pair[0] not in quarantined_open]
         candidate_ips = {value for value, _ in found}
-        tel.funnel(
-            "prefilter", open_hosts, len(candidate_ips),
-            quarantined=len(quarantined_open),
-        )
-        self._coverage.charge(
-            "prefilter", open_hosts, len(candidate_ips),
-            quarantined=len(quarantined_open),
+        self._charge(
+            report, "prefilter", open_hosts, len(candidate_ips),
+            len(quarantined_open),
         )
         # A host is vulnerable once a stage-III pass detects anything on
         # it; a replayed host carries the prior sweep's verdict.
@@ -610,14 +599,19 @@ class ScanPipeline:
         quarantined_candidates = len(
             self._quarantined_values(candidate_ips) - vulnerable
         )
-        tel.funnel(
-            "tsunami", len(candidate_ips), vulnerable_hosts,
-            quarantined=quarantined_candidates,
+        self._charge(
+            report, "tsunami", len(candidate_ips), vulnerable_hosts,
+            quarantined_candidates,
         )
-        self._coverage.charge(
-            "tsunami", len(candidate_ips), vulnerable_hosts,
-            quarantined=quarantined_candidates,
-        )
+
+    def _charge(
+        self, report: ScanReport, stage: str, entered: int, completed: int,
+        quarantined: int = 0, **dropped: int,
+    ) -> None:
+        """One stage flow, into the telemetry funnel and the report's
+        coverage ledger (``dropped`` classifies why: deadline_skipped)."""
+        self.telemetry.funnel(stage, entered, completed, quarantined)
+        report.coverage.charge(stage, entered, completed, quarantined, **dropped)
 
     def _quarantined_values(self, values: Iterable[int]) -> set[int]:
         sup = self.supervision
@@ -625,26 +619,24 @@ class ScanPipeline:
             return set()  # nothing is quarantined: no walk over ``values``
         return {v for v in values if sup.is_quarantined_value(v)}
 
-    def _finish_supervised(self, completed: int) -> None:
+    def _finish_supervised(self, completed: int, report: ScanReport) -> None:
         """Close the coverage books for a supervised (shard) sweep.
 
         Charges the deadline-skipped remainder of the frame and copies
         the supervision record — quarantine lists, poison/stall tallies —
-        into the coverage ledger the report will carry.
+        into the report's coverage ledger.
         """
         sup = self.supervision
-        tel = self.telemetry
         remaining = sup.planned - completed - sup.gate_skips_total
         if sup.deadline_hit and remaining > 0:
-            tel.funnel("masscan", remaining, 0)
-            self._coverage.charge(
-                "masscan", remaining, 0, deadline_skipped=remaining
+            self._charge(
+                report, "masscan", remaining, 0, deadline_skipped=remaining
             )
-            tel.events.warn(
+            self.telemetry.events.warn(
                 "supervisor", "deadline",
                 skipped=remaining, deadline=sup.deadline,
             )
-        cov = self._coverage
+        cov = report.coverage
         cov.poison_events = sup.poison_events
         cov.stall_events = sup.stall_events
         cov.deadline_hits = 1 if sup.deadline_hit else 0
@@ -715,18 +707,6 @@ class ScanPipeline:
                 host_finding.observations[detection.slug] = observation
         return bool(detections)
 
-    def _fold_stats(self, report: ScanReport) -> None:
-        for port, count in self._prefilter.stats.http_responses.items():
-            report.http_responses[port] = count
-        for port, count in self._prefilter.stats.https_responses.items():
-            report.https_responses[port] = count
-        if self._retry is not None:
-            # Overwrite, not merge: executor stats are cumulative and this
-            # fold runs once per batch when checkpointing is on.
-            report.retry_stats = self._retry.stats.copy()
-        # Same contract: the coverage ledger is cumulative.
-        report.coverage = self._coverage.copy()
-
     # -- checkpoint/resume ----------------------------------------------------
 
     def _checkpoint_payload(
@@ -738,15 +718,11 @@ class ScanPipeline:
         from repro.core.serialize import report_rows
 
         marks = self._journal
-        stats = self._prefilter.stats
         report_state = report_rows(report, marks.open_ports, marks.findings)
         telemetry_state = self.telemetry.snapshot_state(marks.events, marks.spans)
         growth = {
             "report.open_ports": report_state.pop("open_ports"),
             "report.findings": report_state.pop("findings"),
-            "prefilter.responsive_hosts": sorted(
-                stats.responsive_hosts - marks.responsive_hosts
-            ),
             "telemetry.events.events": telemetry_state["events"].pop("events"),
             "telemetry.tracer.finished": telemetry_state["tracer"].pop("finished"),
         }
@@ -757,10 +733,6 @@ class ScanPipeline:
             "completed_addresses": completed,
             "batches_done": batches_done,
             "report": report_state,
-            "prefilter": {
-                "http_responses": dict(stats.http_responses),
-                "https_responses": dict(stats.https_responses),
-            },
             "clock_now": self.clock.now if self.clock is not None else None,
             "retry": (
                 self._retry.snapshot_state() if self._retry is not None else None
@@ -784,10 +756,6 @@ class ScanPipeline:
         # pipeline that has swept before has shuffled its RNG past it.
         self._masscan.rng = random.Random(self.seed)
         report = report_from_rows(payload["report"])
-        stats = self._prefilter.stats
-        stats.http_responses = payload["prefilter"]["http_responses"]
-        stats.https_responses = payload["prefilter"]["https_responses"]
-        stats.responsive_hosts = set(payload["prefilter"]["responsive_hosts"])
         if self.clock is not None and payload["clock_now"] is not None:
             if payload["clock_now"] > self.clock.now:
                 self.clock.run_until(payload["clock_now"])
@@ -799,9 +767,6 @@ class ScanPipeline:
         if stream is not None and payload["transport"] is not None:
             stream.restore_state(payload["transport"])
         self.telemetry.restore_state(payload["telemetry"])
-        # The report's coverage block was copied from the live ledger at
-        # save time, so restoring it re-seats the cumulative ledger too.
-        self._coverage = report.coverage.copy()
         self.vulnerable = report.vulnerable_values()
         # Everything just restored is what the journal already holds.
         self._journal = self._journal_marks(report)
@@ -814,7 +779,6 @@ class ScanPipeline:
             findings=len(report.findings),
             events=len(self.telemetry.events),
             spans=self.telemetry.tracer.finished_count,
-            responsive_hosts=set(self._prefilter.stats.responsive_hosts),
         )
 
 

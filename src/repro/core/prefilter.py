@@ -361,20 +361,18 @@ class PrefilterFinding:
 
 @dataclass
 class PrefilterStats:
-    """Stage-II accounting, reproduced in Table 2's response columns."""
+    """Stage-II accounting, reproduced in Table 2's response columns.  In
+    a pipeline sweep the two tallies are the sweep report's own dicts."""
 
     http_responses: dict[int, int] = field(default_factory=dict)
     https_responses: dict[int, int] = field(default_factory=dict)
-    #: ips (values) that produced at least one HTTP(S) response
-    responsive_hosts: set[int] = field(default_factory=set)
     #: when a list, each note also lands here as ``(port, scheme value)``:
     #: a re-scan's record of what a fresh host answered
     noted: list[tuple[int, str]] | None = None
 
-    def note(self, ip: IPv4Address, port: int, scheme: Scheme) -> None:
+    def note(self, port: int, scheme: Scheme) -> None:
         counts = self.http_responses if scheme is Scheme.HTTP else self.https_responses
         counts[port] = counts.get(port, 0) + 1
-        self.responsive_hosts.add(ip.value)
         if self.noted is not None:
             self.noted.append((port, scheme.value))
 
@@ -427,7 +425,7 @@ class Prefilter:
                 response = self.fetch_landing(ip, port, scheme)
             except TransportError:
                 continue
-            self.stats.note(ip, port, scheme)
+            self.stats.note(port, scheme)
             finding = self.evaluate(ip, port, scheme, response)
             if finding is not None:
                 findings.append(finding)

@@ -355,6 +355,14 @@ class RetryExecutor:
                 backoff.inc(delay)
         self._mark_published()
 
+    def adopt(self, stats: RetryStats) -> None:
+        """Count into ``stats`` from here on (a sweep's report keeps
+        them), once the old stats have published what they are owed."""
+        if self.telemetry is not None:
+            self.publish_counts()
+        self.stats = stats
+        self._mark_published()
+
     def _mark_published(self) -> None:
         self._published = self.stats.copy()
         self._backoffs.clear()

@@ -12,12 +12,16 @@ module drives real sweeps:
   and telemetry, on the sequential, thread and process drivers (the
   re-scan engine's every-boundary kills live in ``test_rescan.py``:
   its telemetry never leaves the engine, so they compare reports);
-* a journal is only resumable by the driver that wrote it.
+* a journal is only resumable by the driver that wrote it;
+* a sequential record holds each tally once, and a journal written
+  before it did still resumes.
 """
 
 import json
 import pickle
+import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.core.checkpoint import Checkpointer, _read_journal
 from repro.core.parallel import plan_shards
 from repro.core.pipeline import ScanPipeline
 from repro.core.rescan import RescanEngine
+from repro.core.retry import RetryPolicy
 from repro.net.intervals import CompressedPopulation
 from repro.net.population import PopulationModel, generate_internet
 from repro.net.transport import InMemoryTransport
@@ -34,6 +39,7 @@ from repro.obs.telemetry import Telemetry
 from repro.util.errors import CheckpointCorrupt, ConfigError
 from tests.core.test_determinism_matrix import artifacts, sweep
 from tests.core.test_parallel import CrashingCheckpointer, SimulatedCrash
+from tests.core.test_rescan import SEED, _Crashing, parent_state_world
 
 SAVES = 8
 
@@ -381,3 +387,75 @@ class TestJournalBelongsToItsDriver:
         )
         with pytest.raises(ConfigError, match="engine='rescan'"):
             pipeline.run(frame, checkpoint=Checkpointer(path))
+
+
+class TestSequentialRecordLayout:
+    def test_growth_is_the_four_append_only_sections(self, tmp_path):
+        """The tallies, retry stats and coverage ride once, in the report
+        rows: no top-level prefilter section copies them, and no set of
+        responsive hosts grows beside the findings."""
+        path = tmp_path / "sweep.ckpt"
+        killed_journal(path, "clean", None, "thread", 2)
+        records = read_journal(path)
+        assert len(records) == 2
+        for record in records:
+            assert sorted(record["growth"]) == [
+                "report.findings", "report.open_ports",
+                "telemetry.events.events", "telemetry.tracer.finished",
+            ]
+            assert "prefilter" not in record
+
+
+#: a sequential journal written by commit 789f4f9, whose records also held
+#: the prefilter's response tallies and a growing set of responsive hosts,
+#: killed after its sixth save.  Regenerate only in a checkout of that
+#: commit with this file copied in, by
+#: ``PYTHONPATH=src:. python tests/core/test_checkpoint_journal.py``.
+PARENT_JOURNAL = Path(__file__).parent / "fixtures" / "sweep_journal_789f4f9.ckpt"
+PARENT_JOURNAL_SAVES = 6
+
+
+def parent_journal_sweep():
+    """The journal's sweep: the eight hand-placed hosts, twelve batches,
+    with retries; (pipeline, frame)."""
+    internet, frame, _ = parent_state_world()
+    pipeline = ScanPipeline(
+        InMemoryTransport(internet), scanned_ports(), seed=SEED,
+        batch_size=64, retry_policy=RetryPolicy(),
+    )
+    return pipeline, frame
+
+
+def test_a_journal_of_commit_789f4f9_resumes_to_the_uninterrupted_sweep(
+    tmp_path,
+):
+    """The sections this commit no longer writes are extra keys to it:
+    the resume reads the tallies from the report rows and ends on the
+    uninterrupted sweep's report and telemetry."""
+    records = read_journal(PARENT_JOURNAL)
+    assert len(records) == PARENT_JOURNAL_SAVES
+    assert all("prefilter" in record for record in records)
+    assert sum(
+        len(record["growth"]["prefilter.responsive_hosts"]) for record in records
+    ) > 0
+    whole, frame = parent_journal_sweep()
+    expected = artifacts(whole.run(frame), whole)
+
+    path = tmp_path / "sweep.ckpt"
+    shutil.copyfile(PARENT_JOURNAL, path)
+    resumed, _ = parent_journal_sweep()
+    assert artifacts(resumed.run(frame, Checkpointer(path)), resumed) == expected
+    assert not path.exists()
+    sent = resumed.transport.stats.http_requests
+    assert 0 < sent < whole.transport.stats.http_requests
+
+
+if __name__ == "__main__":
+    PARENT_JOURNAL.unlink(missing_ok=True)
+    pipeline_, frame_ = parent_journal_sweep()
+    try:
+        pipeline_.run(
+            frame_, checkpoint=_Crashing(PARENT_JOURNAL, PARENT_JOURNAL_SAVES)
+        )
+    except KeyboardInterrupt:
+        pass

@@ -177,13 +177,27 @@ class TestPrefilterAblation:
         # Ablation hands every responsive host to stage III.
         assert ablated.total_awe_hosts() > filtered.total_awe_hosts()
 
-    def test_a_second_run_reports_itself_alone(self, internet):
-        """One pipeline run twice: the second report's coverage and
-        response tallies are its own run's, so its books reconcile, its
-        sweep-complete event counts its vulnerable hosts, and its tallies
-        are the first run's (same world, same answers)."""
-        first, pipeline = self.sweep(internet)
+    @pytest.mark.parametrize("retry", [False, True], ids=["plain", "retry"])
+    def test_a_second_run_reports_itself_alone(self, internet, retry):
+        """One pipeline run twice: the second report's coverage, response
+        tallies and retry stats are its own run's, so its books reconcile,
+        its sweep-complete event counts its vulnerable hosts, its tallies
+        are the first run's (same world, same answers), and the two runs'
+        retry operations add up to the registry's."""
+        from repro.core.retry import RetryPolicy
+
+        first, pipeline = self.sweep(
+            internet, retry_policy=RetryPolicy() if retry else None
+        )
         second = pipeline.run(internet.populated_addresses())
+        operations = pipeline.telemetry.metrics.counter_value(
+            "retry_operations_total", kind="call"
+        )
+        assert (
+            first.retry_stats.operations + second.retry_stats.operations
+            == operations
+        )
+        assert bool(second.retry_stats.operations) == retry
         second.coverage.reconcile(second)
         assert second.coverage == first.coverage
         assert second.http_responses == first.http_responses

@@ -358,9 +358,17 @@ def instrumented_sweep(reads: dict[int, str]):
     reference = MetricsRegistry()
     metrics = pipeline.telemetry.metrics
     metrics.pending = EagerPending(reference)
-    stats = pipeline.retry.stats = EagerStats()
-    object.__setattr__(policy, "sink", stats)  # the policy is frozen
-    stats.reference = reference
+    adopt = pipeline.retry.adopt
+
+    def adopt_eagerly(stats):
+        # The executor counts into the stats the sweep's report keeps,
+        # which it adopts as the run starts: that book mirrors eagerly.
+        stats.__class__ = EagerStats
+        stats.reference = reference
+        object.__setattr__(policy, "sink", stats)  # the policy is frozen
+        adopt(stats)
+
+    pipeline.retry.adopt = adopt_eagerly
 
     mismatches = []
 
