@@ -65,9 +65,6 @@ class AttackSchedule:
     attackers: list[Attacker] = field(default_factory=list)
     duration: float = 4 * WEEK
 
-    def events_for(self, slug: str) -> list[AttackEvent]:
-        return [event for event in self.events if event.slug == slug]
-
     def source_ips(self) -> set[int]:
         return {event.source_ip.value for event in self.events}
 

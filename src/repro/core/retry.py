@@ -471,13 +471,13 @@ class RetryExecutor:
     def snapshot_state(self) -> dict:
         return {
             "rng": rng_state_to_json(self._rng.getstate()),
-            "stats": self.stats.to_dict(),
             "host_retries": dict(self._host_retries),
         }
 
     def restore_state(self, state: dict) -> None:
+        # The stats ride in the report rows, which ``run`` adopts (an older
+        # record's "stats" go unread); the restored telemetry counts the
+        # sweep so far, so nothing counted before the resume is owed to it.
         self._rng.setstate(rng_state_from_json(state["rng"]))
-        self.stats = RetryStats.from_dict(state["stats"])
-        # The restored telemetry already counts everything these stats do.
         self._mark_published()
         self._host_retries = {int(k): v for k, v in state["host_retries"].items()}

@@ -4,6 +4,9 @@ Examples::
 
     repro-study --experiment scan --scale tiny
     repro-study --experiment full --scale default --out report.txt
+
+``EXPERIMENTS`` maps each experiment to its runner and the flags it
+reads; a flag it does not read ends the run before anything starts.
 """
 
 from __future__ import annotations
@@ -11,13 +14,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
+from repro.core.rescan import load_rescan_state, save_rescan_state
+from repro.experiments.chaos_soak import run_chaos_coverage_study, run_chaos_soak
 from repro.experiments.config import StudyConfig
+from repro.experiments.ct_race import run_ct_race
 from repro.experiments.defenders import run_defender_study
 from repro.experiments.full_study import run_full_study
 from repro.experiments.honeypots import run_honeypot_study
+from repro.experiments.longevity import run_longevity_study
 from repro.experiments.observe import run_observer_study
+from repro.experiments.packet_loss import (
+    run_packet_loss_study,
+    run_recall_recovery_study,
+)
 from repro.experiments.scan import run_scan_study
+from repro.experiments.vhosts import run_vhost_study
 from repro.util.errors import ReproError
 
 _SCALES = {
@@ -34,34 +47,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--experiment",
-        choices=("full", "scan", "observe", "honeypot", "defender",
-                 "ct-race", "vhosts", "packet-loss", "recall-recovery",
-                 "chaos-soak", "chaos-coverage", "longevity"),
+        choices=tuple(EXPERIMENTS),
         default="full",
     )
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="default")
+    # Every other option defaults to None, so a given flag is one that is
+    # not None (see refusal); the runners fill in the defaults.
+    parser.add_argument("--scale", choices=sorted(_SCALES),
+                        help="study size (default: default)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None,
                         help="run the sweep as concurrent /24-aligned shards "
                              "on this many workers: threads, or processes "
-                             "that compute shards, the parent included "
-                             "(scan / observe experiments); the report and "
-                             "telemetry are byte-identical for every worker "
-                             "count")
+                             "that compute shards, the parent included; "
+                             "the report and telemetry are byte-identical "
+                             "for every worker count")
     parser.add_argument("--executor", choices=("thread", "process"),
-                        default="thread",
-                        help="shard execution backend when --workers is set: "
-                             "threads share memory but are GIL-bound; "
-                             "processes scan on real cores (output is "
-                             "byte-identical either way)")
-    parser.add_argument("--markdown", action="store_true",
+                        help="shard execution backend for --workers "
+                             "(default: thread): threads share memory but "
+                             "are GIL-bound; processes scan on real cores "
+                             "(output is byte-identical either way)")
+    parser.add_argument("--markdown", action="store_true", default=None,
                         help="render the full report as markdown")
     parser.add_argument("--out", type=str, default=None,
                         help="write the report to this file instead of stdout")
     parser.add_argument("--telemetry", choices=("jsonl", "prometheus", "funnel"),
-                        default=None,
-                        help="append the run's telemetry in this format "
-                             "(scan / observe / honeypot experiments)")
+                        help="append the run's telemetry in this format")
     parser.add_argument("--telemetry-out", type=str, default=None,
                         help="write the telemetry dump to this file instead "
                              "of appending it to the report")
@@ -71,14 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the canonical report or telemetry export",
     )
     observability.add_argument(
-        "--profile", action="store_true",
-        help="arm span profiling (SimClock rollups plus per-shard wall "
-             "attribution) for experiments that run the pipeline",
-    )
-    observability.add_argument(
         "--profile-out", type=str, default=None,
-        help="write the deterministic SimClock profile rollup as JSON "
-             "(implies --profile)",
+        help="write the deterministic SimClock profile rollup as JSON",
     )
     observability.add_argument(
         "--flight-out", type=str, default=None,
@@ -87,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     observability.add_argument(
         "--console-port", type=int, default=None,
         help="serve the live operations console on this loopback port "
-             "for the duration of the run (0 = ephemeral)",
+             "for the duration of the run (0 = ephemeral); arms the "
+             "per-shard wall profile it shows",
     )
     longevity = parser.add_argument_group(
         "incremental longevity campaign",
@@ -97,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verification against from-scratch sweeps",
     )
     longevity.add_argument(
-        "--frame-addresses", type=int, default=10_000_000,
+        "--frame-addresses", type=int, default=None,
         help="size of the interval-compressed scan frame (default 10M; "
              "the paper's full scale is 100M)",
     )
@@ -119,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     supervision = parser.add_argument_group(
         "supervised runtime",
-        "run the sweep under the supervised runtime (full / scan / observe "
-        "experiments): deadlines, per-probe watchdogs, quarantine, and a "
-        "coverage account of everything skipped",
+        "run the sweep under the supervised runtime: deadlines, per-probe "
+        "watchdogs, quarantine, and a coverage account of everything "
+        "skipped",
     )
     supervision.add_argument(
         "--deadline", type=float, default=None,
@@ -142,124 +147,156 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> StudyConfig:
+    config = _SCALES[args.scale or "default"]()
+    return config if args.seed is None else config.with_seed(args.seed)
+
+
 def _supervisor_config(args):
-    """A SupervisorConfig when any supervision flag was given, else None."""
-    if (args.deadline is None and args.max_shard_restarts is None
-            and args.quarantine_threshold is None):
+    """A SupervisorConfig of the supervision flags given, or None."""
+    given = {
+        name: getattr(args, name)
+        for name in ("deadline", "max_shard_restarts", "quarantine_threshold")
+        if getattr(args, name) is not None
+    }
+    if not given:
         return None
     from repro.core.supervisor import SupervisorConfig
 
-    defaults = SupervisorConfig()
-    return SupervisorConfig(
-        deadline=args.deadline,
-        max_shard_restarts=(
-            args.max_shard_restarts
-            if args.max_shard_restarts is not None
-            else defaults.max_shard_restarts
-        ),
-        quarantine_threshold=(
-            args.quarantine_threshold
-            if args.quarantine_threshold is not None
-            else defaults.quarantine_threshold
-        ),
+    return SupervisorConfig(**given)
+
+
+def _scan_study(args, console):
+    # Profiling is armed exactly when a console shows its per-shard wall.
+    return run_scan_study(
+        _config(args), workers=args.workers,
+        executor=args.executor or "thread",
+        supervisor=_supervisor_config(args),
+        profile=console is not None, console=console,
     )
 
 
-def _run(
-    experiment: str,
-    config: StudyConfig,
-    markdown: bool = False,
-    workers: int | None = None,
-    executor: str = "thread",
-    supervisor=None,
-    profile: bool = False,
-    console=None,
-    longevity_args=None,
-):
-    """Run one experiment; returns (report text, Telemetry or None)."""
-    if experiment == "full":
-        study = run_full_study(config, supervisor=supervisor)
-        return study.render_markdown() if markdown else study.render(), None
-    if experiment == "scan":
-        study = run_scan_study(
-            config, workers=workers, executor=executor,
-            supervisor=supervisor, profile=profile, console=console,
-        )
-        sections = [study.table2().render(), study.table3().render(),
-                    study.table4().render(), study.figure1().render()]
-        if supervisor is not None:
-            sections.append(study.report.coverage.render())
-        return "\n\n".join(sections), study.telemetry
-    if experiment == "observe":
-        study = run_scan_study(
-            config, workers=workers, executor=executor,
-            supervisor=supervisor, profile=profile, console=console,
-        )
-        # The observer charges its sweep counters to the scan pipeline's
-        # handle, so one dump covers both phases.
-        observer = run_observer_study(study, telemetry=study.telemetry)
-        return observer.figure2().render(), observer.telemetry
-    if experiment == "honeypot":
-        study = run_honeypot_study(config)
-        return "\n\n".join(
-            [study.table5().render(), study.table6().render(),
-             study.figure3().render(), study.figure4().render(),
-             study.table7().render(), study.table8().render()]
-        ), study.telemetry
-    if experiment == "defender":
-        return run_defender_study().table().render(), None
-    if experiment == "ct-race":
-        from repro.experiments.ct_race import run_ct_race
+def _full(args, console):
+    study = run_full_study(_config(args), supervisor=_supervisor_config(args))
+    return study.render_markdown() if args.markdown else study.render(), None
 
-        return run_ct_race().table().render(), None
-    if experiment == "vhosts":
-        from repro.experiments.vhosts import run_vhost_study
 
-        return run_vhost_study().table().render(), None
-    if experiment == "packet-loss":
-        from repro.experiments.packet_loss import run_packet_loss_study
+def _scan(args, console):
+    study = _scan_study(args, console)
+    sections = [study.table2().render(), study.table3().render(),
+                study.table4().render(), study.figure1().render()]
+    if study.pipeline.supervisor is not None:
+        sections.append(study.report.coverage.render())
+    return "\n\n".join(sections), study.telemetry
 
-        return run_packet_loss_study().table().render(), None
-    if experiment == "recall-recovery":
-        from repro.experiments.packet_loss import run_recall_recovery_study
 
-        return run_recall_recovery_study().table().render(), None
-    if experiment == "longevity":
-        from repro.core.rescan import load_rescan_state, save_rescan_state
-        from repro.experiments.longevity import run_longevity_study
+def _observe(args, console):
+    study = _scan_study(args, console)
+    # The observer charges its sweep counters to the scan pipeline's
+    # handle, so one dump covers both phases.
+    observer = run_observer_study(study, telemetry=study.telemetry)
+    return observer.figure2().render(), observer.telemetry
 
-        options = longevity_args or {}
-        resume = None
-        if options.get("rescan_from"):
-            resume = load_rescan_state(options["rescan_from"])
-        study = run_longevity_study(
-            config,
-            frame_addresses=options.get("frame_addresses", 10_000_000),
-            max_sweeps=options.get("max_sweeps"),
-            resume_from=resume,
-        )
-        if options.get("rescan_out"):
-            save_rescan_state(study.final_state, options["rescan_out"])
-        return study.render(), None
-    if experiment == "chaos-soak":
-        from repro.experiments.chaos_soak import run_chaos_soak
 
-        soak = run_chaos_soak(profile=profile, console=console)
-        return soak.render(), soak.telemetry
-    if experiment == "chaos-coverage":
-        from repro.experiments.chaos_soak import run_chaos_coverage_study
+def _honeypot(args, console):
+    study = run_honeypot_study(_config(args))
+    return "\n\n".join(
+        [study.table5().render(), study.table6().render(),
+         study.figure3().render(), study.figure4().render(),
+         study.table7().render(), study.table8().render()]
+    ), study.telemetry
 
-        study = run_chaos_coverage_study()
-        return study.table().render(), study.telemetry
-    raise ValueError(f"unknown experiment {experiment!r}")
+
+def _one_table(study: Callable):
+    """The runner of a study that reads no flag and renders one table."""
+    return lambda args, console: (study().table().render(), None)
+
+
+def _longevity(args, console):
+    study = run_longevity_study(
+        _config(args),
+        frame_addresses=args.frame_addresses or 10_000_000,
+        max_sweeps=args.max_sweeps,
+        resume_from=(
+            None if args.rescan_from is None
+            else load_rescan_state(args.rescan_from)
+        ),
+    )
+    if args.rescan_out is not None:
+        save_rescan_state(study.final_state, args.rescan_out)
+    return study.render(), None
+
+
+def _chaos_soak(args, console):
+    soak = run_chaos_soak(profile=console is not None, console=console)
+    return soak.render(), soak.telemetry
+
+
+def _chaos_coverage(args, console):
+    study = run_chaos_coverage_study()
+    return study.table().render(), study.telemetry
+
+
+class Experiment(NamedTuple):
+    #: ``(args, console hub or None) -> (report text, Telemetry or None)``
+    run: Callable
+    #: the flags ``run`` reads; ``--experiment`` and ``--out`` apply to all
+    reads: frozenset[str]
+
+
+_STUDY = {"--scale", "--seed"}
+_SUPERVISION = {"--deadline", "--max-shard-restarts", "--quarantine-threshold"}
+_SWEEP = {"--workers", "--executor", "--console-port", *_SUPERVISION}
+#: what main writes from the Telemetry the runner returns
+_TELEMETRY = {"--telemetry", "--telemetry-out", "--profile-out", "--flight-out"}
+_CAMPAIGN = {"--frame-addresses", "--max-sweeps", "--rescan-from", "--rescan-out"}
+
+#: every experiment, its runner and the flags it reads: any other flag is
+#: refused before anything runs
+EXPERIMENTS = {
+    name: Experiment(run, frozenset(reads))
+    for name, run, reads in (
+        ("full", _full, {*_STUDY, *_SUPERVISION, "--markdown"}),
+        ("scan", _scan, {*_STUDY, *_SWEEP, *_TELEMETRY}),
+        ("observe", _observe, {*_STUDY, *_SWEEP, *_TELEMETRY}),
+        ("honeypot", _honeypot, {*_STUDY, *_TELEMETRY}),
+        ("defender", _one_table(run_defender_study), ()),
+        ("ct-race", _one_table(run_ct_race), ()),
+        ("vhosts", _one_table(run_vhost_study), ()),
+        ("packet-loss", _one_table(run_packet_loss_study), ()),
+        ("recall-recovery", _one_table(run_recall_recovery_study), ()),
+        ("chaos-soak", _chaos_soak, {"--console-port", *_TELEMETRY}),
+        ("chaos-coverage", _chaos_coverage, _TELEMETRY),
+        ("longevity", _longevity, {*_STUDY, *_CAMPAIGN}),
+    )
+}
+#: a flag that only means something beside another
+COMPANIONS = (("--telemetry-out", "--telemetry"), ("--executor", "--workers"))
+
+
+def refusal(args) -> str | None:
+    """Why these parsed arguments cannot run as given, or None."""
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest != "experiment" and value is not None
+    ]
+    reads = EXPERIMENTS[args.experiment].reads
+    for flag in given:
+        if flag != "--out" and flag not in reads:
+            return f"{flag} does not apply to --experiment {args.experiment}"
+    for flag, needs in COMPANIONS:
+        if flag in given and needs not in given:
+            return f"{flag} needs {needs}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _SCALES[args.scale]()
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    profile = args.profile or args.profile_out is not None
+    refused = refusal(args)
+    if refused is not None:
+        print(f"repro-study: {refused}", file=sys.stderr)
+        return 2
     hub = server = None
     try:
         if args.console_port is not None:
@@ -268,19 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             hub = ConsoleHub()
             server = ConsoleServer(hub, port=args.console_port).start()
             print(f"operations console at {server.url}", file=sys.stderr)
-        report, telemetry = _run(
-            args.experiment, config,
-            markdown=args.markdown, workers=args.workers,
-            executor=args.executor,
-            supervisor=_supervisor_config(args),
-            profile=profile, console=hub,
-            longevity_args={
-                "frame_addresses": args.frame_addresses,
-                "max_sweeps": args.max_sweeps,
-                "rescan_from": args.rescan_from,
-                "rescan_out": args.rescan_out,
-            },
-        )
+        report, telemetry = EXPERIMENTS[args.experiment].run(args, hub)
     except ReproError as error:
         print(f"repro-study: {error}", file=sys.stderr)
         return 2
@@ -288,49 +313,34 @@ def main(argv: list[str] | None = None) -> int:
         if server is not None:
             server.stop()
     if args.telemetry is not None:
-        if telemetry is None:
-            print(
-                f"experiment {args.experiment!r} records no telemetry",
-                file=sys.stderr,
-            )
-            return 2
         dump = telemetry.export(args.telemetry)
         if args.telemetry_out:
-            with open(args.telemetry_out, "w") as handle:
-                handle.write(dump)
-            print(f"telemetry written to {args.telemetry_out}")
+            _write(args.telemetry_out, dump, "telemetry")
         else:
             report = report + "\n\n" + dump.rstrip("\n")
-    if args.profile_out is not None or args.flight_out is not None:
-        if telemetry is None:
-            print(
-                f"experiment {args.experiment!r} records no telemetry",
-                file=sys.stderr,
-            )
-            return 2
-        if args.profile_out is not None:
-            from repro.obs.profile import ProfileRollup
+    if args.profile_out is not None:
+        from repro.obs.profile import ProfileRollup
 
-            rollup = ProfileRollup.from_spans(telemetry.tracer.finished)
-            with open(args.profile_out, "w") as handle:
-                json.dump(rollup.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"profile rollup written to {args.profile_out}")
-        if args.flight_out is not None:
-            with open(args.flight_out, "w") as handle:
-                json.dump(
-                    telemetry.flight.snapshot_state(), handle,
-                    indent=2, sort_keys=True,
-                )
-                handle.write("\n")
-            print(f"flight record written to {args.flight_out}")
+        rollup = ProfileRollup.from_spans(telemetry.tracer.finished)
+        _write(args.profile_out, _json(rollup.to_dict()), "profile rollup")
+    if args.flight_out is not None:
+        state = telemetry.flight.snapshot_state()
+        _write(args.flight_out, _json(state), "flight record")
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.out}")
+        _write(args.out, report + "\n", "report")
     else:
         print(report)
     return 0
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str, what: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"{what} written to {path}")
 
 
 if __name__ == "__main__":

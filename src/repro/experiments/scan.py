@@ -55,9 +55,6 @@ class ScanStudy:
         observations = version_analysis.to_versioned(self.report.observations())
         return Figure1.build(observations)
 
-    def versioned_observations(self):
-        return version_analysis.to_versioned(self.report.observations())
-
     def total_mavs(self) -> int:
         return len(self.report.vulnerable_ips())
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.util.errors import LogIntegrityError
 
@@ -106,7 +106,3 @@ class CentralLogStore:
             for r in self._records
             if getattr(r.event, "honeypot", None) is not None
         }
-
-    def extend_from(self, events: Iterable[object]) -> None:
-        for event in events:
-            self.append(event)

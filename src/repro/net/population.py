@@ -167,9 +167,6 @@ class Census:
     def note_host(self, ip: IPv4Address, rate: float) -> None:
         self.weights[ip.value] = 1.0 / rate
 
-    def generated_total(self, slug: str) -> int:
-        return self.generated_secure.get(slug, 0) + self.generated_vulnerable.get(slug, 0)
-
 
 def _sample_count(rng: random.Random, expected: float) -> int:
     """Integer draw with mean ``expected`` (probabilistic rounding)."""

@@ -99,10 +99,6 @@ class VerificationError(ReproError):
     """An incremental result diverged from its from-scratch oracle."""
 
 
-class PluginError(ReproError):
-    """A Tsunami detection plugin failed in an unexpected way."""
-
-
 class SnapshotError(ReproError):
     """A honeypot snapshot could not be taken or restored."""
 

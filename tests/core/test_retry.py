@@ -268,19 +268,22 @@ class TestRetryStats:
         )
 
     def test_executor_snapshot_restore(self):
-        executor = RetryExecutor(
-            RetryPolicy(max_attempts=3, jitter=True), rng=random.Random(5)
-        )
+        """A snapshot carries the jitter stream and each host's spent
+        retries; the stats ride in the report rows, not here."""
+        policy = RetryPolicy(max_attempts=3, jitter=True, per_host_budget=1)
+        executor = RetryExecutor(policy, rng=random.Random(5))
         executor.call(IP, FailNTimes(1))
         state = executor.snapshot_state()
+        assert "stats" not in state
         tail = [executor._rng.random() for _ in range(10)]
 
-        fresh = RetryExecutor(
-            RetryPolicy(max_attempts=3, jitter=True), rng=random.Random(5)
-        )
+        fresh = RetryExecutor(policy, rng=random.Random(5))
         fresh.restore_state(state)
         assert [fresh._rng.random() for _ in range(10)] == tail
-        assert fresh.stats == executor.stats
+        # IP's one retry is spent: its next failure is not retried
+        with pytest.raises(ConnectionTimeout):
+            fresh.call(IP, FailNTimes(1))
+        assert fresh.stats.budget_denials == 1
 
 
 class FakeSupervision:

@@ -30,7 +30,17 @@ class TestCliExtensions:
         assert args.markdown
 
     def test_seed_override(self, capsys):
-        assert main(["--experiment", "defender", "--seed", "99"]) == 0
+        """``--seed`` reaches the studies that read it, and an experiment
+        that reads none refuses it."""
+        reports = []
+        for seed in ([], ["--seed", "99"]):
+            assert main(["--experiment", "scan", "--scale", "tiny", *seed]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] != reports[1]
+        assert main(["--experiment", "defender", "--seed", "99"]) == 2
+        assert capsys.readouterr().err == (
+            "repro-study: --seed does not apply to --experiment defender\n"
+        )
 
 
 class TestFigure2Categories:
@@ -53,28 +63,23 @@ class TestSupervisionFlags:
         assert _supervisor_config(args) is None
 
     def test_flags_build_a_supervisor_config(self):
+        from repro.core.supervisor import SupervisorConfig
         from repro.experiments.cli import _supervisor_config
 
         args = build_parser().parse_args([
             "--deadline", "600", "--max-shard-restarts", "1",
             "--quarantine-threshold", "3",
         ])
-        config = _supervisor_config(args)
-        assert config.deadline == 600.0
-        assert config.max_shard_restarts == 1
-        assert config.quarantine_threshold == 3
+        assert _supervisor_config(args) == SupervisorConfig(
+            deadline=600.0, max_shard_restarts=1, quarantine_threshold=3,
+        )
 
     def test_partial_flags_keep_defaults(self):
         from repro.core.supervisor import SupervisorConfig
         from repro.experiments.cli import _supervisor_config
 
         args = build_parser().parse_args(["--deadline", "600"])
-        config = _supervisor_config(args)
-        assert config.deadline == 600.0
-        assert config.max_shard_restarts == SupervisorConfig().max_shard_restarts
-        assert (
-            config.quarantine_threshold == SupervisorConfig().quarantine_threshold
-        )
+        assert _supervisor_config(args) == SupervisorConfig(deadline=600.0)
 
     def test_supervised_scan_renders_coverage(self, capsys):
         assert main([

@@ -9,6 +9,7 @@ the check.
 import importlib
 import json
 import re
+import shlex
 import subprocess
 from pathlib import Path
 
@@ -61,6 +62,8 @@ RETIRED = (
     "repro.lint", "reprolint-baseline", "SignatureAuditor",
     "DeterminismAuditor", "SIG001", "SIG002", "SIG003", "DET001", "DET002",
     "DET003", "DET004", "DET006", "OBS001",
+    # the CLI's profiling switch, in forms --profile-out does not match
+    "--profile ", "--profile\n", "`--profile`",
 )
 
 #: history (what was done, what was asked) may name what is gone; the
@@ -76,7 +79,7 @@ MAY_NAME = {"DESIGN.md": {
     *(f"PLG00{n}" for n in range(1, 8)),
     *(f"{family}00{n}" for family in ("RACE", "PKL", "SIG") for n in range(1, 4)),
     "DET001", "DET002", "DET003", "DET004", "DET006", "OBS001",
-}}
+}, "SNIPPETS.md": {"--profile ", "`--profile`"}}  # other projects' CLIs
 
 
 def test_ci_and_docs_name_only_what_exists():
@@ -147,3 +150,59 @@ def test_docs_quote_only_metrics_the_benchmark_declares():
                 unknown.append(f"{doc}: {token}")
     assert {"sweep_dense.wall_s", "core.checkpoint.share"} <= checked  # found
     assert unknown == []
+
+
+#: where a ``repro-study`` command line starts: the console script or the
+#: module, then a space
+COMMAND = re.compile(r"(?:repro-study|-m repro\.experiments\.cli)(?=\s|$)(.*)")
+
+
+def command_lines(text: str, folded: bool) -> list[list[str]]:
+    """The arguments of every ``repro-study`` command line in ``text``.
+
+    A line that ends in a backslash goes on, as in a shell, and so, where
+    lines are ``folded`` (a YAML ``run: >`` block), do the lines after it
+    that start with ``--``; inline code ends at its backtick, a shell
+    comment is dropped, and a command ends at a pipe or a redirection.
+    """
+    lines = text.splitlines()
+    commands = []
+    for index, line in enumerate(lines):
+        match = COMMAND.search(line)
+        if match is None:
+            continue
+        rest = match.group(1)
+        for following in lines[index + 1:]:
+            if rest.endswith("\\"):
+                rest = rest[:-1] + following
+            elif folded and following.lstrip().startswith("--"):
+                rest += " " + following
+            else:
+                break
+        words = shlex.split(re.sub(r"(^|\s)#.*", "", rest.split("`")[0]))
+        ends = [n for n, word in enumerate(words) if word[:1] in tuple("|&;<>")]
+        commands.append(words[:ends[0]] if ends else words)
+    return commands
+
+
+@pytest.mark.parametrize(
+    "doc", [".github/workflows/ci.yml", "README.md", "EXPERIMENTS.md"]
+)
+def test_every_command_line_names_only_flags_that_apply(doc):
+    """Each ``repro-study`` command line in CI and the docs parses, and
+    the experiment table takes every flag it gives; none is run."""
+    from repro.experiments.cli import build_parser, refusal
+
+    commands = command_lines((ROOT / doc).read_text(), doc.endswith(".yml"))
+    assert len(commands) >= 5  # found
+    refused = []
+    for words in commands:
+        if "--help" in words:
+            continue
+        try:
+            why = refusal(build_parser().parse_args(words))
+        except SystemExit:
+            why = "does not parse"
+        if why is not None:
+            refused.append(f"{' '.join(words)}: {why}")
+    assert refused == []
